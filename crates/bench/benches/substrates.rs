@@ -66,6 +66,25 @@ fn bench_substrates(c: &mut Criterion) {
             )
         })
     });
+    group.bench_function("global_route_congested", |bench| {
+        // Full-scale Jpeg at 60% utilisation: a fifth of the segments
+        // overflow both L-shapes and take the maze (the 1/64-scale design
+        // above never does).
+        let big = Bench::generate_at(DesignProfile::Jpeg, 1.0);
+        let fp = Floorplan::for_netlist(&big.netlist, 0.6, 1.0);
+        let problem = PlacementProblem::from_netlist(&big.netlist, &fp);
+        let placed = GlobalPlacer::new(PlacerOptions::default())
+            .place(&problem)
+            .expect("placement runs");
+        let mut positions = placed.positions;
+        positions.extend_from_slice(&fp.port_positions);
+        let route = || {
+            route_placed_netlist(&big.netlist, &positions, &fp, &RouterOptions::default())
+                .expect("routing runs")
+        };
+        assert!(route().mazed_segments > 0, "the congested case must maze");
+        bench.iter(|| black_box(route().wirelength))
+    });
     group.bench_function("cts", |bench| {
         bench.iter(|| {
             black_box(

@@ -1,10 +1,9 @@
 //! Net decomposition and GCell routing.
 
-use crate::congestion::CongestionMap;
+use crate::congestion::{CongestionMap, MAX_EDGE_COST};
 use crate::error::RouteError;
 use cp_netlist::floorplan::{Floorplan, Rect};
 use cp_netlist::netlist::{Netlist, PinRef};
-use std::collections::BinaryHeap;
 
 /// Router tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,10 +59,11 @@ impl RoutingResult {
 
 /// Routes a set of nets given as pin-position lists within `region`.
 ///
-/// Multi-pin nets are decomposed over a Manhattan-distance Prim MST; each
-/// two-pin segment takes the less congested L-shape, falling back to a
-/// congestion-aware maze within the segment bbox (plus margin) when both
-/// L-shapes hit a full edge.
+/// Three-pin nets route to their Steiner (median) point, larger nets are
+/// decomposed over a Manhattan-distance Prim MST; each two-pin segment
+/// takes the less congested L-shape, falling back to a congestion-aware
+/// maze within the segment bbox (plus margin) when both L-shapes hit a
+/// full edge.
 ///
 /// # Errors
 ///
@@ -91,6 +91,47 @@ pub fn route_nets_with_blockages(
     blockages: &[Rect],
     options: &RouterOptions,
 ) -> Result<RoutingResult, RouteError> {
+    route_nets_counted(nets, region, blockages, options).map(|(routed, _)| routed)
+}
+
+/// Work counts of one routing call, published on the `route.global` span.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RouteStats {
+    /// Two-pin segments that took an L-shape (same-GCell segments are
+    /// not routed and not counted).
+    pattern_segments: u64,
+    /// Segments that took the maze.
+    mazed_segments: u64,
+    /// GCells inside the search windows of all maze calls.
+    maze_window_nodes: u64,
+    /// GCells the maze searches settled before reaching their targets.
+    maze_settled_nodes: u64,
+}
+
+impl RouteStats {
+    fn entries(&self) -> [(&'static str, u64); 5] {
+        [
+            (
+                "route.segments",
+                self.pattern_segments + self.mazed_segments,
+            ),
+            ("route.pattern_segments", self.pattern_segments),
+            ("route.mazed_segments", self.mazed_segments),
+            ("route.maze.window_nodes", self.maze_window_nodes),
+            ("route.maze.settled_nodes", self.maze_settled_nodes),
+        ]
+    }
+}
+
+type GCell = (usize, usize);
+
+/// The body of [`route_nets_with_blockages`], also returning work counts.
+fn route_nets_counted(
+    nets: &[Vec<(f64, f64)>],
+    region: Rect,
+    blockages: &[Rect],
+    options: &RouterOptions,
+) -> Result<(RoutingResult, RouteStats), RouteError> {
     for (ni, pins) in nets.iter().enumerate() {
         if pins.iter().any(|&(x, y)| !x.is_finite() || !y.is_finite()) {
             return Err(RouteError::NonFinitePin { net: ni });
@@ -113,53 +154,60 @@ pub fn route_nets_with_blockages(
         map.derate(i0, j0, i1.min(nx - 1), j1.min(ny - 1), 0.4);
     }
 
-    let to_gcell = |x: f64, y: f64| -> (usize, usize) {
+    let to_gcell = |x: f64, y: f64| -> GCell {
         let i = (((x - region.llx) / gcell) as isize).clamp(0, nx as isize - 1) as usize;
         let j = (((y - region.lly) / gcell) as isize).clamp(0, ny as isize - 1) as usize;
         (i, j)
     };
 
     // Route small-bbox nets first (they have the least flexibility).
+    let bbox_hp: Vec<f64> = nets
+        .iter()
+        .map(|pins| {
+            let (mut lx, mut ly, mut hx, mut hy) = (f64::MAX, f64::MAX, f64::MIN, f64::MIN);
+            for &(x, y) in pins {
+                lx = lx.min(x);
+                ly = ly.min(y);
+                hx = hx.max(x);
+                hy = hy.max(y);
+            }
+            (hx - lx) + (hy - ly)
+        })
+        .collect();
     let mut order: Vec<usize> = (0..nets.len()).collect();
-    let bbox_hp = |pins: &[(f64, f64)]| -> f64 {
-        let (mut lx, mut ly, mut hx, mut hy) = (f64::MAX, f64::MAX, f64::MIN, f64::MIN);
-        for &(x, y) in pins {
-            lx = lx.min(x);
-            ly = ly.min(y);
-            hx = hx.max(x);
-            hy = hy.max(y);
-        }
-        (hx - lx) + (hy - ly)
-    };
-    order.sort_by(|&a, &b| bbox_hp(&nets[a]).total_cmp(&bbox_hp(&nets[b])));
+    order.sort_by(|&a, &b| bbox_hp[a].total_cmp(&bbox_hp[b]));
 
     let mut wirelength = 0.0;
     let mut hpwl = 0.0;
-    let mut mazed = 0usize;
+    let mut stats = RouteStats::default();
+    // Working storage of this call, reused across nets and segments.
+    let mut cells: Vec<GCell> = Vec::new();
+    let mut mst = MstScratch::default();
+    let mut maze = MazeScratch::new();
     for &ni in &order {
         let pins = &nets[ni];
         if pins.len() < 2 {
             continue;
         }
-        hpwl += bbox_hp(pins);
-        let cells: Vec<(usize, usize)> = pins.iter().map(|&(x, y)| to_gcell(x, y)).collect();
-        for (a, b) in mst_segments(&cells) {
+        hpwl += bbox_hp[ni];
+        cells.clear();
+        cells.extend(pins.iter().map(|&(x, y)| to_gcell(x, y)));
+        mst_segments(&cells, &mut mst);
+        for &(a, b) in &mst.segments {
             if a == b {
                 continue;
             }
-            let (len, used_maze) = route_segment(&mut map, a, b, options);
+            let len = route_segment(&mut map, a, b, options, &mut maze, &mut stats);
             wirelength += len * gcell;
-            if used_maze {
-                mazed += 1;
-            }
         }
     }
-    Ok(RoutingResult {
+    let routed = RoutingResult {
         wirelength,
         hpwl,
         congestion: map,
-        mazed_segments: mazed,
-    })
+        mazed_segments: stats.mazed_segments as usize,
+    };
+    Ok((routed, stats))
 }
 
 /// Routes a placed flat netlist (positions indexed as hypergraph vertices:
@@ -176,7 +224,7 @@ pub fn route_placed_netlist(
     floorplan: &Floorplan,
     options: &RouterOptions,
 ) -> Result<RoutingResult, RouteError> {
-    let _span = cp_trace::span_with(
+    let mut span = cp_trace::span_with(
         "route.global",
         &[("nets", cp_trace::ArgValue::U(netlist.net_count() as u64))],
     );
@@ -208,13 +256,37 @@ pub fn route_placed_netlist(
         }
         nets.push(pins);
     }
-    route_nets_with_blockages(&nets, floorplan.die, &floorplan.blockages, &opts)
+    let (routed, stats) = route_nets_counted(&nets, floorplan.die, &floorplan.blockages, &opts)?;
+    if cp_trace::enabled() {
+        for (name, count) in stats.entries() {
+            span.arg(name, cp_trace::ArgValue::U(count));
+            cp_trace::counter_add(name, count);
+        }
+    }
+    Ok(routed)
 }
 
-/// Decomposes a net into two-pin segments: exact rectilinear Steiner for
-/// three pins (the Steiner point is the coordinate-wise median), Prim MST
-/// in the Manhattan metric otherwise, star fallback for very high fanout.
-fn mst_segments(cells: &[(usize, usize)]) -> Vec<((usize, usize), (usize, usize))> {
+/// Buffers of [`mst_segments`], reused from net to net.
+#[derive(Default)]
+struct MstScratch {
+    in_tree: Vec<bool>,
+    /// Per pin: (distance to the tree, closest tree pin).
+    best: Vec<(usize, usize)>,
+    /// The decomposition of the last net.
+    segments: Vec<(GCell, GCell)>,
+}
+
+/// Decomposes a net into two-pin segments (left in `scratch.segments`):
+/// exact rectilinear Steiner for three pins (the Steiner point is the
+/// coordinate-wise median), Prim MST in the Manhattan metric otherwise,
+/// star fallback for very high fanout.
+fn mst_segments(cells: &[GCell], scratch: &mut MstScratch) {
+    let MstScratch {
+        in_tree,
+        best,
+        segments,
+    } = scratch;
+    segments.clear();
     let n = cells.len();
     if n == 3 {
         // The 3-pin RSMT routes every pin to the median point.
@@ -223,24 +295,27 @@ fn mst_segments(cells: &[(usize, usize)]) -> Vec<((usize, usize), (usize, usize)
         xs.sort_unstable();
         ys.sort_unstable();
         let steiner = (xs[1], ys[1]);
-        return cells
-            .iter()
-            .filter(|&&c| c != steiner)
-            .map(|&c| (steiner, c))
-            .collect();
+        segments.extend(
+            cells
+                .iter()
+                .filter(|&&c| c != steiner)
+                .map(|&c| (steiner, c)),
+        );
+        return;
     }
     if n > 1000 {
-        return (1..n).map(|i| (cells[0], cells[i])).collect();
+        segments.extend((1..n).map(|i| (cells[0], cells[i])));
+        return;
     }
-    let dist =
-        |a: (usize, usize), b: (usize, usize)| -> usize { a.0.abs_diff(b.0) + a.1.abs_diff(b.1) };
-    let mut in_tree = vec![false; n];
-    let mut best = vec![(usize::MAX, 0usize); n]; // (dist, parent)
+    let dist = |a: GCell, b: GCell| -> usize { a.0.abs_diff(b.0) + a.1.abs_diff(b.1) };
+    in_tree.clear();
+    in_tree.resize(n, false);
+    best.clear();
+    best.resize(n, (usize::MAX, 0));
     in_tree[0] = true;
     for i in 1..n {
         best[i] = (dist(cells[0], cells[i]), 0);
     }
-    let mut segments = Vec::with_capacity(n.saturating_sub(1));
     for _ in 1..n {
         let mut pick = usize::MAX;
         for i in 0..n {
@@ -262,16 +337,17 @@ fn mst_segments(cells: &[(usize, usize)]) -> Vec<((usize, usize), (usize, usize)
             }
         }
     }
-    segments
 }
 
-/// Routes one segment; returns (GCell edges used, maze fallback used).
+/// Routes one segment and counts it in `stats`; returns GCell edges used.
 fn route_segment(
     map: &mut CongestionMap,
-    a: (usize, usize),
-    b: (usize, usize),
+    a: GCell,
+    b: GCell,
     options: &RouterOptions,
-) -> (f64, bool) {
+    maze: &mut MazeScratch,
+    stats: &mut RouteStats,
+) -> f64 {
     // Straight lines and L-shapes.
     let util_l = |map: &CongestionMap, first_horizontal: bool| -> f64 {
         // An L runs horizontally at the start row (or end row) and
@@ -302,23 +378,18 @@ fn route_segment(
     } else {
         (false, u_b)
     };
-    if worst < 1.0 || !options.maze_fallback {
-        let len = commit_l(map, a, b, first_horizontal);
-        return (len, false);
+    if worst >= 1.0 && options.maze_fallback {
+        if let Some(len) = maze_route(map, a, b, options.maze_margin, maze, stats) {
+            stats.mazed_segments += 1;
+            return len;
+        }
     }
-    match maze_route(map, a, b, options.maze_margin) {
-        Some(len) => (len, true),
-        None => (commit_l(map, a, b, first_horizontal), false),
-    }
+    stats.pattern_segments += 1;
+    commit_l(map, a, b, first_horizontal)
 }
 
 /// Commits an L-shaped route; returns edges used.
-fn commit_l(
-    map: &mut CongestionMap,
-    a: (usize, usize),
-    b: (usize, usize),
-    first_horizontal: bool,
-) -> f64 {
+fn commit_l(map: &mut CongestionMap, a: GCell, b: GCell, first_horizontal: bool) -> f64 {
     let (hy, vx) = if first_horizontal {
         (a.1, b.0)
     } else {
@@ -335,80 +406,191 @@ fn commit_l(
     ((x1 - x0) + (y1 - y0)) as f64
 }
 
-/// Congestion-aware Dijkstra within the segment bbox plus margin.
-/// Returns edges used, or `None` if the search area degenerates.
-fn maze_route(
-    map: &mut CongestionMap,
-    a: (usize, usize),
-    b: (usize, usize),
-    margin: usize,
-) -> Option<f64> {
-    let (nx, ny) = (map.nx(), map.ny());
-    let x0 = a.0.min(b.0).saturating_sub(margin);
-    let y0 = a.1.min(b.1).saturating_sub(margin);
-    let x1 = (a.0.max(b.0) + margin).min(nx - 1);
-    let y1 = (a.1.max(b.1) + margin).min(ny - 1);
-    let w = x1 - x0 + 1;
-    let h = y1 - y0 + 1;
-    let idx = |i: usize, j: usize| (j - y0) * w + (i - x0);
-    let mut dist = vec![f64::INFINITY; w * h];
-    let mut prev: Vec<u32> = vec![u32::MAX; w * h];
-    let mut heap: BinaryHeap<std::cmp::Reverse<(u64, u32)>> = BinaryHeap::new();
-    let start = idx(a.0, a.1) as u32;
-    dist[start as usize] = 0.0;
-    heap.push(std::cmp::Reverse((0, start)));
-    let cost_of = |util: f64| 1.0 + if util >= 1.0 { 64.0 } else { 8.0 * util * util };
-    let target = idx(b.0, b.1) as u32;
-    while let Some(std::cmp::Reverse((dkey, u))) = heap.pop() {
-        let du = f64::from_bits(dkey);
-        if du > dist[u as usize] {
-            continue;
-        }
-        if u == target {
-            break;
-        }
-        let (ui, uj) = (x0 + (u as usize % w), y0 + (u as usize / w));
-        let mut push = |map: &CongestionMap, vi: usize, vj: usize, horizontal: bool| {
-            let util = if horizontal {
-                map.h_utilization(ui.min(vi), uj)
-            } else {
-                map.v_utilization(ui, uj.min(vj))
-            };
-            let nd = du + cost_of(util);
-            let v = idx(vi, vj) as u32;
-            if nd < dist[v as usize] {
-                dist[v as usize] = nd;
-                prev[v as usize] = u;
-                heap.push(std::cmp::Reverse((nd.to_bits(), v)));
-            }
-        };
-        if ui > x0 {
-            push(map, ui - 1, uj, true);
-        }
-        if ui < x1 {
-            push(map, ui + 1, uj, true);
-        }
-        if uj > y0 {
-            push(map, ui, uj - 1, false);
-        }
-        if uj < y1 {
-            push(map, ui, uj + 1, false);
+/// Buckets of the maze's circular queue. Dial's algorithm needs more
+/// buckets than the largest edge cost; a power of two makes the wrap a mask.
+const BUCKETS: usize = (MAX_EDGE_COST as usize + 1).next_power_of_two();
+const BUCKET_WORDS: usize = BUCKETS / 64;
+
+/// "Not reached yet" in [`MazeScratch::dist`].
+const UNREACHED: u32 = u32::MAX;
+
+/// Working storage of [`maze_route`], owned by one routing call and reused
+/// by every maze search in it. All per-node arrays cover the search window
+/// plus a one-node ring, row-major with the padded width as the stride.
+struct MazeScratch {
+    /// Tentative path cost per node; 0 on the ring, so nothing relaxes
+    /// into it and the search needs no bounds tests.
+    dist: Vec<u32>,
+    /// Predecessor on the cheapest known path.
+    prev: Vec<u32>,
+    /// Cost of the edge from a node to its east neighbour, copied from
+    /// the map. Entries for edges into the ring are never written; the
+    /// ring's zero `dist` makes their value irrelevant.
+    east_cost: Vec<u16>,
+    /// Cost of the edge from a node to its north neighbour.
+    north_cost: Vec<u16>,
+    /// Bucket `d % BUCKETS` holds the nodes pushed at path cost `d`.
+    /// Entries are never removed on a decrease; a popped node whose `dist`
+    /// no longer equals the bucket's cost is skipped.
+    buckets: Vec<Vec<u32>>,
+    /// Bit per bucket: clear means empty.
+    nonempty: [u64; BUCKET_WORDS],
+}
+
+impl MazeScratch {
+    fn new() -> Self {
+        Self {
+            dist: Vec::new(),
+            prev: Vec::new(),
+            east_cost: Vec::new(),
+            north_cost: Vec::new(),
+            buckets: vec![Vec::new(); BUCKETS],
+            nonempty: [0; BUCKET_WORDS],
         }
     }
-    if !dist[target as usize].is_finite() {
+
+    /// Empties the queue (a search stops at its target with entries left).
+    fn clear_queue(&mut self) {
+        for (w, word) in self.nonempty.iter_mut().enumerate() {
+            while *word != 0 {
+                self.buckets[w * 64 + word.trailing_zeros() as usize].clear();
+                *word &= *word - 1;
+            }
+        }
+    }
+
+    fn push(&mut self, node: usize, cost: u32) {
+        let bucket = cost as usize % BUCKETS;
+        self.buckets[bucket].push(node as u32);
+        self.nonempty[bucket / 64] |= 1 << (bucket % 64);
+    }
+
+    /// The smallest queued path cost, given that none is below `from` and
+    /// all are within `MAX_EDGE_COST` of it.
+    fn next_cost(&self, from: u32) -> Option<u32> {
+        let start = from as usize % BUCKETS;
+        let (w0, b0) = (start / 64, start % 64);
+        // Circular scan: the bits at and after `start` in its word, the
+        // following words, and last the bits before `start`.
+        for k in 0..=BUCKET_WORDS {
+            let w = (w0 + k) % BUCKET_WORDS;
+            let mut bits = self.nonempty[w];
+            if k == 0 {
+                bits &= !0 << b0;
+            } else if k == BUCKET_WORDS {
+                bits &= !(!0 << b0);
+            }
+            if bits != 0 {
+                let bucket = w * 64 + bits.trailing_zeros() as usize;
+                return Some(from + ((bucket + BUCKETS - start) % BUCKETS) as u32);
+            }
+        }
+        None
+    }
+}
+
+/// The maze's search window `(x0, y0, x1, y1)`, inclusive: the segment
+/// bbox grown by `margin` GCells and clipped to the grid.
+fn maze_window(
+    map: &CongestionMap,
+    a: GCell,
+    b: GCell,
+    margin: usize,
+) -> (usize, usize, usize, usize) {
+    (
+        a.0.min(b.0).saturating_sub(margin),
+        a.1.min(b.1).saturating_sub(margin),
+        (a.0.max(b.0) + margin).min(map.nx() - 1),
+        (a.1.max(b.1) + margin).min(map.ny() - 1),
+    )
+}
+
+/// Congestion-aware shortest path within the segment bbox plus margin, on
+/// the map's cached integer edge costs (Dial's algorithm: Dijkstra with a
+/// bucket queue). Commits the path's demand and returns the edges used, or
+/// `None` if the target cannot be reached.
+fn maze_route(
+    map: &mut CongestionMap,
+    a: GCell,
+    b: GCell,
+    margin: usize,
+    scratch: &mut MazeScratch,
+    stats: &mut RouteStats,
+) -> Option<f64> {
+    let (x0, y0, x1, y1) = maze_window(map, a, b, margin);
+    let w = x1 - x0 + 1;
+    let h = y1 - y0 + 1;
+    // Window node (i, j) sits at padded index (j − y0 + 1)·stride + (i − x0 + 1).
+    let stride = w + 2;
+    let idx = |c: GCell| (c.1 - y0 + 1) * stride + (c.0 - x0 + 1);
+    let padded = stride * (h + 2);
+    scratch.dist.clear();
+    scratch.dist.resize(padded, 0);
+    scratch.prev.resize(padded, 0);
+    scratch.east_cost.resize(padded, 0);
+    scratch.north_cost.resize(padded, 0);
+    for j in 0..h {
+        let row = (j + 1) * stride + 1;
+        scratch.dist[row..row + w].fill(UNREACHED);
+        scratch.east_cost[row..row + w - 1].copy_from_slice(map.h_cost_row(x0, y0 + j, w - 1));
+        if j + 1 < h {
+            scratch.north_cost[row..row + w].copy_from_slice(map.v_cost_row(x0, y0 + j, w));
+        }
+    }
+    scratch.clear_queue();
+
+    let start = idx(a);
+    let target = idx(b);
+    scratch.dist[start] = 0;
+    scratch.push(start, 0);
+    let mut settled = 0u64;
+    let mut reached = false;
+    let mut cost = 0u32;
+    'search: while let Some(next) = scratch.next_cost(cost) {
+        cost = next;
+        let bucket = cost as usize % BUCKETS;
+        while let Some(u) = scratch.buckets[bucket].pop() {
+            let u = u as usize;
+            if scratch.dist[u] != cost {
+                continue;
+            }
+            settled += 1;
+            if u == target {
+                reached = true;
+                break 'search;
+            }
+            let edges = [
+                (u + 1, scratch.east_cost[u]),
+                (u - 1, scratch.east_cost[u - 1]),
+                (u + stride, scratch.north_cost[u]),
+                (u - stride, scratch.north_cost[u - stride]),
+            ];
+            for (v, edge) in edges {
+                let through = cost + u32::from(edge);
+                if through < scratch.dist[v] {
+                    scratch.dist[v] = through;
+                    scratch.prev[v] = u as u32;
+                    scratch.push(v, through);
+                }
+            }
+        }
+        scratch.nonempty[bucket / 64] &= !(1 << (bucket % 64));
+    }
+    stats.maze_window_nodes += (w * h) as u64;
+    stats.maze_settled_nodes += settled;
+    if !reached {
         return None;
     }
     // Walk back, committing demand.
     let mut len = 0.0;
     let mut cur = target;
     while cur != start {
-        let p = prev[cur as usize];
-        let (ci, cj) = (x0 + (cur as usize % w), y0 + (cur as usize / w));
-        let (pi, pj) = (x0 + (p as usize % w), y0 + (p as usize / w));
-        if ci != pi {
-            map.add_h(ci.min(pi), cj, 1.0);
+        let p = scratch.prev[cur] as usize;
+        let (i, j) = (x0 + p.min(cur) % stride - 1, y0 + p.min(cur) / stride - 1);
+        if cur.abs_diff(p) == 1 {
+            map.add_h(i, j, 1.0);
         } else {
-            map.add_v(ci, cj.min(pj), 1.0);
+            map.add_v(i, j, 1.0);
         }
         len += 1.0;
         cur = p;
@@ -497,6 +679,26 @@ mod tests {
     }
 
     #[test]
+    fn mazed_routing_is_repeatable_and_counted() {
+        // Capacity 2 per edge and eight nets down one corridor: most maze.
+        let mut nets: Vec<Vec<(f64, f64)>> =
+            (0..8).map(|_| vec![(5.0, 55.0), (95.0, 55.0)]).collect();
+        nets.push(vec![(15.0, 5.0), (85.0, 95.0), (45.0, 45.0), (5.0, 85.0)]);
+        let (first, stats) = route_nets_counted(&nets, region(), &[], &opts()).expect("routable");
+        let (second, again) = route_nets_counted(&nets, region(), &[], &opts()).expect("routable");
+        assert_eq!(first, second);
+        assert_eq!(stats, again);
+        assert!(stats.mazed_segments > 0, "{stats:?}");
+        assert_eq!(stats.mazed_segments as usize, first.mazed_segments);
+        assert_eq!(stats.pattern_segments + stats.mazed_segments, 8 + 3);
+        assert!(stats.maze_settled_nodes >= 2 * stats.mazed_segments);
+        assert!(
+            stats.maze_settled_nodes <= stats.maze_window_nodes,
+            "{stats:?}"
+        );
+    }
+
+    #[test]
     fn deterministic() {
         let nets = vec![
             vec![(5.0, 5.0), (95.0, 95.0)],
@@ -534,6 +736,190 @@ mod blockage_tests {
             blocked.congestion.max_utilization(),
             open.congestion.max_utilization()
         );
+    }
+}
+
+#[cfg(test)]
+mod degenerate_grid_tests {
+    use super::*;
+
+    fn opts() -> RouterOptions {
+        RouterOptions {
+            gcell_size: 10.0,
+            tracks_per_layer: 1,
+            layers_per_direction: 1,
+            maze_fallback: true,
+            maze_margin: 4,
+        }
+    }
+
+    #[test]
+    fn one_column_region_with_a_blockage_routes() {
+        // 5 µm wide at 10 µm GCells: a 1 × 10 grid with no horizontal edges.
+        let region = Rect::new(0.0, 0.0, 5.0, 100.0);
+        let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(2.0, 5.0), (3.0, 95.0)]).collect();
+        let blockage = Rect::new(0.0, 20.0, 5.0, 40.0);
+        let r = route_nets_with_blockages(&nets, region, &[blockage], &opts()).expect("routable");
+        assert_eq!((r.congestion.nx(), r.congestion.ny()), (1, 10));
+        assert_eq!(r.wirelength, 3.0 * 90.0);
+        assert_eq!(r.congestion.overflow_edges(), 9);
+    }
+
+    #[test]
+    fn one_row_region_with_a_blockage_routes() {
+        let region = Rect::new(0.0, 0.0, 100.0, 5.0);
+        let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(5.0, 2.0), (95.0, 3.0)]).collect();
+        let blockage = Rect::new(20.0, 0.0, 40.0, 5.0);
+        let r = route_nets_with_blockages(&nets, region, &[blockage], &opts()).expect("routable");
+        assert_eq!((r.congestion.nx(), r.congestion.ny()), (10, 1));
+        assert_eq!(r.wirelength, 3.0 * 90.0);
+    }
+}
+
+/// The maze against a reference: a plain heap Dijkstra over the same
+/// cached integer costs, on small random maps.
+#[cfg(test)]
+mod maze_oracle_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Cost of the cheapest `a`→`b` path inside the maze's window.
+    fn oracle_cost(map: &CongestionMap, a: GCell, b: GCell, margin: usize) -> Option<u32> {
+        let (x0, y0, x1, y1) = maze_window(map, a, b, margin);
+        let mut dist = vec![u32::MAX; map.nx() * map.ny()];
+        let at = |c: GCell| c.1 * map.nx() + c.0;
+        let mut heap = BinaryHeap::new();
+        dist[at(a)] = 0;
+        heap.push(Reverse((0u32, a)));
+        while let Some(Reverse((d, u))) = heap.pop() {
+            if u == b {
+                return Some(d);
+            }
+            if d > dist[at(u)] {
+                continue;
+            }
+            let (i, j) = u;
+            let mut next = Vec::new();
+            if i > x0 {
+                next.push(((i - 1, j), map.h_cost_row(i - 1, j, 1)[0]));
+            }
+            if i < x1 {
+                next.push(((i + 1, j), map.h_cost_row(i, j, 1)[0]));
+            }
+            if j > y0 {
+                next.push(((i, j - 1), map.v_cost_row(i, j - 1, 1)[0]));
+            }
+            if j < y1 {
+                next.push(((i, j + 1), map.v_cost_row(i, j, 1)[0]));
+            }
+            for (v, cost) in next {
+                let nd = d + u32::from(cost);
+                if nd < dist[at(v)] {
+                    dist[at(v)] = nd;
+                    heap.push(Reverse((nd, v)));
+                }
+            }
+        }
+        None
+    }
+
+    /// Every edge whose demand differs between the two maps, as
+    /// `(west/south endpoint, east/north endpoint, demand added, cost in `before`)`.
+    fn changed_edges(
+        before: &CongestionMap,
+        after: &CongestionMap,
+    ) -> Vec<(GCell, GCell, f64, u32)> {
+        let mut edges = Vec::new();
+        for j in 0..before.ny() {
+            for i in 0..before.nx() {
+                if i + 1 < before.nx() && after.h_demand(i, j) != before.h_demand(i, j) {
+                    let added = after.h_demand(i, j) - before.h_demand(i, j);
+                    let cost = u32::from(before.h_cost_row(i, j, 1)[0]);
+                    edges.push(((i, j), (i + 1, j), added, cost));
+                }
+                if j + 1 < before.ny() && after.v_demand(i, j) != before.v_demand(i, j) {
+                    let added = after.v_demand(i, j) - before.v_demand(i, j);
+                    let cost = u32::from(before.v_cost_row(i, j, 1)[0]);
+                    edges.push(((i, j), (i, j + 1), added, cost));
+                }
+            }
+        }
+        edges
+    }
+
+    /// Routes `a`→`b` through the maze and checks the committed path
+    /// against the oracle and the window.
+    fn check_maze(
+        map: &mut CongestionMap,
+        a: GCell,
+        b: GCell,
+        margin: usize,
+        scratch: &mut MazeScratch,
+    ) {
+        let before = map.clone();
+        let mut stats = RouteStats::default();
+        let len = maze_route(map, a, b, margin, scratch, &mut stats)
+            .expect("the window is a connected grid");
+        let mut edges = changed_edges(&before, map);
+        assert_eq!(edges.len() as f64, len, "a shortest path repeats no edge");
+        assert!(
+            edges.iter().all(|e| e.2 == 1.0),
+            "one track per edge: {edges:?}"
+        );
+        let path_cost: u32 = edges.iter().map(|e| e.3).sum();
+        assert_eq!(Some(path_cost), oracle_cost(&before, a, b, margin));
+
+        // The changed edges chain 4-connectedly from `a` to `b` in the window.
+        let (x0, y0, x1, y1) = maze_window(&before, a, b, margin);
+        let mut cur = a;
+        while let Some(k) = edges.iter().position(|e| e.0 == cur || e.1 == cur) {
+            let (lo, hi, ..) = edges.swap_remove(k);
+            cur = if lo == cur { hi } else { lo };
+            assert!((x0..=x1).contains(&cur.0) && (y0..=y1).contains(&cur.1));
+        }
+        assert_eq!(cur, b);
+        assert!(edges.is_empty(), "edges off the path: {edges:?}");
+        assert_eq!(
+            stats.maze_window_nodes as usize,
+            (x1 - x0 + 1) * (y1 - y0 + 1)
+        );
+        assert!(stats.maze_settled_nodes as f64 > len);
+        assert!(stats.maze_settled_nodes <= stats.maze_window_nodes);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn maze_path_cost_matches_heap_dijkstra(
+            dims in (1usize..=12, 1usize..=12),
+            demand in prop::collection::vec((0usize..12, 0usize..12, 0usize..2, 0usize..7), 0..160),
+            derates in prop::collection::vec((0usize..12, 0usize..12, 0usize..12, 0usize..12), 0..3),
+            segments in prop::collection::vec((0usize..144, 0usize..143, 0usize..5), 1..6),
+        ) {
+            let (nx, ny) = if dims == (1, 1) { (1, 2) } else { dims };
+            let mut map = CongestionMap::new(nx, ny, 1.0, 4.0, 4.0);
+            for (i0, j0, i1, j1) in derates {
+                map.derate(i0.min(i1) % nx, j0.min(j1) % ny, i0.max(i1) % nx, j0.max(j1) % ny, 0.4);
+            }
+            for (i, j, vertical, amount) in demand {
+                if vertical == 0 && nx > 1 {
+                    map.add_h(i % (nx - 1), j % ny, amount as f64);
+                } else if vertical == 1 && ny > 1 {
+                    map.add_v(i % nx, j % (ny - 1), amount as f64);
+                }
+            }
+            // One scratch across the case's searches: nothing may leak
+            // from one into the next.
+            let mut scratch = MazeScratch::new();
+            let cells = nx * ny;
+            for (from, step, margin) in segments {
+                let (from, to) = (from % cells, (from % cells + 1 + step % (cells - 1)) % cells);
+                check_maze(&mut map, (from % nx, from / nx), (to % nx, to / nx), margin, &mut scratch);
+            }
+        }
     }
 }
 

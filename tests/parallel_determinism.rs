@@ -15,6 +15,7 @@ use cp_place::hpwl::{raw_hpwl, weighted_hpwl};
 use cp_place::problem::{Object, PlacementProblem};
 use cp_place::solver::{Axis, B2bSystem};
 use cp_place::spreading::density_overflow;
+use cp_route::{route_nets, RouterOptions};
 use proptest::prelude::*;
 
 fn opts() -> FlowOptions {
@@ -61,6 +62,43 @@ fn vpr_sweep_is_thread_count_invariant() {
         cp_parallel::with_threads(4, || best_shape(&sub, &v).expect("sweep runs"));
     assert_eq!(shape1, shape4);
     assert_eq!(costs1, costs4);
+}
+
+/// The router's working storage belongs to each call: the same congested
+/// net list routed from four pool workers at once gives four results equal
+/// to the one routed alone.
+#[test]
+fn concurrent_mazed_routes_match_the_serial_route() {
+    let region = Rect::new(0.0, 0.0, 200.0, 200.0);
+    let opts = RouterOptions {
+        gcell_size: 10.0,
+        tracks_per_layer: 2,
+        layers_per_direction: 1,
+        ..Default::default()
+    };
+    // Twelve nets per corridor on capacity-2 edges: most of them maze.
+    let nets: Vec<Vec<(f64, f64)>> = (0..36)
+        .map(|k| {
+            let y = 45.0 + 50.0 * (k % 3) as f64;
+            vec![
+                (5.0 + (k % 4) as f64 * 10.0, y),
+                (195.0, y + (k % 2) as f64 * 10.0),
+            ]
+        })
+        .collect();
+    let alone = route_nets(&nets, region, &opts).expect("routable");
+    assert!(
+        alone.mazed_segments > 0,
+        "the net list must exercise the maze"
+    );
+    let together = cp_parallel::with_threads(4, || {
+        cp_parallel::par_map(&[(); 8], 1, |()| {
+            route_nets(&nets, region, &opts).expect("routable")
+        })
+    });
+    for routed in &together {
+        assert_eq!(routed, &alone);
+    }
 }
 
 /// A small random placement problem with positions.

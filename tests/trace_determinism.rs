@@ -11,6 +11,7 @@ use cp_netlist::{Constraints, Netlist};
 use cp_place::hpwl::raw_hpwl;
 use cp_place::problem::PlacementProblem;
 use cp_place::{GlobalPlacer, PlacerOptions};
+use cp_route::{route_placed_netlist, RouterOptions};
 use cp_trace::Level;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -141,6 +142,73 @@ fn trace_off_runs_match_across_thread_counts() {
     // The traced outputs also match the untraced ones.
     let off = at_level(Level::Off, || run_flow(&n, &c, &o).expect("flow runs"));
     assert_same_outputs(&off, &seq);
+}
+
+/// The router's work counts ride on its `route.global` span and in the
+/// metrics registry; routing itself cannot see the trace level.
+#[test]
+fn routing_ignores_the_trace_level_and_publishes_its_maze_counts() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, _) = GeneratorConfig::from_profile(DesignProfile::Aes)
+        .scale(1.0 / 32.0)
+        .seed(7)
+        .generate_with_constraints();
+    let fp = cp_netlist::Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("floorplan");
+    // Cells alternate between the two ends of the middle row, so every
+    // net crosses the same corridor and most segments need the maze.
+    let die = fp.die;
+    let mid = 0.5 * (die.lly + die.ury);
+    let mut positions: Vec<(f64, f64)> = (0..n.cell_count())
+        .map(|k| {
+            (
+                if k % 2 == 0 {
+                    die.llx + 1.0
+                } else {
+                    die.urx - 1.0
+                },
+                mid,
+            )
+        })
+        .collect();
+    positions.extend_from_slice(&fp.port_positions);
+    let route =
+        || route_placed_netlist(&n, &positions, &fp, &RouterOptions::default()).expect("routes");
+
+    let off = at_level(Level::Off, route);
+    assert!(
+        off.mazed_segments > 0,
+        "the placement must exercise the maze"
+    );
+    for level in [Level::Spans, Level::Full] {
+        let (routed, trace) = at_level(level, || {
+            let root = cp_trace::span("test.route");
+            let routed = route();
+            (routed, cp_trace::take_report(root).expect("tracing is on"))
+        });
+        assert_eq!(routed, off);
+        let span = trace
+            .spans_named("route.global")
+            .next()
+            .expect("router span");
+        let count = |key: &str| match span.args.iter().find(|(k, _)| *k == key) {
+            Some((_, cp_trace::ArgValue::U(v))) => *v,
+            other => panic!("{key} missing from route.global: {other:?}"),
+        };
+        assert_eq!(count("route.mazed_segments"), off.mazed_segments as u64);
+        assert_eq!(
+            count("route.segments"),
+            count("route.pattern_segments") + count("route.mazed_segments")
+        );
+        let (settled, window) = (
+            count("route.maze.settled_nodes"),
+            count("route.maze.window_nodes"),
+        );
+        assert!(0 < settled && settled <= window, "{settled} of {window}");
+        if level == Level::Full {
+            assert!(cp_trace::counter_value("route.maze.settled_nodes") >= settled);
+        }
+    }
+    cp_trace::clear();
 }
 
 proptest! {
