@@ -1,5 +1,6 @@
 //! Criterion bench for the substrates: STA, activity propagation, power,
-//! global routing, CTS and a GNN training step.
+//! global routing, the placer's SpMV and spreading kernels, CTS and a GNN
+//! training step.
 
 use cp_bench::Bench;
 use cp_gnn::model::{ModelConfig, TotalCostModel};
@@ -10,7 +11,9 @@ use cp_gnn::GraphSample;
 use cp_netlist::generator::DesignProfile;
 use cp_netlist::Floorplan;
 use cp_place::cts::{synthesize_clock_tree, CtsOptions};
-use cp_place::{GlobalPlacer, PlacementProblem, PlacerOptions};
+use cp_place::solver::{Axis, B2bSystem};
+use cp_place::spreading::{spread_soa, SpreadScratch};
+use cp_place::{GlobalPlacer, PlacementProblem, PlacementSoa, PlacerOptions};
 use cp_route::{route_placed_netlist, RouterOptions};
 use cp_timing::activity::propagate_activity;
 use cp_timing::power::power_report;
@@ -18,6 +21,58 @@ use cp_timing::sta::Sta;
 use cp_timing::wire::WireModel;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+/// A design lowered, placed and solved once more without anchors: the
+/// overlap-heavy lower bound the spreader sees inside the placer loop.
+struct PlacedDesign {
+    problem: PlacementProblem,
+    placed: Vec<(f64, f64)>,
+    lower_bound: Vec<(f64, f64)>,
+}
+
+impl PlacedDesign {
+    fn new(bench: &Bench, fp: &Floorplan) -> Self {
+        let problem = PlacementProblem::from_netlist(&bench.netlist, fp);
+        let placed = GlobalPlacer::new(PlacerOptions::default())
+            .place(&problem)
+            .expect("placement runs")
+            .positions;
+        let solve = |axis: Axis| {
+            let start: Vec<f64> = placed
+                .iter()
+                .map(|p| if axis == Axis::X { p.0 } else { p.1 })
+                .collect();
+            B2bSystem::build(&problem, &placed, axis, None).solve(&start, 30, 1e-6)
+        };
+        let lower_bound = solve(Axis::X)
+            .into_iter()
+            .zip(solve(Axis::Y))
+            .map(|(x, y)| fp.core.clamp(x, y))
+            .collect();
+        Self {
+            problem,
+            placed,
+            lower_bound,
+        }
+    }
+
+    /// One spreading pass over the lower bound on warm buffers.
+    fn bench_spread(&self, bench: &mut criterion::Bencher) {
+        let soa = PlacementSoa::from_problem(&self.problem);
+        let mut scratch = SpreadScratch::default();
+        let mut out = Vec::new();
+        bench.iter(|| {
+            spread_soa(
+                &self.problem,
+                &soa,
+                &self.lower_bound,
+                &mut scratch,
+                &mut out,
+            );
+            black_box(out.len())
+        })
+    }
+}
 
 fn bench_substrates(c: &mut Criterion) {
     let b = Bench::generate_at(DesignProfile::Jpeg, 1.0 / 64.0);
@@ -66,24 +121,39 @@ fn bench_substrates(c: &mut Criterion) {
             )
         })
     });
+    // Full-scale Jpeg at 60% utilisation, for the kernels whose cost the
+    // 1/64-scale design above does not show.
+    let big = Bench::generate_at(DesignProfile::Jpeg, 1.0);
+    let big_fp = Floorplan::for_netlist(&big.netlist, 0.6, 1.0);
+    let big_design = PlacedDesign::new(&big, &big_fp);
     group.bench_function("global_route_congested", |bench| {
-        // Full-scale Jpeg at 60% utilisation: a fifth of the segments
-        // overflow both L-shapes and take the maze (the 1/64-scale design
-        // above never does).
-        let big = Bench::generate_at(DesignProfile::Jpeg, 1.0);
-        let fp = Floorplan::for_netlist(&big.netlist, 0.6, 1.0);
-        let problem = PlacementProblem::from_netlist(&big.netlist, &fp);
-        let placed = GlobalPlacer::new(PlacerOptions::default())
-            .place(&problem)
-            .expect("placement runs");
-        let mut positions = placed.positions;
-        positions.extend_from_slice(&fp.port_positions);
+        // A fifth of the segments overflow both L-shapes and take the
+        // maze (the small design never does).
+        let mut positions = big_design.placed.clone();
+        positions.extend_from_slice(&big_fp.port_positions);
         let route = || {
-            route_placed_netlist(&big.netlist, &positions, &fp, &RouterOptions::default())
+            route_placed_netlist(&big.netlist, &positions, &big_fp, &RouterOptions::default())
                 .expect("routing runs")
         };
         assert!(route().mazed_segments > 0, "the congested case must maze");
         bench.iter(|| black_box(route().wirelength))
+    });
+    group.bench_function("spmv", |bench| {
+        // One product with the X-axis B2B matrix of the placed design.
+        let sys = B2bSystem::build(&big_design.problem, &big_design.placed, Axis::X, None);
+        let x: Vec<f64> = big_design.placed.iter().map(|p| p.0).collect();
+        let mut out = vec![0.0; sys.len()];
+        bench.iter(|| {
+            sys.apply_into(&x, &mut out);
+            black_box(out[0])
+        })
+    });
+    group.bench_function("spread", |bench| big_design.bench_spread(bench));
+    group.bench_function("spread_500", |bench| {
+        // The size of one V-P&R candidate evaluation.
+        let small = Bench::generate_at(DesignProfile::Jpeg, 0.0094);
+        let fp = Floorplan::for_netlist(&small.netlist, 0.6, 1.0);
+        PlacedDesign::new(&small, &fp).bench_spread(bench)
     });
     group.bench_function("cts", |bench| {
         bench.iter(|| {

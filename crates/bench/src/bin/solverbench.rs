@@ -1,10 +1,9 @@
 //! Solver micro-bench (hot-path kernels in isolation): builds synthetic
 //! B2B systems at 10k / 100k / 1M variables and times
 //!
-//! - one CSR SpMV per layout: the row kernel and the dispatched kernel
-//!   (cache-blocked column stripes above the nnz threshold), min-of-N,
-//! - a full fixed-budget CG solve with fused vs unfused vector kernels
-//!   (`CgOptions::fused`), with the non-SpMV share split out,
+//! - one SpMV (`B2bSystem::apply_into`, rows bucketed by length),
+//!   min-of-N, reported as seconds and Mnnz/s,
+//! - a full fixed-budget CG solve, with the non-SpMV share split out,
 //! - convergence honesty: iterations and seconds to a relative residual
 //!   of ≤ 1e-4 (capped) for plain Jacobi-CG vs IC(0)-preconditioned CG
 //!   (factorization timed separately and included in the total),
@@ -17,7 +16,7 @@
 
 use cp_graph::Hypergraph;
 use cp_netlist::floorplan::Rect;
-use cp_place::solver::{Axis, B2bRebuilder, CgOptions, CgScratch, CgStats, IcPreconditioner};
+use cp_place::solver::{Axis, B2bRebuilder, CgScratch, CgStats, IcPreconditioner};
 use cp_place::{Object, PlacementProblem};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -93,17 +92,11 @@ struct SizeResult {
     nnz: usize,
     build_s: f64,
     incremental_s: f64,
-    /// Dispatched SpMV (blocked above the nnz threshold).
     spmv_s: f64,
-    /// Unblocked row-kernel SpMV, for the blocked-vs-rows comparison.
-    spmv_rows_s: f64,
-    blocked: bool,
-    /// Fixed-budget CG, fused kernels (the default path).
+    /// Fixed-budget CG (the default Jacobi path).
     cg_s: f64,
     cg_iters: usize,
     cg_rel: f64,
-    /// Fixed-budget CG, unfused kernels (`CgOptions { fused: false }`).
-    cg_unfused_s: f64,
     /// Plain Jacobi-CG to TOL (capped at TOL_CAP).
     tol_iters: usize,
     tol_s: f64,
@@ -113,6 +106,18 @@ struct SizeResult {
     pcg_iters: usize,
     pcg_s: f64,
     pcg_rel: f64,
+}
+
+impl SizeResult {
+    /// SpMV throughput, millions of stored off-diagonal entries per second.
+    fn mnnz_per_s(&self) -> f64 {
+        self.nnz as f64 / self.spmv_s.max(1e-12) / 1e6
+    }
+
+    /// The fixed-budget solve minus its SpMVs: the vector-kernel share.
+    fn cg_non_spmv_s(&self) -> f64 {
+        (self.cg_s - self.cg_iters as f64 * self.spmv_s).max(0.0)
+    }
 }
 
 fn bench_size(n: usize) -> SizeResult {
@@ -152,56 +157,27 @@ fn bench_size(n: usize) -> SizeResult {
     let x: Vec<f64> = (0..sys.len()).map(|i| (i % 17) as f64 * 0.25).collect();
     let mut out = vec![0.0; sys.len()];
     let mut spmv_s = f64::INFINITY;
-    let mut spmv_rows_s = f64::INFINITY;
     for _ in 0..SPMV_REPS {
         let t = Instant::now();
         sys.apply_into(&x, &mut out);
         spmv_s = spmv_s.min(t.elapsed().as_secs_f64());
-        let t = Instant::now();
-        sys.apply_rows_into(&x, &mut out);
-        spmv_rows_s = spmv_rows_s.min(t.elapsed().as_secs_f64());
     }
     assert!(out.iter().all(|v| v.is_finite()));
 
-    // Fixed-budget CG: fused (default) vs unfused vector kernels. The
-    // solves are bitwise-identical, so the non-SpMV delta is pure kernel
-    // fusion.
+    // Fixed-budget CG. Warm the scratch allocations outside the timed
+    // region, then take the min over SOLVE_REPS deterministic repeats of
+    // every solve row.
     let mut scratch = CgScratch::default();
-    let run_budget = |fused: bool, scratch: &mut CgScratch| {
+    let mut cg_s = f64::INFINITY;
+    let mut stats = CgStats::default();
+    for rep in 0..=SOLVE_REPS {
         let mut sol = vec![0.0; sys.len()];
         let t = Instant::now();
-        let stats = sys.solve_into_with_options(
-            &mut sol,
-            scratch,
-            CG_ITERS,
-            1e-6,
-            CgOptions {
-                precondition: false,
-                fused,
-            },
-        );
-        (t.elapsed().as_secs_f64(), stats)
-    };
-    // Warm the scratch allocations outside the timed region, then take
-    // the min over SOLVE_REPS deterministic repeats of every solve row.
-    let _ = run_budget(true, &mut scratch);
-    let (mut cg_s, mut cg_unfused_s) = (f64::INFINITY, f64::INFINITY);
-    let (mut stats, mut unfused_stats) = (CgStats::default(), CgStats::default());
-    for _ in 0..SOLVE_REPS {
-        let (s, st) = run_budget(true, &mut scratch);
-        if s < cg_s {
-            (cg_s, stats) = (s, st);
-        }
-        let (s, st) = run_budget(false, &mut scratch);
-        if s < cg_unfused_s {
-            (cg_unfused_s, unfused_stats) = (s, st);
+        stats = sys.solve_into_with_stats(&mut sol, &mut scratch, CG_ITERS, 1e-6);
+        if rep > 0 {
+            cg_s = cg_s.min(t.elapsed().as_secs_f64());
         }
     }
-    assert_eq!(
-        stats.relative_residual.to_bits(),
-        unfused_stats.relative_residual.to_bits(),
-        "fused and unfused CG must be bitwise-identical"
-    );
 
     // Convergence honesty: to-tolerance rows. Plain Jacobi first.
     let mut tol_s = f64::INFINITY;
@@ -233,12 +209,9 @@ fn bench_size(n: usize) -> SizeResult {
         build_s,
         incremental_s,
         spmv_s,
-        spmv_rows_s,
-        blocked: sys.is_blocked(),
         cg_s,
         cg_iters: stats.iterations,
         cg_rel: stats.relative_residual,
-        cg_unfused_s,
         tol_iters: tol_stats.iterations,
         tol_s,
         tol_rel: tol_stats.relative_residual,
@@ -258,24 +231,20 @@ fn main() {
         .iter()
         .map(|&n| {
             let r = bench_size(n);
-            let non_spmv = |cg: f64| (cg - r.cg_iters as f64 * r.spmv_s).max(0.0);
             println!(
-                "{:>9} vars: nnz {:>9}, build {:.4}s, incr {:.4}s ({:.1}x), spmv {:.5}s{} \
-                 (rows {:.5}s), cg {:.3}s ({} iters, rel {:.2e}, non-spmv {:.3}s fused vs \
-                 {:.3}s unfused)",
+                "{:>9} vars: nnz {:>9}, build {:.4}s, incr {:.4}s ({:.1}x), spmv {:.5}s \
+                 ({:.0} Mnnz/s), cg {:.3}s ({} iters, rel {:.2e}, non-spmv {:.3}s)",
                 r.n,
                 r.nnz,
                 r.build_s,
                 r.incremental_s,
                 r.build_s / r.incremental_s.max(1e-12),
                 r.spmv_s,
-                if r.blocked { " [blocked]" } else { "" },
-                r.spmv_rows_s,
+                r.mnnz_per_s(),
                 r.cg_s,
                 r.cg_iters,
                 r.cg_rel,
-                non_spmv(r.cg_s),
-                non_spmv(r.cg_unfused_s),
+                r.cg_non_spmv_s(),
             );
             println!(
                 "           to rel {TOL:.0e}: jacobi {} iters {:.3}s (rel {:.2e}{}) | \
@@ -309,10 +278,8 @@ fn main() {
             format!(
                 "    {{\"vars\": {}, \"nnz\": {}, \"build_s\": {:.6}, \
                  \"incremental_rebuild_s\": {:.6}, \"spmv_s\": {:.6}, \
-                 \"spmv_rows_s\": {:.6}, \"spmv_blocked\": {}, \
                  \"spmv_mnnz_per_s\": {:.2}, \"cg_s\": {:.6}, \"cg_iters\": {}, \
-                 \"cg_rel_residual\": {:e}, \"cg_unfused_s\": {:.6}, \
-                 \"cg_non_spmv_s\": {:.6}, \"cg_non_spmv_unfused_s\": {:.6}, \
+                 \"cg_rel_residual\": {:e}, \"cg_non_spmv_s\": {:.6}, \
                  \"to_tol\": {{\"tol\": {:e}, \"cap\": {}, \
                  \"jacobi\": {{\"iters\": {}, \"secs\": {:.6}, \"rel\": {:e}, \"reached\": {}}}, \
                  \"ic0\": {{\"factor_s\": {:.6}, \"iters\": {}, \"solve_s\": {:.6}, \
@@ -322,15 +289,11 @@ fn main() {
                 r.build_s,
                 r.incremental_s,
                 r.spmv_s,
-                r.spmv_rows_s,
-                r.blocked,
-                r.nnz as f64 / r.spmv_s.max(1e-12) / 1e6,
+                r.mnnz_per_s(),
                 r.cg_s,
                 r.cg_iters,
                 r.cg_rel,
-                r.cg_unfused_s,
-                (r.cg_s - r.cg_iters as f64 * r.spmv_s).max(0.0),
-                (r.cg_unfused_s - r.cg_iters as f64 * r.spmv_s).max(0.0),
+                r.cg_non_spmv_s(),
                 TOL,
                 TOL_CAP,
                 r.tol_iters,

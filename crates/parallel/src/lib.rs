@@ -22,6 +22,11 @@
 //! how the scaling bench sweeps 1/2/4/8 threads in one process and how
 //! the determinism tests compare the sequential and parallel paths.
 //!
+//! **Coarse tasks.** [`join`] runs two independent closures as one
+//! two-chunk region and hands each half of the caller's budget, for work
+//! that splits better at the top (the placer's X and Y systems, the two
+//! halves of a bisection) than into many short fixed chunks.
+//!
 //! Workers are spawned lazily on first parallel call and parked on a
 //! shared queue afterwards; nested parallel calls from worker threads are
 //! allowed (inner regions push chunks other idle workers can steal, and
@@ -508,6 +513,9 @@ pub fn par_map_ranges<R: Send>(
 ) -> Vec<R> {
     let chunk = chunk.max(1);
     let chunks = chunk_count(n, chunk);
+    if chunks == 1 {
+        return vec![f(0..n)];
+    }
     let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(chunks);
     // SAFETY: MaybeUninit slots need no initialization.
     unsafe { out.set_len(chunks) };
@@ -613,13 +621,16 @@ pub fn par_chunks_mut_sum<T: Send>(
 ) -> f64 {
     let n = data.len();
     let chunk = chunk.max(1);
+    if n <= chunk {
+        return if n == 0 { 0.0 } else { f(0, 0, data) };
+    }
     let ptr = SendPtr(data.as_mut_ptr());
-    let parts = par_map_ranges(n, chunk, |r| {
+    let mut parts = par_map_ranges(n, chunk, |r| {
         // SAFETY: ranges from the fixed chunking are pairwise disjoint.
         let slice = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
         f(r.start / chunk, r.start, slice)
     });
-    tree_combine(parts, |a, b| a + b).unwrap_or(0.0)
+    tree_combine(&mut parts, |a, b| a + b).unwrap_or(0.0)
 }
 
 /// Two-buffer [`par_chunks_mut_sum`]: `a` and `b` are chunked with the
@@ -640,46 +651,98 @@ pub fn par_chunks2_mut_sum<T: Send>(
     assert_eq!(a.len(), b.len(), "par_chunks2_mut_sum buffers differ");
     let n = a.len();
     let chunk = chunk.max(1);
+    if n <= chunk {
+        return if n == 0 { 0.0 } else { f(0, 0, a, b) };
+    }
     let pa = SendPtr(a.as_mut_ptr());
     let pb = SendPtr(b.as_mut_ptr());
-    let parts = par_map_ranges(n, chunk, |r| {
+    let mut parts = par_map_ranges(n, chunk, |r| {
         // SAFETY: ranges from the fixed chunking are pairwise disjoint,
         // and `a`/`b` are distinct exclusive borrows.
         let sa = unsafe { std::slice::from_raw_parts_mut(pa.get().add(r.start), r.len()) };
         let sb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(r.start), r.len()) };
         f(r.start / chunk, r.start, sa, sb)
     });
-    tree_combine(parts, |a, b| a + b).unwrap_or(0.0)
+    tree_combine(&mut parts, |a, b| a + b).unwrap_or(0.0)
 }
 
 /// Combines `parts` pairwise in fixed order until one value remains:
 /// `((p0 ⊕ p1) ⊕ (p2 ⊕ p3)) ⊕ …`. The combination tree depends only on
 /// `parts.len()`, which is what makes the reductions here bit-identical
-/// across thread counts.
-pub fn tree_combine<A>(mut parts: Vec<A>, combine: impl Fn(A, A) -> A) -> Option<A> {
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(combine(a, b)),
-                None => next.push(a),
-            }
+/// across thread counts. Works in place: each level folds slot
+/// `i + stride` into slot `i` (an odd tail is carried up unchanged), so
+/// `parts` is scratch afterwards.
+pub fn tree_combine<A: Copy>(parts: &mut [A], combine: impl Fn(A, A) -> A) -> Option<A> {
+    let mut stride = 1;
+    while stride < parts.len() {
+        let mut i = 0;
+        while i + stride < parts.len() {
+            parts[i] = combine(parts[i], parts[i + stride]);
+            i += 2 * stride;
         }
-        parts = next;
+        stride *= 2;
     }
-    parts.pop()
+    parts.first().copied()
 }
 
 /// Deterministic parallel sum: `f` produces each fixed chunk's partial
 /// (computed sequentially inside the chunk), and the partials are
-/// tree-combined in fixed order. For `n <= chunk` this degenerates to the
-/// plain sequential sum.
+/// tree-combined in fixed order. For `n <= chunk` this is the plain
+/// sequential sum, `f` called directly.
 pub fn par_sum(n: usize, chunk: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    tree_combine(par_map_ranges(n, chunk, f), |a, b| a + b).unwrap_or(0.0)
+    if n <= chunk.max(1) {
+        return f(0..n);
+    }
+    let mut parts = par_map_ranges(n, chunk, f);
+    tree_combine(&mut parts, |a, b| a + b).unwrap_or(0.0)
+}
+
+/// Runs `a` and `b` as the two tasks of one region and returns both
+/// results. The caller's thread budget is split between them (`a` gets the
+/// larger half), so parallel primitives inside each task stay within the
+/// budget; with a budget of 1 the tasks run inline, `a` first. Results
+/// cannot depend on which thread ran which task as long as each task is
+/// itself thread-count invariant.
+///
+/// # Panics
+///
+/// Panics if either task panicked, like [`par_for`].
+pub fn join<A: Send, B: Send>(
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    let budget = current_threads();
+    if budget <= 1 {
+        return (a(), b());
+    }
+    let (task_a, task_b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let (out_a, out_b) = (Mutex::new(None), Mutex::new(None));
+    par_for(2, &|i| match i {
+        0 => run_slot(&task_a, &out_a, budget - budget / 2),
+        _ => run_slot(&task_b, &out_b, budget / 2),
+    });
+    match (into_inner(out_a), into_inner(out_b)) {
+        (Some(ra), Some(rb)) => (ra, rb),
+        // Unreachable: par_for ran both chunks or panicked above.
+        _ => panic!("cp-parallel: join lost a task result"),
+    }
+}
+
+/// One side of [`join`]: takes the task out of its slot, runs it under
+/// its share of the thread budget and stores the result.
+fn run_slot<R, F: FnOnce() -> R>(task: &Mutex<Option<F>>, out: &Mutex<Option<R>>, threads: usize) {
+    let task = lock(task).take();
+    if let Some(task) = task {
+        let result = with_threads(threads, task);
+        *lock(out) = Some(result);
+    }
+}
+
+fn into_inner<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -714,6 +777,20 @@ mod tests {
         let s1 = sum_at(1);
         for t in [2, 3, 4, 8] {
             assert_eq!(s1.to_bits(), sum_at(t).to_bits(), "threads = {t}");
+        }
+        // Sizes around the single-chunk fast path: one element, exactly
+        // one chunk, one element more. The reference is the documented
+        // shape — per-chunk sequential sums, combined pairwise.
+        for n in [1usize, 128, 129] {
+            let chunk_sum = |r: Range<usize>| r.fold(0.0, |s, i| s + vals[i]);
+            let want = match n {
+                129 => chunk_sum(0..128) + chunk_sum(128..129),
+                _ => chunk_sum(0..n),
+            };
+            for t in [1, 2, 4, 8] {
+                let got = with_threads(t, || par_sum(n, 128, chunk_sum));
+                assert_eq!(want.to_bits(), got.to_bits(), "n = {n}, threads = {t}");
+            }
         }
     }
 
@@ -927,11 +1004,48 @@ mod tests {
 
     #[test]
     fn tree_combine_shape_is_fixed() {
-        // Combine with string concatenation to observe the tree shape.
-        let parts: Vec<String> = (0..5).map(|i| i.to_string()).collect();
-        let combined =
-            tree_combine(parts, |a, b| format!("({a}{b})")).expect("non-empty parts combine");
-        assert_eq!(combined, "(((01)(23))4)");
+        // A non-associative combine makes the tree shape observable:
+        // five parts must fold as (((0 1)(2 3)) 4).
+        let op = |a: u64, b: u64| a * 31 + b + 7;
+        let mut parts: Vec<u64> = (0..5).collect();
+        let combined = tree_combine(&mut parts, op).expect("non-empty parts combine");
+        assert_eq!(combined, op(op(op(0, 1), op(2, 3)), 4));
+        assert_eq!(tree_combine(&mut [9u64], op), Some(9));
+        assert_eq!(tree_combine(&mut [] as &mut [u64], op), None);
+    }
+
+    #[test]
+    fn join_returns_both_results_and_splits_the_budget() {
+        for t in [1usize, 2, 3, 8] {
+            let (a, b) = with_threads(t, || join(current_threads, current_threads));
+            if t == 1 {
+                assert_eq!((a, b), (1, 1));
+            } else {
+                assert_eq!((a, b), (t - t / 2, t / 2), "threads = {t}");
+            }
+            assert_eq!(with_threads(t, current_threads), t);
+        }
+        // Tasks may borrow and mutate disjoint caller state.
+        let (mut x, mut y) = (vec![1u32; 100], vec![2u32; 100]);
+        let (sx, sy) = with_threads(4, || {
+            join(
+                || {
+                    x.iter_mut().for_each(|v| *v += 1);
+                    x.iter().sum::<u32>()
+                },
+                || {
+                    y.iter_mut().for_each(|v| *v += 1);
+                    y.iter().sum::<u32>()
+                },
+            )
+        });
+        assert_eq!((sx, sy), (200, 300));
+    }
+
+    #[test]
+    #[should_panic(expected = "left task failed")]
+    fn join_propagates_a_task_panic() {
+        with_threads(2, || join(|| panic!("left task failed"), || 1));
     }
 
     #[test]

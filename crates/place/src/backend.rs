@@ -8,8 +8,8 @@
 //! backends:
 //!
 //! - [`B2bBackend`] — the incumbent recursive-bisection look-ahead
-//!   legalization ([`crate::spreading::spread_soa`]). Bit-identical to the
-//!   pre-refactor placer at every thread count.
+//!   legalization ([`crate::spreading::spread_soa`]), bit-identical at
+//!   every thread count.
 //! - [`EDensityBackend`] — electrostatics-style spreading (eDensity /
 //!   ePlace family): cell areas scatter as charge onto a bin grid, a
 //!   Poisson-like system on the grid Laplacian is solved with the same CG
@@ -25,7 +25,7 @@
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
 use crate::solver::{B2bSystem, CgScratch};
-use crate::spreading::{scatter_accumulate, spread_soa};
+use crate::spreading::{scatter_accumulate, spread_soa, SpreadScratch};
 
 /// Cells per parallel chunk in the charge scatter and position update.
 const CELL_CHUNK: usize = 4096;
@@ -58,7 +58,7 @@ impl PlacerBackendKind {
     /// Fresh backend instance for one placement run.
     pub fn instantiate(self) -> Box<dyn PlacerBackend> {
         match self {
-            Self::B2b => Box::new(B2bBackend),
+            Self::B2b => Box::new(B2bBackend::default()),
             Self::EDensity => Box::new(EDensityBackend::new()),
         }
     }
@@ -86,22 +86,24 @@ pub trait PlacerBackend {
     /// Backend name for telemetry.
     fn name(&self) -> &'static str;
 
-    /// Produces density-spread positions from lower-bound `positions`.
-    /// Must return one in-core position per movable and be deterministic
+    /// Overwrites `out` with density-spread positions for the lower-bound
+    /// `positions`: one in-core position per movable, deterministic
     /// across thread counts.
     fn spread(
         &mut self,
         problem: &PlacementProblem,
         soa: &PlacementSoa,
         positions: &[(f64, f64)],
-    ) -> Vec<(f64, f64)>;
+        out: &mut Vec<(f64, f64)>,
+    );
 }
 
-/// The incumbent recursive-bisection spreading, unchanged — every call
-/// forwards to [`spread_soa`], so placements are bit-identical to the
-/// pre-trait placer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct B2bBackend;
+/// The incumbent recursive-bisection spreading: every call forwards to
+/// [`spread_soa`] with the run's reusable buffers.
+#[derive(Debug, Clone, Default)]
+pub struct B2bBackend {
+    scratch: SpreadScratch,
+}
 
 impl PlacerBackend for B2bBackend {
     fn name(&self) -> &'static str {
@@ -113,8 +115,9 @@ impl PlacerBackend for B2bBackend {
         problem: &PlacementProblem,
         soa: &PlacementSoa,
         positions: &[(f64, f64)],
-    ) -> Vec<(f64, f64)> {
-        spread_soa(problem, soa, positions)
+        out: &mut Vec<(f64, f64)>,
+    ) {
+        spread_soa(problem, soa, positions, &mut self.scratch, out);
     }
 }
 
@@ -199,7 +202,7 @@ impl Grid {
         }
         Self {
             bins,
-            sys: B2bSystem::from_parts(diag, row_ptr, col_idx, val, vec![0.0; n]),
+            sys: B2bSystem::from_parts(diag, &row_ptr, &col_idx, &val, vec![0.0; n]),
             psi: vec![0.0; n],
             scratch: CgScratch::default(),
             rho: vec![0.0; n],
@@ -219,11 +222,13 @@ impl PlacerBackend for EDensityBackend {
         problem: &PlacementProblem,
         soa: &PlacementSoa,
         positions: &[(f64, f64)],
-    ) -> Vec<(f64, f64)> {
+        out: &mut Vec<(f64, f64)>,
+    ) {
         let m = problem.movable_count();
-        let mut out = positions.to_vec();
+        out.clear();
+        out.extend_from_slice(positions);
         if m == 0 {
-            return out;
+            return;
         }
         let _span = cp_trace::telemetry_enabled().then(|| cp_trace::span("place.spread"));
         let bins = (((m as f64).sqrt() / 2.0).ceil().max(2.0) as usize).min(MAX_BINS);
@@ -240,7 +245,7 @@ impl PlacerBackend for EDensityBackend {
             // area over the four bins around its position, through the
             // shared fixed-chunk scatter ([`scatter_accumulate`]) so the
             // accumulated field is thread-count invariant.
-            let pos = &out;
+            let pos = &*out;
             grid.rho.iter_mut().for_each(|v| *v = 0.0);
             scatter_accumulate(m, CELL_CHUNK, &mut grid.rho, |i, part| {
                 let (x, y) = pos[i];
@@ -300,7 +305,7 @@ impl PlacerBackend for EDensityBackend {
             // component moves a cell STEP_BINS bin widths.
             let step = STEP_BINS / fmax;
             let (ex, ey) = (&grid.ex, &grid.ey);
-            cp_parallel::par_chunks_mut(&mut out, CELL_CHUNK, |_, _off, slice| {
+            cp_parallel::par_chunks_mut(out, CELL_CHUNK, |_, _off, slice| {
                 for p in slice.iter_mut() {
                     let fx = ((p.0 - core.llx) / bw - 0.5).clamp(0.0, (bins - 1) as f64);
                     let fy = ((p.1 - core.lly) / bh - 0.5).clamp(0.0, (bins - 1) as f64);
@@ -340,7 +345,6 @@ impl PlacerBackend for EDensityBackend {
             *p = r.clamp(p.0, p.1);
             *p = problem.evict_from_blockages(p.0, p.1);
         }
-        out
     }
 }
 
@@ -392,8 +396,10 @@ mod tests {
         let mut be = EDensityBackend::new();
         // A few spreading rounds, as the outer loop would drive them.
         let mut pos = piled.clone();
+        let mut next = Vec::new();
         for _ in 0..5 {
-            pos = be.spread(&p, &soa, &pos);
+            be.spread(&p, &soa, &pos, &mut next);
+            std::mem::swap(&mut pos, &mut next);
         }
         let after = density_overflow_soa(&p, &soa, &pos);
         assert!(before > 0.5, "piled overflow {before}");
@@ -416,8 +422,9 @@ mod tests {
         let run = |threads: usize| {
             cp_parallel::with_threads(threads, || {
                 let mut be = EDensityBackend::new();
-                let a = be.spread(&p, &soa, &start);
-                let b = be.spread(&p, &soa, &a);
+                let (mut a, mut b) = (Vec::new(), Vec::new());
+                be.spread(&p, &soa, &start, &mut a);
+                be.spread(&p, &soa, &a, &mut b);
                 b.iter()
                     .map(|&(x, y)| (x.to_bits(), y.to_bits()))
                     .collect::<Vec<_>>()
@@ -433,8 +440,10 @@ mod tests {
         let p = uniform_problem(64);
         let soa = PlacementSoa::from_problem(&p);
         let piled = vec![(1.0, 1.0); 64];
-        let via_backend = B2bBackend.spread(&p, &soa, &piled);
-        let direct = spread_soa(&p, &soa, &piled);
+        let mut via_backend = Vec::new();
+        B2bBackend::default().spread(&p, &soa, &piled, &mut via_backend);
+        let mut direct = Vec::new();
+        spread_soa(&p, &soa, &piled, &mut SpreadScratch::default(), &mut direct);
         let bits = |v: &[(f64, f64)]| {
             v.iter()
                 .map(|&(x, y)| (x.to_bits(), y.to_bits()))

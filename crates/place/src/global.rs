@@ -3,9 +3,10 @@
 use crate::backend::PlacerBackendKind;
 use crate::error::{BestSnapshot, PlaceError};
 use crate::hpwl::raw_hpwl_soa;
+use crate::kernels;
 use crate::problem::PlacementProblem;
 use crate::soa::{PlacementSoa, VertexCoords};
-use crate::solver::{Anchors, Axis, B2bRebuilder, CgOptions, CgScratch};
+use crate::solver::{record_cg, Anchors, Axis, B2bRebuilder, CgOptions, CgScratch};
 use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_soa};
 use cp_resilience::RunControl;
 use cp_trace::ArgValue;
@@ -44,9 +45,8 @@ pub struct PlacerOptions {
     /// ([`PlacerBackendKind::B2b`]) is bit-identical to the pre-trait
     /// placer.
     pub backend: PlacerBackendKind,
-    /// Per-solve CG configuration for the axis solves. The default is
-    /// bit-identical to the pre-refactor solver; `precondition` swaps in
-    /// the IC(0) preconditioner.
+    /// Per-solve CG configuration for the axis solves: `precondition`
+    /// swaps the Jacobi scale for the IC(0) preconditioner.
     pub cg: CgOptions,
 }
 
@@ -86,6 +86,16 @@ pub struct PlacementResult {
     /// snapshot rather than the last iterate.
     pub diverged: bool,
 }
+
+/// Movable count above which the X and Y lower bounds (rebuild + solve)
+/// run as two pool tasks, each on half the thread budget: the size from
+/// which the CG kernels span more than one chunk and would otherwise each
+/// open a region of their own — a few hundred per outer iteration, every
+/// one too short to pay for waking a worker (2.6× slower than the two
+/// tasks at 8k cells on two threads). Up to it — every V-P&R candidate —
+/// nothing in the lower bound opens a region and the two axes run back to
+/// back on the calling thread (EXPERIMENTS.md, "Placer outer iteration").
+const AXIS_TASK_MIN_MOVABLES: usize = kernels::VEC_CHUNK + 1;
 
 /// The best finite iterate seen so far, for divergence recovery.
 struct Snapshot {
@@ -220,8 +230,9 @@ impl GlobalPlacer {
 
         // Initial positions: seeds, or a random scatter in the core.
         let mut rng = StdRng::seed_from_u64(opt.seed);
-        let mut pos: Vec<(f64, f64)> = match &problem.seed_positions {
-            Some(seeds) => seeds.clone(),
+        let seeds = problem.seed_positions.as_deref();
+        let mut pos: Vec<(f64, f64)> = match seeds {
+            Some(seeds) => seeds.to_vec(),
             None => (0..m)
                 .map(|_| {
                     (
@@ -232,7 +243,6 @@ impl GlobalPlacer {
                 .collect(),
         };
         self.clamp(problem, &mut pos);
-        let seeds = problem.seed_positions.clone();
         // SoA views shared by every per-iteration kernel: contiguous cell
         // areas for spreading/density, flat per-axis coordinates for HPWL.
         let soa = PlacementSoa::from_problem(problem);
@@ -241,7 +251,8 @@ impl GlobalPlacer {
         // eDensity grid, warm-started potential) is scoped to this call,
         // keeping repeated and resumed runs bitwise-deterministic.
         let mut backend = opt.backend.instantiate();
-        let mut upper = backend.spread(problem, &soa, &pos);
+        let mut upper = Vec::new();
+        backend.spread(problem, &soa, &pos, &mut upper);
         coords.set_movable(&upper);
         let mut overflow = density_overflow_soa(problem, &soa, &upper);
         let mut hpwl = raw_hpwl_soa(problem, &coords);
@@ -259,12 +270,15 @@ impl GlobalPlacer {
 
         let mut anchor_w: Vec<f64> = vec![0.0; m];
         // Persistent per-axis B2B assemblers, CG scratch and coordinate
-        // buffers: the solve path allocates nothing per outer iteration,
-        // and nets whose pins did not move between iterations reuse their
-        // cached B2B pairs instead of re-linearizing.
+        // buffers (and the backend's spreading buffers): once they have
+        // grown to size an outer iteration allocates nothing, and nets
+        // whose pins did not move between iterations reuse their cached
+        // B2B pairs instead of re-linearizing. The Y scratch is only
+        // touched — and so only sized — when the axes run as two tasks.
         let mut rb_x = B2bRebuilder::new(Axis::X);
         let mut rb_y = B2bRebuilder::new(Axis::Y);
-        let mut scratch = CgScratch::default();
+        let mut scratch_x = CgScratch::default();
+        let mut scratch_y = CgScratch::default();
         let mut tx: Vec<f64> = vec![0.0; m];
         let mut ty: Vec<f64> = vec![0.0; m];
         let mut sx: Vec<f64> = vec![0.0; m];
@@ -293,7 +307,7 @@ impl GlobalPlacer {
             for i in 0..m {
                 let mut w_sum = ramp;
                 let mut t = upper[i];
-                if let Some(s) = &seeds {
+                if let Some(s) = seeds {
                     let sw = opt.seed_anchor;
                     t = (
                         (t.0 * ramp + s[i].0 * sw) / (ramp + sw),
@@ -310,36 +324,29 @@ impl GlobalPlacer {
                 sx[i] = pos[i].0;
                 sy[i] = pos[i].1;
             }
-            rb_x.rebuild(
-                problem,
-                &pos,
-                Some(Anchors {
-                    target: &tx,
-                    weight: &anchor_w,
-                }),
-            );
-            let cg_x = rb_x.system().solve_into_with_options(
-                &mut sx,
-                &mut scratch,
-                opt.cg_iterations,
-                1e-6,
-                opt.cg,
-            );
-            rb_y.rebuild(
-                problem,
-                &pos,
-                Some(Anchors {
-                    target: &ty,
-                    weight: &anchor_w,
-                }),
-            );
-            let cg_y = rb_y.system().solve_into_with_options(
-                &mut sy,
-                &mut scratch,
-                opt.cg_iterations,
-                1e-6,
-                opt.cg,
-            );
+            // Lower bound: the two axes are independent systems.
+            let lower_bound = |rb: &mut B2bRebuilder,
+                               target: &[f64],
+                               start: &mut [f64],
+                               scratch: &mut CgScratch| {
+                let weight = &anchor_w;
+                rb.rebuild(problem, &pos, Some(Anchors { target, weight }));
+                rb.system()
+                    .solve_quiet(start, scratch, opt.cg_iterations, 1e-6, opt.cg)
+            };
+            let (cg_x, cg_y) = if m >= AXIS_TASK_MIN_MOVABLES {
+                cp_parallel::join(
+                    || lower_bound(&mut rb_x, &tx, &mut sx, &mut scratch_x),
+                    || lower_bound(&mut rb_y, &ty, &mut sy, &mut scratch_y),
+                )
+            } else {
+                (
+                    lower_bound(&mut rb_x, &tx, &mut sx, &mut scratch_x),
+                    lower_bound(&mut rb_y, &ty, &mut sy, &mut scratch_x),
+                )
+            };
+            record_cg(&cg_x);
+            record_cg(&cg_y);
             for i in 0..m {
                 pos[i] = (sx[i], sy[i]);
             }
@@ -360,7 +367,7 @@ impl GlobalPlacer {
                 }
             }
             self.clamp(problem, &mut pos);
-            upper = backend.spread(problem, &soa, &pos);
+            backend.spread(problem, &soa, &pos, &mut upper);
             coords.set_movable(&upper);
             overflow = density_overflow_soa(problem, &soa, &upper);
             hpwl = raw_hpwl_soa(problem, &coords);

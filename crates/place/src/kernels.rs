@@ -13,21 +13,19 @@
 //!   in one pass (the body of a CG step),
 //! - [`jacobi_dot`] — diagonal preconditioner application fused with the
 //!   `r·z` inner product,
-//! - [`xpay`] / [`axpy`] / [`dot`] / [`sub_dot`] — the remaining
-//!   primitive shapes.
+//! - [`xpay`] / [`dot`] / [`sub_dot`] — the remaining primitive shapes.
 //!
 //! **Bitwise contract.** Every fused kernel performs the same per-element
 //! arithmetic in the same order as the unfused sequence it replaces, over
 //! the same fixed chunk geometry ([`VEC_CHUNK`]), and reduces partials
-//! with `cp-parallel`'s fixed-order tree. Fused and unfused solves are
-//! therefore bit-identical to each other — and to the pre-refactor
-//! implementation — at every thread count; the jagged-oracle proptests in
-//! [`crate::solver`] pin this.
+//! with `cp-parallel`'s fixed-order tree. The solver's CG loop on these
+//! kernels is therefore bit-identical to the one-pass-per-operation loop
+//! it replaced at every thread count; the jagged-oracle proptests in
+//! [`crate::solver`], whose oracle still runs that loop, pin this.
 
 /// Vector elements per parallel chunk in all CG kernels. One shared
-/// constant keeps every kernel — fused or not — on the same chunk
-/// geometry, which is what makes their reductions interchangeable bit
-/// for bit.
+/// constant keeps every kernel on the same chunk geometry, which is what
+/// makes their reductions interchangeable bit for bit.
 pub const VEC_CHUNK: usize = 1024;
 
 /// Deterministic parallel dot product `Σ a[i]·b[i]` (fixed chunks,
@@ -40,15 +38,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         }
         s
     })
-}
-
-/// `y += alpha · x`, element-wise.
-pub fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
-    cp_parallel::par_chunks_mut(y, VEC_CHUNK, |_, off, slice| {
-        for (k, yi) in slice.iter_mut().enumerate() {
-            *yi += alpha * x[off + k];
-        }
-    });
 }
 
 /// Fused update-and-norm: `y += alpha · x`, returning `Σ y[i]²` of the
@@ -120,6 +109,13 @@ pub fn fused_step(x: &mut [f64], r: &mut [f64], p: &[f64], ap: &[f64], alpha: f6
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `y += alpha · x`, element-wise: the unfused reference pass.
+    fn axpy(y: &mut [f64], alpha: f64, x: &[f64]) {
+        for (yi, xi) in y.iter_mut().zip(x) {
+            *yi += alpha * xi;
+        }
+    }
 
     fn vecs(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
         let gen = |salt: u64| -> Vec<f64> {

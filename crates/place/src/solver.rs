@@ -9,22 +9,28 @@
 //!
 //! # Large-scale layout
 //!
-//! The system matrix is stored in flat CSR (`row_ptr`/`col_idx`/`val`)
-//! rather than a jagged `Vec<Vec<_>>`: SpMV walks two contiguous arenas
-//! with no per-row pointer chase, which is the difference between memory
-//! bandwidth and cache-miss latency at 10⁵–10⁶ rows. The CG kernels write
-//! into caller-owned [`CgScratch`] buffers so a full solve allocates
-//! nothing, and [`B2bRebuilder`] caches per-net B2B pairs between outer
-//! placement iterations, regenerating only nets whose pin coordinates
-//! actually changed (bitwise) since the previous linearization.
+//! The system matrix is stored flat (`col_idx`/`val` arenas) with the rows
+//! *physically grouped by off-diagonal count*: every row with exactly `d`
+//! entries, `d ≤` [`MAX_EXACT_ROW`], sits in one contiguous bucket, longer
+//! rows follow in a generic tail. SpMV runs one fixed-trip-count loop per
+//! bucket, so the inner loop's exit branch — which a plain CSR row loop
+//! mispredicts once per row at B2B's 2–12 entries per row — is either
+//! unrolled away or perfectly regular. Each row's entries keep their
+//! assembly order, so per-row accumulation, and with it every CG iterate,
+//! is bit-identical to a row-order CSR loop. The CG kernels write into
+//! caller-owned [`CgScratch`] buffers so a full solve allocates nothing,
+//! and [`B2bRebuilder`] caches per-net B2B pairs between outer placement
+//! iterations, regenerating only nets whose pin coordinates actually
+//! changed (bitwise) since the previous linearization.
 //!
 //! Everything is deterministic across thread counts: pair generation is
-//! chunked over fixed net ranges and stitched in chunk order, SpMV is
+//! chunked over fixed net ranges and consumed in chunk order, SpMV is
 //! row-parallel with unchanged per-row accumulation order, and dot
 //! products use `cp-parallel`'s fixed-order tree reduction.
 
 use crate::kernels::{self, dot};
 use crate::problem::PlacementProblem;
+use std::ops::Range;
 
 /// Axis selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,53 +46,31 @@ const MIN_DIST: f64 = 0.5;
 
 /// Hyperedges per parallel chunk when generating B2B pairs.
 const EDGE_CHUNK: usize = 512;
-/// Vector elements per parallel chunk in CG kernels (shared with
-/// [`crate::kernels`] so fused and unfused paths reduce identically).
+/// Rows per parallel chunk in the SpMV (the CG vector kernels' geometry).
 const VEC_CHUNK: usize = kernels::VEC_CHUNK;
 
-/// Off-diagonal count above which [`B2bSystem`] builds the cache-blocked
-/// (column-striped) SpMV layout. The striped kernel changes within-row
-/// accumulation order, so it is *deterministic* across thread counts but
-/// not bitwise-equal to the row kernel; the threshold sits above every
-/// bitwise-pinned workload (QoR-gate designs peak well under 10⁶ nnz) so
-/// only genuinely large systems switch layouts.
-pub const BLOCKED_SPMV_MIN_NNZ: usize = 1 << 22;
-
-/// Columns per stripe in the blocked SpMV: 2¹⁶ f64 of `x` per stripe is
-/// 512 KiB — sized to stay resident in L2 while a stripe's rows stream.
-const COL_STRIPE: usize = 1 << 16;
-
-/// Rows per parallel chunk inside one stripe of the blocked SpMV.
-const STRIPE_ROW_CHUNK: usize = 1024;
+/// Longest row that gets an exact-length SpMV bucket; rows with more
+/// off-diagonal entries share the variable-length tail. B2B rows above
+/// this are rare (extreme pins of high-fanout nets — 92 of 53,277 rows at
+/// Jpeg 53k, where the rows peak at 4–6 entries) and long enough to
+/// amortize their one loop-exit mispredict; 8 and 12 measured 20% and 3%
+/// slower (EXPERIMENTS.md, "Placer outer iteration").
+const MAX_EXACT_ROW: usize = 16;
 
 /// One B2B two-pin edge: `(u, v, weight)` over global vertex ids.
 type Pair = (u32, u32, f64);
 
 /// Per-solve CG configuration.
 ///
-/// The default (`precondition: false`, `fused: true`) is bit-identical to
-/// the pre-refactor solver at every thread count: the fused kernels keep
-/// per-element arithmetic order and chunk geometry (see [`crate::kernels`]).
-/// `fused: false` selects the unfused pass sequence (kept for kernel-fusion
-/// benchmarking); `precondition: true` swaps the implicit Jacobi
+/// The default is the Jacobi-preconditioned loop, bit-identical at every
+/// thread count; `precondition: true` swaps the implicit Jacobi
 /// preconditioner for an IC(0) incomplete-Cholesky factorization — a
 /// different (much faster-converging) iteration, deterministic but not
 /// bitwise-comparable to the default path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CgOptions {
     /// Use the IC(0) preconditioner instead of Jacobi.
     pub precondition: bool,
-    /// Use the fused vector kernels (bitwise-equal to unfused).
-    pub fused: bool,
-}
-
-impl Default for CgOptions {
-    fn default() -> Self {
-        Self {
-            precondition: false,
-            fused: true,
-        }
-    }
 }
 
 /// Convergence facts from one CG solve, for the telemetry channel.
@@ -99,8 +83,10 @@ pub struct CgStats {
 }
 
 /// Feeds one solve's stats into the metrics registry (no-op below trace
-/// level `Full`).
-fn record_cg(stats: &CgStats) {
+/// level `Full`). The public solve entry points call it themselves; the
+/// placer's axis-parallel lower bound solves quietly on two threads and
+/// records X then Y afterwards, so the registry sees one fixed order.
+pub(crate) fn record_cg(stats: &CgStats) {
     if !cp_trace::telemetry_enabled() {
         return;
     }
@@ -120,68 +106,33 @@ pub struct CgScratch {
     ap: Vec<f64>,
 }
 
-/// A sparse SPD system `A x = b` over the movable objects of one axis,
-/// stored in CSR form.
-#[derive(Debug, Clone)]
+/// A sparse SPD system `A x = b` over the movable objects of one axis:
+/// `(A x)_i = diag_i x_i − Σ_j val_ij x_j`, off-diagonal rows stored
+/// grouped by length (see the module docs).
+#[derive(Debug, Clone, Default)]
 pub struct B2bSystem {
     diag: Vec<f64>,
-    /// `row_ptr[i]..row_ptr[i+1]` bounds row `i`'s off-diagonal entries.
-    row_ptr: Vec<u32>,
+    rhs: Vec<f64>,
+    /// Rows in storage order: all rows with 0 off-diagonal entries, then
+    /// 1, …, [`MAX_EXACT_ROW`], then the longer ones; ascending row id
+    /// within each group.
+    order: Vec<u32>,
+    /// `ptr[p]..ptr[p+1]` bounds the entries of row `order[p]`.
+    ptr: Vec<u32>,
+    /// Storage position of each row (inverse of `order`).
+    pos: Vec<u32>,
+    /// `bucket[d]` is the storage position of the first row with exactly
+    /// `d` entries; `bucket[MAX_EXACT_ROW + 1]` starts the long-row tail.
+    bucket: [u32; MAX_EXACT_ROW + 2],
     col_idx: Vec<u32>,
     val: Vec<f64>,
-    rhs: Vec<f64>,
-    /// Cache-blocked SpMV layout, present only above
-    /// [`BLOCKED_SPMV_MIN_NNZ`].
-    striped: Option<StripedCsr>,
-}
-
-/// Column-striped copy of the off-diagonal CSR entries for cache-blocked
-/// SpMV. Each stripe covers [`COL_STRIPE`] columns; within a stripe, the
-/// touched rows are listed in ascending order with their entries in
-/// original CSR order. A sweep processes stripes sequentially so the `x`
-/// window a stripe reads stays L2-resident, with rows parallelized inside
-/// each stripe.
-#[derive(Debug, Clone, Default)]
-struct StripedCsr {
-    stripes: Vec<Stripe>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Stripe {
-    /// Ascending, unique row ids touched by this stripe.
-    rows: Vec<u32>,
-    /// `ptr[k]..ptr[k+1]` bounds row `rows[k]`'s entries in `col`/`val`.
-    ptr: Vec<u32>,
-    col: Vec<u32>,
-    val: Vec<f64>,
-}
-
-impl StripedCsr {
-    fn build(n: usize, row_ptr: &[u32], col_idx: &[u32], val: &[f64]) -> Self {
-        let nstripes = n.div_ceil(COL_STRIPE).max(1);
-        let mut stripes = vec![Stripe::default(); nstripes];
-        for i in 0..n {
-            let row = row_ptr[i] as usize..row_ptr[i + 1] as usize;
-            for (&j, &w) in col_idx[row.clone()].iter().zip(&val[row]) {
-                let st = &mut stripes[j as usize / COL_STRIPE];
-                if st.rows.last() != Some(&(i as u32)) {
-                    st.rows.push(i as u32);
-                    st.ptr.push(st.col.len() as u32);
-                }
-                st.col.push(j);
-                st.val.push(w);
-            }
-        }
-        for st in stripes.iter_mut() {
-            st.ptr.push(st.col.len() as u32);
-        }
-        Self { stripes }
-    }
 }
 
 /// Raw-pointer handle for disjoint-row writes from parallel chunks (same
 /// pattern as `cp-parallel`'s chunk primitives).
 struct SendPtr(*mut f64);
+// SAFETY: only `B2bSystem::apply_into` builds one, and every chunk there
+// writes a disjoint set of rows (`order` is a permutation).
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
@@ -202,10 +153,10 @@ pub struct Anchors<'a> {
     pub weight: &'a [f64],
 }
 
-/// Emits the B2B pairs of one net into `out`, reading this axis's
+/// Hands the B2B pairs of one net to `emit`, reading this axis's
 /// coordinates from the flat `coord` array (movables first, then fixed).
 #[inline]
-fn net_pairs(verts: &[u32], w_net: f64, coord: &[f64], out: &mut Vec<Pair>) {
+fn net_pairs(verts: &[u32], w_net: f64, coord: &[f64], mut emit: impl FnMut(Pair)) {
     let p = verts.len();
     if p < 2 {
         return;
@@ -225,31 +176,100 @@ fn net_pairs(verts: &[u32], w_net: f64, coord: &[f64], out: &mut Vec<Pair>) {
         |a: u32, b: u32| scale / (coord[a as usize] - coord[b as usize]).abs().max(MIN_DIST);
     let (lo, hi) = (verts[lo_i], verts[hi_i]);
     if lo != hi {
-        out.push((lo, hi, b2b_w(lo, hi)));
+        emit((lo, hi, b2b_w(lo, hi)));
     }
     for (i, &v) in verts.iter().enumerate() {
         if i == lo_i || i == hi_i {
             continue;
         }
         if v != lo {
-            out.push((v, lo, b2b_w(v, lo)));
+            emit((v, lo, b2b_w(v, lo)));
         }
         if v != hi {
-            out.push((v, hi, b2b_w(v, hi)));
+            emit((v, hi, b2b_w(v, hi)));
+        }
+    }
+}
+
+/// The cached B2B pairs of one fixed range of [`EDGE_CHUNK`] nets, in
+/// net order.
+#[derive(Debug, Clone, Default)]
+struct NetChunk {
+    /// `ptr[k]..ptr[k+1]` bounds the pairs of the chunk's `k`-th net.
+    ptr: Vec<u32>,
+    pairs: Vec<Pair>,
+    /// Nets regenerated (not kept) by the last rebuild.
+    rebuilt: u32,
+}
+
+impl NetChunk {
+    /// Regenerates the dirty nets among `nets` over their cached pairs
+    /// and keeps the clean ones, so nothing is copied or allocated. A
+    /// net's pair count is fixed by its pin count — except while all its
+    /// pins share one coordinate and the extremes collapse — so a dirty
+    /// net normally fits its span; returns `false` as soon as one does
+    /// not, leaving the chunk to be regenerated from scratch.
+    fn update_in_place(
+        &mut self,
+        nets: Range<usize>,
+        problem: &PlacementProblem,
+        coord: &[f64],
+        prev: &[f64],
+    ) -> bool {
+        if self.ptr.len() != nets.len() + 1 {
+            return false;
+        }
+        self.rebuilt = 0;
+        for (k, e) in nets.enumerate() {
+            let verts = problem.hypergraph.edge(e as u32);
+            if verts
+                .iter()
+                .all(|&v| prev[v as usize].to_bits() == coord[v as usize].to_bits())
+            {
+                continue;
+            }
+            self.rebuilt += 1;
+            let span = &mut self.pairs[self.ptr[k] as usize..self.ptr[k + 1] as usize];
+            let mut used = 0;
+            net_pairs(verts, problem.net_weights[e], coord, |pair| {
+                if let Some(slot) = span.get_mut(used) {
+                    *slot = pair;
+                }
+                used += 1;
+            });
+            if used != span.len() {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Regenerates every net of `nets`.
+    fn regenerate(&mut self, nets: Range<usize>, problem: &PlacementProblem, coord: &[f64]) {
+        self.rebuilt = nets.len() as u32;
+        self.pairs.clear();
+        self.ptr.clear();
+        self.ptr.push(0);
+        for e in nets {
+            let verts = problem.hypergraph.edge(e as u32);
+            net_pairs(verts, problem.net_weights[e], coord, |pair| {
+                self.pairs.push(pair)
+            });
+            self.ptr.push(self.pairs.len() as u32);
         }
     }
 }
 
 /// Incremental per-axis B2B assembler.
 ///
-/// Holds the flat coordinate array, the per-net B2B pair arena and the
+/// Holds the flat coordinate array, the per-net B2B pair cache and the
 /// assembled [`B2bSystem`] across outer placement iterations. On each
 /// [`B2bRebuilder::rebuild`] only nets with at least one pin whose
 /// coordinate changed (bitwise) since the last call regenerate their
-/// pairs; clean nets are copied from the cached arena, which makes the
-/// rebuild cost proportional to how much actually moved. The assembled
-/// system is bit-identical to a from-scratch [`B2bSystem::build`] at the
-/// same positions, at any thread count.
+/// pairs; clean nets keep their cached ones, which makes the rebuild
+/// cost proportional to how much actually moved. The assembled system is
+/// bit-identical to a from-scratch [`B2bSystem::build`] at the same
+/// positions, at any thread count.
 #[derive(Debug, Clone)]
 pub struct B2bRebuilder {
     axis: Axis,
@@ -258,16 +278,11 @@ pub struct B2bRebuilder {
     /// Coordinates at the previous pair generation (empty before the
     /// first rebuild).
     prev_coord: Vec<f64>,
-    /// `pair_ptr[e]..pair_ptr[e+1]` bounds net `e`'s pairs in `pairs`.
-    pair_ptr: Vec<u32>,
-    pairs: Vec<Pair>,
-    /// Back buffers swapped with `pairs`/`pair_ptr` each rebuild.
-    pairs_back: Vec<Pair>,
-    ptr_back: Vec<u32>,
-    /// Per-row scratch: off-diagonal degree, then the CSR fill cursor.
+    /// Per-net pairs, one entry per fixed net chunk, in net order.
+    chunks: Vec<NetChunk>,
+    /// Per-row scratch: off-diagonal degree, then the fill cursor.
     deg: Vec<u32>,
     sys: B2bSystem,
-    built: bool,
 }
 
 impl B2bRebuilder {
@@ -278,20 +293,9 @@ impl B2bRebuilder {
             axis,
             coord: Vec::new(),
             prev_coord: Vec::new(),
-            pair_ptr: Vec::new(),
-            pairs: Vec::new(),
-            pairs_back: Vec::new(),
-            ptr_back: Vec::new(),
+            chunks: Vec::new(),
             deg: Vec::new(),
-            sys: B2bSystem {
-                diag: Vec::new(),
-                row_ptr: Vec::new(),
-                col_idx: Vec::new(),
-                val: Vec::new(),
-                rhs: Vec::new(),
-                striped: None,
-            },
-            built: false,
+            sys: B2bSystem::default(),
         }
     }
 
@@ -305,7 +309,9 @@ impl B2bRebuilder {
         self.sys
     }
 
-    /// (Re)builds the B2B system linearized at `positions`.
+    /// (Re)builds the B2B system linearized at `positions`. Every buffer
+    /// — coordinates, pair cache, system arenas — is reused, so from the
+    /// second call on a rebuild allocates only when a buffer has to grow.
     ///
     /// Must be called with the same `problem` across a rebuilder's
     /// lifetime; a shape change falls back to a full regeneration.
@@ -344,73 +350,40 @@ impl B2bRebuilder {
 
         // Pair generation: parallel over fixed net chunks. A net is dirty
         // iff any of its pins moved (bitwise) since the last rebuild;
-        // dirty nets recompute, clean nets copy their cached pairs. Each
-        // chunk emits pairs in per-net order and the chunks are stitched
-        // in chunk order, which reproduces the serial build bit for bit.
-        let full = !self.built
-            || self.pair_ptr.len() != nets + 1
-            || self.prev_coord.len() != self.coord.len();
+        // dirty nets recompute, clean nets keep their cached pairs. Each
+        // chunk holds its pairs in net order and the assembly below walks
+        // the chunks in order, which reproduces the serial build bit for
+        // bit.
+        let all_dirty = self.prev_coord.len() != self.coord.len();
+        self.chunks.resize_with(
+            cp_parallel::chunk_count(nets, EDGE_CHUNK),
+            NetChunk::default,
+        );
         let coord = &self.coord;
         let prev = &self.prev_coord;
-        let old_pairs = &self.pairs;
-        let old_ptr = &self.pair_ptr;
-        let chunks: Vec<(Vec<Pair>, Vec<u32>, u32)> =
-            cp_parallel::par_map_ranges(nets, EDGE_CHUNK, |range| {
-                let mut pairs: Vec<Pair> = Vec::new();
-                let mut counts: Vec<u32> = Vec::with_capacity(range.len());
-                let mut rebuilt = 0u32;
-                for e in range {
-                    let verts = problem.hypergraph.edge(e as u32);
-                    let before = pairs.len();
-                    let dirty = full
-                        || verts
-                            .iter()
-                            .any(|&v| prev[v as usize].to_bits() != coord[v as usize].to_bits());
-                    if dirty {
-                        rebuilt += 1;
-                        net_pairs(verts, problem.net_weights[e], coord, &mut pairs);
-                    } else {
-                        pairs.extend_from_slice(
-                            &old_pairs[old_ptr[e] as usize..old_ptr[e + 1] as usize],
-                        );
-                    }
-                    counts.push((pairs.len() - before) as u32);
-                }
-                (pairs, counts, rebuilt)
-            });
-
-        // Stitch the chunk outputs into the back arena, then swap.
-        self.pairs_back.clear();
-        self.ptr_back.clear();
-        self.ptr_back.reserve(nets + 1);
-        self.ptr_back.push(0);
-        let mut acc = 0u32;
-        let mut nets_rebuilt = 0u64;
-        for (chunk_pairs, counts, rebuilt) in &chunks {
-            self.pairs_back.extend_from_slice(chunk_pairs);
-            nets_rebuilt += u64::from(*rebuilt);
-            for &c in counts {
-                acc += c;
-                self.ptr_back.push(acc);
+        cp_parallel::par_chunks_mut(&mut self.chunks, 1, |ci, _, chunk| {
+            let chunk_nets = ci * EDGE_CHUNK..nets.min((ci + 1) * EDGE_CHUNK);
+            if all_dirty || !chunk[0].update_in_place(chunk_nets.clone(), problem, coord, prev) {
+                chunk[0].regenerate(chunk_nets, problem, coord);
             }
-        }
-        assert!(
-            self.pairs_back.len() < (u32::MAX / 2) as usize,
-            "B2B pair count overflows the u32 arena index"
-        );
-        std::mem::swap(&mut self.pairs, &mut self.pairs_back);
-        std::mem::swap(&mut self.pair_ptr, &mut self.ptr_back);
+        });
         if cp_trace::telemetry_enabled() {
+            let nets_rebuilt: u64 = self.chunks.iter().map(|c| u64::from(c.rebuilt)).sum();
             cp_trace::counter_add("place.b2b.nets_rebuilt", nets_rebuilt);
             cp_trace::counter_add(
                 "place.b2b.nets_cached",
                 (nets as u64).saturating_sub(nets_rebuilt),
             );
         }
+        let pair_count: usize = self.chunks.iter().map(|c| c.pairs.len()).sum();
+        assert!(
+            pair_count < (u32::MAX / 2) as usize,
+            "B2B pair count overflows the u32 arena index"
+        );
 
-        // CSR assembly from the pair arena, in arena (= net) order, with
-        // the same four-case scatter the jagged build used: count
-        // off-diagonal degrees, prefix-sum into `row_ptr`, then cursor-fill
+        // Assembly from the pair cache, in net order, with the same
+        // four-case scatter the jagged build used: count off-diagonal
+        // degrees, lay the rows out by degree, then cursor-fill
         // `col_idx`/`val` while accumulating `diag`/`rhs` in pair order.
         let sys = &mut self.sys;
         sys.diag.clear();
@@ -419,50 +392,42 @@ impl B2bRebuilder {
         sys.rhs.resize(m, 0.0);
         self.deg.clear();
         self.deg.resize(m, 0);
-        for &(u, v, _) in &self.pairs {
-            if (u as usize) < m && (v as usize) < m {
-                self.deg[u as usize] += 1;
-                self.deg[v as usize] += 1;
+        for chunk in &self.chunks {
+            for &(u, v, _) in &chunk.pairs {
+                if (u as usize) < m && (v as usize) < m {
+                    self.deg[u as usize] += 1;
+                    self.deg[v as usize] += 1;
+                }
             }
         }
-        sys.row_ptr.clear();
-        sys.row_ptr.reserve(m + 1);
-        sys.row_ptr.push(0);
-        let mut nnz = 0u32;
-        for d in self.deg.iter_mut() {
-            nnz += *d;
-            sys.row_ptr.push(nnz);
-            // Reuse `deg` as the fill cursor: start of each row.
-            *d = nnz - *d;
-        }
-        sys.col_idx.clear();
-        sys.col_idx.resize(nnz as usize, 0);
-        sys.val.clear();
-        sys.val.resize(nnz as usize, 0.0);
-        for &(u, v, w) in &self.pairs {
-            let (ui, vi) = (u as usize, v as usize);
-            match (ui < m, vi < m) {
-                (true, true) => {
-                    sys.diag[ui] += w;
-                    sys.diag[vi] += w;
-                    let cu = self.deg[ui] as usize;
-                    sys.col_idx[cu] = v;
-                    sys.val[cu] = w;
-                    self.deg[ui] += 1;
-                    let cv = self.deg[vi] as usize;
-                    sys.col_idx[cv] = u;
-                    sys.val[cv] = w;
-                    self.deg[vi] += 1;
+        // `deg` turns into each row's fill cursor.
+        sys.layout_rows(&mut self.deg);
+        for chunk in &self.chunks {
+            for &(u, v, w) in &chunk.pairs {
+                let (ui, vi) = (u as usize, v as usize);
+                match (ui < m, vi < m) {
+                    (true, true) => {
+                        sys.diag[ui] += w;
+                        sys.diag[vi] += w;
+                        let cu = self.deg[ui] as usize;
+                        sys.col_idx[cu] = v;
+                        sys.val[cu] = w;
+                        self.deg[ui] += 1;
+                        let cv = self.deg[vi] as usize;
+                        sys.col_idx[cv] = u;
+                        sys.val[cv] = w;
+                        self.deg[vi] += 1;
+                    }
+                    (true, false) => {
+                        sys.diag[ui] += w;
+                        sys.rhs[ui] += w * self.coord[vi];
+                    }
+                    (false, true) => {
+                        sys.diag[vi] += w;
+                        sys.rhs[vi] += w * self.coord[ui];
+                    }
+                    (false, false) => {}
                 }
-                (true, false) => {
-                    sys.diag[ui] += w;
-                    sys.rhs[ui] += w * self.coord[vi];
-                }
-                (false, true) => {
-                    sys.diag[vi] += w;
-                    sys.rhs[vi] += w * self.coord[ui];
-                }
-                (false, false) => {}
             }
         }
         if let Some(a) = anchors {
@@ -484,8 +449,6 @@ impl B2bRebuilder {
 
         // The coords we just linearized at become the dirty-check baseline.
         std::mem::swap(&mut self.prev_coord, &mut self.coord);
-        self.built = true;
-        self.sys.finalize_layout();
     }
 }
 
@@ -521,6 +484,14 @@ impl B2bSystem {
         self.val.len()
     }
 
+    /// Row `i`'s off-diagonal entries `(columns, values)`, in assembly
+    /// order.
+    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let p = self.pos[i] as usize;
+        let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
+        (&self.col_idx[entries.clone()], &self.val[entries])
+    }
+
     /// Solves with Jacobi-preconditioned CG from `x0`.
     ///
     /// The SpMV, dot products and vector updates run in parallel; dot
@@ -544,22 +515,33 @@ impl B2bSystem {
     /// backend's Poisson grid so it can reuse the CG kernels verbatim).
     /// `row_ptr`/`col_idx`/`val` hold the off-diagonal entries with the
     /// `apply` convention `(A x)_i = diag_i x_i − Σ_j val_ij x_j`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the parts disagree in length or a column is out of range.
     pub(crate) fn from_parts(
         diag: Vec<f64>,
-        row_ptr: Vec<u32>,
-        col_idx: Vec<u32>,
-        val: Vec<f64>,
+        row_ptr: &[u32],
+        col_idx: &[u32],
+        val: &[f64],
         rhs: Vec<f64>,
     ) -> Self {
+        let n = diag.len();
+        assert!(row_ptr.len() == n + 1 && rhs.len() == n && col_idx.len() == val.len());
+        assert!(col_idx.iter().all(|&j| (j as usize) < n));
         let mut sys = Self {
             diag,
-            row_ptr,
-            col_idx,
-            val,
             rhs,
-            striped: None,
+            ..Self::default()
         };
-        sys.finalize_layout();
+        let mut cursor: Vec<u32> = row_ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        sys.layout_rows(&mut cursor);
+        for (i, &at) in cursor.iter().enumerate() {
+            let src = row_ptr[i] as usize..row_ptr[i + 1] as usize;
+            let dst = at as usize..at as usize + src.len();
+            sys.col_idx[dst.clone()].copy_from_slice(&col_idx[src.clone()]);
+            sys.val[dst].copy_from_slice(&val[src]);
+        }
         sys
     }
 
@@ -569,31 +551,49 @@ impl B2bSystem {
         &mut self.rhs
     }
 
-    /// (Re)derives the SpMV layout: builds the column-striped copy when
-    /// the system is large enough to benefit, drops it otherwise.
-    fn finalize_layout(&mut self) {
-        self.striped = if self.val.len() >= BLOCKED_SPMV_MIN_NNZ {
-            Some(StripedCsr::build(
-                self.diag.len(),
-                &self.row_ptr,
-                &self.col_idx,
-                &self.val,
-            ))
-        } else {
-            None
-        };
-    }
-
-    /// True when SpMV dispatches to the cache-blocked layout.
-    pub fn is_blocked(&self) -> bool {
-        self.striped.is_some()
+    /// Lays the rows out by off-diagonal count with a counting sort:
+    /// fills `order`/`pos`/`ptr`/`bucket` and sizes `col_idx`/`val`. On
+    /// entry `deg[i]` is row `i`'s entry count; on exit it is the index of
+    /// the row's first entry — the caller's fill cursor.
+    fn layout_rows(&mut self, deg: &mut [u32]) {
+        const TAIL: usize = MAX_EXACT_ROW + 1;
+        let n = deg.len();
+        let mut count = [0u32; TAIL + 1];
+        for &d in deg.iter() {
+            count[(d as usize).min(TAIL)] += 1;
+        }
+        let mut next = [0u32; TAIL + 1];
+        let mut start = 0;
+        for d in 0..=TAIL {
+            self.bucket[d] = start;
+            next[d] = start;
+            start += count[d];
+        }
+        self.order.resize(n, 0);
+        self.pos.resize(n, 0);
+        for (i, &d) in deg.iter().enumerate() {
+            let p = &mut next[(d as usize).min(TAIL)];
+            self.order[*p as usize] = i as u32;
+            self.pos[i] = *p;
+            *p += 1;
+        }
+        self.ptr.clear();
+        let mut entry = 0;
+        for &i in &self.order {
+            self.ptr.push(entry);
+            entry += std::mem::replace(&mut deg[i as usize], entry);
+        }
+        self.ptr.push(entry);
+        self.col_idx.clear();
+        self.col_idx.resize(entry as usize, 0);
+        self.val.clear();
+        self.val.resize(entry as usize, 0.0);
     }
 
     /// In-place CG solve: `x` holds the start on entry and the solution on
     /// exit, and all work vectors live in `scratch` — zero allocations
     /// once the scratch has warmed up to the system size. Runs with
-    /// default [`CgOptions`], i.e. bit-identical to the pre-refactor
-    /// solver.
+    /// default [`CgOptions`].
     pub fn solve_into_with_stats(
         &self,
         x: &mut [f64],
@@ -613,16 +613,23 @@ impl B2bSystem {
         tol: f64,
         opts: CgOptions,
     ) -> CgStats {
-        let stats = if opts.precondition {
-            let ic = IcPreconditioner::new(self);
-            self.solve_pcg(x, scratch, max_iters, tol, &ic)
-        } else if opts.fused {
-            self.solve_fused(x, scratch, max_iters, tol)
-        } else {
-            self.solve_unfused(x, scratch, max_iters, tol)
-        };
+        let stats = self.solve_quiet(x, scratch, max_iters, tol, opts);
         record_cg(&stats);
         stats
+    }
+
+    /// [`B2bSystem::solve_into_with_options`] without the telemetry
+    /// record (see [`record_cg`]).
+    pub(crate) fn solve_quiet(
+        &self,
+        x: &mut [f64],
+        scratch: &mut CgScratch,
+        max_iters: usize,
+        tol: f64,
+        opts: CgOptions,
+    ) -> CgStats {
+        let ic = opts.precondition.then(|| IcPreconditioner::new(self));
+        self.cg(x, scratch, max_iters, tol, ic.as_ref())
     }
 
     /// [`B2bSystem::solve_into_with_stats`] with a caller-held IC(0)
@@ -635,20 +642,23 @@ impl B2bSystem {
         tol: f64,
         ic: &IcPreconditioner,
     ) -> CgStats {
-        let stats = self.solve_pcg(x, scratch, max_iters, tol, ic);
+        let stats = self.cg(x, scratch, max_iters, tol, Some(ic));
         record_cg(&stats);
         stats
     }
 
-    /// The default CG loop on the fused kernels: same per-element
-    /// arithmetic, order and reductions as [`B2bSystem::solve_unfused`],
-    /// in fewer memory passes — bit-identical outputs.
-    fn solve_fused(
+    /// The CG loop on the fused kernels ([`crate::kernels`]): two vector
+    /// sweeps and one SpMV per iteration. `z = M⁻¹ r` is the fused Jacobi
+    /// scale, or the IC(0) triangular solves when `ic` is given; those are
+    /// serial and everything else fixed-order, so either way the iterates
+    /// are bit-identical at every thread count.
+    fn cg(
         &self,
         x: &mut [f64],
         scratch: &mut CgScratch,
         max_iters: usize,
         tol: f64,
+        ic: Option<&IcPreconditioner>,
     ) -> CgStats {
         let n = self.diag.len();
         assert_eq!(x.len(), n, "start vector length != system size");
@@ -657,9 +667,16 @@ impl B2bSystem {
         z.resize(n, 0.0);
         p.resize(n, 0.0);
         ap.resize(n, 0.0);
+        let precondition = |z: &mut [f64], r: &[f64]| match ic {
+            Some(ic) => {
+                ic.apply_to(r, z);
+                dot(r, z)
+            }
+            None => kernels::jacobi_dot(z, r, &self.diag),
+        };
         self.apply_into(x, ap);
         let rr0 = kernels::sub_dot(r, &self.rhs, ap);
-        let mut rz = kernels::jacobi_dot(z, r, &self.diag);
+        let mut rz = precondition(z, r);
         p.copy_from_slice(z);
         let rhs_norm: f64 = dot(&self.rhs, &self.rhs).sqrt().max(1e-30);
         // Early exit on an already-converged starting point: warm-started
@@ -694,7 +711,7 @@ impl B2bSystem {
             if relative_residual < tol {
                 break;
             }
-            let rz_new = kernels::jacobi_dot(z, r, &self.diag);
+            let rz_new = precondition(z, r);
             let beta = rz_new / rz;
             if !beta.is_finite() {
                 break;
@@ -708,208 +725,85 @@ impl B2bSystem {
         }
     }
 
-    /// The pre-refactor pass sequence: one memory sweep per vector op.
-    /// Kept selectable (`CgOptions { fused: false, .. }`) so the
-    /// kernel-fusion win stays measurable; outputs are bit-identical to
-    /// [`B2bSystem::solve_fused`].
-    fn solve_unfused(
-        &self,
-        x: &mut [f64],
-        scratch: &mut CgScratch,
-        max_iters: usize,
-        tol: f64,
-    ) -> CgStats {
-        let n = self.diag.len();
-        assert_eq!(x.len(), n, "start vector length != system size");
-        let CgScratch { r, z, p, ap } = scratch;
-        r.resize(n, 0.0);
-        z.resize(n, 0.0);
-        p.resize(n, 0.0);
-        ap.resize(n, 0.0);
-        self.apply_into(x, ap);
-        cp_parallel::par_chunks_mut(r, VEC_CHUNK, |_, off, slice| {
-            for (k, ri) in slice.iter_mut().enumerate() {
-                *ri = self.rhs[off + k] - ap[off + k];
-            }
-        });
-        cp_parallel::par_chunks_mut(z, VEC_CHUNK, |_, off, slice| {
-            for (k, zi) in slice.iter_mut().enumerate() {
-                *zi = r[off + k] / self.diag[off + k];
-            }
-        });
-        p.copy_from_slice(z);
-        let mut rz = dot(r, z);
-        let rhs_norm: f64 = dot(&self.rhs, &self.rhs).sqrt().max(1e-30);
-        let rel0 = dot(r, r).sqrt() / rhs_norm;
-        if rel0 < tol {
-            return CgStats {
-                iterations: 0,
-                relative_residual: rel0,
-            };
-        }
-        let mut iterations = 0;
-        let mut relative_residual = rel0;
-        for _ in 0..max_iters {
-            self.apply_into(p, ap);
-            let pap = dot(p, ap);
-            if pap <= 0.0 || !pap.is_finite() {
-                break;
-            }
-            let alpha = rz / pap;
-            if !alpha.is_finite() {
-                break;
-            }
-            iterations += 1;
-            kernels::axpy(x, alpha, p);
-            kernels::axpy(r, -alpha, ap);
-            let rnorm = dot(r, r).sqrt();
-            relative_residual = rnorm / rhs_norm;
-            if relative_residual < tol {
-                break;
-            }
-            cp_parallel::par_chunks_mut(z, VEC_CHUNK, |_, off, slice| {
-                for (k, zi) in slice.iter_mut().enumerate() {
-                    *zi = r[off + k] / self.diag[off + k];
-                }
-            });
-            let rz_new = dot(r, z);
-            let beta = rz_new / rz;
-            if !beta.is_finite() {
-                break;
-            }
-            rz = rz_new;
-            kernels::xpay(p, beta, z);
-        }
-        CgStats {
-            iterations,
-            relative_residual,
-        }
-    }
-
-    /// Preconditioned CG with an explicit IC(0) factorization: identical
-    /// loop shape to [`B2bSystem::solve_fused`] but `z = M⁻¹ r` comes
-    /// from the triangular solves instead of a diagonal scale. The
-    /// triangular solves are serial (and the rest fixed-order), so the
-    /// iterates are bit-identical at every thread count.
-    fn solve_pcg(
-        &self,
-        x: &mut [f64],
-        scratch: &mut CgScratch,
-        max_iters: usize,
-        tol: f64,
-        ic: &IcPreconditioner,
-    ) -> CgStats {
-        let n = self.diag.len();
-        assert_eq!(x.len(), n, "start vector length != system size");
-        let CgScratch { r, z, p, ap } = scratch;
-        r.resize(n, 0.0);
-        z.resize(n, 0.0);
-        p.resize(n, 0.0);
-        ap.resize(n, 0.0);
-        self.apply_into(x, ap);
-        let rr0 = kernels::sub_dot(r, &self.rhs, ap);
-        ic.apply_to(r, z);
-        let mut rz = dot(r, z);
-        p.copy_from_slice(z);
-        let rhs_norm: f64 = dot(&self.rhs, &self.rhs).sqrt().max(1e-30);
-        let rel0 = rr0.sqrt() / rhs_norm;
-        if rel0 < tol {
-            return CgStats {
-                iterations: 0,
-                relative_residual: rel0,
-            };
-        }
-        let mut iterations = 0;
-        let mut relative_residual = rel0;
-        for _ in 0..max_iters {
-            self.apply_into(p, ap);
-            let pap = dot(p, ap);
-            if pap <= 0.0 || !pap.is_finite() {
-                break;
-            }
-            let alpha = rz / pap;
-            if !alpha.is_finite() {
-                break;
-            }
-            iterations += 1;
-            let rr = kernels::fused_step(x, r, p, ap, alpha);
-            relative_residual = rr.sqrt() / rhs_norm;
-            if relative_residual < tol {
-                break;
-            }
-            ic.apply_to(r, z);
-            let rz_new = dot(r, z);
-            let beta = rz_new / rz;
-            if !beta.is_finite() {
-                break;
-            }
-            rz = rz_new;
-            kernels::xpay(p, beta, z);
-        }
-        CgStats {
-            iterations,
-            relative_residual,
-        }
-    }
-
-    /// Sparse matrix-vector product into `out`, dispatching to the
-    /// cache-blocked layout when one was built (see
-    /// [`BLOCKED_SPMV_MIN_NNZ`]).
+    /// Sparse matrix-vector product `out = A x`, row-parallel over fixed
+    /// chunks of the storage order. Each row accumulates `diag·x` then its
+    /// entries in assembly order — bit-identical to the serial row-order
+    /// CSR loop at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or `out` is not one element per row.
     pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
-        match &self.striped {
-            Some(s) => self.apply_striped_into(s, x, out),
-            None => self.apply_rows_into(x, out),
-        }
-    }
-
-    /// Row-parallel CSR kernel with unchanged per-row accumulation order,
-    /// bit-identical to the serial loop at any thread count. Public so
-    /// benchmarks can compare it against the blocked dispatch.
-    pub fn apply_rows_into(&self, x: &[f64], out: &mut [f64]) {
-        cp_parallel::par_chunks_mut(out, VEC_CHUNK, |_, off, slice| {
-            for (k, oi) in slice.iter_mut().enumerate() {
-                let i = off + k;
-                let row = self.row_ptr[i] as usize..self.row_ptr[i + 1] as usize;
+        let n = self.diag.len();
+        assert!(x.len() == n && out.len() == n, "vector length != rows");
+        let out = SendPtr(out.as_mut_ptr());
+        cp_parallel::par_ranges(n, VEC_CHUNK, |_, chunk| {
+            // The chunk's share of each exact bucket, then of the tail.
+            for d in 0..=MAX_EXACT_ROW {
+                let lo = chunk.start.max(self.bucket[d] as usize);
+                let hi = chunk.end.min(self.bucket[d + 1] as usize);
+                if lo < hi {
+                    self.apply_exact_rows(d, lo..hi, x, &out);
+                }
+            }
+            let lo = chunk.start.max(self.bucket[MAX_EXACT_ROW + 1] as usize);
+            for p in lo..chunk.end {
+                let i = self.order[p] as usize;
+                let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
                 let mut acc = self.diag[i] * x[i];
-                for (&j, &w) in self.col_idx[row.clone()].iter().zip(&self.val[row]) {
+                for (&j, &w) in self.col_idx[entries.clone()].iter().zip(&self.val[entries]) {
                     acc -= w * x[j as usize];
                 }
-                *oi = acc;
+                // SAFETY: `i < n == out.len()` (checked by `self.diag[i]`),
+                // and `order` is a permutation, so no other storage
+                // position — in this chunk or another — writes row `i`.
+                unsafe { *out.get().add(i) = acc };
             }
         });
     }
 
-    /// Cache-blocked SpMV: `out = diag∘x`, then per stripe subtract the
-    /// stripe's partial row sums. Stripes run sequentially (each keeps a
-    /// 512 KiB window of `x` hot); rows within a stripe run in fixed
-    /// parallel chunks, and each (stripe, row) is owned by exactly one
-    /// chunk — so the result is deterministic at every thread count,
-    /// though within-row accumulation order differs from
-    /// [`B2bSystem::apply_rows_into`].
-    fn apply_striped_into(&self, striped: &StripedCsr, x: &[f64], out: &mut [f64]) {
-        cp_parallel::par_chunks_mut(out, VEC_CHUNK, |_, off, slice| {
-            for (k, oi) in slice.iter_mut().enumerate() {
-                let i = off + k;
-                *oi = self.diag[i] * x[i];
-            }
-        });
-        let optr = SendPtr(out.as_mut_ptr());
-        for st in &striped.stripes {
-            cp_parallel::par_map_ranges(st.rows.len(), STRIPE_ROW_CHUNK, |range| {
-                for k in range {
-                    let seg = st.ptr[k] as usize..st.ptr[k + 1] as usize;
-                    let mut acc = 0.0;
-                    for (&j, &w) in st.col[seg.clone()].iter().zip(&st.val[seg]) {
-                        acc += w * x[j as usize];
+    /// Dispatches storage positions `rows` of exact bucket `d` to the
+    /// kernel compiled for that row length.
+    fn apply_exact_rows(&self, d: usize, rows: Range<usize>, x: &[f64], out: &SendPtr) {
+        macro_rules! dispatch {
+            ($($len:literal)+) => {
+                match d {
+                    0 => {
+                        for &i in &self.order[rows] {
+                            let i = i as usize;
+                            let acc = self.diag[i] * x[i];
+                            // SAFETY: as in `rows_of_len`.
+                            unsafe { *out.get().add(i) = acc };
+                        }
                     }
-                    // SAFETY: `st.rows` is strictly ascending, so distinct
-                    // `k` index distinct rows; the fixed chunking hands each
-                    // `k` to exactly one closure invocation.
-                    unsafe {
-                        *optr.get().add(st.rows[k] as usize) -= acc;
-                    }
+                    $($len => self.rows_of_len::<$len>(rows, x, out),)+
+                    _ => unreachable!("no exact bucket for rows of {d} entries"),
                 }
-            });
+            };
+        }
+        dispatch!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16);
+    }
+
+    /// The SpMV of storage positions `rows`, all of which hold rows of
+    /// exactly `D` entries: the entry arenas are walked as `[_; D]` blocks,
+    /// so the inner loop has a compile-time trip count and no slice-bound
+    /// tests.
+    #[inline(always)]
+    fn rows_of_len<const D: usize>(&self, rows: Range<usize>, x: &[f64], out: &SendPtr) {
+        let first = self.ptr[rows.start] as usize;
+        let entries = first..first + rows.len() * D;
+        let (cols, _) = self.col_idx[entries.clone()].as_chunks::<D>();
+        let (vals, _) = self.val[entries].as_chunks::<D>();
+        for ((&i, c), v) in self.order[rows].iter().zip(cols).zip(vals) {
+            let i = i as usize;
+            let mut acc = self.diag[i] * x[i];
+            for k in 0..D {
+                acc -= v[k] * x[c[k] as usize];
+            }
+            // SAFETY: `i < n == out.len()` (checked by `self.diag[i]`), and
+            // `order` is a permutation, so no other storage position — in
+            // this chunk or another — writes row `i`.
+            unsafe { *out.get().add(i) = acc };
         }
     }
 }
@@ -961,8 +855,8 @@ impl IcPreconditioner {
         lptr.push(0);
         for i in 0..n {
             row.clear();
-            let seg = sys.row_ptr[i] as usize..sys.row_ptr[i + 1] as usize;
-            for (&j, &w) in sys.col_idx[seg.clone()].iter().zip(&sys.val[seg]) {
+            let (cols, vals) = sys.row(i);
+            for (&j, &w) in cols.iter().zip(vals) {
                 if (j as usize) < i {
                     row.push((j, -w));
                 }
@@ -1370,7 +1264,8 @@ mod tests {
     }
 
     fn assert_sys_bitwise_eq(a: &B2bSystem, b: &B2bSystem) {
-        assert_eq!(a.row_ptr, b.row_ptr);
+        assert_eq!(a.order, b.order);
+        assert_eq!(a.ptr, b.ptr);
         assert_eq!(a.col_idx, b.col_idx);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.diag), bits(&b.diag));
@@ -1391,10 +1286,10 @@ mod tests {
         assert_eq!(bits(&csr.rhs), bits(&jag.rhs));
         // Row contents and order: the CSR row must equal the jagged row.
         for i in 0..csr.len() {
-            let row = csr.row_ptr[i] as usize..csr.row_ptr[i + 1] as usize;
-            let csr_row: Vec<(u32, u64)> = csr.col_idx[row.clone()]
+            let (cols, vals) = csr.row(i);
+            let csr_row: Vec<(u32, u64)> = cols
                 .iter()
-                .zip(&csr.val[row])
+                .zip(vals)
                 .map(|(&j, &w)| (j, w.to_bits()))
                 .collect();
             let jag_row: Vec<(u32, u64)> =
@@ -1598,33 +1493,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_unfused_solves_match_bitwise() {
-        let p = chain_problem(40);
-        let pos: Vec<(f64, f64)> = (0..40).map(|i| (50.0 + (i % 7) as f64, 0.0)).collect();
-        let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-        let x0: Vec<f64> = pos.iter().map(|&(x, _)| x).collect();
-        let run = |fused: bool| {
-            let mut x = x0.clone();
-            let mut scratch = CgScratch::default();
-            let stats = sys.solve_into_with_options(
-                &mut x,
-                &mut scratch,
-                60,
-                1e-9,
-                CgOptions {
-                    precondition: false,
-                    fused,
-                },
-            );
-            (x.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), stats)
-        };
-        let (xf, sf) = run(true);
-        let (xu, su) = run(false);
-        assert_eq!(xf, xu);
-        assert_eq!(sf, su);
-    }
-
-    #[test]
     fn ic_preconditioner_converges_where_jacobi_stalls() {
         // On a 400-long chain, 30 Jacobi-CG iterations barely move the
         // residual; IC(0) factors the tridiagonal exactly and converges
@@ -1644,10 +1512,7 @@ mod tests {
             &mut scratch,
             30,
             1e-8,
-            CgOptions {
-                precondition: true,
-                fused: true,
-            },
+            CgOptions { precondition: true },
         );
         assert!(
             pre_stats.relative_residual < 1e-8,
@@ -1678,10 +1543,7 @@ mod tests {
                     &mut scratch,
                     50,
                     1e-10,
-                    CgOptions {
-                        precondition: true,
-                        fused: true,
-                    },
+                    CgOptions { precondition: true },
                 );
                 x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             })
@@ -1689,47 +1551,6 @@ mod tests {
         let t1 = run(1);
         assert_eq!(t1, run(4));
         assert_eq!(t1, run(8));
-    }
-
-    #[test]
-    fn blocked_spmv_matches_row_kernel_and_is_deterministic() {
-        // Force the striped layout on a small system (well below the nnz
-        // threshold) and check it against the row kernel numerically, and
-        // against itself across thread counts bitwise.
-        let m = 300;
-        let p = chain_problem(m);
-        let pos: Vec<(f64, f64)> = (0..m).map(|i| ((i % 13) as f64 * 3.0, 0.0)).collect();
-        let mut sys = B2bSystem::build(&p, &pos, Axis::X, None);
-        assert!(!sys.is_blocked(), "below threshold");
-        sys.striped = Some(StripedCsr::build(
-            sys.diag.len(),
-            &sys.row_ptr,
-            &sys.col_idx,
-            &sys.val,
-        ));
-        let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin() * 10.0).collect();
-        let mut rows = vec![0.0; m];
-        sys.apply_rows_into(&x, &mut rows);
-        let run = |threads: usize| {
-            cp_parallel::with_threads(threads, || {
-                let mut out = vec![0.0; m];
-                sys.apply_into(&x, &mut out);
-                out
-            })
-        };
-        let blocked = run(1);
-        for i in 0..m {
-            let scale = rows[i].abs().max(1.0);
-            assert!(
-                (blocked[i] - rows[i]).abs() <= 1e-12 * scale,
-                "row {i}: blocked {} vs rows {}",
-                blocked[i],
-                rows[i]
-            );
-        }
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&blocked), bits(&run(4)));
-        assert_eq!(bits(&blocked), bits(&run(8)));
     }
 
     #[test]
@@ -1824,11 +1645,12 @@ mod proptests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    type SysFingerprint = (Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u64>);
+    type SysFingerprint = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u64>);
 
     fn sys_fingerprint(s: &B2bSystem) -> SysFingerprint {
         (
-            s.row_ptr.clone(),
+            s.order.clone(),
+            s.ptr.clone(),
             s.col_idx.clone(),
             bits(&s.diag),
             bits(&s.val),
@@ -1836,8 +1658,90 @@ mod proptests {
         )
     }
 
+    /// A random system in plain CSR form plus an input vector: zero, one,
+    /// a handful or a few parallel chunks' worth of rows, each row empty,
+    /// short (an exact bucket) or longer than the largest exact bucket.
+    #[derive(Debug, Clone)]
+    struct CsrCase {
+        diag: Vec<f64>,
+        row_ptr: Vec<u32>,
+        col_idx: Vec<u32>,
+        val: Vec<f64>,
+        x: Vec<f64>,
+    }
+
+    fn csr_strategy() -> impl Strategy<Value = CsrCase> {
+        (0u32..8, 2usize..24, VEC_CHUNK + 1..3 * VEC_CHUNK)
+            .prop_flat_map(|(class, few, many)| {
+                let n = match class {
+                    0 => 0,
+                    1 => 1,
+                    2..=5 => few,
+                    _ => many,
+                };
+                prop::collection::vec(0usize..2 * MAX_EXACT_ROW + 8, n)
+            })
+            .prop_flat_map(|lens| {
+                let n = lens.len();
+                let nnz: usize = lens.iter().sum();
+                (
+                    Just(lens),
+                    prop::collection::vec(0..n.max(1) as u32, nnz),
+                    prop::collection::vec(-2.0f64..2.0, nnz),
+                    prop::collection::vec(0.5f64..4.0, n),
+                    prop::collection::vec(-8.0f64..8.0, n),
+                )
+            })
+            .prop_map(|(lens, col_idx, val, diag, x)| {
+                let mut row_ptr = vec![0u32];
+                for len in lens {
+                    row_ptr.push(row_ptr[row_ptr.len() - 1] + len as u32);
+                }
+                CsrCase {
+                    diag,
+                    row_ptr,
+                    col_idx,
+                    val,
+                    x,
+                }
+            })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The bucketed SpMV equals the plain serial row-order CSR loop
+        /// bit for bit, at every thread count, and `row` hands back each
+        /// row's entries in their original order.
+        #[test]
+        fn bucketed_spmv_matches_row_order_csr(case in csr_strategy()) {
+            let n = case.diag.len();
+            let entries = |i: usize| case.row_ptr[i] as usize..case.row_ptr[i + 1] as usize;
+            let want: Vec<f64> = (0..n)
+                .map(|i| {
+                    let mut acc = case.diag[i] * case.x[i];
+                    for e in entries(i) {
+                        acc -= case.val[e] * case.x[case.col_idx[e] as usize];
+                    }
+                    acc
+                })
+                .collect();
+            let sys = B2bSystem::from_parts(
+                case.diag.clone(), &case.row_ptr, &case.col_idx, &case.val, vec![0.0; n],
+            );
+            prop_assert_eq!(sys.len(), n);
+            prop_assert_eq!(sys.nnz(), case.val.len());
+            for i in 0..n {
+                let (cols, vals) = sys.row(i);
+                prop_assert_eq!(cols, &case.col_idx[entries(i)]);
+                prop_assert_eq!(bits(vals), bits(&case.val[entries(i)]));
+            }
+            for threads in [1usize, 2, 4, 8] {
+                let mut out = vec![f64::NAN; n];
+                cp_parallel::with_threads(threads, || sys.apply_into(&case.x, &mut out));
+                prop_assert_eq!(bits(&out), bits(&want), "threads = {}", threads);
+            }
+        }
 
         /// CSR build + SpMV + solve are bitwise-identical to the
         /// pre-refactor jagged implementation.
@@ -1909,7 +1813,7 @@ mod proptests {
                 let mut pre = x0.clone();
                 sys.solve_into_with_options(
                     &mut pre, &mut scratch, 500, 1e-12,
-                    CgOptions { precondition: true, fused: true },
+                    CgOptions { precondition: true },
                 );
                 for i in 0..plain.len() {
                     let scale = plain[i].abs().max(1.0);

@@ -6,6 +6,20 @@
 //! small regions where cells are mapped linearly. The result respects the
 //! density target at bin granularity while roughly preserving relative
 //! order — exactly what anchor pseudo-nets need.
+//!
+//! A node cuts its cells in the order of `(cut coordinate, other
+//! coordinate, cell)` — `total_cmp` on the coordinates, so the order is
+//! total — except that the other coordinate only breaks ties once an
+//! ancestor has cut on it: down the root's run of same-axis cuts the order
+//! is `(cut coordinate, cell)`. (That is the order a stable per-node sort
+//! of the parent's order produces, so results are unchanged from when
+//! every node sorted.) The cells are sorted once per call into these
+//! orders. A node owns the same index range of each: it reads the split
+//! off the order of its cut axis, whose prefix *is* the left half, and
+//! stable-partitions the others by rank, so all stay sorted all the way
+//! down — O(n log n) overall, no per-node sort or allocation. The two
+//! halves are disjoint sub-slices (`split_at_mut`) and run as pool tasks
+//! above [`TASK_MIN_CELLS`].
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
@@ -15,103 +29,312 @@ use cp_netlist::floorplan::Rect;
 const LEAF_CELLS: usize = 10;
 /// Minimum region extent, µm.
 const MIN_EXTENT: f64 = 2.0;
+/// Smallest bisection node (and smallest root sort) that is handed to the
+/// pool as two tasks; below it one region's set-up costs more than the
+/// node (EXPERIMENTS.md, "Placer outer iteration").
+const TASK_MIN_CELLS: usize = 4096;
 /// Cells per parallel chunk in the density scatter.
 const CELL_CHUNK: usize = 4096;
 /// Bins per parallel chunk in the overflow reduction.
 const BIN_CHUNK: usize = 256;
 
+/// Reusable buffers of [`spread_soa`]; hold one across outer placement
+/// iterations and spreading stops allocating.
+#[derive(Debug, Clone, Default)]
+pub struct SpreadScratch {
+    /// Cells by `(x, y, cell)` and by `(y, x, cell)`.
+    by_x: AxisOrder,
+    by_y: AxisOrder,
+    /// Cells by `(root's cut coordinate, cell)` and their ranks in it.
+    root_order: Vec<u32>,
+    root_rank: Vec<u32>,
+    /// Right-half staging of one stable partition.
+    tmp: Vec<u32>,
+    /// Mapped position of the cell at the same index of `by_x.order`.
+    mapped: Vec<(f64, f64)>,
+}
+
+/// The cells sorted along one axis.
+#[derive(Debug, Clone, Default)]
+struct AxisOrder {
+    /// Sort staging: `(leading coordinate as an ordered integer, cell)`.
+    keys: Vec<(u64, u32)>,
+    /// Cells in sorted order; the bisection permutes it in place so every
+    /// node's cells stay one contiguous, sorted index range.
+    order: Vec<u32>,
+    /// Each cell's index in the freshly sorted `order`.
+    rank: Vec<u32>,
+}
+
+/// Maps a coordinate to an integer with the same order as `total_cmp`,
+/// so the sort compares plain integers.
+fn ordered_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    // Negative: flip everything; non-negative: set the sign bit.
+    bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
+}
+
+impl AxisOrder {
+    /// Sorts the cells by `(axis(position), cell)`: leading coordinate,
+    /// other coordinate, cell index.
+    fn sort(&mut self, positions: &[(f64, f64)], axis: impl Fn(&(f64, f64)) -> (f64, f64)) {
+        self.keys.clear();
+        self.keys.extend(
+            positions
+                .iter()
+                .zip(0u32..)
+                .map(|(p, i)| (ordered_bits(axis(p).0), i)),
+        );
+        self.keys.sort_unstable();
+        self.order.clear();
+        self.order.extend(self.keys.iter().map(|&(_, i)| i));
+        // That is `(leading coordinate, cell)`; cells tied on the leading
+        // coordinate (rare) still have to be ordered by the other one.
+        let mut run = 0;
+        for k in 1..=self.keys.len() {
+            if k == self.keys.len() || self.keys[k].0 != self.keys[run].0 {
+                if k - run > 1 {
+                    self.order[run..k].sort_unstable_by(|&a, &b| {
+                        let other = |i: u32| axis(&positions[i as usize]).1;
+                        other(a).total_cmp(&other(b)).then(a.cmp(&b))
+                    });
+                }
+                run = k;
+            }
+        }
+        fill_ranks(&self.order, &mut self.rank);
+    }
+}
+
+/// Sets `rank[cell]` to the cell's index in `order`.
+fn fill_ranks(order: &[u32], rank: &mut Vec<u32>) {
+    rank.resize(order.len(), 0);
+    for (r, &i) in (0u32..).zip(order) {
+        rank[i as usize] = r;
+    }
+}
+
+/// The `(leading coordinate, cell)` order behind `sorted` — its sort
+/// staging, before ties were ordered by the other coordinate — and each
+/// cell's rank in it.
+fn cell_tie_order(sorted: &AxisOrder, order: &mut Vec<u32>, rank: &mut Vec<u32>) {
+    order.clear();
+    order.extend(sorted.keys.iter().map(|&(_, i)| i));
+    fill_ranks(order, rank);
+}
+
 /// Spreads `positions` to meet the problem's density target.
 ///
 /// Returns one position per movable, inside the core. Convenience
-/// wrapper over [`spread_soa`] that extracts the area array on the fly;
-/// per-iteration callers should hold a [`PlacementSoa`] and call the SoA
-/// variant directly.
+/// wrapper over [`spread_soa`] that builds the area array and the
+/// buffers on the fly; per-iteration callers should hold a
+/// [`PlacementSoa`] and a [`SpreadScratch`] and call that directly.
 pub fn spread(problem: &PlacementProblem, positions: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    spread_soa(problem, &PlacementSoa::from_problem(problem), positions)
+    let mut out = Vec::new();
+    spread_soa(
+        problem,
+        &PlacementSoa::from_problem(problem),
+        positions,
+        &mut SpreadScratch::default(),
+        &mut out,
+    );
+    out
 }
 
-/// [`spread`] over a prebuilt [`PlacementSoa`]: the bisection reads cell
-/// areas from the contiguous arena instead of the object structs.
-/// Bit-identical to [`spread`].
+/// [`spread`] over a prebuilt [`PlacementSoa`] and caller-held buffers:
+/// `out` is overwritten with one position per movable. The result depends
+/// on the inputs alone — not on the thread count, nor on what `scratch`
+/// and `out` held before.
 pub fn spread_soa(
     problem: &PlacementProblem,
     soa: &PlacementSoa,
     positions: &[(f64, f64)],
-) -> Vec<(f64, f64)> {
+    scratch: &mut SpreadScratch,
+    out: &mut Vec<(f64, f64)>,
+) {
     let m = problem.movable_count();
-    let mut out = positions.to_vec();
+    out.clear();
+    out.resize(m, (0.0, 0.0));
     if m == 0 {
-        return out;
+        return;
     }
     // Spreading runs once per outer placer iteration — including inside
     // every V-P&R candidate evaluation — so its span is gated to `Full`
     // to keep the spans-only overhead budget for the coarse stages.
     let _span = cp_trace::telemetry_enabled().then(|| cp_trace::span("place.spread"));
-    let items: Vec<usize> = (0..m).collect();
-    rec(problem, &soa.area, problem.core, items, positions, &mut out);
-    // Honor region constraints, core bounds and blockages.
-    for (i, p) in out.iter_mut().enumerate() {
-        let r = problem.region[i].unwrap_or(problem.core);
+    let SpreadScratch {
+        by_x,
+        by_y,
+        root_order,
+        root_rank,
+        tmp,
+        mapped,
+    } = scratch;
+    let positions = &positions[..m];
+    if m >= TASK_MIN_CELLS {
+        cp_parallel::join(
+            || by_x.sort(positions, |p| (p.0, p.1)),
+            || by_y.sort(positions, |p| (p.1, p.0)),
+        );
+    } else {
+        by_x.sort(positions, |p| (p.0, p.1));
+        by_y.sort(positions, |p| (p.1, p.0));
+    }
+    let root_horizontal = cuts_horizontally(problem.core);
+    let root_axis = if root_horizontal { &*by_x } else { &*by_y };
+    cell_tie_order(root_axis, root_order, root_rank);
+    tmp.resize(m, 0);
+    mapped.resize(m, (0.0, 0.0));
+    let bisection = Bisection {
+        problem,
+        areas: &soa.area,
+        positions,
+        rank_x: &by_x.rank,
+        rank_y: &by_y.rank,
+        root_horizontal,
+        root_rank,
+    };
+    bisection.rec(
+        problem.core,
+        Some(root_order),
+        &mut by_x.order,
+        &mut by_y.order,
+        tmp,
+        mapped,
+    );
+    // Back to cell order, then honor region constraints, core bounds and
+    // blockages.
+    for (&i, &p) in by_x.order.iter().zip(mapped.iter()) {
+        out[i as usize] = p;
+    }
+    for (p, region) in out.iter_mut().zip(&problem.region) {
+        let r = region.unwrap_or(problem.core);
         *p = r.clamp(p.0, p.1);
         *p = problem.evict_from_blockages(p.0, p.1);
     }
-    out
 }
 
-fn rec(
-    problem: &PlacementProblem,
-    areas: &[f64],
-    region: Rect,
-    mut items: Vec<usize>,
-    positions: &[(f64, f64)],
-    out: &mut [(f64, f64)],
-) {
-    if items.len() <= LEAF_CELLS || region.width() <= MIN_EXTENT || region.height() <= MIN_EXTENT {
-        map_into(region, &items, positions, out);
-        return;
+/// The read-only inputs of one spreading call, shared by every node.
+struct Bisection<'a> {
+    problem: &'a PlacementProblem,
+    areas: &'a [f64],
+    positions: &'a [(f64, f64)],
+    rank_x: &'a [u32],
+    rank_y: &'a [u32],
+    /// The root's cut axis, and each cell's rank in the root order.
+    root_horizontal: bool,
+    root_rank: &'a [u32],
+}
+
+impl Bisection<'_> {
+    /// One bisection node over `region`. `by_x` and `by_y` hold the node's
+    /// cells in x and y order, `root` in the root order as long as every
+    /// cut down to this node was on the root's axis; `tmp` and `mapped` are
+    /// the same index range of the partition staging and the output
+    /// (`mapped[k]` belongs to cell `by_x[k]`).
+    fn rec(
+        &self,
+        region: Rect,
+        root: Option<&mut [u32]>,
+        by_x: &mut [u32],
+        by_y: &mut [u32],
+        tmp: &mut [u32],
+        mapped: &mut [(f64, f64)],
+    ) {
+        let n = by_x.len();
+        if n <= LEAF_CELLS || region.width() <= MIN_EXTENT || region.height() <= MIN_EXTENT {
+            map_into(region, by_x, self.positions, mapped);
+            return;
+        }
+        // Split along the longer side, the cell list in proportion to the
+        // halves' free capacities (equal halves on an unobstructed core;
+        // blockage-aware otherwise).
+        let horizontal = cuts_horizontally(region);
+        let (r1, r2) = halves(region);
+        let c1 = self.problem.free_area_in(&r1);
+        let c2 = self.problem.free_area_in(&r2);
+        let half_frac = if c1 + c2 <= 0.0 { 0.5 } else { c1 / (c1 + c2) };
+        // The left half is a prefix of the order that decides this cut;
+        // every other order is stable-partitioned to follow it.
+        let root = root.filter(|_| horizontal == self.root_horizontal);
+        let (cut, other, rank) = if horizontal {
+            (&mut *by_x, &mut *by_y, self.rank_x)
+        } else {
+            (&mut *by_y, &mut *by_x, self.rank_y)
+        };
+        let split = match &root {
+            Some(root) => {
+                let split = split_index(root, self.areas, half_frac);
+                let first_right = self.root_rank[root[split] as usize];
+                stable_partition(cut, self.root_rank, first_right, tmp);
+                stable_partition(other, self.root_rank, first_right, tmp);
+                split
+            }
+            None => {
+                let split = split_index(cut, self.areas, half_frac);
+                stable_partition(other, rank, rank[cut[split] as usize], tmp);
+                split
+            }
+        };
+
+        let (o1, o2) = root.map(|cells| cells.split_at_mut(split)).unzip();
+        let (x1, x2) = by_x.split_at_mut(split);
+        let (y1, y2) = by_y.split_at_mut(split);
+        let (t1, t2) = tmp.split_at_mut(split);
+        let (m1, m2) = mapped.split_at_mut(split);
+        if n >= TASK_MIN_CELLS {
+            cp_parallel::join(
+                || self.rec(r1, o1, x1, y1, t1, m1),
+                || self.rec(r2, o2, x2, y2, t2, m2),
+            );
+        } else {
+            self.rec(r1, o1, x1, y1, t1, m1);
+            self.rec(r2, o2, x2, y2, t2, m2);
+        }
     }
-    // Split along the longer side.
-    let horizontal = region.width() >= region.height();
-    let coord = |i: usize| {
-        if horizontal {
-            positions[i].0
-        } else {
-            positions[i].1
-        }
-    };
-    items.sort_by(|&a, &b| coord(a).total_cmp(&coord(b)));
-    let total_area: f64 = items.iter().map(|&i| areas[i]).sum();
-    // Split the cell list in proportion to the halves' free capacities
-    // (equal halves on an unobstructed core; blockage-aware otherwise).
-    let half_frac = {
-        let (h1, h2) = halves(region);
-        let c1 = problem.free_area_in(&h1);
-        let c2 = problem.free_area_in(&h2);
-        if c1 + c2 <= 0.0 {
-            0.5
-        } else {
-            c1 / (c1 + c2)
-        }
-    };
+}
+
+/// Moves the cells ranked below `first_right` to the front of `cells`,
+/// keeping both groups in order: lefts compact in place, rights stage in
+/// `tmp`, without a data-dependent branch.
+fn stable_partition(cells: &mut [u32], rank: &[u32], first_right: u32, tmp: &mut [u32]) {
+    let (mut lefts, mut rights) = (0, 0);
+    for k in 0..cells.len() {
+        let i = cells[k];
+        let left = rank[i as usize] < first_right;
+        cells[lefts] = i;
+        tmp[rights] = i;
+        lefts += usize::from(left);
+        rights += usize::from(!left);
+    }
+    cells[lefts..].copy_from_slice(&tmp[..rights]);
+}
+
+/// A region is cut across its longer side; a square one across x.
+fn cuts_horizontally(region: Rect) -> bool {
+    region.width() >= region.height()
+}
+
+/// Where to cut `cells` (in coordinate order) so the left part carries
+/// `frac` of their area: the shortest prefix whose area reaches
+/// `total · frac`, kept inside `1..cells.len()` so neither half is empty.
+fn split_index(cells: &[u32], areas: &[f64], frac: f64) -> usize {
+    let total_area: f64 = cells.iter().map(|&i| areas[i as usize]).sum();
     let mut acc = 0.0;
-    let mut split = items.len();
-    for (k, &i) in items.iter().enumerate() {
-        acc += areas[i];
-        if acc >= total_area * half_frac {
+    let mut split = cells.len();
+    for (k, &i) in cells.iter().enumerate() {
+        acc += areas[i as usize];
+        if acc >= total_area * frac {
             split = k + 1;
             break;
         }
     }
-    split = split.clamp(1, items.len().saturating_sub(1).max(1));
-    let right = items.split_off(split);
-    let (r1, r2) = halves(region);
-    rec(problem, areas, r1, items, positions, out);
-    rec(problem, areas, r2, right, positions, out);
+    split.clamp(1, cells.len().saturating_sub(1).max(1))
 }
 
 /// Splits a region into two halves along its longer side.
 fn halves(region: Rect) -> (Rect, Rect) {
-    if region.width() >= region.height() {
+    if cuts_horizontally(region) {
         (
             Rect {
                 llx: region.llx,
@@ -144,23 +367,23 @@ fn halves(region: Rect) -> (Rect, Rect) {
     }
 }
 
-/// Linearly maps the items' bounding box onto the region.
-fn map_into(region: Rect, items: &[usize], positions: &[(f64, f64)], out: &mut [(f64, f64)]) {
-    if items.is_empty() {
-        return;
-    }
+/// Linearly maps the items' bounding box onto the region, writing
+/// `mapped[k]` for cell `items[k]`.
+fn map_into(region: Rect, items: &[u32], positions: &[(f64, f64)], mapped: &mut [(f64, f64)]) {
     let mut lo = (f64::INFINITY, f64::INFINITY);
     let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for &i in items {
-        lo = (lo.0.min(positions[i].0), lo.1.min(positions[i].1));
-        hi = (hi.0.max(positions[i].0), hi.1.max(positions[i].1));
+        let (x, y) = positions[i as usize];
+        lo = (lo.0.min(x), lo.1.min(y));
+        hi = (hi.0.max(x), hi.1.max(y));
     }
     let spanx = (hi.0 - lo.0).max(1e-9);
     let spany = (hi.1 - lo.1).max(1e-9);
-    for &i in items {
-        let fx = (positions[i].0 - lo.0) / spanx;
-        let fy = (positions[i].1 - lo.1) / spany;
-        out[i] = (
+    for (&i, out) in items.iter().zip(mapped) {
+        let (x, y) = positions[i as usize];
+        let fx = (x - lo.0) / spanx;
+        let fy = (y - lo.1) / spany;
+        *out = (
             region.llx + fx * region.width(),
             region.lly + fy * region.height(),
         );
@@ -385,5 +608,140 @@ mod tests {
         let p = uniform_problem(0);
         assert!(spread(&p, &[]).is_empty());
         assert_eq!(density_overflow(&p, &[]), 0.0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::problem::Object;
+    use cp_graph::Hypergraph;
+    use proptest::prelude::*;
+
+    const CORE: f64 = 100.0;
+
+    /// A net-less problem with varied cell sizes, a macro blockage (left
+    /// of the region box, so eviction never fights a region) and region
+    /// constraints on some cells, plus lower-bound positions drawn
+    /// from a box wider than the core and clamped into it — so a good
+    /// share of the cells sits exactly on a core edge, tied on that
+    /// coordinate. Either a few cells or enough to run as pool tasks.
+    fn case_strategy() -> impl Strategy<Value = (PlacementProblem, Vec<(f64, f64)>)> {
+        (
+            0u32..4,
+            1usize..200,
+            TASK_MIN_CELLS..2 * TASK_MIN_CELLS + 500,
+        )
+            .prop_flat_map(|(class, few, many)| {
+                let m = if class == 0 { many } else { few };
+                (
+                    prop::collection::vec((-25.0f64..125.0, -25.0f64..125.0), m),
+                    prop::collection::vec((0.4f64..3.0, 0.0f64..1.0), m),
+                    (5.0f64..20.0, 10.0f64..60.0, 5.0f64..30.0, 0u32..2),
+                )
+            })
+            .prop_map(|(raw, cells, (bx, by, bside, blocked))| {
+                let m = raw.len();
+                let core = Rect::new(0.0, 0.0, CORE, CORE);
+                let region_box = Rect::new(55.0, 5.0, 40.0, 30.0);
+                let problem = PlacementProblem {
+                    movable: cells
+                        .iter()
+                        .map(|&(w, _)| Object {
+                            width: w,
+                            height: 1.4,
+                        })
+                        .collect(),
+                    fixed: vec![],
+                    hypergraph: Hypergraph::new(m, vec![]),
+                    net_weights: vec![],
+                    core,
+                    region: cells
+                        .iter()
+                        .map(|&(_, r)| (r < 0.1).then_some(region_box))
+                        .collect(),
+                    seed_positions: None,
+                    blockages: if blocked == 1 {
+                        vec![Rect::new(bx, by, bside, bside)]
+                    } else {
+                        Vec::new()
+                    },
+                    density_target: 0.8,
+                };
+                let positions = raw.iter().map(|&(x, y)| core.clamp(x, y)).collect();
+                (problem, positions)
+            })
+    }
+
+    fn bits(v: &[(f64, f64)]) -> Vec<(u64, u64)> {
+        v.iter().map(|&(x, y)| (x.to_bits(), y.to_bits())).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// One position per movable, inside the core, inside the cell's
+        /// region when it has one, and never strictly inside a blockage.
+        #[test]
+        fn output_is_legal((p, pos) in case_strategy()) {
+            let out = spread(&p, &pos);
+            prop_assert_eq!(out.len(), p.movable_count());
+            for (i, &(x, y)) in out.iter().enumerate() {
+                prop_assert!(p.core.contains(x, y), "cell {} at ({}, {})", i, x, y);
+                if let Some(r) = p.region[i] {
+                    prop_assert!(r.contains(x, y), "cell {} left its region", i);
+                }
+                for b in &p.blockages {
+                    let inside = x > b.llx && x < b.urx && y > b.lly && y < b.ury;
+                    prop_assert!(!inside, "cell {} inside a blockage", i);
+                }
+            }
+        }
+
+        /// The result is a function of the inputs alone: the same at 1, 2,
+        /// 4 and 8 threads — also with many cells tied on a coordinate —
+        /// and on buffers that held another problem's results.
+        #[test]
+        fn output_ignores_threads_and_buffer_history(
+            (p, pos) in case_strategy(),
+            (other, other_pos) in case_strategy(),
+        ) {
+            let soa = PlacementSoa::from_problem(&p);
+            let want = bits(&cp_parallel::with_threads(1, || spread(&p, &pos)));
+            let mut scratch = SpreadScratch::default();
+            let mut out = Vec::new();
+            for threads in [2usize, 4, 8] {
+                cp_parallel::with_threads(threads, || {
+                    spread_soa(&p, &soa, &pos, &mut scratch, &mut out);
+                });
+                prop_assert_eq!(&bits(&out), &want, "threads = {}", threads);
+                // Repeat on the now-warm buffers, then dirty them.
+                spread_soa(&p, &soa, &pos, &mut scratch, &mut out);
+                prop_assert_eq!(&bits(&out), &want, "repeat after {} threads", threads);
+                let other_soa = PlacementSoa::from_problem(&other);
+                spread_soa(&other, &other_soa, &other_pos, &mut scratch, &mut out);
+            }
+        }
+
+        /// Every bisection cuts at `split_index`: the left part carries
+        /// the capacity share of the area to within one cell, and neither
+        /// part is empty.
+        #[test]
+        fn split_carries_the_capacity_share_to_within_one_cell(
+            areas in prop::collection::vec(0.2f64..6.0, 2..300),
+            frac in 0.0f64..1.0,
+        ) {
+            let cells: Vec<u32> = (0..areas.len() as u32).rev().collect();
+            let split = split_index(&cells, &areas, frac);
+            prop_assert!(split >= 1 && split < cells.len());
+            let area = |part: &[u32]| part.iter().map(|&i| areas[i as usize]).sum::<f64>();
+            let target = area(&cells) * frac;
+            let tol = 1e-9 * area(&cells);
+            // Enough on the left (unless that would empty the right) …
+            prop_assert!(area(&cells[..split]) >= target - tol || split == cells.len() - 1);
+            // … and not one cell more than needed (unless the left would
+            // be empty).
+            prop_assert!(area(&cells[..split - 1]) < target + tol || split == 1);
+        }
     }
 }

@@ -10,11 +10,12 @@ use cp_gnn::tensor::Matrix;
 use cp_graph::Hypergraph;
 use cp_netlist::floorplan::Rect;
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
-use cp_netlist::CellId;
+use cp_netlist::{CellId, Floorplan};
 use cp_place::hpwl::{raw_hpwl, weighted_hpwl};
 use cp_place::problem::{Object, PlacementProblem};
 use cp_place::solver::{Axis, B2bSystem};
 use cp_place::spreading::density_overflow;
+use cp_place::{GlobalPlacer, PlacerOptions};
 use cp_route::{route_nets, RouterOptions};
 use proptest::prelude::*;
 
@@ -98,6 +99,45 @@ fn concurrent_mazed_routes_match_the_serial_route() {
     });
     for routed in &together {
         assert_eq!(routed, &alone);
+    }
+}
+
+/// Above 1,024 movables the placer solves the X and Y lower bounds as two
+/// pool tasks on half the thread budget each; up to there, back to back
+/// on the caller's. On either side of that cutoff, and past the
+/// 4,096-cell one where spreading hands bisection halves to the pool, the
+/// placement is the one-thread placement, bit for bit.
+#[test]
+fn axis_parallel_lower_bound_matches_the_serial_one() {
+    for (scale, axis_tasks, spread_tasks) in [
+        (0.062, false, false),
+        (0.064, true, false),
+        (0.3, true, true),
+    ] {
+        let n = GeneratorConfig::from_profile(DesignProfile::Aes)
+            .scale(scale)
+            .seed(3)
+            .generate();
+        let cells = n.cell_count();
+        assert_eq!(cells > 1024, axis_tasks, "{cells} cells");
+        assert_eq!(cells >= 4096, spread_tasks, "{cells} cells");
+        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let problem = PlacementProblem::from_netlist(&n, &fp);
+        let placer = GlobalPlacer::new(PlacerOptions {
+            max_iterations: 4,
+            cg_iterations: 12,
+            ..Default::default()
+        });
+        let place = |threads: usize| {
+            cp_parallel::with_threads(threads, || placer.place(&problem).expect("placement runs"))
+        };
+        let serial = place(1);
+        for threads in [2usize, 4, 8] {
+            let parallel = place(threads);
+            assert_eq!(serial.positions, parallel.positions, "threads = {threads}");
+            assert_eq!(serial.hpwl.to_bits(), parallel.hpwl.to_bits());
+            assert_eq!(serial.overflow.to_bits(), parallel.overflow.to_bits());
+        }
     }
 }
 
