@@ -1,6 +1,6 @@
 //! Criterion bench for the substrates: STA, activity propagation, power,
-//! global routing, the placer's SpMV and spreading kernels, CTS and a GNN
-//! training step.
+//! global routing, the placer's SpMV and spreading kernels, legalization,
+//! detailed refinement, CTS and a GNN training step.
 
 use cp_bench::Bench;
 use cp_gnn::model::{ModelConfig, TotalCostModel};
@@ -11,9 +11,10 @@ use cp_gnn::GraphSample;
 use cp_netlist::generator::DesignProfile;
 use cp_netlist::Floorplan;
 use cp_place::cts::{synthesize_clock_tree, CtsOptions};
+use cp_place::detailed::{refine, DetailedOptions};
 use cp_place::solver::{Axis, B2bSystem};
 use cp_place::spreading::{spread_soa, SpreadScratch};
-use cp_place::{GlobalPlacer, PlacementProblem, PlacementSoa, PlacerOptions};
+use cp_place::{legalize, GlobalPlacer, PlacementProblem, PlacementSoa, PlacerOptions};
 use cp_route::{route_placed_netlist, RouterOptions};
 use cp_timing::activity::propagate_activity;
 use cp_timing::power::power_report;
@@ -56,6 +57,15 @@ impl PlacedDesign {
         }
     }
 
+    /// One legalization of the placed design (the copy of the placement is
+    /// timed with it: 0.1 ms of 18 at 53k cells).
+    fn bench_legalize(&self, fp: &Floorplan, bench: &mut criterion::Bencher) {
+        bench.iter(|| {
+            let mut positions = self.placed.clone();
+            black_box(legalize(&self.problem, fp, &mut positions).expect("legalization runs"))
+        })
+    }
+
     /// One spreading pass over the lower bound on warm buffers.
     fn bench_spread(&self, bench: &mut criterion::Bencher) {
         let soa = PlacementSoa::from_problem(&self.problem);
@@ -94,9 +104,6 @@ fn bench_substrates(c: &mut Criterion) {
         let sta = Sta::new(&b.netlist, &b.constraints).expect("acyclic netlist");
         let report = sta.run(&WireModel::Placed(&positions));
         bench.iter(|| black_box(sta.extract_paths(&report, 1000).len()))
-    });
-    group.bench_function("activity", |bench| {
-        bench.iter(|| black_box(propagate_activity(&b.netlist, &b.constraints).iterations))
     });
     group.bench_function("power", |bench| {
         let act = propagate_activity(&b.netlist, &b.constraints);
@@ -149,6 +156,33 @@ fn bench_substrates(c: &mut Criterion) {
         })
     });
     group.bench_function("spread", |bench| big_design.bench_spread(bench));
+    group.bench_function("activity", |bench| {
+        bench.iter(|| black_box(propagate_activity(&big.netlist, &big.constraints).iterations))
+    });
+    group.bench_function("legalize", |bench| {
+        big_design.bench_legalize(&big_fp, bench)
+    });
+    group.bench_function("legalize_blocked", |bench| {
+        // Three macro blockages over a quarter of the core: two thirds of
+        // the rows have up to four free segments, so the per-segment
+        // fallback runs.
+        let aes = Bench::generate_at(DesignProfile::Aes, 1.0);
+        let fp = Floorplan::for_netlist(&aes.netlist, 0.6, 1.0).with_macro_blockages(3, 0.25);
+        PlacedDesign::new(&aes, &fp).bench_legalize(&fp, bench)
+    });
+    group.bench_function("refine", |bench| {
+        let mut legal = big_design.placed.clone();
+        legalize(&big_design.problem, &big_fp, &mut legal).expect("legalization runs");
+        bench.iter(|| {
+            let mut positions = legal.clone();
+            black_box(refine(
+                &big_design.problem,
+                &big_fp,
+                &mut positions,
+                &DetailedOptions::default(),
+            ))
+        })
+    });
     group.bench_function("spread_500", |bench| {
         // The size of one V-P&R candidate evaluation.
         let small = Bench::generate_at(DesignProfile::Jpeg, 0.0094);

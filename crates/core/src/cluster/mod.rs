@@ -100,6 +100,12 @@ pub struct ClusteringResult {
 /// path/net slacks → `t_e`, vectorless activity → `s_e`, then enhanced
 /// multilevel FC.
 ///
+/// The STA (build, run, path extraction) and the activity propagation run
+/// inside this call, so its [`ClusteringResult::runtime`] — and the
+/// benchmark's `cluster.ppa_aware_s` — is all of lines 2–10, not only the
+/// coarsening: on the 119k-cell Ariane profile ≈ 0.035 s activity and
+/// ≈ 0.045 s STA of 0.10 s (EXPERIMENTS.md, "Flow tail").
+///
 /// # Errors
 ///
 /// [`FlowError::Validation`] when the netlist or constraints are

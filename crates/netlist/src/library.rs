@@ -114,14 +114,11 @@ impl LogicFunction {
     /// Truth table over `input_count()` inputs, bit `i` = output for the
     /// minterm whose input `j` is bit `j` of `i`. `None` for DFF/opaque.
     pub fn truth_table(self) -> Option<u16> {
-        if matches!(self, Self::Dff | Self::Opaque) {
-            return None;
-        }
         let n = self.input_count();
         let mut table = 0u16;
         for m in 0..(1u16 << n) {
-            let bits: Vec<bool> = (0..n).map(|j| (m >> j) & 1 == 1).collect();
-            if self.eval(&bits) == Some(true) {
+            let bits = [m & 1 != 0, m & 2 != 0, m & 4 != 0, m & 8 != 0];
+            if self.eval(&bits[..n])? {
                 table |= 1 << m;
             }
         }

@@ -162,6 +162,17 @@ impl IncrementalHpwl {
             self.net[e as usize] = fresh;
         }
     }
+
+    /// [`IncrementalHpwl::update_nets`] for a caller that has already
+    /// recomputed the nets: `fresh[k]` is [`edge_hpwl`] of `nets[k]` at the
+    /// current positions. Same deltas folded into the total in the same
+    /// order, without evaluating the nets a second time.
+    pub(crate) fn set_nets(&mut self, nets: &[u32], fresh: &[f64]) {
+        for (&e, &fresh) in nets.iter().zip(fresh) {
+            self.total += fresh - self.net[e as usize];
+            self.net[e as usize] = fresh;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -226,6 +237,41 @@ mod tests {
         assert_eq!(inc.net(0), edge_hpwl(&p, 0, &pos));
         assert_eq!(inc.net(1), edge_hpwl(&p, 1, &pos));
         assert!((inc.total() - raw_hpwl(&p, &pos)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn set_nets_equals_update_nets_on_random_moves() {
+        use cp_netlist::generator::{DesignProfile, GeneratorConfig};
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let n = GeneratorConfig::from_profile(DesignProfile::Aes)
+            .scale(0.02)
+            .seed(12)
+            .generate();
+        let fp = cp_netlist::Floorplan::for_netlist(&n, 0.6, 1.0);
+        let p = PlacementProblem::from_netlist(&n, &fp);
+        let m = p.movable_count();
+        // A scattered start, then 2000 single-cell moves.
+        let mut rng = StdRng::seed_from_u64(12);
+        let mut unit = || rng.random::<f64>();
+        let (w, h) = (fp.core.width(), fp.core.height());
+        let mut pos: Vec<(f64, f64)> = (0..m)
+            .map(|_| (fp.core.llx + unit() * w, fp.core.lly + unit() * h))
+            .collect();
+        let mut updated = IncrementalHpwl::new(&p, &pos);
+        let mut set = updated.clone();
+        for _ in 0..2000 {
+            let cell = (unit() * m as f64) as usize;
+            pos[cell] = (fp.core.llx + unit() * w, fp.core.lly + unit() * h);
+            let nets = p.hypergraph.incident(cell as u32);
+            updated.update_nets(&p, &pos, nets);
+            let fresh: Vec<f64> = nets.iter().map(|&e| edge_hpwl(&p, e, &pos)).collect();
+            set.set_nets(nets, &fresh);
+            assert_eq!(set.total().to_bits(), updated.total().to_bits());
+        }
+        for e in 0..p.hypergraph.edge_count() as u32 {
+            assert_eq!(set.net(e).to_bits(), updated.net(e).to_bits(), "net {e}");
+        }
     }
 
     #[test]

@@ -10,8 +10,9 @@ use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{Constraints, Netlist};
 use cp_place::hpwl::raw_hpwl;
 use cp_place::problem::PlacementProblem;
-use cp_place::{GlobalPlacer, PlacerOptions};
+use cp_place::{legalize, GlobalPlacer, PlacerOptions};
 use cp_route::{route_placed_netlist, RouterOptions};
+use cp_timing::propagate_activity;
 use cp_trace::Level;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -207,6 +208,66 @@ fn routing_ignores_the_trace_level_and_publishes_its_maze_counts() {
         if level == Level::Full {
             assert!(cp_trace::counter_value("route.maze.settled_nodes") >= settled);
         }
+    }
+    cp_trace::clear();
+}
+
+/// The legalizer and the activity propagation publish their work counts
+/// on their spans and cannot see the trace level.
+#[test]
+fn legalize_and_activity_ignore_the_trace_level_and_publish_their_counts() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, c) = GeneratorConfig::from_profile(DesignProfile::Aes)
+        .scale(1.0 / 32.0)
+        .seed(7)
+        .generate_with_constraints();
+    let fp = cp_netlist::Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("floorplan");
+    let problem = PlacementProblem::from_netlist(&n, &fp);
+    let placer = PlacerOptions {
+        max_iterations: 8,
+        ..Default::default()
+    };
+    let placed = GlobalPlacer::new(placer)
+        .place(&problem)
+        .expect("places")
+        .positions;
+    let tail = || {
+        let mut positions = placed.clone();
+        let displacement = legalize(&problem, &fp, &mut positions).expect("legalizes");
+        (positions, displacement, propagate_activity(&n, &c))
+    };
+
+    let off = at_level(Level::Off, tail);
+    for level in [Level::Spans, Level::Full] {
+        let (traced, trace) = at_level(level, || {
+            let root = cp_trace::span("test.tail");
+            let traced = tail();
+            (traced, cp_trace::take_report(root).expect("tracing is on"))
+        });
+        assert_eq!(traced, off);
+        let arg = |span: &str, key: &str| {
+            let span = trace.spans_named(span).next().expect("span recorded");
+            match span.args.iter().find(|(k, _)| *k == key) {
+                Some((_, cp_trace::ArgValue::U(v))) => *v as f64,
+                Some((_, cp_trace::ArgValue::F(v))) => *v,
+                other => panic!("{key} missing from {}: {other:?}", span.name),
+            }
+        };
+        let rows = arg("place.legalize", "rows");
+        let cells = arg("place.legalize", "movables");
+        let scored = arg("place.legalize", "rows_scored");
+        assert_eq!(rows, fp.row_count() as f64);
+        assert!(
+            cells <= scored && scored < rows * cells,
+            "the outward search stops early: {scored} of {rows} x {cells}"
+        );
+        assert_eq!(arg("place.legalize", "displacement_um"), off.1);
+        let iterations = arg("timing.activity", "iterations");
+        assert_eq!(arg("timing.activity", "nets"), n.net_count() as f64);
+        assert_eq!(iterations, off.2.iterations as f64);
+        let evals = arg("timing.activity", "gate_evals");
+        assert!(evals > 0.0 && evals <= 2.0 * iterations * n.net_count() as f64);
+        assert!(arg("timing.activity", "delta") >= 0.0);
     }
     cp_trace::clear();
 }
