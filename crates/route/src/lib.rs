@@ -3,11 +3,12 @@
 //!
 //! Nets are decomposed into two-pin segments over a rectilinear minimum
 //! spanning tree, then routed on a GCell grid with congestion-aware
-//! L-shapes and a maze-routing fallback. The router produces the two
-//! quantities the paper's V-P&R cost needs (Eqs. 4–5): routed wirelength
-//! and a per-GCell congestion map whose top-X% average is the congestion
-//! cost. Post-route STA uses the global detour factor to scale wire
-//! parasitics.
+//! L-shapes and, where both cross a full edge, a cheapest path in a window
+//! around the segment (monotone-staircase DP, cut lower bound, bounded maze
+//! search). The router produces the two quantities the paper's V-P&R cost
+//! needs (Eqs. 4–5): routed wirelength and a per-GCell congestion map whose
+//! top-X% average is the congestion cost. Post-route STA uses the global
+//! detour factor to scale wire parasitics.
 //!
 //! # Examples
 //!

@@ -6,17 +6,25 @@ use cp_netlist::floorplan::{Floorplan, Rect};
 use cp_netlist::netlist::{Netlist, PinRef};
 
 /// Router tuning knobs.
+///
+/// [`route_placed_netlist`] takes `tracks_per_layer` and
+/// `layers_per_direction` from the netlist's library and ignores the values
+/// given here; only [`route_nets`] and [`route_nets_with_blockages`] read
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterOptions {
     /// GCell edge length in µm (0 = auto: three row heights).
     pub gcell_size: f64,
-    /// Tracks per GCell edge per routing layer.
+    /// Tracks per GCell edge per routing layer (overwritten from the
+    /// library by [`route_placed_netlist`]).
     pub tracks_per_layer: u32,
-    /// Routing layers per direction.
+    /// Routing layers per direction (overwritten from the library by
+    /// [`route_placed_netlist`]).
     pub layers_per_direction: u32,
-    /// Enable congestion-aware maze fallback when both L-shapes overflow.
+    /// Send a segment whose two L-shapes both cross an edge at or over
+    /// capacity to the maze stage: the cheapest path inside its window.
     pub maze_fallback: bool,
-    /// Margin (in GCells) around a segment's bbox for maze search.
+    /// Margin (in GCells) around a segment's bbox for the maze's window.
     pub maze_margin: usize,
 }
 
@@ -41,7 +49,9 @@ pub struct RoutingResult {
     pub hpwl: f64,
     /// Edge demand/capacity map.
     pub congestion: CongestionMap,
-    /// Segments that needed the maze fallback.
+    /// Segments that went to the maze stage because both of their
+    /// L-shapes cross an edge at or over capacity, whether the stage then
+    /// answered them with its monotone staircase or with a search.
     pub mazed_segments: usize,
 }
 
@@ -61,9 +71,9 @@ impl RoutingResult {
 ///
 /// Three-pin nets route to their Steiner (median) point, larger nets are
 /// decomposed over a Manhattan-distance Prim MST; each two-pin segment
-/// takes the less congested L-shape, falling back to a congestion-aware
-/// maze within the segment bbox (plus margin) when both L-shapes hit a
-/// full edge.
+/// takes the less congested L-shape, or, when both L-shapes cross a full
+/// edge, a cheapest path within the segment bbox plus margin: the cheapest
+/// monotone staircase unless a search finds a cheaper detour.
 ///
 /// # Errors
 ///
@@ -100,16 +110,25 @@ struct RouteStats {
     /// Two-pin segments that took an L-shape (same-GCell segments are
     /// not routed and not counted).
     pattern_segments: u64,
-    /// Segments that took the maze.
+    /// Segments that went to the maze stage: certified plus searched.
     mazed_segments: u64,
     /// GCells inside the search windows of all maze calls.
     maze_window_nodes: u64,
-    /// GCells the maze searches settled before reaching their targets.
+    /// GCells inside the segment bboxes of all maze calls (the extent of
+    /// the staircase tables).
+    maze_bbox_nodes: u64,
+    /// Maze calls whose staircase met the cut lower bound: no search.
+    maze_certified: u64,
+    /// Maze calls that ran the search.
+    maze_searched: u64,
+    /// Searches that found a path cheaper than the staircase.
+    maze_improved: u64,
+    /// GCells the searches settled (none for a certified call).
     maze_settled_nodes: u64,
 }
 
 impl RouteStats {
-    fn entries(&self) -> [(&'static str, u64); 5] {
+    fn entries(&self) -> [(&'static str, u64); 9] {
         [
             (
                 "route.segments",
@@ -118,6 +137,10 @@ impl RouteStats {
             ("route.pattern_segments", self.pattern_segments),
             ("route.mazed_segments", self.mazed_segments),
             ("route.maze.window_nodes", self.maze_window_nodes),
+            ("route.maze.bbox_nodes", self.maze_bbox_nodes),
+            ("route.maze.certified", self.maze_certified),
+            ("route.maze.searched", self.maze_searched),
+            ("route.maze.improved", self.maze_improved),
             ("route.maze.settled_nodes", self.maze_settled_nodes),
         ]
     }
@@ -262,6 +285,15 @@ pub fn route_placed_netlist(
             span.arg(name, cp_trace::ArgValue::U(count));
             cp_trace::counter_add(name, count);
         }
+        let grid = &routed.congestion;
+        span.arg(
+            "route.overflow_edges",
+            cp_trace::ArgValue::U(grid.overflow_edges() as u64),
+        );
+        span.arg(
+            "route.max_utilization",
+            cp_trace::ArgValue::F(grid.max_utilization()),
+        );
     }
     Ok(routed)
 }
@@ -379,10 +411,8 @@ fn route_segment(
         (false, u_b)
     };
     if worst >= 1.0 && options.maze_fallback {
-        if let Some(len) = maze_route(map, a, b, options.maze_margin, maze, stats) {
-            stats.mazed_segments += 1;
-            return len;
-        }
+        stats.mazed_segments += 1;
+        return maze_route(map, a, b, options.maze_margin, maze, stats);
     }
     stats.pattern_segments += 1;
     commit_l(map, a, b, first_horizontal)
@@ -411,17 +441,35 @@ fn commit_l(map: &mut CongestionMap, a: GCell, b: GCell, first_horizontal: bool)
 const BUCKETS: usize = (MAX_EDGE_COST as usize + 1).next_power_of_two();
 const BUCKET_WORDS: usize = BUCKETS / 64;
 
-/// "Not reached yet" in [`MazeScratch::dist`].
-const UNREACHED: u32 = u32::MAX;
-
 /// Working storage of [`maze_route`], owned by one routing call and reused
-/// by every maze search in it. All per-node arrays cover the search window
-/// plus a one-node ring, row-major with the padded width as the stride.
+/// by every maze call in it.
 struct MazeScratch {
-    /// Tentative path cost per node; 0 on the ring, so nothing relaxes
-    /// into it and the search needs no bounds tests.
+    /// Cheapest horizontal edge across each column cut of the window:
+    /// entry `i` is the minimum, over the window's rows, of the cost of
+    /// stepping from window column `i` to `i + 1`.
+    col_min: Vec<u16>,
+    /// Cheapest vertical edge across each row cut of the window.
+    row_min: Vec<u16>,
+    /// The cut potential towards the target, per window column and per
+    /// window row: `toward_x[i] + toward_y[j]` sums the cut minima between
+    /// window node `(i, j)` and the target, which every path between the
+    /// two pays at least once each.
+    toward_x: Vec<u32>,
+    toward_y: Vec<u32>,
+    /// Cost of the cheapest monotone path from the source to each node of
+    /// the segment's bbox, row-major in travel order: entry `r · bw + c`
+    /// is the node `c` columns and `r` rows from the source towards the
+    /// target.
+    staircase: Vec<u32>,
+    /// The search's per-node arrays cover the window plus a one-node
+    /// ring, row-major with the padded width as the stride. `dist` is the
+    /// path cost of a reached node and, until it is reached, the cost a
+    /// path must stay below there to still beat the staircase; 0 on the
+    /// ring, so nothing relaxes into it and the search needs no bounds
+    /// tests.
     dist: Vec<u32>,
-    /// Predecessor on the cheapest known path.
+    /// Predecessor on the cheapest known path; meaningful for reached
+    /// nodes only.
     prev: Vec<u32>,
     /// Cost of the edge from a node to its east neighbour, copied from
     /// the map. Entries for edges into the ring are never written; the
@@ -437,9 +485,17 @@ struct MazeScratch {
     nonempty: [u64; BUCKET_WORDS],
 }
 
+/// The maze's search window `(x0, y0, x1, y1)`, inclusive.
+type Window = (usize, usize, usize, usize);
+
 impl MazeScratch {
     fn new() -> Self {
         Self {
+            col_min: Vec::new(),
+            row_min: Vec::new(),
+            toward_x: Vec::new(),
+            toward_y: Vec::new(),
+            staircase: Vec::new(),
             dist: Vec::new(),
             prev: Vec::new(),
             east_cost: Vec::new(),
@@ -447,6 +503,207 @@ impl MazeScratch {
             buckets: vec![Vec::new(); BUCKETS],
             nonempty: [0; BUCKET_WORDS],
         }
+    }
+
+    /// The cut lower bound on any `a`→`b` path inside `window`, leaving
+    /// the potential towards `b` in `toward_x` / `toward_y`.
+    ///
+    /// A path from `u` to `b` crosses every column cut between their
+    /// columns and every row cut between their rows, each at no less than
+    /// the cut's cheapest edge, and no edge lies on two cuts: the potential
+    /// never exceeds the cheapest remaining cost (admissible), and it
+    /// changes by at most the edge's cost along any edge (consistent).
+    fn cut_bound(&mut self, map: &CongestionMap, window: Window, a: GCell, b: GCell) -> u32 {
+        let (x0, y0, x1, y1) = window;
+        let w = x1 - x0 + 1;
+        self.col_min.clear();
+        self.col_min.resize(w - 1, u16::MAX);
+        self.row_min.clear();
+        for j in y0..=y1 {
+            for (min, &cost) in self.col_min.iter_mut().zip(map.h_cost_row(x0, j, w - 1)) {
+                *min = (*min).min(cost);
+            }
+            if j < y1 {
+                let cheapest = map
+                    .v_cost_row(x0, j, w)
+                    .iter()
+                    .fold(u16::MAX, |m, &c| m.min(c));
+                self.row_min.push(cheapest);
+            }
+        }
+        cut_potential(&self.col_min, b.0 - x0, &mut self.toward_x);
+        cut_potential(&self.row_min, b.1 - y0, &mut self.toward_y);
+        self.toward_x[a.0 - x0] + self.toward_y[a.1 - y0]
+    }
+
+    /// Fills `staircase` for the bbox of `a` and `b`; returns the cost of
+    /// the cheapest monotone `a`→`b` path (every L and Z is one).
+    fn staircase_bound(&mut self, map: &CongestionMap, a: GCell, b: GCell) -> u32 {
+        let (bw, bh) = (a.0.abs_diff(b.0) + 1, a.1.abs_diff(b.1) + 1);
+        let (bx0, east, north) = (a.0.min(b.0), a.0 <= b.0, a.1 <= b.1);
+        self.staircase.resize(bw * bh, 0);
+        let row_y = |r: usize| if north { a.1 + r } else { a.1 - r };
+        // The source's row: straight along it.
+        let mut reach = 0u32;
+        self.staircase[0] = 0;
+        let first = map.h_cost_row(bx0, a.1, bw - 1);
+        for (c, cell) in self.staircase[1..bw].iter_mut().enumerate() {
+            reach += u32::from(first[if east { c } else { bw - 2 - c }]);
+            *cell = reach;
+        }
+        for r in 1..bh {
+            let (above, row) = self.staircase[(r - 1) * bw..(r + 1) * bw].split_at_mut(bw);
+            let along = map.h_cost_row(bx0, row_y(r), bw - 1);
+            let up = map.v_cost_row(bx0, row_y(r).min(row_y(r - 1)), bw);
+            if east {
+                staircase_row(above, row, along.iter(), up.iter());
+            } else {
+                staircase_row(above, row, along.iter().rev(), up.iter().rev());
+            }
+        }
+        self.staircase[bw * bh - 1]
+    }
+
+    /// Commits the staircase [`Self::staircase_bound`] found, walking its
+    /// table back from `b`; returns the edges used.
+    ///
+    /// Among equally cheap predecessors the walk steps along the axis
+    /// with the larger share of its distance still to go, so the path
+    /// hugs the `a`–`b` diagonal: a fixed preference would turn every tie
+    /// into the same L and pile demand on the bbox's border.
+    fn commit_staircase(&self, map: &mut CongestionMap, a: GCell, b: GCell) -> f64 {
+        let (bw, bh) = (a.0.abs_diff(b.0) + 1, a.1.abs_diff(b.1) + 1);
+        let col_x = |c: usize| if a.0 <= b.0 { a.0 + c } else { a.0 - c };
+        let row_y = |r: usize| if a.1 <= b.1 { a.1 + r } else { a.1 - r };
+        let (mut c, mut r) = (bw - 1, bh - 1);
+        while c + r > 0 {
+            let (x, y) = (col_x(c), row_y(r));
+            let here = self.staircase[r * bw + c];
+            let along = (c > 0).then(|| {
+                let edge = map.h_cost_row(x.min(col_x(c - 1)), y, 1)[0];
+                self.staircase[r * bw + c - 1] + u32::from(edge)
+            });
+            let up = (r > 0).then(|| {
+                let edge = map.v_cost_row(x, y.min(row_y(r - 1)), 1)[0];
+                self.staircase[(r - 1) * bw + c] + u32::from(edge)
+            });
+            debug_assert_eq!(Some(here), along.into_iter().chain(up).min());
+            let horizontal = match (along, up) {
+                (Some(along), Some(up)) => {
+                    along < up || (along == up && c * (bh - 1) >= r * (bw - 1))
+                }
+                _ => up.is_none(),
+            };
+            if horizontal {
+                map.add_h(x.min(col_x(c - 1)), y, 1.0);
+                c -= 1;
+            } else {
+                map.add_v(x, y.min(row_y(r - 1)), 1.0);
+                r -= 1;
+            }
+        }
+        (bw - 1 + bh - 1) as f64
+    }
+
+    /// Dial's algorithm (Dijkstra with a bucket queue) from `a`, confined
+    /// to the paths that can still cost less than `bound`: a node's `dist`
+    /// starts at `bound` minus its cut potential instead of at infinity,
+    /// so the one relaxation compare also rejects a node no path cheaper
+    /// than `bound` passes through. Such a path has cost-so-far plus
+    /// potential below `bound` at every node on it, so it is never cut.
+    ///
+    /// If `b` settles (necessarily below `bound`) the path found is
+    /// committed and its edge count returned; `None` means no path is
+    /// cheaper than `bound`. Adds the nodes settled to `settled`.
+    fn search_below(
+        &mut self,
+        map: &mut CongestionMap,
+        window: Window,
+        a: GCell,
+        b: GCell,
+        bound: u32,
+        settled: &mut u64,
+    ) -> Option<f64> {
+        let (x0, y0, x1, y1) = window;
+        let (w, h) = (x1 - x0 + 1, y1 - y0 + 1);
+        // Window node (i, j) sits at padded index (j − y0 + 1)·stride + (i − x0 + 1).
+        let stride = w + 2;
+        let idx = |c: GCell| (c.1 - y0 + 1) * stride + (c.0 - x0 + 1);
+        let padded = stride * (h + 2);
+        self.dist.clear();
+        self.dist.resize(padded, 0);
+        self.prev.resize(padded, 0);
+        self.east_cost.resize(padded, 0);
+        self.north_cost.resize(padded, 0);
+        for j in 0..h {
+            let row = (j + 1) * stride + 1;
+            let toward_y = self.toward_y[j];
+            for (limit, &toward_x) in self.dist[row..row + w].iter_mut().zip(&self.toward_x) {
+                *limit = bound.saturating_sub(toward_x + toward_y);
+            }
+            self.east_cost[row..row + w - 1].copy_from_slice(map.h_cost_row(x0, y0 + j, w - 1));
+            if j + 1 < h {
+                self.north_cost[row..row + w].copy_from_slice(map.v_cost_row(x0, y0 + j, w));
+            }
+        }
+        self.clear_queue();
+
+        let start = idx(a);
+        let target = idx(b);
+        self.dist[start] = 0;
+        self.push(start, 0);
+        let mut reached = false;
+        let mut cost = 0u32;
+        'search: while let Some(next) = self.next_cost(cost) {
+            cost = next;
+            let bucket = cost as usize % BUCKETS;
+            while let Some(u) = self.buckets[bucket].pop() {
+                let u = u as usize;
+                if self.dist[u] != cost {
+                    continue;
+                }
+                *settled += 1;
+                if u == target {
+                    reached = true;
+                    break 'search;
+                }
+                let edges = [
+                    (u + 1, self.east_cost[u]),
+                    (u - 1, self.east_cost[u - 1]),
+                    (u + stride, self.north_cost[u]),
+                    (u - stride, self.north_cost[u - stride]),
+                ];
+                for (v, edge) in edges {
+                    let through = cost + u32::from(edge);
+                    if through < self.dist[v] {
+                        self.dist[v] = through;
+                        self.prev[v] = u as u32;
+                        self.push(v, through);
+                    }
+                }
+            }
+            self.nonempty[bucket / 64] &= !(1 << (bucket % 64));
+        }
+        if !reached {
+            return None;
+        }
+        debug_assert!(cost < bound, "settled b at {cost}, not below {bound}");
+        // Walk back, committing demand.
+        let mut len = 0usize;
+        let mut cur = target;
+        while cur != start {
+            debug_assert!(len < w * h, "prev does not lead back to a");
+            let p = self.prev[cur] as usize;
+            let (i, j) = (x0 + p.min(cur) % stride - 1, y0 + p.min(cur) / stride - 1);
+            if cur.abs_diff(p) == 1 {
+                map.add_h(i, j, 1.0);
+            } else {
+                map.add_v(i, j, 1.0);
+            }
+            len += 1;
+            cur = p;
+        }
+        Some(len as f64)
     }
 
     /// Empties the queue (a search stops at its target with entries left).
@@ -489,14 +746,43 @@ impl MazeScratch {
     }
 }
 
-/// The maze's search window `(x0, y0, x1, y1)`, inclusive: the segment
-/// bbox grown by `margin` GCells and clipped to the grid.
-fn maze_window(
-    map: &CongestionMap,
-    a: GCell,
-    b: GCell,
-    margin: usize,
-) -> (usize, usize, usize, usize) {
+/// `out[k]` = the sum of the cut minima between position `k` and `target`
+/// along one axis (`mins[k]` is the cut between positions `k` and `k + 1`).
+fn cut_potential(mins: &[u16], target: usize, out: &mut Vec<u32>) {
+    out.clear();
+    out.push(0);
+    let mut sum = 0u32;
+    out.extend(mins.iter().map(|&m| {
+        sum += u32::from(m);
+        sum
+    }));
+    let at_target = out[target];
+    for p in out.iter_mut() {
+        *p = p.abs_diff(at_target);
+    }
+}
+
+/// One row of the staircase table from the row before it: a node is
+/// entered along its row (edge costs `along`, in travel order) or from the
+/// previous row (`up`, one edge per node).
+fn staircase_row<'a>(
+    above: &[u32],
+    row: &mut [u32],
+    along: impl Iterator<Item = &'a u16>,
+    mut up: impl Iterator<Item = &'a u16>,
+) {
+    let Some(&first_up) = up.next() else { return };
+    let mut reach = above[0] + u32::from(first_up);
+    row[0] = reach;
+    for (((cell, &above), &along), &up) in row[1..].iter_mut().zip(&above[1..]).zip(along).zip(up) {
+        reach = (reach + u32::from(along)).min(above + u32::from(up));
+        *cell = reach;
+    }
+}
+
+/// The maze's search window: the segment bbox grown by `margin` GCells
+/// and clipped to the grid.
+fn maze_window(map: &CongestionMap, a: GCell, b: GCell, margin: usize) -> Window {
     (
         a.0.min(b.0).saturating_sub(margin),
         a.1.min(b.1).saturating_sub(margin),
@@ -505,10 +791,17 @@ fn maze_window(
     )
 }
 
-/// Congestion-aware shortest path within the segment bbox plus margin, on
-/// the map's cached integer edge costs (Dial's algorithm: Dijkstra with a
-/// bucket queue). Commits the path's demand and returns the edges used, or
-/// `None` if the target cannot be reached.
+/// Commits a cheapest `a`→`b` path inside the segment bbox plus margin,
+/// under the map's cached integer edge costs, and returns the edges used.
+/// The window is a connected grid, so there always is one.
+///
+/// Bound first, search only for what could beat the bound: the cheapest
+/// monotone staircase over the bbox costs `bound`, the window's cuts
+/// between `a` and `b` cost at least `lower`. When the two meet the
+/// staircase is a cheapest path and no queue is touched; otherwise Dial's
+/// algorithm looks for a path cheaper than `bound` only, and the staircase
+/// is committed when there is none. The committed cost is the window's
+/// shortest-path cost in all three outcomes.
 fn maze_route(
     map: &mut CongestionMap,
     a: GCell,
@@ -516,86 +809,29 @@ fn maze_route(
     margin: usize,
     scratch: &mut MazeScratch,
     stats: &mut RouteStats,
-) -> Option<f64> {
-    let (x0, y0, x1, y1) = maze_window(map, a, b, margin);
-    let w = x1 - x0 + 1;
-    let h = y1 - y0 + 1;
-    // Window node (i, j) sits at padded index (j − y0 + 1)·stride + (i − x0 + 1).
-    let stride = w + 2;
-    let idx = |c: GCell| (c.1 - y0 + 1) * stride + (c.0 - x0 + 1);
-    let padded = stride * (h + 2);
-    scratch.dist.clear();
-    scratch.dist.resize(padded, 0);
-    scratch.prev.resize(padded, 0);
-    scratch.east_cost.resize(padded, 0);
-    scratch.north_cost.resize(padded, 0);
-    for j in 0..h {
-        let row = (j + 1) * stride + 1;
-        scratch.dist[row..row + w].fill(UNREACHED);
-        scratch.east_cost[row..row + w - 1].copy_from_slice(map.h_cost_row(x0, y0 + j, w - 1));
-        if j + 1 < h {
-            scratch.north_cost[row..row + w].copy_from_slice(map.v_cost_row(x0, y0 + j, w));
-        }
-    }
-    scratch.clear_queue();
-
-    let start = idx(a);
-    let target = idx(b);
-    scratch.dist[start] = 0;
-    scratch.push(start, 0);
-    let mut settled = 0u64;
-    let mut reached = false;
-    let mut cost = 0u32;
-    'search: while let Some(next) = scratch.next_cost(cost) {
-        cost = next;
-        let bucket = cost as usize % BUCKETS;
-        while let Some(u) = scratch.buckets[bucket].pop() {
-            let u = u as usize;
-            if scratch.dist[u] != cost {
-                continue;
+) -> f64 {
+    let window = maze_window(map, a, b, margin);
+    let (x0, y0, x1, y1) = window;
+    stats.maze_window_nodes += ((x1 - x0 + 1) * (y1 - y0 + 1)) as u64;
+    stats.maze_bbox_nodes += ((a.0.abs_diff(b.0) + 1) * (a.1.abs_diff(b.1) + 1)) as u64;
+    let lower = scratch.cut_bound(map, window, a, b);
+    let bound = scratch.staircase_bound(map, a, b);
+    debug_assert!(lower <= bound, "cut bound {lower} above a path of {bound}");
+    let len = if lower >= bound {
+        stats.maze_certified += 1;
+        scratch.commit_staircase(map, a, b)
+    } else {
+        stats.maze_searched += 1;
+        match scratch.search_below(map, window, a, b, bound, &mut stats.maze_settled_nodes) {
+            Some(len) => {
+                stats.maze_improved += 1;
+                len
             }
-            settled += 1;
-            if u == target {
-                reached = true;
-                break 'search;
-            }
-            let edges = [
-                (u + 1, scratch.east_cost[u]),
-                (u - 1, scratch.east_cost[u - 1]),
-                (u + stride, scratch.north_cost[u]),
-                (u - stride, scratch.north_cost[u - stride]),
-            ];
-            for (v, edge) in edges {
-                let through = cost + u32::from(edge);
-                if through < scratch.dist[v] {
-                    scratch.dist[v] = through;
-                    scratch.prev[v] = u as u32;
-                    scratch.push(v, through);
-                }
-            }
+            None => scratch.commit_staircase(map, a, b),
         }
-        scratch.nonempty[bucket / 64] &= !(1 << (bucket % 64));
-    }
-    stats.maze_window_nodes += (w * h) as u64;
-    stats.maze_settled_nodes += settled;
-    if !reached {
-        return None;
-    }
-    // Walk back, committing demand.
-    let mut len = 0.0;
-    let mut cur = target;
-    while cur != start {
-        let p = scratch.prev[cur] as usize;
-        let (i, j) = (x0 + p.min(cur) % stride - 1, y0 + p.min(cur) / stride - 1);
-        if cur.abs_diff(p) == 1 {
-            map.add_h(i, j, 1.0);
-        } else {
-            map.add_v(i, j, 1.0);
-        }
-        len += 1.0;
-        cur = p;
-    }
-    Some(len)
+    };
+    debug_assert!(len >= (a.0.abs_diff(b.0) + a.1.abs_diff(b.1)) as f64);
+    len
 }
 
 #[cfg(test)]
@@ -691,11 +927,21 @@ mod tests {
         assert!(stats.mazed_segments > 0, "{stats:?}");
         assert_eq!(stats.mazed_segments as usize, first.mazed_segments);
         assert_eq!(stats.pattern_segments + stats.mazed_segments, 8 + 3);
-        assert!(stats.maze_settled_nodes >= 2 * stats.mazed_segments);
+        assert_eq!(
+            stats.maze_certified + stats.maze_searched,
+            stats.mazed_segments
+        );
+        assert!(stats.maze_improved <= stats.maze_searched);
+        // A search settles at least its source; a certified call nothing.
+        assert!(stats.maze_settled_nodes >= stats.maze_searched);
+        assert!(stats.maze_searched > 0 || stats.maze_settled_nodes == 0);
         assert!(
             stats.maze_settled_nodes <= stats.maze_window_nodes,
             "{stats:?}"
         );
+        // A bbox holds at least the segment's two GCells.
+        assert!(stats.maze_bbox_nodes >= 2 * stats.mazed_segments);
+        assert!(stats.maze_bbox_nodes <= stats.maze_window_nodes);
     }
 
     #[test]
@@ -849,30 +1095,50 @@ mod maze_oracle_tests {
         edges
     }
 
-    /// Routes `a`→`b` through the maze and checks the committed path
-    /// against the oracle and the window.
-    fn check_maze(
-        map: &mut CongestionMap,
+    /// How one maze call was answered.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Outcome {
+        /// The staircase met the cut bound: no search.
+        Certified,
+        /// The search found nothing cheaper than the staircase.
+        Exhausted,
+        /// The search found a cheaper, non-monotone path.
+        Improved,
+    }
+
+    /// The outcome of the one maze call counted in `stats`.
+    fn outcome(stats: &RouteStats) -> Outcome {
+        assert_eq!(stats.maze_certified + stats.maze_searched, 1);
+        assert!(stats.maze_improved <= stats.maze_searched);
+        match (stats.maze_certified, stats.maze_improved) {
+            (1, _) => Outcome::Certified,
+            (_, 1) => Outcome::Improved,
+            _ => Outcome::Exhausted,
+        }
+    }
+
+    /// Checks the path one maze call committed (`before` → `after`, `len`
+    /// edges, counted in `stats`) against the oracle and the window.
+    fn check_committed(
+        before: &CongestionMap,
+        after: &CongestionMap,
         a: GCell,
         b: GCell,
         margin: usize,
-        scratch: &mut MazeScratch,
+        len: f64,
+        stats: &RouteStats,
     ) {
-        let before = map.clone();
-        let mut stats = RouteStats::default();
-        let len = maze_route(map, a, b, margin, scratch, &mut stats)
-            .expect("the window is a connected grid");
-        let mut edges = changed_edges(&before, map);
+        let mut edges = changed_edges(before, after);
         assert_eq!(edges.len() as f64, len, "a shortest path repeats no edge");
         assert!(
             edges.iter().all(|e| e.2 == 1.0),
             "one track per edge: {edges:?}"
         );
         let path_cost: u32 = edges.iter().map(|e| e.3).sum();
-        assert_eq!(Some(path_cost), oracle_cost(&before, a, b, margin));
+        assert_eq!(Some(path_cost), oracle_cost(before, a, b, margin));
 
         // The changed edges chain 4-connectedly from `a` to `b` in the window.
-        let (x0, y0, x1, y1) = maze_window(&before, a, b, margin);
+        let (x0, y0, x1, y1) = maze_window(before, a, b, margin);
         let mut cur = a;
         while let Some(k) = edges.iter().position(|e| e.0 == cur || e.1 == cur) {
             let (lo, hi, ..) = edges.swap_remove(k);
@@ -885,8 +1151,125 @@ mod maze_oracle_tests {
             stats.maze_window_nodes as usize,
             (x1 - x0 + 1) * (y1 - y0 + 1)
         );
-        assert!(stats.maze_settled_nodes as f64 > len);
+        // A certified call settles nothing; a search that reaches `b`
+        // settles its whole path; one that does not, at least `a`.
+        match outcome(stats) {
+            Outcome::Certified => assert_eq!(stats.maze_settled_nodes, 0),
+            Outcome::Improved => assert!(stats.maze_settled_nodes as f64 > len),
+            Outcome::Exhausted => assert!(stats.maze_settled_nodes >= 1),
+        }
         assert!(stats.maze_settled_nodes <= stats.maze_window_nodes);
+
+        // What exactness rests on: the cut bound is below, the staircase
+        // above the true cost, and they decide the outcome; the potential
+        // is 0 at `b` and changes by at most an edge's cost along it
+        // (consistent, hence admissible).
+        let mut bounds = MazeScratch::new();
+        let lower = bounds.cut_bound(before, (x0, y0, x1, y1), a, b);
+        let upper = bounds.staircase_bound(before, a, b);
+        assert!(lower <= path_cost && path_cost <= upper);
+        let expected = if lower >= upper {
+            Outcome::Certified
+        } else if path_cost < upper {
+            Outcome::Improved
+        } else {
+            Outcome::Exhausted
+        };
+        assert_eq!(outcome(stats), expected);
+        assert_eq!(
+            stats.maze_bbox_nodes as usize,
+            (a.0.abs_diff(b.0) + 1) * (a.1.abs_diff(b.1) + 1)
+        );
+        let potential = |c: GCell| bounds.toward_x[c.0 - x0] + bounds.toward_y[c.1 - y0];
+        assert_eq!(potential(b), 0);
+        for j in y0..=y1 {
+            for i in x0..=x1 {
+                if i < x1 {
+                    let cost = u32::from(before.h_cost_row(i, j, 1)[0]);
+                    assert!(potential((i, j)).abs_diff(potential((i + 1, j))) <= cost);
+                }
+                if j < y1 {
+                    let cost = u32::from(before.v_cost_row(i, j, 1)[0]);
+                    assert!(potential((i, j)).abs_diff(potential((i, j + 1))) <= cost);
+                }
+            }
+        }
+    }
+
+    /// Routes `a`→`b` through the maze and checks the committed path.
+    fn check_maze(
+        map: &mut CongestionMap,
+        a: GCell,
+        b: GCell,
+        margin: usize,
+        scratch: &mut MazeScratch,
+    ) -> Outcome {
+        let before = map.clone();
+        let mut stats = RouteStats::default();
+        let len = maze_route(map, a, b, margin, scratch, &mut stats);
+        check_committed(&before, map, a, b, margin, len, &stats);
+        outcome(&stats)
+    }
+
+    /// The `k`-th of a case's segments: any two distinct cells of the grid.
+    fn segment(nx: usize, ny: usize, from: usize, step: usize) -> (GCell, GCell) {
+        let cells = nx * ny;
+        let (from, to) = (
+            from % cells,
+            (from % cells + 1 + step % (cells - 1)) % cells,
+        );
+        ((from % nx, from / nx), (to % nx, to / nx))
+    }
+
+    /// The regime the benchmark routes in, which independent random demand
+    /// never produces: every edge at or over capacity, except inside a few
+    /// rectangular holes of lower demand, with up to two derated regions.
+    /// Yields the map and `(a, b, margin)` segments.
+    fn saturated_case() -> impl Strategy<Value = (CongestionMap, Vec<(GCell, GCell, usize)>)> {
+        let rect = || (0usize..14, 0usize..14, 0usize..14, 0usize..14);
+        (
+            (2usize..=14, 2usize..=14),
+            prop::collection::vec(0usize..3, 2 * 14 * 14),
+            prop::collection::vec((rect(), 0usize..4), 0..=6),
+            prop::collection::vec(rect(), 0..=2),
+            prop::collection::vec((0usize..196, 0usize..195, 0usize..5), 1..6),
+        )
+            .prop_map(|((nx, ny), excess, holes, derates, segments)| {
+                let mut map = CongestionMap::new(nx, ny, 1.0, 4.0, 4.0);
+                let span = |p: usize, q: usize, n: usize| ((p % n).min(q % n), (p % n).max(q % n));
+                for (i0, j0, i1, j1) in derates {
+                    let ((i0, i1), (j0, j1)) = (span(i0, i1, nx), span(j0, j1, ny));
+                    map.derate(i0, j0, i1, j1, 0.4);
+                }
+                let demand = |i: usize, j: usize, vertical: usize| {
+                    let hole = holes.iter().find(|((i0, j0, i1, j1), _)| {
+                        let ((i0, i1), (j0, j1)) = (span(*i0, *i1, nx), span(*j0, *j1, ny));
+                        (i0..=i1).contains(&i) && (j0..=j1).contains(&j)
+                    });
+                    match hole {
+                        Some(&(_, level)) => level,
+                        None => 4 + excess[2 * (j * 14 + i) + vertical],
+                    }
+                };
+                for j in 0..ny {
+                    for i in 0..nx {
+                        if i + 1 < nx {
+                            map.add_h(i, j, demand(i, j, 0) as f64);
+                        }
+                        if j + 1 < ny {
+                            map.add_v(i, j, demand(i, j, 1) as f64);
+                        }
+                    }
+                }
+                let segments = segments
+                    .into_iter()
+                    .map(|(from, step, margin)| {
+                        let (a, b) = segment(nx, ny, from, step);
+                        (a, b, margin)
+                    })
+                    .collect();
+                (map, segments)
+            })
     }
 
     proptest! {
@@ -914,10 +1297,164 @@ mod maze_oracle_tests {
             // One scratch across the case's searches: nothing may leak
             // from one into the next.
             let mut scratch = MazeScratch::new();
-            let cells = nx * ny;
             for (from, step, margin) in segments {
-                let (from, to) = (from % cells, (from % cells + 1 + step % (cells - 1)) % cells);
-                check_maze(&mut map, (from % nx, from / nx), (to % nx, to / nx), margin, &mut scratch);
+                let (a, b) = segment(nx, ny, from, step);
+                check_maze(&mut map, a, b, margin, &mut scratch);
+            }
+        }
+
+        #[test]
+        fn maze_path_cost_matches_heap_dijkstra_on_saturated_maps(
+            (mut map, segments) in saturated_case(),
+        ) {
+            let mut scratch = MazeScratch::new();
+            for (a, b, margin) in segments {
+                check_maze(&mut map, a, b, margin, &mut scratch);
+            }
+        }
+    }
+
+    /// The saturated generator reaches all three outcomes of a maze call.
+    #[test]
+    fn saturated_cases_cover_the_three_outcomes() {
+        use proptest::Strategy as _;
+        let mut rng = proptest::TestRng::seed_from_u64(18);
+        let strategy = saturated_case();
+        let mut outcomes = Vec::new();
+        for _ in 0..192 {
+            let (mut map, segments) = strategy.generate(&mut rng);
+            let mut scratch = MazeScratch::new();
+            for (a, b, margin) in segments {
+                outcomes.push(check_maze(&mut map, a, b, margin, &mut scratch));
+            }
+        }
+        let count = |o: Outcome| outcomes.iter().filter(|&&x| x == o).count();
+        assert!(count(Outcome::Certified) >= 100, "{outcomes:?}");
+        assert!(count(Outcome::Exhausted) >= 50, "{outcomes:?}");
+        assert!(count(Outcome::Improved) >= 50, "{outcomes:?}");
+    }
+
+    /// Segments routed one after another through `route_segment`, so the
+    /// maze sees the field its own commits shape: every maze-stage commit
+    /// is a cheapest path under the costs it was chosen on.
+    #[test]
+    fn every_maze_commit_on_an_evolving_field_matches_the_oracle() {
+        let (n, margin) = (40usize, 6usize);
+        let options = RouterOptions {
+            maze_margin: margin,
+            ..Default::default()
+        };
+        let mut map = CongestionMap::new(n, n, 1.0, 4.0, 4.0);
+        let mut rng = proptest::TestRng::seed_from_u64(40);
+        let mut scratch = MazeScratch::new();
+        let mut outcomes = Vec::new();
+        // The mean of two uniform draws: pins crowd the centre of the grid.
+        let mut coordinate = || ((rng.below(n as u64) + rng.below(n as u64)) / 2) as usize;
+        for _ in 0..2500 {
+            let (a, b) = ((coordinate(), coordinate()), (coordinate(), coordinate()));
+            if a == b {
+                continue;
+            }
+            let before = map.clone();
+            let mut stats = RouteStats::default();
+            let len = route_segment(&mut map, a, b, &options, &mut scratch, &mut stats);
+            if stats.mazed_segments == 1 {
+                check_committed(&before, &map, a, b, margin, len, &stats);
+                outcomes.push(outcome(&stats));
+            }
+        }
+        let count = |o: Outcome| outcomes.iter().filter(|&&x| x == o).count();
+        assert!(outcomes.len() >= 1000, "{} maze calls", outcomes.len());
+        assert!(count(Outcome::Certified) >= 100, "{outcomes:?}");
+        assert!(count(Outcome::Exhausted) >= 100, "{outcomes:?}");
+        assert!(count(Outcome::Improved) >= 100, "{outcomes:?}");
+    }
+
+    /// Shapes at the edge of what the staircase table, the ring and the
+    /// cut sums index: straight segments, one-wide and one-high windows,
+    /// endpoints in grid corners, no margin, a window that is the grid.
+    #[test]
+    fn degenerate_segments_and_windows_match_the_oracle() {
+        let saturated = |nx: usize, ny: usize| {
+            let mut map = CongestionMap::new(nx, ny, 1.0, 4.0, 4.0);
+            // Capacity 1.6 on the staircases' way through the middle.
+            map.derate(nx / 3, ny / 3, 2 * nx / 3, 2 * ny / 3, 0.4);
+            for j in 0..ny {
+                for i in 0..nx {
+                    // At capacity except on the left and bottom borders.
+                    let demand = if i == 0 || j == 0 { 1.0 } else { 4.0 };
+                    if i + 1 < nx {
+                        map.add_h(i, j, demand);
+                    }
+                    if j + 1 < ny {
+                        map.add_v(i, j, demand);
+                    }
+                }
+            }
+            map
+        };
+        let mut scratch = MazeScratch::new();
+        for (nx, ny, a, b, margin) in [
+            // Straight, both directions, with and without room to detour.
+            (9, 9, (1, 4), (7, 4), 3),
+            (9, 9, (7, 4), (1, 4), 0),
+            (9, 9, (4, 7), (4, 1), 3),
+            (9, 9, (4, 1), (4, 7), 0),
+            // One-wide and one-high grids.
+            (1, 9, (0, 8), (0, 0), 2),
+            (9, 1, (0, 0), (8, 0), 2),
+            // Corner to corner: the window is the whole grid at any margin.
+            (9, 7, (0, 0), (8, 6), 0),
+            (9, 7, (8, 6), (0, 0), 4),
+            (9, 7, (0, 6), (8, 0), 100),
+            (9, 7, (8, 0), (0, 6), 1),
+            // Neighbours, and a margin that reaches past the grid.
+            (9, 9, (3, 3), (4, 3), 1),
+            (9, 9, (8, 8), (8, 7), 20),
+            // Through the derated block, all four travel directions.
+            (12, 12, (2, 2), (9, 9), 1),
+            (12, 12, (9, 2), (2, 9), 1),
+            (12, 12, (2, 9), (9, 2), 1),
+            (12, 12, (9, 9), (2, 2), 1),
+        ] {
+            let mut map = saturated(nx, ny);
+            check_maze(&mut map, a, b, margin, &mut scratch);
+            // Once more over what that commit left behind.
+            check_maze(&mut map, b, a, margin, &mut scratch);
+        }
+    }
+
+    /// On a map where every monotone path costs the same, the committed
+    /// one hugs the `a`–`b` diagonal (a fixed preference would commit the
+    /// same L every time), and the choice is a function of the inputs.
+    #[test]
+    fn ties_resolve_to_the_staircase_along_the_diagonal() {
+        for (a, b) in [
+            ((2, 3), (17, 9)),
+            ((17, 3), (2, 9)),
+            ((5, 18), (9, 1)),
+            ((1, 1), (8, 8)),
+        ] {
+            let route = || {
+                let before = CongestionMap::new(20, 20, 1.0, 4.0, 4.0);
+                let mut after = before.clone();
+                let mut stats = RouteStats::default();
+                let mut scratch = MazeScratch::new();
+                maze_route(&mut after, a, b, 4, &mut scratch, &mut stats);
+                assert_eq!(stats.maze_certified, 1);
+                changed_edges(&before, &after)
+            };
+            let edges = route();
+            assert_eq!(edges, route());
+            let (dx, dy) = (a.0.abs_diff(b.0), a.1.abs_diff(b.1));
+            assert_eq!(edges.len(), dx + dy);
+            for (lo, hi, ..) in edges {
+                for (x, y) in [lo, hi] {
+                    // Twice the area between the node and the diagonal,
+                    // at most one GCell along the longer axis.
+                    let off = (x.abs_diff(a.0) * dy).abs_diff(y.abs_diff(a.1) * dx);
+                    assert!(off <= dx.max(dy), "({x}, {y}) strays from {a:?}–{b:?}");
+                }
             }
         }
     }

@@ -205,6 +205,22 @@ fn routing_ignores_the_trace_level_and_publishes_its_maze_counts() {
             count("route.maze.window_nodes"),
         );
         assert!(0 < settled && settled <= window, "{settled} of {window}");
+        // Every maze call is either certified by its bounds or searched.
+        assert_eq!(
+            count("route.maze.certified") + count("route.maze.searched"),
+            count("route.mazed_segments")
+        );
+        assert!(count("route.maze.improved") <= count("route.maze.searched"));
+        assert!(count("route.maze.bbox_nodes") <= window);
+        // The span alone shows how saturated the routed field is.
+        assert_eq!(
+            count("route.overflow_edges"),
+            off.congestion.overflow_edges() as u64
+        );
+        assert!(span.args.contains(&(
+            "route.max_utilization",
+            cp_trace::ArgValue::F(off.congestion.max_utilization())
+        )));
         if level == Level::Full {
             assert!(cp_trace::counter_value("route.maze.settled_nodes") >= settled);
         }
