@@ -173,7 +173,7 @@ fn bench_size(n: usize) -> SizeResult {
     for rep in 0..=SOLVE_REPS {
         let mut sol = vec![0.0; sys.len()];
         let t = Instant::now();
-        stats = sys.solve_into_with_stats(&mut sol, &mut scratch, CG_ITERS, 1e-6);
+        stats = sys.solve_into(&mut sol, &mut scratch, CG_ITERS, 1e-6, None);
         if rep > 0 {
             cg_s = cg_s.min(t.elapsed().as_secs_f64());
         }
@@ -185,7 +185,7 @@ fn bench_size(n: usize) -> SizeResult {
     for _ in 0..SOLVE_REPS {
         let mut sol = vec![0.0; sys.len()];
         let t = Instant::now();
-        tol_stats = sys.solve_into_with_stats(&mut sol, &mut scratch, TOL_CAP, TOL);
+        tol_stats = sys.solve_into(&mut sol, &mut scratch, TOL_CAP, TOL, None);
         tol_s = tol_s.min(t.elapsed().as_secs_f64());
     }
 
@@ -199,7 +199,7 @@ fn bench_size(n: usize) -> SizeResult {
         ic_factor_s = ic_factor_s.min(t.elapsed().as_secs_f64());
         let mut sol = vec![0.0; sys.len()];
         let t = Instant::now();
-        pcg_stats = sys.solve_into_preconditioned(&mut sol, &mut scratch, TOL_CAP, TOL, &ic);
+        pcg_stats = sys.solve_into(&mut sol, &mut scratch, TOL_CAP, TOL, Some(&ic));
         pcg_s = pcg_s.min(t.elapsed().as_secs_f64());
     }
 

@@ -170,6 +170,7 @@ mod imp {
             control: RunControl::unlimited(),
             checkpoint,
             resume_from,
+            ..Default::default()
         };
         run_flow_resilient(&b.netlist, &b.constraints, &chaos_options(), &res)
     }

@@ -1,11 +1,27 @@
 //! The clustered-placement flow (Algorithm 1 of the paper).
 //!
-//! `run_flow` executes the full pipeline: PPA-aware clustering →
-//! (ML-accelerated) V-P&R cluster shaping → cluster seed placement →
-//! flat seeded placement (OpenROAD-like with IO-net weight ×4, or
-//! Innovus-like with region constraints) → legalization → CTS → global
-//! routing → post-route STA and power. `run_default_flow` is the flat
-//! baseline every table normalizes against.
+//! The pipeline — PPA-aware clustering → (ML-accelerated) V-P&R cluster
+//! shaping → cluster seed placement → flat seeded placement (OpenROAD-like
+//! with IO-net weight ×4, or Innovus-like with region constraints) →
+//! legalization → CTS → global routing → post-route STA and power — is
+//! written once, in the private `Run::drive`. The public entry points are
+//! openers that say where the cluster assignment comes from and what the
+//! run executes under:
+//!
+//! - [`run_flow`] clusters, then seeds; [`run_flow_with_assignment`] (and
+//!   its `_cached` variant) takes the assignment from the caller;
+//! - [`run_default_flow`], the flat baseline every table normalizes
+//!   against, has no assignment: the same sequence with the three cluster
+//!   stages skipped and the free problem placed from scratch, so the two
+//!   flows differ in the seed and in nothing else;
+//! - [`run_flow_resilient`] is [`run_flow`] under a caller-supplied
+//!   [`RunControl`], with stage checkpoints, resume and the run ledger.
+//!
+//! Every stage of every entry point passes through the same protocol: a
+//! counted interruption check at its boundary, the stage span and
+//! [`StageTimings`] entry, a checkpoint write when one is configured, and
+//! — for the two placement stages — a field-frame scope around the one
+//! global-placement call.
 //!
 //! Every entry point is fallible: degenerate inputs are rejected up front
 //! with a [`FlowError`] instead of panicking stages later, and recoveries
@@ -22,9 +38,7 @@ use crate::qor;
 use crate::stages;
 use crate::vpr::ml::MlShapeSelector;
 use crate::vpr::subnetlist::SubnetlistCache;
-use crate::vpr::{
-    best_shape_hybrid_with_control, best_shape_with_control, ShapeSearchStats, VprOptions,
-};
+use crate::vpr::{best_shape_hybrid_with_control, ShapeSearchStats, VprOptions};
 use cp_netlist::clustered::ClusteredNetlist;
 use cp_netlist::floorplan::Rect;
 use cp_netlist::netlist::Netlist;
@@ -33,7 +47,10 @@ use cp_parallel::RegionError;
 use cp_place::cts::{synthesize_clock_tree, CtsOptions};
 use cp_place::detailed::{refine, DetailedOptions};
 use cp_place::hpwl::raw_hpwl;
-use cp_place::{legalize, BestSnapshot, GlobalPlacer, PlaceError, PlacementProblem, PlacerOptions};
+use cp_place::{
+    legalize, BestSnapshot, GlobalPlacer, PlaceError, PlacementProblem, PlacementResult,
+    PlacerOptions,
+};
 use cp_resilience::{sites, Interrupt, InterruptKind, RunControl};
 use cp_route::{route_placed_netlist, RouterOptions};
 use cp_timing::activity::propagate_activity;
@@ -41,9 +58,10 @@ use cp_timing::power::power_report;
 use cp_timing::sta::Sta;
 use cp_timing::wire::WireModel;
 use cp_timing::TimingError;
-use cp_trace::{ArgValue, SpanGuard, TraceReport};
+use cp_trace::{ArgValue, TraceReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -113,7 +131,9 @@ pub struct FlowOptions {
     pub macro_blockages: (usize, f64),
     /// Timing-driven placement: scale flat-placement net weights by the
     /// nets' timing criticality (`w = 1 + 2·t_e`). Applied to both the
-    /// default and the clustered flow so comparisons stay fair.
+    /// default and the clustered flow so comparisons stay fair; the
+    /// weights steer global placement only — legalization and refinement
+    /// run on the unweighted problem in both.
     pub timing_driven: bool,
     /// Congestion-driven refinement: after placement, inflate cells in
     /// overflowed GCells and re-place incrementally (RePlAce-style
@@ -306,8 +326,13 @@ pub struct FlowReport {
     pub cluster_count: usize,
     /// Seconds in clustering (incl. STA/activity extraction).
     pub clustering_runtime: f64,
-    /// Seconds in placement (cluster placement + seeded flat placement,
-    /// or the flat placement for the default flow).
+    /// Seconds in placement: the wall clock from the end of pre-flight
+    /// validation to the end of legalize+refine, the same interval in
+    /// every flow. It covers shaping, cluster placement, seeding, the
+    /// placement-problem builds, timing weights, flat placement (with the
+    /// congestion re-place) and legalize+refine — everything Table 2's
+    /// "CPU" column counts except clustering, which is
+    /// [`Self::clustering_runtime`].
     pub placement_runtime: f64,
     /// Post-route PPA.
     pub ppa: PpaReport,
@@ -366,7 +391,9 @@ fn validated_floorplan(
 }
 
 /// Runs the default (flat, no clustering) flow — the baseline of every
-/// table.
+/// table. It is [`run_flow`]'s stage sequence with the three cluster
+/// stages skipped and the free problem placed from scratch, so a flat and
+/// a clustered run differ in the seed and in nothing else.
 ///
 /// # Errors
 ///
@@ -378,71 +405,8 @@ pub fn run_default_flow(
     constraints: &Constraints,
     options: &FlowOptions,
 ) -> Result<FlowReport, FlowError> {
-    let root = cp_trace::span(stages::FLOW_FLAT);
-    let fp = validated_floorplan(netlist, constraints, options)?;
-    let mut diagnostics = FlowDiagnostics::with_limit(options.diagnostics_limit);
-    let mut problem = PlacementProblem::from_netlist(netlist, &fp);
-    if options.timing_driven {
-        problem.net_weights = timing_net_weights(netlist, constraints)?;
-    }
-    let mut timings = StageTimings::new();
-    let t0 = Instant::now();
-    let s_flat = cp_trace::span(stages::FLAT_PLACEMENT);
-    let fields_scope = cp_trace::fields::scope(stages::FLAT_PLACEMENT);
-    let mut result = GlobalPlacer::new(options.placer).place(&problem)?;
-    drop(fields_scope);
-    if result.diverged {
-        diagnostics.record(RecoveryEvent::PlacerReverted {
-            stage: stages::FLAT_PLACEMENT,
-        });
-    }
-    if options.congestion_driven {
-        result.positions = congestion_driven_refine(
-            netlist,
-            &fp,
-            &problem,
-            result.positions,
-            options,
-            &mut diagnostics,
-        )?;
-    }
-    drop(s_flat);
-    timings.record(stages::FLAT_PLACEMENT, t0);
-    qor::record_placement_hpwl(qor::FLAT_PLACEMENT_HPWL, &problem, &result.positions);
-    qor::record_heap();
-    let t_leg = Instant::now();
-    let s_leg = cp_trace::span(stages::LEGALIZE_REFINE);
-    legalize(&problem, &fp, &mut result.positions)?;
-    refine(
-        &problem,
-        &fp,
-        &mut result.positions,
-        &DetailedOptions::default(),
-    );
-    drop(s_leg);
-    timings.record(stages::LEGALIZE_REFINE, t_leg);
-    let placement_runtime = t0.elapsed().as_secs_f64();
-    let hpwl = raw_hpwl(&problem, &result.positions);
-    cp_trace::gauge_set(qor::LEGALIZED_HPWL, hpwl);
-    qor::record_heap();
-    let t_ppa = Instant::now();
-    let s_ppa = cp_trace::span(stages::PPA);
-    let ppa = evaluate_ppa(netlist, constraints, &result.positions, &fp, options)?;
-    drop(s_ppa);
-    timings.record(stages::PPA, t_ppa);
-    let trace = cp_trace::take_report(root);
-    timings.finalize(trace.as_ref(), 0.0);
-    Ok(FlowReport {
-        hpwl,
-        cluster_count: 0,
-        clustering_runtime: 0.0,
-        placement_runtime,
-        ppa,
-        diagnostics,
-        timings,
-        shaping: ShapingStats::default(),
-        trace,
-    })
+    let mut cache = SubnetlistCache::new();
+    Run::passive(options).drive(netlist, constraints, Clusters::Flat, &mut cache)
 }
 
 /// Runs the full clustered flow (Algorithm 1).
@@ -456,21 +420,8 @@ pub fn run_flow(
     constraints: &Constraints,
     options: &FlowOptions,
 ) -> Result<FlowReport, FlowError> {
-    let root = cp_trace::span(stages::FLOW_CLUSTERED);
-    let s_cluster = cp_trace::span(stages::CLUSTERING);
-    let clustering = ppa_aware_clustering(netlist, constraints, &options.clustering)?;
-    drop(s_cluster);
     let mut cache = SubnetlistCache::new();
-    flow_with_assignment_traced(
-        netlist,
-        constraints,
-        &clustering.assignment,
-        clustering.runtime,
-        options,
-        &mut cache,
-        root,
-        &mut ExecContext::passive(),
-    )
+    Run::passive(options).drive(netlist, constraints, Clusters::PpaAware, &mut cache)
 }
 
 /// Runs the seeded-placement flow for an externally supplied cluster
@@ -488,15 +439,9 @@ pub fn run_flow_with_assignment(
     clustering_runtime: f64,
     options: &FlowOptions,
 ) -> Result<FlowReport, FlowError> {
+    let clusters = Clusters::Given(assignment, clustering_runtime);
     let mut cache = SubnetlistCache::new();
-    run_flow_with_assignment_cached(
-        netlist,
-        constraints,
-        assignment,
-        clustering_runtime,
-        options,
-        &mut cache,
-    )
+    Run::passive(options).drive(netlist, constraints, clusters, &mut cache)
 }
 
 /// [`run_flow_with_assignment`] with a caller-owned [`SubnetlistCache`],
@@ -514,17 +459,8 @@ pub fn run_flow_with_assignment_cached(
     options: &FlowOptions,
     cache: &mut SubnetlistCache,
 ) -> Result<FlowReport, FlowError> {
-    let root = cp_trace::span(stages::FLOW_CLUSTERED);
-    flow_with_assignment_traced(
-        netlist,
-        constraints,
-        assignment,
-        clustering_runtime,
-        options,
-        cache,
-        root,
-        &mut ExecContext::passive(),
-    )
+    let clusters = Clusters::Given(assignment, clustering_runtime);
+    Run::passive(options).drive(netlist, constraints, clusters, cache)
 }
 
 /// Cancellation, deadline and memory-budget limits plus checkpoint wiring
@@ -573,7 +509,10 @@ pub fn run_flow_resilient(
 ) -> Result<FlowReport, FlowError> {
     install_heap_probe();
     let fingerprint = checkpoint::fingerprint(netlist, options);
-    let result = run_flow_resilient_inner(netlist, constraints, options, resilience, fingerprint);
+    let mut cache = SubnetlistCache::new();
+    let result = ExecContext::resilient(resilience, fingerprint).and_then(|exec| {
+        Run::new(options, exec).drive(netlist, constraints, Clusters::PpaAware, &mut cache)
+    });
     if let Some(path) = &resilience.ledger {
         let resumed = resilience.resume_from.is_some();
         let entry = match &result {
@@ -589,7 +528,7 @@ pub fn run_flow_resilient(
             }),
         };
         if let Some(entry) = entry {
-            // The save_draft contract: persistence failures are surfaced
+            // The checkpoint contract: persistence failures are surfaced
             // as telemetry, never as flow failures.
             if let Err(reason) = cp_trace::ledger::append(path, &entry) {
                 cp_trace::instant(
@@ -601,60 +540,6 @@ pub fn run_flow_resilient(
         }
     }
     result
-}
-
-fn run_flow_resilient_inner(
-    netlist: &Netlist,
-    constraints: &Constraints,
-    options: &FlowOptions,
-    resilience: &ResilienceOptions,
-    fingerprint: u64,
-) -> Result<FlowReport, FlowError> {
-    let resume = match &resilience.resume_from {
-        Some(path) => {
-            let cp = Checkpoint::load(path).map_err(|reason| FlowError::Checkpoint { reason })?;
-            if cp.fingerprint != fingerprint {
-                return Err(FlowError::Checkpoint {
-                    reason: format!(
-                        "fingerprint mismatch: checkpoint {:016x} vs run {fingerprint:016x} \
-                         (different netlist or options)",
-                        cp.fingerprint
-                    ),
-                });
-            }
-            Some(cp)
-        }
-        None => None,
-    };
-    let mut exec = ExecContext {
-        control: resilience.control.clone(),
-        checkpoint_path: resilience.checkpoint.clone(),
-        fingerprint,
-        resume,
-    };
-    let mut preflight = FlowDiagnostics::with_limit(options.diagnostics_limit);
-    exec.check(sites::FLOW_START, stages::CLUSTERING, &mut preflight)?;
-    let root = cp_trace::span(stages::FLOW_CLUSTERED);
-    let (assignment, clustering_runtime) = match &exec.resume {
-        Some(cp) => (cp.assignment.clone(), cp.clustering_runtime),
-        None => {
-            let s_cluster = cp_trace::span(stages::CLUSTERING);
-            let clustering = ppa_aware_clustering(netlist, constraints, &options.clustering)?;
-            drop(s_cluster);
-            (clustering.assignment, clustering.runtime)
-        }
-    };
-    let mut cache = SubnetlistCache::new();
-    flow_with_assignment_traced(
-        netlist,
-        constraints,
-        &assignment,
-        clustering_runtime,
-        options,
-        &mut cache,
-        root,
-        &mut exec,
-    )
 }
 
 /// Points the interruption machinery's heap gauge at the counting
@@ -767,10 +652,10 @@ fn ledger_entry_for_interrupt(
     entry
 }
 
-/// Per-run execution context threaded through the flow body: the run's
-/// interruption control, the checkpoint sink and the checkpoint being
-/// resumed from. The plain entry points run with [`ExecContext::passive`],
-/// whose unlimited control makes every check a cheap no-op.
+/// Per-run execution context: the run's interruption control, the
+/// checkpoint sink and the checkpoint being resumed from. The plain entry
+/// points run with [`ExecContext::passive`], whose unlimited control makes
+/// every check a cheap no-op.
 struct ExecContext {
     control: RunControl,
     checkpoint_path: Option<PathBuf>,
@@ -788,97 +673,33 @@ impl ExecContext {
         }
     }
 
-    /// Stage-boundary interruption check; on interruption records the
-    /// recovery event and builds the typed flow error carrying everything
-    /// collected so far.
-    fn check(
-        &self,
-        site: &'static str,
-        stage: &'static str,
-        diagnostics: &mut FlowDiagnostics,
-    ) -> Result<(), FlowError> {
-        self.control
-            .check(site)
-            .map_err(|interrupt| self.interrupt_error(interrupt, stage, diagnostics, None))
-    }
-
-    fn interrupt_error(
-        &self,
-        interrupt: Interrupt,
-        stage: &'static str,
-        diagnostics: &mut FlowDiagnostics,
-        best: Option<BestSnapshot>,
-    ) -> FlowError {
-        match interrupt.kind {
-            InterruptKind::Cancelled => diagnostics.record(RecoveryEvent::Cancelled {
-                site: interrupt.site,
-            }),
-            InterruptKind::DeadlineExceeded => {
-                diagnostics.record(RecoveryEvent::DeadlineExceeded {
-                    site: interrupt.site,
-                });
+    /// The context of a [`run_flow_resilient`] run: the caller's control
+    /// and checkpoint path, plus the checkpoint named by `resume_from`,
+    /// loaded and checked against this run's `fingerprint`.
+    fn resilient(resilience: &ResilienceOptions, fingerprint: u64) -> Result<Self, FlowError> {
+        let resume = match &resilience.resume_from {
+            Some(path) => {
+                let cp =
+                    Checkpoint::load(path).map_err(|reason| FlowError::Checkpoint { reason })?;
+                if cp.fingerprint != fingerprint {
+                    return Err(FlowError::Checkpoint {
+                        reason: format!(
+                            "fingerprint mismatch: checkpoint {:016x} vs run {fingerprint:016x} \
+                             (different netlist or options)",
+                            cp.fingerprint
+                        ),
+                    });
+                }
+                Some(cp)
             }
-            InterruptKind::BudgetExceeded => {}
-        }
-        FlowError::from_interrupted(InterruptedFlow {
-            interrupt,
-            stage,
-            diagnostics: diagnostics.clone(),
-            best,
-            checkpoint: self.checkpoint_path.clone(),
-        })
-    }
-
-    /// Routes a placer failure: an interruption becomes the flow-level
-    /// interrupt (keeping the placer's best-so-far snapshot); anything
-    /// else stays a placement error.
-    fn place_error(
-        &self,
-        error: PlaceError,
-        stage: &'static str,
-        diagnostics: &mut FlowDiagnostics,
-    ) -> FlowError {
-        match error {
-            PlaceError::Interrupted {
-                interrupt, best, ..
-            } => self.interrupt_error(interrupt, stage, diagnostics, best),
-            other => FlowError::Place(other),
-        }
-    }
-
-    /// Routes a parallel-region failure: a contained worker panic becomes
-    /// [`FlowError::WorkerPanic`], an interruption the flow-level
-    /// interrupt.
-    fn region_error(
-        &self,
-        error: RegionError,
-        stage: &'static str,
-        diagnostics: &mut FlowDiagnostics,
-    ) -> FlowError {
-        match error {
-            RegionError::Panicked { message } => FlowError::WorkerPanic { stage, message },
-            RegionError::Interrupted(interrupt) => {
-                self.interrupt_error(interrupt, stage, diagnostics, None)
-            }
-        }
-    }
-
-    /// Persists the checkpoint draft (when checkpointing is on) and
-    /// records the write. A failed write is reported as telemetry but
-    /// never fails the flow — the run's result outranks its checkpoint.
-    fn save_draft(&self, draft: &mut Option<Checkpoint>, diagnostics: &mut FlowDiagnostics) {
-        let (Some(path), Some(cp)) = (self.checkpoint_path.as_ref(), draft.as_mut()) else {
-            return;
+            None => None,
         };
-        cp.events.clone_from(&diagnostics.events);
-        cp.dropped = diagnostics.dropped;
-        match cp.save(path) {
-            Ok(()) => diagnostics.record(RecoveryEvent::CheckpointWritten { stage: cp.stage }),
-            Err(_reason) => cp_trace::instant(
-                "recovery.checkpoint_failed",
-                &[("stage", ArgValue::S(cp.stage))],
-            ),
-        }
+        Ok(Self {
+            control: resilience.control.clone(),
+            checkpoint_path: resilience.checkpoint.clone(),
+            fingerprint,
+            resume,
+        })
     }
 }
 
@@ -892,84 +713,380 @@ fn shape_interrupt(error: &FlowError) -> Option<Interrupt> {
     }
 }
 
-/// The clustered-flow body, running under an already-open root span (the
-/// clustering stage may have executed inside it, as in [`run_flow`]).
-/// Consumes `root` at the end to capture the run's trace subtree.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn flow_with_assignment_traced(
-    netlist: &Netlist,
-    constraints: &Constraints,
-    assignment: &[u32],
-    clustering_runtime: f64,
-    options: &FlowOptions,
-    cache: &mut SubnetlistCache,
-    root: SpanGuard,
-    exec: &mut ExecContext,
-) -> Result<FlowReport, FlowError> {
-    if assignment.len() != netlist.cell_count() {
-        return Err(FlowError::Validation(
-            ValidationError::AssignmentLengthMismatch {
-                assignment: assignment.len(),
-                cells: netlist.cell_count(),
-            },
-        ));
-    }
-    let fp = validated_floorplan(netlist, constraints, options)?;
-    let mut diagnostics = FlowDiagnostics::with_limit(options.diagnostics_limit);
-    let resume = exec.resume.take();
-    if let Some(cp) = &resume {
-        diagnostics.restore(cp.events.clone(), cp.dropped);
-        diagnostics.record(RecoveryEvent::Resumed { stage: cp.stage });
-    }
-    // The progressive checkpoint draft, rewritten after each completed
-    // stage (only when a checkpoint path is configured). A resumed run
-    // continues from the loaded checkpoint so earlier stages' state stays
-    // in the file.
-    let mut draft: Option<Checkpoint> = exec.checkpoint_path.as_ref().map(|_| match &resume {
-        Some(cp) => cp.clone(),
-        None => {
-            Checkpoint::after_clustering(exec.fingerprint, assignment.to_vec(), clustering_runtime)
-        }
-    });
-    if resume.is_none() {
-        exec.save_draft(&mut draft, &mut diagnostics);
-    }
-    let mut timings = StageTimings::new();
-    let t0 = Instant::now();
+/// Where a run's cluster assignment comes from — the one thing the entry
+/// points disagree on.
+enum Clusters<'a> {
+    /// No clusters: the flat baseline skips the three cluster stages.
+    Flat,
+    /// PPA-aware clustering runs as the first stage (or its result is
+    /// restored from the checkpoint being resumed).
+    PpaAware,
+    /// A caller-supplied assignment and the seconds it took to compute.
+    Given(&'a [u32], f64),
+}
 
-    // Line 10: clustered netlist; lines 12-13: cluster shapes. Clusters
-    // are independent V-P&R problems, so the V-P&R modes fan the
-    // per-cluster work out in parallel and apply the collected shapes
-    // sequentially in cluster order — diagnostics and shape assignment
-    // match the serial loop exactly. Sub-netlists come from the shared
-    // cache (extraction is sequential: the cache is `&mut`), so repeated
-    // runs over the same assignment induce each cluster once.
-    exec.check(sites::FLOW_SHAPING, stages::SHAPING, &mut diagnostics)?;
-    let (hits0, misses0) = (cache.hits(), cache.misses());
-    let mut clustered = ClusteredNetlist::from_assignment(netlist, assignment);
-    let mut shaped: Vec<u32> = Vec::new();
-    let mut shaping = ShapingStats::default();
-    if let Some(state) = resume.as_ref().and_then(|r| r.shaping.as_ref()) {
-        for &(c, shape) in &state.shapes {
-            clustered.set_shape(c, shape);
+/// One execution of the flow: the options and execution context it runs
+/// under and everything it accumulates on the way to the [`FlowReport`].
+/// [`Run::drive`] is the only place the stage sequence is written; `check`,
+/// `timed`, `checkpoint` and `place` are the per-stage protocol every
+/// stage of every entry point goes through.
+struct Run<'a> {
+    options: &'a FlowOptions,
+    exec: ExecContext,
+    diagnostics: FlowDiagnostics,
+    timings: StageTimings,
+    /// The progressive checkpoint draft, rewritten after each completed
+    /// stage (only when a checkpoint path is configured). A resumed run
+    /// continues from the loaded checkpoint so earlier stages' state stays
+    /// in the file.
+    draft: Option<Checkpoint>,
+}
+
+impl<'a> Run<'a> {
+    fn new(options: &'a FlowOptions, exec: ExecContext) -> Self {
+        Self {
+            options,
+            exec,
+            diagnostics: FlowDiagnostics::with_limit(options.diagnostics_limit),
+            timings: StageTimings::new(),
+            draft: None,
         }
-        shaped.clone_from(&state.shaped);
-        shaping = state.stats;
-    } else {
-        let t_shape = Instant::now();
-        let s_shape = cp_trace::span(stages::SHAPING);
-        let shapeable = clustered.shapeable_clusters(options.vpr_min_instances);
-        match &options.shape_mode {
-            ShapeMode::Uniform => {}
+    }
+
+    fn passive(options: &'a FlowOptions) -> Self {
+        Self::new(options, ExecContext::passive())
+    }
+
+    /// Stage-boundary interruption check (counted); on interruption builds
+    /// the typed flow error carrying everything collected so far.
+    fn check(&mut self, site: &'static str, stage: &'static str) -> Result<(), FlowError> {
+        self.exec
+            .control
+            .check(site)
+            .map_err(|interrupt| self.interrupt_error(interrupt, stage, None))
+    }
+
+    /// Records the interruption's recovery event and wraps it, the
+    /// diagnostics so far, the placer's best-so-far snapshot (when the
+    /// placer was what got interrupted) and the checkpoint path into the
+    /// typed flow error.
+    fn interrupt_error(
+        &mut self,
+        interrupt: Interrupt,
+        stage: &'static str,
+        best: Option<BestSnapshot>,
+    ) -> FlowError {
+        match interrupt.kind {
+            InterruptKind::Cancelled => self.diagnostics.record(RecoveryEvent::Cancelled {
+                site: interrupt.site,
+            }),
+            InterruptKind::DeadlineExceeded => {
+                self.diagnostics.record(RecoveryEvent::DeadlineExceeded {
+                    site: interrupt.site,
+                });
+            }
+            InterruptKind::BudgetExceeded => {}
+        }
+        FlowError::from_interrupted(InterruptedFlow {
+            interrupt,
+            stage,
+            diagnostics: self.diagnostics.clone(),
+            best,
+            checkpoint: self.exec.checkpoint_path.clone(),
+        })
+    }
+
+    /// Runs `work` as the named stage: under the stage span, its wall
+    /// clock recorded on the timings. A stage's preparation (seeds,
+    /// regions, timing weights — which opens `sta.*` spans of its own)
+    /// stays outside, so the trace tree has it beside the stage span, not
+    /// under it.
+    fn timed<T>(
+        &mut self,
+        stage: &'static str,
+        work: impl FnOnce(&mut Self) -> Result<T, FlowError>,
+    ) -> Result<T, FlowError> {
+        let started = Instant::now();
+        let span = cp_trace::span(stage);
+        let output = work(self)?;
+        drop(span);
+        self.timings.record(stage, started);
+        Ok(output)
+    }
+
+    /// Marks `stage` complete on the checkpoint draft, lets `fill` store
+    /// the stage's output in it and persists it. A no-op when
+    /// checkpointing is off. A failed write is reported as telemetry but
+    /// never fails the flow — the run's result outranks its checkpoint.
+    fn checkpoint(&mut self, stage: &'static str, fill: impl FnOnce(&mut Checkpoint)) {
+        let (Some(path), Some(cp)) = (self.exec.checkpoint_path.as_ref(), self.draft.as_mut())
+        else {
+            return;
+        };
+        cp.stage = stage;
+        fill(cp);
+        cp.events.clone_from(&self.diagnostics.events);
+        cp.dropped = self.diagnostics.dropped;
+        match cp.save(path) {
+            Ok(()) => self
+                .diagnostics
+                .record(RecoveryEvent::CheckpointWritten { stage }),
+            Err(_reason) => {
+                cp_trace::instant(
+                    "recovery.checkpoint_failed",
+                    &[("stage", ArgValue::S(stage))],
+                );
+            }
+        }
+    }
+
+    /// The flow's one global-placement call. Field frames are scoped to
+    /// the placer call alone: shaping must not open a scope (the flow
+    /// thread takes a share of the V-P&R fan-out and would record
+    /// candidate frames) and neither does the congestion re-place. An
+    /// interrupted placement becomes the flow-level interrupt, keeping the
+    /// placer's best-so-far snapshot; a divergence revert is recorded.
+    fn place(
+        &mut self,
+        stage: &'static str,
+        problem: &PlacementProblem,
+    ) -> Result<PlacementResult, FlowError> {
+        let fields_scope = cp_trace::fields::scope(stage);
+        let placed =
+            GlobalPlacer::new(self.options.placer).place_with_control(problem, &self.exec.control);
+        drop(fields_scope);
+        let placed = match placed {
+            Ok(placed) => placed,
+            Err(PlaceError::Interrupted {
+                interrupt, best, ..
+            }) => return Err(self.interrupt_error(interrupt, stage, best)),
+            Err(other) => return Err(FlowError::Place(other)),
+        };
+        if placed.diverged {
+            self.diagnostics
+                .record(RecoveryEvent::PlacerReverted { stage });
+        }
+        Ok(placed)
+    }
+
+    /// Algorithm 1, once, for every entry point. `clusters` says where the
+    /// assignment comes from; everything else — which stages are restored
+    /// from a checkpoint, whether anything can interrupt, where checkpoints
+    /// go — is in the execution context.
+    fn drive(
+        mut self,
+        netlist: &Netlist,
+        constraints: &Constraints,
+        clusters: Clusters<'_>,
+        cache: &mut SubnetlistCache,
+    ) -> Result<FlowReport, FlowError> {
+        let options = self.options;
+        self.check(sites::FLOW_START, stages::CLUSTERING)?;
+        let root = cp_trace::span(match clusters {
+            Clusters::Flat => stages::FLOW_FLAT,
+            _ => stages::FLOW_CLUSTERED,
+        });
+        let resume = self.exec.resume.take();
+
+        // Lines 2-9: the cluster assignment.
+        let clustering;
+        let (assignment, clustering_runtime) = match clusters {
+            Clusters::Flat => (None, 0.0),
+            Clusters::Given(assignment, runtime) => (Some(assignment), runtime),
+            Clusters::PpaAware => match &resume {
+                Some(cp) => (Some(cp.assignment.as_slice()), cp.clustering_runtime),
+                None => {
+                    clustering = self.timed(stages::CLUSTERING, |run| {
+                        ppa_aware_clustering(netlist, constraints, &run.options.clustering)
+                    })?;
+                    (Some(clustering.assignment.as_slice()), clustering.runtime)
+                }
+            },
+        };
+        if let Some(mismatched) = assignment.filter(|a| a.len() != netlist.cell_count()) {
+            return Err(FlowError::Validation(
+                ValidationError::AssignmentLengthMismatch {
+                    assignment: mismatched.len(),
+                    cells: netlist.cell_count(),
+                },
+            ));
+        }
+        let fp = validated_floorplan(netlist, constraints, options)?;
+        if let Some(cp) = &resume {
+            self.diagnostics.restore(cp.events.clone(), cp.dropped);
+            self.diagnostics
+                .record(RecoveryEvent::Resumed { stage: cp.stage });
+        }
+        if let (Some(_), Some(assignment)) = (&self.exec.checkpoint_path, assignment) {
+            self.draft = Some(match &resume {
+                Some(cp) => cp.clone(),
+                None => Checkpoint::after_clustering(
+                    self.exec.fingerprint,
+                    assignment.to_vec(),
+                    clustering_runtime,
+                ),
+            });
+        }
+        if resume.is_none() {
+            self.checkpoint(stages::CLUSTERING, |_| {});
+        }
+        // `FlowReport::placement_runtime` runs from here to the end of
+        // legalize+refine, in both flows.
+        let placement_clock = Instant::now();
+
+        // Lines 10-14, skipped by the flat baseline: clustered netlist,
+        // cluster shapes, cluster seed placement.
+        let (mut cluster_count, mut shaping) = (0, ShapingStats::default());
+        let mut seed = None;
+        if let Some(assignment) = assignment {
+            self.check(sites::FLOW_SHAPING, stages::SHAPING)?;
+            let mut clustered = ClusteredNetlist::from_assignment(netlist, assignment);
+            let shapes = match resume.as_ref().and_then(|r| r.shaping.as_ref()) {
+                Some(state) => state.clone(),
+                None => {
+                    let state = self.timed(stages::SHAPING, |run| {
+                        run.select_shapes(netlist, &clustered, cache)
+                    })?;
+                    self.checkpoint(stages::SHAPING, |cp| cp.shaping = Some(state.clone()));
+                    state
+                }
+            };
+            for &(c, shape) in &shapes.shapes {
+                clustered.set_shape(c, shape);
+            }
+            (cluster_count, shaping) = (clustered.cluster_count(), shapes.stats);
+            qor::record_shaping(cluster_count, &shaping);
+            qor::record_heap();
+
+            // Lines 15-25: seeded placement.
+            if options.tool == Tool::OpenRoadLike {
+                clustered.scale_io_net_weights(options.io_weight);
+            }
+            self.check(sites::FLOW_CLUSTER_PLACEMENT, stages::CLUSTER_PLACEMENT)?;
+            let cluster_problem = PlacementProblem::from_clustered(&clustered, &fp);
+            let centers = match resume.as_ref().and_then(|r| r.cluster_placement.as_ref()) {
+                Some(state) => state.positions.clone(),
+                None => {
+                    let placed = self.timed(stages::CLUSTER_PLACEMENT, |run| {
+                        run.place(stages::CLUSTER_PLACEMENT, &cluster_problem)
+                    })?;
+                    self.checkpoint(stages::CLUSTER_PLACEMENT, |cp| {
+                        cp.cluster_placement = Some(PlacementState {
+                            positions: placed.positions.clone(),
+                            diverged: placed.diverged,
+                        });
+                    });
+                    placed.positions
+                }
+            };
+            qor::record_placement_hpwl(qor::CLUSTER_PLACEMENT_HPWL, &cluster_problem, &centers);
+            seed = Some((clustered, centers, shapes.shaped));
+        }
+
+        self.check(sites::FLOW_FLAT_PLACEMENT, stages::FLAT_PLACEMENT)?;
+        // Line 20: region constraints are removed before legalization/routing,
+        // so downstream stages always work on the free problem — in the
+        // flat flow too, where it is also the problem that gets placed
+        // (borrowed: a copy is made only to attach timing weights).
+        let free_problem = PlacementProblem::from_netlist(netlist, &fp);
+        let mut positions = match resume.as_ref().and_then(|r| r.flat_placement.as_ref()) {
+            Some(state) => state.positions.clone(),
+            None => {
+                // The clustered netlist is dropped here, before the placer
+                // allocates.
+                let mut problem = match seed {
+                    Some((clustered, centers, shaped)) => {
+                        Cow::Owned(self.seeded_problem(netlist, &fp, &clustered, &centers, &shaped))
+                    }
+                    None => Cow::Borrowed(&free_problem),
+                };
+                if options.timing_driven {
+                    problem.to_mut().net_weights = timing_net_weights(netlist, constraints)?;
+                }
+                let (positions, diverged) = self.timed(stages::FLAT_PLACEMENT, |run| {
+                    let placed = run.place(stages::FLAT_PLACEMENT, &problem)?;
+                    let mut positions = placed.positions;
+                    if options.congestion_driven {
+                        positions = congestion_driven_refine(
+                            netlist,
+                            &fp,
+                            &free_problem,
+                            positions,
+                            options,
+                            &mut run.diagnostics,
+                        )?;
+                    }
+                    Ok((positions, placed.diverged))
+                })?;
+                self.checkpoint(stages::FLAT_PLACEMENT, |cp| {
+                    cp.flat_placement = Some(PlacementState {
+                        positions: positions.clone(),
+                        diverged,
+                    });
+                });
+                positions
+            }
+        };
+        qor::record_placement_hpwl(qor::FLAT_PLACEMENT_HPWL, &free_problem, &positions);
+        qor::record_heap();
+
+        self.check(sites::FLOW_LEGALIZE, stages::LEGALIZE_REFINE)?;
+        self.timed(stages::LEGALIZE_REFINE, |_| {
+            legalize(&free_problem, &fp, &mut positions)?;
+            refine(
+                &free_problem,
+                &fp,
+                &mut positions,
+                &DetailedOptions::default(),
+            );
+            Ok(())
+        })?;
+        let placement_runtime = placement_clock.elapsed().as_secs_f64();
+        let hpwl = raw_hpwl(&free_problem, &positions);
+        cp_trace::gauge_set(qor::LEGALIZED_HPWL, hpwl);
+        qor::record_heap();
+
+        self.check(sites::FLOW_PPA, stages::PPA)?;
+        let ppa = self.timed(stages::PPA, |_| {
+            evaluate_ppa(netlist, constraints, &positions, &fp, options)
+        })?;
+        let trace = cp_trace::take_report(root);
+        self.timings.finalize(trace.as_ref(), clustering_runtime);
+        Ok(FlowReport {
+            hpwl,
+            cluster_count,
+            clustering_runtime,
+            placement_runtime,
+            ppa,
+            diagnostics: self.diagnostics,
+            timings: self.timings,
+            shaping,
+            trace,
+        })
+    }
+
+    /// Lines 12-13: picks a shape for every shapeable cluster (for none in
+    /// `Uniform` mode). Sub-netlists come from the shared cache (extraction
+    /// is sequential: the cache is `&mut`), so repeated runs over the same
+    /// assignment induce each cluster once.
+    fn select_shapes(
+        &mut self,
+        netlist: &Netlist,
+        clustered: &ClusteredNetlist,
+        cache: &mut SubnetlistCache,
+    ) -> Result<ShapingState, FlowError> {
+        let (hits0, misses0) = (cache.hits(), cache.misses());
+        let shapeable = clustered.shapeable_clusters(self.options.vpr_min_instances);
+        let mut stats = ShapingStats::default();
+        let shapes: Vec<(u32, ClusterShape)> = match &self.options.shape_mode {
+            ShapeMode::Uniform => Vec::new(),
             ShapeMode::Random(seed) => {
                 let mut rng = StdRng::seed_from_u64(*seed);
                 let cands = ClusterShape::candidates();
-                for &c in &shapeable {
-                    clustered.set_shape(c, cands[rng.random_range(0..cands.len())]);
-                    shaped.push(c);
-                }
+                let mut pick = |&c| (c, cands[rng.random_range(0..cands.len())]);
+                shapeable.iter().map(&mut pick).collect()
             }
-            mode @ (ShapeMode::Vpr | ShapeMode::VprMl(_) | ShapeMode::Hybrid { .. }) => {
+            mode => {
                 let subs: Vec<Option<std::sync::Arc<Netlist>>> = shapeable
                     .iter()
                     .map(|&c| cache.get_or_extract(netlist, clustered.cells(c)).ok())
@@ -983,335 +1100,190 @@ fn flow_with_assignment_traced(
                     .filter(|(_, sub)| sub.is_some())
                     .map(|(&c, _)| c)
                     .collect();
-                let candidate_count = ClusterShape::candidates().len();
-                let picked: Vec<Option<ClusterShape>> = match mode {
-                    ShapeMode::Vpr => {
-                        let idx: Vec<usize> = (0..present.len()).collect();
-                        let results = cp_parallel::try_par_map(&idx, 1, &exec.control, |&i| {
-                            let _span = cp_trace::span_with(
-                                stages::SPAN_VPR_CLUSTER,
-                                &[
-                                    ("cluster", ArgValue::U(present_ids[i] as u64)),
-                                    ("ranker", ArgValue::S("exact")),
-                                ],
-                            );
-                            best_shape_with_control(present[i], &options.vpr, Some(&exec.control))
-                                .map(|(shape, _)| shape)
-                        })
-                        .map_err(|e| exec.region_error(e, stages::SHAPING, &mut diagnostics))?;
-                        let mut shapes = Vec::with_capacity(results.len());
-                        for r in results {
-                            match r {
-                                Ok(shape) => shapes.push(Some(shape)),
-                                Err(e) => match shape_interrupt(&e) {
-                                    Some(interrupt) => {
-                                        return Err(exec.interrupt_error(
-                                            interrupt,
-                                            stages::SHAPING,
-                                            &mut diagnostics,
-                                            None,
-                                        ))
-                                    }
-                                    None => shapes.push(None),
-                                },
-                            }
-                        }
-                        shaping.exact_evals += shapes.iter().flatten().count() * candidate_count;
-                        shapes
-                    }
-                    ShapeMode::VprMl(selector) => {
-                        if !present.is_empty() {
-                            shaping.surrogate_batches += 1;
-                            shaping.surrogate_samples += present.len() * candidate_count;
-                        }
-                        let picks = selector.select_shapes_batched(&present);
-                        if cp_trace::enabled() {
-                            // The batch scores all clusters in one forward pass,
-                            // so per-cluster attribution is an instant, not a span.
-                            for &c in &present_ids {
-                                cp_trace::instant(
-                                    stages::SPAN_VPR_CLUSTER,
-                                    &[
-                                        ("cluster", ArgValue::U(c as u64)),
-                                        ("ranker", ArgValue::S("surrogate")),
-                                    ],
-                                );
-                            }
-                        }
-                        picks.into_iter().map(Some).collect()
-                    }
-                    ShapeMode::Hybrid { selector, top_k } => {
-                        let surrogate: Option<Vec<Vec<f64>>> = selector.as_ref().map(|sel| {
-                            if !present.is_empty() {
-                                shaping.surrogate_batches += 1;
-                                shaping.surrogate_samples += present.len() * candidate_count;
-                            }
-                            sel.predicted_candidate_costs(&present)
-                        });
-                        let ranker = if surrogate.is_some() {
-                            "surrogate"
-                        } else {
-                            "proxy"
-                        };
-                        let idx: Vec<usize> = (0..present.len()).collect();
-                        let results = cp_parallel::try_par_map(&idx, 1, &exec.control, |&i| {
-                            let _span = cp_trace::span_with(
-                                stages::SPAN_VPR_CLUSTER,
-                                &[
-                                    ("cluster", ArgValue::U(present_ids[i] as u64)),
-                                    ("ranker", ArgValue::S(ranker)),
-                                ],
-                            );
-                            let costs = surrogate.as_ref().map(|m| m[i].as_slice());
-                            best_shape_hybrid_with_control(
-                                present[i],
-                                &options.vpr,
-                                *top_k,
-                                costs,
-                                Some(&exec.control),
-                            )
-                        })
-                        .map_err(|e| exec.region_error(e, stages::SHAPING, &mut diagnostics))?;
-                        let mut shapes = Vec::with_capacity(results.len());
-                        for r in results {
-                            match r {
-                                Ok((shape, _, stats)) => {
-                                    shaping.absorb(&stats);
-                                    shapes.push(Some(shape));
-                                }
-                                Err(e) => match shape_interrupt(&e) {
-                                    Some(interrupt) => {
-                                        return Err(exec.interrupt_error(
-                                            interrupt,
-                                            stages::SHAPING,
-                                            &mut diagnostics,
-                                            None,
-                                        ))
-                                    }
-                                    None => shapes.push(None),
-                                },
-                            }
-                        }
-                        shapes
-                    }
-                    _ => unreachable!("outer match binds only V-P&R modes"),
-                };
-                let mut picked = picked.into_iter();
+                let mut picked = self
+                    .search_shapes(mode, &present, &present_ids, &mut stats)?
+                    .into_iter();
+                let mut shapes = Vec::with_capacity(shapeable.len());
                 for (&c, sub) in shapeable.iter().zip(&subs) {
-                    let shape = match sub {
+                    let pick = match sub {
                         Some(_) => picked.next().flatten(),
                         None => None,
                     };
-                    match shape {
-                        Some(shape) => clustered.set_shape(c, shape),
-                        None => diagnostics.record(RecoveryEvent::ShapeFallback { cluster: c }),
+                    if pick.is_none() {
+                        self.diagnostics
+                            .record(RecoveryEvent::ShapeFallback { cluster: c });
                     }
-                    shaped.push(c);
+                    shapes.push((c, pick.unwrap_or(clustered.shape(c))));
+                }
+                shapes
+            }
+        };
+        stats.clusters_shaped = shapes.len();
+        stats.subnetlist_cache_hits = cache.hits() - hits0;
+        stats.subnetlist_cache_misses = cache.misses() - misses0;
+        Ok(ShapingState {
+            shaped: shapes.iter().map(|&(c, _)| c).collect(),
+            shapes,
+            stats,
+        })
+    }
+
+    /// The V-P&R modes' shape search: one pick per sub-netlist in
+    /// `present` (`None` when the search failed and the cluster keeps the
+    /// uniform shape). Clusters are independent V-P&R problems, so the
+    /// exact and hybrid modes fan the per-cluster work out in parallel and
+    /// collect the picks sequentially in cluster order — diagnostics and
+    /// shape assignment match the serial loop exactly.
+    fn search_shapes(
+        &mut self,
+        mode: &ShapeMode,
+        present: &[&Netlist],
+        present_ids: &[u32],
+        stats: &mut ShapingStats,
+    ) -> Result<Vec<Option<ClusterShape>>, FlowError> {
+        let candidate_count = ClusterShape::candidates().len();
+        let mut count_batch = || {
+            if !present.is_empty() {
+                stats.surrogate_batches += 1;
+                stats.surrogate_samples += present.len() * candidate_count;
+            }
+        };
+        if let ShapeMode::VprMl(selector) = mode {
+            count_batch();
+            let picks = selector.select_shapes_batched(present);
+            if cp_trace::enabled() {
+                // The batch scores all clusters in one forward pass,
+                // so per-cluster attribution is an instant, not a span.
+                for &c in present_ids {
+                    cp_trace::instant(
+                        stages::SPAN_VPR_CLUSTER,
+                        &[
+                            ("cluster", ArgValue::U(c as u64)),
+                            ("ranker", ArgValue::S("surrogate")),
+                        ],
+                    );
                 }
             }
+            return Ok(picks.into_iter().map(Some).collect());
         }
-        shaping.clusters_shaped = shaped.len();
-        shaping.subnetlist_cache_hits = cache.hits() - hits0;
-        shaping.subnetlist_cache_misses = cache.misses() - misses0;
-        drop(s_shape);
-        timings.record(stages::SHAPING, t_shape);
-        if let Some(cp) = &mut draft {
-            cp.stage = stages::SHAPING;
-            cp.shaping = Some(ShapingState {
-                shapes: shaped.iter().map(|&c| (c, clustered.shape(c))).collect(),
-                shaped: shaped.clone(),
-                stats: shaping,
-            });
-        }
-        exec.save_draft(&mut draft, &mut diagnostics);
-    }
-    qor::record_shaping(clustered.cluster_count(), &shaping);
-    qor::record_heap();
-
-    // Lines 15-25: seeded placement.
-    if options.tool == Tool::OpenRoadLike {
-        clustered.scale_io_net_weights(options.io_weight);
-    }
-    exec.check(
-        sites::FLOW_CLUSTER_PLACEMENT,
-        stages::CLUSTER_PLACEMENT,
-        &mut diagnostics,
-    )?;
-    let cluster_problem = PlacementProblem::from_clustered(&clustered, &fp);
-    let cluster_positions: Vec<(f64, f64)> =
-        if let Some(state) = resume.as_ref().and_then(|r| r.cluster_placement.as_ref()) {
-            state.positions.clone()
-        } else {
-            let t_cluster = Instant::now();
-            let s_cluster = cp_trace::span(stages::CLUSTER_PLACEMENT);
-            let fields_scope = cp_trace::fields::scope(stages::CLUSTER_PLACEMENT);
-            let placement = GlobalPlacer::new(options.placer)
-                .place_with_control(&cluster_problem, &exec.control)
-                .map_err(|e| exec.place_error(e, stages::CLUSTER_PLACEMENT, &mut diagnostics))?;
-            drop(fields_scope);
-            if placement.diverged {
-                diagnostics.record(RecoveryEvent::PlacerReverted {
-                    stage: stages::CLUSTER_PLACEMENT,
-                });
-            }
-            drop(s_cluster);
-            timings.record(stages::CLUSTER_PLACEMENT, t_cluster);
-            if let Some(cp) = &mut draft {
-                cp.stage = stages::CLUSTER_PLACEMENT;
-                cp.cluster_placement = Some(PlacementState {
-                    positions: placement.positions.clone(),
-                    diverged: placement.diverged,
-                });
-            }
-            exec.save_draft(&mut draft, &mut diagnostics);
-            placement.positions
+        // The exact sweep is the hybrid search keeping every candidate:
+        // from `top_k = 20` up `best_shape_hybrid_with_control` runs the
+        // plain 20-candidate sweep and ranks nothing.
+        let (selector, top_k, unranked) = match mode {
+            ShapeMode::Hybrid { selector, top_k } => (selector.as_deref(), *top_k, "proxy"),
+            _ => (None, candidate_count, "exact"),
         };
-    qor::record_placement_hpwl(
-        qor::CLUSTER_PLACEMENT_HPWL,
-        &cluster_problem,
-        &cluster_positions,
-    );
+        let surrogate: Option<Vec<Vec<f64>>> = selector.map(|sel| {
+            count_batch();
+            sel.predicted_candidate_costs(present)
+        });
+        let ranker = match surrogate {
+            Some(_) => "surrogate",
+            None => unranked,
+        };
+        let (vpr, control) = (&self.options.vpr, &self.exec.control);
+        let idx: Vec<usize> = (0..present.len()).collect();
+        let results = cp_parallel::try_par_map(&idx, 1, control, |&i| {
+            let _span = cp_trace::span_with(
+                stages::SPAN_VPR_CLUSTER,
+                &[
+                    ("cluster", ArgValue::U(present_ids[i] as u64)),
+                    ("ranker", ArgValue::S(ranker)),
+                ],
+            );
+            let costs = surrogate.as_ref().map(|m| m[i].as_slice());
+            best_shape_hybrid_with_control(present[i], vpr, top_k, costs, Some(control))
+        });
+        // A contained worker panic becomes `FlowError::WorkerPanic`, an
+        // interruption of the region the flow-level interrupt.
+        let results = results.map_err(|e| match e {
+            RegionError::Panicked { message } => FlowError::WorkerPanic {
+                stage: stages::SHAPING,
+                message,
+            },
+            RegionError::Interrupted(interrupt) => {
+                self.interrupt_error(interrupt, stages::SHAPING, None)
+            }
+        })?;
+        let mut picked = Vec::with_capacity(results.len());
+        for r in results {
+            match r {
+                Ok((shape, _, search)) => {
+                    stats.absorb(&search);
+                    picked.push(Some(shape));
+                }
+                Err(e) => match shape_interrupt(&e) {
+                    Some(interrupt) => {
+                        return Err(self.interrupt_error(interrupt, stages::SHAPING, None))
+                    }
+                    None => picked.push(None),
+                },
+            }
+        }
+        Ok(picked)
+    }
 
-    exec.check(
-        sites::FLOW_FLAT_PLACEMENT,
-        stages::FLAT_PLACEMENT,
-        &mut diagnostics,
-    )?;
-    // Line 20: region constraints are removed before legalization/routing,
-    // so downstream stages always work on the free problem.
-    let free_problem = PlacementProblem::from_netlist(netlist, &fp);
-    let mut positions: Vec<(f64, f64)> =
-        if let Some(state) = resume.as_ref().and_then(|r| r.flat_placement.as_ref()) {
-            state.positions.clone()
-        } else {
-            // Instances at their cluster centers, with a deterministic
-            // in-cluster jitter so the B2B linearization is non-degenerate.
-            let mut seeds = vec![(0.0, 0.0); netlist.cell_count()];
-            for (i, &c) in clustered.cluster_of_cell().iter().enumerate() {
-                let center = cluster_positions[c as usize];
+    /// Lines 15-18: the flat problem seeded from the placed clusters —
+    /// instances at their cluster centers, with a deterministic in-cluster
+    /// jitter so the B2B linearization is non-degenerate, and in the
+    /// Innovus-like recipe a region constraint around every shaped
+    /// cluster.
+    fn seeded_problem(
+        &mut self,
+        netlist: &Netlist,
+        fp: &Floorplan,
+        clustered: &ClusteredNetlist,
+        centers: &[(f64, f64)],
+        shaped: &[u32],
+    ) -> PlacementProblem {
+        let mut seeds = vec![(0.0, 0.0); netlist.cell_count()];
+        for (i, &c) in clustered.cluster_of_cell().iter().enumerate() {
+            let center = centers[c as usize];
+            let (w, h) = clustered.dims(c);
+            let golden = (i as f64 * 0.618_033_988_749_895).fract() - 0.5;
+            let golden2 = (i as f64 * 0.381_966_011_250_105).fract() - 0.5;
+            seeds[i] = fp.core.clamp(center.0 + golden * w, center.1 + golden2 * h);
+        }
+        let mut problem = PlacementProblem::from_netlist(netlist, fp).with_seeds(seeds);
+        if self.options.tool == Tool::InnovusLike {
+            // Line 18: region constraints for shaped clusters.
+            for &c in shaped {
                 let (w, h) = clustered.dims(c);
-                let golden = (i as f64 * 0.618_033_988_749_895).fract() - 0.5;
-                let golden2 = (i as f64 * 0.381_966_011_250_105).fract() - 0.5;
-                seeds[i] = fp.core.clamp(center.0 + golden * w, center.1 + golden2 * h);
-            }
-
-            let mut flat_problem = PlacementProblem::from_netlist(netlist, &fp).with_seeds(seeds);
-            if options.timing_driven {
-                flat_problem.net_weights = timing_net_weights(netlist, constraints)?;
-            }
-            if options.tool == Tool::InnovusLike {
-                // Line 18: region constraints for shaped clusters.
-                for &c in &shaped {
-                    let (w, h) = clustered.dims(c);
-                    let (cx, cy) = cluster_positions[c as usize];
-                    // Regions get 25% slack over the macro footprint so
-                    // clusters whose seed placements overlap slightly
-                    // still have room.
-                    let (hw, hh) = (w * 0.625, h * 0.625);
-                    let region = Rect {
-                        llx: (cx - hw).max(fp.core.llx),
-                        lly: (cy - hh).max(fp.core.lly),
-                        urx: (cx + hw).min(fp.core.urx),
-                        ury: (cy + hh).min(fp.core.ury),
-                    };
-                    // A region clamped down to less than its cluster's
-                    // cell area (or collapsed entirely) would wedge the
-                    // spreader against an unsatisfiable constraint — drop
-                    // it instead and let those cells place freely.
-                    let member_area: f64 = clustered
-                        .cells(c)
-                        .iter()
-                        .map(|&cell| flat_problem.movable[cell.index()].area())
-                        .sum();
-                    let feasible = region.width() > 0.0
-                        && region.height() > 0.0
-                        && region.width() * region.height() >= member_area;
-                    if !feasible {
-                        diagnostics.record(RecoveryEvent::RegionDropped { cluster: c });
-                        continue;
-                    }
-                    for &cell in clustered.cells(c) {
-                        flat_problem.set_region(cell.index(), region);
-                    }
+                let (cx, cy) = centers[c as usize];
+                // Regions get 25% slack over the macro footprint so
+                // clusters whose seed placements overlap slightly
+                // still have room.
+                let (hw, hh) = (w * 0.625, h * 0.625);
+                let region = Rect {
+                    llx: (cx - hw).max(fp.core.llx),
+                    lly: (cy - hh).max(fp.core.lly),
+                    urx: (cx + hw).min(fp.core.urx),
+                    ury: (cy + hh).min(fp.core.ury),
+                };
+                // A region clamped down to less than its cluster's
+                // cell area (or collapsed entirely) would wedge the
+                // spreader against an unsatisfiable constraint — drop
+                // it instead and let those cells place freely.
+                let member_area: f64 = clustered
+                    .cells(c)
+                    .iter()
+                    .map(|&cell| problem.movable[cell.index()].area())
+                    .sum();
+                let feasible = region.width() > 0.0
+                    && region.height() > 0.0
+                    && region.width() * region.height() >= member_area;
+                if !feasible {
+                    self.diagnostics
+                        .record(RecoveryEvent::RegionDropped { cluster: c });
+                    continue;
+                }
+                for &cell in clustered.cells(c) {
+                    problem.set_region(cell.index(), region);
                 }
             }
-            let t_flat = Instant::now();
-            let s_flat = cp_trace::span(stages::FLAT_PLACEMENT);
-            let fields_scope = cp_trace::fields::scope(stages::FLAT_PLACEMENT);
-            let result = GlobalPlacer::new(options.placer)
-                .place_with_control(&flat_problem, &exec.control)
-                .map_err(|e| exec.place_error(e, stages::FLAT_PLACEMENT, &mut diagnostics))?;
-            drop(fields_scope);
-            if result.diverged {
-                diagnostics.record(RecoveryEvent::PlacerReverted {
-                    stage: stages::FLAT_PLACEMENT,
-                });
-            }
-            let diverged = result.diverged;
-            let mut positions = result.positions;
-            if options.congestion_driven {
-                positions = congestion_driven_refine(
-                    netlist,
-                    &fp,
-                    &free_problem,
-                    positions,
-                    options,
-                    &mut diagnostics,
-                )?;
-            }
-            drop(s_flat);
-            timings.record(stages::FLAT_PLACEMENT, t_flat);
-            if let Some(cp) = &mut draft {
-                cp.stage = stages::FLAT_PLACEMENT;
-                cp.flat_placement = Some(PlacementState {
-                    positions: positions.clone(),
-                    diverged,
-                });
-            }
-            exec.save_draft(&mut draft, &mut diagnostics);
-            positions
-        };
-    qor::record_placement_hpwl(qor::FLAT_PLACEMENT_HPWL, &free_problem, &positions);
-    qor::record_heap();
-    exec.check(
-        sites::FLOW_LEGALIZE,
-        stages::LEGALIZE_REFINE,
-        &mut diagnostics,
-    )?;
-    let t_leg = Instant::now();
-    let s_leg = cp_trace::span(stages::LEGALIZE_REFINE);
-    legalize(&free_problem, &fp, &mut positions)?;
-    refine(
-        &free_problem,
-        &fp,
-        &mut positions,
-        &DetailedOptions::default(),
-    );
-    drop(s_leg);
-    timings.record(stages::LEGALIZE_REFINE, t_leg);
-    let placement_runtime = t0.elapsed().as_secs_f64();
-    let hpwl = raw_hpwl(&free_problem, &positions);
-    cp_trace::gauge_set(qor::LEGALIZED_HPWL, hpwl);
-    qor::record_heap();
-    exec.check(sites::FLOW_PPA, stages::PPA, &mut diagnostics)?;
-    let t_ppa = Instant::now();
-    let s_ppa = cp_trace::span(stages::PPA);
-    let ppa = evaluate_ppa(netlist, constraints, &positions, &fp, options)?;
-    drop(s_ppa);
-    timings.record(stages::PPA, t_ppa);
-    let trace = cp_trace::take_report(root);
-    timings.finalize(trace.as_ref(), clustering_runtime);
-    Ok(FlowReport {
-        hpwl,
-        cluster_count: clustered.cluster_count(),
-        clustering_runtime,
-        placement_runtime,
-        ppa,
-        diagnostics,
-        timings,
-        shaping,
-        trace,
-    })
+        }
+        problem
+    }
 }
 
 /// Timing-criticality net weights for the flat hypergraph
@@ -1455,19 +1427,6 @@ pub fn evaluate_ppa(
     qor::record_ppa(&report);
     qor::record_heap();
     Ok(report)
-}
-
-/// Seed-position helper exposed for examples: each cell at its cluster's
-/// placed center.
-pub fn cluster_center_seeds(
-    clustered: &ClusteredNetlist,
-    cluster_positions: &[(f64, f64)],
-) -> Vec<(f64, f64)> {
-    clustered
-        .cluster_of_cell()
-        .iter()
-        .map(|&c| cluster_positions[c as usize])
-        .collect()
 }
 
 /// Looks up the member cells of every cluster (inverse of the assignment).
@@ -1637,21 +1596,6 @@ mod helper_tests {
     }
 
     #[test]
-    fn cluster_center_seeds_follow_positions() {
-        let n = GeneratorConfig::from_profile(DesignProfile::Aes)
-            .scale(0.005)
-            .seed(2)
-            .generate();
-        let labels: Vec<u32> = (0..n.cell_count()).map(|i| (i % 2) as u32).collect();
-        let clustered = ClusteredNetlist::from_assignment(&n, &labels);
-        let centers = vec![(1.0, 2.0), (3.0, 4.0)];
-        let seeds = cluster_center_seeds(&clustered, &centers);
-        for (i, &s) in seeds.iter().enumerate() {
-            assert_eq!(s, centers[clustered.cluster_of_cell()[i] as usize]);
-        }
-    }
-
-    #[test]
     fn timing_driven_weights_change_the_placement() {
         let (n, c) = GeneratorConfig::from_profile(DesignProfile::Aes)
             .scale(0.01)
@@ -1667,6 +1611,36 @@ mod helper_tests {
         let w = timing_net_weights(&n, &c).expect("acyclic netlist");
         assert!(w.iter().all(|&x| (1.0..=3.0 + 1e-9).contains(&x)));
         assert!(w.iter().any(|&x| x > 1.0));
+    }
+
+    /// Everything downstream of global placement runs on the free problem
+    /// in the flat flow too (as it always did in the clustered one): the
+    /// timing weights steer the placer, not the legalizer or the detailed
+    /// refinement, so both flows get the same tail.
+    #[test]
+    fn timing_driven_flat_flow_legalizes_on_the_free_problem() {
+        let (n, c) = GeneratorConfig::from_profile(DesignProfile::Aes)
+            .scale(0.01)
+            .seed(34)
+            .generate_with_constraints();
+        let mut td = FlowOptions::fast();
+        td.timing_driven = true;
+        let report = run_default_flow(&n, &c, &td).expect("flow runs");
+        let fp = Floorplan::for_netlist(&n, td.utilization, td.aspect_ratio);
+        let free = PlacementProblem::from_netlist(&n, &fp);
+        let mut weighted = free.clone();
+        weighted.net_weights = timing_net_weights(&n, &c).expect("acyclic netlist");
+        let placed = GlobalPlacer::new(td.placer).place(&weighted);
+        let mut positions = placed.expect("well-formed problem places").positions;
+        legalize(&free, &fp, &mut positions).expect("legalizes");
+        refine(&free, &fp, &mut positions, &DetailedOptions::default());
+        assert_eq!(
+            report.hpwl.to_bits(),
+            raw_hpwl(&free, &positions).to_bits(),
+            "flow {} vs composed {}",
+            report.hpwl,
+            raw_hpwl(&free, &positions)
+        );
     }
 
     #[test]

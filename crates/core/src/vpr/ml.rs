@@ -11,7 +11,7 @@
 use crate::cluster::{ppa_aware_clustering, ClusteringOptions};
 use crate::error::FlowError;
 use crate::vpr::subnetlist::SubnetlistCache;
-use crate::vpr::{best_shape, ClusterVpr, VprOptions};
+use crate::vpr::{ClusterVpr, VprOptions};
 use cp_gnn::model::{ModelConfig, TotalCostModel};
 use cp_gnn::sample::GraphSample;
 use cp_gnn::sparse::SparseSym;
@@ -444,15 +444,6 @@ fn argmin(costs: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// Convenience used by ablations: exact V-P&R selection.
-///
-/// # Errors
-///
-/// Propagates the [`best_shape`] failure.
-pub fn select_shape_exact(sub: &Netlist, options: &VprOptions) -> Result<ClusterShape, FlowError> {
-    Ok(best_shape(sub, options)?.0)
 }
 
 #[cfg(test)]

@@ -190,58 +190,21 @@ impl<'a> ClusterVpr<'a> {
         shape: ClusterShape,
         options: &VprOptions,
     ) -> Result<ShapeCost, FlowError> {
-        if cp_resilience::faultpoint!(cp_resilience::sites::VPR_CANDIDATE_FAIL) {
-            return Err(FlowError::Place(PlaceError::InvalidInput {
-                reason: "injected fault: vpr.candidate.fail".to_string(),
-            }));
-        }
-        let sub = self.sub;
-        let fp = Floorplan::try_for_netlist(sub, shape.utilization, shape.aspect_ratio)?;
-        let problem = PlacementProblem::from_netlist(sub, &fp);
-        let placed = GlobalPlacer::new(options.placer).place(&problem)?;
-        let mut positions = placed.positions;
-        positions.extend_from_slice(&fp.port_positions);
-        let routed = route_placed_netlist(sub, &positions, &fp, &options.router)?;
-        let hpwl_avg = placed.hpwl / self.net_count as f64;
-        let hpwl_cost = hpwl_avg / (fp.core.width() + fp.core.height());
-        let congestion_cost = routed.congestion.top_percent_average(options.top_percent);
-        Ok(ShapeCost {
-            shape,
-            hpwl_cost,
-            congestion_cost,
-            total: hpwl_cost + options.delta * congestion_cost,
-        })
+        self.evaluate_inner(shape, options, None, 1.0, true)
+            .map(|(cost, _)| cost)
     }
 
-    /// [`Self::evaluate`] with two fast-path levers: an optional warm
-    /// start (the previous candidate's solution rescaled to this die,
-    /// engaging the placer's incremental mode) and an `effort` fraction in
-    /// `(0, 1]` scaling the placement iteration budget for successive
-    /// halving. With `effort = 1.0` and no warm start this is exactly
-    /// [`Self::evaluate`].
+    /// The one body behind every exact evaluation: [`Self::evaluate`] plus
+    /// the two fast-path levers of the successive-halving rounds — an
+    /// optional warm start (a previous candidate's solution rescaled to
+    /// this die, engaging the placer's incremental mode) and an `effort`
+    /// fraction in `(0, 1]` scaling the placement iteration budget. With
+    /// `route` off the congestion term is skipped (reported as 0): the
+    /// intermediate rounds only need relative order and re-score survivors
+    /// with routing in the final round.
     ///
     /// Returns the cost together with a [`WarmStart`] snapshot of the
     /// solved positions for the next candidate to reuse.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::Place`] / [`FlowError::Route`] when the virtual P&R
-    /// fails for this shape.
-    pub fn evaluate_warm(
-        &self,
-        shape: ClusterShape,
-        options: &VprOptions,
-        warm: Option<&WarmStart>,
-        effort: f64,
-    ) -> Result<(ShapeCost, WarmStart), FlowError> {
-        self.evaluate_inner(shape, options, warm, effort, true)
-    }
-
-    /// Shared body of [`Self::evaluate`]/[`Self::evaluate_warm`]. With
-    /// `route` off the congestion term is skipped (reported as 0) — used
-    /// by the intermediate successive-halving rounds, which only need
-    /// relative order and re-score survivors with routing in the final
-    /// round.
     fn evaluate_inner(
         &self,
         shape: ClusterShape,
@@ -262,24 +225,27 @@ impl<'a> ClusterVpr<'a> {
             problem = problem.with_seeds(w.rescaled_to(&fp.core));
         }
         // Effort scales every iteration budget, including the CG solve —
-        // the dominant per-iteration cost. At effort 1.0 this is the
-        // identity, so full-effort paths are unaffected.
-        let scale = |iters: usize| ((iters as f64 * effort).ceil() as usize).max(1);
-        let placer = PlacerOptions {
-            max_iterations: scale(options.placer.max_iterations),
-            incremental_iterations: scale(options.placer.incremental_iterations),
-            cg_iterations: scale(options.placer.cg_iterations),
-            ..options.placer
+        // the dominant per-iteration cost. Full effort takes the options
+        // as they are (the scaling's floor of one iteration would turn a
+        // zero budget into one).
+        let placer = if effort == 1.0 {
+            options.placer
+        } else {
+            let scale = |iters: usize| ((iters as f64 * effort).ceil() as usize).max(1);
+            PlacerOptions {
+                max_iterations: scale(options.placer.max_iterations),
+                incremental_iterations: scale(options.placer.incremental_iterations),
+                cg_iterations: scale(options.placer.cg_iterations),
+                ..options.placer
+            }
         };
         let placed = GlobalPlacer::new(placer).place(&problem)?;
-        let next_warm = WarmStart {
-            positions: placed.positions.clone(),
-            core: fp.core,
-        };
+        let mut positions = placed.positions;
         let congestion_cost = if route {
-            let mut positions = placed.positions;
+            let movables = positions.len();
             positions.extend_from_slice(&fp.port_positions);
             let routed = route_placed_netlist(sub, &positions, &fp, &options.router)?;
+            positions.truncate(movables);
             routed.congestion.top_percent_average(options.top_percent)
         } else {
             0.0
@@ -291,6 +257,10 @@ impl<'a> ClusterVpr<'a> {
             hpwl_cost,
             congestion_cost,
             total: hpwl_cost + options.delta * congestion_cost,
+        };
+        let next_warm = WarmStart {
+            positions,
+            core: fp.core,
         };
         Ok((cost, next_warm))
     }
@@ -673,19 +643,6 @@ mod tests {
         assert_eq!(stats.proxy_evals, 0);
         assert_eq!(stats.exact_evals, 2);
         assert_eq!(stats.exact_evals_avoided, 18);
-    }
-
-    #[test]
-    fn warm_evaluate_at_full_effort_matches_cold() {
-        let sub = cluster_sub();
-        let opts = VprOptions::default();
-        let ctx = ClusterVpr::new(&sub).expect("valid cluster");
-        let shape = ClusterShape::new(1.25, 0.8);
-        let cold = ctx.evaluate(shape, &opts).expect("cold evaluates");
-        let (warmless, _) = ctx
-            .evaluate_warm(shape, &opts, None, 1.0)
-            .expect("warmless evaluates");
-        assert_eq!(cold, warmless);
     }
 
     #[test]

@@ -269,11 +269,12 @@ impl PlacerBackend for EDensityBackend {
             for (r, q) in grid.sys.rhs_mut().iter_mut().zip(&grid.rho) {
                 *r = q - mean;
             }
-            grid.sys.solve_into_with_stats(
+            grid.sys.solve_into(
                 &mut grid.psi,
                 &mut grid.scratch,
                 POISSON_ITERS,
                 POISSON_TOL,
+                None,
             );
             // Field E = −∇ψ by central differences (one-sided at the
             // borders), serial over the ≤128² bins.

@@ -6,7 +6,9 @@ use crate::hpwl::raw_hpwl_soa;
 use crate::kernels;
 use crate::problem::PlacementProblem;
 use crate::soa::{PlacementSoa, VertexCoords};
-use crate::solver::{record_cg, Anchors, Axis, B2bRebuilder, CgOptions, CgScratch};
+use crate::solver::{
+    record_cg, Anchors, Axis, B2bRebuilder, CgOptions, CgScratch, IcPreconditioner,
+};
 use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_soa};
 use cp_resilience::RunControl;
 use cp_trace::ArgValue;
@@ -331,8 +333,9 @@ impl GlobalPlacer {
                                scratch: &mut CgScratch| {
                 let weight = &anchor_w;
                 rb.rebuild(problem, &pos, Some(Anchors { target, weight }));
-                rb.system()
-                    .solve_quiet(start, scratch, opt.cg_iterations, 1e-6, opt.cg)
+                let sys = rb.system();
+                let ic = opt.cg.precondition.then(|| IcPreconditioner::new(sys));
+                sys.cg(start, scratch, opt.cg_iterations, 1e-6, ic.as_ref())
             };
             let (cg_x, cg_y) = if m >= AXIS_TASK_MIN_MOVABLES {
                 cp_parallel::join(

@@ -83,8 +83,8 @@ pub struct CgStats {
 }
 
 /// Feeds one solve's stats into the metrics registry (no-op below trace
-/// level `Full`). The public solve entry points call it themselves; the
-/// placer's axis-parallel lower bound solves quietly on two threads and
+/// level `Full`). [`B2bSystem::solve_into`] calls it itself; the placer's
+/// axis-parallel lower bound runs [`B2bSystem::cg`] on two threads and
 /// records X then Y afterwards, so the registry sees one fixed order.
 pub(crate) fn record_cg(stats: &CgStats) {
     if !cp_trace::telemetry_enabled() {
@@ -492,23 +492,17 @@ impl B2bSystem {
         (&self.col_idx[entries.clone()], &self.val[entries])
     }
 
-    /// Solves with Jacobi-preconditioned CG from `x0`.
+    /// Solves with Jacobi-preconditioned CG from `x0` — the allocating
+    /// convenience over [`B2bSystem::solve_into`].
     ///
     /// The SpMV, dot products and vector updates run in parallel; dot
     /// products use fixed-order tree reductions and the element-wise
     /// kernels keep per-element arithmetic order, so the iterates are
     /// bit-identical for every thread count.
     pub fn solve(&self, x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
-        self.solve_with_stats(x0, max_iters, tol).0
-    }
-
-    /// [`B2bSystem::solve`] plus the convergence stats the flow's
-    /// telemetry channel reports per outer placement iteration.
-    pub fn solve_with_stats(&self, x0: &[f64], max_iters: usize, tol: f64) -> (Vec<f64>, CgStats) {
         let mut x = x0.to_vec();
-        let mut scratch = CgScratch::default();
-        let stats = self.solve_into_with_stats(&mut x, &mut scratch, max_iters, tol);
-        (x, stats)
+        self.solve_into(&mut x, &mut CgScratch::default(), max_iters, tol, None);
+        x
     }
 
     /// Assembles a system directly from CSR parts (used by the eDensity
@@ -592,57 +586,20 @@ impl B2bSystem {
 
     /// In-place CG solve: `x` holds the start on entry and the solution on
     /// exit, and all work vectors live in `scratch` — zero allocations
-    /// once the scratch has warmed up to the system size. Runs with
-    /// default [`CgOptions`].
-    pub fn solve_into_with_stats(
+    /// once the scratch has warmed up to the system size. Jacobi
+    /// preconditioning, or the caller-held IC(0) factorization when `ic`
+    /// is given (so benchmarks can time factor and solve apart). Returns
+    /// the convergence stats and reports them on the `place.cg.*`
+    /// telemetry channel.
+    pub fn solve_into(
         &self,
         x: &mut [f64],
         scratch: &mut CgScratch,
         max_iters: usize,
         tol: f64,
+        ic: Option<&IcPreconditioner>,
     ) -> CgStats {
-        self.solve_into_with_options(x, scratch, max_iters, tol, CgOptions::default())
-    }
-
-    /// [`B2bSystem::solve_into_with_stats`] with explicit [`CgOptions`].
-    pub fn solve_into_with_options(
-        &self,
-        x: &mut [f64],
-        scratch: &mut CgScratch,
-        max_iters: usize,
-        tol: f64,
-        opts: CgOptions,
-    ) -> CgStats {
-        let stats = self.solve_quiet(x, scratch, max_iters, tol, opts);
-        record_cg(&stats);
-        stats
-    }
-
-    /// [`B2bSystem::solve_into_with_options`] without the telemetry
-    /// record (see [`record_cg`]).
-    pub(crate) fn solve_quiet(
-        &self,
-        x: &mut [f64],
-        scratch: &mut CgScratch,
-        max_iters: usize,
-        tol: f64,
-        opts: CgOptions,
-    ) -> CgStats {
-        let ic = opts.precondition.then(|| IcPreconditioner::new(self));
-        self.cg(x, scratch, max_iters, tol, ic.as_ref())
-    }
-
-    /// [`B2bSystem::solve_into_with_stats`] with a caller-held IC(0)
-    /// factorization (so benchmarks can time factor and solve apart).
-    pub fn solve_into_preconditioned(
-        &self,
-        x: &mut [f64],
-        scratch: &mut CgScratch,
-        max_iters: usize,
-        tol: f64,
-        ic: &IcPreconditioner,
-    ) -> CgStats {
-        let stats = self.cg(x, scratch, max_iters, tol, Some(ic));
+        let stats = self.cg(x, scratch, max_iters, tol, ic);
         record_cg(&stats);
         stats
     }
@@ -651,8 +608,9 @@ impl B2bSystem {
     /// sweeps and one SpMV per iteration. `z = M⁻¹ r` is the fused Jacobi
     /// scale, or the IC(0) triangular solves when `ic` is given; those are
     /// serial and everything else fixed-order, so either way the iterates
-    /// are bit-identical at every thread count.
-    fn cg(
+    /// are bit-identical at every thread count. [`B2bSystem::solve_into`]
+    /// without the telemetry record (see [`record_cg`]).
+    pub(crate) fn cg(
         &self,
         x: &mut [f64],
         scratch: &mut CgScratch,
@@ -1349,10 +1307,10 @@ mod tests {
         let reference = sys.solve(&[20.0, 30.0], 100, 1e-10);
         let mut x = vec![20.0, 30.0];
         let mut scratch = CgScratch::default();
-        sys.solve_into_with_stats(&mut x, &mut scratch, 100, 1e-10);
+        sys.solve_into(&mut x, &mut scratch, 100, 1e-10, None);
         // Re-using warm scratch must not change anything either.
         let mut x2 = vec![20.0, 30.0];
-        sys.solve_into_with_stats(&mut x2, &mut scratch, 100, 1e-10);
+        sys.solve_into(&mut x2, &mut scratch, 100, 1e-10, None);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&reference), bits(&x));
         assert_eq!(bits(&reference), bits(&x2));
@@ -1504,16 +1462,10 @@ mod tests {
         let x0 = vec![50.0; m];
         let mut scratch = CgScratch::default();
         let mut plain = x0.clone();
-        let plain_stats =
-            sys.solve_into_with_options(&mut plain, &mut scratch, 30, 1e-8, CgOptions::default());
+        let plain_stats = sys.solve_into(&mut plain, &mut scratch, 30, 1e-8, None);
         let mut pre = x0.clone();
-        let pre_stats = sys.solve_into_with_options(
-            &mut pre,
-            &mut scratch,
-            30,
-            1e-8,
-            CgOptions { precondition: true },
-        );
+        let ic = IcPreconditioner::new(&sys);
+        let pre_stats = sys.solve_into(&mut pre, &mut scratch, 30, 1e-8, Some(&ic));
         assert!(
             pre_stats.relative_residual < 1e-8,
             "IC(0) residual {}",
@@ -1538,13 +1490,8 @@ mod tests {
             cp_parallel::with_threads(threads, || {
                 let mut x: Vec<f64> = pos.iter().map(|&(x, _)| x).collect();
                 let mut scratch = CgScratch::default();
-                sys.solve_into_with_options(
-                    &mut x,
-                    &mut scratch,
-                    50,
-                    1e-10,
-                    CgOptions { precondition: true },
-                );
+                let ic = IcPreconditioner::new(&sys);
+                sys.solve_into(&mut x, &mut scratch, 50, 1e-10, Some(&ic));
                 x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
             })
         };
@@ -1807,14 +1754,10 @@ mod proptests {
                     .collect();
                 let mut scratch = CgScratch::default();
                 let mut plain = x0.clone();
-                sys.solve_into_with_options(
-                    &mut plain, &mut scratch, 500, 1e-12, CgOptions::default(),
-                );
+                sys.solve_into(&mut plain, &mut scratch, 500, 1e-12, None);
                 let mut pre = x0.clone();
-                sys.solve_into_with_options(
-                    &mut pre, &mut scratch, 500, 1e-12,
-                    CgOptions { precondition: true },
-                );
+                let ic = IcPreconditioner::new(&sys);
+                sys.solve_into(&mut pre, &mut scratch, 500, 1e-12, Some(&ic));
                 for i in 0..plain.len() {
                     let scale = plain[i].abs().max(1.0);
                     prop_assert!(
@@ -1838,7 +1781,7 @@ mod proptests {
                     let x0: Vec<f64> = case.pos1.iter().map(|&(x, _)| x).collect();
                     let mut x = x0.clone();
                     let mut scratch = CgScratch::default();
-                    rb.system().solve_into_with_stats(&mut x, &mut scratch, 40, 1e-9);
+                    rb.system().solve_into(&mut x, &mut scratch, 40, 1e-9, None);
                     (fp, bits(&x))
                 })
             };

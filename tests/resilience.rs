@@ -13,6 +13,7 @@ use cp_core::{
 };
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{Constraints, Netlist};
+use cp_resilience::sites;
 use std::time::Duration;
 
 fn opts() -> FlowOptions {
@@ -49,6 +50,18 @@ fn resilient(
     run_flow_resilient(n, c, &opts(), res)
 }
 
+/// Total counted checks of a clean run: boundary checks + placer outer
+/// iterations.
+fn clean_run_checks(n: &Netlist, c: &Constraints) -> u64 {
+    let control = RunControl::unlimited();
+    let clean = ResilienceOptions {
+        control: control.clone(),
+        ..Default::default()
+    };
+    resilient(n, c, &clean).expect("clean resilient run");
+    control.checks()
+}
+
 #[test]
 fn resilient_run_is_passive_and_thread_count_invariant() {
     let (n, c) = bench();
@@ -69,16 +82,9 @@ fn resume_is_bitwise_identical_at_stage_boundaries() {
     let (n, c) = bench();
     let reference = run_flow(&n, &c, &opts()).expect("plain flow runs");
 
-    // Total counted checks of a clean run: boundary checks + placer
-    // outer iterations. Cancelling on the k-th check for k across this
-    // range interrupts at every kind of boundary the flow has.
-    let control = RunControl::unlimited();
-    let clean = ResilienceOptions {
-        control: control.clone(),
-        ..Default::default()
-    };
-    resilient(&n, &c, &clean).expect("clean resilient run");
-    let total = control.checks();
+    // Cancelling on the k-th check for k across the clean run's range
+    // interrupts at every kind of boundary the flow has.
+    let total = clean_run_checks(&n, &c);
     assert!(total > 6, "flow should count more than the 6 stage checks");
 
     let mut stages_seen = Vec::new();
@@ -141,6 +147,47 @@ fn resume_is_bitwise_identical_at_stage_boundaries() {
         stages_seen.len() >= 3,
         "expected at least 3 distinct checkpoint stages, saw {stages_seen:?}"
     );
+}
+
+/// The six stage boundaries are checked in pipeline order, each under its
+/// own stage label: cancelling on the k-th counted check for every k of a
+/// clean run walks through them, with only the placer's per-iteration
+/// checks and the shaping fan-out's polls in between.
+#[test]
+fn cancellation_walks_the_stage_boundaries_in_pipeline_order() {
+    let (n, c) = bench();
+    let total = clean_run_checks(&n, &c);
+    let boundaries = [
+        (sites::FLOW_START, stages::CLUSTERING),
+        (sites::FLOW_SHAPING, stages::SHAPING),
+        (sites::FLOW_CLUSTER_PLACEMENT, stages::CLUSTER_PLACEMENT),
+        (sites::FLOW_FLAT_PLACEMENT, stages::FLAT_PLACEMENT),
+        (sites::FLOW_LEGALIZE, stages::LEGALIZE_REFINE),
+        (sites::FLOW_PPA, stages::PPA),
+    ];
+    let mut seen = Vec::new();
+    for k in 1..=total {
+        let res = ResilienceOptions {
+            control: RunControl::unlimited().cancel_after_checks(k),
+            ..Default::default()
+        };
+        let err = resilient(&n, &c, &res).expect_err("run must be cancelled");
+        let flow = err
+            .interrupted()
+            .expect("cancellation is a typed interrupt");
+        let site = flow.interrupt.site;
+        if site.starts_with("flow.") {
+            if !seen.contains(&(site, flow.stage)) {
+                seen.push((site, flow.stage));
+            }
+        } else {
+            assert!(
+                [sites::PLACE_OUTER, sites::VPR_CANDIDATE, sites::POOL_CHUNK].contains(&site),
+                "unexpected interruption site `{site}` at check {k}"
+            );
+        }
+    }
+    assert_eq!(seen, boundaries);
 }
 
 #[test]

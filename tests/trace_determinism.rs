@@ -4,8 +4,12 @@
 //! test here serializes on one mutex before touching it and restores
 //! `Off` when done.
 
-use cp_core::flow::{run_flow, FlowOptions, FlowReport, ShapeMode};
-use cp_core::ClusteringOptions;
+use cp_core::cluster::ppa_aware_clustering;
+use cp_core::flow::{
+    run_default_flow, run_flow, run_flow_resilient, run_flow_with_assignment, FlowOptions,
+    FlowReport, ResilienceOptions, ShapeMode, ShapingStats,
+};
+use cp_core::{Checkpoint, ClusteringOptions};
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{Constraints, Netlist};
 use cp_place::hpwl::raw_hpwl;
@@ -61,12 +65,19 @@ fn assert_same_outputs(a: &FlowReport, b: &FlowReport) {
     assert_eq!(a.shaping, b.shaping);
 }
 
-#[test]
-fn tracing_leaves_flow_outputs_bitwise_identical() {
-    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (n, c) = small_design();
-    let o = opts().shape_mode(ShapeMode::Vpr);
-    let off = at_level(Level::Off, || run_flow(&n, &c, &o).expect("flow runs"));
+/// The contract every flow entry point shares: outputs ignore the trace
+/// level and the thread count, and the trace is `root` over exactly the
+/// stages that ran, in pipeline order, with the timings derived from them.
+/// A clustering runtime that came from outside the run (a supplied
+/// assignment, a checkpoint) is `carried` into the timings without a span.
+/// Returns the untraced report.
+fn assert_tracing_is_inert(
+    run: &dyn Fn() -> FlowReport,
+    root: &str,
+    stages: &[&str],
+    carried: Option<f64>,
+) -> FlowReport {
+    let off = at_level(Level::Off, run);
     assert!(off.trace.is_none(), "no trace when tracing is off");
     for (threads, level) in [
         (1, Level::Spans),
@@ -74,14 +85,13 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
         (1, Level::Full),
         (4, Level::Full),
     ] {
-        let traced = at_level(level, || {
-            cp_parallel::with_threads(threads, || run_flow(&n, &c, &o).expect("flow runs"))
-        });
+        let traced = at_level(level, || cp_parallel::with_threads(threads, run));
         assert_same_outputs(&off, &traced);
         let trace = traced
             .trace
             .as_ref()
             .expect("trace present when tracing is on");
+        assert_eq!(trace.root_span().map(|s| s.name), Some(root));
         // The stage spans are the flow's stages, in pipeline order, and
         // the timings are derived from them (direct root children that
         // aren't stages — e.g. netlist.validate — are filtered out).
@@ -91,38 +101,107 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
             .map(|&(s, _)| s)
             .filter(|s| cp_core::stages::ALL.contains(s))
             .collect();
-        assert_eq!(
-            stage_names,
-            [
-                "clustering",
-                "shaping",
-                "cluster placement",
-                "flat placement",
-                "legalize+refine",
-                "ppa"
-            ]
-        );
+        assert_eq!(stage_names, stages);
+        let timed: Vec<&str> = traced.timings.stages.iter().map(|&(n, _)| n).collect();
+        let carried_stage = carried.map(|_| cp_core::stages::CLUSTERING);
+        assert_eq!(timed, [carried_stage.as_slice(), stages].concat());
         for (name, s) in &traced.timings.stages {
-            assert_eq!(
-                trace
-                    .stage_seconds()
-                    .iter()
-                    .find(|(n2, _)| n2 == name)
-                    .map(|&(_, s2)| s2),
-                Some(*s)
-            );
+            let measured = trace
+                .stage_seconds()
+                .iter()
+                .find(|(n2, _)| n2 == name)
+                .map(|&(_, s2)| s2);
+            assert_eq!(measured.or(carried), Some(*s));
         }
-        assert!(
+        assert_eq!(
             trace.spans_named("vpr.cluster").count() > 0,
-            "per-cluster shape-search spans recorded"
+            stages.contains(&cp_core::stages::SHAPING),
+            "per-cluster shape-search spans recorded exactly when shaping ran"
         );
-        if level == Level::Full {
+        if level == Level::Full && stages.contains(&cp_core::stages::FLAT_PLACEMENT) {
             assert!(
                 trace.series.iter().any(|r| r.name == "place.outer"),
                 "placer convergence series recorded at Full"
             );
         }
     }
+    off
+}
+
+#[test]
+fn tracing_leaves_flow_outputs_bitwise_identical() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, c) = small_design();
+    let o = opts().shape_mode(ShapeMode::Vpr);
+    let all = cp_core::stages::ALL;
+    let clustered = assert_tracing_is_inert(
+        &|| run_flow(&n, &c, &o).expect("flow runs"),
+        "flow.clustered",
+        &all,
+        None,
+    );
+
+    // The flat baseline: the same sequence minus the three cluster stages.
+    let flat = assert_tracing_is_inert(
+        &|| run_default_flow(&n, &c, &o).expect("flow runs"),
+        "flow.flat",
+        &all[3..],
+        None,
+    );
+    assert_eq!(flat.cluster_count, 0);
+    assert_eq!(flat.shaping, ShapingStats::default());
+
+    // A supplied assignment: no clustering stage, its runtime carried.
+    let clustering = ppa_aware_clustering(&n, &c, &o.clustering).expect("clusters");
+    let given = assert_tracing_is_inert(
+        &|| {
+            run_flow_with_assignment(&n, &c, &clustering.assignment, clustering.runtime, &o)
+                .expect("flow runs")
+        },
+        "flow.clustered",
+        &all[1..],
+        Some(clustering.runtime),
+    );
+    assert!(given.deterministic_eq(&clustered));
+    assert_eq!(
+        given.timings.get(cp_core::stages::CLUSTERING),
+        Some(clustering.runtime)
+    );
+
+    // The resilient entry point with nothing to be resilient against.
+    let passive = ResilienceOptions::default();
+    let resilient = assert_tracing_is_inert(
+        &|| run_flow_resilient(&n, &c, &o, &passive).expect("flow runs"),
+        "flow.clustered",
+        &all,
+        None,
+    );
+    assert!(resilient.deterministic_eq(&clustered));
+
+    // A resumed run: the stages restored from the checkpoint (everything
+    // up to flat placement, after a complete run) have no span and no
+    // timing entry; clustering's runtime is the checkpoint's.
+    let dir = std::env::temp_dir().join("cp-trace-determinism-tests");
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    let path = dir.join(format!("{}-resume.json", std::process::id()));
+    let writing = ResilienceOptions {
+        checkpoint: Some(path.clone()),
+        ..Default::default()
+    };
+    run_flow_resilient(&n, &c, &o, &writing).expect("flow runs");
+    let saved = Checkpoint::load(&path).expect("a complete run leaves a checkpoint");
+    let resuming = ResilienceOptions {
+        resume_from: Some(path.clone()),
+        ..Default::default()
+    };
+    let resumed = assert_tracing_is_inert(
+        &|| run_flow_resilient(&n, &c, &o, &resuming).expect("flow resumes"),
+        "flow.clustered",
+        &all[4..],
+        Some(saved.clustering_runtime),
+    );
+    assert!(resumed.deterministic_eq(&clustered));
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
