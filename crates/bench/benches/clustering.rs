@@ -9,9 +9,12 @@ use cp_netlist::generator::DesignProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+/// Design scale and the scale the flow options are sized for.
+const SCALE: f64 = 1.0 / 64.0;
+
 fn bench_clustering(c: &mut Criterion) {
-    let b = Bench::generate_at(DesignProfile::Jpeg, 1.0 / 64.0);
-    let opts = flow_options();
+    let b = Bench::generate_at(DesignProfile::Jpeg, SCALE);
+    let opts = flow_options(SCALE);
     let mut group = c.benchmark_group("clustering");
     group.sample_size(10);
     group.bench_function("dendrogram", |bench| {

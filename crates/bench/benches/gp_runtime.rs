@@ -8,12 +8,15 @@ use cp_netlist::generator::DesignProfile;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+/// Design scale and the scale the flow options are sized for.
+const SCALE: f64 = 1.0 / 64.0;
+
 fn bench_placement(c: &mut Criterion) {
     let mut group = c.benchmark_group("global_placement");
     group.sample_size(10);
     for profile in [DesignProfile::Aes, DesignProfile::Jpeg] {
-        let b = Bench::generate_at(profile, 1.0 / 64.0);
-        let opts = flow_options().tool(Tool::OpenRoadLike);
+        let b = Bench::generate_at(profile, SCALE);
+        let opts = flow_options(SCALE).tool(Tool::OpenRoadLike);
         // Clustering runs once; the bench isolates the placement phases.
         let clustering = ppa_aware_clustering(&b.netlist, &b.constraints, &opts.clustering)
             .expect("clustering runs");

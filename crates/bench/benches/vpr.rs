@@ -14,9 +14,12 @@ use cp_netlist::ClusterShape;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+/// Design scale and the scale the flow options are sized for.
+const SCALE: f64 = 1.0 / 32.0;
+
 fn bench_vpr(c: &mut Criterion) {
-    let b = Bench::generate_at(DesignProfile::Aes, 1.0 / 32.0);
-    let opts = flow_options();
+    let b = Bench::generate_at(DesignProfile::Aes, SCALE);
+    let opts = flow_options(SCALE);
     let clustering = ppa_aware_clustering(&b.netlist, &b.constraints, &opts.clustering)
         .expect("clustering runs");
     let cluster = cluster_members(&clustering.assignment, clustering.cluster_count)

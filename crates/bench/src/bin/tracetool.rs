@@ -7,11 +7,10 @@
 //! tracetool flamegraph <report.json> [-o out.folded]
 //! tracetool gate [--baseline FILE] [--from report.json] [--reps N] [--write] [--timeout-s S] [--large]
 //! tracetool chaos [--seeds N] [--timeout-s S] [--site SUBSTR]
-//! tracetool bench <report.json> [-o BENCH_analysis.json]
 //! tracetool harvest [TRACE_report.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME] [--doctor qor.NAME=FACTOR]
 //! tracetool trend [--ledger F] [--format table|tsv|json] [--metric-rel M] [--rel R] [--abs S]
 //! tracetool explain <report.json> [--fields F.json] [--base B.json] [--base-fields BF.json]
-//! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--doctor stall]
+//! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C] [--doctor stall]
 //! tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]
 //! ```
 //!
@@ -24,7 +23,7 @@
 //! `--timeout-s` bounds the flow's wall-clock and exits 3 (distinct
 //! from the gate-fail exit 1) when exceeded; `--large` swaps in the
 //! large gate flow (Ariane at scale 0.5, ~60k cells, uniform shapes)
-//! gated against `baselines/QOR_large.json` — the scale-smoke guard
+//! gated against `baselines/QOR_large.json` — the large-design guard
 //! for the solver/spreading/clustering hot paths. `chaos` sweeps the
 //! fault-injection sites (needs `--features fault-injection`) and exits
 //! 1 when any case violates the resilience contract. `diff` exits 1
@@ -507,66 +506,6 @@ fn chaos(args: &[String]) -> Result<u8, String> {
     Ok(u8::from(report.failures() > 0))
 }
 
-/// Analysis-cost bench on an existing report (satellite of the PR-4
-/// overhead table): wall-clock of parse, self-time aggregation and a
-/// self-diff, written as `BENCH_analysis.json`.
-fn bench(args: &[String]) -> Result<(), String> {
-    let mut out = None;
-    let pos = split_args(args, &mut [("-o", &mut out)], &mut [])?;
-    let [path] = pos.as_slice() else {
-        return Err("usage: tracetool bench <report.json> [-o BENCH_analysis.json]".into());
-    };
-    let out = out.unwrap_or_else(|| "BENCH_analysis.json".to_string());
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-
-    let t0 = Instant::now();
-    let doc = parse(&src).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
-    let parse_s = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let a = Analysis::from_json(&doc).map_err(|e| format!("`{path}`: {e}"))?;
-    let build_s = t1.elapsed().as_secs_f64();
-
-    let t2 = Instant::now();
-    let rows = a.self_time_by_name();
-    let folded = a.folded();
-    let self_time_s = t2.elapsed().as_secs_f64();
-
-    let t3 = Instant::now();
-    let d = TraceDiff::between(&a, &a, &DiffOptions::default());
-    let diff_s = t3.elapsed().as_secs_f64();
-    if !d.is_empty() {
-        return Err("self-diff must be empty".into());
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"trace_analysis\",\n  \"report\": \"{}\",\n  \
-         \"report_bytes\": {},\n  \"spans\": {},\n  \"span_names\": {},\n  \
-         \"folded_stacks\": {},\n  \"parse_s\": {:.6},\n  \"build_s\": {:.6},\n  \
-         \"self_time_s\": {:.6},\n  \"diff_s\": {:.6}\n}}\n",
-        cp_trace::json::escape(path),
-        src.len(),
-        a.span_count(),
-        rows.len(),
-        folded.lines().count(),
-        parse_s,
-        build_s,
-        self_time_s,
-        diff_s,
-    );
-    std::fs::write(&out, &json).map_err(|e| format!("cannot write `{out}`: {e}"))?;
-    println!(
-        "analyzed {} spans: parse {:.3}ms, build {:.3}ms, self-time+folded {:.3}ms, diff {:.3}ms -> {}",
-        a.span_count(),
-        parse_s * 1e3,
-        build_s * 1e3,
-        self_time_s * 1e3,
-        diff_s * 1e3,
-        out
-    );
-    Ok(())
-}
-
 /// FNV-1a 64 over a byte slice — the artifact-identity fingerprint used
 /// when harvesting existing TRACE reports (there is no netlist to run
 /// the checkpoint fingerprint over, but the same bytes must land in the
@@ -869,7 +808,7 @@ fn flatten_series(trace: &mut cp_trace::TraceReport, series_name: &str, keys: &[
 }
 
 const EXPLAIN_USAGE: &str = "usage: tracetool explain <report.json> [--fields F.json] [--base B.json] [--base-fields BF.json]\n\
-     \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--doctor stall]";
+     \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C] [--doctor stall]";
 
 /// The convergence doctor: diagnose one run (exit 1 on any Critical
 /// verdict), or compare two and localize regressions (exit 1 on any
@@ -877,6 +816,7 @@ const EXPLAIN_USAGE: &str = "usage: tracetool explain <report.json> [--fields F.
 fn explain(args: &[String]) -> Result<bool, String> {
     let (mut fields, mut base, mut base_fields) = (None, None, None);
     let (mut run, mut fields_out, mut report_out, mut doctor) = (None, None, None, None);
+    let mut chrome_out = None;
     let pos = split_args(
         args,
         &mut [
@@ -886,6 +826,7 @@ fn explain(args: &[String]) -> Result<bool, String> {
             ("--run", &mut run),
             ("--fields-out", &mut fields_out),
             ("--report-out", &mut report_out),
+            ("--chrome-out", &mut chrome_out),
             ("--doctor", &mut doctor),
         ],
         &mut [],
@@ -939,6 +880,11 @@ fn explain(args: &[String]) -> Result<bool, String> {
                 .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
             eprintln!("wrote {dest}");
         }
+        if let Some(dest) = chrome_out {
+            std::fs::write(&dest, cp_trace::chrome_trace(&[&trace]))
+                .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
+            eprintln!("wrote {dest} — load it in chrome://tracing or ui.perfetto.dev");
+        }
         let frames = cp_trace::fields::decode(&capture);
         let verdicts = Doctor::default().diagnose_report(&trace, &frames);
         print_verdicts(&verdicts);
@@ -948,8 +894,8 @@ fn explain(args: &[String]) -> Result<bool, String> {
     let [report_path] = pos.as_slice() else {
         return Err(EXPLAIN_USAGE.into());
     };
-    if fields_out.is_some() || report_out.is_some() {
-        return Err("`--fields-out`/`--report-out` need `--run`".into());
+    if fields_out.is_some() || report_out.is_some() || chrome_out.is_some() {
+        return Err("`--fields-out`/`--report-out`/`--chrome-out` need `--run`".into());
     }
     let new_frames = fields
         .as_deref()
@@ -1157,7 +1103,7 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|bench|harvest|trend|explain|render|check-schema> ...\n\
+const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|harvest|trend|explain|render|check-schema> ...\n\
      \n\
      summarize <report.json>                    self-time table, critical path, QoR gauges\n\
      summarize --ledger <ledger.jsonl>          per-fingerprint run groups + latest QoR snapshot\n\
@@ -1170,7 +1116,6 @@ const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|benc
      \x20                                          baselines/QOR_large.json)\n\
      chaos [--seeds N] [--timeout-s S] [--site SUBSTR]\n\
      \x20                                          fault-injection sweep (needs --features fault-injection)\n\
-     bench <report.json> [-o out.json]          analysis-cost bench -> BENCH_analysis.json\n\
      harvest [REPORT.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME] [--doctor qor.NAME=FACTOR]\n\
      \x20                                          backfill run-ledger entries from TRACE artifacts\n\
      \x20                                          or a fresh hermetic flow (default ledger:\n\
@@ -1180,7 +1125,7 @@ const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|benc
      \x20                                          cross-run QoR trend gate over the ledger\n\
      \x20                                          (exit 1 on regression; wall time advisory)\n\
      explain <report.json> [--fields F.json] [--base B.json] [--base-fields BF.json]\n\
-     explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--doctor stall]\n\
+     explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C] [--doctor stall]\n\
      \x20                                          convergence doctor: stall/oscillation/divergence/\n\
      \x20                                          hotspot/displacement verdicts (exit 1 on Critical);\n\
      \x20                                          --base compares two runs and localizes regressions\n\
@@ -1201,7 +1146,6 @@ fn main() -> ExitCode {
         "flamegraph" => flamegraph(rest).map(|()| 0),
         "gate" => gate(rest),
         "chaos" => chaos(rest),
-        "bench" => bench(rest).map(|()| 0),
         "harvest" => harvest(rest).map(|()| 0),
         "trend" => trend_cmd(rest).map(u8::from),
         "explain" => explain(rest).map(u8::from),

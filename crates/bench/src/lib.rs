@@ -1,13 +1,15 @@
-//! Shared harness for the table/figure reproduction binaries and benches.
+//! Shared harness for the paper reproduction binary, the QoR gates and the
+//! benches.
 //!
-//! Every experiment binary (`table1` … `table6`, `fig5`, `gnn_eval`) pulls
-//! its designs and flow settings from here so results are consistent and
-//! reproducible. The global design scale comes from the `CP_SCALE`
-//! environment variable (default 1/32 of the paper's instance counts) —
-//! crank it up on a bigger machine to approach the paper's sizes.
+//! `repro` (see [`repro`]) regenerates every table and figure of the paper;
+//! it and the Criterion benches pull their designs and flow settings from
+//! [`support`] so results are consistent and reproducible. The design scale
+//! is always an explicit argument — `repro --scale`, or the constant a
+//! bench or gate generates at — and the flow options are sized from it.
 
 pub mod chaos;
 pub mod qor_gate;
+pub mod repro;
 pub mod support;
 
 pub use support::*;

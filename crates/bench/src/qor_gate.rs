@@ -28,7 +28,7 @@ use cp_trace::{Analysis, Level};
 
 use crate::support::Bench;
 
-/// Pinned design scale for the gate flow — independent of `CP_SCALE`, so
+/// Pinned design scale for the gate flow — a constant, not an argument, so
 /// the committed baseline means the same thing on every machine.
 pub const GATE_SCALE: f64 = 0.02;
 /// Pinned scale of the large gate flow (`--large`): Ariane at half the

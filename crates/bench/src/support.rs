@@ -7,18 +7,6 @@ use cp_netlist::netlist::Netlist;
 use cp_netlist::Constraints;
 use cp_place::PlacerOptions;
 
-/// The default fraction of the paper's instance counts.
-pub const DEFAULT_SCALE: f64 = 1.0 / 32.0;
-
-/// Reads the experiment scale from `CP_SCALE` (default [`DEFAULT_SCALE`]).
-pub fn scale() -> f64 {
-    std::env::var("CP_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|&s| s > 0.0)
-        .unwrap_or(DEFAULT_SCALE)
-}
-
 /// A generated benchmark with its constraints.
 #[derive(Debug, Clone)]
 pub struct Bench {
@@ -31,12 +19,7 @@ pub struct Bench {
 }
 
 impl Bench {
-    /// Generates one benchmark at the harness scale.
-    pub fn generate(profile: DesignProfile) -> Self {
-        Self::generate_at(profile, scale())
-    }
-
-    /// Generates one benchmark at an explicit scale.
+    /// Generates one benchmark at `scale` times the paper's instance count.
     pub fn generate_at(profile: DesignProfile, scale: f64) -> Self {
         let (netlist, constraints) = GeneratorConfig::from_profile(profile)
             .scale(scale)
@@ -69,20 +52,14 @@ pub fn small_profiles() -> Vec<DesignProfile> {
     ]
 }
 
-/// All six Table 1 profiles.
-pub fn all_profiles() -> Vec<DesignProfile> {
-    DesignProfile::ALL.to_vec()
-}
-
-/// The flow preset used across the experiments, scaled to the harness
-/// design sizes (cluster sizes and V-P&R thresholds shrink with the
-/// netlists so cluster counts match the paper's regime).
-pub fn flow_options() -> FlowOptions {
-    let s = scale();
+/// The flow preset used across the experiments for designs generated at
+/// `scale` (cluster sizes shrink with the netlists so cluster counts match
+/// the paper's regime). Pass the scale the design was generated at.
+pub fn flow_options(scale: f64) -> FlowOptions {
     // The paper shapes clusters above 200 instances and clusters average a
     // few hundred instances at full scale; scale both down, with floors
     // that keep the stages meaningful at 1/32 scale.
-    let avg = ((250.0 * s * 8.0) as usize).clamp(40, 400);
+    let avg = ((250.0 * scale * 8.0) as usize).clamp(40, 400);
     FlowOptions {
         clustering: ClusteringOptions {
             avg_cluster_size: avg,
@@ -94,19 +71,6 @@ pub fn flow_options() -> FlowOptions {
         vpr_min_instances: 200,
         placer: PlacerOptions::default(),
         ..Default::default()
-    }
-}
-
-/// Prints a markdown table.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    println!("| {} |", header.join(" | "));
-    println!(
-        "|{}|",
-        header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-    );
-    for row in rows {
-        println!("| {} |", row.join(" | "));
     }
 }
 
@@ -139,11 +103,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scale_is_positive() {
-        assert!(scale() > 0.0);
-    }
-
-    #[test]
     fn bench_generation() {
         let b = Bench::generate_at(DesignProfile::Aes, 0.01);
         assert_eq!(b.name(), "aes");
@@ -160,8 +119,9 @@ mod tests {
 
     #[test]
     fn flow_options_scale_sanely() {
-        let f = flow_options();
-        assert!(f.clustering.avg_cluster_size >= 40);
-        assert!(f.vpr_min_instances == 200);
+        assert_eq!(flow_options(1.0 / 64.0).clustering.avg_cluster_size, 40);
+        assert_eq!(flow_options(1.0 / 32.0).clustering.avg_cluster_size, 62);
+        assert_eq!(flow_options(1.0).clustering.avg_cluster_size, 400);
+        assert!(flow_options(1.0).vpr_min_instances == 200);
     }
 }

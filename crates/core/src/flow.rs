@@ -8,8 +8,8 @@
 //! openers that say where the cluster assignment comes from and what the
 //! run executes under:
 //!
-//! - [`run_flow`] clusters, then seeds; [`run_flow_with_assignment`] (and
-//!   its `_cached` variant) takes the assignment from the caller;
+//! - [`run_flow`] clusters, then seeds; [`run_flow_with_assignment`] takes
+//!   the assignment from the caller;
 //! - [`run_default_flow`], the flat baseline every table normalizes
 //!   against, has no assignment: the same sequence with the three cluster
 //!   stages skipped and the free problem placed from scratch, so the two
@@ -405,8 +405,7 @@ pub fn run_default_flow(
     constraints: &Constraints,
     options: &FlowOptions,
 ) -> Result<FlowReport, FlowError> {
-    let mut cache = SubnetlistCache::new();
-    Run::passive(options).drive(netlist, constraints, Clusters::Flat, &mut cache)
+    Run::passive(options).drive(netlist, constraints, Clusters::Flat)
 }
 
 /// Runs the full clustered flow (Algorithm 1).
@@ -420,8 +419,7 @@ pub fn run_flow(
     constraints: &Constraints,
     options: &FlowOptions,
 ) -> Result<FlowReport, FlowError> {
-    let mut cache = SubnetlistCache::new();
-    Run::passive(options).drive(netlist, constraints, Clusters::PpaAware, &mut cache)
+    Run::passive(options).drive(netlist, constraints, Clusters::PpaAware)
 }
 
 /// Runs the seeded-placement flow for an externally supplied cluster
@@ -440,27 +438,7 @@ pub fn run_flow_with_assignment(
     options: &FlowOptions,
 ) -> Result<FlowReport, FlowError> {
     let clusters = Clusters::Given(assignment, clustering_runtime);
-    let mut cache = SubnetlistCache::new();
-    Run::passive(options).drive(netlist, constraints, clusters, &mut cache)
-}
-
-/// [`run_flow_with_assignment`] with a caller-owned [`SubnetlistCache`],
-/// so repeated runs over the same assignment (ablations, the shaping
-/// bench) extract each cluster's sub-netlist once across all of them.
-///
-/// # Errors
-///
-/// See [`run_flow_with_assignment`].
-pub fn run_flow_with_assignment_cached(
-    netlist: &Netlist,
-    constraints: &Constraints,
-    assignment: &[u32],
-    clustering_runtime: f64,
-    options: &FlowOptions,
-    cache: &mut SubnetlistCache,
-) -> Result<FlowReport, FlowError> {
-    let clusters = Clusters::Given(assignment, clustering_runtime);
-    Run::passive(options).drive(netlist, constraints, clusters, cache)
+    Run::passive(options).drive(netlist, constraints, clusters)
 }
 
 /// Cancellation, deadline and memory-budget limits plus checkpoint wiring
@@ -509,10 +487,8 @@ pub fn run_flow_resilient(
 ) -> Result<FlowReport, FlowError> {
     install_heap_probe();
     let fingerprint = checkpoint::fingerprint(netlist, options);
-    let mut cache = SubnetlistCache::new();
-    let result = ExecContext::resilient(resilience, fingerprint).and_then(|exec| {
-        Run::new(options, exec).drive(netlist, constraints, Clusters::PpaAware, &mut cache)
-    });
+    let result = ExecContext::resilient(resilience, fingerprint)
+        .and_then(|exec| Run::new(options, exec).drive(netlist, constraints, Clusters::PpaAware));
     if let Some(path) = &resilience.ledger {
         let resumed = resilience.resume_from.is_some();
         let entry = match &result {
@@ -878,9 +854,9 @@ impl<'a> Run<'a> {
         netlist: &Netlist,
         constraints: &Constraints,
         clusters: Clusters<'_>,
-        cache: &mut SubnetlistCache,
     ) -> Result<FlowReport, FlowError> {
         let options = self.options;
+        let mut cache = SubnetlistCache::new();
         self.check(sites::FLOW_START, stages::CLUSTERING)?;
         let root = cp_trace::span(match clusters {
             Clusters::Flat => stages::FLOW_FLAT,
@@ -945,7 +921,7 @@ impl<'a> Run<'a> {
                 Some(state) => state.clone(),
                 None => {
                     let state = self.timed(stages::SHAPING, |run| {
-                        run.select_shapes(netlist, &clustered, cache)
+                        run.select_shapes(netlist, &clustered, &mut cache)
                     })?;
                     self.checkpoint(stages::SHAPING, |cp| cp.shaping = Some(state.clone()));
                     state
@@ -1066,9 +1042,9 @@ impl<'a> Run<'a> {
     }
 
     /// Lines 12-13: picks a shape for every shapeable cluster (for none in
-    /// `Uniform` mode). Sub-netlists come from the shared cache (extraction
-    /// is sequential: the cache is `&mut`), so repeated runs over the same
-    /// assignment induce each cluster once.
+    /// `Uniform` mode). Sub-netlists come from the run's cache (extraction
+    /// is sequential: the cache is `&mut`), which induces each distinct
+    /// member list once.
     fn select_shapes(
         &mut self,
         netlist: &Netlist,

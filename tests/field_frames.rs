@@ -137,6 +137,13 @@ fn field_capture_leaves_flow_outputs_bitwise_identical() {
     let (report, capture) = run_with_fields(&n, &c, &o, 1, Level::Off);
     assert_same_outputs(&off, &report);
     let (base_sigs, base_json) = first.expect("first capture recorded");
+    // The flow's artifact conforms to the schema `tracetool render` reads.
+    let doc = cp_trace::json::parse(&base_json).expect("artifact parses");
+    let schema = cp_trace::json::parse(cp_trace::fields::SCHEMA_JSON).expect("schema parses");
+    assert_eq!(
+        cp_trace::json::validate(&doc, &schema),
+        Vec::<String>::new()
+    );
     assert_eq!(base_sigs, signatures(&capture), "frames differ across runs");
     assert_eq!(
         base_json,

@@ -1,11 +1,15 @@
 //! Cross-crate tests for `ShapeMode::Hybrid`: with `top_k = 20` the
 //! hybrid search degenerates to the exact 20-candidate sweep (bitwise
 //! identical flow result); with `top_k < 20` it must still produce
-//! finite, legal flows while provably skipping exact work.
+//! finite, legal flows while provably skipping exact work. The two
+//! surrogate-backed modes (`VprMl`, and `Hybrid` ranked by a trained
+//! selector) run end to end on a tiny in-test model.
 
 use cp_core::flow::{run_flow, FlowOptions, ShapeMode};
+use cp_core::vpr::ml::{generate_dataset, DatasetConfig, MlShapeSelector};
 use cp_core::vpr::{best_shape, best_shape_hybrid, VprOptions};
 use cp_core::ClusteringOptions;
+use cp_gnn::train::TrainOptions;
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::netlist::Netlist;
 use cp_netlist::Constraints;
@@ -84,6 +88,64 @@ fn hybrid_pruned_flow_is_finite_and_skips_exact_work() {
     assert_eq!(s.proxy_evals, 20 * s.clusters_shaped);
     // top_k = 4 gives a screening round, so warm starts must engage.
     assert!(s.warm_start_hits > 0);
+}
+
+#[test]
+fn surrogate_backed_modes_run_the_flow_thread_invariantly() {
+    let (n, c) = setup();
+    let base = options();
+    // Minimal training effort: the test is about the flow around the
+    // surrogate, not about its accuracy.
+    let dataset = generate_dataset(
+        &n,
+        &c,
+        &DatasetConfig {
+            configs: 1,
+            min_cells: base.vpr_min_instances,
+            max_clusters_per_config: 2,
+            base: ClusteringOptions {
+                seed: 41,
+                ..base.clustering
+            },
+            vpr: base.vpr,
+            seed: 31,
+        },
+    )
+    .expect("dataset generates");
+    let train = TrainOptions {
+        epochs: 3,
+        ..Default::default()
+    };
+    let (selector, _) = MlShapeSelector::train(&dataset, &train, 13);
+    let modes = [
+        ShapeMode::VprMl(Box::new(selector.clone())),
+        ShapeMode::Hybrid {
+            selector: Some(Box::new(selector)),
+            top_k: 4,
+        },
+    ];
+    for mode in modes {
+        let opts = base.clone().shape_mode(mode);
+        let run = |threads| {
+            cp_parallel::with_threads(threads, || run_flow(&n, &c, &opts)).expect("flow runs")
+        };
+        let report = run(1);
+        assert!(report.hpwl.is_finite() && report.hpwl > 0.0);
+        assert!(report.ppa.rwl > 0.0 && report.ppa.wns.is_finite() && report.ppa.tns.is_finite());
+        let s = report.shaping;
+        assert!(s.clusters_shaped > 0);
+        assert_eq!(s.surrogate_batches, 1);
+        assert_eq!(s.surrogate_samples, 20 * s.clusters_shaped);
+        match opts.shape_mode {
+            ShapeMode::VprMl(_) => assert_eq!(s.exact_evals, 0),
+            _ => assert!(0 < s.exact_evals && s.exact_evals < 20 * s.clusters_shaped),
+        }
+        assert!(
+            report.deterministic_eq(&run(4)),
+            "1 vs 4 threads disagree under {:?}",
+            std::mem::discriminant(&opts.shape_mode)
+        );
+    }
 }
 
 proptest! {

@@ -141,6 +141,43 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
         None,
     );
 
+    // The artifacts `tracetool explain --run … --report-out/--chrome-out`
+    // writes from such a run: the structured report conforms to its
+    // schema, the Chrome timeline holds one complete event per stage, and
+    // the stage spans partition the root span up to inter-stage glue.
+    let full = at_level(Level::Full, || run_flow(&n, &c, &o).expect("flow runs"));
+    let trace = full.trace.as_ref().expect("traced at Full");
+    let schema_path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../schemas/trace_report.schema.json"
+    );
+    let schema = std::fs::read_to_string(schema_path).expect("schema is readable");
+    let schema = cp_trace::json::parse(&schema).expect("schema parses");
+    let doc = cp_trace::json::parse(&trace.to_json()).expect("report parses");
+    assert_eq!(
+        cp_trace::json::validate(&doc, &schema),
+        Vec::<String>::new()
+    );
+    let chrome = cp_trace::json::parse(&cp_trace::chrome_trace(&[trace])).expect("timeline parses");
+    let events = chrome
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents array");
+    for stage in all {
+        let complete = events.iter().filter(|e| {
+            e.get("name").and_then(|n| n.as_str()) == Some(stage)
+                && e.get("ph").and_then(|p| p.as_str()) == Some("X")
+        });
+        assert_eq!(complete.count(), 1, "one complete event for `{stage}`");
+    }
+    let stage_sum: f64 = trace.stage_seconds().iter().map(|&(_, s)| s).sum();
+    let ratio = stage_sum / trace.duration_seconds();
+    assert!(
+        (0.95..=1.05).contains(&ratio),
+        "stage spans sum to {:.1}% of the root span",
+        ratio * 100.0
+    );
+
     // The flat baseline: the same sequence minus the three cluster stages.
     let flat = assert_tracing_is_inert(
         &|| run_default_flow(&n, &c, &o).expect("flow runs"),
