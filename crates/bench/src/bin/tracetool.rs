@@ -54,10 +54,11 @@
 //! prints per-fingerprint run groups with their latest QoR snapshot.
 
 use cp_bench::qor_gate::{self, Baseline};
-use cp_trace::json::{fmt_f64, parse, validate};
+use cp_core::checkpoint::{fnv1a64, FNV_OFFSET};
+use cp_trace::json::{fmt_f64, parse, validate, Writer};
 use cp_trace::ledger::{self, Direction};
 use cp_trace::{
-    analysis, Analysis, DecodedFrame, DiffOptions, Doctor, Severity, TraceDiff, Verdict,
+    analysis, Analysis, DecodedFrame, DiffOptions, Doctor, ReportDoc, Severity, TraceDiff, Verdict,
     VerdictKind,
 };
 use std::process::ExitCode;
@@ -75,10 +76,17 @@ fn repo_path(rel: &str) -> std::path::PathBuf {
         .join(rel)
 }
 
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// Reads and decodes a structured trace report file.
+fn load_report(path: &str) -> Result<ReportDoc, String> {
+    ReportDoc::from_json(&read(path)?).map_err(|e| format!("`{path}` is not a trace report: {e}"))
+}
+
 fn load_analysis(path: &str) -> Result<Analysis, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let doc = parse(&src).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
-    Analysis::from_json(&doc).map_err(|e| format!("`{path}` is not a trace report: {e}"))
+    Analysis::from_report(load_report(path)?).map_err(|e| format!("`{path}`: {e}"))
 }
 
 /// Parses `--flag value` style options out of `args`, returning the
@@ -506,19 +514,6 @@ fn chaos(args: &[String]) -> Result<u8, String> {
     Ok(u8::from(report.failures() > 0))
 }
 
-/// FNV-1a 64 over a byte slice — the artifact-identity fingerprint used
-/// when harvesting existing TRACE reports (there is no netlist to run
-/// the checkpoint fingerprint over, but the same bytes must land in the
-/// same trend group, doctored or not).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 const HARVEST_USAGE: &str = "usage: tracetool harvest [TRACE_report.json ...] \
      [--run PROFILE@SCALE] [--ledger F] [--design NAME] [--doctor qor.NAME=FACTOR]";
 
@@ -555,18 +550,19 @@ fn harvest(args: &[String]) -> Result<(), String> {
 
     let mut entries: Vec<ledger::LedgerEntry> = Vec::new();
     for path in &pos {
-        let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let src = String::from_utf8_lossy(&bytes);
-        let doc = parse(&src).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
+        let src = read(path)?;
         let label = design.clone().unwrap_or_else(|| {
             std::path::Path::new(path)
                 .file_stem()
                 .map(|s| s.to_string_lossy().into_owned())
                 .unwrap_or_else(|| path.clone())
         });
-        let entry = ledger::entry_from_report_json(&doc, fnv1a64(&bytes), &label)
-            .map_err(|e| format!("`{path}`: {e}"))?;
-        entries.push(entry);
+        let report = ReportDoc::from_json(&src).map_err(|e| format!("`{path}`: {e}"))?;
+        // There is no netlist to fingerprint, so the artifact's bytes are
+        // its identity: re-harvests of one report land in one trend group.
+        let fingerprint = fnv1a64(FNV_OFFSET, src.as_bytes());
+        let entry = ledger::LedgerEntry::new(fingerprint, &label, "harvest");
+        entries.push(entry.capture_trace(report));
     }
     if let Some(spec) = &run {
         let (profile_name, scale) = spec
@@ -724,36 +720,25 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
             }
         }
         "json" => {
-            let mut out = String::new();
-            out.push_str(&format!(
-                "{{\"entries\": {}, \"groups\": {}, \"singletons\": {}, \"regressions\": {}, \"rows\": [",
-                entries.len(),
-                report.groups,
-                report.singletons,
-                report.regressions().len()
-            ));
-            for (i, r) in report.rows.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "{{\"fingerprint\": \"{:016x}\", \"design\": \"{}\", \"metric\": \"{}\", \
-                     \"baseline\": {}, \"latest\": {}, \"delta_pct\": {}, \"runs\": {}, \
-                     \"direction\": \"{}\", \"regressed\": {}, \"improved\": {}}}",
-                    r.fingerprint,
-                    cp_trace::json::escape(&r.design),
-                    cp_trace::json::escape(&r.metric),
-                    fmt_f64(r.baseline),
-                    fmt_f64(r.latest),
-                    fmt_f64(r.delta_pct()),
-                    r.runs,
-                    dir_label(r.direction),
-                    r.regressed,
-                    r.improved
-                ));
+            let mut w = Writer::new();
+            w.object_spaced().key("entries").u64(entries.len() as u64);
+            w.key("groups").u64(report.groups as u64);
+            w.key("singletons").u64(report.singletons as u64);
+            w.key("regressions").u64(report.regressions().len() as u64);
+            w.key("rows").array_spaced();
+            for r in &report.rows {
+                w.object_spaced().key("fingerprint").hex64(r.fingerprint);
+                w.key("design").str(&r.design).key("metric").str(&r.metric);
+                w.key("baseline").f64(r.baseline);
+                w.key("latest").f64(r.latest);
+                w.key("delta_pct").f64(r.delta_pct());
+                w.key("runs").u64(r.runs as u64);
+                w.key("direction").str(dir_label(r.direction));
+                w.key("regressed").bool(r.regressed);
+                w.key("improved").bool(r.improved).end();
             }
-            out.push_str("]}\n");
-            print!("{out}");
+            w.end().end();
+            println!("{}", w.finish());
         }
         other => {
             return Err(format!(
@@ -767,9 +752,7 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
 /// Loads a `field_frames.schema.json`-shaped artifact and decodes every
 /// frame to its dense grid.
 fn load_frames(path: &str) -> Result<Vec<DecodedFrame>, String> {
-    let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let doc = parse(&src).map_err(|e| format!("`{path}` is not valid JSON: {e}"))?;
-    cp_trace::fields::decode_json(&doc).map_err(|e| format!("`{path}`: {e}"))
+    cp_trace::fields::decode_json(&read(path)?).map_err(|e| format!("`{path}`: {e}"))
 }
 
 fn print_verdicts(verdicts: &[Verdict]) {
@@ -927,12 +910,7 @@ fn explain(args: &[String]) -> Result<bool, String> {
     if base_fields.is_some() {
         return Err("`--base-fields` needs `--base`".into());
     }
-    let src = std::fs::read_to_string(report_path)
-        .map_err(|e| format!("cannot read `{report_path}`: {e}"))?;
-    let doc = parse(&src).map_err(|e| format!("`{report_path}` is not valid JSON: {e}"))?;
-    let verdicts = Doctor::default()
-        .diagnose_json(&doc, &new_frames)
-        .map_err(|e| format!("`{report_path}`: {e}"))?;
+    let verdicts = Doctor::default().diagnose_report(load_report(report_path)?, &new_frames);
     print_verdicts(&verdicts);
     Ok(verdicts.iter().any(|v| v.severity == Severity::Critical))
 }
@@ -992,7 +970,9 @@ fn frame_svg(frame: &DecodedFrame, max: f64) -> String {
     let norm = if max > 0.0 { max } else { 1.0 };
     for by in 0..ny {
         for bx in 0..nx {
-            let v = f64::from(frame.values[by * nx + bx]);
+            // A decoded frame holds exactly nx*ny values: only a grid
+            // with a zero side (drawn as empty cells) has none to read.
+            let v = f64::from(frame.values.get(by * nx + bx).copied().unwrap_or(0.0));
             if v <= 0.0 {
                 continue;
             }
@@ -1088,7 +1068,6 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     let [doc_path, schema_path] = pos.as_slice() else {
         return Err("usage: tracetool check-schema <doc.json> <schema.json>".into());
     };
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read `{p}`: {e}"));
     let doc = parse(&read(doc_path)?).map_err(|e| format!("`{doc_path}`: {e}"))?;
     let schema = parse(&read(schema_path)?).map_err(|e| format!("`{schema_path}`: {e}"))?;
     let violations = validate(&doc, &schema);

@@ -99,6 +99,7 @@ mod imp {
     use std::path::PathBuf;
     use std::sync::mpsc;
 
+    use cp_core::checkpoint::{fnv1a64, FNV_OFFSET};
     use cp_core::flow::{FlowOptions, FlowReport, ShapeMode};
     use cp_core::{run_flow_resilient, FlowError, ResilienceOptions, RunControl};
     use cp_netlist::generator::DesignProfile;
@@ -126,11 +127,7 @@ mod imp {
 
     /// FNV-1a over the site name, as the per-site stream selector.
     fn site_key(site: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in site.bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        h
+        fnv1a64(FNV_OFFSET, site.as_bytes())
     }
 
     /// What a watchdogged flow run produced: the inner flow result, or

@@ -23,8 +23,9 @@
 use cp_core::flow::{run_flow, FlowOptions, FlowReport, ShapeMode};
 use cp_core::{stages, FlowError};
 use cp_netlist::generator::DesignProfile;
-use cp_trace::json::{escape, fmt_f64, parse, Json};
+use cp_trace::json::{fmt_f64, parse_checked, Json, Writer};
 use cp_trace::{Analysis, Level};
+use std::sync::OnceLock;
 
 use crate::support::Bench;
 
@@ -45,6 +46,9 @@ pub const SHARE_ABS_TOL: f64 = 0.35;
 /// the baseline records one machine's wall-clock; the share gates carry
 /// the real signal. This only catches order-of-magnitude blowups.
 pub const TOTAL_REL_TOL: f64 = 25.0;
+
+/// The checked-in schema a loaded baseline is validated against.
+pub const SCHEMA_JSON: &str = include_str!("../../../schemas/qor_baseline.schema.json");
 
 /// The pinned gate design (Aes at [`GATE_SCALE`], generator defaults).
 pub fn gate_bench() -> Bench {
@@ -312,99 +316,63 @@ impl Baseline {
     /// Serializes the baseline (validates against
     /// `schemas/qor_baseline.schema.json`).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"version\": 1.0,\n");
-        out.push_str(&format!("  \"design\": \"{}\",\n", escape(&self.design)));
-        out.push_str(&format!("  \"scale\": {},\n", fmt_f64(self.scale)));
-        out.push_str("  \"qor\": [\n");
-        for (i, e) in self.qor.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"value\": {}, \"rel_tol\": {}}}{}\n",
-                escape(&e.name),
-                fmt_f64(e.value),
-                fmt_f64(e.rel_tol),
-                if i + 1 < self.qor.len() { "," } else { "" }
-            ));
+        let mut w = Writer::new();
+        w.object_lines().key("version").f64(1.0);
+        w.key("design").str(&self.design);
+        w.key("scale").f64(self.scale);
+        w.key("qor").array_lines();
+        for e in &self.qor {
+            w.object_spaced().key("name").str(&e.name);
+            w.key("value").f64(e.value);
+            w.key("rel_tol").f64(e.rel_tol).end();
         }
-        out.push_str("  ],\n");
-        out.push_str("  \"runtime\": {\n");
-        out.push_str(&format!("    \"total_s\": {},\n", fmt_f64(self.total_s)));
-        out.push_str(&format!(
-            "    \"total_rel_tol\": {},\n",
-            fmt_f64(self.total_rel_tol)
-        ));
-        out.push_str("    \"self_shares\": [\n");
-        for (i, e) in self.self_shares.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"name\": \"{}\", \"share\": {}, \"abs_tol\": {}}}{}\n",
-                escape(&e.name),
-                fmt_f64(e.share),
-                fmt_f64(e.abs_tol),
-                if i + 1 < self.self_shares.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
+        w.end().key("runtime").object_lines();
+        w.key("total_s").f64(self.total_s);
+        w.key("total_rel_tol").f64(self.total_rel_tol);
+        w.key("self_shares").array_lines();
+        for e in &self.self_shares {
+            w.object_spaced().key("name").str(&e.name);
+            w.key("share").f64(e.share);
+            w.key("abs_tol").f64(e.abs_tol).end();
         }
-        out.push_str("    ]\n");
-        out.push_str("  }\n");
-        out.push_str("}\n");
-        out
+        w.end().end().end();
+        let mut text = w.finish();
+        text.push('\n');
+        text
     }
 
     /// Parses a committed baseline.
     ///
     /// # Errors
     ///
-    /// A description of the first structural problem found.
+    /// Malformed JSON, or the violations of
+    /// `schemas/qor_baseline.schema.json`.
     pub fn from_json(src: &str) -> Result<Self, String> {
-        let doc = parse(src)?;
-        let str_at = |j: &Json, k: &str| -> Result<String, String> {
-            j.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field `{k}`"))
-        };
-        let num_at = |j: &Json, k: &str| -> Result<f64, String> {
-            j.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing number field `{k}`"))
-        };
-        let design = str_at(&doc, "design")?;
-        let scale = num_at(&doc, "scale")?;
-        let mut qor = Vec::new();
-        for e in doc
-            .get("qor")
-            .and_then(Json::as_array)
-            .ok_or("missing array field `qor`")?
-        {
-            qor.push(QorEntry {
-                name: str_at(e, "name")?,
-                value: num_at(e, "value")?,
-                rel_tol: num_at(e, "rel_tol")?,
-            });
-        }
-        let rt = doc.get("runtime").ok_or("missing object field `runtime`")?;
-        let mut self_shares = Vec::new();
-        for e in rt
-            .get("self_shares")
-            .and_then(Json::as_array)
-            .ok_or("missing array field `runtime.self_shares`")?
-        {
-            self_shares.push(ShareEntry {
-                name: str_at(e, "name")?,
-                share: num_at(e, "share")?,
-                abs_tol: num_at(e, "abs_tol")?,
-            });
-        }
+        static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
+        let doc = parse_checked(src, SCHEMA_JSON, &SCHEMA)?;
+        let qor = doc.each("qor", |e| {
+            Ok(QorEntry {
+                name: e.str("name")?.to_string(),
+                value: e.f64("value")?,
+                rel_tol: e.f64("rel_tol")?,
+            })
+        })?;
+        let (total_s, total_rel_tol, self_shares) = doc.at("runtime", |rt| {
+            let self_shares = rt.each("self_shares", |e| {
+                Ok(ShareEntry {
+                    name: e.str("name")?.to_string(),
+                    share: e.f64("share")?,
+                    abs_tol: e.f64("abs_tol")?,
+                })
+            })?;
+            Ok((rt.f64("total_s")?, rt.f64("total_rel_tol")?, self_shares))
+        })?;
         Ok(Self {
-            design,
-            scale,
+            design: doc.str("design")?.to_string(),
+            scale: doc.f64("scale")?,
             qor,
-            total_s: num_at(rt, "total_s")?,
-            total_rel_tol: num_at(rt, "total_rel_tol")?,
+            total_s,
+            total_rel_tol,
             self_shares,
         })
     }
@@ -448,15 +416,38 @@ mod tests {
     }
 
     #[test]
+    fn baseline_json_matches_its_golden_bytes() {
+        assert_eq!(
+            sample_baseline().to_json(),
+            r#"{
+  "version": 1.0,
+  "design": "aes",
+  "scale": 0.02,
+  "qor": [
+    {"name": "qor.legalized.hpwl", "value": 1000.0, "rel_tol": 0.000001},
+    {"name": "qor.timing.wns", "value": -50.0, "rel_tol": 0.000001}
+  ],
+  "runtime": {
+    "total_s": 1.0,
+    "total_rel_tol": 25.0,
+    "self_shares": [
+      {"name": "flat placement", "share": 0.4, "abs_tol": 0.35}
+    ]
+  }
+}
+"#
+        );
+    }
+
+    #[test]
     fn baseline_json_matches_schema() {
-        let schema_src = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/qor_baseline.schema.json"
-        ))
-        .expect("read qor baseline schema");
-        let schema = parse(&schema_src).expect("schema parses");
+        use cp_trace::json::{parse, validate};
+        let schema = parse(SCHEMA_JSON).expect("schema parses");
         let doc = parse(&sample_baseline().to_json()).expect("baseline parses");
-        let violations = cp_trace::json::validate(&doc, &schema);
-        assert!(violations.is_empty(), "{violations:?}");
+        assert_eq!(validate(&doc, &schema), Vec::<String>::new());
+        // A baseline without gauges gates nothing; the schema refuses it.
+        let mut empty = sample_baseline();
+        empty.qor.clear();
+        assert!(Baseline::from_json(&empty.to_json()).is_err());
     }
 }

@@ -32,11 +32,14 @@ use cp_gnn::train::TrainOptions;
 use cp_gnn::GraphSample;
 use cp_netlist::generator::DesignProfile;
 use cp_place::PlacerBackendKind;
-use cp_trace::json::{escape, fmt_f64};
+use cp_trace::json::Writer;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 use DesignProfile::{Aes, Ariane, Jpeg, MegaBoom, MemPoolGroup};
+
+/// The checked-in schema of `REPRO.json`, which [`to_json`] writes.
+pub const SCHEMA_JSON: &str = include_str!("../../../schemas/repro.schema.json");
 
 /// Every experiment id `repro --table` accepts, in print order.
 pub const TABLES: [&str; 12] = [
@@ -891,69 +894,161 @@ impl Table {
         s
     }
 
-    fn to_json(&self) -> String {
-        fn strings<S: AsRef<str>>(v: &[S]) -> String {
-            let quoted: Vec<String> = v
-                .iter()
-                .map(|s| format!("\"{}\"", escape(s.as_ref())))
-                .collect();
-            format!("[{}]", quoted.join(", "))
+    fn write_json(&self, w: &mut Writer) {
+        fn strings<S: AsRef<str>>(w: &mut Writer, v: &[S]) {
+            w.array_spaced();
+            for s in v {
+                w.str(s.as_ref());
+            }
+            w.end();
         }
-        let rows: Vec<String> = self
-            .rows
-            .iter()
-            .map(|row| format!("        {}", strings(row)))
-            .collect();
-        let claim = |c: &Claim| {
-            let holds = c.holds.map_or("null".to_string(), |h| h.to_string());
-            format!(
-                "        {{\"text\": \"{}\", \"paper\": \"{}\", \"measured\": \"{}\", \"holds\": {holds}, \"provisional\": {}}}",
-                escape(&c.text),
-                escape(&c.paper),
-                escape(&c.measured),
-                c.provisional
-            )
-        };
-        let claims: Vec<String> = self.claims.iter().map(claim).collect();
-        let (id, title, scale) = (self.id, escape(&self.title), fmt_f64(self.scale));
-        let designs = strings(&self.designs);
-        let header = strings(&self.header);
-        let notes = strings(&self.notes);
-        let (rows, claims) = (rows.join(",\n"), claims.join(",\n"));
-        format!(
-            "    {{\n      \"id\": \"{id}\",\n      \"title\": \"{title}\",\n      \"scale\": {scale},\n      \
-             \"designs\": {designs},\n      \"header\": {header},\n      \"rows\": [\n{rows}\n      ],\n      \
-             \"notes\": {notes},\n      \"claims\": [\n{claims}\n      ]\n    }}"
-        )
+        w.object_lines().key("id").str(self.id);
+        w.key("title").str(&self.title);
+        w.key("scale").f64(self.scale);
+        w.key("designs");
+        strings(w, &self.designs);
+        w.key("header");
+        strings(w, &self.header);
+        w.key("rows").array_lines();
+        for row in &self.rows {
+            strings(w, row);
+        }
+        w.end().key("notes");
+        strings(w, &self.notes);
+        w.key("claims").array_lines();
+        for c in &self.claims {
+            w.object_spaced().key("text").str(&c.text);
+            w.key("paper").str(&c.paper);
+            w.key("measured").str(&c.measured).key("holds");
+            match c.holds {
+                Some(holds) => w.bool(holds),
+                None => w.null(),
+            };
+            w.key("provisional").bool(c.provisional).end();
+        }
+        w.end().end();
     }
 }
 
 /// `REPRO.json` (`schemas/repro.schema.json`): the run's scale, host and
 /// wall time, the runner's flow-run counts, and every table with its claims.
 pub fn to_json(r: &Runner, tables: &[Table], wall_s: f64) -> String {
-    let per_design = r.runs_per_design();
-    let per_design: Vec<String> = per_design
-        .iter()
-        .map(|(d, n)| format!("{{\"design\": \"{d}\", \"distinct\": {n}}}"))
-        .collect();
-    let tables: Vec<String> = tables.iter().map(Table::to_json).collect();
-    let scale = fmt_f64(r.scale);
-    let wall_s = fmt_f64((wall_s * 1000.0).round() / 1000.0);
-    let threads = cp_parallel::current_threads();
-    let cores = cp_parallel::detected_cores();
-    let (distinct, requested) = (r.executed.len(), r.requested);
-    let (per_design, tables) = (per_design.join(", "), tables.join(",\n"));
-    format!(
-        "{{\n  \"version\": 1,\n  \"scale\": {scale},\n  \"threads\": {threads},\n  \"detected_cores\": {cores},\n  \
-         \"wall_s\": {wall_s},\n  \"flow_runs\": {{\"distinct\": {distinct}, \"requested\": {requested}, \"per_design\": [{per_design}]}},\n  \
-         \"tables\": [\n{tables}\n  ]\n}}\n"
-    )
+    let mut w = Writer::new();
+    w.object_lines().key("version").u64(1);
+    w.key("scale").f64(r.scale);
+    let (threads, cores) = (
+        cp_parallel::current_threads(),
+        cp_parallel::detected_cores(),
+    );
+    w.key("threads").u64(threads as u64);
+    w.key("detected_cores").u64(cores as u64);
+    w.key("wall_s").f64((wall_s * 1000.0).round() / 1000.0);
+    w.key("flow_runs").object_spaced();
+    w.key("distinct").u64(r.executed.len() as u64);
+    w.key("requested").u64(r.requested as u64);
+    w.key("per_design").array_spaced();
+    for (design, distinct) in r.runs_per_design() {
+        w.object_spaced().key("design").str(design);
+        w.key("distinct").u64(distinct as u64).end();
+    }
+    w.end().end().key("tables").array_lines();
+    for t in tables {
+        t.write_json(&mut w);
+    }
+    w.end().end();
+    let mut text = w.finish();
+    text.push('\n');
+    text
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cp_trace::json::{parse, validate};
+
+    #[test]
+    fn document_matches_its_golden_bytes() {
+        let claim = |n: u32, holds, provisional| Claim {
+            text: format!("t{n}"),
+            paper: format!("p{n}"),
+            measured: format!("m{n}"),
+            holds,
+            provisional,
+        };
+        let row = |cells: [&str; 2]| cells.map(str::to_string).to_vec();
+        let t = Table {
+            id: "2",
+            title: "Table 2 \u{2014} \"quoted\" title".to_string(),
+            scale: 0.03125,
+            designs: vec!["aes", "jpeg"],
+            header: vec!["Design", "HPWL"],
+            rows: vec![row(["aes", "1.141"]), row(["jpeg", "0.734"])],
+            notes: vec!["a note".to_string(), "tab\there".to_string()],
+            claims: vec![claim(1, Some(true), false), claim(2, None, true)],
+        };
+        let empty = Table {
+            id: "1",
+            title: "empty".to_string(),
+            scale: 1.0,
+            designs: vec![],
+            header: vec![],
+            rows: vec![],
+            notes: vec![],
+            claims: vec![],
+        };
+        let mut r = Runner::new(0.03125, vec![]);
+        r.executed = vec![
+            (Flow::Default, "aes", 1),
+            (Flow::Ours, "aes", 2),
+            (Flow::Ours, "jpeg", 3),
+        ];
+        r.requested = 5;
+        let golden = r#"{
+  "version": 1,
+  "scale": 0.03125,
+  "threads": THREADS,
+  "detected_cores": CORES,
+  "wall_s": 1.235,
+  "flow_runs": {"distinct": 3, "requested": 5, "per_design": [{"design": "aes", "distinct": 2}, {"design": "jpeg", "distinct": 1}]},
+  "tables": [
+    {
+      "id": "2",
+      "title": "Table 2 — \"quoted\" title",
+      "scale": 0.03125,
+      "designs": ["aes", "jpeg"],
+      "header": ["Design", "HPWL"],
+      "rows": [
+        ["aes", "1.141"],
+        ["jpeg", "0.734"]
+      ],
+      "notes": ["a note", "tab\there"],
+      "claims": [
+        {"text": "t1", "paper": "p1", "measured": "m1", "holds": true, "provisional": false},
+        {"text": "t2", "paper": "p2", "measured": "m2", "holds": null, "provisional": true}
+      ]
+    },
+    {
+      "id": "1",
+      "title": "empty",
+      "scale": 1.0,
+      "designs": [],
+      "header": [],
+      "rows": [
+
+      ],
+      "notes": [],
+      "claims": [
+
+      ]
+    }
+  ]
+}
+"#;
+        let golden = golden
+            .replace("THREADS", &cp_parallel::current_threads().to_string())
+            .replace("CORES", &cp_parallel::detected_cores().to_string());
+        assert_eq!(to_json(&r, &[t, empty], 1.23456), golden);
+    }
 
     /// Tables 2, 3 and 5 on aes share the flat flow and the
     /// `OpenRoadLike + Vpr` flow: each runs once.
@@ -992,12 +1087,7 @@ mod tests {
             assert!(t.to_markdown().contains(&t.title));
         }
 
-        let schema_path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../schemas/repro.schema.json"
-        );
-        let schema = std::fs::read_to_string(schema_path).expect("schema is readable");
-        let schema = parse(&schema).expect("schema parses");
+        let schema = parse(SCHEMA_JSON).expect("schema parses");
         let doc = parse(&to_json(&r, &tables, 1.25)).expect("REPRO.json parses");
         assert_eq!(validate(&doc, &schema), Vec::<String>::new());
         assert!(table(&mut r, "7").is_none() && !TABLES.contains(&"7"));

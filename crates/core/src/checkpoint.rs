@@ -30,12 +30,17 @@ use crate::flow::{FlowOptions, ShapingStats};
 use crate::stages;
 use cp_netlist::netlist::Netlist;
 use cp_netlist::ClusterShape;
-use cp_trace::json::{self, Json};
-use std::fmt::Write as _;
+use cp_trace::json::{parse_checked, Json, Writer};
 use std::path::Path;
+use std::sync::OnceLock;
 
-/// On-disk format version; bumped on breaking layout changes.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// On-disk format version; bumped on breaking layout changes, and a file
+/// of any other version is refused. Version 2 dropped the two sub-netlist
+/// cache counters from the shaping stats.
+pub const CHECKPOINT_VERSION: u64 = 2;
+
+/// The checked-in schema every loaded checkpoint is validated against.
+pub const SCHEMA_JSON: &str = include_str!("../../../schemas/checkpoint.schema.json");
 
 /// A placement stage's output: the position vector and whether the run
 /// diverged and reverted.
@@ -84,25 +89,26 @@ pub struct Checkpoint {
     pub flat_placement: Option<PlacementState>,
 }
 
-/// The embedded checkpoint schema, parsed.
-fn schema() -> Json {
-    // The schema is a compile-time constant known to parse.
-    json::parse(include_str!("../../../schemas/checkpoint.schema.json")).unwrap_or(Json::Null)
+/// The FNV-1a 64 offset basis: the hash of no bytes, and the `hash` a
+/// fresh [`fnv1a64`] chain starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a 64 `hash` — the workspace's one
+/// non-cryptographic identity hash: run fingerprints here, artifact
+/// identities in `tracetool harvest`, fault-site streams in the chaos
+/// sweep.
+pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// FNV-1a over the netlist's structure (cell and net names, pin counts)
 /// and the full flow configuration, so a checkpoint can only resume the
 /// run that wrote it.
 pub fn fingerprint(netlist: &Netlist, options: &FlowOptions) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| h = fnv1a64(h, bytes);
     eat(&(netlist.cell_count() as u64).to_le_bytes());
     eat(&(netlist.net_count() as u64).to_le_bytes());
     for cell in netlist.cells() {
@@ -142,85 +148,71 @@ impl Checkpoint {
 
     /// Serializes to the schema-conformant JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"version\": {CHECKPOINT_VERSION},");
-        let _ = writeln!(s, "  \"fingerprint\": \"{:016x}\",", self.fingerprint);
-        let _ = writeln!(s, "  \"stage\": \"{}\",", json::escape(self.stage));
-        s.push_str("  \"clustering\": { \"assignment\": [");
-        for (i, c) in self.assignment.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{c}");
-        }
-        let _ = writeln!(
-            s,
-            "], \"runtime\": {} }},",
-            json::fmt_f64(self.clustering_runtime)
-        );
-        s.push_str("  \"diagnostics\": { \"events\": [");
-        let mut first = true;
+        let mut w = Writer::with_capacity(4096);
+        w.object_lines().key("version").u64(CHECKPOINT_VERSION);
+        w.key("fingerprint").hex64(self.fingerprint);
+        w.key("stage").str(self.stage);
+        w.key("clustering").object_padded().key("assignment");
+        write_ids(&mut w, &self.assignment);
+        w.key("runtime").f64(self.clustering_runtime).end();
+        w.key("diagnostics").object_padded().key("events").array();
+        let cluster_event = |w: &mut Writer, kind: &str, cluster: u32| {
+            w.object().key("kind").str(kind);
+            w.key("cluster").u64(cluster.into()).end();
+        };
         for e in &self.events {
-            let Some(obj) = event_to_json(e) else {
-                continue;
-            };
-            if !first {
-                s.push(',');
+            match e {
+                RecoveryEvent::PlacerReverted { stage } => {
+                    w.object().key("kind").str("placer_reverted");
+                    w.key("stage").str(stage).end();
+                }
+                RecoveryEvent::ShapeFallback { cluster } => {
+                    cluster_event(&mut w, "shape_fallback", *cluster);
+                }
+                RecoveryEvent::RegionDropped { cluster } => {
+                    cluster_event(&mut w, "region_dropped", *cluster);
+                }
+                // Bookkeeping and interrupt events describe one run's
+                // execution, not the pipeline state: not replayed on
+                // resume, so not written.
+                RecoveryEvent::Cancelled { .. }
+                | RecoveryEvent::DeadlineExceeded { .. }
+                | RecoveryEvent::CheckpointWritten { .. }
+                | RecoveryEvent::Resumed { .. } => {}
             }
-            first = false;
-            s.push_str(&obj);
         }
-        let _ = write!(s, "], \"dropped\": {} }}", self.dropped);
+        w.end().key("dropped").u64(self.dropped as u64).end();
         if let Some(sh) = &self.shaping {
-            s.push_str(",\n  \"shaping\": { \"shapes\": [");
-            for (i, (c, shape)) in sh.shapes.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"cluster\":{c},\"aspect_ratio\":{},\"utilization\":{}}}",
-                    json::fmt_f64(shape.aspect_ratio),
-                    json::fmt_f64(shape.utilization)
-                );
+            w.key("shaping").object_padded().key("shapes").array();
+            for (c, shape) in &sh.shapes {
+                w.object().key("cluster").u64((*c).into());
+                w.key("aspect_ratio").f64(shape.aspect_ratio);
+                w.key("utilization").f64(shape.utilization).end();
             }
-            s.push_str("], \"shaped\": [");
-            for (i, c) in sh.shaped.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "{c}");
+            w.end().key("shaped");
+            write_ids(&mut w, &sh.shaped);
+            w.key("stats").object();
+            for (key, count) in stats_fields(&sh.stats) {
+                w.key(key).u64(count as u64);
             }
-            let st = &sh.stats;
-            let _ = write!(
-                s,
-                "], \"stats\": {{\"clusters_shaped\":{},\"exact_evals\":{},\
-                 \"exact_evals_avoided\":{},\"proxy_evals\":{},\
-                 \"surrogate_batches\":{},\"surrogate_samples\":{},\
-                 \"warm_start_hits\":{},\"subnetlist_cache_hits\":{},\
-                 \"subnetlist_cache_misses\":{}}} }}",
-                st.clusters_shaped,
-                st.exact_evals,
-                st.exact_evals_avoided,
-                st.proxy_evals,
-                st.surrogate_batches,
-                st.surrogate_samples,
-                st.warm_start_hits,
-                st.subnetlist_cache_hits,
-                st.subnetlist_cache_misses
-            );
+            w.end().end();
         }
-        if let Some(p) = &self.cluster_placement {
-            s.push_str(",\n  \"cluster_placement\": ");
-            placement_to_json(&mut s, p);
+        let placements = [
+            ("cluster_placement", &self.cluster_placement),
+            ("flat_placement", &self.flat_placement),
+        ];
+        for (key, placement) in placements {
+            let Some(p) = placement else { continue };
+            w.key(key).object_padded().key("positions").array();
+            for &(x, y) in &p.positions {
+                w.array().f64(x).f64(y).end();
+            }
+            w.end().key("diverged").bool(p.diverged).end();
         }
-        if let Some(p) = &self.flat_placement {
-            s.push_str(",\n  \"flat_placement\": ");
-            placement_to_json(&mut s, p);
-        }
-        s.push_str("\n}\n");
-        s
+        w.end();
+        let mut text = w.finish();
+        text.push('\n');
+        text
     }
 
     /// Parses and schema-validates a checkpoint document.
@@ -228,74 +220,33 @@ impl Checkpoint {
     /// # Errors
     ///
     /// A human-readable reason when the document is malformed, fails
-    /// schema validation, or carries an unknown version or stage.
+    /// schema validation, carries an unknown version or stage, or holds a
+    /// cluster id or count that is not a non-negative integer in range.
     pub fn from_json(input: &str) -> Result<Self, String> {
-        let value = json::parse(input).map_err(|e| format!("malformed JSON: {e}"))?;
-        let errors = json::validate(&value, &schema());
-        if !errors.is_empty() {
-            return Err(format!("schema violations: {}", errors.join("; ")));
-        }
-        let version = get_u64(&value, "version")?;
+        static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
+        let doc = parse_checked(input, SCHEMA_JSON, &SCHEMA)?;
+        let version = doc.u64("version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!(
                 "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
             ));
         }
-        let fp_hex = value
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .ok_or("missing fingerprint")?;
-        let fingerprint = u64::from_str_radix(fp_hex, 16)
-            .map_err(|_| format!("fingerprint '{fp_hex}' is not hex"))?;
-        let stage = stage_static(
-            value
-                .get("stage")
-                .and_then(Json::as_str)
-                .ok_or("missing stage")?,
-        )?;
-        let clustering = value.get("clustering").ok_or("missing clustering")?;
-        let assignment = clustering
-            .get("assignment")
-            .and_then(Json::as_array)
-            .ok_or("missing assignment")?
-            .iter()
-            .map(|j| j.as_f64().map(|f| f as u32).ok_or("non-numeric assignment"))
-            .collect::<Result<Vec<u32>, _>>()?;
-        let clustering_runtime = clustering
-            .get("runtime")
-            .and_then(Json::as_f64)
-            .ok_or("missing clustering runtime")?;
-        let diag = value.get("diagnostics").ok_or("missing diagnostics")?;
-        let events = diag
-            .get("events")
-            .and_then(Json::as_array)
-            .ok_or("missing events")?
-            .iter()
-            .map(event_from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let dropped = get_u64(diag, "dropped")? as usize;
-        let shaping = match value.get("shaping") {
-            Some(sh) => Some(shaping_from_json(sh)?),
-            None => None,
-        };
-        let cluster_placement = match value.get("cluster_placement") {
-            Some(p) => Some(placement_from_json(p)?),
-            None => None,
-        };
-        let flat_placement = match value.get("flat_placement") {
-            Some(p) => Some(placement_from_json(p)?),
-            None => None,
-        };
+        let (assignment, clustering_runtime) = doc.at("clustering", |c| {
+            Ok((c.each("assignment", Json::to_u32)?, c.f64("runtime")?))
+        })?;
+        let (events, dropped) = doc.at("diagnostics", |d| {
+            Ok((d.each("events", event_from_json)?, d.usize("dropped")?))
+        })?;
         Ok(Self {
-            fingerprint,
-            stage,
+            fingerprint: doc.hex64("fingerprint")?,
+            stage: doc.at("stage", stage_static)?,
             assignment,
             clustering_runtime,
             events,
             dropped,
-            shaping,
-            cluster_placement,
-            flat_placement,
+            shaping: doc.opt("shaping", shaping_from_json)?,
+            cluster_placement: doc.opt("cluster_placement", placement_from_json)?,
+            flat_placement: doc.opt("flat_placement", placement_from_json)?,
         })
     }
 
@@ -325,145 +276,83 @@ impl Checkpoint {
     }
 }
 
-fn placement_to_json(s: &mut String, p: &PlacementState) {
-    s.push_str("{ \"positions\": [");
-    for (i, &(x, y)) in p.positions.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(s, "[{},{}]", json::fmt_f64(x), json::fmt_f64(y));
+/// Writes a compact array of cluster ids.
+fn write_ids(w: &mut Writer, ids: &[u32]) {
+    w.array();
+    for &id in ids {
+        w.u64(id.into());
     }
-    let _ = write!(s, "], \"diverged\": {} }}", p.diverged);
+    w.end();
+}
+
+/// The shaping counters under their document keys, in document order.
+fn stats_fields(st: &ShapingStats) -> [(&'static str, usize); 7] {
+    [
+        ("clusters_shaped", st.clusters_shaped),
+        ("exact_evals", st.exact_evals),
+        ("exact_evals_avoided", st.exact_evals_avoided),
+        ("proxy_evals", st.proxy_evals),
+        ("surrogate_batches", st.surrogate_batches),
+        ("surrogate_samples", st.surrogate_samples),
+        ("warm_start_hits", st.warm_start_hits),
+    ]
 }
 
 fn placement_from_json(j: &Json) -> Result<PlacementState, String> {
-    let positions = j
-        .get("positions")
-        .and_then(Json::as_array)
-        .ok_or("missing positions")?
-        .iter()
-        .map(|pair| {
-            let a = pair.as_array().ok_or("position is not a pair")?;
-            match (
-                a.first().and_then(Json::as_f64),
-                a.get(1).and_then(Json::as_f64),
-            ) {
-                (Some(x), Some(y)) => Ok((x, y)),
-                _ => Err("non-numeric position".to_string()),
-            }
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let diverged = matches!(j.get("diverged"), Some(Json::Bool(true)));
+    let positions = j.each("positions", |pair| match pair.to_array()? {
+        [x, y, ..] => Ok((x.to_f64()?, y.to_f64()?)),
+        _ => Err("expected an [x, y] pair".to_string()),
+    })?;
     Ok(PlacementState {
         positions,
-        diverged,
+        diverged: j.bool("diverged")?,
     })
 }
 
 fn shaping_from_json(j: &Json) -> Result<ShapingState, String> {
-    let shapes = j
-        .get("shapes")
-        .and_then(Json::as_array)
-        .ok_or("missing shapes")?
-        .iter()
-        .map(|s| {
-            let cluster = get_u64(s, "cluster")? as u32;
-            let ar = s
-                .get("aspect_ratio")
-                .and_then(Json::as_f64)
-                .ok_or("missing aspect_ratio")?;
-            let util = s
-                .get("utilization")
-                .and_then(Json::as_f64)
-                .ok_or("missing utilization")?;
-            let ar_ok = ar.is_finite() && ar > 0.0;
-            let util_ok = util.is_finite() && util > 0.0 && util <= 1.0;
-            if !ar_ok || !util_ok {
-                return Err(format!("invalid shape ar={ar} util={util}"));
-            }
-            Ok((cluster, ClusterShape::new(ar, util)))
+    let shapes = j.each("shapes", |s| {
+        let (ar, util) = (s.f64("aspect_ratio")?, s.f64("utilization")?);
+        if ar <= 0.0 || util <= 0.0 || util > 1.0 {
+            return Err(format!("invalid shape ar={ar} util={util}"));
+        }
+        Ok((s.u32("cluster")?, ClusterShape::new(ar, util)))
+    })?;
+    let stats = j.at("stats", |st| {
+        Ok(ShapingStats {
+            clusters_shaped: st.usize("clusters_shaped")?,
+            exact_evals: st.usize("exact_evals")?,
+            exact_evals_avoided: st.usize("exact_evals_avoided")?,
+            proxy_evals: st.usize("proxy_evals")?,
+            surrogate_batches: st.usize("surrogate_batches")?,
+            surrogate_samples: st.usize("surrogate_samples")?,
+            warm_start_hits: st.usize("warm_start_hits")?,
         })
-        .collect::<Result<Vec<_>, String>>()?;
-    let shaped = j
-        .get("shaped")
-        .and_then(Json::as_array)
-        .ok_or("missing shaped")?
-        .iter()
-        .map(|c| c.as_f64().map(|f| f as u32).ok_or("non-numeric cluster id"))
-        .collect::<Result<Vec<u32>, _>>()?;
-    let st = j.get("stats").ok_or("missing stats")?;
-    let stats = ShapingStats {
-        clusters_shaped: get_u64(st, "clusters_shaped")? as usize,
-        exact_evals: get_u64(st, "exact_evals")? as usize,
-        exact_evals_avoided: get_u64(st, "exact_evals_avoided")? as usize,
-        proxy_evals: get_u64(st, "proxy_evals")? as usize,
-        surrogate_batches: get_u64(st, "surrogate_batches")? as usize,
-        surrogate_samples: get_u64(st, "surrogate_samples")? as usize,
-        warm_start_hits: get_u64(st, "warm_start_hits")? as usize,
-        subnetlist_cache_hits: get_u64(st, "subnetlist_cache_hits")? as usize,
-        subnetlist_cache_misses: get_u64(st, "subnetlist_cache_misses")? as usize,
-    };
+    })?;
     Ok(ShapingState {
         shapes,
-        shaped,
+        shaped: j.each("shaped", Json::to_u32)?,
         stats,
     })
 }
 
-fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .filter(|f| f.fract() == 0.0 && *f >= 0.0)
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing or non-integer '{key}'"))
-}
-
-/// Serializes a recovery event; bookkeeping and interrupt events return
-/// `None` (they describe a particular run's execution, not the pipeline
-/// state, and are not replayed on resume).
-fn event_to_json(e: &RecoveryEvent) -> Option<String> {
-    match e {
-        RecoveryEvent::PlacerReverted { stage } => Some(format!(
-            "{{\"kind\":\"placer_reverted\",\"stage\":\"{}\"}}",
-            json::escape(stage)
-        )),
-        RecoveryEvent::ShapeFallback { cluster } => Some(format!(
-            "{{\"kind\":\"shape_fallback\",\"cluster\":{cluster}}}"
-        )),
-        RecoveryEvent::RegionDropped { cluster } => Some(format!(
-            "{{\"kind\":\"region_dropped\",\"cluster\":{cluster}}}"
-        )),
-        RecoveryEvent::Cancelled { .. }
-        | RecoveryEvent::DeadlineExceeded { .. }
-        | RecoveryEvent::CheckpointWritten { .. }
-        | RecoveryEvent::Resumed { .. } => None,
-    }
-}
-
 fn event_from_json(j: &Json) -> Result<RecoveryEvent, String> {
-    let kind = j.get("kind").and_then(Json::as_str).ok_or("missing kind")?;
-    match kind {
-        "placer_reverted" => {
-            let stage = j
-                .get("stage")
-                .and_then(Json::as_str)
-                .ok_or("missing stage")?;
-            Ok(RecoveryEvent::PlacerReverted {
-                stage: stage_static(stage)?,
-            })
-        }
+    match j.str("kind")? {
+        "placer_reverted" => Ok(RecoveryEvent::PlacerReverted {
+            stage: j.at("stage", stage_static)?,
+        }),
         "shape_fallback" => Ok(RecoveryEvent::ShapeFallback {
-            cluster: get_u64(j, "cluster")? as u32,
+            cluster: j.u32("cluster")?,
         }),
         "region_dropped" => Ok(RecoveryEvent::RegionDropped {
-            cluster: get_u64(j, "cluster")? as u32,
+            cluster: j.u32("cluster")?,
         }),
         other => Err(format!("unknown event kind '{other}'")),
     }
 }
 
 /// Maps a stage name back to its `'static` constant.
-fn stage_static(name: &str) -> Result<&'static str, String> {
+fn stage_static(name: &Json) -> Result<&'static str, String> {
+    let name = name.to_str()?;
     stages::ALL
         .iter()
         .chain(std::iter::once(&stages::CONGESTION_REFINEMENT))
@@ -547,8 +436,30 @@ mod tests {
         assert!(Checkpoint::from_json(&bad_stage).is_err());
         let bad_version = sample()
             .to_json()
-            .replace("\"version\": 1", "\"version\": 99");
+            .replace("\"version\": 2", "\"version\": 99");
         assert!(Checkpoint::from_json(&bad_version).is_err());
+    }
+
+    /// The three hashes the one helper replaced, at the values their own
+    /// loops produced: the run fingerprint, the chaos sweep's site key and
+    /// `tracetool harvest`'s artifact identity.
+    #[test]
+    fn fnv1a64_keeps_the_three_hashes_it_replaced() {
+        let (netlist, _) = GeneratorConfig::from_profile(DesignProfile::Aes)
+            .scale(0.005)
+            .seed(1)
+            .generate_with_constraints();
+        let run = fingerprint(&netlist, &FlowOptions::fast());
+        assert_eq!(run, 0x4de4_958d_6098_b8c7);
+        assert_eq!(fnv1a64(FNV_OFFSET, b"flow.start"), 0xba12_3255_f7b7_2d93);
+        let artifact = fnv1a64(FNV_OFFSET, br#"{"version":1}"#);
+        assert_eq!(artifact, 0x07eb_e02b_9b5e_69f2);
+        // Chained calls hash the concatenation.
+        assert_eq!(
+            fnv1a64(fnv1a64(FNV_OFFSET, b"flow."), b"start"),
+            0xba12_3255_f7b7_2d93
+        );
+        assert_eq!(fnv1a64(FNV_OFFSET, b""), FNV_OFFSET);
     }
 
     #[test]
@@ -568,6 +479,92 @@ mod tests {
         let mut other = FlowOptions::fast();
         other.placer.seed += 1;
         assert_ne!(f1, fingerprint(&n1, &other), "option changes invalidate");
+    }
+
+    /// The parent encoder's bytes, but for `version` and the two removed
+    /// cache counters.
+    #[test]
+    fn document_matches_its_golden_bytes() {
+        let mut cp = sample();
+        cp.flat_placement = Some(PlacementState {
+            positions: vec![],
+            diverged: false,
+        });
+        cp.events.push(RecoveryEvent::RegionDropped { cluster: 7 });
+        // Bookkeeping events are not written.
+        cp.events.push(RecoveryEvent::Resumed {
+            stage: stages::CLUSTERING,
+        });
+        assert_eq!(
+            cp.to_json(),
+            r#"{
+  "version": 2,
+  "fingerprint": "deadbeef01234567",
+  "stage": "cluster placement",
+  "clustering": { "assignment": [0,1,1,0,2], "runtime": 0.125 },
+  "diagnostics": { "events": [{"kind":"shape_fallback","cluster":1},{"kind":"placer_reverted","stage":"cluster placement"},{"kind":"region_dropped","cluster":7}], "dropped": 0 },
+  "shaping": { "shapes": [{"cluster":0,"aspect_ratio":1.25,"utilization":0.8}], "shaped": [0,1], "stats": {"clusters_shaped":2,"exact_evals":40,"exact_evals_avoided":0,"proxy_evals":0,"surrogate_batches":0,"surrogate_samples":0,"warm_start_hits":0} },
+  "cluster_placement": { "positions": [[1.5,-2.25],[0.30000000000000004,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014],[0.3333333333333333,-0.0]], "diverged": true },
+  "flat_placement": { "positions": [], "diverged": false }
+}
+"#
+        );
+        let fresh = Checkpoint::after_clustering(1, vec![], 0.0);
+        assert_eq!(
+            fresh.to_json(),
+            r#"{
+  "version": 2,
+  "fingerprint": "0000000000000001",
+  "stage": "clustering",
+  "clustering": { "assignment": [], "runtime": 0.0 },
+  "diagnostics": { "events": [], "dropped": 0 }
+}
+"#
+        );
+    }
+
+    /// `-1` used to resume as cluster 0, `2.7` as cluster 2 (`f as u32`).
+    #[test]
+    fn ids_that_are_not_ids_are_typed_errors() {
+        let negative =
+            include_str!("../../../tests/regressions/checkpoint_negative_assignment.json");
+        let err = Checkpoint::from_json(negative).expect_err("negative cluster id");
+        assert!(
+            err.contains("clustering: assignment[1]: expected an integer"),
+            "{err}"
+        );
+        let text = sample().to_json();
+        for (from, to, path) in [
+            (
+                "\"shaped\": [0,1]",
+                "\"shaped\": [0,4294967296]",
+                "shaping: shaped[1]: ",
+            ),
+            (
+                "\"cluster\":0,",
+                "\"cluster\":-3,",
+                "shaping: shapes[0]: cluster: ",
+            ),
+            (
+                "\"exact_evals\":40",
+                "\"exact_evals\":-40",
+                "shaping: stats: exact_evals: ",
+            ),
+            (
+                "\"dropped\": 0",
+                "\"dropped\": 1e300",
+                "diagnostics: dropped: ",
+            ),
+            (
+                "{\"kind\":\"shape_fallback\",\"cluster\":1}",
+                "{\"kind\":\"shape_fallback\",\"cluster\":-1}",
+                "diagnostics: events[0]: cluster: ",
+            ),
+        ] {
+            assert!(text.contains(from), "{from}");
+            let err = Checkpoint::from_json(&text.replace(from, to)).expect_err(to);
+            assert!(err.contains(path), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -37,8 +37,9 @@ use crate::error::{
 use crate::qor;
 use crate::stages;
 use crate::vpr::ml::MlShapeSelector;
-use crate::vpr::subnetlist::SubnetlistCache;
-use crate::vpr::{best_shape_hybrid_with_control, ShapeSearchStats, VprOptions};
+use crate::vpr::{
+    best_shape_hybrid_with_control, extract_subnetlist, ShapeSearchStats, VprOptions,
+};
 use cp_netlist::clustered::ClusteredNetlist;
 use cp_netlist::floorplan::Rect;
 use cp_netlist::netlist::Netlist;
@@ -302,10 +303,6 @@ pub struct ShapingStats {
     pub surrogate_samples: usize,
     /// Exact evaluations warm-started from a previous candidate's solution.
     pub warm_start_hits: usize,
-    /// Sub-netlist extractions served from the cache.
-    pub subnetlist_cache_hits: usize,
-    /// Sub-netlist extractions that had to run.
-    pub subnetlist_cache_misses: usize,
 }
 
 impl ShapingStats {
@@ -856,7 +853,6 @@ impl<'a> Run<'a> {
         clusters: Clusters<'_>,
     ) -> Result<FlowReport, FlowError> {
         let options = self.options;
-        let mut cache = SubnetlistCache::new();
         self.check(sites::FLOW_START, stages::CLUSTERING)?;
         let root = cp_trace::span(match clusters {
             Clusters::Flat => stages::FLOW_FLAT,
@@ -921,7 +917,7 @@ impl<'a> Run<'a> {
                 Some(state) => state.clone(),
                 None => {
                     let state = self.timed(stages::SHAPING, |run| {
-                        run.select_shapes(netlist, &clustered, &mut cache)
+                        run.select_shapes(netlist, &clustered)
                     })?;
                     self.checkpoint(stages::SHAPING, |cp| cp.shaping = Some(state.clone()));
                     state
@@ -1042,16 +1038,12 @@ impl<'a> Run<'a> {
     }
 
     /// Lines 12-13: picks a shape for every shapeable cluster (for none in
-    /// `Uniform` mode). Sub-netlists come from the run's cache (extraction
-    /// is sequential: the cache is `&mut`), which induces each distinct
-    /// member list once.
+    /// `Uniform` mode).
     fn select_shapes(
         &mut self,
         netlist: &Netlist,
         clustered: &ClusteredNetlist,
-        cache: &mut SubnetlistCache,
     ) -> Result<ShapingState, FlowError> {
-        let (hits0, misses0) = (cache.hits(), cache.misses());
         let shapeable = clustered.shapeable_clusters(self.options.vpr_min_instances);
         let mut stats = ShapingStats::default();
         let shapes: Vec<(u32, ClusterShape)> = match &self.options.shape_mode {
@@ -1063,13 +1055,13 @@ impl<'a> Run<'a> {
                 shapeable.iter().map(&mut pick).collect()
             }
             mode => {
-                let subs: Vec<Option<std::sync::Arc<Netlist>>> = shapeable
+                let subs: Vec<Option<Netlist>> = shapeable
                     .iter()
-                    .map(|&c| cache.get_or_extract(netlist, clustered.cells(c)).ok())
+                    .map(|&c| extract_subnetlist(netlist, clustered.cells(c)).ok())
                     .collect();
                 // Clusters whose extraction failed fall back to the uniform
                 // shape below; the evaluators only see the ones that induced.
-                let present: Vec<&Netlist> = subs.iter().flatten().map(|a| a.as_ref()).collect();
+                let present: Vec<&Netlist> = subs.iter().flatten().collect();
                 let present_ids: Vec<u32> = shapeable
                     .iter()
                     .zip(&subs)
@@ -1095,8 +1087,6 @@ impl<'a> Run<'a> {
             }
         };
         stats.clusters_shaped = shapes.len();
-        stats.subnetlist_cache_hits = cache.hits() - hits0;
-        stats.subnetlist_cache_misses = cache.misses() - misses0;
         Ok(ShapingState {
             shaped: shapes.iter().map(|&(c, _)| c).collect(),
             shapes,

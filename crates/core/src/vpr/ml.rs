@@ -10,7 +10,7 @@
 
 use crate::cluster::{ppa_aware_clustering, ClusteringOptions};
 use crate::error::FlowError;
-use crate::vpr::subnetlist::SubnetlistCache;
+use crate::vpr::subnetlist::extract_subnetlist;
 use crate::vpr::{ClusterVpr, VprOptions};
 use cp_gnn::model::{ModelConfig, TotalCostModel};
 use cp_gnn::sample::GraphSample;
@@ -258,9 +258,6 @@ pub fn generate_dataset(
     config: &DatasetConfig,
 ) -> Result<Vec<(GraphSample, f64)>, FlowError> {
     let mut data = Vec::new();
-    // Perturbed configurations frequently rediscover the same clusters;
-    // the cache makes each distinct cluster's extraction a one-time cost.
-    let mut cache = SubnetlistCache::new();
     for k in 0..config.configs {
         let perturbed = ClusteringOptions {
             seed: config.seed ^ (0x9E37_79B9 * (k as u64 + 1)),
@@ -281,7 +278,7 @@ pub fn generate_dataset(
             members.truncate(config.max_clusters_per_config);
         }
         for cells in &members {
-            let sub = cache.get_or_extract(netlist, cells)?;
+            let sub = extract_subnetlist(netlist, cells)?;
             let feats = cluster_features(&sub);
             // Label the 20-candidate grid in parallel; validation and the
             // net count are hoisted into the context, and errors propagate

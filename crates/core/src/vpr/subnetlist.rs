@@ -7,8 +7,6 @@
 
 use cp_netlist::netlist::{BuildNetlistError, Netlist, NetlistBuilder, PinRef, PortDir};
 use cp_netlist::{CellId, HierTree};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Induces the sub-netlist over `cells` (clock nets are dropped; CTS owns
 /// them).
@@ -73,66 +71,6 @@ pub fn extract_subnetlist(
         }
     }
     builder.finish()
-}
-
-/// Memoizes [`extract_subnetlist`] by cell set.
-///
-/// Dataset generation perturbs clustering hyperparameters and re-induces
-/// every large cluster per configuration; the same cell sets recur across
-/// configurations, so each distinct cluster is extracted exactly once.
-/// Extractions are shared via `Arc`, so the 20-candidate shape grid (and
-/// any parallel consumers) reuse one netlist without copies.
-///
-/// A cache instance is bound to one parent netlist: keys are cell-id
-/// sets, so reusing it across designs would alias unrelated clusters.
-#[derive(Debug, Default)]
-pub struct SubnetlistCache {
-    map: HashMap<Vec<u32>, Arc<Netlist>>,
-    hits: usize,
-    misses: usize,
-}
-
-impl SubnetlistCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the memoized sub-netlist for `cells`, extracting on first
-    /// sight.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`extract_subnetlist`] (failed extractions are not cached).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` contains duplicates (as [`extract_subnetlist`]).
-    pub fn get_or_extract(
-        &mut self,
-        netlist: &Netlist,
-        cells: &[CellId],
-    ) -> Result<Arc<Netlist>, BuildNetlistError> {
-        let key: Vec<u32> = cells.iter().map(|c| c.0).collect();
-        if let Some(sub) = self.map.get(&key) {
-            self.hits += 1;
-            return Ok(Arc::clone(sub));
-        }
-        let sub = Arc::new(extract_subnetlist(netlist, cells)?);
-        self.misses += 1;
-        self.map.insert(key, Arc::clone(&sub));
-        Ok(sub)
-    }
-
-    /// Lookups served from the cache.
-    pub fn hits(&self) -> usize {
-        self.hits
-    }
-
-    /// Lookups that had to extract.
-    pub fn misses(&self) -> usize {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -207,24 +145,5 @@ mod tests {
     fn duplicate_cells_panic() {
         let n = design();
         let _ = extract_subnetlist(&n, &[CellId(0), CellId(0)]);
-    }
-
-    #[test]
-    fn cache_extracts_each_cluster_once() {
-        let n = design();
-        let a: Vec<CellId> = (0..40).map(CellId).collect();
-        let b: Vec<CellId> = (40..90).map(CellId).collect();
-        let mut cache = SubnetlistCache::new();
-        let s1 = cache.get_or_extract(&n, &a).expect("valid sub-netlist");
-        let s2 = cache.get_or_extract(&n, &a).expect("valid sub-netlist");
-        let s3 = cache.get_or_extract(&n, &b).expect("valid sub-netlist");
-        assert!(Arc::ptr_eq(&s1, &s2), "repeat lookup must share");
-        assert!(!Arc::ptr_eq(&s1, &s3));
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        // Cached result matches a fresh extraction.
-        let fresh = extract_subnetlist(&n, &a).expect("valid sub-netlist");
-        assert_eq!(s1.cell_count(), fresh.cell_count());
-        assert_eq!(s1.port_count(), fresh.port_count());
     }
 }

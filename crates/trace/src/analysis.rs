@@ -1,12 +1,12 @@
 //! Trace analytics: self-time attribution, critical-path extraction,
 //! flamegraph export and run-over-run report diffing.
 //!
-//! [`Analysis`] is the common entry point. It is built either from a live
-//! [`TraceReport`] ([`Analysis::from_report`]) or from a previously
-//! exported structured-JSON document ([`Analysis::from_json`]), so the
-//! same analytics run in-process (the `tracetool gate` fresh run) and
-//! offline on a committed artifact (`tracetool summarize/diff` on
-//! `TRACE_report.json`).
+//! [`Analysis`] is the common entry point. [`Analysis::from_report`]
+//! takes anything that converts into a [`ReportDoc`] — a live
+//! [`TraceReport`](crate::TraceReport) or a document decoded by
+//! [`ReportDoc::from_json`] — so the same analytics run in-process (the
+//! `tracetool gate` fresh run) and offline on a written artifact
+//! (`tracetool summarize/diff` on `TRACE_report.json`).
 //!
 //! # Self-time
 //!
@@ -41,8 +41,7 @@
 //! repetitions of each run it compares the per-name *minimum* times, the
 //! same noise-rejection the bench bins use.
 
-use crate::json::Json;
-use crate::report::{MetricValue, TraceReport};
+use crate::report::ReportDoc;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -130,133 +129,49 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// Builds the analysis from a live report.
+    /// Builds the analysis from a live report or a decoded one.
     ///
     /// # Errors
     ///
-    /// When the report's root span is missing from `spans`.
-    pub fn from_report(report: &TraceReport) -> Result<Self, String> {
-        let raw: Vec<(u64, u64, String, u32, u64, u64)> = report
-            .spans
-            .iter()
-            .map(|s| {
-                (
-                    s.id,
-                    s.parent,
-                    s.name.to_string(),
-                    s.thread,
-                    s.start_ns,
-                    s.end_ns.saturating_sub(s.start_ns),
-                )
-            })
-            .collect();
-        let metrics = report
-            .metrics
-            .iter()
-            .map(|m| MetricReading {
-                name: m.name.to_string(),
-                slot: m.slot,
-                value: match &m.value {
-                    MetricValue::Counter(v) => MetricReadingValue::Counter(*v as f64),
-                    MetricValue::Gauge(v) => MetricReadingValue::Gauge(*v),
-                    MetricValue::Histogram { count, sum, .. } => MetricReadingValue::Histogram {
-                        count: *count as f64,
-                        sum: *sum,
-                    },
-                },
-            })
-            .collect();
-        Self::build(raw, report.root, metrics, report.dropped_events)
-    }
-
-    /// Builds the analysis from a parsed `TRACE_report.json` document
-    /// (the output of [`TraceReport::to_json`]).
-    ///
-    /// # Errors
-    ///
-    /// When required fields are missing or the root span is absent.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let root_id =
-            doc.get("root")
-                .and_then(Json::as_f64)
-                .ok_or_else(|| "report has no numeric \"root\"".to_string())? as u64;
-        let spans = doc
-            .get("spans")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "report has no \"spans\" array".to_string())?;
-        let mut raw = Vec::with_capacity(spans.len());
-        for (i, s) in spans.iter().enumerate() {
-            let field = |k: &str| {
-                s.get(k)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("span {i} has no numeric \"{k}\""))
-            };
-            let name = s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("span {i} has no string \"name\""))?;
-            raw.push((
-                field("id")? as u64,
-                field("parent")? as u64,
-                name.to_string(),
-                field("thread")? as u32,
-                (field("start_us")? * 1e3).round() as u64,
-                (field("dur_us")? * 1e3).round() as u64,
-            ));
-        }
-        let mut metrics = Vec::new();
-        if let Some(ms) = doc.get("metrics").and_then(Json::as_array) {
-            for m in ms {
-                if let Some(r) = metric_from_json(m) {
-                    metrics.push(r);
-                }
-            }
-        }
-        let dropped = doc
-            .get("dropped_events")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0) as u64;
-        Self::build(raw, root_id, metrics, dropped)
-    }
-
-    /// `raw`: `(id, parent, name, thread, start_ns, dur_ns)` per span.
-    fn build(
-        raw: Vec<(u64, u64, String, u32, u64, u64)>,
-        root_id: u64,
-        metrics: Vec<MetricReading>,
-        dropped_events: u64,
-    ) -> Result<Self, String> {
+    /// When the report's root span is missing from its spans.
+    pub fn from_report(report: impl Into<ReportDoc>) -> Result<Self, String> {
+        let ReportDoc {
+            root: root_id,
+            dropped_events,
+            spans: mut rows,
+            metrics,
+            ..
+        } = report.into();
         let index_of: BTreeMap<u64, usize> =
-            raw.iter().enumerate().map(|(i, r)| (r.0, i)).collect();
+            rows.iter().enumerate().map(|(i, r)| (r.id, i)).collect();
         let root = *index_of
             .get(&root_id)
             .ok_or_else(|| format!("root span {root_id} not present in the report"))?;
-        let mut spans: Vec<ASpan> = raw
-            .iter()
-            .map(|(_, _, name, thread, start_ns, dur_ns)| ASpan {
-                name: name.clone(),
-                thread: *thread,
-                start_ns: *start_ns,
-                dur_ns: *dur_ns,
+        let mut spans: Vec<ASpan> = rows
+            .iter_mut()
+            .map(|r| ASpan {
+                name: std::mem::take(&mut r.name),
+                thread: r.thread,
+                start_ns: r.start_ns,
+                dur_ns: r.dur_ns,
                 children: Vec::new(),
-                self_ns: *dur_ns as i64,
+                self_ns: r.dur_ns as i64,
             })
             .collect();
-        for (i, (id, parent, ..)) in raw.iter().enumerate() {
-            if *id == root_id {
+        for (i, r) in rows.iter().enumerate() {
+            if r.id == root_id {
                 continue;
             }
             // Orphans (parent pruned from the capture) attach to the root
             // so the tree stays connected and self-time still telescopes.
-            let p = index_of.get(parent).copied().unwrap_or(root);
+            let p = index_of.get(&r.parent).copied().unwrap_or(root);
             spans[p].children.push(i);
-            spans[p].self_ns -= raw[i].5 as i64;
+            spans[p].self_ns -= r.dur_ns as i64;
         }
         // Children in start order (stable for equal starts: insertion
         // order above follows the report's span order).
-        let keys: Vec<(u64, u64)> = raw.iter().map(|r| (r.4, r.0)).collect();
         for s in &mut spans {
-            s.children.sort_by_key(|&c| keys[c]);
+            s.children.sort_by_key(|&c| (rows[c].start_ns, rows[c].id));
         }
         Ok(Self {
             spans,
@@ -409,7 +324,8 @@ impl Analysis {
     /// `(name, subtree self-time seconds)` for each direct child of the
     /// root, in start order. By the telescoping identity each subtree's
     /// self-time equals the child span's wall time, so these reconcile
-    /// with [`TraceReport::stage_seconds`] to nanosecond precision.
+    /// with [`TraceReport::stage_seconds`](crate::TraceReport::stage_seconds)
+    /// to nanosecond precision.
     pub fn stage_self_seconds(&self) -> Vec<(String, f64)> {
         self.spans[self.root]
             .children
@@ -430,21 +346,6 @@ impl Analysis {
         }
         total
     }
-}
-
-fn metric_from_json(m: &Json) -> Option<MetricReading> {
-    let name = m.get("name").and_then(Json::as_str)?.to_string();
-    let slot = m.get("slot").and_then(Json::as_f64).map(|s| s as u32);
-    let value = match m.get("kind").and_then(Json::as_str)? {
-        "counter" => MetricReadingValue::Counter(m.get("value").and_then(Json::as_f64)?),
-        "gauge" => MetricReadingValue::Gauge(m.get("value").and_then(Json::as_f64)?),
-        "histogram" => MetricReadingValue::Histogram {
-            count: m.get("count").and_then(Json::as_f64)?,
-            sum: m.get("sum").and_then(Json::as_f64)?,
-        },
-        _ => return None,
-    };
-    Some(MetricReading { name, slot, value })
 }
 
 /// Folded-format frames may not contain the stack separator or line
@@ -777,13 +678,14 @@ impl SeriesGroup {
 
 /// Maps every span id to the name of the stage (direct child of the
 /// root, with `flow.*` wrappers transparent) whose subtree contains it.
-fn stage_of_spans(spans: &[(u64, u64, String)], root: u64) -> BTreeMap<u64, String> {
+fn stage_of_spans(doc: &ReportDoc) -> BTreeMap<u64, String> {
+    let (spans, root) = (&doc.spans, doc.root);
     let by_id: BTreeMap<u64, (u64, &str)> = spans
         .iter()
-        .map(|(id, parent, name)| (*id, (*parent, name.as_str())))
+        .map(|s| (s.id, (s.parent, s.name.as_str())))
         .collect();
     let mut out = BTreeMap::new();
-    for &(id, _, _) in spans {
+    for id in spans.iter().map(|s| s.id) {
         let mut cur = id;
         let mut stage: Option<&str> = None;
         // Climb to the root; the last non-wrapper node below it (or
@@ -857,111 +759,35 @@ impl Default for Doctor {
 }
 
 impl Doctor {
-    /// Diagnoses a live report plus (optionally empty) decoded frames.
+    /// Diagnoses a live or decoded report plus (optionally empty)
+    /// decoded frames.
     pub fn diagnose_report(
         &self,
-        report: &TraceReport,
+        report: impl Into<ReportDoc>,
         frames: &[crate::fields::DecodedFrame],
     ) -> Vec<Verdict> {
-        let spans: Vec<(u64, u64, String)> = report
-            .spans
-            .iter()
-            .map(|s| (s.id, s.parent, s.name.to_string()))
-            .collect();
-        let stages = stage_of_spans(&spans, report.root);
-        let unknown = || "unknown".to_string();
-        let mut groups: Vec<((&str, u64), SeriesGroup)> = Vec::new();
-        for r in &report.series {
-            let key = (r.name, r.span);
-            let mut row: BTreeMap<String, f64> = BTreeMap::new();
-            row.insert("i".to_string(), r.iter as f64);
-            for &(k, v) in &r.values {
-                row.insert(k.to_string(), v);
-            }
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, g)) => g.rows.push(row),
-                None => groups.push((
-                    key,
-                    SeriesGroup {
-                        name: r.name.to_string(),
-                        stage: stages.get(&r.span).cloned().unwrap_or_else(unknown),
-                        rows: vec![row],
-                    },
-                )),
-            }
-        }
-        let groups: Vec<SeriesGroup> = groups.into_iter().map(|(_, g)| g).collect();
-        let reverts: Vec<String> = report
+        let doc: ReportDoc = report.into();
+        let stages = stage_of_spans(&doc);
+        let stage_of = |span: &u64| {
+            let stage = stages.get(span).cloned();
+            stage.unwrap_or_else(|| "unknown".to_string())
+        };
+        let reverts: Vec<String> = doc
             .instants
             .iter()
-            .filter(|i| i.name == "place.revert")
-            .map(|i| stages.get(&i.span).cloned().unwrap_or_else(unknown))
+            .filter(|(name, _)| name == "place.revert")
+            .map(|(_, span)| stage_of(span))
+            .collect();
+        let groups: Vec<SeriesGroup> = doc
+            .series
+            .into_iter()
+            .map(|(name, span, rows)| SeriesGroup {
+                name,
+                stage: stage_of(&span),
+                rows,
+            })
             .collect();
         self.diagnose(&groups, &reverts, frames)
-    }
-
-    /// Diagnoses a structured-JSON report document (the
-    /// `TRACE_report.json` format) plus decoded frames.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the document lacks the spans/root shape.
-    pub fn diagnose_json(
-        &self,
-        doc: &Json,
-        frames: &[crate::fields::DecodedFrame],
-    ) -> Result<Vec<Verdict>, String> {
-        let root = doc
-            .get("root")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| "report has no numeric \"root\"".to_string())? as u64;
-        let mut spans = Vec::new();
-        for s in doc
-            .get("spans")
-            .and_then(Json::as_array)
-            .ok_or_else(|| "report has no \"spans\" array".to_string())?
-        {
-            let id = s.get("id").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let parent = s.get("parent").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-            let name = s.get("name").and_then(Json::as_str).unwrap_or("");
-            spans.push((id, parent, name.to_string()));
-        }
-        let stages = stage_of_spans(&spans, root);
-        let unknown = || "unknown".to_string();
-        let mut groups = Vec::new();
-        if let Some(series) = doc.get("series").and_then(Json::as_array) {
-            for g in series {
-                let name = g.get("name").and_then(Json::as_str).unwrap_or("");
-                let span = g.get("span").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                let mut rows = Vec::new();
-                if let Some(rs) = g.get("rows").and_then(Json::as_array) {
-                    for r in rs {
-                        if let Json::Obj(map) = r {
-                            let row: BTreeMap<String, f64> = map
-                                .iter()
-                                .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-                                .collect();
-                            rows.push(row);
-                        }
-                    }
-                }
-                groups.push(SeriesGroup {
-                    name: name.to_string(),
-                    stage: stages.get(&span).cloned().unwrap_or_else(unknown),
-                    rows,
-                });
-            }
-        }
-        let mut reverts = Vec::new();
-        if let Some(instants) = doc.get("instants").and_then(Json::as_array) {
-            for i in instants {
-                if i.get("name").and_then(Json::as_str) == Some("place.revert") {
-                    let span = i.get("span").and_then(Json::as_f64).unwrap_or(0.0) as u64;
-                    reverts.push(stages.get(&span).cloned().unwrap_or_else(unknown));
-                }
-            }
-        }
-        Ok(self.diagnose(&groups, &reverts, frames))
     }
 
     /// Runs every detector over pre-extracted series groups, revert
@@ -1315,7 +1141,7 @@ pub fn compare_runs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::MetricSnapshot;
+    use crate::report::{MetricSnapshot, MetricValue, TraceReport};
     use crate::SpanRecord;
 
     /// A tree with a parallel fan-out: root [0, 100ms] → stage a
@@ -1413,10 +1239,14 @@ mod tests {
     #[test]
     fn json_round_trip_preserves_analysis() {
         let r = sample();
+        let live = ReportDoc::from(&r);
+        let decoded = ReportDoc::from_json(&r.to_json()).expect("decodes");
+        assert_eq!(
+            decoded, live,
+            "decode(encode(report)) is the live conversion"
+        );
         let direct = Analysis::from_report(&r).expect("analyzes");
-        let doc = crate::json::parse(&r.to_json()).expect("parses");
-        let via_json = Analysis::from_json(&doc).expect("analyzes");
-        assert_eq!(direct.span_count(), via_json.span_count());
+        let via_json = Analysis::from_report(decoded).expect("analyzes");
         assert_eq!(direct.self_time_by_name(), via_json.self_time_by_name());
         assert_eq!(direct.critical_path(), via_json.critical_path());
         assert_eq!(direct.folded(), via_json.folded());

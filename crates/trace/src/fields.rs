@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::json::{escape, fmt_f64, Json};
+use crate::json::{parse_checked, Json, Writer};
 use crate::lock;
 
 /// JSON Schema for the frames artifact, compiled into the binary so the
@@ -195,8 +195,9 @@ pub struct DecodedFrame {
 
 struct FieldStore {
     frames: Vec<FieldFrame>,
-    /// Last dense grid per `(name, stage)`, the delta-encoding base.
-    last: BTreeMap<(&'static str, &'static str), Vec<f32>>,
+    /// Last dense grid per `(name, stage)` with its width, the
+    /// delta-encoding base.
+    last: BTreeMap<(&'static str, &'static str), (usize, Vec<f32>)>,
     dropped: u64,
     budget: usize,
 }
@@ -238,7 +239,9 @@ where
         return;
     }
     let data = match s.last.get(&(name, stage)) {
-        Some(prev) if prev.len() == grid.len() => {
+        // Same width and cell count: the same shape, which the decoder
+        // requires of a delta's base.
+        Some((prev_nx, prev)) if *prev_nx == nx && prev.len() == grid.len() => {
             let mut indices = Vec::new();
             let mut vals = Vec::new();
             for (i, (&new, &old)) in grid.iter().zip(prev.iter()).enumerate() {
@@ -260,7 +263,7 @@ where
         }
         _ => FrameData::Dense(grid.clone()),
     };
-    s.last.insert((name, stage), grid);
+    s.last.insert((name, stage), (nx, grid));
     s.frames.push(FieldFrame {
         name,
         stage,
@@ -333,168 +336,100 @@ pub fn decode(capture: &FrameCapture) -> Vec<DecodedFrame> {
 // ---------------------------------------------------------------------------
 // JSON
 
-fn write_values(out: &mut String, values: &[f32]) {
-    out.push('[');
-    for (i, &v) in values.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&fmt_f64(f64::from(v)));
-    }
-    out.push(']');
-}
-
 /// Serializes a capture as the `field_frames.schema.json` document.
 /// Byte-deterministic for a given capture.
 pub fn to_json(capture: &FrameCapture) -> String {
-    let mut out = String::new();
-    out.push_str("{\"version\":1");
-    out.push_str(&format!(",\"budget\":{}", capture.budget));
-    out.push_str(&format!(",\"dropped_frames\":{}", capture.dropped_frames));
-    out.push_str(",\"frames\":[");
-    for (i, f) in capture.frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"stage\":\"{}\",\"iter\":{},\"nx\":{},\"ny\":{}",
-            escape(f.name),
-            escape(f.stage),
-            f.iter,
-            f.nx,
-            f.ny
-        ));
-        match &f.data {
+    let mut w = Writer::new();
+    w.object().key("version").u64(1);
+    w.key("budget").u64(capture.budget as u64);
+    w.key("dropped_frames").u64(capture.dropped_frames);
+    w.key("frames").array();
+    for f in &capture.frames {
+        w.object().key("name").str(f.name).key("stage").str(f.stage);
+        w.key("iter").u64(f.iter);
+        w.key("nx").u64(f.nx.into()).key("ny").u64(f.ny.into());
+        let values = match &f.data {
             FrameData::Dense(values) => {
-                out.push_str(",\"encoding\":\"dense\",\"values\":");
-                write_values(&mut out, values);
+                w.key("encoding").str("dense");
+                values
             }
             FrameData::Delta { indices, values } => {
-                out.push_str(",\"encoding\":\"delta\",\"indices\":[");
-                for (j, &ix) in indices.iter().enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&ix.to_string());
+                w.key("encoding").str("delta").key("indices").array();
+                for &ix in indices {
+                    w.u64(ix.into());
                 }
-                out.push_str("],\"values\":");
-                write_values(&mut out, values);
+                w.end();
+                values
             }
+        };
+        w.key("values").array();
+        for &v in values {
+            w.f64(f64::from(v));
         }
-        out.push('}');
+        w.end().end();
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
 }
 
-fn frame_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_f64)
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("frame missing numeric '{key}'"))
-}
-
-/// Parses a frames document and decodes every frame to a dense grid,
+/// Decodes a frames document ([`to_json`] output) to dense grids,
 /// applying deltas per `(name, stage)` sequence in file order.
 ///
 /// # Errors
 ///
-/// Returns a message when the document is not shaped like
-/// `field_frames.schema.json` output.
-pub fn decode_json(doc: &Json) -> Result<Vec<DecodedFrame>, String> {
-    let frames = doc
-        .get("frames")
-        .and_then(Json::as_array)
-        .ok_or("frames document has no 'frames' array")?;
-    let mut last: BTreeMap<(String, String), Vec<f32>> = BTreeMap::new();
-    let mut out = Vec::with_capacity(frames.len());
-    for f in frames {
-        let name = f
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("frame missing 'name'")?
-            .to_string();
-        let stage = f
-            .get("stage")
-            .and_then(Json::as_str)
-            .ok_or("frame missing 'stage'")?
-            .to_string();
-        let iter = frame_u64(f, "iter")?;
-        let nx = frame_u64(f, "nx")? as usize;
-        let ny = frame_u64(f, "ny")? as usize;
-        let n = nx * ny;
-        let encoding = f
-            .get("encoding")
-            .and_then(Json::as_str)
-            .ok_or("frame missing 'encoding'")?;
-        let raw: Vec<f32> = f
-            .get("values")
-            .and_then(Json::as_array)
-            .ok_or("frame missing 'values'")?
-            .iter()
-            .filter_map(Json::as_f64)
-            .map(|v| v as f32)
-            .collect();
-        let values = match encoding {
-            "dense" => {
-                if raw.len() != n {
-                    return Err(format!(
-                        "dense frame {name}/{stage}#{iter}: {} values for {nx}x{ny}",
-                        raw.len()
-                    ));
-                }
-                raw
+/// Malformed JSON, a violation of `schemas/field_frames.schema.json`, a
+/// grid size that is not a pair of in-range integers, a dense frame whose
+/// value count is not `nx * ny`, or a delta frame that has no previous
+/// frame of the same sequence and shape or indexes outside it. No
+/// allocation is sized by a number the file merely claims.
+pub fn decode_json(input: &str) -> Result<Vec<DecodedFrame>, String> {
+    static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
+    let doc = parse_checked(input, SCHEMA_JSON, &SCHEMA)?;
+    let mut last: BTreeMap<(String, String), (usize, usize, Vec<f32>)> = BTreeMap::new();
+    doc.each("frames", |f| {
+        let key = (f.str("name")?.to_string(), f.str("stage")?.to_string());
+        let (nx, ny) = (f.usize("nx")?, f.usize("ny")?);
+        let n = nx
+            .checked_mul(ny)
+            .ok_or_else(|| format!("a {nx}x{ny} grid overflows"))?;
+        let raw = f.each("values", |v| v.to_f64().map(|v| v as f32))?;
+        let values = if f.str("encoding")? == "dense" {
+            if raw.len() != n {
+                return Err(format!("{} values for a {nx}x{ny} dense frame", raw.len()));
             }
-            "delta" => {
-                let indices: Vec<usize> = f
-                    .get("indices")
-                    .and_then(Json::as_array)
-                    .ok_or("delta frame missing 'indices'")?
-                    .iter()
-                    .filter_map(Json::as_f64)
-                    .map(|v| v as usize)
-                    .collect();
-                if indices.len() != raw.len() {
-                    return Err(format!(
-                        "delta frame {name}/{stage}#{iter}: {} indices, {} values",
-                        indices.len(),
-                        raw.len()
-                    ));
-                }
-                let mut base = last
-                    .get(&(name.clone(), stage.clone()))
-                    .cloned()
-                    .unwrap_or_else(|| vec![0.0; n]);
-                base.resize(n, 0.0);
-                for (&i, &v) in indices.iter().zip(raw.iter()) {
-                    if i >= n {
-                        return Err(format!(
-                            "delta frame {name}/{stage}#{iter}: index {i} out of {n}"
-                        ));
-                    }
-                    base[i] = v;
-                }
-                base
+            raw
+        } else {
+            let indices = f.each("indices", Json::to_usize)?;
+            if indices.len() != raw.len() {
+                let (i, v) = (indices.len(), raw.len());
+                return Err(format!("{i} indices for {v} delta values"));
             }
-            other => return Err(format!("unknown frame encoding '{other}'")),
+            let mut base = match last.get(&key) {
+                Some((bx, by, base)) if (*bx, *by) == (nx, ny) => base.clone(),
+                _ => return Err(format!("delta frame without a previous {nx}x{ny} frame")),
+            };
+            for (&i, &v) in indices.iter().zip(&raw) {
+                *base
+                    .get_mut(i)
+                    .ok_or_else(|| format!("delta index {i} outside {n} cells"))? = v;
+            }
+            base
         };
-        last.insert((name.clone(), stage.clone()), values.clone());
-        out.push(DecodedFrame {
-            name,
-            stage,
-            iter,
+        last.insert(key.clone(), (nx, ny, values.clone()));
+        Ok(DecodedFrame {
+            name: key.0,
+            stage: key.1,
+            iter: f.u64("iter")?,
             nx,
             ny,
             values,
-        });
-    }
-    Ok(out)
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{parse, validate};
 
     /// Serializes tests that flip the process-global fields flag.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -604,12 +539,85 @@ mod tests {
         let cap = take();
         disable();
         let text = to_json(&cap);
-        let doc = parse(&text).expect("frames JSON parses");
-        let schema = parse(SCHEMA_JSON).expect("schema parses");
-        let violations = validate(&doc, &schema);
-        assert!(violations.is_empty(), "schema violations: {violations:?}");
-        let decoded = decode_json(&doc).expect("decodes");
+        let decoded = decode_json(&text).expect("parses, validates and decodes");
         assert_eq!(decoded, decode(&cap));
+    }
+
+    fn golden_capture() -> FrameCapture {
+        let frame = |name, stage, iter, (nx, ny), data| FieldFrame {
+            name,
+            stage,
+            iter,
+            nx,
+            ny,
+            data,
+        };
+        let delta = FrameData::Delta {
+            indices: vec![1, 3],
+            values: vec![2.0, f32::NAN],
+        };
+        FrameCapture {
+            frames: vec![
+                frame(
+                    "place.density_overflow",
+                    "flat placement",
+                    0,
+                    (2, 2),
+                    FrameData::Dense(vec![0.5, -1.25, 0.0, 3.0]),
+                ),
+                frame("place.density_overflow", "flat placement", 1, (2, 2), delta),
+                frame(
+                    "route.\"congestion\"",
+                    "ppa",
+                    7,
+                    (1, 1),
+                    FrameData::Dense(vec![1e-3]),
+                ),
+            ],
+            dropped_frames: 2,
+            budget: 16,
+        }
+    }
+
+    #[test]
+    fn document_matches_its_golden_bytes() {
+        assert_eq!(
+            to_json(&golden_capture()),
+            r#"{"version":1,"budget":16,"dropped_frames":2,"frames":[{"name":"place.density_overflow","stage":"flat placement","iter":0,"nx":2,"ny":2,"encoding":"dense","values":[0.5,-1.25,0.0,3.0]},{"name":"place.density_overflow","stage":"flat placement","iter":1,"nx":2,"ny":2,"encoding":"delta","indices":[1,3],"values":[2.0,null]},{"name":"route.\"congestion\"","stage":"ppa","iter":7,"nx":1,"ny":1,"encoding":"dense","values":[0.0010000000474974513]}]}"#
+        );
+    }
+
+    /// The crafted files that used to reach a multiply overflow, an
+    /// out-of-bounds index and an allocation sized by two unchecked
+    /// numbers (`tests/regressions/`).
+    #[test]
+    fn crafted_frames_are_typed_errors() {
+        let negative = include_str!("../../../tests/regressions/frames_negative_grid.json");
+        for (file, reason) in [
+            (
+                include_str!("../../../tests/regressions/frames_huge_grid.json"),
+                "frames[0]: a 4294967296x4294967296 grid overflows",
+            ),
+            (negative, "$/frames/0/ny: expected integer"),
+            (
+                &negative.replace("2.7", "2"),
+                "frames[0]: nx: expected an integer in 0..",
+            ),
+            (
+                include_str!("../../../tests/regressions/frames_delta_without_base.json"),
+                "frames[0]: delta frame without a previous 65536x65536 frame",
+            ),
+        ] {
+            let err = decode_json(file).expect_err(reason);
+            assert!(err.contains(reason), "{err}");
+        }
+        // A delta only applies to a predecessor of its own shape.
+        let reshaped = to_json(&golden_capture()).replace("null", "1.0").replace(
+            "\"iter\":1,\"nx\":2,\"ny\":2",
+            "\"iter\":1,\"nx\":4,\"ny\":1",
+        );
+        let err = decode_json(&reshaped).expect_err("reshaped delta");
+        assert!(err.contains("frames[1]: delta frame without"), "{err}");
     }
 
     #[test]

@@ -1,20 +1,27 @@
-//! Minimal dependency-free JSON support: writer helpers for the trace
-//! exporters, a recursive-descent parser, and a small schema-subset
-//! validator used by the `flowtrace` bin to check its own artifact
-//! against `schemas/trace_report.schema.json` in CI.
+//! The workspace's one JSON codec, dependency-free: a streaming
+//! [`Writer`] every encoder emits through, a recursive-descent parser,
+//! typed range-checked field accessors on [`Json`] every decoder reads
+//! through, and a small schema-subset validator. `tracetool check-schema`
+//! and `tests/trace_determinism.rs` check the trace report against
+//! `schemas/trace_report.schema.json` in CI.
+//!
+//! A decoder is three steps: [`parse_checked`] (parse, then validate
+//! against the document's embedded schema) and typed reads. The typed
+//! reads own every float→integer conversion: a decoded number becomes an
+//! id, a count or a size only if it is integral, non-negative and in
+//! range, and errors name the key path (`frames[3]: nx: expected …`).
 //!
 //! The validator understands the subset of JSON Schema the checked-in
-//! schema uses: `type` (including `"integer"` = number with zero
+//! schemas use: `type` (including `"integer"` = number with zero
 //! fractional part), `required`, `properties`, `items`, `minItems` and
-//! `enum` (strings only). Unknown keywords are ignored, matching JSON
-//! Schema's open-world convention.
+//! `enum`. Unknown keywords are ignored, matching JSON Schema's
+//! open-world convention.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -28,6 +35,24 @@ pub fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+}
+
+fn push_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Escapes a string for embedding inside a JSON string literal.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    push_escaped(&mut out, s);
     out
 }
 
@@ -36,14 +61,218 @@ pub fn escape(s: &str) -> String {
 /// they stay floats on re-read), non-finite values as `null` (JSON has no
 /// NaN/Infinity).
 pub fn fmt_f64(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
+}
+
+/// How one open container lays out its items. The committed documents
+/// use four layouts between them; each container picks one when opened.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// `{"k":v,"k":v}`
+    Compact,
+    /// `{"k": v, "k": v}`
+    Spaced,
+    /// `{ "k": v, "k": v }`
+    Padded,
+    /// One item per line, indented two spaces per open container.
+    Lines,
+}
+
+/// A streaming JSON writer: containers are opened and closed, keys and
+/// values arrive in call order, and the writer owns every comma, quote
+/// and escape. Nothing is buffered but the output text, so a report of
+/// a million records costs its bytes, not a tree.
+///
+/// ```
+/// let mut w = cp_trace::json::Writer::new();
+/// w.object().key("id").u64(7).key("tags").array().str("a\"b").end().end();
+/// assert_eq!(w.finish(), r#"{"id":7,"tags":["a\"b"]}"#);
+/// ```
+///
+/// Closing more containers than were opened, or writing a key outside an
+/// object, is a caller bug; the output is then not JSON, which every
+/// encoder's schema test catches.
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    /// Per open container: closing bracket, layout, items written.
+    open: Vec<(char, Layout, usize)>,
+    /// A key was just written; the next value follows it directly.
+    after_key: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Self {
+        Self::default()
     }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+
+    /// An empty writer whose output buffer holds `bytes` before growing.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            out: String::with_capacity(bytes),
+            ..Self::default()
+        }
+    }
+
+    /// The text written so far; every opened container should be closed.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// Separator and indentation owed before the next key or value.
+    fn item(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let depth = self.open.len();
+        let Some((_, layout, count)) = self.open.last_mut() else {
+            return;
+        };
+        let first = *count == 0;
+        *count += 1;
+        match layout {
+            Layout::Compact if first => {}
+            Layout::Compact => self.out.push(','),
+            Layout::Spaced if first => {}
+            Layout::Padded if first => self.out.push(' '),
+            Layout::Spaced | Layout::Padded => self.out.push_str(", "),
+            Layout::Lines => {
+                if !first {
+                    self.out.push_str(",\n");
+                }
+                self.out.extend(std::iter::repeat_n("  ", depth));
+            }
+        }
+    }
+
+    fn begin(&mut self, brackets: (char, char), layout: Layout) -> &mut Self {
+        self.item();
+        self.out.push(brackets.0);
+        if layout == Layout::Lines {
+            self.out.push('\n');
+        }
+        self.open.push((brackets.1, layout, 0));
+        self
+    }
+
+    /// Opens a compact object: `{"k":v,"k":v}`.
+    pub fn object(&mut self) -> &mut Self {
+        self.begin(('{', '}'), Layout::Compact)
+    }
+
+    /// Opens a compact array: `[a,b]`.
+    pub fn array(&mut self) -> &mut Self {
+        self.begin(('[', ']'), Layout::Compact)
+    }
+
+    /// Opens an object with a space after each colon and comma:
+    /// `{"k": v, "k": v}`.
+    pub fn object_spaced(&mut self) -> &mut Self {
+        self.begin(('{', '}'), Layout::Spaced)
+    }
+
+    /// Opens an array with a space after each comma: `[a, b]`.
+    pub fn array_spaced(&mut self) -> &mut Self {
+        self.begin(('[', ']'), Layout::Spaced)
+    }
+
+    /// Opens a spaced object that also pads its braces:
+    /// `{ "k": v, "k": v }` (the checkpoint's second level).
+    pub fn object_padded(&mut self) -> &mut Self {
+        self.begin(('{', '}'), Layout::Padded)
+    }
+
+    /// Opens an object with one `"k": v` member per line, indented two
+    /// spaces per open container.
+    pub fn object_lines(&mut self) -> &mut Self {
+        self.begin(('{', '}'), Layout::Lines)
+    }
+
+    /// Opens an array with one item per line, indented like
+    /// [`object_lines`](Self::object_lines). An empty one keeps the blank
+    /// line the committed `REPRO.json` has between its brackets.
+    pub fn array_lines(&mut self) -> &mut Self {
+        self.begin(('[', ']'), Layout::Lines)
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) -> &mut Self {
+        if let Some((close, layout, _)) = self.open.pop() {
+            match layout {
+                Layout::Compact | Layout::Spaced => {}
+                Layout::Padded => self.out.push(' '),
+                Layout::Lines => {
+                    self.out.push('\n');
+                    self.out.extend(std::iter::repeat_n("  ", self.open.len()));
+                }
+            }
+            self.out.push(close);
+        }
+        self
+    }
+
+    /// Writes a member key; the member's value is the next call.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.item();
+        self.out.push('"');
+        push_escaped(&mut self.out, key);
+        let compact = matches!(self.open.last(), Some((_, Layout::Compact, _)));
+        self.out.push_str(if compact { "\":" } else { "\": " });
+        self.after_key = true;
+        self
+    }
+
+    /// Writes a string value, escaped.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        self.item();
+        self.out.push('"');
+        push_escaped(&mut self.out, v);
+        self.out.push('"');
+        self
+    }
+
+    /// Writes a float as [`fmt_f64`] formats it (`null` when non-finite).
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        self.item();
+        push_f64(&mut self.out, v);
+        self
+    }
+
+    /// Writes already-formatted value text.
+    fn raw(&mut self, text: std::fmt::Arguments<'_>) -> &mut Self {
+        self.item();
+        let _ = self.out.write_fmt(text);
+        self
+    }
+
+    /// Writes an unsigned integer.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.raw(format_args!("{v}"))
+    }
+
+    /// Writes a signed integer.
+    pub fn i64(&mut self, v: i64) -> &mut Self {
+        self.raw(format_args!("{v}"))
+    }
+
+    /// Writes `true` / `false`.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.raw(format_args!("{v}"))
+    }
+
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.raw(format_args!("null"))
+    }
+
+    /// Writes a 64-bit id as a 16-digit hex string — a `u64` exceeds the
+    /// integer range a float-based JSON parser preserves. Read back with
+    /// [`Json::hex64`].
+    pub fn hex64(&mut self, v: u64) -> &mut Self {
+        self.raw(format_args!("\"{v:016x}\""))
     }
 }
 
@@ -97,6 +326,177 @@ impl Json {
         }
     }
 
+    // -- typed reads of this value ------------------------------------
+
+    /// What a typed read found instead of what it expected.
+    fn found(&self) -> String {
+        match self {
+            Json::Num(n) => format!("number {n}"),
+            other => other.type_name().to_string(),
+        }
+    }
+
+    /// The value as a finite number.
+    pub fn to_f64(&self) -> Result<f64, String> {
+        match self {
+            Json::Num(n) if n.is_finite() => Ok(*n),
+            other => Err(format!("expected a finite number, found {}", other.found())),
+        }
+    }
+
+    /// The value as an integral number in `lo..hi` (`hi` exclusive, so a
+    /// power of two bounds a 64-bit range exactly).
+    fn to_integral(&self, lo: f64, hi: f64) -> Result<f64, String> {
+        match self {
+            Json::Num(n) if n.fract() == 0.0 && *n >= lo && *n < hi => Ok(*n),
+            other => Err(format!(
+                "expected an integer in {lo}..{hi}, found {}",
+                other.found()
+            )),
+        }
+    }
+
+    /// The value as a `u64`: integral, non-negative, below 2⁶⁴.
+    pub fn to_u64(&self) -> Result<u64, String> {
+        // The checked range makes the casts below exact.
+        self.to_integral(0.0, 18_446_744_073_709_551_616.0)
+            .map(|n| n as u64)
+    }
+
+    /// The value as a `u32`: integral, non-negative, below 2³².
+    pub fn to_u32(&self) -> Result<u32, String> {
+        self.to_integral(0.0, 4_294_967_296.0).map(|n| n as u32)
+    }
+
+    /// The value as a `usize`: integral, non-negative, addressable.
+    pub fn to_usize(&self) -> Result<usize, String> {
+        let n = self.to_u64()?;
+        usize::try_from(n).map_err(|_| format!("expected a size, found number {n}"))
+    }
+
+    /// The value as an `i64`: integral, in −2⁶³..2⁶³.
+    pub fn to_i64(&self) -> Result<i64, String> {
+        self.to_integral(-9_223_372_036_854_775_808.0, 9_223_372_036_854_775_808.0)
+            .map(|n| n as i64)
+    }
+
+    /// The value times `scale`, rounded, as a `u64` — how the trace
+    /// report's microsecond floats come back as the integer nanoseconds
+    /// they were written from.
+    pub fn to_u64_scaled(&self, scale: f64) -> Result<u64, String> {
+        Json::Num((self.to_f64()? * scale).round()).to_u64()
+    }
+
+    /// The value as a boolean.
+    pub fn to_bool(&self) -> Result<bool, String> {
+        match self {
+            Json::Bool(b) => Ok(*b),
+            other => Err(format!("expected a boolean, found {}", other.found())),
+        }
+    }
+
+    /// The value as a string.
+    pub fn to_str(&self) -> Result<&str, String> {
+        self.as_str()
+            .ok_or_else(|| format!("expected a string, found {}", self.found()))
+    }
+
+    /// The value's elements.
+    pub fn to_array(&self) -> Result<&[Json], String> {
+        match self {
+            Json::Arr(v) => Ok(v),
+            other => Err(format!("expected an array, found {}", other.found())),
+        }
+    }
+
+    // -- typed reads of a field ---------------------------------------
+
+    /// Reads the required field `key` through `read`; a missing field or
+    /// a failed read is reported under the key.
+    pub fn at<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let value = self.get(key).ok_or_else(|| format!("{key}: missing"))?;
+        read(value).map_err(|e| format!("{key}: {e}"))
+    }
+
+    /// Reads the optional field `key` through `read`: `None` when it is
+    /// absent or `null` (how the writer spells a non-finite float).
+    pub fn opt<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(value) => read(value).map(Some).map_err(|e| format!("{key}: {e}")),
+        }
+    }
+
+    /// Reads every element of the required array field `key` through
+    /// `read`; a failed read is reported as `key[i]`.
+    pub fn each<'a, T>(
+        &'a self,
+        key: &str,
+        mut read: impl FnMut(&'a Json) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.array(key)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| read(item).map_err(|e| format!("{key}[{i}]: {e}")))
+            .collect()
+    }
+
+    /// The required finite-number field `key`.
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        self.at(key, Json::to_f64)
+    }
+
+    /// The required `u64` field `key` (see [`to_u64`](Self::to_u64)).
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        self.at(key, Json::to_u64)
+    }
+
+    /// The required `u32` field `key` (see [`to_u32`](Self::to_u32)).
+    pub fn u32(&self, key: &str) -> Result<u32, String> {
+        self.at(key, Json::to_u32)
+    }
+
+    /// The required `usize` field `key` (see [`to_usize`](Self::to_usize)).
+    pub fn usize(&self, key: &str) -> Result<usize, String> {
+        self.at(key, Json::to_usize)
+    }
+
+    /// The required `i64` field `key` (see [`to_i64`](Self::to_i64)).
+    pub fn i64(&self, key: &str) -> Result<i64, String> {
+        self.at(key, Json::to_i64)
+    }
+
+    /// The required boolean field `key`.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.at(key, Json::to_bool)
+    }
+
+    /// The required string field `key`.
+    pub fn str(&self, key: &str) -> Result<&str, String> {
+        self.at(key, Json::to_str)
+    }
+
+    /// The required array field `key`.
+    pub fn array(&self, key: &str) -> Result<&[Json], String> {
+        self.at(key, Json::to_array)
+    }
+
+    /// The required 64-bit id field `key`, as [`Writer::hex64`] wrote it.
+    pub fn hex64(&self, key: &str) -> Result<u64, String> {
+        self.at(key, |v| {
+            let hex = v.to_str()?;
+            u64::from_str_radix(hex, 16).map_err(|_| format!("expected 64-bit hex, found {hex:?}"))
+        })
+    }
+
     /// JSON Schema type name of this value ("integer" is reported as
     /// "number"; the validator special-cases it).
     fn type_name(&self) -> &'static str {
@@ -116,6 +516,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -126,9 +527,40 @@ pub fn parse(input: &str) -> Result<Json, String> {
     Ok(v)
 }
 
+/// The first two steps of every decoder: parses `input` and validates
+/// it against the document's embedded schema, which is parsed once into
+/// `cache` (one `static` per decoder).
+///
+/// # Errors
+///
+/// The parse error, or every schema violation joined with `; `.
+pub fn parse_checked(
+    input: &str,
+    schema_src: &str,
+    cache: &OnceLock<Result<Json, String>>,
+) -> Result<Json, String> {
+    let schema = cache
+        .get_or_init(|| parse(schema_src))
+        .as_ref()
+        .map_err(|e| format!("embedded schema is invalid: {e}"))?;
+    let doc = parse(input).map_err(|e| format!("malformed JSON: {e}"))?;
+    let errors = validate(&doc, schema);
+    if errors.is_empty() {
+        Ok(doc)
+    } else {
+        Err(format!("schema violations: {}", errors.join("; ")))
+    }
+}
+
+/// Containers may nest this deep (the repo's documents need six); the
+/// parser recurses per level, so unbounded nesting in a crafted file
+/// would overflow the stack instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -171,8 +603,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let container = if self.peek() == Some(b'{') {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
+            }
             Some(b'"') => self.string().map(Json::Str),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -438,6 +884,10 @@ mod tests {
         assert!(parse("[1,2").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"unterminated").is_err());
+        // Nesting is bounded: an error, not a stack overflow.
+        assert!(parse(&format!("{}1{}", "[".repeat(128), "]".repeat(128))).is_ok());
+        let deep = "[".repeat(1 << 20);
+        assert!(parse(&deep).expect_err("too deep").contains("nesting"));
     }
 
     #[test]
@@ -454,6 +904,88 @@ mod tests {
         assert_eq!(fmt_f64(f64::NAN), "null");
         let round = parse(&fmt_f64(1e300)).expect("parses");
         assert_eq!(round.as_f64(), Some(1e300));
+    }
+
+    #[test]
+    fn writer_owns_commas_escapes_and_the_four_layouts() {
+        let mut w = Writer::new();
+        w.object_lines().key("a\"b").str("tab\t").key("n").null();
+        w.key("padded").object_padded();
+        w.key("ids").array().u64(1).i64(-2).end();
+        w.key("ok").bool(true).end();
+        w.key("rows").array_lines();
+        w.object_spaced().key("x").f64(2.0);
+        w.key("id").hex64(255).end();
+        w.array_spaced().f64(f64::NAN).f64(0.5).end();
+        w.end().key("none").array_lines().end();
+        w.key("empty").object().end().end();
+        let text = w.finish();
+        assert_eq!(
+            text,
+            "{\n  \"a\\\"b\": \"tab\\t\",\n  \"n\": null,\n  \
+             \"padded\": { \"ids\": [1,-2], \"ok\": true },\n  \"rows\": [\n    \
+             {\"x\": 2.0, \"id\": \"00000000000000ff\"},\n    [null, 0.5]\n  ],\n  \
+             \"none\": [\n\n  ],\n  \"empty\": {}\n}"
+        );
+        let doc = parse(&text).expect("writer output parses");
+        assert_eq!(
+            doc.hex64("a\"b").ok(),
+            None,
+            "not hex: {:?}",
+            doc.str("a\"b")
+        );
+        assert_eq!(doc.at("rows", |r| r.to_array()?[0].hex64("id")), Ok(255));
+    }
+
+    #[test]
+    fn typed_reads_reject_what_a_cast_would_mangle() {
+        let doc = parse(
+            "{\"neg\":-1,\"frac\":2.7,\"huge\":1e300,\"u32\":4294967296,\
+             \"u64\":18446744073709551616,\"ok\":7,\"inf\":1e999,\"s\":\"x\",\
+             \"null\":null,\"us\":1.5,\"items\":[1,2,-3],\"obj\":{\"n\":0.5}}",
+        )
+        .expect("parses");
+        for key in ["neg", "frac", "huge", "u64", "inf", "s", "null", "missing"] {
+            assert!(doc.u64(key).is_err(), "{key} as u64");
+            assert!(doc.usize(key).is_err(), "{key} as usize");
+        }
+        assert!(doc.u32("u32").is_err());
+        assert_eq!(doc.u64("u32"), Ok(4_294_967_296));
+        assert_eq!(
+            (doc.u32("ok"), doc.usize("ok"), doc.i64("neg")),
+            (Ok(7), Ok(7), Ok(-1))
+        );
+        assert!(doc.i64("huge").is_err() && doc.f64("inf").is_err());
+        assert_eq!(doc.at("us", |v| v.to_u64_scaled(1e3)), Ok(1500));
+        assert!(doc.at("huge", |v| v.to_u64_scaled(1e3)).is_err());
+        assert_eq!(doc.opt("null", Json::to_u32), Ok(None));
+        assert_eq!(doc.opt("missing", Json::to_u32), Ok(None));
+        assert_eq!(doc.opt("ok", Json::to_u32), Ok(Some(7)));
+        // Errors name the key path.
+        assert_eq!(
+            doc.each("items", Json::to_u32).expect_err("negative item"),
+            "items[2]: expected an integer in 0..4294967296, found number -3"
+        );
+        assert_eq!(
+            doc.at("obj", |o| o.u64("n")).expect_err("fractional"),
+            "obj: n: expected an integer in 0..18446744073709552000, found number 0.5"
+        );
+        assert_eq!(
+            doc.bool("s").expect_err("a string"),
+            "s: expected a boolean, found string"
+        );
+        assert_eq!(doc.str("gone").expect_err("absent"), "gone: missing");
+    }
+
+    #[test]
+    fn parse_checked_validates_against_the_cached_schema() {
+        static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
+        let schema = "{\"type\":\"object\",\"required\":[\"v\"]}";
+        assert!(parse_checked("{\"v\":1}", schema, &SCHEMA).is_ok());
+        let err = parse_checked("{}", schema, &SCHEMA).expect_err("missing v");
+        assert!(err.starts_with("schema violations: $: missing"), "{err}");
+        let err = parse_checked("{", schema, &SCHEMA).expect_err("truncated");
+        assert!(err.starts_with("malformed JSON: "), "{err}");
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! partition in **integer nanoseconds** (including an `other` row so the
 //! rows always sum to the root wall exactly — the same partition
 //! invariant the analysis layer's self-time proptest pins), and summary
-//! statistics for every convergence series. Entries are written with a
-//! single appending `write` of one `\n`-terminated line, so concurrent
-//! writers interleave whole lines, never fragments.
+//! statistics for every convergence series. The measured fields come from
+//! [`LedgerEntry::capture_trace`], which reads a [`ReportDoc`] — the flow
+//! hands it the report it just captured, `tracetool harvest` a report
+//! file it just decoded, and both get the same entry. Entries are written
+//! with a single appending `write` of one `\n`-terminated line, so
+//! concurrent writers interleave whole lines, never fragments; a line is
+//! encoded by [`LedgerEntry::to_json_line`] and decoded (parse, schema,
+//! range-checked reads) by [`LedgerEntry::parse_line`] on append and load.
 //!
 //! [`trend`] compares entries of the same fingerprint across the corpus,
 //! reusing the TraceDiff noise model ([`DiffOptions`]): QoR gauges gate
@@ -16,24 +21,17 @@
 //! deterministic, so any drift is real), wall time is reported as
 //! advisory only (machine-dependent).
 
-use crate::analysis::significant;
-use crate::json::{escape, fmt_f64, parse, validate, Json};
-use crate::{DiffOptions, MetricValue, TraceReport};
-use std::fmt::Write as _;
+use crate::analysis::{significant, MetricReadingValue};
+use crate::json::{parse_checked, Json, Writer};
+use crate::report::ReportDoc;
+use crate::DiffOptions;
 use std::io::Write as _;
 use std::path::Path;
 use std::sync::OnceLock;
 
-/// The checked-in schema every appended line is validated against.
+/// The checked-in schema every line is validated against, on append and
+/// on load.
 pub const SCHEMA_JSON: &str = include_str!("../../../schemas/ledger_entry.schema.json");
-
-fn schema() -> Result<&'static Json, String> {
-    static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
-    SCHEMA
-        .get_or_init(|| parse(SCHEMA_JSON))
-        .as_ref()
-        .map_err(|e| format!("embedded ledger schema is invalid: {e}"))
-}
 
 // ---------------------------------------------------------------------------
 // Entry
@@ -133,15 +131,16 @@ impl LedgerEntry {
         self
     }
 
-    /// Fills the measured fields from a captured trace: root wall, the
-    /// integer-ns stage partition (with its reconciling `other` row),
-    /// the `qor.*` gauge snapshot and per-series summaries.
-    pub fn capture_trace(mut self, report: &TraceReport) -> Self {
-        let root_wall_ns = report
-            .root_span()
-            .map_or(0, |s| s.end_ns.saturating_sub(s.start_ns));
+    /// Fills the measured fields from a captured trace — live, or a
+    /// written report decoded by [`ReportDoc::from_json`] (the `tracetool
+    /// harvest` backfill): root wall, the integer-ns stage partition
+    /// (with its reconciling `other` row), the `qor.*` gauge snapshot and
+    /// per-series summaries.
+    pub fn capture_trace(mut self, report: impl Into<ReportDoc>) -> Self {
+        let doc: ReportDoc = report.into();
+        let root_wall_ns = doc.root_wall_ns();
         self.root_wall_ns = root_wall_ns;
-        self.stages = report
+        self.stages = doc
             .stage_nanos()
             .into_iter()
             .map(|(name, ns)| (name.to_string(), ns as i64))
@@ -152,17 +151,17 @@ impl LedgerEntry {
         // negative when stage spans overlap under parallel fan-out).
         self.stages
             .push(("other".to_string(), root_wall_ns as i64 - staged));
-        self.qor = report
+        self.qor = doc
             .metrics
             .iter()
             .filter(|m| m.name.starts_with("qor."))
             .filter_map(|m| match m.value {
-                MetricValue::Gauge(v) => Some((m.name.to_string(), v)),
+                MetricReadingValue::Gauge(v) => Some((m.name.clone(), v)),
                 _ => None,
             })
             .collect();
         self.qor.sort_by(|a, b| a.0.cmp(&b.0));
-        self.series = summarize_series(report);
+        self.series = summarize_series(&doc);
         self
     }
 
@@ -179,152 +178,76 @@ impl LedgerEntry {
 
     /// Serializes the entry as one compact JSON line (no trailing `\n`).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(256 + 32 * (self.stages.len() + self.qor.len()));
-        out.push_str("{\"version\":1,");
-        let _ = write!(out, "\"fingerprint\":\"{:016x}\",", self.fingerprint);
-        let _ = write!(out, "\"design\":\"{}\",", escape(&self.design));
-        let _ = write!(out, "\"source\":\"{}\",", escape(&self.source));
-        let _ = write!(out, "\"status\":\"{}\",", escape(&self.status));
-        let _ = write!(out, "\"threads\":{},", self.threads);
-        let _ = write!(out, "\"resumed\":{},", self.resumed);
-        let _ = write!(out, "\"options\":\"{}\",", escape(&self.options));
-        let _ = write!(out, "\"root_wall_ns\":{},", self.root_wall_ns);
-        out.push_str("\"stages\":[");
-        for (i, (name, ns)) in self.stages.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\",\"self_ns\":{}}}", escape(name), ns);
+        let mut w = Writer::with_capacity(256 + 32 * (self.stages.len() + self.qor.len()));
+        w.object().key("version").u64(1);
+        w.key("fingerprint").hex64(self.fingerprint);
+        w.key("design").str(&self.design);
+        w.key("source").str(&self.source);
+        w.key("status").str(&self.status);
+        w.key("threads").u64(self.threads.into());
+        w.key("resumed").bool(self.resumed);
+        w.key("options").str(&self.options);
+        w.key("root_wall_ns").u64(self.root_wall_ns);
+        w.key("stages").array();
+        for (name, ns) in &self.stages {
+            w.object().key("name").str(name);
+            w.key("self_ns").i64(*ns).end();
         }
-        out.push_str("],\"qor\":[");
-        for (i, (name, value)) in self.qor.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"value\":{}}}",
-                escape(name),
-                fmt_f64(*value)
-            );
+        w.end().key("qor").array();
+        for (name, value) in &self.qor {
+            w.object().key("name").str(name);
+            w.key("value").f64(*value).end();
         }
-        out.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"key\":\"{}\",\"rows\":{},\"first\":{},\"last\":{},\"min\":{},\"max\":{}}}",
-                escape(&s.name),
-                escape(&s.key),
-                s.rows,
-                fmt_f64(s.first),
-                fmt_f64(s.last),
-                fmt_f64(s.min),
-                fmt_f64(s.max)
-            );
+        w.end().key("series").array();
+        for s in &self.series {
+            w.object().key("name").str(&s.name).key("key").str(&s.key);
+            w.key("rows").u64(s.rows).key("first").f64(s.first);
+            w.key("last").f64(s.last).key("min").f64(s.min);
+            w.key("max").f64(s.max).end();
         }
-        out.push_str("]}");
-        out
-    }
-
-    /// Deserializes an entry from a parsed JSON document.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let errors = validate(doc, schema()?);
-        if !errors.is_empty() {
-            return Err(format!("ledger entry fails schema: {}", errors.join("; ")));
-        }
-        let str_field = |k: &str| -> Result<String, String> {
-            doc.get(k)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field {k}"))
-        };
-        let num_field = |k: &str| -> Result<f64, String> {
-            doc.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("missing number field {k}"))
-        };
-        let fingerprint_hex = str_field("fingerprint")?;
-        let fingerprint = u64::from_str_radix(&fingerprint_hex, 16)
-            .map_err(|e| format!("bad fingerprint {fingerprint_hex:?}: {e}"))?;
-        let resumed = match doc.get("resumed") {
-            Some(Json::Bool(b)) => *b,
-            _ => return Err("missing bool field resumed".to_string()),
-        };
-        let mut stages = Vec::new();
-        if let Some(rows) = doc.get("stages").and_then(Json::as_array) {
-            for row in rows {
-                let name = row
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("stage row missing name")?;
-                let ns = row
-                    .get("self_ns")
-                    .and_then(Json::as_f64)
-                    .ok_or("stage row missing self_ns")?;
-                stages.push((name.to_string(), ns as i64));
-            }
-        }
-        let mut qor = Vec::new();
-        if let Some(rows) = doc.get("qor").and_then(Json::as_array) {
-            for row in rows {
-                let name = row
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("qor row missing name")?;
-                // `null` marks a non-finite gauge (JSON has no NaN).
-                let value = row.get("value").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                qor.push((name.to_string(), value));
-            }
-        }
-        let mut series = Vec::new();
-        if let Some(rows) = doc.get("series").and_then(Json::as_array) {
-            for row in rows {
-                let field = |k: &str| -> Result<f64, String> {
-                    row.get(k)
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| format!("series row missing {k}"))
-                };
-                series.push(SeriesSummary {
-                    name: row
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("series row missing name")?
-                        .to_string(),
-                    key: row
-                        .get("key")
-                        .and_then(Json::as_str)
-                        .ok_or("series row missing key")?
-                        .to_string(),
-                    rows: field("rows")? as u64,
-                    first: field("first")?,
-                    last: field("last")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                });
-            }
-        }
-        Ok(LedgerEntry {
-            version: num_field("version")? as u32,
-            fingerprint,
-            design: str_field("design")?,
-            source: str_field("source")?,
-            status: str_field("status")?,
-            threads: num_field("threads")? as u32,
-            resumed,
-            options: str_field("options")?,
-            root_wall_ns: num_field("root_wall_ns")? as u64,
-            stages,
-            qor,
-            series,
-        })
+        w.end().end();
+        w.finish()
     }
 
     /// Parses one JSONL line.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a violation of `schemas/ledger_entry.schema.json`,
+    /// or a count that is not an integer in range, named by its key path.
     pub fn parse_line(line: &str) -> Result<Self, String> {
-        Self::from_json(&parse(line)?)
+        static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
+        let doc = parse_checked(line, SCHEMA_JSON, &SCHEMA)?;
+        Ok(LedgerEntry {
+            version: doc.u32("version")?,
+            fingerprint: doc.hex64("fingerprint")?,
+            design: doc.str("design")?.to_string(),
+            source: doc.str("source")?.to_string(),
+            status: doc.str("status")?.to_string(),
+            threads: doc.u32("threads")?,
+            resumed: doc.bool("resumed")?,
+            options: doc.str("options")?.to_string(),
+            root_wall_ns: doc.u64("root_wall_ns")?,
+            stages: doc.each("stages", |row| {
+                Ok((row.str("name")?.to_string(), row.i64("self_ns")?))
+            })?,
+            // `null` marks a non-finite gauge (JSON has no NaN).
+            qor: doc.each("qor", |row| {
+                let value = row.opt("value", Json::to_f64)?;
+                Ok((row.str("name")?.to_string(), value.unwrap_or(f64::NAN)))
+            })?,
+            series: doc.each("series", |row| {
+                Ok(SeriesSummary {
+                    name: row.str("name")?.to_string(),
+                    key: row.str("key")?.to_string(),
+                    rows: row.u64("rows")?,
+                    first: row.f64("first")?,
+                    last: row.f64("last")?,
+                    min: row.f64("min")?,
+                    max: row.f64("max")?,
+                })
+            })?,
+        })
     }
 
     /// The value of one QoR metric, when present.
@@ -353,135 +276,17 @@ impl LedgerEntry {
     }
 }
 
-/// Builds an entry from a parsed `TraceReport::to_json()` document — the
-/// `tracetool harvest` backfill path for existing TRACE artifacts.
-///
-/// Stage selection mirrors [`TraceReport::stage_nanos`] (the root's
-/// direct children, with `flow.*`-named children transparent), and the
-/// exported µs span fields convert back to integer ns by rounding —
-/// exact recovery for any run shorter than ~29 days, so the partition
-/// invariant (Σ stages == root wall) survives the JSON trip.
-pub fn entry_from_report_json(
-    doc: &Json,
-    fingerprint: u64,
-    design: &str,
-) -> Result<LedgerEntry, String> {
-    let root = doc
-        .get("root")
-        .and_then(Json::as_f64)
-        .ok_or("report has no root id")? as u64;
-    let spans = doc
-        .get("spans")
-        .and_then(Json::as_array)
-        .ok_or("report has no spans array")?;
-    // (id, parent, name, wall_ns) in file (start) order.
-    let mut rows: Vec<(u64, u64, String, u64)> = Vec::with_capacity(spans.len());
-    for s in spans {
-        let num = |k: &str| -> Result<f64, String> {
-            s.get(k)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("span missing {k}"))
-        };
-        let name = s
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or("span missing name")?;
-        rows.push((
-            num("id")? as u64,
-            num("parent")? as u64,
-            name.to_string(),
-            (num("dur_us")? * 1e3).round() as u64,
-        ));
-    }
-    let root_wall_ns = rows
-        .iter()
-        .find(|(id, ..)| *id == root)
-        .map_or(0, |&(.., ns)| ns);
-    let is_flow_root = |name: &str| name.starts_with("flow.");
-    let nested: Vec<u64> = rows
-        .iter()
-        .filter(|(_, parent, name, _)| *parent == root && is_flow_root(name))
-        .map(|&(id, ..)| id)
-        .collect();
-    let mut stages: Vec<(String, i64)> = rows
-        .iter()
-        .filter(|(_, parent, name, _)| {
-            (*parent == root && !is_flow_root(name)) || nested.contains(parent)
-        })
-        .map(|(_, _, name, ns)| (name.clone(), *ns as i64))
-        .collect();
-    let staged: i64 = stages.iter().map(|(_, ns)| ns).sum();
-    stages.push(("other".to_string(), root_wall_ns as i64 - staged));
-
-    let mut qor: Vec<(String, f64)> = Vec::new();
-    if let Some(metrics) = doc.get("metrics").and_then(Json::as_array) {
-        for m in metrics {
-            let name = m.get("name").and_then(Json::as_str).unwrap_or_default();
-            let kind = m.get("kind").and_then(Json::as_str).unwrap_or_default();
-            if kind == "gauge" && name.starts_with("qor.") {
-                let value = m.get("value").and_then(Json::as_f64).unwrap_or(f64::NAN);
-                qor.push((name.to_string(), value));
-            }
-        }
-    }
-    qor.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut series: Vec<SeriesSummary> = Vec::new();
-    if let Some(groups) = doc.get("series").and_then(Json::as_array) {
-        for g in groups {
-            let name = g.get("name").and_then(Json::as_str).unwrap_or_default();
-            let Some(rows) = g.get("rows").and_then(Json::as_array) else {
-                continue;
-            };
-            for row in rows {
-                let Json::Obj(map) = row else { continue };
-                // Every non-index column gets its own (name, key)
-                // summary, matching `summarize_series` on the in-memory
-                // report (canonical name-then-key order restored below).
-                for (key, value) in map {
-                    if key == "i" {
-                        continue;
-                    }
-                    let Some(v) = value.as_f64() else { continue };
-                    match series.iter_mut().find(|s| s.name == name && s.key == *key) {
-                        Some(s) => {
-                            s.rows += 1;
-                            s.last = v;
-                            s.min = s.min.min(v);
-                            s.max = s.max.max(v);
-                        }
-                        None => series.push(SeriesSummary {
-                            name: name.to_string(),
-                            key: key.clone(),
-                            rows: 1,
-                            first: v,
-                            last: v,
-                            min: v,
-                            max: v,
-                        }),
-                    }
-                }
-            }
-        }
-    }
-    sort_series(&mut series);
-
-    let mut entry = LedgerEntry::new(fingerprint, design, "harvest");
-    entry.root_wall_ns = root_wall_ns;
-    entry.stages = stages;
-    entry.qor = qor;
-    entry.series = series;
-    Ok(entry)
-}
-
-/// One summary per (series name, value column), sorted by name then key
-/// — the same canonical order [`entry_from_report_json`] produces from a
-/// parsed report, so harvested entries match flow-written ones.
-fn summarize_series(report: &TraceReport) -> Vec<SeriesSummary> {
+/// One summary per (series name, value column) across every emitting
+/// span, sorted by name then key.
+fn summarize_series(doc: &ReportDoc) -> Vec<SeriesSummary> {
     let mut out: Vec<SeriesSummary> = Vec::new();
-    for row in &report.series {
-        for &(key, v) in &row.values {
-            match out.iter_mut().find(|s| s.name == row.name && s.key == key) {
+    let rows = doc
+        .series
+        .iter()
+        .flat_map(|(name, _, rows)| rows.iter().map(move |row| (name, row)));
+    for (name, row) in rows {
+        for (key, &v) in row.iter().filter(|(key, _)| *key != "i") {
+            match out.iter_mut().find(|s| s.name == *name && s.key == *key) {
                 Some(s) => {
                     s.rows += 1;
                     s.last = v;
@@ -489,8 +294,8 @@ fn summarize_series(report: &TraceReport) -> Vec<SeriesSummary> {
                     s.max = s.max.max(v);
                 }
                 None => out.push(SeriesSummary {
-                    name: row.name.to_string(),
-                    key: key.to_string(),
+                    name: name.clone(),
+                    key: key.clone(),
                     rows: 1,
                     first: v,
                     last: v,
@@ -500,12 +305,8 @@ fn summarize_series(report: &TraceReport) -> Vec<SeriesSummary> {
             }
         }
     }
-    sort_series(&mut out);
-    out
-}
-
-fn sort_series(out: &mut [SeriesSummary]) {
     out.sort_by(|a, b| (a.name.as_str(), a.key.as_str()).cmp(&(b.name.as_str(), b.key.as_str())));
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -517,14 +318,7 @@ fn sort_series(out: &mut [SeriesSummary]) {
 /// interleave complete lines.
 pub fn append(path: &Path, entry: &LedgerEntry) -> Result<(), String> {
     let line = entry.to_json_line();
-    let doc = parse(&line).map_err(|e| format!("ledger entry does not serialize: {e}"))?;
-    let errors = validate(&doc, schema()?);
-    if !errors.is_empty() {
-        return Err(format!(
-            "refusing to append schema-invalid entry: {}",
-            errors.join("; ")
-        ));
-    }
+    LedgerEntry::parse_line(&line).map_err(|e| format!("refusing to append invalid entry: {e}"))?;
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
@@ -734,7 +528,9 @@ pub fn trend(entries: &[LedgerEntry], opts: &DiffOptions) -> TrendReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArgValue, InstantRecord, MetricSnapshot, SeriesRow, SpanRecord};
+    use crate::{
+        ArgValue, InstantRecord, MetricSnapshot, MetricValue, SeriesRow, SpanRecord, TraceReport,
+    };
 
     fn span(id: u64, parent: u64, name: &'static str, start_ns: u64, end_ns: u64) -> SpanRecord {
         SpanRecord {
@@ -841,23 +637,52 @@ mod tests {
     #[test]
     fn harvested_json_report_matches_captured_entry() {
         let report = sample_report();
-        let flow = LedgerEntry::new(7, "unit", "flow").capture_trace(&report);
-        let doc = parse(&report.to_json()).expect("report json parses");
-        let harvested = entry_from_report_json(&doc, 7, "unit").expect("harvest");
-        assert_eq!(harvested.root_wall_ns, flow.root_wall_ns);
-        assert_eq!(harvested.stages, flow.stages);
-        assert_eq!(harvested.qor, flow.qor);
-        assert_eq!(harvested.series, flow.series);
+        let decoded = ReportDoc::from_json(&report.to_json()).expect("report json decodes");
+        assert_eq!(decoded, ReportDoc::from(&report));
+        let flow = LedgerEntry::new(7, "unit", "harvest").capture_trace(&report);
+        let harvested = LedgerEntry::new(7, "unit", "harvest").capture_trace(decoded);
+        assert_eq!(harvested, flow);
     }
 
     #[test]
     fn jsonl_roundtrip_is_lossless_and_schema_valid() {
         let e = sample_entry();
         let line = e.to_json_line();
-        let doc = parse(&line).expect("line parses");
-        assert!(validate(&doc, schema().expect("schema")).is_empty());
-        let back = LedgerEntry::parse_line(&line).expect("line loads");
+        let back = LedgerEntry::parse_line(&line).expect("line parses, validates and loads");
         assert_eq!(e, back);
+    }
+
+    #[test]
+    fn line_matches_its_golden_bytes() {
+        assert_eq!(
+            sample_entry().to_json_line(),
+            r#"{"version":1,"fingerprint":"deadbeef00421133","design":"unit","source":"harvest","status":"completed","threads":4,"resumed":false,"options":"fast","root_wall_ns":10000000,"stages":[{"name":"clustering","self_ns":3000000},{"name":"shaping","self_ns":4000000},{"name":"other","self_ns":3000000}],"qor":[{"name":"qor.legalized.hpwl","value":123.25},{"name":"qor.timing.wns","value":-0.5}],"series":[{"name":"place.outer","key":"hpwl","rows":2,"first":12.0,"last":9.5,"min":9.5,"max":12.0},{"name":"place.outer","key":"overflow","rows":2,"first":0.9,"last":0.4,"min":0.4,"max":0.9}]}"#
+        );
+    }
+
+    #[test]
+    fn out_of_range_counts_are_typed_errors() {
+        let line = sample_entry().to_json_line();
+        for (from, to, path) in [
+            ("\"threads\":4", "\"threads\":-1", "threads: "),
+            ("\"threads\":4", "\"threads\":4294967296", "threads: "),
+            (
+                "\"root_wall_ns\":10000000",
+                "\"root_wall_ns\":1e300",
+                "root_wall_ns: ",
+            ),
+            ("\"rows\":2", "\"rows\":-2", "series[0]: rows: "),
+            (
+                "\"self_ns\":4000000",
+                "\"self_ns\":1e19",
+                "stages[1]: self_ns: ",
+            ),
+            ("deadbeef00421133", "not-hex", "fingerprint: "),
+        ] {
+            assert!(line.contains(from), "{from}");
+            let err = LedgerEntry::parse_line(&line.replacen(from, to, 1)).expect_err(to);
+            assert!(err.contains(path), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! Levels: `Off` (0) — no-op; `Spans` (1) — spans and instant events;
 //! `Full` (2) — spans plus metrics and series. `CP_TRACE` selects the
 //! level in binaries that call [`init_from_env`] (`off`/`spans`/`full`;
-//! `chrome` is an alias for `full` used by the `flowtrace` bin).
+//! `chrome` is an alias for `full`).
 //!
 //! Completed events accumulate in a process-wide buffer (bounded; see
 //! [`TraceReport::dropped_events`]) until [`take_report`] extracts one
@@ -58,7 +58,7 @@ pub use analysis::{
 };
 pub use fields::{DecodedFrame, FieldFrame, FrameCapture, FrameData};
 pub use ledger::{LedgerEntry, SeriesSummary, TrendReport, TrendRow};
-pub use report::{chrome_trace, MetricSnapshot, MetricValue, TraceReport};
+pub use report::{chrome_trace, MetricSnapshot, MetricValue, ReportDoc, TraceReport};
 pub use sink::{
     attach_sink, detach_sink, drain_sink, pump_sink, sink_attached, ProgressSink, ProgressSnapshot,
     SinkBatch, SinkEvent, StageState, TraceSink,

@@ -1,16 +1,25 @@
-//! The structured trace report and its two export formats.
+//! The structured trace report, its two export formats and its one
+//! decoder.
 //!
 //! [`TraceReport`] is one root span's subtree (see
 //! [`crate::take_report`]): the spans, instant events and series rows
 //! that ran under it, plus a snapshot of the metrics registry.
-//! [`TraceReport::to_json`] writes the structured report (validated
-//! against `schemas/trace_report.schema.json` in CI) and [`chrome_trace`]
-//! writes Chrome `trace_event` JSON that loads directly in
-//! `chrome://tracing` / [Perfetto](https://ui.perfetto.dev).
+//! [`TraceReport::to_json`] writes the structured report
+//! (`schemas/trace_report.schema.json`) and [`chrome_trace`] writes
+//! Chrome `trace_event` JSON that loads directly in `chrome://tracing` /
+//! [Perfetto](https://ui.perfetto.dev). [`ReportDoc`] is what readers
+//! consume: a live report converts into it and
+//! [`ReportDoc::from_json`] decodes a written one, so the analysis, the
+//! ledger capture and the convergence doctor each have one body.
 
-use crate::json::{escape, fmt_f64};
+use crate::analysis::{MetricReading, MetricReadingValue};
+use crate::json::{parse_checked, Json, Writer};
 use crate::{ArgValue, InstantRecord, SeriesRow, SpanRecord};
-use std::fmt::Write as _;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
+
+/// The checked-in schema of the structured report.
+pub const SCHEMA_JSON: &str = include_str!("../../../schemas/trace_report.schema.json");
 
 /// One metric's state at report time.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,6 +72,46 @@ pub struct TraceReport {
     pub dropped_events: u64,
 }
 
+/// The positions, among `(id, parent, name)` span rows, of the flow's
+/// stage spans in row order: the root's *direct* children — except that
+/// a direct child that is itself a flow root (a `flow.*`-named span, i.e.
+/// a clustered/flat flow whose root got captured under an outer span) is
+/// transparent: its own direct children are surfaced in its place. That
+/// keeps the flat and clustered paths exposing the same stage set whether
+/// the flow ran at top level or nested one level below the captured root.
+fn stage_positions<'a>(
+    root: u64,
+    rows: impl Iterator<Item = (u64, u64, &'a str)> + Clone,
+) -> Vec<usize> {
+    let is_flow_root = |name: &str| name.starts_with("flow.");
+    let nested: Vec<u64> = rows
+        .clone()
+        .filter(|&(_, parent, name)| parent == root && is_flow_root(name))
+        .map(|(id, ..)| id)
+        .collect();
+    rows.enumerate()
+        .filter(|&(_, (_, parent, name))| {
+            (parent == root && !is_flow_root(name)) || nested.contains(&parent)
+        })
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Series rows grouped by `(name, span)`, groups in first-appearance
+/// order and rows in record order — the shape the report is written in.
+fn series_groups(rows: &[SeriesRow]) -> Vec<Vec<&SeriesRow>> {
+    let mut index: HashMap<(&str, u64), usize> = HashMap::new();
+    let mut groups: Vec<Vec<&SeriesRow>> = Vec::new();
+    for r in rows {
+        let g = *index.entry((r.name, r.span)).or_insert(groups.len());
+        if g == groups.len() {
+            groups.push(Vec::new());
+        }
+        groups[g].push(r);
+    }
+    groups
+}
+
 impl TraceReport {
     /// The root span record, when captured.
     pub fn root_span(&self) -> Option<&SpanRecord> {
@@ -75,40 +124,14 @@ impl TraceReport {
     }
 
     /// `(name, seconds)` of the flow's stage spans in start order,
-    /// measured by the stage spans themselves.
-    ///
-    /// These are the root's *direct* children — except that a direct
-    /// child that is itself a flow root (a `flow.*`-named span, i.e. a
-    /// clustered/flat flow whose root got captured under an outer span)
-    /// is transparent: its own direct children are surfaced in its
-    /// place. That keeps the flat and clustered paths exposing the same
-    /// stage set whether the flow ran at top level or nested one level
-    /// below the captured root.
+    /// measured by the stage spans themselves: the root's direct
+    /// children, with a nested `flow.*` root transparent (its children
+    /// are surfaced in its place).
     pub fn stage_seconds(&self) -> Vec<(&'static str, f64)> {
-        // `seconds()` is `wall_ns as f64 * 1e-9`, so the two views are
-        // the same partition in different units — pinned by the
-        // analysis_props ledger-roundtrip proptest.
-        self.stage_nanos()
+        let rows = self.spans.iter().map(|s| (s.id, s.parent, s.name));
+        stage_positions(self.root, rows)
             .into_iter()
-            .map(|(name, ns)| (name, ns as f64 * 1e-9))
-            .collect()
-    }
-
-    /// [`stage_seconds`](Self::stage_seconds) in integer nanoseconds —
-    /// the exact wall times the run ledger persists, sharing the same
-    /// stage-selection logic (direct children, `flow.*` transparency).
-    pub fn stage_nanos(&self) -> Vec<(&'static str, u64)> {
-        let is_flow_root = |s: &SpanRecord| s.name.starts_with("flow.");
-        let nested: Vec<u64> = self
-            .spans
-            .iter()
-            .filter(|s| s.parent == self.root && is_flow_root(s))
-            .map(|s| s.id)
-            .collect();
-        self.spans
-            .iter()
-            .filter(|s| (s.parent == self.root && !is_flow_root(s)) || nested.contains(&s.parent))
-            .map(|s| (s.name, s.end_ns.saturating_sub(s.start_ns)))
+            .map(|i| (self.spans[i].name, self.spans[i].seconds()))
             .collect()
     }
 
@@ -118,103 +141,57 @@ impl TraceReport {
     }
 
     /// Structured JSON export (compact, schema-stable; see
-    /// `schemas/trace_report.schema.json`).
+    /// `schemas/trace_report.schema.json`). [`ReportDoc::from_json`]
+    /// reads it back.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096 + self.spans.len() * 128);
-        out.push_str("{\"version\":1,");
-        let _ = write!(out, "\"root\":{},", self.root);
-        let _ = write!(out, "\"duration_s\":{},", fmt_f64(self.duration_seconds()));
-        let _ = write!(out, "\"dropped_events\":{},", self.dropped_events);
-        out.push_str("\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"id\":{},\"parent\":{},\"name\":\"{}\",\"thread\":{},\"start_us\":{},\"dur_us\":{}",
-                s.id,
-                s.parent,
-                escape(s.name),
-                s.thread,
-                fmt_f64(s.start_ns as f64 / 1e3),
-                fmt_f64((s.end_ns.saturating_sub(s.start_ns)) as f64 / 1e3),
-            );
-            if !s.args.is_empty() {
-                out.push_str(",\"args\":");
-                write_args(&mut out, &s.args);
-            }
-            out.push('}');
+        let mut w = Writer::with_capacity(4096 + self.spans.len() * 128);
+        w.object().key("version").u64(1);
+        w.key("root").u64(self.root);
+        w.key("duration_s").f64(self.duration_seconds());
+        w.key("dropped_events").u64(self.dropped_events);
+        w.key("spans").array();
+        for s in &self.spans {
+            w.object().key("id").u64(s.id).key("parent").u64(s.parent);
+            w.key("name").str(s.name).key("thread").u64(s.thread.into());
+            w.key("start_us").f64(micros(s.start_ns));
+            let dur_ns = s.end_ns.saturating_sub(s.start_ns);
+            w.key("dur_us").f64(micros(dur_ns));
+            write_args(&mut w, &s.args);
+            w.end();
         }
-        out.push_str("],\"instants\":[");
-        for (i, e) in self.instants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"span\":{},\"thread\":{},\"ts_us\":{}",
-                escape(e.name),
-                e.span,
-                e.thread,
-                fmt_f64(e.ts_ns as f64 / 1e3),
-            );
-            if !e.args.is_empty() {
-                out.push_str(",\"args\":");
-                write_args(&mut out, &e.args);
-            }
-            out.push('}');
+        w.end().key("instants").array();
+        for e in &self.instants {
+            w.object().key("name").str(e.name).key("span").u64(e.span);
+            w.key("thread").u64(e.thread.into());
+            w.key("ts_us").f64(micros(e.ts_ns));
+            write_args(&mut w, &e.args);
+            w.end();
         }
-        out.push_str("],\"series\":[");
-        // Group rows by (name, span) so each series reads as one object.
-        let mut groups: Vec<(&'static str, u64)> = Vec::new();
-        for r in &self.series {
-            if !groups.contains(&(r.name, r.span)) {
-                groups.push((r.name, r.span));
-            }
-        }
-        for (gi, &(name, span)) in groups.iter().enumerate() {
-            if gi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"span\":{span},\"rows\":[",
-                escape(name)
-            );
-            let mut first = true;
-            for r in self
-                .series
-                .iter()
-                .filter(|r| r.name == name && r.span == span)
-            {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                let _ = write!(out, "{{\"i\":{}", r.iter);
+        w.end().key("series").array();
+        for group in series_groups(&self.series) {
+            w.object().key("name").str(group[0].name);
+            w.key("span").u64(group[0].span).key("rows").array();
+            for r in group {
+                w.object().key("i").u64(r.iter);
                 for &(k, v) in &r.values {
-                    let _ = write!(out, ",\"{}\":{}", escape(k), fmt_f64(v));
+                    w.key(k).f64(v);
                 }
-                out.push('}');
+                w.end();
             }
-            out.push_str("]}");
+            w.end().end();
         }
-        out.push_str("],\"metrics\":[");
-        for (i, m) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"name\":\"{}\"", escape(m.name));
+        w.end().key("metrics").array();
+        for m in &self.metrics {
+            w.object().key("name").str(m.name);
             if let Some(slot) = m.slot {
-                let _ = write!(out, ",\"slot\":{slot}");
+                w.key("slot").u64(slot.into());
             }
             match &m.value {
                 MetricValue::Counter(v) => {
-                    let _ = write!(out, ",\"kind\":\"counter\",\"value\":{v}");
+                    w.key("kind").str("counter").key("value").u64(*v);
                 }
                 MetricValue::Gauge(v) => {
-                    let _ = write!(out, ",\"kind\":\"gauge\",\"value\":{}", fmt_f64(*v));
+                    w.key("kind").str("gauge").key("value").f64(*v);
                 }
                 MetricValue::Histogram {
                     count,
@@ -223,31 +200,25 @@ impl TraceReport {
                     max,
                     buckets,
                 } => {
-                    let _ = write!(
-                        out,
-                        ",\"kind\":\"histogram\",\"count\":{count},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                        fmt_f64(*sum),
-                        fmt_f64(*min),
-                        fmt_f64(*max),
-                    );
-                    for (bi, &(ub, c)) in buckets.iter().enumerate() {
-                        if bi > 0 {
-                            out.push(',');
-                        }
-                        let ub_str = if ub.is_infinite() {
-                            "\"+inf\"".to_string()
+                    w.key("kind").str("histogram").key("count").u64(*count);
+                    w.key("sum").f64(*sum).key("min").f64(*min);
+                    w.key("max").f64(*max).key("buckets").array();
+                    for &(ub, c) in buckets {
+                        w.array();
+                        if ub.is_infinite() {
+                            w.str("+inf");
                         } else {
-                            fmt_f64(ub)
-                        };
-                        let _ = write!(out, "[{ub_str},{c}]");
+                            w.f64(ub);
+                        }
+                        w.u64(c).end();
                     }
-                    out.push(']');
+                    w.end();
                 }
             }
-            out.push('}');
+            w.end();
         }
-        out.push_str("]}");
-        out
+        w.end().end();
+        w.finish()
     }
 
     /// Chrome `trace_event` export of this report alone (see
@@ -257,26 +228,26 @@ impl TraceReport {
     }
 }
 
-fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
-    out.push('{');
-    for (i, &(k, v)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":", escape(k));
-        match v {
-            ArgValue::U(u) => {
-                let _ = write!(out, "{u}");
-            }
-            ArgValue::F(f) => {
-                let _ = write!(out, "{}", fmt_f64(f));
-            }
-            ArgValue::S(s) => {
-                let _ = write!(out, "\"{}\"", escape(s));
-            }
-        }
+/// Integer nanoseconds as the microsecond floats both exports carry.
+fn micros(ns: u64) -> f64 {
+    ns as f64 / 1e3
+}
+
+/// Writes a non-empty argument list as an `"args"` member.
+fn write_args(w: &mut Writer, args: &[(&'static str, ArgValue)]) {
+    if args.is_empty() {
+        return;
     }
-    out.push('}');
+    w.key("args").object();
+    for &(k, v) in args {
+        w.key(k);
+        match v {
+            ArgValue::U(u) => w.u64(u),
+            ArgValue::F(f) => w.f64(f),
+            ArgValue::S(s) => w.str(s),
+        };
+    }
+    w.end();
 }
 
 /// Merges one or more reports into a single Chrome `trace_event` JSON
@@ -284,50 +255,225 @@ fn write_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
 /// Perfetto. Spans become `"ph":"X"` complete events (timestamps in µs),
 /// instants become `"ph":"i"` thread-scoped instant events.
 pub fn chrome_trace(reports: &[&TraceReport]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    let mut sep = |out: &mut String| {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-    };
+    let mut w = Writer::with_capacity(4096);
+    w.object().key("traceEvents").array();
     for r in reports {
         for s in &r.spans {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
-                escape(s.name),
-                s.thread,
-                fmt_f64(s.start_ns as f64 / 1e3),
-                fmt_f64((s.end_ns.saturating_sub(s.start_ns)) as f64 / 1e3),
-            );
-            if !s.args.is_empty() {
-                out.push_str(",\"args\":");
-                write_args(&mut out, &s.args);
-            }
-            out.push('}');
+            w.object().key("name").str(s.name).key("ph").str("X");
+            w.key("pid").u64(1).key("tid").u64(s.thread.into());
+            w.key("ts").f64(micros(s.start_ns));
+            let dur_ns = s.end_ns.saturating_sub(s.start_ns);
+            w.key("dur").f64(micros(dur_ns));
+            write_args(&mut w, &s.args);
+            w.end();
         }
         for e in &r.instants {
-            sep(&mut out);
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{}",
-                escape(e.name),
-                e.thread,
-                fmt_f64(e.ts_ns as f64 / 1e3),
-            );
-            if !e.args.is_empty() {
-                out.push_str(",\"args\":");
-                write_args(&mut out, &e.args);
-            }
-            out.push('}');
+            w.object().key("name").str(e.name).key("ph").str("i");
+            w.key("s").str("t").key("pid").u64(1);
+            w.key("tid").u64(e.thread.into());
+            w.key("ts").f64(micros(e.ts_ns));
+            write_args(&mut w, &e.args);
+            w.end();
         }
     }
-    out.push_str("]}");
-    out
+    w.end().end();
+    w.finish()
+}
+
+/// One series' rows: per iteration, column name → value.
+pub(crate) type SeriesRows = Vec<BTreeMap<String, f64>>;
+
+/// One span of a [`ReportDoc`].
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SpanRow {
+    pub(crate) id: u64,
+    pub(crate) parent: u64,
+    pub(crate) name: String,
+    pub(crate) thread: u32,
+    pub(crate) start_ns: u64,
+    pub(crate) dur_ns: u64,
+}
+
+/// The structured report as its readers consume it, in owned form: a
+/// live [`TraceReport`] converts into it (`From<&TraceReport>`) and
+/// [`ReportDoc::from_json`] decodes a written one, so
+/// [`Analysis::from_report`](crate::Analysis::from_report),
+/// [`LedgerEntry::capture_trace`](crate::LedgerEntry::capture_trace) and
+/// [`Doctor::diagnose_report`](crate::Doctor::diagnose_report) run the
+/// same code in-process and on a file. Both conversions agree: decoding
+/// a report's JSON equals converting the report.
+///
+/// It carries what those readers use. Span and instant arguments,
+/// instant threads and timestamps, and histogram buckets are written
+/// for Chrome timelines and people; nothing reads them back.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ReportDoc {
+    /// Id of the root span.
+    pub(crate) root: u64,
+    /// Events lost to the collector's buffer cap.
+    pub(crate) dropped_events: u64,
+    /// The spans, in start order.
+    pub(crate) spans: Vec<SpanRow>,
+    /// `(name, enclosing span)` per instant event.
+    pub(crate) instants: Vec<(String, u64)>,
+    /// `(name, emitting span, rows)` per convergence series, each row the
+    /// iteration index `"i"` plus the recorded columns; a non-finite
+    /// value (written as `null`) reads as NaN.
+    pub(crate) series: Vec<(String, u64, SeriesRows)>,
+    /// Scalar views of the metrics registry snapshot.
+    pub(crate) metrics: Vec<MetricReading>,
+}
+
+impl From<&TraceReport> for ReportDoc {
+    fn from(report: &TraceReport) -> Self {
+        let spans = report
+            .spans
+            .iter()
+            .map(|s| SpanRow {
+                id: s.id,
+                parent: s.parent,
+                name: s.name.to_string(),
+                thread: s.thread,
+                start_ns: s.start_ns,
+                dur_ns: s.end_ns.saturating_sub(s.start_ns),
+            })
+            .collect();
+        let series = series_groups(&report.series)
+            .into_iter()
+            .map(|group| {
+                let row = |r: &&SeriesRow| {
+                    let cells = r
+                        .values
+                        .iter()
+                        .map(|&(k, v)| (k.to_string(), if v.is_finite() { v } else { f64::NAN }));
+                    std::iter::once(("i".to_string(), r.iter as f64))
+                        .chain(cells)
+                        .collect()
+                };
+                let rows = group.iter().map(row).collect();
+                (group[0].name.to_string(), group[0].span, rows)
+            })
+            .collect();
+        let metrics = report
+            .metrics
+            .iter()
+            .map(|m| MetricReading {
+                name: m.name.to_string(),
+                slot: m.slot,
+                value: match &m.value {
+                    MetricValue::Counter(v) => MetricReadingValue::Counter(*v as f64),
+                    MetricValue::Gauge(v) => MetricReadingValue::Gauge(*v),
+                    MetricValue::Histogram { count, sum, .. } => MetricReadingValue::Histogram {
+                        count: *count as f64,
+                        sum: *sum,
+                    },
+                },
+            })
+            .collect();
+        Self {
+            root: report.root,
+            dropped_events: report.dropped_events,
+            spans,
+            instants: report
+                .instants
+                .iter()
+                .map(|i| (i.name.to_string(), i.span))
+                .collect(),
+            series,
+            metrics,
+        }
+    }
+}
+
+impl ReportDoc {
+    /// Decodes a structured report ([`TraceReport::to_json`] output): the
+    /// one place that document is read. The exported µs span fields
+    /// convert back to integer ns by rounding — exact for any run shorter
+    /// than ~29 days, so the self-time and stage partitions survive the
+    /// JSON trip.
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, a violation of `schemas/trace_report.schema.json`,
+    /// or an id, thread, slot or time that is not a non-negative integer
+    /// in range — each named by its key path.
+    pub fn from_json(input: &str) -> Result<Self, String> {
+        static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
+        let doc = parse_checked(input, SCHEMA_JSON, &SCHEMA)?;
+        let nanos = |v: &Json| v.to_u64_scaled(1e3);
+        let spans = doc.each("spans", |s| {
+            Ok(SpanRow {
+                id: s.u64("id")?,
+                parent: s.u64("parent")?,
+                name: s.str("name")?.to_string(),
+                thread: s.u32("thread")?,
+                start_ns: s.at("start_us", nanos)?,
+                dur_ns: s.at("dur_us", nanos)?,
+            })
+        })?;
+        // Every sum a reader forms (self time, stage partition) is a
+        // signed sum of a subset of these, so it cannot overflow either.
+        let total = spans.iter().try_fold(0u64, |t, s| t.checked_add(s.dur_ns));
+        if total.is_none_or(|t| i64::try_from(t).is_err()) {
+            return Err("spans: durations overflow 2^63 ns in total".to_string());
+        }
+        let instants = doc.each("instants", |i| {
+            Ok((i.str("name")?.to_string(), i.u64("span")?))
+        })?;
+        let series = doc.each("series", |g| {
+            let rows = g.each("rows", |row| {
+                let Json::Obj(cells) = row else {
+                    return Err("expected an object".to_string());
+                };
+                let cell = |(k, v): (&String, &Json)| match v {
+                    Json::Null => Ok((k.clone(), f64::NAN)),
+                    v => Ok((k.clone(), v.to_f64().map_err(|e| format!("{k}: {e}"))?)),
+                };
+                cells.iter().map(cell).collect()
+            })?;
+            Ok((g.str("name")?.to_string(), g.u64("span")?, rows))
+        })?;
+        let metrics = doc.each("metrics", |m| {
+            let value = match m.str("kind")? {
+                "counter" => MetricReadingValue::Counter(m.f64("value")?),
+                "gauge" => MetricReadingValue::Gauge(m.f64("value")?),
+                _ => MetricReadingValue::Histogram {
+                    count: m.f64("count")?,
+                    sum: m.f64("sum")?,
+                },
+            };
+            Ok(MetricReading {
+                name: m.str("name")?.to_string(),
+                slot: m.opt("slot", Json::to_u32)?,
+                value,
+            })
+        })?;
+        Ok(Self {
+            root: doc.u64("root")?,
+            dropped_events: doc.u64("dropped_events")?,
+            spans,
+            instants,
+            series,
+            metrics,
+        })
+    }
+
+    /// The root span's wall time in nanoseconds (0 when it is absent).
+    pub(crate) fn root_wall_ns(&self) -> u64 {
+        let root = self.spans.iter().find(|s| s.id == self.root);
+        root.map_or(0, |s| s.dur_ns)
+    }
+
+    /// `(name, wall ns)` of the flow's stage spans in start order — the
+    /// selection [`TraceReport::stage_seconds`] makes, in the exact
+    /// integer nanoseconds the run ledger persists.
+    pub(crate) fn stage_nanos(&self) -> Vec<(&str, u64)> {
+        let rows = self.spans.iter().map(|s| (s.id, s.parent, s.name.as_str()));
+        stage_positions(self.root, rows)
+            .into_iter()
+            .map(|i| (self.spans[i].name.as_str(), self.spans[i].dur_ns))
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -501,6 +647,72 @@ mod tests {
             Some(1.0),
             "slotted metric keeps its slot"
         );
+    }
+
+    /// Both exports, byte for byte as the hand-written encoders before
+    /// the codec wrote them.
+    #[test]
+    fn exports_match_their_golden_bytes() {
+        let r = sample_report();
+        assert_eq!(
+            r.to_json(),
+            r#"{"version":1,"root":1,"duration_s":0.003,"dropped_events":0,"spans":[{"id":1,"parent":0,"name":"flow","thread":0,"start_us":0.0,"dur_us":3000.0},{"id":2,"parent":1,"name":"shaping","thread":0,"start_us":100.0,"dur_us":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"id":3,"parent":1,"name":"ppa","thread":1,"start_us":1200.0,"dur_us":1700.0}],"instants":[{"name":"place.revert","span":2,"thread":0,"ts_us":500.0,"args":{"iteration":4}}],"series":[{"name":"place.outer","span":2,"rows":[{"i":0,"hpwl":10.0,"overflow":0.9},{"i":1,"hpwl":8.0,"overflow":0.5}]}],"metrics":[{"name":"place.cg.solves","kind":"counter","value":12},{"name":"pool.worker.tasks","slot":1,"kind":"counter","value":40},{"name":"place.cg.iterations","kind":"histogram","count":2,"sum":30.0,"min":10.0,"max":20.0,"buckets":[[10.0,1],[100.0,1],["+inf",0]]}]}"#
+        );
+        assert_eq!(
+            r.to_chrome_json(),
+            r#"{"traceEvents":[{"name":"flow","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":3000.0},{"name":"shaping","ph":"X","pid":1,"tid":0,"ts":100.0,"dur":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"name":"ppa","ph":"X","pid":1,"tid":1,"ts":1200.0,"dur":1700.0},{"name":"place.revert","ph":"i","s":"t","pid":1,"tid":0,"ts":500.0,"args":{"iteration":4}}]}"#
+        );
+    }
+
+    #[test]
+    fn decoding_the_export_is_the_live_conversion() {
+        let r = sample_report();
+        let doc = ReportDoc::from_json(&r.to_json()).expect("decodes");
+        assert_eq!(doc, ReportDoc::from(&r));
+        assert_eq!(doc.root_wall_ns(), 3_000_000);
+        assert_eq!(
+            doc.stage_nanos(),
+            [("shaping", 1_000_000), ("ppa", 1_700_000)]
+        );
+        assert_eq!(doc.instants, [("place.revert".to_string(), 2)]);
+        assert_eq!(doc.series[0].2[1]["hpwl"], 8.0);
+    }
+
+    #[test]
+    fn decoder_names_the_field_it_rejects() {
+        let json = sample_report().to_json();
+        for (from, to, path) in [
+            ("\"id\":2", "\"id\":-2", "spans[1]: id: "),
+            (
+                "\"thread\":1",
+                "\"thread\":4294967296",
+                "spans[2]: thread: ",
+            ),
+            (
+                "\"dur_us\":1700.0",
+                "\"dur_us\":1e300",
+                "spans[2]: dur_us: ",
+            ),
+            (
+                "\"slot\":1",
+                "\"slot\":0.5",
+                "schema violations: $/metrics/1/slot",
+            ),
+            (
+                "\"span\":2,\"rows\"",
+                "\"span\":18446744073709551616,\"rows\"",
+                "series[0]: span: ",
+            ),
+        ] {
+            assert!(json.contains(from), "{from}");
+            let err = ReportDoc::from_json(&json.replace(from, to)).expect_err(to);
+            assert!(err.contains(path), "{to}: {err}");
+        }
+        // Durations whose sum would overflow the analysis' i64 arithmetic.
+        let huge = json.replace("\"dur_us\":3000.0", "\"dur_us\":9000000000000000.0");
+        let huge = huge.replace("\"dur_us\":1000.0", "\"dur_us\":9000000000000000.0");
+        let err = ReportDoc::from_json(&huge).expect_err("overflowing durations");
+        assert!(err.contains("overflow"), "{err}");
     }
 
     #[test]

@@ -64,11 +64,9 @@ fn committed_baseline_conforms_to_its_schema() {
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
     let doc = std::fs::read_to_string(format!("{root}/baselines/QOR_baseline.json"))
         .expect("read committed baseline");
-    let schema = std::fs::read_to_string(format!("{root}/schemas/qor_baseline.schema.json"))
-        .expect("read baseline schema");
     let violations = cp_trace::json::validate(
         &parse(&doc).expect("baseline parses"),
-        &parse(&schema).expect("schema parses"),
+        &parse(cp_bench::qor_gate::SCHEMA_JSON).expect("schema parses"),
     );
     assert!(violations.is_empty(), "{violations:?}");
 }

@@ -149,6 +149,39 @@ fn resume_is_bitwise_identical_at_stage_boundaries() {
     );
 }
 
+/// A checkpoint written before the format change (version 1, with the
+/// two sub-netlist cache counters) and a file that is not a checkpoint
+/// are refused by the resume with typed errors, not resumed on a guess.
+#[test]
+fn unusable_checkpoints_are_refused_on_resume() {
+    let (n, c) = bench();
+    let path = ckpt_path("refused");
+    for (text, reason) in [
+        (
+            include_str!("regressions/checkpoint_v1.json"),
+            "unsupported checkpoint version 1 (expected 2)",
+        ),
+        (
+            include_str!("regressions/checkpoint_negative_assignment.json"),
+            "clustering: assignment[1]: expected an integer",
+        ),
+        ("{\"version\": 2}", "schema violations"),
+    ] {
+        std::fs::write(&path, text).expect("write checkpoint");
+        let resume = ResilienceOptions {
+            resume_from: Some(path.clone()),
+            ..Default::default()
+        };
+        match resilient(&n, &c, &resume) {
+            Err(FlowError::Checkpoint { reason: got }) => {
+                assert!(got.contains(reason), "{got}");
+            }
+            other => panic!("expected a checkpoint error ({reason}), got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// The six stage boundaries are checked in pipeline order, each under its
 /// own stage label: cancelling on the k-th counted check for every k of a
 /// clean run walks through them, with only the placer's per-iteration
