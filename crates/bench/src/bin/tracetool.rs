@@ -55,6 +55,7 @@
 
 use cp_bench::qor_gate::{self, Baseline};
 use cp_core::checkpoint::{fnv1a64, FNV_OFFSET};
+use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate, Writer};
 use cp_trace::ledger::{self, Direction};
 use cp_trace::{
@@ -124,6 +125,52 @@ fn split_args(
         i += 1;
     }
     Ok(positional)
+}
+
+/// Reads a numeric flag value: a finite, non-negative number, or a usage
+/// error naming the flag.
+fn number(flag: &str, v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(x) if x.is_finite() && x >= 0.0 => Ok(x),
+        _ => Err(format!(
+            "`{flag}` must be a finite non-negative number, got `{v}`"
+        )),
+    }
+}
+
+/// Reads a `--timeout-s` value.
+fn timeout(v: &str) -> Result<Duration, String> {
+    Duration::try_from_secs_f64(number("--timeout-s", v)?)
+        .map_err(|_| format!("`--timeout-s` is out of range, got `{v}`"))
+}
+
+/// The `--rel` / `--abs` / `--metric-rel` tolerances `diff` and `trend`
+/// share, defaulting each to [`DiffOptions::default`].
+fn diff_options(
+    rel: Option<String>,
+    abs: Option<String>,
+    metric_rel: Option<String>,
+) -> Result<DiffOptions, String> {
+    let d = DiffOptions::default();
+    let read = |v: Option<String>, flag, default| v.map_or(Ok(default), |v| number(flag, &v));
+    Ok(DiffOptions {
+        time_rel_tol: read(rel, "--rel", d.time_rel_tol)?,
+        time_abs_tol_s: read(abs, "--abs", d.time_abs_tol_s)?,
+        metric_rel_tol: read(metric_rel, "--metric-rel", d.metric_rel_tol)?,
+    })
+}
+
+/// Reads a `--run PROFILE@SCALE` spec.
+fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
+    let (profile_name, scale) = spec
+        .split_once('@')
+        .ok_or_else(|| format!("`--run` wants PROFILE@SCALE (e.g. aes@0.02), got `{spec}`"))?;
+    let profile = qor_gate::parse_profile(profile_name)
+        .ok_or_else(|| format!("unknown profile `{profile_name}`"))?;
+    match number("--run", scale)? {
+        s if s > 0.0 => Ok((profile, s)),
+        _ => Err(format!("`--run` scale must be positive, got `{scale}`")),
+    }
 }
 
 fn summarize(args: &[String]) -> Result<(), String> {
@@ -250,23 +297,7 @@ fn diff(args: &[String]) -> Result<bool, String> {
                 .into(),
         );
     };
-    let parse_f = |s: Option<String>, what: &str| -> Result<Option<f64>, String> {
-        s.map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("`{what}` must be a number, got `{v}`"))
-        })
-        .transpose()
-    };
-    let mut opts = DiffOptions::default();
-    if let Some(v) = parse_f(rel, "--rel")? {
-        opts.time_rel_tol = v;
-    }
-    if let Some(v) = parse_f(abs, "--abs")? {
-        opts.time_abs_tol_s = v;
-    }
-    if let Some(v) = parse_f(metric_rel, "--metric-rel")? {
-        opts.metric_rel_tol = v;
-    }
+    let opts = diff_options(rel, abs, metric_rel)?;
     let base = load_analysis(base_path)?;
     let new = load_analysis(new_path)?;
     let d = TraceDiff::between(&base, &new, &opts);
@@ -394,13 +425,7 @@ fn gate(args: &[String]) -> Result<u8, String> {
         .transpose()?
         .unwrap_or(2)
         .max(1);
-    let timeout = timeout_s
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("`--timeout-s` must be a number, got `{v}`"))
-        })
-        .transpose()?
-        .map(Duration::from_secs_f64);
+    let timeout = timeout_s.as_deref().map(timeout).transpose()?;
 
     // Collect the run(s) to gate: an existing report file, or fresh
     // min-of-N executions of the pinned gate flow.
@@ -503,12 +528,8 @@ fn chaos(args: &[String]) -> Result<u8, String> {
         .unwrap_or(3)
         .max(1);
     let timeout = timeout_s
-        .map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("`--timeout-s` must be a number, got `{v}`"))
-        })
-        .transpose()?
-        .map_or(Duration::from_secs(120), Duration::from_secs_f64);
+        .as_deref()
+        .map_or(Ok(Duration::from_secs(120)), timeout)?;
     let report = cp_bench::chaos::run_chaos(seeds, timeout, site.as_deref())?;
     print!("{}", report.render());
     Ok(u8::from(report.failures() > 0))
@@ -541,10 +562,7 @@ fn harvest(args: &[String]) -> Result<(), String> {
             let (name, factor) = spec
                 .split_once('=')
                 .ok_or_else(|| format!("`--doctor` wants qor.NAME=FACTOR, got `{spec}`"))?;
-            let factor = factor
-                .parse::<f64>()
-                .map_err(|_| format!("`--doctor` factor must be a number, got `{factor}`"))?;
-            Ok((name.to_string(), factor))
+            Ok((name.to_string(), number("--doctor", factor)?))
         })
         .transpose()?;
 
@@ -565,14 +583,7 @@ fn harvest(args: &[String]) -> Result<(), String> {
         entries.push(entry.capture_trace(report));
     }
     if let Some(spec) = &run {
-        let (profile_name, scale) = spec
-            .split_once('@')
-            .ok_or_else(|| format!("`--run` wants PROFILE@SCALE (e.g. aes@0.02), got `{spec}`"))?;
-        let profile = qor_gate::parse_profile(profile_name)
-            .ok_or_else(|| format!("unknown profile `{profile_name}`"))?;
-        let scale: f64 = scale
-            .parse()
-            .map_err(|_| format!("`--run` scale must be a number, got `{scale}`"))?;
+        let (profile, scale) = run_spec(spec)?;
         let t0 = Instant::now();
         let (report, fingerprint) =
             qor_gate::run_hermetic(profile, scale).map_err(|e| format!("hermetic flow: {e}"))?;
@@ -637,23 +648,7 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
     }
     let ledger_path =
         std::path::PathBuf::from(ledger_path.unwrap_or_else(|| "runs/ledger.jsonl".to_string()));
-    let parse_f = |s: Option<String>, what: &str| -> Result<Option<f64>, String> {
-        s.map(|v| {
-            v.parse::<f64>()
-                .map_err(|_| format!("`{what}` must be a number, got `{v}`"))
-        })
-        .transpose()
-    };
-    let mut opts = DiffOptions::default();
-    if let Some(v) = parse_f(metric_rel, "--metric-rel")? {
-        opts.metric_rel_tol = v;
-    }
-    if let Some(v) = parse_f(rel, "--rel")? {
-        opts.time_rel_tol = v;
-    }
-    if let Some(v) = parse_f(abs, "--abs")? {
-        opts.time_abs_tol_s = v;
-    }
+    let opts = diff_options(rel, abs, metric_rel)?;
     let entries = ledger::load(&ledger_path)?;
     let report = ledger::trend(&entries, &opts);
     let dir_label = |d: Direction| match d {
@@ -828,14 +823,7 @@ fn explain(args: &[String]) -> Result<bool, String> {
         if !pos.is_empty() || base.is_some() || fields.is_some() {
             return Err(EXPLAIN_USAGE.into());
         }
-        let (profile_name, scale) = spec
-            .split_once('@')
-            .ok_or_else(|| format!("`--run` wants PROFILE@SCALE (e.g. aes@0.02), got `{spec}`"))?;
-        let profile = qor_gate::parse_profile(profile_name)
-            .ok_or_else(|| format!("unknown profile `{profile_name}`"))?;
-        let scale: f64 = scale
-            .parse()
-            .map_err(|_| format!("`--run` scale must be a number, got `{scale}`"))?;
+        let (profile, scale) = run_spec(&spec)?;
         let t0 = Instant::now();
         let (report, capture, _) = qor_gate::run_hermetic_fields(profile, scale)
             .map_err(|e| format!("hermetic flow: {e}"))?;

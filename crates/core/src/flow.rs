@@ -341,7 +341,7 @@ pub struct FlowReport {
     /// Shaping-stage work counters.
     pub shaping: ShapingStats,
     /// The run's span/telemetry subtree, when tracing was enabled
-    /// (`CP_TRACE` / [`cp_trace::set_level`]); `None` otherwise.
+    /// ([`cp_trace::set_level`]); `None` otherwise.
     pub trace: Option<TraceReport>,
 }
 

@@ -15,7 +15,9 @@
 //!
 //! A net line is `net <name> <driver> : <sink>...`; drivers and sinks are
 //! either a port name or `<cell>.<pin>` (a bare cell name as driver means
-//! its output pin). Cell lines carry the full hierarchy path.
+//! its output pin). Cell lines carry the full hierarchy path; its first
+//! segment names the root, whatever it says. Cell and port names are
+//! unique, so a reference means the same instance wherever it appears.
 
 use crate::hierarchy::HierTree;
 use crate::ids::{CellId, PortId};
@@ -41,7 +43,8 @@ pub enum ParseNetlistError {
         /// The unknown identifier.
         name: String,
     },
-    /// The netlist failed connectivity validation.
+    /// The netlist failed validation: a cell or port defined twice, or a
+    /// connectivity violation.
     Invalid(String),
 }
 
@@ -115,11 +118,14 @@ pub fn parse(text: &str, library: Library) -> Result<Netlist, ParseNetlistError>
             break;
         }
     }
-    let mut builder = NetlistBuilder::new(name.clone(), library);
+    let mut builder = NetlistBuilder::new(name, library);
     let mut cells: HashMap<String, CellId> = HashMap::new();
     let mut ports: HashMap<String, PortId> = HashMap::new();
+    // Keyed by the path below the root segment.
     let mut hier_nodes: HashMap<String, crate::ids::HierNodeId> = HashMap::new();
-    hier_nodes.insert(name.clone(), HierTree::ROOT);
+    let twice = |lno: usize, what: &str, name: &str| {
+        ParseNetlistError::Invalid(format!("line {lno}: {what} `{name}` is defined twice"))
+    };
 
     for (lno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -144,6 +150,9 @@ pub fn parse(text: &str, library: Library) -> Result<Netlist, ParseNetlistError>
                     line: lno,
                     text: raw.to_string(),
                 })?;
+                if ports.contains_key(pname) {
+                    return Err(twice(lno, "port", pname));
+                }
                 let id = builder.add_port(pname, dir);
                 ports.insert(pname.to_string(), id);
             }
@@ -163,15 +172,15 @@ pub fn parse(text: &str, library: Library) -> Result<Netlist, ParseNetlistError>
                         name: master.to_string(),
                     }
                 })?;
+                if cells.contains_key(cname) {
+                    return Err(twice(lno, "cell", cname));
+                }
                 // Materialize the hierarchy path.
                 let mut node = HierTree::ROOT;
                 let mut prefix = String::new();
-                for (i, part) in path.split('/').enumerate() {
-                    if i == 0 {
-                        prefix = part.to_string();
-                        continue; // root
-                    }
-                    prefix = format!("{prefix}/{part}");
+                for part in path.split('/').skip(1) {
+                    prefix.push('/');
+                    prefix.push_str(part);
                     node = *hier_nodes
                         .entry(prefix.clone())
                         .or_insert_with(|| builder.hierarchy_mut().add_child(node, part));

@@ -36,10 +36,9 @@
 //! metric-by-metric. Runtime comparisons use a relative-tolerance noise
 //! model (`|new − base| > max(abs_tol, rel_tol·|base|)` counts as a
 //! change) because wall-clock jitters; metric comparisons default to
-//! exact because the flow's outputs are bitwise deterministic.
-//! [`TraceDiff::between_many`] is **min-of-N aware**: given several
-//! repetitions of each run it compares the per-name *minimum* times, the
-//! same noise-rejection the bench bins use.
+//! exact because the flow's outputs are bitwise deterministic. A diff is
+//! always one run against one run; rejecting a slow repetition is the
+//! caller's job (`tracetool gate` diffs its fastest rep).
 
 use crate::report::ReportDoc;
 use std::collections::BTreeMap;
@@ -442,37 +441,21 @@ pub struct TraceDiff {
     pub entries: Vec<DiffEntry>,
 }
 
-/// Per-name `(count, wall_s, self_s)` after min-of-N reduction.
+/// Per-name `(count, wall_s, self_s)`.
 type TimeRows = BTreeMap<String, (u64, f64, f64)>;
 
 impl TraceDiff {
     /// Diffs one baseline run against one new run.
     pub fn between(base: &Analysis, new: &Analysis, opts: &DiffOptions) -> Self {
-        Self::between_many(&[base], &[new], opts)
-    }
-
-    /// Min-of-N diff: each side may supply several repetitions of the
-    /// same configuration; per-name times are reduced to their minimum
-    /// across repetitions before comparing (the bench bins' noise
-    /// rejection). Metrics are taken from the first repetition of each
-    /// side — a deterministic flow reproduces them exactly.
-    ///
-    /// Empty slices produce an empty diff.
-    pub fn between_many(base: &[&Analysis], new: &[&Analysis], opts: &DiffOptions) -> Self {
-        let (Some(b0), Some(n0)) = (base.first(), new.first()) else {
-            return Self::default();
-        };
         let mut entries = Vec::new();
-        let b_rows = min_rows(base);
-        let n_rows = min_rows(new);
+        let b_rows = time_rows(base);
+        let n_rows = time_rows(new);
         let mut names: Vec<&String> = b_rows.keys().chain(n_rows.keys()).collect();
         names.sort();
         names.dedup();
         for name in names {
-            let b = b_rows.get(name.as_str());
-            let n = n_rows.get(name.as_str());
-            let (bc, bw, bs) = b.copied().unwrap_or((0, 0.0, 0.0));
-            let (nc, nw, ns) = n.copied().unwrap_or((0, 0.0, 0.0));
+            let (bc, bw, bs) = b_rows.get(name).copied().unwrap_or((0, 0.0, 0.0));
+            let (nc, nw, ns) = n_rows.get(name).copied().unwrap_or((0, 0.0, 0.0));
             if bc != nc {
                 entries.push(DiffEntry {
                     kind: DiffKind::SpanCount,
@@ -492,7 +475,7 @@ impl TraceDiff {
                 }
             }
         }
-        entries.extend(diff_metrics(b0, n0, opts));
+        entries.extend(diff_metrics(base, new, opts));
         Self { entries }
     }
 
@@ -514,24 +497,11 @@ pub(crate) fn significant(base: f64, new: f64, rel: f64, abs: f64) -> bool {
     (new - base).abs() > abs.max(rel * base.abs())
 }
 
-fn min_rows(side: &[&Analysis]) -> TimeRows {
-    // Per name, keep the whole (count, wall, self) row from the
-    // repetition with the smallest wall time. Self-time must ride along
-    // with its wall rather than being minimized independently: it can be
-    // legitimately negative under parallel fan-out, where a slower rep
-    // would win an independent min and poison the baseline.
-    let mut rows: TimeRows = BTreeMap::new();
-    for (rep, a) in side.iter().enumerate() {
-        for agg in a.self_time_by_name() {
-            let e = rows
-                .entry(agg.name)
-                .or_insert((agg.count, agg.wall_s, agg.self_s));
-            if rep > 0 && agg.wall_s < e.1 {
-                *e = (agg.count, agg.wall_s, agg.self_s);
-            }
-        }
-    }
-    rows
+fn time_rows(a: &Analysis) -> TimeRows {
+    a.self_time_by_name()
+        .into_iter()
+        .map(|agg| (agg.name, (agg.count, agg.wall_s, agg.self_s)))
+        .collect()
 }
 
 /// Scalar views of one side's metrics, keyed for matching.
@@ -1291,29 +1261,6 @@ mod tests {
             },
         );
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn min_of_n_diff_ignores_one_slow_repetition() {
-        let fast = sample();
-        let mut slow = sample();
-        // The same run with every span stretched 3×: min-of-N on the base
-        // side should discard it entirely.
-        for s in &mut slow.spans {
-            s.end_ns = s.start_ns + (s.end_ns - s.start_ns) * 3;
-        }
-        let a_fast = Analysis::from_report(&fast).expect("analyzes");
-        let a_slow = Analysis::from_report(&slow).expect("analyzes");
-        let d = TraceDiff::between_many(
-            &[&a_fast, &a_slow],
-            &[&a_fast],
-            &DiffOptions {
-                time_rel_tol: 0.0,
-                time_abs_tol_s: 0.0,
-                metric_rel_tol: 0.0,
-            },
-        );
-        assert!(d.is_empty(), "{:?}", d.entries);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! that is smaller, so a 30-iteration convergence movie costs little
 //! more than its first frame plus what actually changed.
 //!
-//! The discipline mirrors spans and the sink:
+//! The discipline mirrors spans:
 //!
 //! - **Free when off.** Every record site is gated on [`enabled`] — a
 //!   single relaxed atomic load — before anything is computed. The
@@ -46,8 +46,7 @@ pub const DEFAULT_FRAME_BUDGET: usize = 4096;
 // ---------------------------------------------------------------------------
 // Gating
 
-/// One relaxed load at every record site, exactly like the level byte
-/// and the sink flag.
+/// One relaxed load at every record site, exactly like the level byte.
 static FIELDS_ON: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
@@ -86,22 +85,6 @@ pub fn enable(budget: usize) {
 /// [`clear`].
 pub fn disable() {
     FIELDS_ON.store(false, Ordering::Relaxed);
-}
-
-/// Enables field capture when `CP_TRACE_FIELDS` is set (`1`/`on` for the
-/// default budget, any other integer for an explicit budget).
-pub fn init_from_env() {
-    match std::env::var("CP_TRACE_FIELDS").as_deref() {
-        Ok("1") | Ok("on") => enable(DEFAULT_FRAME_BUDGET),
-        Ok(other) => {
-            if let Ok(budget) = other.parse::<usize>() {
-                if budget > 0 {
-                    enable(budget);
-                }
-            }
-        }
-        Err(_) => {}
-    }
 }
 
 /// An RAII guard holding the ambient stage label open on this thread.

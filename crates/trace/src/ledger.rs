@@ -264,16 +264,6 @@ impl LedgerEntry {
     pub fn completed(&self) -> bool {
         self.status == "completed"
     }
-
-    /// The stage rows as `(name, seconds)` — historical timings for
-    /// [`crate::ProgressSink`] ETAs (the `other` row excluded).
-    pub fn stage_history(&self) -> Vec<(String, f64)> {
-        self.stages
-            .iter()
-            .filter(|(name, _)| name != "other")
-            .map(|(name, ns)| (name.clone(), *ns as f64 * 1e-9))
-            .collect()
-    }
 }
 
 /// One summary per (series name, value column) across every emitting
@@ -767,15 +757,5 @@ mod tests {
             Direction::HigherIsBetter
         );
         assert_eq!(qor_direction("qor.cluster.count"), Direction::Informational);
-    }
-
-    #[test]
-    fn stage_history_feeds_progress_eta() {
-        let e = sample_entry();
-        let hist = e.stage_history();
-        assert_eq!(hist.len(), 2, "other row excluded");
-        assert!(hist
-            .iter()
-            .any(|(n, s)| n == "clustering" && (*s - 3e-3).abs() < 1e-12));
     }
 }

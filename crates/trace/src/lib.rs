@@ -27,30 +27,24 @@
 //! `trace_determinism` tests).
 //!
 //! Levels: `Off` (0) — no-op; `Spans` (1) — spans and instant events;
-//! `Full` (2) — spans plus metrics and series. `CP_TRACE` selects the
-//! level in binaries that call [`init_from_env`] (`off`/`spans`/`full`;
-//! `chrome` is an alias for `full`).
+//! `Full` (2) — spans plus metrics and series. Callers pick one with
+//! [`set_level`].
 //!
-//! Completed events accumulate in a process-wide buffer (bounded; see
-//! [`TraceReport::dropped_events`]) until [`take_report`] extracts one
-//! root span's subtree into a [`TraceReport`], which exports structured
-//! JSON and Chrome `trace_event` JSON (Perfetto-loadable).
-//!
-//! Two streaming/persistence layers build on the record sites:
-//!
-//! - [`sink`] — live event streaming into a bounded, drop-on-overflow
-//!   channel behind one extra relaxed atomic load ([`sink_attached`]),
-//!   with [`ProgressSink`] folding events into stage-level progress.
-//! - [`ledger`] — an append-only, schema-validated JSONL run ledger
-//!   capturing each run's QoR snapshot, integer-ns stage self-times and
-//!   convergence summaries, plus cross-run trend analysis.
+//! Every record site does one thing past the level check: push into the
+//! process-wide collector (spans, instants, series) or the metrics
+//! registry (counters, gauges, histograms). The collector is bounded (see
+//! [`TraceReport::dropped_events`]) and holds events until [`take_report`]
+//! extracts one root span's subtree into a [`TraceReport`], which exports
+//! structured JSON and Chrome `trace_event` JSON (Perfetto-loadable).
+//! [`ledger`] persists each run's QoR snapshot, integer-ns stage
+//! self-times and convergence summaries into an append-only JSONL run
+//! ledger, plus cross-run trend analysis.
 
 pub mod analysis;
 pub mod fields;
 pub mod json;
 pub mod ledger;
 pub mod report;
-pub mod sink;
 
 pub use analysis::{
     Analysis, DiffEntry, DiffKind, DiffOptions, Doctor, NameAgg, PathStep, Severity, TraceDiff,
@@ -59,10 +53,6 @@ pub use analysis::{
 pub use fields::{DecodedFrame, FieldFrame, FrameCapture, FrameData};
 pub use ledger::{LedgerEntry, SeriesSummary, TrendReport, TrendRow};
 pub use report::{chrome_trace, MetricSnapshot, MetricValue, ReportDoc, TraceReport};
-pub use sink::{
-    attach_sink, detach_sink, drain_sink, pump_sink, sink_attached, ProgressSink, ProgressSnapshot,
-    SinkBatch, SinkEvent, StageState, TraceSink,
-};
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -77,7 +67,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Serializes tests that touch process-global state (the level byte and
-/// the sink channel) across this crate's test modules.
+/// the field store) across this crate's test modules.
 #[cfg(test)]
 pub(crate) fn test_serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -126,23 +116,6 @@ pub fn enabled() -> bool {
 #[inline]
 pub fn telemetry_enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) >= 2
-}
-
-/// Parses `CP_TRACE` (`off`/`0`, `spans`/`1`, `full`/`2`/`chrome`/`on`);
-/// unset or unrecognized means `Off`.
-pub fn level_from_env() -> Level {
-    match std::env::var("CP_TRACE").as_deref() {
-        Ok("spans") | Ok("1") => Level::Spans,
-        Ok("full") | Ok("2") | Ok("chrome") | Ok("on") => Level::Full,
-        _ => Level::Off,
-    }
-}
-
-/// Sets the level from `CP_TRACE` (see [`level_from_env`]) and enables
-/// field capture from `CP_TRACE_FIELDS` (see [`fields::init_from_env`]).
-pub fn init_from_env() {
-    set_level(level_from_env());
-    fields::init_from_env();
 }
 
 // ---------------------------------------------------------------------------
@@ -329,25 +302,13 @@ pub fn span_with(name: &'static str, args: &[(&'static str, ArgValue)]) -> SpanG
         return SpanGuard { inner: None };
     }
     let id = NEXT_SPAN.fetch_add(1, Ordering::Relaxed);
-    let parent = CURRENT.with(|c| c.replace(id));
-    let thread = thread_ordinal();
-    let start_ns = now_ns();
-    if sink::sink_attached() {
-        sink::emit(SinkEvent::SpanOpen {
-            id,
-            parent,
-            name,
-            thread,
-            start_ns,
-        });
-    }
     SpanGuard {
         inner: Some(SpanInner {
             id,
-            parent,
+            parent: CURRENT.with(|c| c.replace(id)),
             name,
-            thread,
-            start_ns,
+            thread: thread_ordinal(),
+            start_ns: now_ns(),
             args: args.to_vec(),
         }),
     }
@@ -375,16 +336,6 @@ impl Drop for SpanGuard {
             // nesting stays consistent when the level flips mid-run.
             CURRENT.with(|c| c.set(i.parent));
             let end_ns = now_ns();
-            if sink::sink_attached() {
-                sink::emit(SinkEvent::SpanClose {
-                    id: i.id,
-                    parent: i.parent,
-                    name: i.name,
-                    thread: i.thread,
-                    start_ns: i.start_ns,
-                    end_ns,
-                });
-            }
             let mut c = lock(collector());
             if c.total() < MAX_BUFFERED_EVENTS {
                 c.spans.push(SpanRecord {
@@ -416,15 +367,6 @@ pub fn instant(name: &'static str, args: &[(&'static str, ArgValue)]) {
         ts_ns: now_ns(),
         args: args.to_vec(),
     };
-    if sink::sink_attached() {
-        sink::emit(SinkEvent::Instant {
-            name: rec.name,
-            span: rec.span,
-            thread: rec.thread,
-            ts_ns: rec.ts_ns,
-            args: rec.args.clone(),
-        });
-    }
     let mut c = lock(collector());
     if c.total() < MAX_BUFFERED_EVENTS {
         c.instants.push(rec);
@@ -445,14 +387,6 @@ pub fn series(name: &'static str, iter: u64, values: &[(&'static str, f64)]) {
         iter,
         values: values.to_vec(),
     };
-    if sink::sink_attached() {
-        sink::emit(SinkEvent::SeriesPoint {
-            name: row.name,
-            span: row.span,
-            iter: row.iter,
-            values: row.values.clone(),
-        });
-    }
     let mut c = lock(collector());
     if c.total() < MAX_BUFFERED_EVENTS {
         c.series.push(row);
@@ -501,20 +435,12 @@ pub fn counter_add_slot(name: &'static str, slot: u32, delta: u64) {
     if !telemetry_enabled() {
         return;
     }
-    let mut m = lock(metrics());
-    let total = match m.entry((name, slot)).or_insert(Metric::Counter(0)) {
-        Metric::Counter(v) => {
-            *v += delta;
-            *v
-        }
-        other => {
-            *other = Metric::Counter(delta);
-            delta
-        }
-    };
-    drop(m);
-    if sink::sink_attached() {
-        sink::emit(SinkEvent::Counter { name, slot, total });
+    match lock(metrics())
+        .entry((name, slot))
+        .or_insert(Metric::Counter(0))
+    {
+        Metric::Counter(v) => *v += delta,
+        other => *other = Metric::Counter(delta),
     }
 }
 
@@ -523,12 +449,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
     if !telemetry_enabled() {
         return;
     }
-    let mut m = lock(metrics());
-    *m.entry((name, NO_SLOT)).or_insert(Metric::Gauge(value)) = Metric::Gauge(value);
-    drop(m);
-    if sink::sink_attached() {
-        sink::emit(SinkEvent::Gauge { name, value });
-    }
+    lock(metrics()).insert((name, NO_SLOT), Metric::Gauge(value));
 }
 
 /// Records one observation into a fixed-bucket histogram. No-op below
@@ -844,28 +765,5 @@ mod tests {
             other => panic!("expected histogram, got {other:?}"),
         }
         clear();
-    }
-
-    #[test]
-    fn level_parsing_covers_aliases() {
-        assert_eq!(Level::Off as u8, 0);
-        for (s, want) in [
-            ("off", Level::Off),
-            ("0", Level::Off),
-            ("spans", Level::Spans),
-            ("1", Level::Spans),
-            ("full", Level::Full),
-            ("2", Level::Full),
-            ("chrome", Level::Full),
-            ("on", Level::Full),
-            ("garbage", Level::Off),
-        ] {
-            let parsed = match s {
-                "spans" | "1" => Level::Spans,
-                "full" | "2" | "chrome" | "on" => Level::Full,
-                _ => Level::Off,
-            };
-            assert_eq!(parsed, want, "CP_TRACE={s}");
-        }
     }
 }

@@ -220,12 +220,6 @@ impl TraceReport {
         w.end().end();
         w.finish()
     }
-
-    /// Chrome `trace_event` export of this report alone (see
-    /// [`chrome_trace`] to merge several reports into one timeline).
-    pub fn to_chrome_json(&self) -> String {
-        chrome_trace(&[self])
-    }
 }
 
 /// Integer nanoseconds as the microsecond floats both exports carry.
@@ -659,7 +653,7 @@ mod tests {
             r#"{"version":1,"root":1,"duration_s":0.003,"dropped_events":0,"spans":[{"id":1,"parent":0,"name":"flow","thread":0,"start_us":0.0,"dur_us":3000.0},{"id":2,"parent":1,"name":"shaping","thread":0,"start_us":100.0,"dur_us":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"id":3,"parent":1,"name":"ppa","thread":1,"start_us":1200.0,"dur_us":1700.0}],"instants":[{"name":"place.revert","span":2,"thread":0,"ts_us":500.0,"args":{"iteration":4}}],"series":[{"name":"place.outer","span":2,"rows":[{"i":0,"hpwl":10.0,"overflow":0.9},{"i":1,"hpwl":8.0,"overflow":0.5}]}],"metrics":[{"name":"place.cg.solves","kind":"counter","value":12},{"name":"pool.worker.tasks","slot":1,"kind":"counter","value":40},{"name":"place.cg.iterations","kind":"histogram","count":2,"sum":30.0,"min":10.0,"max":20.0,"buckets":[[10.0,1],[100.0,1],["+inf",0]]}]}"#
         );
         assert_eq!(
-            r.to_chrome_json(),
+            chrome_trace(&[&r]),
             r#"{"traceEvents":[{"name":"flow","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":3000.0},{"name":"shaping","ph":"X","pid":1,"tid":0,"ts":100.0,"dur":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"name":"ppa","ph":"X","pid":1,"tid":1,"ts":1200.0,"dur":1700.0},{"name":"place.revert","ph":"i","s":"t","pid":1,"tid":0,"ts":500.0,"args":{"iteration":4}}]}"#
         );
     }
@@ -718,7 +712,7 @@ mod tests {
     #[test]
     fn chrome_export_is_well_formed() {
         let r = sample_report();
-        let doc = parse(&r.to_chrome_json()).expect("chrome JSON parses");
+        let doc = parse(&chrome_trace(&[&r])).expect("chrome JSON parses");
         let events = doc
             .get("traceEvents")
             .and_then(|v| v.as_array())

@@ -109,6 +109,72 @@ fn rust_sources(dir: &str, out: &mut Vec<String>) {
     }
 }
 
+/// The names every `std::env::var` / `var_os` call under `crates/` reads;
+/// a call whose name is not a string literal reads as `?`.
+fn env_reads() -> BTreeSet<String> {
+    let mut sources = Vec::new();
+    rust_sources("crates", &mut sources);
+    let mut out = BTreeSet::new();
+    for file in &sources {
+        let text = read(file);
+        for (at, call) in text.match_indices("env::var") {
+            let rest = &text[at + call.len()..];
+            let rest = rest.strip_prefix("_os").unwrap_or(rest);
+            let name = rest
+                .strip_prefix("(\"")
+                .and_then(|r| r.split_once('"'))
+                .map_or("?", |(name, _)| name);
+            out.insert(name.to_string());
+        }
+    }
+    out
+}
+
+/// Every whole-word `CP_[A-Z_]+` name in `text`.
+fn knob_names(text: &str) -> BTreeSet<String> {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| {
+            w.strip_prefix("CP_").is_some_and(|rest| {
+                !rest.is_empty() && rest.chars().all(|c| c.is_ascii_uppercase() || c == '_')
+            })
+        })
+        .map(String::from)
+        .collect()
+}
+
+/// The one environment knob is the one CI sets: every `std::env::var`
+/// call under `crates/` reads `CP_THREADS`, and every `CP_*` name the
+/// docs, CI and the verify skill mention is that knob. A new knob, or a
+/// doc naming a dead one, fails here.
+#[test]
+fn env_knobs_are_the_ones_ci_sets() {
+    let knobs = BTreeSet::from(["CP_THREADS".to_string()]);
+    assert_eq!(
+        env_reads(),
+        knobs,
+        "environment variables read under crates/"
+    );
+    for file in [
+        "README.md",
+        "DESIGN.md",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let named = knob_names(&read(file));
+        assert!(named.contains("CP_THREADS"), "{file} is scanned");
+        let dead: Vec<&String> = named.difference(&knobs).collect();
+        assert!(
+            dead.is_empty(),
+            "{file} names knobs nothing reads: {dead:?}"
+        );
+    }
+    let names = knob_names("TCP_OR, `CP_THREADS=4` and CP_TRACE.");
+    assert_eq!(
+        names,
+        BTreeSet::from(["CP_THREADS".into(), "CP_TRACE".into()])
+    );
+}
+
 /// The names prose credits as binaries: `` `name` bin `` anywhere, and
 /// `the name bin` too when `bare` (schema descriptions carry no markup).
 fn bin_mentions(text: &str, bare: bool) -> Vec<String> {

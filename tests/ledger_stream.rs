@@ -1,15 +1,12 @@
-//! Streaming + run-ledger acceptance suite (the flight-recorder PR).
+//! Tracing + run-ledger acceptance suite.
 //!
-//! The streaming layer must be invisible to the flow: outputs are
-//! bitwise identical with no sink at 1/4/8 threads and with a sink
-//! attached vs detached, drained events fold into stage-level progress,
-//! overflow drop-counters are deterministic under forced backpressure
-//! (a deliberately tiny ring that nobody drains mid-run), and the run
-//! ledger written by `run_flow_resilient` round-trips losslessly and
-//! gates a doctored QoR regression through `cp_trace::ledger::trend`.
+//! Tracing must be invisible to the flow: outputs are bitwise identical
+//! at 1/4/8 threads with tracing off or at `Full`, and the run ledger
+//! written by `run_flow_resilient` round-trips losslessly and gates a
+//! doctored QoR regression through `cp_trace::ledger::trend`.
 //!
-//! The trace level and the sink channel are process-global, so every
-//! test serializes on one mutex and restores Off/detached when done.
+//! The trace level is process-global, so every test serializes on one
+//! mutex and restores `Off` when done.
 
 use cp_core::flow::{
     run_flow, run_flow_resilient, FlowOptions, FlowReport, ResilienceOptions, ShapeMode,
@@ -17,21 +14,20 @@ use cp_core::flow::{
 use cp_core::ClusteringOptions;
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{Constraints, Netlist};
-use cp_trace::{DiffOptions, LedgerEntry, Level, ProgressSink, TraceSink};
+use cp_trace::{DiffOptions, LedgerEntry, Level};
 use std::sync::Mutex;
 
-/// Serializes tests that flip the process-global trace level or sink.
+/// Serializes tests that flip the process-global trace level.
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` at the given trace level, restoring `Off` and detaching any
-/// sink afterwards (also on panic, so a failing assertion doesn't poison
-/// the next test's global state).
+/// Runs `f` at the given trace level, restoring `Off` afterwards (also on
+/// panic, so a failing assertion doesn't poison the next test's global
+/// state).
 fn at_level<R>(level: Level, f: impl FnOnce() -> R) -> R {
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
             cp_trace::set_level(Level::Off);
-            cp_trace::detach_sink();
         }
     }
     let _reset = Reset;
@@ -67,14 +63,13 @@ fn assert_same_outputs(a: &FlowReport, b: &FlowReport) {
     assert_eq!(a.shaping, b.shaping);
 }
 
-/// Acceptance pin: with no sink attached, flow outputs are bitwise
-/// identical at 1, 4 and 8 threads, tracing on or off.
+/// Acceptance pin: flow outputs are bitwise identical at 1, 4 and 8
+/// threads, tracing on or off.
 #[test]
-fn no_sink_outputs_bitwise_identical_at_1_4_8_threads() {
+fn traced_outputs_bitwise_identical_at_1_4_8_threads() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (n, c) = small_design();
     let o = opts();
-    assert!(!cp_trace::sink_attached(), "no sink is attached by default");
     let base = at_level(Level::Off, || {
         cp_parallel::with_threads(1, || run_flow(&n, &c, &o).expect("flow runs"))
     });
@@ -85,77 +80,6 @@ fn no_sink_outputs_bitwise_identical_at_1_4_8_threads() {
             });
             assert_same_outputs(&base, &r);
         }
-    }
-}
-
-/// Attaching a sink must not change a single output bit, and the drained
-/// events must fold into complete stage-level progress.
-#[test]
-fn attached_sink_is_invisible_and_feeds_progress() {
-    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (n, c) = small_design();
-    let o = opts();
-    let detached = at_level(Level::Full, || run_flow(&n, &c, &o).expect("flow runs"));
-    for threads in [1usize, 4] {
-        // Drain inside the scope: `at_level` detaches (and empties) the
-        // channel on exit.
-        let (attached, batch) = at_level(Level::Full, || {
-            cp_trace::attach_sink(1 << 20);
-            let r = cp_parallel::with_threads(threads, || run_flow(&n, &c, &o).expect("flow runs"));
-            (r, cp_trace::drain_sink())
-        });
-        assert_same_outputs(&detached, &attached);
-        assert_eq!(batch.dropped, 0, "2^20 ring never overflows this flow");
-        assert!(!batch.events.is_empty(), "the sink saw the run's events");
-
-        let mut progress = ProgressSink::new(cp_core::stages::ALL.as_slice());
-        for ev in &batch.events {
-            progress.on_event(ev);
-        }
-        let snap = progress.snapshot();
-        assert_eq!(
-            snap.done_stages,
-            cp_core::stages::ALL.len(),
-            "every flow stage opened and closed in the event stream"
-        );
-        assert!((snap.fraction - 1.0).abs() < 1e-12);
-        assert!(
-            snap.cg_iterations > 0,
-            "place.outer ticks reached the progress sink at Level::Full"
-        );
-        assert!(snap.vpr_started > 0 && snap.vpr_done == snap.vpr_started);
-        assert_eq!(snap.dropped, 0);
-    }
-}
-
-/// Forced backpressure — a tiny ring nobody drains mid-run — drops
-/// events, and the drop counter is deterministic: identical runs lose
-/// identical event counts, and the flow's outputs never notice.
-#[test]
-fn overflow_drop_counters_are_deterministic_under_backpressure() {
-    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (n, c) = small_design();
-    let o = opts();
-    for threads in [1usize, 4] {
-        let run_once = || {
-            at_level(Level::Full, || {
-                cp_trace::attach_sink(8);
-                let r =
-                    cp_parallel::with_threads(threads, || run_flow(&n, &c, &o).expect("flow runs"));
-                let batch = cp_trace::drain_sink();
-                (r, batch.events.len(), batch.dropped)
-            })
-        };
-        let (r1, kept1, dropped1) = run_once();
-        let (r2, kept2, dropped2) = run_once();
-        assert!(dropped1 > 0, "a capacity-8 ring must overflow this flow");
-        assert_eq!(kept1, 8, "the ring keeps exactly its capacity");
-        assert_eq!(
-            (kept1, dropped1),
-            (kept2, dropped2),
-            "identical runs at {threads} threads drop identical counts"
-        );
-        assert_same_outputs(&r1, &r2);
     }
 }
 

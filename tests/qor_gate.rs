@@ -136,6 +136,51 @@ fn tracetool_gate_passes_clean_and_rejects_doctored_reports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Every numeric flag rejects negative, non-finite and out-of-range
+/// values with a usage error (exit 2) naming the flag, never a panic; a
+/// tiny valid timeout still expires with exit 3.
+#[test]
+fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let cases: &[(&[&str], &str)] = &[
+        (&["gate", "--timeout-s", "-1"], "--timeout-s"),
+        (&["gate", "--timeout-s", "nan"], "--timeout-s"),
+        (&["gate", "--timeout-s", "1e300"], "--timeout-s"),
+        (&["chaos", "--timeout-s", "-5"], "--timeout-s"),
+        (&["diff", "a.json", "b.json", "--rel", "NaN"], "--rel"),
+        (&["diff", "a.json", "b.json", "--abs", "-1"], "--abs"),
+        (
+            &["diff", "a.json", "b.json", "--metric-rel", "inf"],
+            "--metric-rel",
+        ),
+        (&["trend", "--rel", "-0.1"], "--rel"),
+        (&["trend", "--metric-rel", "nan"], "--metric-rel"),
+        (&["explain", "--run", "aes@0"], "--run"),
+        (&["harvest", "--run", "aes@-1"], "--run"),
+        (
+            &["harvest", "--run", "aes@1", "--doctor", "qor.x=nan"],
+            "--doctor",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = Command::new(tracetool)
+            .args(*args)
+            .output()
+            .expect("tracetool runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(flag),
+            "{args:?} must name `{flag}`: {stderr}"
+        );
+    }
+    let out = Command::new(tracetool)
+        .args(["gate", "--timeout-s", "0.01"])
+        .output()
+        .expect("tracetool runs");
+    assert_eq!(out.status.code(), Some(3), "{out:?}");
+}
+
 #[test]
 fn analysis_reconciles_with_stage_seconds_on_a_real_trace() {
     let _guard = LEVEL_LOCK.lock().expect("level lock");
