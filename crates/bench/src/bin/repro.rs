@@ -13,6 +13,7 @@
 //! several tables share runs once (see `cp_bench::repro`).
 
 use cp_bench::repro::{self, Runner, TABLES};
+use cp_bench::{out, outln};
 use cp_netlist::generator::DesignProfile;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -57,7 +58,7 @@ fn run() -> Result<(), String> {
         cp_bench::small_profiles()
     };
     let mut runner = Runner::new(scale, profiles);
-    println!(
+    outln!(
         "# repro --table {which} --scale {scale}{} — {} threads on {} detected cores",
         if large { " --large" } else { "" },
         cp_parallel::current_threads(),
@@ -68,13 +69,13 @@ fn run() -> Result<(), String> {
     for id in ids {
         let table = repro::table(&mut runner, id).ok_or("ids come from TABLES")?;
         let table = table.map_err(|e| format!("table {id}: {e}"))?;
-        print!("\n{}", table.to_markdown());
+        out!("\n{}", table.to_markdown());
         tables.push(table);
     }
     let wall_s = t0.elapsed().as_secs_f64();
     let per_design = runner.runs_per_design();
     let per_design: Vec<String> = per_design.iter().map(|(d, n)| format!("{d} {n}")).collect();
-    println!(
+    outln!(
         "\nFlow runs: {} distinct (flow kind, fingerprint) pairs for {} requested ({}); wall {wall_s:.0} s.",
         runner.executed.len(),
         runner.requested,

@@ -14,6 +14,7 @@
 //! kernels bitwise-deterministic, so per-size nnz and CG iteration
 //! counts are stable across runs and machines — only the seconds vary.
 
+use cp_bench::outln;
 use cp_graph::Hypergraph;
 use cp_netlist::floorplan::Rect;
 use cp_place::solver::{Axis, B2bRebuilder, CgScratch, CgStats, IcPreconditioner};
@@ -223,7 +224,7 @@ fn bench_size(n: usize) -> SizeResult {
 }
 
 fn main() {
-    println!(
+    outln!(
         "# Solver kernels (CSR B2B): min-of-{SPMV_REPS} SpMV, {CG_ITERS}-iter CG budget, \
          to-tolerance rel {TOL:.0e} capped at {TOL_CAP}"
     );
@@ -231,7 +232,7 @@ fn main() {
         .iter()
         .map(|&n| {
             let r = bench_size(n);
-            println!(
+            outln!(
                 "{:>9} vars: nnz {:>9}, build {:.4}s, incr {:.4}s ({:.1}x), spmv {:.5}s \
                  ({:.0} Mnnz/s), cg {:.3}s ({} iters, rel {:.2e}, non-spmv {:.3}s)",
                 r.n,
@@ -246,7 +247,7 @@ fn main() {
                 r.cg_rel,
                 r.cg_non_spmv_s(),
             );
-            println!(
+            outln!(
                 "           to rel {TOL:.0e}: jacobi {} iters {:.3}s (rel {:.2e}{}) | \
                  ic(0) factor {:.4}s + {} iters {:.3}s = {:.3}s (rel {:.2e}{})",
                 r.tol_iters,
@@ -319,5 +320,5 @@ fn main() {
         sizes_json
     );
     std::fs::write("BENCH_solver.json", &json).expect("write BENCH_solver.json");
-    println!("\nwrote BENCH_solver.json");
+    outln!("\nwrote BENCH_solver.json");
 }

@@ -7,10 +7,10 @@
 //! tracetool flamegraph <report.json> [-o out.folded]
 //! tracetool gate [--baseline FILE] [--from report.json] [--reps N] [--write] [--timeout-s S] [--large]
 //! tracetool chaos [--seeds N] [--timeout-s S] [--site SUBSTR]
-//! tracetool harvest [TRACE_report.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME] [--doctor qor.NAME=FACTOR]
+//! tracetool harvest [TRACE_report.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME]
 //! tracetool trend [--ledger F] [--format table|tsv|json] [--metric-rel M] [--rel R] [--abs S]
-//! tracetool explain <report.json> [--fields F.json] [--base B.json] [--base-fields BF.json]
-//! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C] [--doctor stall]
+//! tracetool explain <FIELDS_frames.json>
+//! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]
 //! tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]
 //! ```
 //!
@@ -35,33 +35,29 @@
 //! the artifact bytes so re-harvests of the same report group together —
 //! or runs a fresh hermetic gate-options flow with `--run aes@0.02`
 //! (checkpoint fingerprint, so repeat runs of the same profile@scale
-//! form one trend group). `--doctor qor.NAME=FACTOR` multiplies one QoR
-//! value before appending — the self-test knob for the trend gate.
-//! `trend` compares each fingerprint group's latest completed run
-//! against the best earlier one using the TraceDiff noise model and
-//! exits 1 on any QoR regression (wall time is reported but advisory).
+//! form one trend group). `trend` compares each fingerprint group's
+//! latest completed run against the best earlier one using the TraceDiff
+//! noise model and exits 1 on any QoR regression (wall time is reported
+//! but advisory).
 //!
-//! `explain` is the convergence doctor's front door: it diagnoses one
-//! run (a report file plus optional field frames, or a fresh hermetic
-//! `--run` with frame capture on) and prints structured verdicts —
-//! stall, oscillation, divergence, persistent hotspot bins,
-//! spreading-vs-legalization displacement conflict — exiting 1 when any
-//! is Critical. With `--base` it compares two runs instead and
-//! localizes each regression to a stage and, when frames are given, a
-//! grid region. `--doctor stall` flattens the `place.outer` series
-//! in-memory before diagnosis — the CI self-test knob. `render` turns a
-//! frames artifact into per-frame SVG heatmaps; `summarize --ledger`
-//! prints per-fingerprint run groups with their latest QoR snapshot.
+//! `explain` is the convergence doctor's front door: it diagnoses the
+//! field frames of one run (a frames artifact, or a fresh hermetic
+//! `--run` with frame capture on) and prints its verdicts — persistent
+//! hotspot bins and spreading displacement that never decays. Verdicts
+//! are warnings: it exits 0 after a diagnosis and 2 on an error. `diff`
+//! is the two-run comparison. `render` turns a frames artifact into
+//! per-frame SVG heatmaps; `summarize --ledger` prints per-fingerprint
+//! run groups with their latest QoR snapshot. Stdout goes through
+//! `cp_bench::stdout`, so a reader that closes the pipe early ends the
+//! output without changing the exit code.
 
 use cp_bench::qor_gate::{self, Baseline};
+use cp_bench::{out, outln};
 use cp_core::checkpoint::{fnv1a64, FNV_OFFSET};
 use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate, Writer};
 use cp_trace::ledger::{self, Direction};
-use cp_trace::{
-    analysis, Analysis, DecodedFrame, DiffOptions, Doctor, ReportDoc, Severity, TraceDiff, Verdict,
-    VerdictKind,
-};
+use cp_trace::{fields, Analysis, DecodedFrame, DiffOptions, ReportDoc, TraceDiff, Verdict};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -81,13 +77,11 @@ fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
-/// Reads and decodes a structured trace report file.
-fn load_report(path: &str) -> Result<ReportDoc, String> {
-    ReportDoc::from_json(&read(path)?).map_err(|e| format!("`{path}` is not a trace report: {e}"))
-}
-
+/// Reads, decodes and analyzes a structured trace report file.
 fn load_analysis(path: &str) -> Result<Analysis, String> {
-    Analysis::from_report(load_report(path)?).map_err(|e| format!("`{path}`: {e}"))
+    let doc = ReportDoc::from_json(&read(path)?)
+        .map_err(|e| format!("`{path}` is not a trace report: {e}"))?;
+    Analysis::from_report(doc).map_err(|e| format!("`{path}`: {e}"))
 }
 
 /// Parses `--flag value` style options out of `args`, returning the
@@ -190,19 +184,19 @@ fn summarize(args: &[String]) -> Result<(), String> {
         );
     };
     let a = load_analysis(path)?;
-    println!(
+    outln!(
         "# {} — {:.3}s, {} spans, {} dropped events",
         a.root_name(),
         a.duration_seconds(),
         a.span_count(),
         a.dropped_events
     );
-    println!("\n## Self-time by span name\n");
-    println!("| span | count | wall s | self s | self % |");
-    println!("|---|---|---|---|---|");
+    outln!("\n## Self-time by span name\n");
+    outln!("| span | count | wall s | self s | self % |");
+    outln!("|---|---|---|---|---|");
     let total = a.duration_seconds().max(1e-12);
     for row in a.self_time_by_name().iter().take(20) {
-        println!(
+        outln!(
             "| {} | {} | {:.4} | {:.4} | {:.1}% |",
             row.name,
             row.count,
@@ -211,9 +205,9 @@ fn summarize(args: &[String]) -> Result<(), String> {
             row.self_s / total * 100.0
         );
     }
-    println!("\n## Critical path\n");
+    outln!("\n## Critical path\n");
     for step in a.critical_path() {
-        println!(
+        outln!(
             "{}- {} ({:.4}s wall, {:.4}s self, thread {})",
             "  ".repeat(step.depth),
             step.name,
@@ -224,16 +218,16 @@ fn summarize(args: &[String]) -> Result<(), String> {
     }
     let qor = a.gauges_with_prefix("qor.");
     if !qor.is_empty() {
-        println!("\n## QoR gauges\n");
+        outln!("\n## QoR gauges\n");
         for (name, value) in qor {
-            println!("- {name}: {value}");
+            outln!("- {name}: {value}");
         }
     }
     let mem = a.gauges_with_prefix("mem.");
     if !mem.is_empty() {
-        println!("\n## Memory gauges (alloc-telemetry)\n");
+        outln!("\n## Memory gauges (alloc-telemetry)\n");
         for (name, value) in mem {
-            println!("- {name}: {value}");
+            outln!("- {name}: {value}");
         }
     }
     Ok(())
@@ -253,7 +247,7 @@ fn summarize_ledger(path: &str) -> Result<(), String> {
         }
         groups.entry(e.fingerprint).or_default().push(e);
     }
-    println!(
+    outln!(
         "# {path} — {} entries, {} fingerprint group(s)",
         entries.len(),
         order.len()
@@ -261,7 +255,7 @@ fn summarize_ledger(path: &str) -> Result<(), String> {
     for fp in order {
         let group = &groups[&fp];
         let Some(last) = group.last() else { continue };
-        println!(
+        outln!(
             "\n## {:016x} — {} ({} run{}, last: {}, {} threads)",
             fp,
             last.design,
@@ -271,10 +265,10 @@ fn summarize_ledger(path: &str) -> Result<(), String> {
             last.threads
         );
         if last.qor.is_empty() {
-            println!("- (no qor gauges captured)");
+            outln!("- (no qor gauges captured)");
         }
         for (name, value) in &last.qor {
-            println!("- {name}: {}", fmt_f64(*value));
+            outln!("- {name}: {}", fmt_f64(*value));
         }
     }
     Ok(())
@@ -302,13 +296,13 @@ fn diff(args: &[String]) -> Result<bool, String> {
     let new = load_analysis(new_path)?;
     let d = TraceDiff::between(&base, &new, &opts);
     if d.is_empty() {
-        println!("no differences beyond tolerances");
+        outln!("no differences beyond tolerances");
         return Ok(false);
     }
-    println!("| kind | name | base | new | delta |");
-    println!("|---|---|---|---|---|");
+    outln!("| kind | name | base | new | delta |");
+    outln!("|---|---|---|---|---|");
     for e in &d.entries {
-        println!(
+        outln!(
             "| {:?} | {} | {:.6} | {:.6} | {:+.6} |",
             e.kind,
             e.name,
@@ -318,7 +312,7 @@ fn diff(args: &[String]) -> Result<bool, String> {
         );
     }
     let regressions = d.regressions().len();
-    println!(
+    outln!(
         "\n{} entries, {} regression(s)",
         d.entries.len(),
         regressions
@@ -342,7 +336,7 @@ fn flamegraph(args: &[String]) -> Result<(), String> {
                 folded.lines().count()
             );
         }
-        None => print!("{folded}"),
+        None => out!("{folded}"),
     }
     Ok(())
 }
@@ -434,7 +428,7 @@ fn gate(args: &[String]) -> Result<u8, String> {
         None => match gate_reps(reps, timeout, large)? {
             Some(out) => out,
             None => {
-                println!(
+                outln!(
                     "gate TIMEOUT: {} rep(s) did not finish within {}s",
                     reps,
                     timeout.map_or(0.0, |t| t.as_secs_f64())
@@ -467,7 +461,7 @@ fn gate(args: &[String]) -> Result<u8, String> {
         }
         std::fs::write(&baseline_path, b.to_json())
             .map_err(|e| format!("cannot write `{}`: {e}", baseline_path.display()))?;
-        println!(
+        outln!(
             "wrote baseline {} ({} qor gauges, {} stage shares)",
             baseline_path.display(),
             b.qor.len(),
@@ -486,7 +480,7 @@ fn gate(args: &[String]) -> Result<u8, String> {
         Baseline::from_json(&src).map_err(|e| format!("`{}`: {e}", baseline_path.display()))?;
     let failures = baseline.check(best);
     if failures.is_empty() {
-        println!(
+        outln!(
             "gate PASS: {} qor gauges and {} stage shares within tolerance of {}",
             baseline.qor.len(),
             baseline.self_shares.len(),
@@ -494,9 +488,9 @@ fn gate(args: &[String]) -> Result<u8, String> {
         );
         return Ok(0);
     }
-    println!("gate FAIL vs {}:", baseline_path.display());
+    outln!("gate FAIL vs {}:", baseline_path.display());
     for f in &failures {
-        println!("- {f}");
+        outln!("- {f}");
     }
     Ok(1)
 }
@@ -531,23 +525,22 @@ fn chaos(args: &[String]) -> Result<u8, String> {
         .as_deref()
         .map_or(Ok(Duration::from_secs(120)), timeout)?;
     let report = cp_bench::chaos::run_chaos(seeds, timeout, site.as_deref())?;
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(u8::from(report.failures() > 0))
 }
 
 const HARVEST_USAGE: &str = "usage: tracetool harvest [TRACE_report.json ...] \
-     [--run PROFILE@SCALE] [--ledger F] [--design NAME] [--doctor qor.NAME=FACTOR]";
+     [--run PROFILE@SCALE] [--ledger F] [--design NAME]";
 
 /// Backfills ledger entries from existing TRACE report artifacts and/or
 /// a fresh hermetic flow, appending to the run ledger.
 fn harvest(args: &[String]) -> Result<(), String> {
-    let (mut ledger_path, mut run, mut doctor, mut design) = (None, None, None, None);
+    let (mut ledger_path, mut run, mut design) = (None, None, None);
     let pos = split_args(
         args,
         &mut [
             ("--ledger", &mut ledger_path),
             ("--run", &mut run),
-            ("--doctor", &mut doctor),
             ("--design", &mut design),
         ],
         &mut [],
@@ -557,14 +550,6 @@ fn harvest(args: &[String]) -> Result<(), String> {
     }
     let ledger_path =
         std::path::PathBuf::from(ledger_path.unwrap_or_else(|| "runs/ledger.jsonl".to_string()));
-    let doctor = doctor
-        .map(|spec| -> Result<(String, f64), String> {
-            let (name, factor) = spec
-                .split_once('=')
-                .ok_or_else(|| format!("`--doctor` wants qor.NAME=FACTOR, got `{spec}`"))?;
-            Ok((name.to_string(), number("--doctor", factor)?))
-        })
-        .transpose()?;
 
     let mut entries: Vec<ledger::LedgerEntry> = Vec::new();
     for path in &pos {
@@ -609,12 +594,8 @@ fn harvest(args: &[String]) -> Result<(), String> {
         );
     }
     for entry in entries {
-        let entry = match &doctor {
-            Some((name, factor)) => entry.doctor(name, *factor),
-            None => entry,
-        };
         ledger::append(&ledger_path, &entry).map_err(|e| format!("append: {e}"))?;
-        println!(
+        outln!(
             "appended {:016x} {} ({}, {} qor gauges, {} stage rows) -> {}",
             entry.fingerprint,
             entry.design,
@@ -668,12 +649,12 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
     match format.as_deref().unwrap_or("table") {
         "table" => {
             if report.rows.is_empty() {
-                println!("no multi-run fingerprint groups to compare");
+                outln!("no multi-run fingerprint groups to compare");
             } else {
-                println!("| fingerprint | design | metric | baseline | latest | delta % | runs | dir | verdict |");
-                println!("|---|---|---|---|---|---|---|---|---|");
+                outln!("| fingerprint | design | metric | baseline | latest | delta % | runs | dir | verdict |");
+                outln!("|---|---|---|---|---|---|---|---|---|");
                 for r in &report.rows {
-                    println!(
+                    outln!(
                         "| {:016x} | {} | {} | {:.6} | {:.6} | {:+.3} | {} | {} | {} |",
                         r.fingerprint,
                         r.design,
@@ -687,7 +668,7 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
                     );
                 }
             }
-            println!(
+            outln!(
                 "\n{} entries, {} group(s) ({} singleton), {} regression(s)",
                 entries.len(),
                 report.groups,
@@ -696,11 +677,9 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
             );
         }
         "tsv" => {
-            println!(
-                "fingerprint\tdesign\tmetric\tbaseline\tlatest\tdelta_pct\truns\tdir\tverdict"
-            );
+            outln!("fingerprint\tdesign\tmetric\tbaseline\tlatest\tdelta_pct\truns\tdir\tverdict");
             for r in &report.rows {
-                println!(
+                outln!(
                     "{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
                     r.fingerprint,
                     r.design,
@@ -733,7 +712,7 @@ fn trend_cmd(args: &[String]) -> Result<bool, String> {
                 w.key("improved").bool(r.improved).end();
             }
             w.end().end();
-            println!("{}", w.finish());
+            outln!("{}", w.finish());
         }
         other => {
             return Err(format!(
@@ -752,155 +731,78 @@ fn load_frames(path: &str) -> Result<Vec<DecodedFrame>, String> {
 
 fn print_verdicts(verdicts: &[Verdict]) {
     if verdicts.is_empty() {
-        println!("no anomalies detected");
+        outln!("no anomalies detected");
         return;
     }
     for v in verdicts {
-        println!(
-            "[{}] {} @ {}",
-            v.severity.as_str(),
-            v.kind.as_str(),
-            v.stage
-        );
-        println!("  evidence:   {}", v.evidence);
-        println!("  suggestion: {}", v.suggestion);
+        outln!("[warning] {} @ {}", v.kind.as_str(), v.stage);
+        outln!("  evidence:   {}", v.evidence);
+        outln!("  suggestion: {}", v.suggestion);
     }
 }
 
-/// The `--doctor stall` self-test knob: flattens the named columns of
-/// every `series_name` row to the first row's value within each
-/// emitting-span group, so the doctor sees a converged-but-stuck run.
-fn flatten_series(trace: &mut cp_trace::TraceReport, series_name: &str, keys: &[&str]) {
-    let mut first: std::collections::BTreeMap<u64, Vec<(&'static str, f64)>> =
-        std::collections::BTreeMap::new();
-    for row in trace.series.iter_mut().filter(|r| r.name == series_name) {
-        let f = first.entry(row.span).or_insert_with(|| row.values.clone());
-        for (k, v) in row.values.iter_mut() {
-            if keys.contains(&(*k as &str)) {
-                if let Some(&(_, fv)) = f.iter().find(|(fk, _)| fk == k) {
-                    *v = fv;
-                }
-            }
-        }
-    }
-}
+const EXPLAIN_USAGE: &str = "usage: tracetool explain <FIELDS_frames.json>\n\
+     \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]";
 
-const EXPLAIN_USAGE: &str = "usage: tracetool explain <report.json> [--fields F.json] [--base B.json] [--base-fields BF.json]\n\
-     \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C] [--doctor stall]";
-
-/// The convergence doctor: diagnose one run (exit 1 on any Critical
-/// verdict), or compare two and localize regressions (exit 1 on any
-/// Regression verdict).
-fn explain(args: &[String]) -> Result<bool, String> {
-    let (mut fields, mut base, mut base_fields) = (None, None, None);
-    let (mut run, mut fields_out, mut report_out, mut doctor) = (None, None, None, None);
-    let mut chrome_out = None;
+/// The convergence doctor: diagnoses one run's field frames, from a
+/// frames artifact or a fresh hermetic run.
+fn explain(args: &[String]) -> Result<(), String> {
+    let (mut run, mut fields_out, mut report_out, mut chrome_out) = (None, None, None, None);
     let pos = split_args(
         args,
         &mut [
-            ("--fields", &mut fields),
-            ("--base", &mut base),
-            ("--base-fields", &mut base_fields),
             ("--run", &mut run),
             ("--fields-out", &mut fields_out),
             ("--report-out", &mut report_out),
             ("--chrome-out", &mut chrome_out),
-            ("--doctor", &mut doctor),
         ],
         &mut [],
     )?;
-    if let Some(d) = &doctor {
-        if d != "stall" {
-            return Err(format!("`--doctor` only knows `stall`, got `{d}`"));
-        }
-        if run.is_none() {
-            return Err("`--doctor` needs `--run`".into());
-        }
-    }
-
-    // Fresh hermetic run with frame capture on.
-    if let Some(spec) = run {
-        if !pos.is_empty() || base.is_some() || fields.is_some() {
+    let Some(spec) = run else {
+        let [frames_path] = pos.as_slice() else {
             return Err(EXPLAIN_USAGE.into());
+        };
+        if fields_out.is_some() || report_out.is_some() || chrome_out.is_some() {
+            return Err("`--fields-out`/`--report-out`/`--chrome-out` need `--run`".into());
         }
-        let (profile, scale) = run_spec(&spec)?;
-        let t0 = Instant::now();
-        let (report, capture, _) = qor_gate::run_hermetic_fields(profile, scale)
-            .map_err(|e| format!("hermetic flow: {e}"))?;
-        let mut trace = report
-            .trace
-            .clone()
-            .ok_or("hermetic flow produced no trace")?;
-        if doctor.is_some() {
-            flatten_series(&mut trace, "place.outer", &["hpwl", "overflow"]);
-        }
-        eprintln!(
-            "hermetic {} @ {scale}: {:.3}s, {} field frame(s) ({} dropped)",
-            profile.name(),
-            t0.elapsed().as_secs_f64(),
-            capture.frames.len(),
-            capture.dropped_frames
-        );
-        if let Some(dest) = fields_out {
-            let json = cp_trace::fields::to_json(&capture);
-            std::fs::write(&dest, json).map_err(|e| format!("cannot write `{dest}`: {e}"))?;
-            eprintln!("wrote {dest}");
-        }
-        if let Some(dest) = report_out {
-            std::fs::write(&dest, trace.to_json())
-                .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
-            eprintln!("wrote {dest}");
-        }
-        if let Some(dest) = chrome_out {
-            std::fs::write(&dest, cp_trace::chrome_trace(&[&trace]))
-                .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
-            eprintln!("wrote {dest} — load it in chrome://tracing or ui.perfetto.dev");
-        }
-        let frames = cp_trace::fields::decode(&capture);
-        let verdicts = Doctor::default().diagnose_report(&trace, &frames);
-        print_verdicts(&verdicts);
-        return Ok(verdicts.iter().any(|v| v.severity == Severity::Critical));
-    }
-
-    let [report_path] = pos.as_slice() else {
-        return Err(EXPLAIN_USAGE.into());
+        print_verdicts(&fields::diagnose(&load_frames(frames_path)?));
+        return Ok(());
     };
-    if fields_out.is_some() || report_out.is_some() || chrome_out.is_some() {
-        return Err("`--fields-out`/`--report-out`/`--chrome-out` need `--run`".into());
+    if !pos.is_empty() {
+        return Err(EXPLAIN_USAGE.into());
     }
-    let new_frames = fields
-        .as_deref()
-        .map(load_frames)
-        .transpose()?
-        .unwrap_or_default();
-
-    // Two-run comparison: localize regressions to a stage and region.
-    if let Some(base_path) = base {
-        let base_a = load_analysis(&base_path)?;
-        let new_a = load_analysis(report_path)?;
-        let base_frames = base_fields
-            .as_deref()
-            .map(load_frames)
-            .transpose()?
-            .unwrap_or_default();
-        let verdicts = analysis::compare_runs(
-            &base_a,
-            &new_a,
-            &base_frames,
-            &new_frames,
-            &DiffOptions::default(),
-        );
-        print_verdicts(&verdicts);
-        return Ok(verdicts.iter().any(|v| v.kind == VerdictKind::Regression));
+    let (profile, scale) = run_spec(&spec)?;
+    let t0 = Instant::now();
+    let (report, capture, _) =
+        qor_gate::run_hermetic_fields(profile, scale).map_err(|e| format!("hermetic flow: {e}"))?;
+    let trace = report
+        .trace
+        .as_ref()
+        .ok_or("hermetic flow produced no trace")?;
+    eprintln!(
+        "hermetic {} @ {scale}: {:.3}s, {} field frame(s) ({} dropped)",
+        profile.name(),
+        t0.elapsed().as_secs_f64(),
+        capture.frames.len(),
+        capture.dropped_frames
+    );
+    if let Some(dest) = fields_out {
+        std::fs::write(&dest, fields::to_json(&capture))
+            .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
+        eprintln!("wrote {dest}");
     }
-
-    // Single-run diagnosis from a report artifact.
-    if base_fields.is_some() {
-        return Err("`--base-fields` needs `--base`".into());
+    if let Some(dest) = report_out {
+        std::fs::write(&dest, trace.to_json())
+            .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
+        eprintln!("wrote {dest}");
     }
-    let verdicts = Doctor::default().diagnose_report(load_report(report_path)?, &new_frames);
-    print_verdicts(&verdicts);
-    Ok(verdicts.iter().any(|v| v.severity == Severity::Critical))
+    if let Some(dest) = chrome_out {
+        std::fs::write(&dest, cp_trace::chrome_trace(&[trace]))
+            .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
+        eprintln!("wrote {dest} — load it in chrome://tracing or ui.perfetto.dev");
+    }
+    print_verdicts(&fields::diagnose(&fields::decode(&capture)));
+    Ok(())
 }
 
 /// Linear three-stop color ramp for heatmap cells: quiet bins match the
@@ -1037,7 +939,7 @@ fn render(args: &[String]) -> Result<(), String> {
                 .map_err(|e| format!("cannot write `{}`: {e}", file.display()))?;
             written += 1;
         }
-        println!(
+        outln!(
             "{name} @ {stage}: {} frame(s), {}x{}, max {}",
             seq.len(),
             seq.first().map_or(0, |f| f.nx),
@@ -1045,7 +947,7 @@ fn render(args: &[String]) -> Result<(), String> {
             fmt_f64(max)
         );
     }
-    println!("wrote {written} SVG(s) -> {}", out_dir.display());
+    outln!("wrote {written} SVG(s) -> {}", out_dir.display());
     Ok(())
 }
 
@@ -1060,12 +962,12 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     let schema = parse(&read(schema_path)?).map_err(|e| format!("`{schema_path}`: {e}"))?;
     let violations = validate(&doc, &schema);
     if violations.is_empty() {
-        println!("{doc_path} conforms to {schema_path}");
+        outln!("{doc_path} conforms to {schema_path}");
         return Ok(false);
     }
-    println!("{doc_path} violates {schema_path}:");
+    outln!("{doc_path} violates {schema_path}:");
     for v in &violations {
-        println!("- {v}");
+        outln!("- {v}");
     }
     Ok(true)
 }
@@ -1083,20 +985,17 @@ const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|harv
      \x20                                          baselines/QOR_large.json)\n\
      chaos [--seeds N] [--timeout-s S] [--site SUBSTR]\n\
      \x20                                          fault-injection sweep (needs --features fault-injection)\n\
-     harvest [REPORT.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME] [--doctor qor.NAME=FACTOR]\n\
+     harvest [REPORT.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME]\n\
      \x20                                          backfill run-ledger entries from TRACE artifacts\n\
      \x20                                          or a fresh hermetic flow (default ledger:\n\
-     \x20                                          runs/ledger.jsonl; --doctor is the trend-gate\n\
-     \x20                                          self-test knob)\n\
+     \x20                                          runs/ledger.jsonl)\n\
      trend [--ledger F] [--format table|tsv|json] [--metric-rel M] [--rel R] [--abs S]\n\
      \x20                                          cross-run QoR trend gate over the ledger\n\
      \x20                                          (exit 1 on regression; wall time advisory)\n\
-     explain <report.json> [--fields F.json] [--base B.json] [--base-fields BF.json]\n\
-     explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C] [--doctor stall]\n\
-     \x20                                          convergence doctor: stall/oscillation/divergence/\n\
-     \x20                                          hotspot/displacement verdicts (exit 1 on Critical);\n\
-     \x20                                          --base compares two runs and localizes regressions\n\
-     \x20                                          to a stage and grid region (exit 1 on Regression)\n\
+     explain <FIELDS_frames.json>\n\
+     explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]\n\
+     \x20                                          convergence doctor: hotspot-persistence and\n\
+     \x20                                          displacement-conflict warnings over field frames\n\
      render <fields.json> [--out-dir DIR] [--name SUBSTR]\n\
      \x20                                          SVG heatmap sequences from a field-frames artifact\n\
      check-schema <doc.json> <schema.json>      validate a JSON file against a repo schema";
@@ -1115,7 +1014,7 @@ fn main() -> ExitCode {
         "chaos" => chaos(rest),
         "harvest" => harvest(rest).map(|()| 0),
         "trend" => trend_cmd(rest).map(u8::from),
-        "explain" => explain(rest).map(u8::from),
+        "explain" => explain(rest).map(|()| 0),
         "render" => render(rest).map(|()| 0),
         "check-schema" => check_schema(rest).map(u8::from),
         _ => {

@@ -10,6 +10,7 @@
 pub mod chaos;
 pub mod qor_gate;
 pub mod repro;
+pub mod stdout;
 pub mod support;
 
 pub use support::*;

@@ -547,567 +547,6 @@ fn diff_metrics(base: &Analysis, new: &Analysis, opts: &DiffOptions) -> Vec<Diff
     out
 }
 
-// ---------------------------------------------------------------------------
-// Convergence doctor
-
-/// What a [`Verdict`] diagnoses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VerdictKind {
-    /// The convergence series stopped moving while the run kept
-    /// iterating: wasted work, nothing converging.
-    Stall,
-    /// The objective bounces between two regimes instead of descending.
-    Oscillation,
-    /// The objective blew up (or the placer had to revert to a
-    /// snapshot).
-    Divergence,
-    /// The same bins stay overloaded across most density frames — a
-    /// spatial bottleneck spreading never clears.
-    HotspotPersistence,
-    /// Spreading keeps displacing cells as hard late in the run as it
-    /// did at the start: the lower bound and the upper bound fight.
-    DisplacementConflict,
-    /// A base-vs-new comparison found a regression.
-    Regression,
-}
-
-impl VerdictKind {
-    /// Stable machine-readable label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            VerdictKind::Stall => "stall",
-            VerdictKind::Oscillation => "oscillation",
-            VerdictKind::Divergence => "divergence",
-            VerdictKind::HotspotPersistence => "hotspot-persistence",
-            VerdictKind::DisplacementConflict => "displacement-conflict",
-            VerdictKind::Regression => "regression",
-        }
-    }
-}
-
-/// How bad a verdict is. Ordered: `Info < Warning < Critical`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Worth knowing, not actionable on its own.
-    Info,
-    /// Quality or efficiency is likely suffering.
-    Warning,
-    /// The run is broken or wasting most of its work.
-    Critical,
-}
-
-impl Severity {
-    /// Stable machine-readable label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Severity::Info => "info",
-            Severity::Warning => "warning",
-            Severity::Critical => "critical",
-        }
-    }
-}
-
-/// One structured diagnosis: what went wrong, where, how badly, the
-/// numbers that prove it, and what to try.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Verdict {
-    /// What was diagnosed.
-    pub kind: VerdictKind,
-    /// The stage (direct child of the flow root) the anomaly lives in.
-    pub stage: String,
-    /// How bad it is.
-    pub severity: Severity,
-    /// The numbers behind the diagnosis.
-    pub evidence: String,
-    /// What to try next.
-    pub suggestion: String,
-}
-
-/// One convergence-series group, resolved to its stage: the rows of a
-/// `(name, emitting span)` series with the span mapped to the stage it
-/// ran under.
-#[derive(Debug, Clone)]
-pub struct SeriesGroup {
-    /// Series name (e.g. `place.outer`).
-    pub name: String,
-    /// Stage the emitting span belongs to.
-    pub stage: String,
-    /// One map per iteration, `"i"` plus the recorded columns.
-    pub rows: Vec<BTreeMap<String, f64>>,
-}
-
-impl SeriesGroup {
-    /// One column across the rows (missing cells are skipped).
-    fn column(&self, key: &str) -> Vec<f64> {
-        self.rows
-            .iter()
-            .filter_map(|r| r.get(key).copied())
-            .collect()
-    }
-}
-
-/// Maps every span id to the name of the stage (direct child of the
-/// root, with `flow.*` wrappers transparent) whose subtree contains it.
-fn stage_of_spans(doc: &ReportDoc) -> BTreeMap<u64, String> {
-    let (spans, root) = (&doc.spans, doc.root);
-    let by_id: BTreeMap<u64, (u64, &str)> = spans
-        .iter()
-        .map(|s| (s.id, (s.parent, s.name.as_str())))
-        .collect();
-    let mut out = BTreeMap::new();
-    for id in spans.iter().map(|s| s.id) {
-        let mut cur = id;
-        let mut stage: Option<&str> = None;
-        // Climb to the root; the last non-wrapper node below it (or
-        // below a `flow.*` wrapper that is itself below the root) is
-        // the stage.
-        for _ in 0..spans.len() {
-            let Some(&(parent, name)) = by_id.get(&cur) else {
-                break;
-            };
-            if cur == root {
-                break;
-            }
-            let parent_is_top = parent == root
-                || by_id
-                    .get(&parent)
-                    .is_some_and(|&(gp, pname)| gp == root && pname.starts_with("flow."));
-            if parent_is_top && !name.starts_with("flow.") {
-                stage = Some(name);
-                break;
-            }
-            cur = parent;
-        }
-        if let Some(s) = stage {
-            out.insert(id, s.to_string());
-        }
-    }
-    out
-}
-
-/// The convergence doctor: detectors over convergence series and field
-/// frames, emitting ranked [`Verdict`]s. All thresholds are public so a
-/// caller can tighten or relax the diagnosis.
-#[derive(Debug, Clone)]
-pub struct Doctor {
-    /// The convergence series to analyze (default `place.outer`).
-    pub series_name: String,
-    /// Minimum rows before series detectors speak (default 6).
-    pub min_rows: usize,
-    /// Relative tolerance under which consecutive values count as flat
-    /// (default `1e-9` — a healthy run moves at least in the last few
-    /// ulps every iteration).
-    pub flat_rel_tol: f64,
-    /// Minimum relative amplitude for an oscillation swing (default 1%).
-    pub oscillation_amplitude: f64,
-    /// Final-over-best ratio that counts as divergence (default 2.0).
-    pub divergence_factor: f64,
-    /// A bin is *hot* in a frame when its value is at least this
-    /// fraction of the frame maximum (default 0.5).
-    pub hot_threshold: f64,
-    /// A hot bin is *persistent* when hot in at least this fraction of
-    /// the frames (default 0.8).
-    pub hot_persistence: f64,
-    /// Minimum frames in a sequence before frame detectors speak
-    /// (default 4).
-    pub min_frames: usize,
-}
-
-impl Default for Doctor {
-    fn default() -> Self {
-        Self {
-            series_name: "place.outer".to_string(),
-            min_rows: 6,
-            flat_rel_tol: 1e-9,
-            oscillation_amplitude: 0.01,
-            divergence_factor: 2.0,
-            hot_threshold: 0.5,
-            hot_persistence: 0.8,
-            min_frames: 4,
-        }
-    }
-}
-
-impl Doctor {
-    /// Diagnoses a live or decoded report plus (optionally empty)
-    /// decoded frames.
-    pub fn diagnose_report(
-        &self,
-        report: impl Into<ReportDoc>,
-        frames: &[crate::fields::DecodedFrame],
-    ) -> Vec<Verdict> {
-        let doc: ReportDoc = report.into();
-        let stages = stage_of_spans(&doc);
-        let stage_of = |span: &u64| {
-            let stage = stages.get(span).cloned();
-            stage.unwrap_or_else(|| "unknown".to_string())
-        };
-        let reverts: Vec<String> = doc
-            .instants
-            .iter()
-            .filter(|(name, _)| name == "place.revert")
-            .map(|(_, span)| stage_of(span))
-            .collect();
-        let groups: Vec<SeriesGroup> = doc
-            .series
-            .into_iter()
-            .map(|(name, span, rows)| SeriesGroup {
-                name,
-                stage: stage_of(&span),
-                rows,
-            })
-            .collect();
-        self.diagnose(&groups, &reverts, frames)
-    }
-
-    /// Runs every detector over pre-extracted series groups, revert
-    /// stages and decoded frames. Verdicts come back most severe first.
-    pub fn diagnose(
-        &self,
-        groups: &[SeriesGroup],
-        revert_stages: &[String],
-        frames: &[crate::fields::DecodedFrame],
-    ) -> Vec<Verdict> {
-        let mut out = Vec::new();
-        for g in groups.iter().filter(|g| g.name == self.series_name) {
-            self.check_stall(g, &mut out);
-            self.check_oscillation(g, &mut out);
-            self.check_divergence(g, revert_stages, &mut out);
-        }
-        self.check_hotspots(frames, &mut out);
-        self.check_displacement(frames, &mut out);
-        out.sort_by_key(|v| std::cmp::Reverse(v.severity));
-        out
-    }
-
-    fn check_stall(&self, g: &SeriesGroup, out: &mut Vec<Verdict>) {
-        let hpwl = g.column("hpwl");
-        let overflow = g.column("overflow");
-        let n = hpwl.len();
-        if n < self.min_rows || overflow.len() != n {
-            return;
-        }
-        let tail = (n / 2).max(4).min(n - 1);
-        let flat = |v: &[f64]| {
-            v[n - 1 - tail..]
-                .windows(2)
-                .all(|w| (w[1] - w[0]).abs() <= self.flat_rel_tol * w[0].abs())
-        };
-        if flat(&hpwl) && flat(&overflow) {
-            out.push(Verdict {
-                kind: VerdictKind::Stall,
-                stage: g.stage.clone(),
-                severity: Severity::Critical,
-                evidence: format!(
-                    "hpwl flat at {:.6e} and overflow flat at {:.4} over the last {} of {} iterations (rel change < {:.0e})",
-                    hpwl[n - 1],
-                    overflow[n - 1],
-                    tail,
-                    n,
-                    self.flat_rel_tol
-                ),
-                suggestion: "the placer is re-solving an unchanged system; check that spreading \
-                             actually perturbs positions (density target, backend) and that \
-                             anchors are not frozen"
-                    .to_string(),
-            });
-        }
-    }
-
-    fn check_oscillation(&self, g: &SeriesGroup, out: &mut Vec<Verdict>) {
-        let hpwl = g.column("hpwl");
-        let n = hpwl.len();
-        if n < self.min_rows.max(8) {
-            return;
-        }
-        let deltas: Vec<f64> = hpwl.windows(2).map(|w| w[1] - w[0]).collect();
-        let mut swings = 0usize;
-        let mut pairs = 0usize;
-        for w in deltas.windows(2) {
-            let amp = self.oscillation_amplitude * hpwl[0].abs();
-            if w[0].abs() > amp && w[1].abs() > amp {
-                pairs += 1;
-                if w[0] * w[1] < 0.0 {
-                    swings += 1;
-                }
-            }
-        }
-        if pairs >= 4 && swings * 2 > pairs {
-            out.push(Verdict {
-                kind: VerdictKind::Oscillation,
-                stage: g.stage.clone(),
-                severity: Severity::Warning,
-                evidence: format!(
-                    "hpwl direction flips in {swings} of {pairs} significant consecutive steps \
-                     (amplitude > {:.1}% of start)",
-                    self.oscillation_amplitude * 100.0
-                ),
-                suggestion: "lower-bound solve and spreading are overshooting each other; \
-                             strengthen anchors (higher anchor_base) or reduce per-pass \
-                             spreading displacement"
-                    .to_string(),
-            });
-        }
-    }
-
-    fn check_divergence(&self, g: &SeriesGroup, revert_stages: &[String], out: &mut Vec<Verdict>) {
-        let hpwl = g.column("hpwl");
-        let n = hpwl.len();
-        if n < 2 {
-            return;
-        }
-        let last = hpwl[n - 1];
-        let best = hpwl.iter().copied().fold(f64::INFINITY, f64::min);
-        let reverted = revert_stages.contains(&g.stage);
-        if !last.is_finite()
-            || (best.is_finite() && best > 0.0 && last > self.divergence_factor * best)
-        {
-            out.push(Verdict {
-                kind: VerdictKind::Divergence,
-                stage: g.stage.clone(),
-                severity: Severity::Critical,
-                evidence: format!(
-                    "final hpwl {last:.6e} vs best {best:.6e} (factor {:.2} allowed)",
-                    self.divergence_factor
-                ),
-                suggestion: "the solve walked away from its best snapshot; enable \
-                             revert_if_diverge or lower the anchor ramp"
-                    .to_string(),
-            });
-        } else if reverted {
-            out.push(Verdict {
-                kind: VerdictKind::Divergence,
-                stage: g.stage.clone(),
-                severity: Severity::Warning,
-                evidence: format!(
-                    "place.revert fired in this stage; final hpwl {last:.6e} is the restored \
-                     best snapshot"
-                ),
-                suggestion: "the run recovered by reverting — results are usable but \
-                             iterations were wasted; check the divergence_factor and anchor \
-                             settings"
-                    .to_string(),
-            });
-        }
-    }
-
-    fn frame_sequences<'f>(
-        frames: &'f [crate::fields::DecodedFrame],
-        name: &str,
-    ) -> Vec<(String, Vec<&'f crate::fields::DecodedFrame>)> {
-        let mut seqs: Vec<(String, Vec<&crate::fields::DecodedFrame>)> = Vec::new();
-        for f in frames.iter().filter(|f| f.name == name) {
-            match seqs.iter_mut().find(|(stage, _)| *stage == f.stage) {
-                Some((_, v)) => v.push(f),
-                None => seqs.push((f.stage.clone(), vec![f])),
-            }
-        }
-        seqs
-    }
-
-    fn check_hotspots(&self, frames: &[crate::fields::DecodedFrame], out: &mut Vec<Verdict>) {
-        for (stage, seq) in Self::frame_sequences(frames, "place.density_overflow") {
-            if seq.len() < self.min_frames {
-                continue;
-            }
-            let n = seq[0].values.len();
-            if seq.iter().any(|f| f.values.len() != n) || n == 0 {
-                continue;
-            }
-            let mut hot_counts = vec![0usize; n];
-            for f in &seq {
-                let max = f.values.iter().copied().fold(0.0f32, f32::max);
-                if max <= 0.0 {
-                    continue;
-                }
-                for (c, &v) in hot_counts.iter_mut().zip(f.values.iter()) {
-                    if v >= self.hot_threshold as f32 * max && v > 0.0 {
-                        *c += 1;
-                    }
-                }
-            }
-            let need = (self.hot_persistence * seq.len() as f64).ceil() as usize;
-            let last = seq[seq.len() - 1];
-            let final_max = last.values.iter().copied().fold(0.0f32, f32::max);
-            let worst = hot_counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c >= need)
-                .max_by_key(|&(i, &c)| (c, last.values[i].to_bits()));
-            if let Some((bin, &count)) = worst {
-                if final_max > 0.0 {
-                    let persistent = hot_counts.iter().filter(|&&c| c >= need).count();
-                    let (bx, by) = (bin % last.nx.max(1), bin / last.nx.max(1));
-                    out.push(Verdict {
-                        kind: VerdictKind::HotspotPersistence,
-                        stage,
-                        severity: Severity::Warning,
-                        evidence: format!(
-                            "{persistent} bin(s) stay overloaded in >= {count}/{} density frames; \
-                             worst at bin ({bx}, {by}) of {}x{}, final overflow {:.4}",
-                            seq.len(),
-                            last.nx,
-                            last.ny,
-                            last.values[bin]
-                        ),
-                        suggestion: "spreading never clears this region — look for blockages, \
-                                     region constraints or oversized macros there, or lower the \
-                                     density target"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-
-    fn check_displacement(&self, frames: &[crate::fields::DecodedFrame], out: &mut Vec<Verdict>) {
-        for (stage, seq) in Self::frame_sequences(frames, "place.displacement") {
-            if seq.len() < self.min_frames.max(6) {
-                continue;
-            }
-            let totals: Vec<f64> = seq
-                .iter()
-                .map(|f| f.values.iter().map(|&v| f64::from(v)).sum())
-                .collect();
-            let q = totals.len().div_ceil(4);
-            let early: f64 = totals[..q].iter().sum::<f64>() / q as f64;
-            let late: f64 = totals[totals.len() - q..].iter().sum::<f64>() / q as f64;
-            if early > 0.0 && late > 0.75 * early {
-                out.push(Verdict {
-                    kind: VerdictKind::DisplacementConflict,
-                    stage,
-                    severity: Severity::Warning,
-                    evidence: format!(
-                        "spreading displacement is not decaying: last-quarter mean {late:.4e} \
-                         vs first-quarter {early:.4e} over {} frames",
-                        totals.len()
-                    ),
-                    suggestion: "the lower bound and the spreader keep fighting; raise the \
-                                 anchor ramp (anchor_base) so late iterations settle, or relax \
-                                 the density target"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// Compares two runs and localizes any regression to a stage *and* — when
-/// both sides captured fields — a region. Returns [`VerdictKind::Regression`]
-/// verdicts, worst first; empty means the runs are equivalent under `opts`.
-pub fn compare_runs(
-    base: &Analysis,
-    new: &Analysis,
-    base_frames: &[crate::fields::DecodedFrame],
-    new_frames: &[crate::fields::DecodedFrame],
-    opts: &DiffOptions,
-) -> Vec<Verdict> {
-    let diff = TraceDiff::between(base, new, opts);
-    let mut out = Vec::new();
-    // Stage attribution: the stage whose self-time grew the most.
-    let base_stages: BTreeMap<String, f64> = base.stage_self_seconds().into_iter().collect();
-    let worst_stage = new
-        .stage_self_seconds()
-        .into_iter()
-        .map(|(name, s)| {
-            let delta = s - base_stages.get(&name).copied().unwrap_or(0.0);
-            (name, delta)
-        })
-        .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    for e in diff.regressions() {
-        let stage = match e.kind {
-            DiffKind::Metric => worst_stage
-                .as_ref()
-                .map_or_else(|| "unknown".to_string(), |(n, _)| n.clone()),
-            _ => e.name.clone(),
-        };
-        let severity = if e.ratio() > 2.0 {
-            Severity::Critical
-        } else {
-            Severity::Warning
-        };
-        out.push(Verdict {
-            kind: VerdictKind::Regression,
-            stage,
-            severity,
-            evidence: format!(
-                "{:?} {}: {:.6e} -> {:.6e} ({:+.1}%)",
-                e.kind,
-                e.name,
-                e.base,
-                e.new,
-                (e.ratio() - 1.0) * 100.0
-            ),
-            suggestion: "bisect the change against this stage; the region verdict (if any) \
-                         narrows where to look"
-                .to_string(),
-        });
-    }
-    // Region attribution: largest per-bin change between the final
-    // frames of every (name, stage) sequence both sides captured.
-    let mut region: Option<(f64, String)> = None;
-    let mut seen: std::collections::BTreeSet<(String, String)> = std::collections::BTreeSet::new();
-    for nf in new_frames.iter().rev() {
-        // Walking in reverse, the first frame of each sequence we meet
-        // is its final one; earlier frames are skipped.
-        if !seen.insert((nf.name.clone(), nf.stage.clone())) {
-            continue;
-        }
-        let Some(bf) = base_frames
-            .iter()
-            .rev()
-            .find(|b| b.name == nf.name && b.stage == nf.stage)
-        else {
-            continue;
-        };
-        if bf.nx != nf.nx || bf.ny != nf.ny || bf.values.len() != nf.values.len() {
-            continue;
-        }
-        let worst = nf
-            .values
-            .iter()
-            .zip(bf.values.iter())
-            .enumerate()
-            .map(|(i, (&n, &b))| (i, (f64::from(n) - f64::from(b)).abs()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        if let Some((bin, delta)) = worst {
-            let better = match &region {
-                Some((d, _)) => delta > *d,
-                None => true,
-            };
-            if delta > 0.0 && better {
-                let (bx, by) = (bin % nf.nx.max(1), bin / nf.nx.max(1));
-                region = Some((
-                    delta,
-                    format!(
-                        "largest field change in {} [{}] at bin ({bx}, {by}) of {}x{}: \
-                         {:.4e} -> {:.4e}",
-                        nf.name, nf.stage, nf.nx, nf.ny, bf.values[bin], nf.values[bin]
-                    ),
-                ));
-            }
-        }
-    }
-    if let Some((_, desc)) = region {
-        if !out.is_empty() {
-            let stage = worst_stage
-                .as_ref()
-                .map_or_else(|| "unknown".to_string(), |(n, _)| n.clone());
-            out.push(Verdict {
-                kind: VerdictKind::Regression,
-                stage,
-                severity: Severity::Info,
-                evidence: desc,
-                suggestion: "inspect this region first: render the frames \
-                             (`tracetool render`) to see the two runs side by side"
-                    .to_string(),
-            });
-        }
-    }
-    out.sort_by_key(|v| std::cmp::Reverse(v.severity));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1266,188 +705,5 @@ mod tests {
     #[test]
     fn frames_are_sanitized() {
         assert_eq!(sanitize_frame("a;b\nc"), "a:b c");
-    }
-
-    // -- doctor --
-
-    use crate::fields::DecodedFrame;
-    use crate::SeriesRow;
-
-    /// A flow-shaped report: root → stage `flat placement` with one
-    /// solve span that emits the `place.outer` rows.
-    fn convergence_report(hpwl: &[f64], overflow: &[f64]) -> TraceReport {
-        let span = |id, parent, name: &'static str| SpanRecord {
-            id,
-            parent,
-            name,
-            thread: 0,
-            start_ns: 0,
-            end_ns: 1_000_000,
-            args: vec![],
-        };
-        let series = hpwl
-            .iter()
-            .zip(overflow.iter())
-            .enumerate()
-            .map(|(i, (&h, &o))| SeriesRow {
-                name: "place.outer",
-                span: 3,
-                iter: i as u64,
-                values: vec![("hpwl", h), ("overflow", o)],
-            })
-            .collect();
-        TraceReport {
-            root: 1,
-            spans: vec![
-                span(1, 0, "flow.flat"),
-                span(2, 1, "flat placement"),
-                span(3, 2, "place.solve"),
-            ],
-            instants: vec![],
-            series,
-            metrics: vec![],
-            dropped_events: 0,
-        }
-    }
-
-    #[test]
-    fn doctor_flags_flat_series_as_stall() {
-        let r = convergence_report(&[5e6; 10], &[0.4; 10]);
-        let v = Doctor::default().diagnose_report(&r, &[]);
-        assert!(
-            v.iter()
-                .any(|v| v.kind == VerdictKind::Stall && v.severity == Severity::Critical),
-            "{v:?}"
-        );
-        assert_eq!(
-            v[0].stage, "flat placement",
-            "stage resolved through flow.*"
-        );
-    }
-
-    #[test]
-    fn doctor_passes_a_descending_series() {
-        let hpwl: Vec<f64> = (0..10).map(|i| 5e6 * 0.95f64.powi(i)).collect();
-        let overflow: Vec<f64> = (0..10).map(|i| 0.8 * 0.8f64.powi(i)).collect();
-        let r = convergence_report(&hpwl, &overflow);
-        let v = Doctor::default().diagnose_report(&r, &[]);
-        assert!(v.is_empty(), "healthy run must be verdict-free: {v:?}");
-    }
-
-    #[test]
-    fn doctor_flags_divergence_and_oscillation() {
-        let mut hpwl: Vec<f64> = (0..10).map(|i| 5e6 + 1e5 * f64::from(i)).collect();
-        hpwl[9] = 2e8;
-        let overflow = vec![0.5; 10];
-        let r = convergence_report(&hpwl, &overflow);
-        let v = Doctor::default().diagnose_report(&r, &[]);
-        assert!(
-            v.iter()
-                .any(|v| v.kind == VerdictKind::Divergence && v.severity == Severity::Critical),
-            "{v:?}"
-        );
-        // Oscillation: alternate ±5% around a flat mean.
-        let osc: Vec<f64> = (0..12)
-            .map(|i| if i % 2 == 0 { 5e6 } else { 5.4e6 })
-            .collect();
-        let over: Vec<f64> = (0..12).map(|i| 0.5 + 0.001 * f64::from(i)).collect();
-        let r = convergence_report(&osc, &over);
-        let v = Doctor::default().diagnose_report(&r, &[]);
-        assert!(
-            v.iter().any(|v| v.kind == VerdictKind::Oscillation),
-            "{v:?}"
-        );
-    }
-
-    fn frame(name: &str, stage: &str, iter: u64, values: Vec<f32>) -> DecodedFrame {
-        DecodedFrame {
-            name: name.to_string(),
-            stage: stage.to_string(),
-            iter,
-            nx: 2,
-            ny: 2,
-            values,
-        }
-    }
-
-    #[test]
-    fn doctor_flags_persistent_hotspot_bins() {
-        let frames: Vec<DecodedFrame> = (0..6)
-            .map(|i| {
-                // Bin 3 always dominates; bin 0 cools off.
-                frame(
-                    "place.density_overflow",
-                    "flat placement",
-                    i,
-                    vec![if i < 2 { 0.9 } else { 0.0 }, 0.0, 0.1, 1.0],
-                )
-            })
-            .collect();
-        let v =
-            Doctor::default().diagnose_report(&convergence_report(&[1.0; 2], &[0.1; 2]), &frames);
-        let hot = v
-            .iter()
-            .find(|v| v.kind == VerdictKind::HotspotPersistence)
-            .unwrap_or_else(|| panic!("no hotspot verdict: {v:?}"));
-        assert!(hot.evidence.contains("bin (1, 1)"), "{}", hot.evidence);
-    }
-
-    #[test]
-    fn doctor_flags_undamped_displacement() {
-        let frames: Vec<DecodedFrame> = (0..8)
-            .map(|i| frame("place.displacement", "flat placement", i, vec![2.0; 4]))
-            .collect();
-        let v = Doctor::default().diagnose(&[], &[], &frames);
-        assert!(
-            v.iter()
-                .any(|v| v.kind == VerdictKind::DisplacementConflict),
-            "{v:?}"
-        );
-        // Decaying displacement passes.
-        let frames: Vec<DecodedFrame> = (0..8)
-            .map(|i| {
-                frame(
-                    "place.displacement",
-                    "flat placement",
-                    i,
-                    vec![2.0 * 0.5f32.powi(i as i32); 4],
-                )
-            })
-            .collect();
-        let v = Doctor::default().diagnose(&[], &[], &frames);
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn compare_localizes_regression_to_stage_and_region() {
-        let base = sample();
-        let mut slow = sample();
-        for s in &mut slow.spans {
-            s.end_ns = s.start_ns + (s.end_ns - s.start_ns) * 3;
-        }
-        let a = Analysis::from_report(&base).expect("analyzes");
-        let b = Analysis::from_report(&slow).expect("analyzes");
-        let bf = vec![frame(
-            "place.density_overflow",
-            "a",
-            0,
-            vec![0.1, 0.1, 0.1, 0.1],
-        )];
-        let nf = vec![frame(
-            "place.density_overflow",
-            "a",
-            0,
-            vec![0.1, 0.9, 0.1, 0.1],
-        )];
-        let v = compare_runs(&a, &b, &bf, &nf, &DiffOptions::default());
-        assert!(
-            v.iter()
-                .any(|v| v.kind == VerdictKind::Regression && v.severity >= Severity::Warning),
-            "{v:?}"
-        );
-        assert!(
-            v.iter().any(|v| v.evidence.contains("bin (1, 0)")),
-            "region localized: {v:?}"
-        );
     }
 }

@@ -25,6 +25,9 @@
 //!   sequence deterministic in content *and order* for a given flow.
 //! - **Budgeted.** A per-run frame budget bounds memory; frames past the
 //!   budget are counted in `dropped_frames`, never silently lost.
+//!
+//! [`diagnose`] is the convergence doctor: it reads decoded frames only
+//! and reports bins that stay overloaded and spreading that never settles.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -410,6 +413,168 @@ pub fn decode_json(input: &str) -> Result<Vec<DecodedFrame>, String> {
     })
 }
 
+// ---------------------------------------------------------------------------
+// Diagnosis
+
+/// A bin is *hot* in a density frame when its value is at least this
+/// fraction of the frame maximum.
+const HOT_THRESHOLD: f32 = 0.5;
+
+/// A hot bin is *persistent* when hot in at least this fraction of its
+/// sequence's density frames.
+const HOT_PERSISTENCE: f64 = 0.8;
+
+/// Density frames a sequence needs before the hotspot check speaks.
+const MIN_FRAMES: usize = 4;
+
+/// Displacement frames a sequence needs before the conflict check speaks.
+const MIN_DISPLACEMENT_FRAMES: usize = 6;
+
+/// What a [`Verdict`] diagnoses.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerdictKind {
+    /// The same bins stay overloaded across most density frames — a
+    /// spatial bottleneck spreading never clears.
+    HotspotPersistence,
+    /// Spreading keeps displacing cells as hard late in the run as it
+    /// did at the start: the lower bound and the upper bound fight.
+    DisplacementConflict,
+}
+
+impl VerdictKind {
+    /// Stable machine-readable label.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            VerdictKind::HotspotPersistence => "hotspot-persistence",
+            VerdictKind::DisplacementConflict => "displacement-conflict",
+        }
+    }
+}
+
+/// One structured diagnosis: what went wrong, where, the numbers that
+/// prove it, and what to try.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Verdict {
+    /// What was diagnosed.
+    pub kind: VerdictKind,
+    /// The stage label of the frame sequence the anomaly lives in.
+    pub stage: String,
+    /// The numbers behind the diagnosis.
+    pub evidence: String,
+    /// What to try next.
+    pub suggestion: String,
+}
+
+/// The convergence doctor: hotspot-persistence verdicts over each
+/// `place.density_overflow` sequence, then displacement-conflict verdicts
+/// over each `place.displacement` sequence, sequences in first-appearance
+/// order. Empty means nothing anomalous.
+pub fn diagnose(frames: &[DecodedFrame]) -> Vec<Verdict> {
+    let mut out = Vec::new();
+    check_hotspots(frames, &mut out);
+    check_displacement(frames, &mut out);
+    out
+}
+
+/// The frames named `name`, grouped by stage in first-appearance order.
+fn frame_sequences<'f>(
+    frames: &'f [DecodedFrame],
+    name: &str,
+) -> Vec<(String, Vec<&'f DecodedFrame>)> {
+    let mut seqs: Vec<(String, Vec<&DecodedFrame>)> = Vec::new();
+    for f in frames.iter().filter(|f| f.name == name) {
+        match seqs.iter_mut().find(|(stage, _)| *stage == f.stage) {
+            Some((_, v)) => v.push(f),
+            None => seqs.push((f.stage.clone(), vec![f])),
+        }
+    }
+    seqs
+}
+
+fn check_hotspots(frames: &[DecodedFrame], out: &mut Vec<Verdict>) {
+    for (stage, seq) in frame_sequences(frames, "place.density_overflow") {
+        if seq.len() < MIN_FRAMES {
+            continue;
+        }
+        let n = seq[0].values.len();
+        if seq.iter().any(|f| f.values.len() != n) || n == 0 {
+            continue;
+        }
+        let mut hot_counts = vec![0usize; n];
+        for f in &seq {
+            let max = f.values.iter().copied().fold(0.0f32, f32::max);
+            if max <= 0.0 {
+                continue;
+            }
+            for (c, &v) in hot_counts.iter_mut().zip(f.values.iter()) {
+                if v >= HOT_THRESHOLD * max && v > 0.0 {
+                    *c += 1;
+                }
+            }
+        }
+        let need = (HOT_PERSISTENCE * seq.len() as f64).ceil() as usize;
+        let last = seq[seq.len() - 1];
+        let final_max = last.values.iter().copied().fold(0.0f32, f32::max);
+        let worst = hot_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c >= need)
+            .max_by_key(|&(i, &c)| (c, last.values[i].to_bits()));
+        if let Some((bin, &count)) = worst {
+            if final_max > 0.0 {
+                let persistent = hot_counts.iter().filter(|&&c| c >= need).count();
+                let (bx, by) = (bin % last.nx.max(1), bin / last.nx.max(1));
+                out.push(Verdict {
+                    kind: VerdictKind::HotspotPersistence,
+                    stage,
+                    evidence: format!(
+                        "{persistent} bin(s) stay overloaded in >= {count}/{} density frames; \
+                         worst at bin ({bx}, {by}) of {}x{}, final overflow {:.4}",
+                        seq.len(),
+                        last.nx,
+                        last.ny,
+                        last.values[bin]
+                    ),
+                    suggestion: "spreading never clears this region — look for blockages, \
+                                 region constraints or oversized macros there, or lower the \
+                                 density target"
+                        .to_string(),
+                });
+            }
+        }
+    }
+}
+
+fn check_displacement(frames: &[DecodedFrame], out: &mut Vec<Verdict>) {
+    for (stage, seq) in frame_sequences(frames, "place.displacement") {
+        if seq.len() < MIN_DISPLACEMENT_FRAMES {
+            continue;
+        }
+        let totals: Vec<f64> = seq
+            .iter()
+            .map(|f| f.values.iter().map(|&v| f64::from(v)).sum())
+            .collect();
+        let q = totals.len().div_ceil(4);
+        let early: f64 = totals[..q].iter().sum::<f64>() / q as f64;
+        let late: f64 = totals[totals.len() - q..].iter().sum::<f64>() / q as f64;
+        if early > 0.0 && late > 0.75 * early {
+            out.push(Verdict {
+                kind: VerdictKind::DisplacementConflict,
+                stage,
+                evidence: format!(
+                    "spreading displacement is not decaying: last-quarter mean {late:.4e} \
+                     vs first-quarter {early:.4e} over {} frames",
+                    totals.len()
+                ),
+                suggestion: "the lower bound and the spreader keep fighting; raise the \
+                             anchor ramp (anchor_base) so late iterations settle, or relax \
+                             the density target"
+                    .to_string(),
+            });
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,5 +780,65 @@ mod tests {
         disable();
         assert!(cap.frames.is_empty());
         assert_eq!(cap.dropped_frames, 1);
+    }
+
+    // -- doctor --
+
+    fn frame(name: &str, stage: &str, iter: u64, values: Vec<f32>) -> DecodedFrame {
+        DecodedFrame {
+            name: name.to_string(),
+            stage: stage.to_string(),
+            iter,
+            nx: 2,
+            ny: 2,
+            values,
+        }
+    }
+
+    #[test]
+    fn doctor_flags_persistent_hotspot_bins() {
+        let frames: Vec<DecodedFrame> = (0..6)
+            .map(|i| {
+                // Bin 3 always dominates; bin 0 cools off.
+                frame(
+                    "place.density_overflow",
+                    "flat placement",
+                    i,
+                    vec![if i < 2 { 0.9 } else { 0.0 }, 0.0, 0.1, 1.0],
+                )
+            })
+            .collect();
+        let v = diagnose(&frames);
+        let hot = v
+            .iter()
+            .find(|v| v.kind == VerdictKind::HotspotPersistence)
+            .unwrap_or_else(|| panic!("no hotspot verdict: {v:?}"));
+        assert!(hot.evidence.contains("bin (1, 1)"), "{}", hot.evidence);
+    }
+
+    #[test]
+    fn doctor_flags_undamped_displacement() {
+        let frames: Vec<DecodedFrame> = (0..8)
+            .map(|i| frame("place.displacement", "flat placement", i, vec![2.0; 4]))
+            .collect();
+        let v = diagnose(&frames);
+        assert!(
+            v.iter()
+                .any(|v| v.kind == VerdictKind::DisplacementConflict),
+            "{v:?}"
+        );
+        // Decaying displacement passes.
+        let frames: Vec<DecodedFrame> = (0..8)
+            .map(|i| {
+                frame(
+                    "place.displacement",
+                    "flat placement",
+                    i,
+                    vec![2.0 * 0.5f32.powi(i as i32); 4],
+                )
+            })
+            .collect();
+        let v = diagnose(&frames);
+        assert!(v.is_empty(), "{v:?}");
     }
 }

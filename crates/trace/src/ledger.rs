@@ -165,8 +165,8 @@ impl LedgerEntry {
         self
     }
 
-    /// Applies a multiplicative factor to one QoR metric — the trend
-    /// gate's self-test knob (`tracetool harvest --doctor`).
+    /// Applies a multiplicative factor to one QoR metric — how tests fake
+    /// a regression for the trend gate.
     pub fn doctor(mut self, metric: &str, factor: f64) -> Self {
         for (name, value) in &mut self.qor {
             if name == metric {

@@ -46,11 +46,8 @@ pub mod json;
 pub mod ledger;
 pub mod report;
 
-pub use analysis::{
-    Analysis, DiffEntry, DiffKind, DiffOptions, Doctor, NameAgg, PathStep, Severity, TraceDiff,
-    Verdict, VerdictKind,
-};
-pub use fields::{DecodedFrame, FieldFrame, FrameCapture, FrameData};
+pub use analysis::{Analysis, DiffEntry, DiffKind, DiffOptions, NameAgg, PathStep, TraceDiff};
+pub use fields::{DecodedFrame, FieldFrame, FrameCapture, FrameData, Verdict, VerdictKind};
 pub use ledger::{LedgerEntry, SeriesSummary, TrendReport, TrendRow};
 pub use report::{chrome_trace, MetricSnapshot, MetricValue, ReportDoc, TraceReport};
 

@@ -291,15 +291,14 @@ pub(crate) struct SpanRow {
 /// The structured report as its readers consume it, in owned form: a
 /// live [`TraceReport`] converts into it (`From<&TraceReport>`) and
 /// [`ReportDoc::from_json`] decodes a written one, so
-/// [`Analysis::from_report`](crate::Analysis::from_report),
-/// [`LedgerEntry::capture_trace`](crate::LedgerEntry::capture_trace) and
-/// [`Doctor::diagnose_report`](crate::Doctor::diagnose_report) run the
-/// same code in-process and on a file. Both conversions agree: decoding
-/// a report's JSON equals converting the report.
+/// [`Analysis::from_report`](crate::Analysis::from_report) and
+/// [`LedgerEntry::capture_trace`](crate::LedgerEntry::capture_trace) run
+/// the same code in-process and on a file. Both conversions agree:
+/// decoding a report's JSON equals converting the report.
 ///
-/// It carries what those readers use. Span and instant arguments,
-/// instant threads and timestamps, and histogram buckets are written
-/// for Chrome timelines and people; nothing reads them back.
+/// It carries what those readers use. Span arguments, instant events and
+/// histogram buckets are written for Chrome timelines and people; nothing
+/// reads them back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportDoc {
     /// Id of the root span.
@@ -308,8 +307,6 @@ pub struct ReportDoc {
     pub(crate) dropped_events: u64,
     /// The spans, in start order.
     pub(crate) spans: Vec<SpanRow>,
-    /// `(name, enclosing span)` per instant event.
-    pub(crate) instants: Vec<(String, u64)>,
     /// `(name, emitting span, rows)` per convergence series, each row the
     /// iteration index `"i"` plus the recorded columns; a non-finite
     /// value (written as `null`) reads as NaN.
@@ -368,11 +365,6 @@ impl From<&TraceReport> for ReportDoc {
             root: report.root,
             dropped_events: report.dropped_events,
             spans,
-            instants: report
-                .instants
-                .iter()
-                .map(|i| (i.name.to_string(), i.span))
-                .collect(),
             series,
             metrics,
         }
@@ -411,9 +403,6 @@ impl ReportDoc {
         if total.is_none_or(|t| i64::try_from(t).is_err()) {
             return Err("spans: durations overflow 2^63 ns in total".to_string());
         }
-        let instants = doc.each("instants", |i| {
-            Ok((i.str("name")?.to_string(), i.u64("span")?))
-        })?;
         let series = doc.each("series", |g| {
             let rows = g.each("rows", |row| {
                 let Json::Obj(cells) = row else {
@@ -446,7 +435,6 @@ impl ReportDoc {
             root: doc.u64("root")?,
             dropped_events: doc.u64("dropped_events")?,
             spans,
-            instants,
             series,
             metrics,
         })
@@ -668,7 +656,6 @@ mod tests {
             doc.stage_nanos(),
             [("shaping", 1_000_000), ("ppa", 1_700_000)]
         );
-        assert_eq!(doc.instants, [("place.revert".to_string(), 2)]);
         assert_eq!(doc.series[0].2[1]["hpwl"], 8.0);
     }
 

@@ -9,8 +9,10 @@
 //! way: module docs and schema descriptions that credit a binary with a
 //! job are checked against the binaries that exist, and every schema must
 //! be embedded by the one module that encodes or decodes its document.
+//! Every `tracetool <sub> … --flag` the docs, CI and the verify skill
+//! spell out must name a subcommand and flag tracetool's usage text lists.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 fn read(rel: &str) -> String {
@@ -432,4 +434,136 @@ fn scanner_reads_folded_and_inline_commands() {
         named_targets("(`cargo run -q -p cp-bench --example quickstart`, or --example <name>)"),
         [pair("--example", "quickstart")]
     );
+}
+
+/// Every `--name` in `text`: lowercase letters, digits and inner dashes.
+fn long_flags(text: &str) -> Vec<String> {
+    text.match_indices("--")
+        .filter_map(|(at, _)| {
+            let tail = &text[at + 2..];
+            let end = tail
+                .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                .unwrap_or(tail.len());
+            let name = tail[..end].trim_end_matches('-');
+            name.starts_with(|c: char| c.is_ascii_lowercase())
+                .then(|| format!("--{name}"))
+        })
+        .collect()
+}
+
+/// Subcommand → flags from tracetool's usage text: the header's
+/// `<a|b|…>` lists the subcommands, a line starting with one opens it and
+/// the indented lines under it continue it.
+fn usage_flags(usage: &str) -> BTreeMap<String, BTreeSet<String>> {
+    let header = usage.lines().next().unwrap_or_default();
+    let subs = header
+        .split_once('<')
+        .and_then(|(_, rest)| rest.split_once('>'))
+        .map_or("", |(subs, _)| subs);
+    let mut out: BTreeMap<String, BTreeSet<String>> = subs
+        .split('|')
+        .map(|s| (s.to_string(), BTreeSet::new()))
+        .collect();
+    let mut current = None;
+    for line in usage.lines().skip(1) {
+        if !line.starts_with(' ') {
+            let first = line.split_whitespace().next().unwrap_or_default();
+            current = out.contains_key(first).then(|| first.to_string());
+        }
+        if let Some(sub) = &current {
+            out.entry(sub.clone()).or_default().extend(long_flags(line));
+        }
+    }
+    out
+}
+
+/// `(subcommand, flags)` of every `tracetool <sub> …` command in `text`.
+/// A bare `--` after `tracetool` is cargo's separator. A command ends
+/// before the next `cargo`, `tracetool`, shell separator, `#` comment,
+/// YAML key or list dash, `·` or code fence, and after the token that
+/// closes its inline code span.
+fn tracetool_commands(text: &str) -> Vec<(String, Vec<String>)> {
+    const STOP: [&str; 9] = ["cargo", "|", "&&", "||", ";", ">", "#", "-", "·"];
+    let tokens: Vec<&str> = text.split_whitespace().collect();
+    let mut out = Vec::new();
+    for at in (0..tokens.len()).filter(|&i| tokens[i].ends_with("tracetool")) {
+        let mut rest = tokens[at + 1..].iter().copied();
+        let mut sub = rest.next().unwrap_or_default();
+        if sub == "--" {
+            sub = rest.next().unwrap_or_default();
+        }
+        let name: String = sub
+            .chars()
+            .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+            .collect();
+        if !name.starts_with(|c: char| c.is_ascii_lowercase()) {
+            continue;
+        }
+        let mut flags = Vec::new();
+        let mut open = !sub.contains('`');
+        for t in rest {
+            let ends = STOP.contains(&t) || t.ends_with(':') || t.contains("```");
+            if !open || ends || t.ends_with("tracetool") {
+                break;
+            }
+            flags.extend(long_flags(t));
+            open = !t.contains('`');
+        }
+        out.push((name, flags));
+    }
+    out
+}
+
+#[test]
+fn committed_tracetool_commands_use_listed_flags() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tracetool"))
+        .output()
+        .expect("tracetool runs");
+    let listed = usage_flags(&String::from_utf8_lossy(&out.stderr));
+    assert!(
+        listed.get("explain").is_some_and(|f| f.contains("--run")),
+        "usage text parses: {listed:?}"
+    );
+    assert!(listed
+        .get("diff")
+        .is_some_and(|f| f.contains("--metric-rel")));
+    let mut stale = Vec::new();
+    let mut scanned = 0;
+    for file in [
+        "README.md",
+        "DESIGN.md",
+        ".github/workflows/ci.yml",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        for (sub, flags) in tracetool_commands(&read(file)) {
+            scanned += 1;
+            let Some(known) = listed.get(&sub) else {
+                stale.push(format!("{file}: tracetool {sub}"));
+                continue;
+            };
+            for flag in flags.iter().filter(|f| !known.contains(*f)) {
+                stale.push(format!("{file}: tracetool {sub} {flag}"));
+            }
+        }
+    }
+    assert_eq!(stale, Vec::<String>::new(), "commands name unlisted flags");
+    assert!(scanned > 50, "tracetool commands were scanned ({scanned})");
+    // The forms the docs use: a folded CI command, inline code in a
+    // table cell, a comment after a shell line.
+    let pair = |sub: &str, flags: &[&str]| {
+        let flags = flags.iter().map(|f| f.to_string()).collect();
+        (sub.to_string(), flags)
+    };
+    let yaml = "run: >\n  cargo run -p cp-bench --bin tracetool --\n  gate --large --reps 1\n- name: x --no";
+    assert_eq!(
+        tracetool_commands(yaml),
+        [pair("gate", &["--large", "--reps"])]
+    );
+    let md = "| `tracetool render`, `explain --fields` | `tracetool summarize · gate --from`";
+    assert_eq!(
+        tracetool_commands(md),
+        [pair("render", &[]), pair("summarize", &[])]
+    );
+    let sh = "./target/release/tracetool trend --format json   # or --tsv\n`tracetool` fills";
+    assert_eq!(tracetool_commands(sh), [pair("trend", &["--format"])]);
 }

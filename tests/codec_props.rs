@@ -21,7 +21,7 @@ use cp_trace::fields::{self, FieldFrame, FrameCapture, FrameData};
 use cp_trace::json::{self, Json, Writer};
 use cp_trace::ledger::SeriesSummary;
 use cp_trace::{
-    Analysis, ArgValue, Doctor, InstantRecord, LedgerEntry, MetricSnapshot, MetricValue, ReportDoc,
+    Analysis, ArgValue, InstantRecord, LedgerEntry, MetricSnapshot, MetricValue, ReportDoc,
     SeriesRow, SpanRecord, TraceReport,
 };
 use proptest::prelude::*;
@@ -290,10 +290,12 @@ fn ledger_entry(rng: &mut TestRng) -> LedgerEntry {
 
 fn capture(rng: &mut TestRng) -> FrameCapture {
     let mut frames = Vec::new();
-    // Sequences of one shape each, so every delta has its base.
+    // Sequences of one shape each, so every delta has its base; named
+    // and sized so the doctor's checks run on them.
+    let names = ["place.density_overflow", "place.displacement"];
     for (seq, stage) in ["cluster placement", "flat placement"].iter().enumerate() {
         let (nx, ny) = (1 + below(rng, 4), below(rng, 4));
-        for iter in 0..below(rng, 4) {
+        for iter in 0..below(rng, 8) {
             let cells = nx * ny;
             let data = if iter == 0 || cells == 0 || rng.below(2) == 0 {
                 FrameData::Dense((0..cells).map(|_| float(rng) as f32).collect())
@@ -305,7 +307,7 @@ fn capture(rng: &mut TestRng) -> FrameCapture {
                 }
             };
             frames.push(FieldFrame {
-                name: NAMES[seq],
+                name: names[seq],
                 stage,
                 iter: iter as u64,
                 nx: nx as u32,
@@ -484,10 +486,12 @@ proptest! {
         let text = fields::to_json(&cap);
         prop_assert_eq!(fields::decode_json(&text), Ok(fields::decode(&cap)));
         for_each_mutant(&text, rng, |mutant| {
-            for f in fields::decode_json(mutant).unwrap_or_default() {
+            let frames = fields::decode_json(mutant).unwrap_or_default();
+            for f in &frames {
                 // What `tracetool render` and the doctor index by.
                 assert_eq!(Some(f.values.len()), f.nx.checked_mul(f.ny), "{mutant}");
             }
+            let _ = fields::diagnose(&frames);
         });
     }
 
@@ -503,10 +507,9 @@ proptest! {
                 let _ = (a.self_time_by_name(), a.critical_path(), a.folded());
                 let _ = (a.stage_self_seconds(), a.total_self_seconds());
             }
-            let entry = LedgerEntry::new(1, "mutant", "harvest").capture_trace(doc.clone());
+            let entry = LedgerEntry::new(1, "mutant", "harvest").capture_trace(doc);
             let staged: i64 = entry.stages.iter().map(|(_, ns)| ns).sum();
             assert_eq!(staged, entry.root_wall_ns as i64, "{mutant}");
-            let _ = Doctor::default().diagnose_report(doc, &[]);
         });
     }
 

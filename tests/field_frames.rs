@@ -7,7 +7,7 @@
 //!
 //! Field capture is process-global state (like the trace level), so
 //! every test serializes on one mutex and restores the off state when
-//! done.
+//! done. The doctor's verdicts on one real capture are pinned here too.
 
 use cp_core::flow::{run_flow, FlowOptions, FlowReport, ShapeMode};
 use cp_core::ClusteringOptions;
@@ -169,4 +169,38 @@ fn field_capture_composes_with_full_tracing() {
     let after = run_flow(&n, &c, &o).expect("flow runs");
     assert_same_outputs(&off, &after);
     assert!(cp_trace::fields::take().frames.is_empty());
+}
+
+/// The doctor on a real capture: the hermetic gate-options Aes flow at
+/// scale 0.01 yields exactly these verdicts.
+#[test]
+fn doctor_verdicts_on_a_real_capture_are_pinned() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, capture, _) = cp_bench::qor_gate::run_hermetic_fields(DesignProfile::Aes, 0.01)
+        .expect("hermetic flow runs");
+    let verdicts = cp_trace::fields::diagnose(&cp_trace::fields::decode(&capture));
+    let got: Vec<(&str, &str, &str)> = verdicts
+        .iter()
+        .map(|v| (v.kind.as_str(), v.stage.as_str(), v.evidence.as_str()))
+        .collect();
+    assert_eq!(
+        got,
+        [
+            (
+                "hotspot-persistence",
+                "cluster placement",
+                "1 bin(s) stay overloaded in >= 12/12 density frames; worst at bin (1, 0) of 2x2, final overflow 133.4951"
+            ),
+            (
+                "hotspot-persistence",
+                "flat placement",
+                "1 bin(s) stay overloaded in >= 4/5 density frames; worst at bin (5, 5) of 7x7, final overflow 3.6100"
+            ),
+            (
+                "displacement-conflict",
+                "cluster placement",
+                "spreading displacement is not decaying: last-quarter mean 6.6704e1 vs first-quarter 4.4063e1 over 12 frames"
+            ),
+        ]
+    );
 }

@@ -1,16 +1,18 @@
 //! QoR gate end-to-end: the pinned gate flow is bitwise-deterministic
 //! across thread counts, the committed baseline matches a fresh run, the
 //! `tracetool gate` binary passes on a clean report and exits nonzero on
-//! a doctored one, and the analysis layer's self-time/flamegraph output
-//! reconciles with the report's stage accounting on a real trace.
+//! a doctored one, `tracetool trend` does the same on a doctored ledger
+//! line, the binaries keep their exit codes when stdout closes early, and
+//! the analysis layer's self-time/flamegraph output reconciles with the
+//! report's stage accounting on a real trace.
 //!
 //! The trace level is process-global state, so every test here
 //! serializes on one mutex (see `tests/trace_determinism.rs`).
 
 use cp_bench::qor_gate::{self, Baseline};
 use cp_trace::json::parse;
-use cp_trace::{Analysis, TraceReport};
-use std::process::Command;
+use cp_trace::{Analysis, LedgerEntry, MetricSnapshot, MetricValue, SpanRecord, TraceReport};
+use std::process::{Command, Stdio};
 use std::sync::Mutex;
 
 /// Serializes tests that flip the process-global trace level.
@@ -157,10 +159,6 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         (&["trend", "--metric-rel", "nan"], "--metric-rel"),
         (&["explain", "--run", "aes@0"], "--run"),
         (&["harvest", "--run", "aes@-1"], "--run"),
-        (
-            &["harvest", "--run", "aes@1", "--doctor", "qor.x=nan"],
-            "--doctor",
-        ),
     ];
     for (args, flag) in cases {
         let out = Command::new(tracetool)
@@ -179,6 +177,102 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         .output()
         .expect("tracetool runs");
     assert_eq!(out.status.code(), Some(3), "{out:?}");
+}
+
+/// A one-span report whose only metric is the legalized-HPWL gauge.
+fn tiny_report(hpwl: f64) -> TraceReport {
+    TraceReport {
+        root: 1,
+        spans: vec![SpanRecord {
+            id: 1,
+            parent: 0,
+            name: "flow.flat",
+            thread: 0,
+            start_ns: 0,
+            end_ns: 1_000,
+            args: vec![],
+        }],
+        instants: vec![],
+        series: vec![],
+        metrics: vec![MetricSnapshot {
+            name: "qor.legalized.hpwl",
+            slot: None,
+            value: MetricValue::Gauge(hpwl),
+        }],
+        dropped_events: 0,
+    }
+}
+
+/// `tracetool trend` passes a ledger of identical reruns and exits 1
+/// once one more run of the group carries a doctored QoR value.
+#[test]
+fn tracetool_trend_gates_a_doctored_ledger_line() {
+    let dir = std::env::temp_dir().join(format!("qor_trend_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let ledger = dir.join("ledger.jsonl");
+    let entry = LedgerEntry::new(7, "aes", "harvest").capture_trace(&tiny_report(1e6));
+    for _ in 0..2 {
+        cp_trace::ledger::append(&ledger, &entry).expect("append");
+    }
+    let trend = || {
+        Command::new(env!("CARGO_BIN_EXE_tracetool"))
+            .args([
+                "trend",
+                "--ledger",
+                ledger.to_str().expect("utf-8 temp path"),
+            ])
+            .output()
+            .expect("tracetool runs")
+    };
+    let out = trend();
+    assert_eq!(out.status.code(), Some(0), "identical reruns: {out:?}");
+    let doctored = entry.doctor("qor.legalized.hpwl", 1.1);
+    cp_trace::ledger::append(&ledger, &doctored).expect("append doctored");
+    let out = trend();
+    assert_eq!(out.status.code(), Some(1), "doctored HPWL: {out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED"));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes the pipe before reading ends the output, not the
+/// command: each binary exits with its own code, never a panic's 101.
+#[test]
+fn closed_stdout_keeps_the_exit_code() {
+    let dir = std::env::temp_dir().join(format!("qor_pipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = |name: &str| {
+        dir.join(name)
+            .to_str()
+            .expect("utf-8 temp path")
+            .to_string()
+    };
+    let (base, new, frames) = (path("base.json"), path("new.json"), path("frames.json"));
+    std::fs::write(&base, tiny_report(1e6).to_json()).expect("write report");
+    std::fs::write(&new, tiny_report(2e6).to_json()).expect("write report");
+    let capture = cp_trace::FrameCapture::default();
+    std::fs::write(&frames, cp_trace::fields::to_json(&capture)).expect("write frames");
+
+    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let cases: &[(&str, &[&str], i32)] = &[
+        (tracetool, &["summarize", &base], 0),
+        (tracetool, &["diff", &base, &new], 1),
+        (tracetool, &["flamegraph", &base], 0),
+        (tracetool, &["explain", &frames], 0),
+        (repro, &["--table", "1", "--scale", "0.01"], 0),
+    ];
+    for (bin, args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(bin)
+            .args(*args)
+            .stdout(Stdio::from(writer))
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
