@@ -5,40 +5,28 @@
 //! tracetool summarize <report.json>
 //! tracetool diff <base.json> <new.json> [--rel R] [--abs S] [--metric-rel M]
 //! tracetool flamegraph <report.json> [-o out.folded]
-//! tracetool gate [--baseline FILE] [--from report.json] [--reps N] [--write] [--timeout-s S] [--large]
+//! tracetool gate [--baseline FILE] [--from report.json] [--write] [--timeout-s S] [--large]
 //! tracetool chaos [--seeds N] [--timeout-s S] [--site SUBSTR]
-//! tracetool harvest [TRACE_report.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME]
-//! tracetool trend [--ledger F] [--format table|tsv|json] [--metric-rel M] [--rel R] [--abs S]
 //! tracetool explain <FIELDS_frames.json>
 //! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]
 //! tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]
 //! ```
 //!
-//! `gate` runs the pinned gate flow (Aes at scale 0.02, exact V-P&R,
-//! fully traced; see `cp_bench::qor_gate`) `--reps` times, min-of-N
-//! reduces the runtimes, and checks the run's `qor.*` gauges and
-//! per-stage self-time shares against `baselines/QOR_baseline.json`,
-//! exiting 1 on any violation. `--from` gates an existing report file
-//! instead of running the flow; `--write` (re)records the baseline;
-//! `--timeout-s` bounds the flow's wall-clock and exits 3 (distinct
-//! from the gate-fail exit 1) when exceeded; `--large` swaps in the
-//! large gate flow (Ariane at scale 0.5, ~60k cells, uniform shapes)
-//! gated against `baselines/QOR_large.json` — the large-design guard
-//! for the solver/spreading/clustering hot paths. `chaos` sweeps the
-//! fault-injection sites (needs `--features fault-injection`) and exits
-//! 1 when any case violates the resilience contract. `diff` exits 1
-//! when regressions survive the tolerances; `summarize` and
-//! `flamegraph` are read-only.
-//!
-//! `harvest` backfills the run ledger (`runs/ledger.jsonl` by default)
-//! from existing TRACE report artifacts — fingerprinted by FNV-1a over
-//! the artifact bytes so re-harvests of the same report group together —
-//! or runs a fresh hermetic gate-options flow with `--run aes@0.02`
-//! (checkpoint fingerprint, so repeat runs of the same profile@scale
-//! form one trend group). `trend` compares each fingerprint group's
-//! latest completed run against the best earlier one using the TraceDiff
-//! noise model and exits 1 on any QoR regression (wall time is reported
-//! but advisory).
+//! `gate` runs the pinned gate flow once (Aes at scale 0.02, exact V-P&R,
+//! fully traced; see `cp_bench::qor_gate`) and checks the run's `qor.*`
+//! gauges against `baselines/QOR_baseline.json`, exiting 1 on any
+//! violation. It judges QoR only; time is the benchmark's question
+//! (`benchmark/`). `--from` gates an existing report file instead of
+//! running the flow; `--write` (re)records the baseline; `--timeout-s`
+//! bounds the flow's wall-clock and exits 3 (distinct from the gate-fail
+//! exit 1) when exceeded, while a flow that panics is an error (exit 2);
+//! `--large` swaps in the large gate flow (Ariane at scale 0.5, ~60k
+//! cells, uniform shapes) gated against `baselines/QOR_large.json` — the
+//! large-design guard for the solver/spreading/clustering hot paths.
+//! `chaos` sweeps the fault-injection sites (needs `--features
+//! fault-injection`) and exits 1 when any case violates the resilience
+//! contract. `diff` exits 1 when regressions survive the tolerances;
+//! `summarize` and `flamegraph` are read-only.
 //!
 //! `explain` is the convergence doctor's front door: it diagnoses the
 //! field frames of one run (a frames artifact, or a fresh hermetic
@@ -46,17 +34,14 @@
 //! hotspot bins and spreading displacement that never decays. Verdicts
 //! are warnings: it exits 0 after a diagnosis and 2 on an error. `diff`
 //! is the two-run comparison. `render` turns a frames artifact into
-//! per-frame SVG heatmaps; `summarize --ledger` prints per-fingerprint
-//! run groups with their latest QoR snapshot. Stdout goes through
+//! per-frame SVG heatmaps. Stdout goes through
 //! `cp_bench::stdout`, so a reader that closes the pipe early ends the
 //! output without changing the exit code.
 
 use cp_bench::qor_gate::{self, Baseline};
 use cp_bench::{out, outln};
-use cp_core::checkpoint::{fnv1a64, FNV_OFFSET};
 use cp_netlist::generator::DesignProfile;
-use cp_trace::json::{fmt_f64, parse, validate, Writer};
-use cp_trace::ledger::{self, Direction};
+use cp_trace::json::{fmt_f64, parse, validate};
 use cp_trace::{fields, Analysis, DecodedFrame, DiffOptions, ReportDoc, TraceDiff, Verdict};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -138,8 +123,8 @@ fn timeout(v: &str) -> Result<Duration, String> {
         .map_err(|_| format!("`--timeout-s` is out of range, got `{v}`"))
 }
 
-/// The `--rel` / `--abs` / `--metric-rel` tolerances `diff` and `trend`
-/// share, defaulting each to [`DiffOptions::default`].
+/// The `--rel` / `--abs` / `--metric-rel` tolerances of `diff`, each
+/// defaulting to [`DiffOptions::default`].
 fn diff_options(
     rel: Option<String>,
     abs: Option<String>,
@@ -168,20 +153,9 @@ fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
 }
 
 fn summarize(args: &[String]) -> Result<(), String> {
-    let mut ledger_path = None;
-    let pos = split_args(args, &mut [("--ledger", &mut ledger_path)], &mut [])?;
-    if let Some(lp) = ledger_path {
-        if !pos.is_empty() {
-            return Err(format!(
-                "summarize --ledger takes no positional arguments, got {pos:?}"
-            ));
-        }
-        return summarize_ledger(&lp);
-    }
+    let pos = split_args(args, &mut [], &mut [])?;
     let [path] = pos.as_slice() else {
-        return Err(
-            "usage: tracetool summarize <report.json> | summarize --ledger <ledger.jsonl>".into(),
-        );
+        return Err("usage: tracetool summarize <report.json>".into());
     };
     let a = load_analysis(path)?;
     outln!(
@@ -228,47 +202,6 @@ fn summarize(args: &[String]) -> Result<(), String> {
         outln!("\n## Memory gauges (alloc-telemetry)\n");
         for (name, value) in mem {
             outln!("- {name}: {value}");
-        }
-    }
-    Ok(())
-}
-
-/// `summarize --ledger`: per-fingerprint run groups in first-appearance
-/// order — run count, last status, and the latest entry's `qor.*`
-/// snapshot.
-fn summarize_ledger(path: &str) -> Result<(), String> {
-    let entries = ledger::load(std::path::Path::new(path))?;
-    let mut order: Vec<u64> = Vec::new();
-    let mut groups: std::collections::BTreeMap<u64, Vec<&ledger::LedgerEntry>> =
-        std::collections::BTreeMap::new();
-    for e in &entries {
-        if !groups.contains_key(&e.fingerprint) {
-            order.push(e.fingerprint);
-        }
-        groups.entry(e.fingerprint).or_default().push(e);
-    }
-    outln!(
-        "# {path} — {} entries, {} fingerprint group(s)",
-        entries.len(),
-        order.len()
-    );
-    for fp in order {
-        let group = &groups[&fp];
-        let Some(last) = group.last() else { continue };
-        outln!(
-            "\n## {:016x} — {} ({} run{}, last: {}, {} threads)",
-            fp,
-            last.design,
-            group.len(),
-            if group.len() == 1 { "" } else { "s" },
-            last.status,
-            last.threads
-        );
-        if last.qor.is_empty() {
-            outln!("- (no qor gauges captured)");
-        }
-        for (name, value) in &last.qor {
-            outln!("- {name}: {}", fmt_f64(*value));
         }
     }
     Ok(())
@@ -341,60 +274,39 @@ fn flamegraph(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the min-of-N gate flow reps, optionally bounded by a wall-clock
-/// deadline enforced from a watchdog thread. `Ok(None)` means the
-/// deadline expired before every rep finished.
-fn gate_reps(
-    reps: usize,
-    timeout: Option<Duration>,
-    large: bool,
-) -> Result<Option<Vec<Analysis>>, String> {
-    let run_all = move || -> Result<Vec<Analysis>, String> {
-        let mut out = Vec::new();
-        for rep in 0..reps {
-            let t0 = Instant::now();
-            let report = if large {
-                qor_gate::run_gate_flow_large()
-            } else {
-                qor_gate::run_gate_flow()
-            }
-            .map_err(|e| format!("gate flow: {e}"))?;
-            let trace = report.trace.as_ref().ok_or("gate flow produced no trace")?;
-            eprintln!(
-                "gate rep {}/{}: {:.3}s, hpwl {}",
-                rep + 1,
-                reps,
-                t0.elapsed().as_secs_f64(),
-                report.hpwl
-            );
-            out.push(Analysis::from_report(trace).map_err(|e| format!("analyze gate trace: {e}"))?);
+/// Runs the gate flow once under [`cp_bench::with_watchdog`] and
+/// analyzes its trace. `Ok(None)` means `timeout` expired first; a flow
+/// that panics is an error carrying the panic message.
+fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<Analysis>, String> {
+    let run = move || -> Result<Analysis, String> {
+        let t0 = Instant::now();
+        let report = if large {
+            qor_gate::run_gate_flow_large()
+        } else {
+            qor_gate::run_gate_flow()
         }
-        Ok(out)
+        .map_err(|e| format!("gate flow: {e}"))?;
+        let trace = report.trace.as_ref().ok_or("gate flow produced no trace")?;
+        eprintln!(
+            "gate flow: {:.3}s, hpwl {}",
+            t0.elapsed().as_secs_f64(),
+            report.hpwl
+        );
+        Analysis::from_report(trace).map_err(|e| format!("analyze gate trace: {e}"))
     };
-    match timeout {
-        None => run_all().map(Some),
-        Some(limit) => {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::spawn(move || {
-                let _ = tx.send(run_all());
-            });
-            match rx.recv_timeout(limit) {
-                Ok(result) => result.map(Some),
-                Err(_) => Ok(None),
-            }
-        }
-    }
+    cp_bench::with_watchdog(timeout.unwrap_or(Duration::MAX), run)
+        .map_err(|panic| format!("gate flow panicked: {panic}"))?
+        .transpose()
 }
 
 fn gate(args: &[String]) -> Result<u8, String> {
-    let (mut baseline_path, mut from, mut reps, mut timeout_s) = (None, None, None, None);
+    let (mut baseline_path, mut from, mut timeout_s) = (None, None, None);
     let (mut write, mut large) = (false, false);
     let pos = split_args(
         args,
         &mut [
             ("--baseline", &mut baseline_path),
             ("--from", &mut from),
-            ("--reps", &mut reps),
             ("--timeout-s", &mut timeout_s),
         ],
         &mut [("--write", &mut write), ("--large", &mut large)],
@@ -411,43 +323,24 @@ fn gate(args: &[String]) -> Result<u8, String> {
                 "baselines/QOR_baseline.json"
             })
         });
-    let reps: usize = reps
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("`--reps` must be an integer, got `{v}`"))
-        })
-        .transpose()?
-        .unwrap_or(2)
-        .max(1);
     let timeout = timeout_s.as_deref().map(timeout).transpose()?;
 
-    // Collect the run(s) to gate: an existing report file, or fresh
-    // min-of-N executions of the pinned gate flow.
-    let analyses: Vec<Analysis> = match &from {
-        Some(path) => vec![load_analysis(path)?],
-        None => match gate_reps(reps, timeout, large)? {
-            Some(out) => out,
+    // The run to gate: an existing report file, or one execution of the
+    // pinned gate flow — QoR is bitwise-deterministic, so one is the
+    // answer.
+    let run = match &from {
+        Some(path) => load_analysis(path)?,
+        None => match gate_run(timeout, large)? {
+            Some(run) => run,
             None => {
                 outln!(
-                    "gate TIMEOUT: {} rep(s) did not finish within {}s",
-                    reps,
+                    "gate TIMEOUT: the gate flow did not finish within {}s",
                     timeout.map_or(0.0, |t| t.as_secs_f64())
                 );
                 return Ok(EXIT_TIMEOUT);
             }
         },
     };
-    // QoR gauges are bitwise-deterministic, so any rep represents them;
-    // the runtime check wants the fastest rep. Pick the one with the
-    // smallest traced duration.
-    let best = analyses
-        .iter()
-        .min_by(|a, b| {
-            a.duration_seconds()
-                .partial_cmp(&b.duration_seconds())
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .ok_or("no runs to gate")?;
 
     if write {
         let (design, scale) = if large {
@@ -455,17 +348,16 @@ fn gate(args: &[String]) -> Result<u8, String> {
         } else {
             ("aes", qor_gate::GATE_SCALE)
         };
-        let b = Baseline::from_analysis(best, design, scale);
+        let b = Baseline::from_analysis(&run, design, scale);
         if let Some(dir) = baseline_path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         }
         std::fs::write(&baseline_path, b.to_json())
             .map_err(|e| format!("cannot write `{}`: {e}", baseline_path.display()))?;
         outln!(
-            "wrote baseline {} ({} qor gauges, {} stage shares)",
+            "wrote baseline {} ({} qor gauges)",
             baseline_path.display(),
-            b.qor.len(),
-            b.self_shares.len()
+            b.qor.len()
         );
         return Ok(0);
     }
@@ -478,12 +370,11 @@ fn gate(args: &[String]) -> Result<u8, String> {
     })?;
     let baseline =
         Baseline::from_json(&src).map_err(|e| format!("`{}`: {e}", baseline_path.display()))?;
-    let failures = baseline.check(best);
+    let failures = baseline.check(&run);
     if failures.is_empty() {
         outln!(
-            "gate PASS: {} qor gauges and {} stage shares within tolerance of {}",
+            "gate PASS: {} qor gauges within tolerance of {}",
             baseline.qor.len(),
-            baseline.self_shares.len(),
             baseline_path.display()
         );
         return Ok(0);
@@ -527,200 +418,6 @@ fn chaos(args: &[String]) -> Result<u8, String> {
     let report = cp_bench::chaos::run_chaos(seeds, timeout, site.as_deref())?;
     out!("{}", report.render());
     Ok(u8::from(report.failures() > 0))
-}
-
-const HARVEST_USAGE: &str = "usage: tracetool harvest [TRACE_report.json ...] \
-     [--run PROFILE@SCALE] [--ledger F] [--design NAME]";
-
-/// Backfills ledger entries from existing TRACE report artifacts and/or
-/// a fresh hermetic flow, appending to the run ledger.
-fn harvest(args: &[String]) -> Result<(), String> {
-    let (mut ledger_path, mut run, mut design) = (None, None, None);
-    let pos = split_args(
-        args,
-        &mut [
-            ("--ledger", &mut ledger_path),
-            ("--run", &mut run),
-            ("--design", &mut design),
-        ],
-        &mut [],
-    )?;
-    if pos.is_empty() && run.is_none() {
-        return Err(HARVEST_USAGE.into());
-    }
-    let ledger_path =
-        std::path::PathBuf::from(ledger_path.unwrap_or_else(|| "runs/ledger.jsonl".to_string()));
-
-    let mut entries: Vec<ledger::LedgerEntry> = Vec::new();
-    for path in &pos {
-        let src = read(path)?;
-        let label = design.clone().unwrap_or_else(|| {
-            std::path::Path::new(path)
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| path.clone())
-        });
-        let report = ReportDoc::from_json(&src).map_err(|e| format!("`{path}`: {e}"))?;
-        // There is no netlist to fingerprint, so the artifact's bytes are
-        // its identity: re-harvests of one report land in one trend group.
-        let fingerprint = fnv1a64(FNV_OFFSET, src.as_bytes());
-        let entry = ledger::LedgerEntry::new(fingerprint, &label, "harvest");
-        entries.push(entry.capture_trace(report));
-    }
-    if let Some(spec) = &run {
-        let (profile, scale) = run_spec(spec)?;
-        let t0 = Instant::now();
-        let (report, fingerprint) =
-            qor_gate::run_hermetic(profile, scale).map_err(|e| format!("hermetic flow: {e}"))?;
-        let trace = report
-            .trace
-            .as_ref()
-            .ok_or("hermetic flow produced no trace")?;
-        let label = design
-            .clone()
-            .unwrap_or_else(|| format!("{}@{scale}", profile.name()));
-        let threads = u32::try_from(report.timings.threads).unwrap_or(u32::MAX);
-        entries.push(
-            ledger::LedgerEntry::new(fingerprint, &label, "harvest")
-                .with_threads(threads)
-                .with_options(&format!("gate_options scale={scale}"))
-                .capture_trace(trace),
-        );
-        eprintln!(
-            "hermetic {} @ {scale}: {:.3}s, hpwl {}",
-            profile.name(),
-            t0.elapsed().as_secs_f64(),
-            report.hpwl
-        );
-    }
-    for entry in entries {
-        ledger::append(&ledger_path, &entry).map_err(|e| format!("append: {e}"))?;
-        outln!(
-            "appended {:016x} {} ({}, {} qor gauges, {} stage rows) -> {}",
-            entry.fingerprint,
-            entry.design,
-            entry.status,
-            entry.qor.len(),
-            entry.stages.len(),
-            ledger_path.display()
-        );
-    }
-    Ok(())
-}
-
-/// Cross-run trend gate over the ledger: prints the per-group metric
-/// movements and reports whether any QoR metric regressed.
-fn trend_cmd(args: &[String]) -> Result<bool, String> {
-    let (mut ledger_path, mut format, mut metric_rel, mut rel, mut abs) =
-        (None, None, None, None, None);
-    let pos = split_args(
-        args,
-        &mut [
-            ("--ledger", &mut ledger_path),
-            ("--format", &mut format),
-            ("--metric-rel", &mut metric_rel),
-            ("--rel", &mut rel),
-            ("--abs", &mut abs),
-        ],
-        &mut [],
-    )?;
-    if !pos.is_empty() {
-        return Err(format!("trend takes no positional arguments, got {pos:?}"));
-    }
-    let ledger_path =
-        std::path::PathBuf::from(ledger_path.unwrap_or_else(|| "runs/ledger.jsonl".to_string()));
-    let opts = diff_options(rel, abs, metric_rel)?;
-    let entries = ledger::load(&ledger_path)?;
-    let report = ledger::trend(&entries, &opts);
-    let dir_label = |d: Direction| match d {
-        Direction::LowerIsBetter => "lower",
-        Direction::HigherIsBetter => "higher",
-        Direction::Informational => "info",
-    };
-    let verdict = |r: &ledger::TrendRow| {
-        if r.regressed {
-            "REGRESSED"
-        } else if r.improved {
-            "improved"
-        } else {
-            "ok"
-        }
-    };
-    match format.as_deref().unwrap_or("table") {
-        "table" => {
-            if report.rows.is_empty() {
-                outln!("no multi-run fingerprint groups to compare");
-            } else {
-                outln!("| fingerprint | design | metric | baseline | latest | delta % | runs | dir | verdict |");
-                outln!("|---|---|---|---|---|---|---|---|---|");
-                for r in &report.rows {
-                    outln!(
-                        "| {:016x} | {} | {} | {:.6} | {:.6} | {:+.3} | {} | {} | {} |",
-                        r.fingerprint,
-                        r.design,
-                        r.metric,
-                        r.baseline,
-                        r.latest,
-                        r.delta_pct(),
-                        r.runs,
-                        dir_label(r.direction),
-                        verdict(r)
-                    );
-                }
-            }
-            outln!(
-                "\n{} entries, {} group(s) ({} singleton), {} regression(s)",
-                entries.len(),
-                report.groups,
-                report.singletons,
-                report.regressions().len()
-            );
-        }
-        "tsv" => {
-            outln!("fingerprint\tdesign\tmetric\tbaseline\tlatest\tdelta_pct\truns\tdir\tverdict");
-            for r in &report.rows {
-                outln!(
-                    "{:016x}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                    r.fingerprint,
-                    r.design,
-                    r.metric,
-                    fmt_f64(r.baseline),
-                    fmt_f64(r.latest),
-                    fmt_f64(r.delta_pct()),
-                    r.runs,
-                    dir_label(r.direction),
-                    verdict(r)
-                );
-            }
-        }
-        "json" => {
-            let mut w = Writer::new();
-            w.object_spaced().key("entries").u64(entries.len() as u64);
-            w.key("groups").u64(report.groups as u64);
-            w.key("singletons").u64(report.singletons as u64);
-            w.key("regressions").u64(report.regressions().len() as u64);
-            w.key("rows").array_spaced();
-            for r in &report.rows {
-                w.object_spaced().key("fingerprint").hex64(r.fingerprint);
-                w.key("design").str(&r.design).key("metric").str(&r.metric);
-                w.key("baseline").f64(r.baseline);
-                w.key("latest").f64(r.latest);
-                w.key("delta_pct").f64(r.delta_pct());
-                w.key("runs").u64(r.runs as u64);
-                w.key("direction").str(dir_label(r.direction));
-                w.key("regressed").bool(r.regressed);
-                w.key("improved").bool(r.improved).end();
-            }
-            w.end().end();
-            outln!("{}", w.finish());
-        }
-        other => {
-            return Err(format!(
-                "`--format` must be table, tsv or json, got `{other}`"
-            ))
-        }
-    }
-    Ok(!report.regressions().is_empty())
 }
 
 /// Loads a `field_frames.schema.json`-shaped artifact and decodes every
@@ -773,7 +470,7 @@ fn explain(args: &[String]) -> Result<(), String> {
     }
     let (profile, scale) = run_spec(&spec)?;
     let t0 = Instant::now();
-    let (report, capture, _) =
+    let (report, capture) =
         qor_gate::run_hermetic_fields(profile, scale).map_err(|e| format!("hermetic flow: {e}"))?;
     let trace = report
         .trace
@@ -972,26 +669,18 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|harvest|trend|explain|render|check-schema> ...\n\
+const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|explain|render|check-schema> ...\n\
      \n\
      summarize <report.json>                    self-time table, critical path, QoR gauges\n\
-     summarize --ledger <ledger.jsonl>          per-fingerprint run groups + latest QoR snapshot\n\
      diff <base.json> <new.json>                span/metric diff (--rel/--abs/--metric-rel)\n\
      flamegraph <report.json> [-o out.folded]   collapsed stacks for speedscope/inferno\n\
-     gate [--baseline F] [--from R] [--reps N] [--write] [--timeout-s S] [--large]\n\
-     \x20                                          run the pinned flow and gate vs the baseline\n\
-     \x20                                          (exit 3 when the wall-clock timeout expires;\n\
-     \x20                                          --large gates the ~60k-cell Ariane flow vs\n\
-     \x20                                          baselines/QOR_large.json)\n\
+     gate [--baseline F] [--from R] [--write] [--timeout-s S] [--large]\n\
+     \x20                                          run the pinned flow once and gate its qor.*\n\
+     \x20                                          gauges vs the baseline (exit 3 when the\n\
+     \x20                                          wall-clock timeout expires; --large gates the\n\
+     \x20                                          ~60k-cell Ariane flow vs baselines/QOR_large.json)\n\
      chaos [--seeds N] [--timeout-s S] [--site SUBSTR]\n\
      \x20                                          fault-injection sweep (needs --features fault-injection)\n\
-     harvest [REPORT.json ...] [--run PROFILE@SCALE] [--ledger F] [--design NAME]\n\
-     \x20                                          backfill run-ledger entries from TRACE artifacts\n\
-     \x20                                          or a fresh hermetic flow (default ledger:\n\
-     \x20                                          runs/ledger.jsonl)\n\
-     trend [--ledger F] [--format table|tsv|json] [--metric-rel M] [--rel R] [--abs S]\n\
-     \x20                                          cross-run QoR trend gate over the ledger\n\
-     \x20                                          (exit 1 on regression; wall time advisory)\n\
      explain <FIELDS_frames.json>\n\
      explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]\n\
      \x20                                          convergence doctor: hotspot-persistence and\n\
@@ -1012,8 +701,6 @@ fn main() -> ExitCode {
         "flamegraph" => flamegraph(rest).map(|()| 0),
         "gate" => gate(rest),
         "chaos" => chaos(rest),
-        "harvest" => harvest(rest).map(|()| 0),
-        "trend" => trend_cmd(rest).map(u8::from),
         "explain" => explain(rest).map(|()| 0),
         "render" => render(rest).map(|()| 0),
         "check-schema" => check_schema(rest).map(u8::from),

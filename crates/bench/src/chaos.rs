@@ -1,7 +1,8 @@
 //! Deterministic chaos sweep over the flow's fault-injection sites.
 //!
 //! `tracetool chaos` arms each [`cp_resilience::sites::FAULTS`] site at a
-//! seed-derived hit index, runs the resilient flow under a watchdog, and
+//! seed-derived hit index, runs the resilient flow under
+//! [`with_watchdog`](crate::with_watchdog), and
 //! asserts the resilience contract: every faulted run must end in a typed
 //! error, a clean recorded recovery, or a resumable checkpoint that —
 //! once the fault is disarmed — resumes to a report bitwise-identical to
@@ -95,9 +96,7 @@ mod imp {
 #[cfg(feature = "fault-injection")]
 mod imp {
     use super::{CaseReport, ChaosReport, Duration, CHAOS_SCALE};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::path::PathBuf;
-    use std::sync::mpsc;
 
     use cp_core::checkpoint::{fnv1a64, FNV_OFFSET};
     use cp_core::flow::{FlowOptions, FlowReport, ShapeMode};
@@ -105,7 +104,7 @@ mod imp {
     use cp_netlist::generator::DesignProfile;
     use cp_resilience::{fault, sites};
 
-    use crate::support::Bench;
+    use crate::support::{with_watchdog, Bench};
 
     /// The pinned chaos design (Aes at [`CHAOS_SCALE`]).
     fn chaos_bench() -> Bench {
@@ -130,23 +129,6 @@ mod imp {
         fnv1a64(FNV_OFFSET, site.as_bytes())
     }
 
-    /// What a watchdogged flow run produced: the inner flow result, or
-    /// the panic payload `catch_unwind` captured.
-    type RunOutcome = std::thread::Result<Result<FlowReport, FlowError>>;
-
-    /// Runs `f` on a watchdog thread; `None` means it outlived `timeout`.
-    fn with_watchdog<F>(timeout: Duration, f: F) -> Option<RunOutcome>
-    where
-        F: FnOnce() -> Result<FlowReport, FlowError> + Send + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        std::thread::spawn(move || {
-            let out = catch_unwind(AssertUnwindSafe(f));
-            let _ = tx.send(out);
-        });
-        rx.recv_timeout(timeout).ok()
-    }
-
     fn ckpt_path(site: &str, seed: u64) -> PathBuf {
         let dir = std::env::temp_dir().join("cp-chaos");
         let _ = std::fs::create_dir_all(&dir);
@@ -167,7 +149,6 @@ mod imp {
             control: RunControl::unlimited(),
             checkpoint,
             resume_from,
-            ..Default::default()
         };
         run_flow_resilient(&b.netlist, &b.constraints, &chaos_options(), &res)
     }
@@ -187,10 +168,10 @@ mod imp {
             sites::FAULTS.iter().map(|&s| (s, fault::hits(s))).collect();
         fault::disarm_all();
         match outcome {
-            None => Err("reference run hung".to_string()),
-            Some(Err(_)) => Err("reference run panicked".to_string()),
-            Some(Ok(Err(e))) => Err(format!("reference run failed: {e}")),
-            Some(Ok(Ok(report))) => Ok((report, hits)),
+            Ok(None) => Err("reference run hung".to_string()),
+            Err(_) => Err("reference run panicked".to_string()),
+            Ok(Some(Err(e))) => Err(format!("reference run failed: {e}")),
+            Ok(Some(Ok(report))) => Ok((report, hits)),
         }
     }
 
@@ -234,10 +215,10 @@ mod imp {
         let resume = path.to_path_buf();
         let outcome = with_watchdog(timeout, move || resilient_once(None, Some(resume)));
         match outcome {
-            None => ("resume hung".to_string(), true),
-            Some(Err(_)) => ("resume panicked".to_string(), true),
-            Some(Ok(Err(e))) => (format!("resume failed: {e}"), true),
-            Some(Ok(Ok(resumed))) => {
+            Ok(None) => ("resume hung".to_string(), true),
+            Err(_) => ("resume panicked".to_string(), true),
+            Ok(Some(Err(e))) => (format!("resume failed: {e}"), true),
+            Ok(Some(Ok(resumed))) => {
                 if resumed.deterministic_eq(reference) {
                     (
                         "typed interrupt; resumed bitwise-identical".to_string(),
@@ -344,10 +325,10 @@ mod imp {
                 let fired = fault::fired(site) > 0;
                 fault::disarm_all();
                 let (outcome, failed) = match outcome {
-                    None => ("HANG: run exceeded the watchdog timeout".to_string(), true),
-                    Some(Err(_)) => ("PANIC escaped the flow".to_string(), true),
-                    Some(Ok(Ok(r))) => classify_ok(&r, &reference, fired),
-                    Some(Ok(Err(e))) => classify_err(&e, &reference, timeout),
+                    Ok(None) => ("HANG: run exceeded the watchdog timeout".to_string(), true),
+                    Err(_) => ("PANIC escaped the flow".to_string(), true),
+                    Ok(Some(Ok(r))) => classify_ok(&r, &reference, fired),
+                    Ok(Some(Err(e))) => classify_err(&e, &reference, timeout),
                 };
                 let _ = std::fs::remove_file(&ckpt);
                 report.cases.push(CaseReport {

@@ -94,9 +94,8 @@ pub struct Checkpoint {
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into a running FNV-1a 64 `hash` — the workspace's one
-/// non-cryptographic identity hash: run fingerprints here, artifact
-/// identities in `tracetool harvest`, fault-site streams in the chaos
-/// sweep.
+/// non-cryptographic identity hash: run fingerprints here and fault-site
+/// streams in the chaos sweep.
 pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -441,8 +440,10 @@ mod tests {
     }
 
     /// The three hashes the one helper replaced, at the values their own
-    /// loops produced: the run fingerprint, the chaos sweep's site key and
-    /// `tracetool harvest`'s artifact identity.
+    /// loops produced: the run fingerprint (which hashes the options'
+    /// `Debug` form, so it moves when an option field is added or
+    /// removed), the chaos sweep's site key and a document's byte
+    /// identity.
     #[test]
     fn fnv1a64_keeps_the_three_hashes_it_replaced() {
         let (netlist, _) = GeneratorConfig::from_profile(DesignProfile::Aes)
@@ -450,7 +451,7 @@ mod tests {
             .seed(1)
             .generate_with_constraints();
         let run = fingerprint(&netlist, &FlowOptions::fast());
-        assert_eq!(run, 0x4de4_958d_6098_b8c7);
+        assert_eq!(run, 0x04b8_1651_2ab2_5720);
         assert_eq!(fnv1a64(FNV_OFFSET, b"flow.start"), 0xba12_3255_f7b7_2d93);
         let artifact = fnv1a64(FNV_OFFSET, br#"{"version":1}"#);
         assert_eq!(artifact, 0x07eb_e02b_9b5e_69f2);

@@ -15,7 +15,7 @@
 //!   stages skipped and the free problem placed from scratch, so the two
 //!   flows differ in the seed and in nothing else;
 //! - [`run_flow_resilient`] is [`run_flow`] under a caller-supplied
-//!   [`RunControl`], with stage checkpoints, resume and the run ledger.
+//!   [`RunControl`], with stage checkpoints and resume.
 //!
 //! Every stage of every entry point passes through the same protocol: a
 //! counted interruption check at its boundary, the stage span and
@@ -455,11 +455,6 @@ pub struct ResilienceOptions {
     /// identical to an uninterrupted one
     /// ([`FlowReport::deterministic_eq`]).
     pub resume_from: Option<PathBuf>,
-    /// When set, one run-ledger entry (see [`cp_trace::ledger`]) is
-    /// appended here per run — on success *and* on interruption. Like
-    /// checkpoint writes, a failed append is reported as a
-    /// `ledger.append_failed` trace instant and never fails the flow.
-    pub ledger: Option<PathBuf>,
 }
 
 /// [`run_flow`] under a [`RunControl`], with optional checkpoint/resume.
@@ -484,35 +479,8 @@ pub fn run_flow_resilient(
 ) -> Result<FlowReport, FlowError> {
     install_heap_probe();
     let fingerprint = checkpoint::fingerprint(netlist, options);
-    let result = ExecContext::resilient(resilience, fingerprint)
-        .and_then(|exec| Run::new(options, exec).drive(netlist, constraints, Clusters::PpaAware));
-    if let Some(path) = &resilience.ledger {
-        let resumed = resilience.resume_from.is_some();
-        let entry = match &result {
-            Ok(report) => Some(ledger_entry_for_report(
-                report,
-                fingerprint,
-                netlist.name(),
-                options,
-                resumed,
-            )),
-            Err(e) => e.interrupted().map(|i| {
-                ledger_entry_for_interrupt(i, fingerprint, netlist.name(), options, resumed)
-            }),
-        };
-        if let Some(entry) = entry {
-            // The checkpoint contract: persistence failures are surfaced
-            // as telemetry, never as flow failures.
-            if let Err(reason) = cp_trace::ledger::append(path, &entry) {
-                cp_trace::instant(
-                    "ledger.append_failed",
-                    &[("fingerprint", cp_trace::ArgValue::U(fingerprint))],
-                );
-                let _ = reason;
-            }
-        }
-    }
-    result
+    ExecContext::resilient(resilience, fingerprint)
+        .and_then(|exec| Run::new(options, exec).drive(netlist, constraints, Clusters::PpaAware))
 }
 
 /// Points the interruption machinery's heap gauge at the counting
@@ -521,108 +489,6 @@ pub fn run_flow_resilient(
 fn install_heap_probe() {
     #[cfg(feature = "alloc-telemetry")]
     cp_resilience::install_heap_probe(|| crate::alloc::heap_stats().current_bytes);
-}
-
-/// Short human-facing label for a shape mode (the ML variants carry
-/// trained weights whose `Debug` form is unusable as a summary).
-fn shape_mode_label(mode: &ShapeMode) -> &'static str {
-    match mode {
-        ShapeMode::Uniform => "uniform",
-        ShapeMode::Random(_) => "random",
-        ShapeMode::Vpr => "vpr",
-        ShapeMode::VprMl(_) => "vpr-ml",
-        ShapeMode::Hybrid { .. } => "hybrid",
-    }
-}
-
-/// The compact options summary persisted with every ledger entry —
-/// informational (the FNV fingerprint is the grouping key, and it covers
-/// the full `Debug` form of the options).
-fn options_summary(options: &FlowOptions) -> String {
-    format!(
-        "tool={:?} shape={} util={} td={} cd={} avg_cluster={}",
-        options.tool,
-        shape_mode_label(&options.shape_mode),
-        options.utilization,
-        options.timing_driven,
-        options.congestion_driven,
-        options.clustering.avg_cluster_size,
-    )
-}
-
-/// Builds the ledger entry for a completed run: measured fields from the
-/// captured trace when one exists, else synthesized from the report (the
-/// Instant-measured stage timings and the headline QoR numbers, under
-/// the same `qor.*` gauge names).
-fn ledger_entry_for_report(
-    report: &FlowReport,
-    fingerprint: u64,
-    design: &str,
-    options: &FlowOptions,
-    resumed: bool,
-) -> cp_trace::LedgerEntry {
-    let mut entry = cp_trace::LedgerEntry::new(fingerprint, design, "flow")
-        .with_threads(report.timings.threads as u32)
-        .with_resumed(resumed)
-        .with_options(&options_summary(options));
-    if let Some(trace) = &report.trace {
-        entry = entry.capture_trace(trace);
-    }
-    if entry.stages.is_empty() {
-        let mut total = 0i64;
-        entry.stages = report
-            .timings
-            .stages
-            .iter()
-            .map(|&(name, s)| {
-                let ns = (s * 1e9).round() as i64;
-                total += ns;
-                (name.to_string(), ns)
-            })
-            .collect();
-        // Keep the partition invariant (Σ stages == root wall) on the
-        // traceless path too: the measured stages *are* the wall here.
-        entry.stages.push(("other".to_string(), 0));
-        entry.root_wall_ns = total.max(0) as u64;
-    }
-    if entry.qor.is_empty() {
-        entry.qor = vec![
-            (qor::CLUSTER_COUNT.to_string(), report.cluster_count as f64),
-            (qor::CTS_SKEW.to_string(), report.ppa.skew),
-            (qor::LEGALIZED_HPWL.to_string(), report.hpwl),
-            (qor::POWER_TOTAL.to_string(), report.ppa.power),
-            (qor::ROUTE_RWL.to_string(), report.ppa.rwl),
-            (qor::TIMING_HOLD_WNS.to_string(), report.ppa.hold_wns),
-            (qor::TIMING_TNS.to_string(), report.ppa.tns),
-            (qor::TIMING_WNS.to_string(), report.ppa.wns),
-        ];
-    }
-    entry
-}
-
-/// Builds the ledger entry for an interrupted run. No QoR landed, so the
-/// entry records the interruption label, the stage it died in and the
-/// elapsed wall; the whole wall sits in the `other` row to preserve the
-/// partition invariant.
-fn ledger_entry_for_interrupt(
-    interrupted: &InterruptedFlow,
-    fingerprint: u64,
-    design: &str,
-    options: &FlowOptions,
-    resumed: bool,
-) -> cp_trace::LedgerEntry {
-    let wall_ns = (interrupted.interrupt.elapsed_s.max(0.0) * 1e9).round() as u64;
-    let mut entry = cp_trace::LedgerEntry::new(fingerprint, design, "flow")
-        .with_status(&interrupted.interrupt.status_label())
-        .with_threads(cp_parallel::current_threads() as u32)
-        .with_resumed(resumed)
-        .with_options(&options_summary(options));
-    entry.root_wall_ns = wall_ns;
-    entry.stages = vec![
-        (interrupted.stage.to_string(), 0),
-        ("other".to_string(), wall_ns as i64),
-    ];
-    entry
 }
 
 /// Per-run execution context: the run's interruption control, the

@@ -55,13 +55,14 @@ fn candidate_span(shape: ClusterShape, verdict: &'static str) -> cp_trace::SpanG
     )
 }
 
+/// Congestion weight δ in the total cost (the paper's value).
+const DELTA: f64 = 0.01;
+/// The X of "top X% GCells" in Eq. 5 (the paper's value).
+const TOP_PERCENT: f64 = 10.0;
+
 /// V-P&R tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VprOptions {
-    /// Congestion weight δ in the total cost.
-    pub delta: f64,
-    /// The X of "top X% GCells" in Eq. 5.
-    pub top_percent: f64,
     /// Placer settings for the virtual die (reduced effort).
     pub placer: PlacerOptions,
     /// Router settings for the virtual die.
@@ -71,8 +72,6 @@ pub struct VprOptions {
 impl Default for VprOptions {
     fn default() -> Self {
         Self {
-            delta: 0.01,
-            top_percent: 10.0,
             placer: PlacerOptions {
                 max_iterations: 10,
                 incremental_iterations: 5,
@@ -246,7 +245,7 @@ impl<'a> ClusterVpr<'a> {
             positions.extend_from_slice(&fp.port_positions);
             let routed = route_placed_netlist(sub, &positions, &fp, &options.router)?;
             positions.truncate(movables);
-            routed.congestion.top_percent_average(options.top_percent)
+            routed.congestion.top_percent_average(TOP_PERCENT)
         } else {
             0.0
         };
@@ -256,7 +255,7 @@ impl<'a> ClusterVpr<'a> {
             shape,
             hpwl_cost,
             congestion_cost,
-            total: hpwl_cost + options.delta * congestion_cost,
+            total: hpwl_cost + DELTA * congestion_cost,
         };
         let next_warm = WarmStart {
             positions,

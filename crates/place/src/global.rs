@@ -26,20 +26,11 @@ pub struct PlacerOptions {
     pub incremental_iterations: usize,
     /// Conjugate-gradient iterations per axis solve.
     pub cg_iterations: usize,
-    /// Stop once density overflow drops below this.
-    pub target_overflow: f64,
-    /// Anchor pseudo-net weight ramp per iteration.
-    pub anchor_base: f64,
-    /// Constant anchor weight toward seed positions (incremental mode).
-    pub seed_anchor: f64,
     /// RNG seed for the initial scatter.
     pub seed: u64,
     /// On divergence (non-finite solve or HPWL blow-up), revert to the best
     /// snapshot and return it instead of erroring (RePlAce-style recovery).
     pub revert_if_diverge: bool,
-    /// HPWL growth over the best snapshot counted as a blow-up (while
-    /// overflow is also regressing).
-    pub divergence_factor: f64,
     /// Test hook: poison the solver output with NaN at this iteration to
     /// exercise the divergence path. `None` in normal operation.
     pub fault_nan_at_iteration: Option<usize>,
@@ -58,18 +49,24 @@ impl Default for PlacerOptions {
             max_iterations: 30,
             incremental_iterations: 12,
             cg_iterations: 60,
-            target_overflow: 0.08,
-            anchor_base: 0.015,
-            seed_anchor: 0.08,
             seed: 7,
             revert_if_diverge: true,
-            divergence_factor: 4.0,
             fault_nan_at_iteration: None,
             backend: PlacerBackendKind::default(),
             cg: CgOptions::default(),
         }
     }
 }
+
+/// Stop once density overflow drops below this.
+const TARGET_OVERFLOW: f64 = 0.08;
+/// Anchor pseudo-net weight ramp per iteration.
+const ANCHOR_BASE: f64 = 0.015;
+/// Constant anchor weight toward seed positions (incremental mode).
+const SEED_ANCHOR: f64 = 0.08;
+/// HPWL growth over the best snapshot counted as a blow-up (while
+/// overflow is also regressing).
+const DIVERGENCE_FACTOR: f64 = 4.0;
 
 /// A finished placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -305,17 +302,16 @@ impl GlobalPlacer {
             done = it + 1;
             // Anchor targets: spread positions (weight ramping up), blended
             // with the seed pull in incremental mode.
-            let ramp = opt.anchor_base * (it as f64 + 1.0);
+            let ramp = ANCHOR_BASE * (it as f64 + 1.0);
             for i in 0..m {
                 let mut w_sum = ramp;
                 let mut t = upper[i];
                 if let Some(s) = seeds {
-                    let sw = opt.seed_anchor;
                     t = (
-                        (t.0 * ramp + s[i].0 * sw) / (ramp + sw),
-                        (t.1 * ramp + s[i].1 * sw) / (ramp + sw),
+                        (t.0 * ramp + s[i].0 * SEED_ANCHOR) / (ramp + SEED_ANCHOR),
+                        (t.1 * ramp + s[i].1 * SEED_ANCHOR) / (ramp + SEED_ANCHOR),
                     );
-                    w_sum += sw;
+                    w_sum += SEED_ANCHOR;
                 }
                 anchor_w[i] = w_sum;
                 upper[i] = t;
@@ -408,7 +404,7 @@ impl GlobalPlacer {
             let blown_up = match &best {
                 Some(b) => {
                     !(hpwl.is_finite() && overflow.is_finite())
-                        || (hpwl > b.hpwl * opt.divergence_factor && overflow > b.overflow + 0.1)
+                        || (hpwl > b.hpwl * DIVERGENCE_FACTOR && overflow > b.overflow + 0.1)
                 }
                 None => !(hpwl.is_finite() && overflow.is_finite()),
             };
@@ -442,7 +438,7 @@ impl GlobalPlacer {
                     overflow,
                 });
             }
-            if overflow <= opt.target_overflow {
+            if overflow <= TARGET_OVERFLOW {
                 break;
             }
         }

@@ -79,17 +79,6 @@ pub enum InterruptKind {
     BudgetExceeded,
 }
 
-impl InterruptKind {
-    /// Short stable label (`cancelled` / `deadline` / `budget`).
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Cancelled => "cancelled",
-            Self::DeadlineExceeded => "deadline",
-            Self::BudgetExceeded => "budget",
-        }
-    }
-}
-
 /// A typed interruption: what stopped the run and where it was observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Interrupt {
@@ -104,14 +93,6 @@ pub struct Interrupt {
     pub heap_bytes: u64,
     /// The configured budget in bytes (`BudgetExceeded` only; 0 otherwise).
     pub budget_bytes: u64,
-}
-
-impl Interrupt {
-    /// Canonical machine-readable status label for run-ledger entries:
-    /// `interrupted:<kind>@<site>` (e.g. `interrupted:deadline@place.outer`).
-    pub fn status_label(&self) -> String {
-        format!("interrupted:{}@{}", self.kind.label(), self.site)
-    }
 }
 
 impl std::fmt::Display for Interrupt {
@@ -450,21 +431,6 @@ mod tests {
         let p = RunControl::unlimited().cancel_after_checks(1);
         p.poll(sites::POOL_CHUNK).expect("poll is uncounted");
         assert_eq!(p.checks(), 0);
-    }
-
-    #[test]
-    fn status_label_is_stable_per_kind_and_site() {
-        let i = Interrupt {
-            kind: InterruptKind::DeadlineExceeded,
-            site: sites::FLOW_START,
-            elapsed_s: 1.5,
-            heap_bytes: 0,
-            budget_bytes: 0,
-        };
-        assert_eq!(
-            i.status_label(),
-            format!("interrupted:deadline@{}", sites::FLOW_START)
-        );
     }
 
     #[test]

@@ -490,7 +490,7 @@ impl TraceDiff {
     }
 }
 
-pub(crate) fn significant(base: f64, new: f64, rel: f64, abs: f64) -> bool {
+fn significant(base: f64, new: f64, rel: f64, abs: f64) -> bool {
     if base.is_nan() || new.is_nan() {
         return true;
     }

@@ -566,9 +566,8 @@ fn check_displacement(frames: &[DecodedFrame], out: &mut Vec<Verdict>) {
                      vs first-quarter {early:.4e} over {} frames",
                     totals.len()
                 ),
-                suggestion: "the lower bound and the spreader keep fighting; raise the \
-                             anchor ramp (anchor_base) so late iterations settle, or relax \
-                             the density target"
+                suggestion: "the lower bound and the spreader keep fighting; relax the \
+                             density target so late iterations settle"
                     .to_string(),
             });
         }

@@ -36,19 +36,14 @@
 //! [`TraceReport::dropped_events`]) and holds events until [`take_report`]
 //! extracts one root span's subtree into a [`TraceReport`], which exports
 //! structured JSON and Chrome `trace_event` JSON (Perfetto-loadable).
-//! [`ledger`] persists each run's QoR snapshot, integer-ns stage
-//! self-times and convergence summaries into an append-only JSONL run
-//! ledger, plus cross-run trend analysis.
 
 pub mod analysis;
 pub mod fields;
 pub mod json;
-pub mod ledger;
 pub mod report;
 
 pub use analysis::{Analysis, DiffEntry, DiffKind, DiffOptions, NameAgg, PathStep, TraceDiff};
 pub use fields::{DecodedFrame, FieldFrame, FrameCapture, FrameData, Verdict, VerdictKind};
-pub use ledger::{LedgerEntry, SeriesSummary, TrendReport, TrendRow};
 pub use report::{chrome_trace, MetricSnapshot, MetricValue, ReportDoc, TraceReport};
 
 use std::cell::Cell;

@@ -7,15 +7,14 @@
 //! [`TraceReport::to_json`] writes the structured report
 //! (`schemas/trace_report.schema.json`) and [`chrome_trace`] writes
 //! Chrome `trace_event` JSON that loads directly in `chrome://tracing` /
-//! [Perfetto](https://ui.perfetto.dev). [`ReportDoc`] is what readers
-//! consume: a live report converts into it and
-//! [`ReportDoc::from_json`] decodes a written one, so the analysis, the
-//! ledger capture and the convergence doctor each have one body.
+//! [Perfetto](https://ui.perfetto.dev). [`ReportDoc`] is what the analysis
+//! reads: a live report converts into it and [`ReportDoc::from_json`]
+//! decodes a written one, so the analysis has one body.
 
 use crate::analysis::{MetricReading, MetricReadingValue};
 use crate::json::{parse_checked, Json, Writer};
 use crate::{ArgValue, InstantRecord, SeriesRow, SpanRecord};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// The checked-in schema of the structured report.
@@ -72,31 +71,6 @@ pub struct TraceReport {
     pub dropped_events: u64,
 }
 
-/// The positions, among `(id, parent, name)` span rows, of the flow's
-/// stage spans in row order: the root's *direct* children — except that
-/// a direct child that is itself a flow root (a `flow.*`-named span, i.e.
-/// a clustered/flat flow whose root got captured under an outer span) is
-/// transparent: its own direct children are surfaced in its place. That
-/// keeps the flat and clustered paths exposing the same stage set whether
-/// the flow ran at top level or nested one level below the captured root.
-fn stage_positions<'a>(
-    root: u64,
-    rows: impl Iterator<Item = (u64, u64, &'a str)> + Clone,
-) -> Vec<usize> {
-    let is_flow_root = |name: &str| name.starts_with("flow.");
-    let nested: Vec<u64> = rows
-        .clone()
-        .filter(|&(_, parent, name)| parent == root && is_flow_root(name))
-        .map(|(id, ..)| id)
-        .collect();
-    rows.enumerate()
-        .filter(|&(_, (_, parent, name))| {
-            (parent == root && !is_flow_root(name)) || nested.contains(&parent)
-        })
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Series rows grouped by `(name, span)`, groups in first-appearance
 /// order and rows in record order — the shape the report is written in.
 fn series_groups(rows: &[SeriesRow]) -> Vec<Vec<&SeriesRow>> {
@@ -124,14 +98,25 @@ impl TraceReport {
     }
 
     /// `(name, seconds)` of the flow's stage spans in start order,
-    /// measured by the stage spans themselves: the root's direct
-    /// children, with a nested `flow.*` root transparent (its children
-    /// are surfaced in its place).
+    /// measured by the stage spans themselves: the root's *direct*
+    /// children — except that a direct child that is itself a flow root (a
+    /// `flow.*`-named span, i.e. a clustered/flat flow whose root got
+    /// captured under an outer span) is transparent: its own direct
+    /// children are surfaced in its place. That keeps the flat and
+    /// clustered paths exposing the same stage set whether the flow ran at
+    /// top level or nested one level below the captured root.
     pub fn stage_seconds(&self) -> Vec<(&'static str, f64)> {
-        let rows = self.spans.iter().map(|s| (s.id, s.parent, s.name));
-        stage_positions(self.root, rows)
-            .into_iter()
-            .map(|i| (self.spans[i].name, self.spans[i].seconds()))
+        let is_flow_root = |s: &SpanRecord| s.name.starts_with("flow.");
+        let nested: Vec<u64> = self
+            .spans
+            .iter()
+            .filter(|s| s.parent == self.root && is_flow_root(s))
+            .map(|s| s.id)
+            .collect();
+        self.spans
+            .iter()
+            .filter(|s| (s.parent == self.root && !is_flow_root(s)) || nested.contains(&s.parent))
+            .map(|s| (s.name, s.seconds()))
             .collect()
     }
 
@@ -274,9 +259,6 @@ pub fn chrome_trace(reports: &[&TraceReport]) -> String {
     w.finish()
 }
 
-/// One series' rows: per iteration, column name → value.
-pub(crate) type SeriesRows = Vec<BTreeMap<String, f64>>;
-
 /// One span of a [`ReportDoc`].
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct SpanRow {
@@ -288,17 +270,16 @@ pub(crate) struct SpanRow {
     pub(crate) dur_ns: u64,
 }
 
-/// The structured report as its readers consume it, in owned form: a
+/// The structured report as its reader consumes it, in owned form: a
 /// live [`TraceReport`] converts into it (`From<&TraceReport>`) and
 /// [`ReportDoc::from_json`] decodes a written one, so
-/// [`Analysis::from_report`](crate::Analysis::from_report) and
-/// [`LedgerEntry::capture_trace`](crate::LedgerEntry::capture_trace) run
-/// the same code in-process and on a file. Both conversions agree:
-/// decoding a report's JSON equals converting the report.
+/// [`Analysis::from_report`](crate::Analysis::from_report) runs the same
+/// code in-process and on a file. Both conversions agree: decoding a
+/// report's JSON equals converting the report.
 ///
-/// It carries what those readers use. Span arguments, instant events and
-/// histogram buckets are written for Chrome timelines and people; nothing
-/// reads them back.
+/// It carries what the analysis uses. Span arguments, instant events,
+/// series rows and histogram buckets are written for Chrome timelines and
+/// people; nothing reads them back.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportDoc {
     /// Id of the root span.
@@ -307,10 +288,6 @@ pub struct ReportDoc {
     pub(crate) dropped_events: u64,
     /// The spans, in start order.
     pub(crate) spans: Vec<SpanRow>,
-    /// `(name, emitting span, rows)` per convergence series, each row the
-    /// iteration index `"i"` plus the recorded columns; a non-finite
-    /// value (written as `null`) reads as NaN.
-    pub(crate) series: Vec<(String, u64, SeriesRows)>,
     /// Scalar views of the metrics registry snapshot.
     pub(crate) metrics: Vec<MetricReading>,
 }
@@ -327,22 +304,6 @@ impl From<&TraceReport> for ReportDoc {
                 thread: s.thread,
                 start_ns: s.start_ns,
                 dur_ns: s.end_ns.saturating_sub(s.start_ns),
-            })
-            .collect();
-        let series = series_groups(&report.series)
-            .into_iter()
-            .map(|group| {
-                let row = |r: &&SeriesRow| {
-                    let cells = r
-                        .values
-                        .iter()
-                        .map(|&(k, v)| (k.to_string(), if v.is_finite() { v } else { f64::NAN }));
-                    std::iter::once(("i".to_string(), r.iter as f64))
-                        .chain(cells)
-                        .collect()
-                };
-                let rows = group.iter().map(row).collect();
-                (group[0].name.to_string(), group[0].span, rows)
             })
             .collect();
         let metrics = report
@@ -365,7 +326,6 @@ impl From<&TraceReport> for ReportDoc {
             root: report.root,
             dropped_events: report.dropped_events,
             spans,
-            series,
             metrics,
         }
     }
@@ -375,8 +335,7 @@ impl ReportDoc {
     /// Decodes a structured report ([`TraceReport::to_json`] output): the
     /// one place that document is read. The exported µs span fields
     /// convert back to integer ns by rounding — exact for any run shorter
-    /// than ~29 days, so the self-time and stage partitions survive the
-    /// JSON trip.
+    /// than ~29 days, so the self-time partition survives the JSON trip.
     ///
     /// # Errors
     ///
@@ -397,25 +356,12 @@ impl ReportDoc {
                 dur_ns: s.at("dur_us", nanos)?,
             })
         })?;
-        // Every sum a reader forms (self time, stage partition) is a
-        // signed sum of a subset of these, so it cannot overflow either.
+        // Every sum the analysis forms (self time) is a signed sum of a
+        // subset of these, so it cannot overflow either.
         let total = spans.iter().try_fold(0u64, |t, s| t.checked_add(s.dur_ns));
         if total.is_none_or(|t| i64::try_from(t).is_err()) {
             return Err("spans: durations overflow 2^63 ns in total".to_string());
         }
-        let series = doc.each("series", |g| {
-            let rows = g.each("rows", |row| {
-                let Json::Obj(cells) = row else {
-                    return Err("expected an object".to_string());
-                };
-                let cell = |(k, v): (&String, &Json)| match v {
-                    Json::Null => Ok((k.clone(), f64::NAN)),
-                    v => Ok((k.clone(), v.to_f64().map_err(|e| format!("{k}: {e}"))?)),
-                };
-                cells.iter().map(cell).collect()
-            })?;
-            Ok((g.str("name")?.to_string(), g.u64("span")?, rows))
-        })?;
         let metrics = doc.each("metrics", |m| {
             let value = match m.str("kind")? {
                 "counter" => MetricReadingValue::Counter(m.f64("value")?),
@@ -435,26 +381,8 @@ impl ReportDoc {
             root: doc.u64("root")?,
             dropped_events: doc.u64("dropped_events")?,
             spans,
-            series,
             metrics,
         })
-    }
-
-    /// The root span's wall time in nanoseconds (0 when it is absent).
-    pub(crate) fn root_wall_ns(&self) -> u64 {
-        let root = self.spans.iter().find(|s| s.id == self.root);
-        root.map_or(0, |s| s.dur_ns)
-    }
-
-    /// `(name, wall ns)` of the flow's stage spans in start order — the
-    /// selection [`TraceReport::stage_seconds`] makes, in the exact
-    /// integer nanoseconds the run ledger persists.
-    pub(crate) fn stage_nanos(&self) -> Vec<(&str, u64)> {
-        let rows = self.spans.iter().map(|s| (s.id, s.parent, s.name.as_str()));
-        stage_positions(self.root, rows)
-            .into_iter()
-            .map(|i| (self.spans[i].name.as_str(), self.spans[i].dur_ns))
-            .collect()
     }
 }
 
@@ -651,12 +579,7 @@ mod tests {
         let r = sample_report();
         let doc = ReportDoc::from_json(&r.to_json()).expect("decodes");
         assert_eq!(doc, ReportDoc::from(&r));
-        assert_eq!(doc.root_wall_ns(), 3_000_000);
-        assert_eq!(
-            doc.stage_nanos(),
-            [("shaping", 1_000_000), ("ppa", 1_700_000)]
-        );
-        assert_eq!(doc.series[0].2[1]["hpwl"], 8.0);
+        assert_eq!(doc.spans[2].dur_ns, 1_700_000);
     }
 
     #[test]
@@ -678,11 +601,6 @@ mod tests {
                 "\"slot\":1",
                 "\"slot\":0.5",
                 "schema violations: $/metrics/1/slot",
-            ),
-            (
-                "\"span\":2,\"rows\"",
-                "\"span\":18446744073709551616,\"rows\"",
-                "series[0]: span: ",
             ),
         ] {
             assert!(json.contains(from), "{from}");

@@ -3,7 +3,7 @@
 //! under child insertion, and a report diffed against itself is empty at
 //! any tolerance.
 
-use cp_trace::{Analysis, DiffOptions, LedgerEntry, SpanRecord, TraceDiff, TraceReport};
+use cp_trace::{Analysis, DiffOptions, SpanRecord, TraceDiff, TraceReport};
 use proptest::prelude::*;
 
 /// Fixed name pool: `SpanRecord::name` is `&'static str`.
@@ -123,35 +123,6 @@ proptest! {
             // extend it (insertion never removes path steps).
             prop_assert!(p_after.len() >= p_before.len());
         }
-    }
-
-    /// The run-ledger view of any span tree obeys the same partition the
-    /// self-time property pins: the integer-ns stage rows plus the signed
-    /// `other` row sum to the root wall exactly, the rows mirror
-    /// `TraceReport::stage_seconds` bitwise (seconds = ns × 1e-9), and
-    /// the JSONL line format round-trips the entry losslessly.
-    #[test]
-    fn ledger_entry_partitions_and_roundtrips(
-        raw in raw_spans(),
-        root_dur in 0u64..10_000_000_000,
-    ) {
-        let report = report_from(&raw, root_dur);
-        let entry = LedgerEntry::new(0x1234_5678_9abc_def0, "prop", "flow")
-            .capture_trace(&report);
-        let sum: i64 = entry.stages.iter().map(|&(_, ns)| ns).sum();
-        prop_assert_eq!(sum, entry.root_wall_ns as i64);
-        prop_assert_eq!(
-            entry.stages.last().map(|(n, _)| n.as_str()),
-            Some("other")
-        );
-        let secs = report.stage_seconds();
-        prop_assert_eq!(entry.stages.len(), secs.len() + 1);
-        for ((en, ens), &(sn, ss)) in entry.stages.iter().zip(secs.iter()) {
-            prop_assert_eq!(en.as_str(), sn);
-            prop_assert_eq!((*ens as f64 * 1e-9).to_bits(), ss.to_bits());
-        }
-        let back = LedgerEntry::parse_line(&entry.to_json_line()).expect("line parses");
-        prop_assert_eq!(&back, &entry);
     }
 
     /// A report diffed against itself is empty at every tolerance —

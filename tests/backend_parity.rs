@@ -106,7 +106,6 @@ fn edensity_checkpoint_resume_is_bitwise_identical() {
             control: RunControl::unlimited().cancel_after_checks(k),
             checkpoint: Some(path.clone()),
             resume_from: None,
-            ledger: None,
         };
         let err =
             run_flow_resilient(&n, &c, &opts, &interrupted).expect_err("run must be cancelled");
@@ -119,7 +118,6 @@ fn edensity_checkpoint_resume_is_bitwise_identical() {
                 control: RunControl::unlimited(),
                 checkpoint: None,
                 resume_from: Some(path.clone()),
-                ledger: None,
             };
             let resumed = cp_parallel::with_threads(threads, || {
                 run_flow_resilient(&n, &c, &opts, &resume).expect("resume completes")

@@ -236,10 +236,10 @@ fn prose_credits_binaries_that_exist() {
 }
 
 /// One freshly encoded sample of each document, by its schema file.
-fn sample_documents() -> [(&'static str, String); 6] {
+fn sample_documents() -> [(&'static str, String); 5] {
     use cp_bench::qor_gate::{Baseline, QorEntry};
     use cp_bench::repro::{Runner, Table};
-    use cp_trace::{FrameCapture, LedgerEntry, SpanRecord, TraceReport};
+    use cp_trace::{FrameCapture, SpanRecord, TraceReport};
     let report = TraceReport {
         root: 1,
         spans: vec![SpanRecord {
@@ -264,9 +264,6 @@ fn sample_documents() -> [(&'static str, String); 6] {
             value: 1.0,
             rel_tol: 1e-6,
         }],
-        total_s: 1.0,
-        total_rel_tol: 25.0,
-        self_shares: vec![],
     };
     let table = Table {
         id: "1",
@@ -279,7 +276,6 @@ fn sample_documents() -> [(&'static str, String); 6] {
         claims: vec![],
     };
     let checkpoint = cp_core::Checkpoint::after_clustering(1, vec![0, 1], 0.5);
-    let entry = LedgerEntry::new(1, "aes", "flow").capture_trace(&report);
     let repro = cp_bench::repro::to_json(&Runner::new(1.0, vec![]), &[table], 0.0);
     [
         ("checkpoint.schema.json", checkpoint.to_json()),
@@ -287,7 +283,6 @@ fn sample_documents() -> [(&'static str, String); 6] {
             "field_frames.schema.json",
             cp_trace::fields::to_json(&FrameCapture::default()),
         ),
-        ("ledger_entry.schema.json", entry.to_json_line()),
         ("qor_baseline.schema.json", baseline.to_json()),
         ("repro.schema.json", repro),
         ("trace_report.schema.json", report.to_json()),
@@ -296,7 +291,7 @@ fn sample_documents() -> [(&'static str, String); 6] {
 
 /// Every file under `schemas/`: the module that embeds it (and encodes or
 /// decodes its document) and the text that module embedded.
-const SCHEMAS: [(&str, &str, &str); 6] = [
+const SCHEMAS: [(&str, &str, &str); 5] = [
     (
         "checkpoint.schema.json",
         "crates/core/src/checkpoint.rs",
@@ -306,11 +301,6 @@ const SCHEMAS: [(&str, &str, &str); 6] = [
         "field_frames.schema.json",
         "crates/trace/src/fields.rs",
         cp_trace::fields::SCHEMA_JSON,
-    ),
-    (
-        "ledger_entry.schema.json",
-        "crates/trace/src/ledger.rs",
-        cp_trace::ledger::SCHEMA_JSON,
     ),
     (
         "qor_baseline.schema.json",
@@ -554,16 +544,17 @@ fn committed_tracetool_commands_use_listed_flags() {
         let flags = flags.iter().map(|f| f.to_string()).collect();
         (sub.to_string(), flags)
     };
-    let yaml = "run: >\n  cargo run -p cp-bench --bin tracetool --\n  gate --large --reps 1\n- name: x --no";
+    let yaml = "run: >\n  cargo run -p cp-bench --bin tracetool --\n  gate --large --timeout-s 900\n- name: x --no";
     assert_eq!(
         tracetool_commands(yaml),
-        [pair("gate", &["--large", "--reps"])]
+        [pair("gate", &["--large", "--timeout-s"])]
     );
     let md = "| `tracetool render`, `explain --fields` | `tracetool summarize · gate --from`";
     assert_eq!(
         tracetool_commands(md),
         [pair("render", &[]), pair("summarize", &[])]
     );
-    let sh = "./target/release/tracetool trend --format json   # or --tsv\n`tracetool` fills";
-    assert_eq!(tracetool_commands(sh), [pair("trend", &["--format"])]);
+    let sh =
+        "./target/release/tracetool render F.json --out-dir svg   # or --name\n`tracetool` fills";
+    assert_eq!(tracetool_commands(sh), [pair("render", &["--out-dir"])]);
 }

@@ -1,6 +1,5 @@
 //! Never-panic and round-trip properties for every document the repo
-//! reads back: checkpoint, ledger line, field frames, trace report and
-//! QoR baseline (`REPRO.json` is encode-only; its property is that every
+//! reads back: checkpoint, field frames, trace report and QoR baseline (`REPRO.json` is encode-only; its property is that every
 //! generated table validates against its schema).
 //!
 //! Each case starts from a valid encoding of a generated value and
@@ -11,7 +10,7 @@
 //! encoding — never panic, and (checked by the regression inputs under
 //! `tests/regressions/`) never size an allocation by an unchecked field.
 
-use cp_bench::qor_gate::{Baseline, QorEntry, ShareEntry};
+use cp_bench::qor_gate::{Baseline, QorEntry};
 use cp_bench::repro::{self, Claim, Flow, Runner, Table};
 use cp_core::checkpoint::{Checkpoint, PlacementState, ShapingState};
 use cp_core::flow::ShapingStats;
@@ -19,10 +18,9 @@ use cp_core::{stages, RecoveryEvent};
 use cp_netlist::ClusterShape;
 use cp_trace::fields::{self, FieldFrame, FrameCapture, FrameData};
 use cp_trace::json::{self, Json, Writer};
-use cp_trace::ledger::SeriesSummary;
 use cp_trace::{
-    Analysis, ArgValue, InstantRecord, LedgerEntry, MetricSnapshot, MetricValue, ReportDoc,
-    SeriesRow, SpanRecord, TraceReport,
+    Analysis, ArgValue, InstantRecord, MetricSnapshot, MetricValue, ReportDoc, SeriesRow,
+    SpanRecord, TraceReport,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -256,38 +254,6 @@ fn checkpoint(rng: &mut TestRng) -> Checkpoint {
     }
 }
 
-fn ledger_entry(rng: &mut TestRng) -> LedgerEntry {
-    let mut e = LedgerEntry::new(rng.next_u64(), name(rng), "flow")
-        .with_status(["completed", "interrupted:deadline@place.outer"][below(rng, 2)])
-        .with_threads(rng.below(64) as u32)
-        .with_resumed(rng.below(2) == 0)
-        .with_options(name(rng));
-    e.root_wall_ns = rng.next_u64() >> 12;
-    e.stages = (0..=below(rng, 4))
-        .map(|_| {
-            (
-                name(rng).to_string(),
-                (rng.next_u64() >> 13) as i64 - (1 << 40),
-            )
-        })
-        .collect();
-    e.qor = (0..below(rng, 4))
-        .map(|_| (name(rng).to_string(), float(rng)))
-        .collect();
-    e.series = (0..below(rng, 3))
-        .map(|_| SeriesSummary {
-            name: name(rng).to_string(),
-            key: name(rng).to_string(),
-            rows: rng.below(1 << 40),
-            first: float(rng),
-            last: float(rng),
-            min: float(rng),
-            max: float(rng),
-        })
-        .collect();
-    e
-}
-
 fn capture(rng: &mut TestRng) -> FrameCapture {
     let mut frames = Vec::new();
     // Sequences of one shape each, so every delta has its base; named
@@ -405,15 +371,6 @@ fn baseline(rng: &mut TestRng) -> Baseline {
                 rel_tol: rng.unit_f64(),
             })
             .collect(),
-        total_s: float(rng).abs(),
-        total_rel_tol: 25.0,
-        self_shares: (0..below(rng, 4))
-            .map(|_| ShareEntry {
-                name: name(rng).to_string(),
-                share: rng.unit_f64(),
-                abs_tol: rng.unit_f64(),
-            })
-            .collect(),
     }
 }
 
@@ -466,20 +423,6 @@ proptest! {
     }
 
     #[test]
-    fn ledger_line_decoder_is_total_and_stable(seed in 0u64..u64::MAX) {
-        let rng = &mut TestRng::seed_from_u64(seed);
-        let entry = ledger_entry(rng);
-        let line = entry.to_json_line();
-        prop_assert_eq!(LedgerEntry::parse_line(&line), Ok(entry));
-        for_each_mutant(&line, rng, |mutant| {
-            if let Ok(e) = LedgerEntry::parse_line(mutant) {
-                let again = e.to_json_line();
-                assert_eq!(LedgerEntry::parse_line(&again).map(|e| e.to_json_line()), Ok(again));
-            }
-        });
-    }
-
-    #[test]
     fn frames_decoder_is_total_and_keeps_grids_whole(seed in 0u64..u64::MAX) {
         let rng = &mut TestRng::seed_from_u64(seed);
         let cap = capture(rng);
@@ -503,13 +446,10 @@ proptest! {
         prop_assert_eq!(ReportDoc::from_json(&text), Ok(ReportDoc::from(&live)));
         for_each_mutant(&text, rng, |mutant| {
             let Ok(doc) = ReportDoc::from_json(mutant) else { return };
-            if let Ok(a) = Analysis::from_report(doc.clone()) {
+            if let Ok(a) = Analysis::from_report(doc) {
                 let _ = (a.self_time_by_name(), a.critical_path(), a.folded());
                 let _ = (a.stage_self_seconds(), a.total_self_seconds());
             }
-            let entry = LedgerEntry::new(1, "mutant", "harvest").capture_trace(doc);
-            let staged: i64 = entry.stages.iter().map(|(_, ns)| ns).sum();
-            assert_eq!(staged, entry.root_wall_ns as i64, "{mutant}");
         });
     }
 

@@ -176,7 +176,7 @@ fn field_capture_composes_with_full_tracing() {
 #[test]
 fn doctor_verdicts_on_a_real_capture_are_pinned() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, capture, _) = cp_bench::qor_gate::run_hermetic_fields(DesignProfile::Aes, 0.01)
+    let (_, capture) = cp_bench::qor_gate::run_hermetic_fields(DesignProfile::Aes, 0.01)
         .expect("hermetic flow runs");
     let verdicts = cp_trace::fields::diagnose(&cp_trace::fields::decode(&capture));
     let got: Vec<(&str, &str, &str)> = verdicts

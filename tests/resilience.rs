@@ -95,7 +95,6 @@ fn resume_is_bitwise_identical_at_stage_boundaries() {
             control: RunControl::unlimited().cancel_after_checks(k),
             checkpoint: Some(path.clone()),
             resume_from: None,
-            ledger: None,
         };
         let err = resilient(&n, &c, &interrupted).expect_err("run must be cancelled");
         let flow = err
@@ -114,7 +113,6 @@ fn resume_is_bitwise_identical_at_stage_boundaries() {
                 control: RunControl::unlimited(),
                 checkpoint: None,
                 resume_from: Some(path.clone()),
-                ledger: None,
             };
             let resumed = cp_parallel::with_threads(threads, || {
                 resilient(&n, &c, &resume).expect("resume completes")

@@ -234,6 +234,26 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Acceptance pin: flow outputs are bitwise identical at 1, 4 and 8
+/// threads, tracing on or off.
+#[test]
+fn traced_outputs_bitwise_identical_at_1_4_8_threads() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, c) = small_design();
+    let o = opts().shape_mode(ShapeMode::Vpr);
+    let base = at_level(Level::Off, || {
+        cp_parallel::with_threads(1, || run_flow(&n, &c, &o).expect("flow runs"))
+    });
+    for threads in [4usize, 8] {
+        for level in [Level::Off, Level::Full] {
+            let r = at_level(level, || {
+                cp_parallel::with_threads(threads, || run_flow(&n, &c, &o).expect("flow runs"))
+            });
+            assert_same_outputs(&base, &r);
+        }
+    }
+}
+
 #[test]
 fn trace_off_runs_match_across_thread_counts() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
