@@ -42,7 +42,7 @@ use cp_bench::qor_gate::{self, Baseline};
 use cp_bench::{out, outln};
 use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate};
-use cp_trace::{fields, Analysis, DecodedFrame, DiffOptions, ReportDoc, TraceDiff, Verdict};
+use cp_trace::{fields, Analysis, DiffOptions, Frame, FrameCapture, ReportDoc, TraceDiff, Verdict};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -420,9 +420,8 @@ fn chaos(args: &[String]) -> Result<u8, String> {
     Ok(u8::from(report.failures() > 0))
 }
 
-/// Loads a `field_frames.schema.json`-shaped artifact and decodes every
-/// frame to its dense grid.
-fn load_frames(path: &str) -> Result<Vec<DecodedFrame>, String> {
+/// Loads a `field_frames.schema.json`-shaped artifact.
+fn load_frames(path: &str) -> Result<FrameCapture, String> {
     cp_trace::fields::decode_json(&read(path)?).map_err(|e| format!("`{path}`: {e}"))
 }
 
@@ -462,7 +461,7 @@ fn explain(args: &[String]) -> Result<(), String> {
         if fields_out.is_some() || report_out.is_some() || chrome_out.is_some() {
             return Err("`--fields-out`/`--report-out`/`--chrome-out` need `--run`".into());
         }
-        print_verdicts(&fields::diagnose(&load_frames(frames_path)?));
+        print_verdicts(&fields::diagnose(&load_frames(frames_path)?.frames));
         return Ok(());
     };
     if !pos.is_empty() {
@@ -498,7 +497,7 @@ fn explain(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
         eprintln!("wrote {dest} — load it in chrome://tracing or ui.perfetto.dev");
     }
-    print_verdicts(&fields::diagnose(&fields::decode(&capture)));
+    print_verdicts(&fields::diagnose(&capture.frames));
     Ok(())
 }
 
@@ -529,11 +528,11 @@ fn heat_color(t: f64) -> String {
     )
 }
 
-/// Renders one decoded frame as an SVG heatmap, `max` being the
+/// Renders one frame as an SVG heatmap, `max` being the
 /// sequence-wide normalization ceiling. Bin (0, 0) sits at the lower
 /// left, matching the placer's grid origin (SVG y grows downward, so
 /// rows are flipped).
-fn frame_svg(frame: &DecodedFrame, max: f64) -> String {
+fn frame_svg(frame: &Frame, max: f64) -> String {
     use std::fmt::Write as _;
     let (nx, ny) = (frame.nx.max(1), frame.ny.max(1));
     let cell = 800.0 / nx.max(ny) as f64;
@@ -557,7 +556,7 @@ fn frame_svg(frame: &DecodedFrame, max: f64) -> String {
     let norm = if max > 0.0 { max } else { 1.0 };
     for by in 0..ny {
         for bx in 0..nx {
-            // A decoded frame holds exactly nx*ny values: only a grid
+            // A frame holds exactly nx*ny values: only a grid
             // with a zero side (drawn as empty cells) has none to read.
             let v = f64::from(frame.values.get(by * nx + bx).copied().unwrap_or(0.0));
             if v <= 0.0 {
@@ -595,13 +594,13 @@ fn render(args: &[String]) -> Result<(), String> {
     let [path] = pos.as_slice() else {
         return Err("usage: tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]".into());
     };
-    let frames = load_frames(path)?;
+    let frames = load_frames(path)?.frames;
     let out_dir = std::path::PathBuf::from(out_dir.unwrap_or_else(|| "frames_svg".to_string()));
     std::fs::create_dir_all(&out_dir)
         .map_err(|e| format!("cannot create `{}`: {e}", out_dir.display()))?;
 
     // Group into (name, stage) sequences in first-appearance order.
-    let mut sequences: Vec<((String, String), Vec<&DecodedFrame>)> = Vec::new();
+    let mut sequences: Vec<((String, String), Vec<&Frame>)> = Vec::new();
     for f in &frames {
         if let Some(filter) = &name_filter {
             if !f.name.contains(filter.as_str()) {

@@ -65,7 +65,7 @@ pub enum Flow {
     Default,
     /// [`run_flow`]: Algorithm 1.
     Ours,
-    /// [`run_blob_flow`]: blob placement [9].
+    /// [`run_blob_flow`]: blob placement \[9\].
     Blob,
     /// [`run_leiden_flow`].
     Leiden,

@@ -1,8 +1,9 @@
 //! Stdout for the cp-bench binaries. `println!` panics when the reader
-//! closes the pipe early (`tracetool summarize R | head -1`); [`out!`]
-//! and [`outln!`] write through [`write`] instead, which ends output
-//! quietly at the first `BrokenPipe`, so the command still runs to
-//! completion and exits with its own code.
+//! closes the pipe early (`tracetool summarize R | head -1`);
+//! [`out!`](crate::out) and [`outln!`](crate::outln) write through
+//! [`write()`] instead, which ends output quietly at the first
+//! `BrokenPipe`, so the command still runs to completion and exits with
+//! its own code.
 
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,7 +30,7 @@ pub fn write(args: std::fmt::Arguments<'_>) {
     }
 }
 
-/// `print!` through [`write`].
+/// `print!` through [`write()`](crate::stdout::write).
 #[macro_export]
 macro_rules! out {
     ($($arg:tt)*) => {
@@ -37,7 +38,7 @@ macro_rules! out {
     };
 }
 
-/// `println!` through [`write`].
+/// `println!` through [`write()`](crate::stdout::write).
 #[macro_export]
 macro_rules! outln {
     () => {

@@ -1,6 +1,6 @@
 //! Baseline clustering flows the paper compares against.
 //!
-//! - **Blob placement [9]**: Louvain communities as clusters, IO-net weight
+//! - **Blob placement \[9\]**: Louvain communities as clusters, IO-net weight
 //!   ×4, uniform shapes (Table 2).
 //! - **Leiden**: Leiden communities in our overall flow (Table 5).
 //! - **Multilevel FC (MFC)**: TritonPart's default coarsening — Eq. 3 with
@@ -27,7 +27,7 @@ fn cell_graph(netlist: &Netlist) -> cp_graph::Graph {
     cells_only.bounded_clique_expansion(16)
 }
 
-/// Louvain clustering of the cells (the clustering of blob placement [9]).
+/// Louvain clustering of the cells (the clustering of blob placement \[9\]).
 ///
 /// Runs through the multi-level coarsening wrapper: below the coarsening
 /// threshold this is exact Louvain (bit-identical labels); above it the
@@ -88,7 +88,7 @@ pub fn mfc_assignment(netlist: &Netlist, clustering: &ClusteringOptions) -> (Vec
     (labels, t0.elapsed().as_secs_f64())
 }
 
-/// The blob-placement flow of [9]: Louvain clusters, uniform shapes,
+/// The blob-placement flow of \[9\]: Louvain clusters, uniform shapes,
 /// OpenROAD-like seeded placement.
 ///
 /// # Errors

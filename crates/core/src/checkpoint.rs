@@ -451,7 +451,7 @@ mod tests {
             .seed(1)
             .generate_with_constraints();
         let run = fingerprint(&netlist, &FlowOptions::fast());
-        assert_eq!(run, 0x04b8_1651_2ab2_5720);
+        assert_eq!(run, 0xd47f_1717_5635_e0ee);
         assert_eq!(fnv1a64(FNV_OFFSET, b"flow.start"), 0xba12_3255_f7b7_2d93);
         let artifact = fnv1a64(FNV_OFFSET, br#"{"version":1}"#);
         assert_eq!(artifact, 0x07eb_e02b_9b5e_69f2);

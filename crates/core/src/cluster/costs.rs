@@ -33,7 +33,7 @@ impl EdgeCosts {
     }
 }
 
-/// Path criticality `t_p = max(0, 1 − slack/TCP)²` (after [5]): 1 at zero
+/// Path criticality `t_p = max(0, 1 − slack/TCP)²` (after \[5\]): 1 at zero
 /// slack, larger for violating paths, decaying for comfortable ones.
 pub fn path_cost(slack: f64, clock_period: f64) -> f64 {
     let x = (1.0 - slack / clock_period).max(0.0);

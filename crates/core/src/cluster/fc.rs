@@ -1,6 +1,6 @@
 //! Enhanced multilevel First-Choice coarsening.
 //!
-//! The open-source FC coarsening of TritonPart [29], extended per the
+//! The open-source FC coarsening of TritonPart \[29\], extended per the
 //! paper: hierarchy-based grouping constraints seed the initial clusters,
 //! and the heavy-edge rating (Eq. 3) folds in the timing cost `t_e` and
 //! switching cost `s_e`:

@@ -19,7 +19,7 @@
 //! - [`flow`] — Algorithm 1 end to end: PPA-aware clustering →
 //!   ML-accelerated V-P&R → seeded placement (OpenROAD-like or
 //!   Innovus-like) → CTS, routing and post-route PPA.
-//! - [`baselines`] — blob placement [9] (Louvain), Leiden and plain
+//! - [`baselines`] — blob placement \[9\] (Louvain), Leiden and plain
 //!   multilevel-FC flows for the paper's comparisons.
 //!
 //! Every public entry point is fallible: degenerate inputs surface as a

@@ -386,7 +386,7 @@ impl MlShapeSelector {
     }
 
     /// Picks the best shape for a cluster by predicting Total Cost for all
-    /// 20 candidates — the ML replacement for [`best_shape`].
+    /// 20 candidates — the ML replacement for [`best_shape`](super::best_shape).
     pub fn select_shape(&self, sub: &Netlist) -> ClusterShape {
         self.select_shapes_batched(&[sub])[0]
     }

@@ -5,7 +5,7 @@
 //!
 //! - `Cost_HPWL = HPWL_avg / (Width_core + Height_core)` (Eq. 4),
 //! - `Cost_Congestion` = average congestion over the top-X% GCells (Eq. 5),
-//! - `Total = Cost_HPWL + δ · Cost_Congestion` (δ = 0.01, after [13]).
+//! - `Total = Cost_HPWL + δ · Cost_Congestion` (δ = 0.01, after \[13\]).
 //!
 //! The candidate grid is the paper's 5 aspect ratios × 4 utilizations.
 

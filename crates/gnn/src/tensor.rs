@@ -172,11 +172,6 @@ impl Matrix {
         }
     }
 
-    /// Sets every element to zero.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Mean of each column (length `cols`).
     pub fn column_means(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.cols];

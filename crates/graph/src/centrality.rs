@@ -112,7 +112,7 @@ pub fn closeness(g: &Graph) -> Vec<f64> {
     out
 }
 
-/// Degree centrality: `degree(u) / (n - 1)` (Freeman [10]).
+/// Degree centrality: `degree(u) / (n - 1)` (Freeman \[10\]).
 pub fn degree_centrality(g: &Graph) -> Vec<f64> {
     let n = g.node_count();
     if n <= 1 {

@@ -1,6 +1,6 @@
 //! Community detection: modularity, Louvain and Leiden.
 //!
-//! These serve as the clustering baselines of the paper: blob placement [9]
+//! These serve as the clustering baselines of the paper: blob placement \[9\]
 //! builds placement-relevant clusters with Louvain, and Table 5 compares the
 //! PPA-aware clustering against Leiden.
 

@@ -146,26 +146,8 @@ impl Hypergraph {
         (self.inc_ptr[v + 1] - self.inc_ptr[v]) as usize
     }
 
-    /// Average vertex degree (0 for empty hypergraphs).
-    pub fn average_degree(&self) -> f64 {
-        if self.vertex_count == 0 {
-            0.0
-        } else {
-            self.pin_count() as f64 / self.vertex_count as f64
-        }
-    }
-
-    /// Average hyperedge size (0 when there are no edges).
-    pub fn average_edge_size(&self) -> f64 {
-        if self.weights.is_empty() {
-            0.0
-        } else {
-            self.pin_count() as f64 / self.weights.len() as f64
-        }
-    }
-
     /// Standard clique expansion: every hyperedge `e` contributes a clique
-    /// over its vertices with per-pair weight `w_e / (|e| - 1)` [16].
+    /// over its vertices with per-pair weight `w_e / (|e| - 1)` \[16\].
     ///
     /// Single-vertex hyperedges contribute nothing. Parallel clique edges
     /// are merged by weight summation.
@@ -271,8 +253,6 @@ mod tests {
         assert_eq!(h.pin_count(), 8);
         assert_eq!(h.degree(2), 2);
         assert_eq!(h.degree(4), 2);
-        assert!((h.average_degree() - 8.0 / 5.0).abs() < 1e-12);
-        assert!((h.average_edge_size() - 2.0).abs() < 1e-12);
     }
 
     #[test]

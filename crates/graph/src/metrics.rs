@@ -38,15 +38,6 @@ pub fn clustering_coefficients(g: &Graph) -> Vec<f64> {
     out
 }
 
-/// Average of the local clustering coefficients (0 for an empty graph).
-pub fn average_clustering(g: &Graph) -> f64 {
-    let n = g.node_count();
-    if n == 0 {
-        return 0.0;
-    }
-    clustering_coefficients(g).iter().sum::<f64>() / n as f64
-}
-
 /// Graph density `2m / (n(n-1))`, self-loops excluded; 0 for `n < 2`.
 pub fn density(g: &Graph) -> f64 {
     let n = g.node_count();
@@ -72,15 +63,6 @@ pub fn eccentricities(g: &Graph) -> Vec<u32> {
             .unwrap_or(0);
     }
     out
-}
-
-/// `(diameter, radius)` in hops, computed per-component-max /-min over the
-/// finite eccentricities. `(0, 0)` for empty graphs.
-pub fn diameter_radius(g: &Graph) -> (u32, u32) {
-    let ecc = eccentricities(g);
-    let diameter = ecc.iter().copied().max().unwrap_or(0);
-    let radius = ecc.iter().copied().min().unwrap_or(0);
-    (diameter, radius)
 }
 
 /// Average global efficiency: mean of `1/d(u,v)` over all ordered pairs,
@@ -149,13 +131,12 @@ mod tests {
     fn triangle_clusters_perfectly() {
         let c = clustering_coefficients(&triangle());
         assert_eq!(c, vec![1.0, 1.0, 1.0]);
-        assert_eq!(average_clustering(&triangle()), 1.0);
     }
 
     #[test]
     fn path_has_no_triangles() {
         let g = Graph::from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]);
-        assert_eq!(average_clustering(&g), 0.0);
+        assert_eq!(clustering_coefficients(&g), vec![0.0; 3]);
     }
 
     #[test]
@@ -165,10 +146,12 @@ mod tests {
         assert!((density(&g) - 1.0 / 6.0).abs() < 1e-12);
     }
 
+    /// Diameter and radius, as the GNN cluster features take them: the
+    /// largest and smallest eccentricity.
     #[test]
-    fn diameter_radius_of_path() {
+    fn eccentricities_of_path() {
         let g = Graph::from_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]);
-        assert_eq!(diameter_radius(&g), (3, 2));
+        assert_eq!(eccentricities(&g), vec![3, 2, 2, 3]);
     }
 
     #[test]
@@ -201,9 +184,9 @@ mod tests {
     #[test]
     fn empty_graph_metrics() {
         let g = Graph::new(0);
-        assert_eq!(average_clustering(&g), 0.0);
+        assert!(clustering_coefficients(&g).is_empty());
         assert_eq!(density(&g), 0.0);
-        assert_eq!(diameter_radius(&g), (0, 0));
+        assert!(eccentricities(&g).is_empty());
         assert_eq!(greedy_coloring(&g).1, 0);
     }
 }

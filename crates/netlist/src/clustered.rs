@@ -197,7 +197,7 @@ impl ClusteredNetlist {
     }
 
     /// Scales the weight of IO-touching hyperedges (the paper scales IO net
-    /// weights by 4 in the OpenROAD flow, Algorithm 1 line 22, after [9]).
+    /// weights by 4 in the OpenROAD flow, Algorithm 1 line 22, after \[9\]).
     pub fn scale_io_net_weights(&mut self, factor: f64) {
         for (w, &is_io) in self.net_weights.iter_mut().zip(&self.edge_is_io) {
             if is_io {

@@ -37,7 +37,6 @@
 //! assert_eq!(hg.vertex_count(), netlist.cell_count() + netlist.port_count());
 //! ```
 
-pub mod bookshelf;
 pub mod clustered;
 pub mod floorplan;
 pub mod generator;

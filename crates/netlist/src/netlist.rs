@@ -298,18 +298,6 @@ impl Netlist {
         self.cells.len() as u32 + id.0
     }
 
-    /// Inverse of [`Netlist::cell_vertex`]/[`Netlist::port_vertex`].
-    pub fn vertex_to_pinref(&self, v: u32) -> PinRef {
-        if (v as usize) < self.cells.len() {
-            PinRef::Cell {
-                cell: CellId(v),
-                pin: 0,
-            }
-        } else {
-            PinRef::Port(PortId(v - self.cells.len() as u32))
-        }
-    }
-
     /// Builds the hypergraph view used by clustering and placement.
     ///
     /// Vertices `0..cell_count` are cells; `cell_count..cell_count+ports`
@@ -352,19 +340,6 @@ impl Netlist {
             PinRef::Cell { cell, .. } => self.cell_vertex(cell),
             PinRef::Port(port) => self.port_vertex(port),
         }
-    }
-
-    /// Decomposes the netlist into its parts (used by transformations that
-    /// rebuild it).
-    pub fn into_parts(self) -> (String, Library, Vec<Cell>, Vec<Net>, Vec<Port>, HierTree) {
-        (
-            self.name,
-            self.library,
-            self.cells,
-            self.nets,
-            self.ports,
-            self.hierarchy,
-        )
     }
 }
 
@@ -414,11 +389,6 @@ impl NetlistBuilder {
             ports: Vec::new(),
             hierarchy,
         }
-    }
-
-    /// Replaces the hierarchy tree (cells added so far keep their node ids).
-    pub fn set_hierarchy(&mut self, tree: HierTree) {
-        self.hierarchy = tree;
     }
 
     /// Mutable hierarchy access for growing the module tree.

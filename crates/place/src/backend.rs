@@ -1,26 +1,24 @@
-//! Pluggable spreading backends for the global placer.
+//! The spreading step of the global placer.
 //!
 //! The SimPL loop in [`crate::global`] alternates a B2B lower bound with a
 //! density-aware *upper bound* (spreading) step; anchors pull the next
-//! lower bound toward the spread positions. [`PlacerBackend`] abstracts
-//! exactly that spreading step, so the solver, anchor schedule, flow
-//! plumbing, checkpointing and QoR gates are shared verbatim between
-//! backends:
+//! lower bound toward the spread positions. [`PlacerBackendKind`] picks
+//! how that one step spreads; the solver, anchor schedule, flow plumbing,
+//! checkpointing and QoR gates are shared verbatim:
 //!
-//! - [`B2bBackend`] — the incumbent recursive-bisection look-ahead
-//!   legalization ([`crate::spreading::spread_soa`]), bit-identical at
-//!   every thread count.
-//! - [`EDensityBackend`] — electrostatics-style spreading (eDensity /
-//!   ePlace family): cell areas scatter as charge onto a bin grid, a
-//!   Poisson-like system on the grid Laplacian is solved with the same CG
-//!   kernels as the wirelength model, and cells drift along the resulting
-//!   field away from density peaks. Deterministic across thread counts via
-//!   `cp-parallel`'s fixed chunking and fixed-order reduction.
+//! - [`PlacerBackendKind::B2b`] — the incumbent recursive-bisection
+//!   look-ahead legalization ([`crate::spreading::spread_soa`]),
+//!   bit-identical at every thread count.
+//! - [`PlacerBackendKind::EDensity`] — electrostatics-style spreading
+//!   (eDensity / ePlace family): cell areas scatter as charge onto a bin
+//!   grid, a Poisson-like system on the grid Laplacian is solved with the
+//!   same CG kernels as the wirelength model, and cells drift along the
+//!   resulting field away from density peaks. Deterministic across thread
+//!   counts via `cp-parallel`'s fixed chunking and fixed-order reduction.
 //!
-//! A backend is instantiated per `place()` call (via
-//! [`PlacerBackendKind::instantiate`]); any internal state (grid system,
-//! warm-started potential) lives and dies with one placement run, which
-//! keeps checkpoint/resume bitwise-deterministic.
+//! The placer builds one spreading state per `place()` call; any internal
+//! state (grid system, warm-started potential) lives and dies with one
+//! placement run, which keeps checkpoint/resume bitwise-deterministic.
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
@@ -44,7 +42,7 @@ const GRID_EPS: f64 = 1e-3;
 /// Maximum drift per sub-pass, in bin widths.
 const STEP_BINS: f64 = 1.0;
 
-/// Which spreading backend [`crate::global`] drives.
+/// Which spreading step [`crate::global`] drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacerBackendKind {
     /// Recursive-bisection look-ahead legalization (the incumbent).
@@ -55,14 +53,6 @@ pub enum PlacerBackendKind {
 }
 
 impl PlacerBackendKind {
-    /// Fresh backend instance for one placement run.
-    pub fn instantiate(self) -> Box<dyn PlacerBackend> {
-        match self {
-            Self::B2b => Box::new(B2bBackend::default()),
-            Self::EDensity => Box::new(EDensityBackend::new()),
-        }
-    }
-
     /// Stable lowercase name (CLI flags, telemetry).
     pub fn name(self) -> &'static str {
         match self {
@@ -70,54 +60,41 @@ impl PlacerBackendKind {
             Self::EDensity => "edensity",
         }
     }
-
-    /// Parses the [`PlacerBackendKind::name`] spelling.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "b2b" => Some(Self::B2b),
-            "edensity" => Some(Self::EDensity),
-            _ => None,
-        }
-    }
 }
 
-/// The spreading (upper-bound) step of one global-placement iteration.
-pub trait PlacerBackend {
-    /// Backend name for telemetry.
-    fn name(&self) -> &'static str;
+/// The spreading state of one placement run. There is one per `place()`
+/// call, so the variants' size difference costs nothing.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Spreader {
+    /// [`spread_soa`] with the run's reusable buffers.
+    B2b(SpreadScratch),
+    /// Electrostatics-style spreading.
+    EDensity(EDensity),
+}
+
+impl Spreader {
+    /// Fresh state for one placement run.
+    pub(crate) fn new(kind: PlacerBackendKind) -> Self {
+        match kind {
+            PlacerBackendKind::B2b => Self::B2b(SpreadScratch::default()),
+            PlacerBackendKind::EDensity => Self::EDensity(EDensity::default()),
+        }
+    }
 
     /// Overwrites `out` with density-spread positions for the lower-bound
     /// `positions`: one in-core position per movable, deterministic
     /// across thread counts.
-    fn spread(
-        &mut self,
-        problem: &PlacementProblem,
-        soa: &PlacementSoa,
-        positions: &[(f64, f64)],
-        out: &mut Vec<(f64, f64)>,
-    );
-}
-
-/// The incumbent recursive-bisection spreading: every call forwards to
-/// [`spread_soa`] with the run's reusable buffers.
-#[derive(Debug, Clone, Default)]
-pub struct B2bBackend {
-    scratch: SpreadScratch,
-}
-
-impl PlacerBackend for B2bBackend {
-    fn name(&self) -> &'static str {
-        "b2b"
-    }
-
-    fn spread(
+    pub(crate) fn spread(
         &mut self,
         problem: &PlacementProblem,
         soa: &PlacementSoa,
         positions: &[(f64, f64)],
         out: &mut Vec<(f64, f64)>,
     ) {
-        spread_soa(problem, soa, positions, &mut self.scratch, out);
+        match self {
+            Self::B2b(scratch) => spread_soa(problem, soa, positions, scratch, out),
+            Self::EDensity(state) => state.spread(problem, soa, positions, out),
+        }
     }
 }
 
@@ -129,9 +106,10 @@ impl PlacerBackend for B2bBackend {
 /// the field `E = −∇ψ` comes from central differences, and every cell
 /// drifts along `E` (normalized so the largest move is [`STEP_BINS`] bin
 /// widths), pushing cells from dense regions toward sparse ones. The grid
-/// system is built once per run and `ψ` warm-starts across passes and
-/// outer iterations.
-pub struct EDensityBackend {
+/// system is built once per run (the first spread call sizes it) and `ψ`
+/// warm-starts across passes and outer iterations.
+#[derive(Default)]
+pub(crate) struct EDensity {
     grid: Option<Grid>,
     /// Spread calls so far — the iteration stamp of the charge-grid
     /// field frames.
@@ -147,22 +125,6 @@ struct Grid {
     rho: Vec<f64>,
     ex: Vec<f64>,
     ey: Vec<f64>,
-}
-
-impl EDensityBackend {
-    /// A backend with no grid yet; the first spread call sizes it.
-    pub fn new() -> Self {
-        Self {
-            grid: None,
-            calls: 0,
-        }
-    }
-}
-
-impl Default for EDensityBackend {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Grid {
@@ -212,11 +174,7 @@ impl Grid {
     }
 }
 
-impl PlacerBackend for EDensityBackend {
-    fn name(&self) -> &'static str {
-        "edensity"
-    }
-
+impl EDensity {
     fn spread(
         &mut self,
         problem: &PlacementProblem,
@@ -394,7 +352,7 @@ mod tests {
             })
             .collect();
         let before = density_overflow_soa(&p, &soa, &piled);
-        let mut be = EDensityBackend::new();
+        let mut be = Spreader::new(PlacerBackendKind::EDensity);
         // A few spreading rounds, as the outer loop would drive them.
         let mut pos = piled.clone();
         let mut next = Vec::new();
@@ -422,7 +380,7 @@ mod tests {
             .collect();
         let run = |threads: usize| {
             cp_parallel::with_threads(threads, || {
-                let mut be = EDensityBackend::new();
+                let mut be = Spreader::new(PlacerBackendKind::EDensity);
                 let (mut a, mut b) = (Vec::new(), Vec::new());
                 be.spread(&p, &soa, &start, &mut a);
                 be.spread(&p, &soa, &a, &mut b);
@@ -442,7 +400,7 @@ mod tests {
         let soa = PlacementSoa::from_problem(&p);
         let piled = vec![(1.0, 1.0); 64];
         let mut via_backend = Vec::new();
-        B2bBackend::default().spread(&p, &soa, &piled, &mut via_backend);
+        Spreader::new(PlacerBackendKind::B2b).spread(&p, &soa, &piled, &mut via_backend);
         let mut direct = Vec::new();
         spread_soa(&p, &soa, &piled, &mut SpreadScratch::default(), &mut direct);
         let bits = |v: &[(f64, f64)]| {
@@ -451,13 +409,5 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(bits(&via_backend), bits(&direct));
-    }
-
-    #[test]
-    fn kind_round_trips_names() {
-        for kind in [PlacerBackendKind::B2b, PlacerBackendKind::EDensity] {
-            assert_eq!(PlacerBackendKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(PlacerBackendKind::parse("nope"), None);
     }
 }

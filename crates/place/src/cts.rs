@@ -4,7 +4,7 @@
 //! split by the longer bounding-box axis until leaves hold few sinks; every
 //! tree node hosts a clock buffer at its sinks' centroid. Per-sink insertion
 //! delay follows the same linear delay model STA uses, so CTS skew plugs
-//! straight into [`cp_timing`]-style analysis.
+//! straight into `cp_timing`-style analysis.
 
 use crate::error::PlaceError;
 use cp_netlist::library::CellClass;

@@ -9,7 +9,7 @@
 //!    HPWL and both still fit.
 //!
 //! Both moves keep the placement legal (cells on rows, no overlaps, inside
-//! the core), so this runs after [`crate::legalize`].
+//! the core), so this runs after [`crate::legalize()`].
 
 use crate::problem::PlacementProblem;
 use cp_netlist::floorplan::Floorplan;

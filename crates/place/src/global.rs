@@ -1,14 +1,12 @@
 //! The global placement loop (SimPL-style lower/upper bound iteration).
 
-use crate::backend::PlacerBackendKind;
+use crate::backend::{PlacerBackendKind, Spreader};
 use crate::error::{BestSnapshot, PlaceError};
 use crate::hpwl::raw_hpwl_soa;
 use crate::kernels;
 use crate::problem::PlacementProblem;
 use crate::soa::{PlacementSoa, VertexCoords};
-use crate::solver::{
-    record_cg, Anchors, Axis, B2bRebuilder, CgOptions, CgScratch, IcPreconditioner,
-};
+use crate::solver::{record_cg, Anchors, Axis, B2bRebuilder, CgScratch};
 use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_soa};
 use cp_resilience::RunControl;
 use cp_trace::ArgValue;
@@ -34,13 +32,9 @@ pub struct PlacerOptions {
     /// Test hook: poison the solver output with NaN at this iteration to
     /// exercise the divergence path. `None` in normal operation.
     pub fault_nan_at_iteration: Option<usize>,
-    /// Which spreading backend drives the upper-bound step. The default
-    /// ([`PlacerBackendKind::B2b`]) is bit-identical to the pre-trait
-    /// placer.
+    /// Which spreading step drives the upper bound. The default
+    /// ([`PlacerBackendKind::B2b`]) is the incumbent recursive bisection.
     pub backend: PlacerBackendKind,
-    /// Per-solve CG configuration for the axis solves: `precondition`
-    /// swaps the Jacobi scale for the IC(0) preconditioner.
-    pub cg: CgOptions,
 }
 
 impl Default for PlacerOptions {
@@ -53,7 +47,6 @@ impl Default for PlacerOptions {
             revert_if_diverge: true,
             fault_nan_at_iteration: None,
             backend: PlacerBackendKind::default(),
-            cg: CgOptions::default(),
         }
     }
 }
@@ -246,12 +239,12 @@ impl GlobalPlacer {
         // areas for spreading/density, flat per-axis coordinates for HPWL.
         let soa = PlacementSoa::from_problem(problem);
         let mut coords = VertexCoords::new(problem);
-        // One backend instance per placement run: any internal state (the
+        // One spreading state per placement run: any internal state (the
         // eDensity grid, warm-started potential) is scoped to this call,
         // keeping repeated and resumed runs bitwise-deterministic.
-        let mut backend = opt.backend.instantiate();
+        let mut spreader = Spreader::new(opt.backend);
         let mut upper = Vec::new();
-        backend.spread(problem, &soa, &pos, &mut upper);
+        spreader.spread(problem, &soa, &pos, &mut upper);
         coords.set_movable(&upper);
         let mut overflow = density_overflow_soa(problem, &soa, &upper);
         let mut hpwl = raw_hpwl_soa(problem, &coords);
@@ -269,7 +262,7 @@ impl GlobalPlacer {
 
         let mut anchor_w: Vec<f64> = vec![0.0; m];
         // Persistent per-axis B2B assemblers, CG scratch and coordinate
-        // buffers (and the backend's spreading buffers): once they have
+        // buffers (and the spreader's buffers): once they have
         // grown to size an outer iteration allocates nothing, and nets
         // whose pins did not move between iterations reuse their cached
         // B2B pairs instead of re-linearizing. The Y scratch is only
@@ -329,9 +322,8 @@ impl GlobalPlacer {
                                scratch: &mut CgScratch| {
                 let weight = &anchor_w;
                 rb.rebuild(problem, &pos, Some(Anchors { target, weight }));
-                let sys = rb.system();
-                let ic = opt.cg.precondition.then(|| IcPreconditioner::new(sys));
-                sys.cg(start, scratch, opt.cg_iterations, 1e-6, ic.as_ref())
+                rb.system()
+                    .cg(start, scratch, opt.cg_iterations, 1e-6, None)
             };
             let (cg_x, cg_y) = if m >= AXIS_TASK_MIN_MOVABLES {
                 cp_parallel::join(
@@ -366,7 +358,7 @@ impl GlobalPlacer {
                 }
             }
             self.clamp(problem, &mut pos);
-            backend.spread(problem, &soa, &pos, &mut upper);
+            spreader.spread(problem, &soa, &pos, &mut upper);
             coords.set_movable(&upper);
             overflow = density_overflow_soa(problem, &soa, &upper);
             hpwl = raw_hpwl_soa(problem, &coords);

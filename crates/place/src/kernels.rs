@@ -8,7 +8,6 @@
 //! is memory-bound on traffic that fusion removes. The kernels here fuse
 //! the passes that read the same cache lines:
 //!
-//! - [`axpy_dot`] — residual update and its norm in one pass,
 //! - [`fused_step`] — iterate update, residual update *and* residual norm
 //!   in one pass (the body of a CG step),
 //! - [`jacobi_dot`] — diagonal preconditioner application fused with the
@@ -35,20 +34,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         let mut s = 0.0;
         for i in r {
             s += a[i] * b[i];
-        }
-        s
-    })
-}
-
-/// Fused update-and-norm: `y += alpha · x`, returning `Σ y[i]²` of the
-/// updated vector. One pass where `axpy` + `dot(y, y)` would take two;
-/// bit-identical to that sequence.
-pub fn axpy_dot(y: &mut [f64], alpha: f64, x: &[f64]) -> f64 {
-    cp_parallel::par_chunks_mut_sum(y, VEC_CHUNK, |_, off, slice| {
-        let mut s = 0.0;
-        for (k, yi) in slice.iter_mut().enumerate() {
-            *yi += alpha * x[off + k];
-            s += *yi * *yi;
         }
         s
     })
@@ -159,19 +144,6 @@ mod tests {
                 assert_eq!(rr_ref.to_bits(), rr.to_bits(), "n={n} t={threads}");
             }
         }
-    }
-
-    #[test]
-    fn axpy_dot_matches_axpy_then_dot() {
-        let n = 2 * VEC_CHUNK + 333;
-        let (y0, x, _, _) = vecs(n);
-        let mut y_ref = y0.clone();
-        axpy(&mut y_ref, -1.25, &x);
-        let want = dot(&y_ref, &y_ref);
-        let mut y = y0.clone();
-        let got = axpy_dot(&mut y, -1.25, &x);
-        assert_eq!(bits(&y_ref), bits(&y));
-        assert_eq!(want.to_bits(), got.to_bits());
     }
 
     #[test]

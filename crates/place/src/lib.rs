@@ -17,7 +17,7 @@
 //! (Innovus mode, line 18) clamp chosen cells into rectangles each
 //! iteration.
 //!
-//! [`legalize`] snaps standard cells to rows (Tetris), and [`cts`] builds a
+//! [`legalize()`] snaps standard cells to rows (Tetris), and [`cts`] builds a
 //! recursive-bisection clock tree whose per-sink insertion delays feed STA.
 //!
 //! # Examples
@@ -58,7 +58,7 @@ pub mod solver;
 pub mod spreading;
 pub mod svg;
 
-pub use crate::backend::{B2bBackend, EDensityBackend, PlacerBackend, PlacerBackendKind};
+pub use crate::backend::PlacerBackendKind;
 pub use crate::cts::{synthesize_clock_tree, ClockTree, CtsOptions};
 pub use crate::detailed::{refine, DetailedOptions};
 pub use crate::error::{BestSnapshot, PlaceError};
@@ -66,5 +66,5 @@ pub use crate::global::{GlobalPlacer, PlacementResult, PlacerOptions};
 pub use crate::legalize::legalize;
 pub use crate::problem::{Object, PlacementProblem};
 pub use crate::soa::{PlacementSoa, VertexCoords};
-pub use crate::solver::{CgOptions, CgStats, IcPreconditioner};
+pub use crate::solver::{CgStats, IcPreconditioner};
 pub use crate::svg::placement_svg;

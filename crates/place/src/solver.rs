@@ -11,7 +11,7 @@
 //!
 //! The system matrix is stored flat (`col_idx`/`val` arenas) with the rows
 //! *physically grouped by off-diagonal count*: every row with exactly `d`
-//! entries, `d ≤` [`MAX_EXACT_ROW`], sits in one contiguous bucket, longer
+//! entries, `d ≤ MAX_EXACT_ROW` (16), sits in one contiguous bucket, longer
 //! rows follow in a generic tail. SpMV runs one fixed-trip-count loop per
 //! bucket, so the inner loop's exit branch — which a plain CSR row loop
 //! mispredicts once per row at B2B's 2–12 entries per row — is either
@@ -59,19 +59,6 @@ const MAX_EXACT_ROW: usize = 16;
 
 /// One B2B two-pin edge: `(u, v, weight)` over global vertex ids.
 type Pair = (u32, u32, f64);
-
-/// Per-solve CG configuration.
-///
-/// The default is the Jacobi-preconditioned loop, bit-identical at every
-/// thread count; `precondition: true` swaps the implicit Jacobi
-/// preconditioner for an IC(0) incomplete-Cholesky factorization — a
-/// different (much faster-converging) iteration, deterministic but not
-/// bitwise-comparable to the default path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CgOptions {
-    /// Use the IC(0) preconditioner instead of Jacobi.
-    pub precondition: bool,
-}
 
 /// Convergence facts from one CG solve, for the telemetry channel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

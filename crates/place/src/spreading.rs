@@ -19,7 +19,7 @@
 //! stable-partitions the others by rank, so all stay sorted all the way
 //! down — O(n log n) overall, no per-node sort or allocation. The two
 //! halves are disjoint sub-slices (`split_at_mut`) and run as pool tasks
-//! above [`TASK_MIN_CELLS`].
+//! above `TASK_MIN_CELLS` (4096).
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;

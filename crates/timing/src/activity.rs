@@ -90,8 +90,8 @@ impl GateRow {
 
 /// Propagates vectorless activity through the design.
 ///
-/// Runs [`MAX_ITERS`] fixed-point iterations of two Gauss–Seidel sweeps
-/// in net-id order (fewer only if the densities settle within [`TOL`])
+/// Runs `MAX_ITERS` (8) fixed-point iterations of two Gauss–Seidel sweeps
+/// in net-id order (fewer only if the densities settle within `TOL`)
 /// over a gate table built once per call: one row per cell-driven net
 /// with the function's minterm sets resolved, so a sweep touches no
 /// library or connectivity structure.

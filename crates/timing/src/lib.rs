@@ -6,7 +6,7 @@
 //! 1. the top `|P|` timing-critical paths (one worst path per endpoint,
 //!    sorted by slack — `findPathEnds` with `endpoint_count = 1`,
 //!    `unique_pins = true`, `sort_by_slack = true`);
-//! 2. per-net slacks (for the timing cost `t_e` of [5]);
+//! 2. per-net slacks (for the timing cost `t_e` of \[5\]);
 //! 3. vectorless switching activity of every net (for the switching cost
 //!    `s_e`, Eq. 2).
 //!

@@ -92,14 +92,6 @@ pub fn hpwl_of_net(netlist: &Netlist, net: NetId, pos: &Positions) -> f64 {
     }
 }
 
-/// Total HPWL over all non-clock nets under a placement.
-pub fn total_hpwl(netlist: &Netlist, pos: &Positions) -> f64 {
-    (0..netlist.net_count() as u32)
-        .filter(|&n| !netlist.net(NetId(n)).is_clock)
-        .map(|n| hpwl_of_net(netlist, NetId(n), pos))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,16 +139,6 @@ mod tests {
             .sum();
         assert!(total > 0.0);
         assert!((total_r - 1.5 * total).abs() < 1e-6 * total);
-    }
-
-    #[test]
-    fn total_hpwl_excludes_clock() {
-        let n = nl();
-        let pos = grid_positions(&n);
-        let with_clock: f64 = (0..n.net_count() as u32)
-            .map(|i| hpwl_of_net(&n, NetId(i), &pos))
-            .sum();
-        assert!(total_hpwl(&n, &pos) < with_clock);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Spatial field frames: per-bin grid snapshots on the trace plane.
 //!
 //! Every observability layer below this one is scalar — spans, counters,
-//! series rows. Fields add the missing spatial axis: a [`FieldFrame`] is
-//! one f32 grid (density overflow, displacement, eDensity charge, GCell
+//! series rows. Fields add the missing spatial axis: a [`Frame`] is one
+//! dense f32 grid (density overflow, displacement, eDensity charge, GCell
 //! congestion) stamped with the stage it was recorded in and an
-//! iteration index. Consecutive frames of the same `(name, stage)`
-//! sequence are stored as sparse deltas against the previous frame when
-//! that is smaller, so a 30-iteration convergence movie costs little
-//! more than its first frame plus what actually changed.
+//! iteration index. The same type runs from [`record_with`] through
+//! [`take`], [`to_json`] and [`decode_json`] to [`diagnose`], so a live
+//! capture and a written one are the same value.
 //!
 //! The discipline mirrors spans:
 //!
@@ -26,11 +25,10 @@
 //! - **Budgeted.** A per-run frame budget bounds memory; frames past the
 //!   budget are counted in `dropped_frames`, never silently lost.
 //!
-//! [`diagnose`] is the convergence doctor: it reads decoded frames only
-//! and reports bins that stay overloaded and spreading that never settles.
+//! [`diagnose`] is the convergence doctor: it reads frames only and
+//! reports bins that stay overloaded and spreading that never settles.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -77,7 +75,6 @@ pub fn recording() -> bool {
 pub fn enable(budget: usize) {
     let mut s = lock(store());
     s.frames.clear();
-    s.last.clear();
     s.dropped = 0;
     s.budget = budget;
     drop(s);
@@ -116,37 +113,39 @@ pub fn scope(stage: &'static str) -> FieldScope {
 // ---------------------------------------------------------------------------
 // Frames
 
-/// How one frame's values are stored.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FrameData {
-    /// The full `nx × ny` grid, row-major.
-    Dense(Vec<f32>),
-    /// Cells that changed since the previous frame of the same
-    /// `(name, stage)` sequence: parallel `(index, new value)` arrays.
-    Delta {
-        /// Row-major cell indices, strictly increasing.
-        indices: Vec<u32>,
-        /// New values, one per index.
-        values: Vec<f32>,
-    },
-}
+/// The frames document's format version; [`decode_json`] refuses every
+/// other.
+const VERSION: u64 = 2;
 
-/// One grid snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FieldFrame {
+/// One grid snapshot: the full `nx × ny` grid, row-major.
+#[derive(Debug, Clone)]
+pub struct Frame {
     /// What the grid measures, e.g. `place.density_overflow`.
-    pub name: &'static str,
+    pub name: String,
     /// The stage label of the enclosing [`scope`].
-    pub stage: &'static str,
+    pub stage: String,
     /// Iteration index within the sequence (the placer's outer
     /// iteration, the backend's spread call, …).
     pub iter: u64,
     /// Grid width (cells per row).
-    pub nx: u32,
+    pub nx: usize,
     /// Grid height (rows).
-    pub ny: u32,
-    /// Values, dense or delta-encoded against the previous frame.
-    pub data: FrameData,
+    pub ny: usize,
+    /// Exactly `nx * ny` values, row-major.
+    pub values: Vec<f32>,
+}
+
+impl PartialEq for Frame {
+    /// Cells compare bit for bit, except that every NaN equals every
+    /// other: the document spells a non-finite cell `null`, which reads
+    /// back as NaN.
+    fn eq(&self, other: &Self) -> bool {
+        let same = |(a, b): (&f32, &f32)| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        (&self.name, &self.stage, self.iter, self.nx, self.ny)
+            == (&other.name, &other.stage, other.iter, other.nx, other.ny)
+            && self.values.len() == other.values.len()
+            && self.values.iter().zip(&other.values).all(same)
+    }
 }
 
 /// Everything [`take`] drains: the frames in record order plus the
@@ -154,36 +153,15 @@ pub struct FieldFrame {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FrameCapture {
     /// Frames in record order.
-    pub frames: Vec<FieldFrame>,
+    pub frames: Vec<Frame>,
     /// Frames refused because the budget was exhausted.
     pub dropped_frames: u64,
     /// The budget the capture ran under.
     pub budget: usize,
 }
 
-/// A frame decoded back to a dense grid — the analysis/render plane's
-/// view, also produced when parsing a frames JSON document.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DecodedFrame {
-    /// What the grid measures.
-    pub name: String,
-    /// Stage label the frame was recorded under.
-    pub stage: String,
-    /// Iteration index within its sequence.
-    pub iter: u64,
-    /// Grid width.
-    pub nx: usize,
-    /// Grid height.
-    pub ny: usize,
-    /// The full row-major grid.
-    pub values: Vec<f32>,
-}
-
 struct FieldStore {
-    frames: Vec<FieldFrame>,
-    /// Last dense grid per `(name, stage)` with its width, the
-    /// delta-encoding base.
-    last: BTreeMap<(&'static str, &'static str), (usize, Vec<f32>)>,
+    frames: Vec<Frame>,
     dropped: u64,
     budget: usize,
 }
@@ -193,7 +171,6 @@ fn store() -> &'static Mutex<FieldStore> {
     STORE.get_or_init(|| {
         Mutex::new(FieldStore {
             frames: Vec::new(),
-            last: BTreeMap::new(),
             dropped: 0,
             budget: DEFAULT_FRAME_BUDGET,
         })
@@ -214,49 +191,19 @@ where
     let Some(stage) = SCOPE.with(Cell::get) else {
         return;
     };
-    let grid = values();
+    let values = values();
     let mut s = lock(store());
-    if s.frames.len() >= s.budget {
+    if s.frames.len() >= s.budget || values.len() != nx * ny {
         s.dropped += 1;
         return;
     }
-    if grid.len() != nx * ny {
-        s.dropped += 1;
-        return;
-    }
-    let data = match s.last.get(&(name, stage)) {
-        // Same width and cell count: the same shape, which the decoder
-        // requires of a delta's base.
-        Some((prev_nx, prev)) if *prev_nx == nx && prev.len() == grid.len() => {
-            let mut indices = Vec::new();
-            let mut vals = Vec::new();
-            for (i, (&new, &old)) in grid.iter().zip(prev.iter()).enumerate() {
-                if new.to_bits() != old.to_bits() {
-                    indices.push(i as u32);
-                    vals.push(new);
-                }
-            }
-            // A delta entry costs an index and a value; past half the
-            // grid changed, dense is smaller.
-            if indices.len() * 2 >= grid.len() {
-                FrameData::Dense(grid.clone())
-            } else {
-                FrameData::Delta {
-                    indices,
-                    values: vals,
-                }
-            }
-        }
-        _ => FrameData::Dense(grid.clone()),
-    };
-    s.last.insert((name, stage), (nx, grid));
-    s.frames.push(FieldFrame {
-        name,
-        stage,
+    s.frames.push(Frame {
+        name: name.to_string(),
+        stage: stage.to_string(),
         iter,
-        nx: nx as u32,
-        ny: ny as u32,
-        data,
+        nx,
+        ny,
+        values,
     });
 }
 
@@ -272,51 +219,12 @@ pub fn take() -> FrameCapture {
     }
 }
 
-/// Discards all buffered frames and delta bases (the [`crate::clear`]
-/// hook). The enabled flag and budget are untouched.
+/// Discards all buffered frames (the [`crate::clear`] hook). The enabled
+/// flag and budget are untouched.
 pub fn clear() {
     let mut s = lock(store());
     s.frames.clear();
-    s.last.clear();
     s.dropped = 0;
-}
-
-/// Decodes a capture's frames back to dense grids, applying deltas per
-/// `(name, stage)` sequence in record order. A delta without a base (or
-/// with an out-of-range index) yields zeros for the missing cells — the
-/// decoder never fails on its own writer's output.
-pub fn decode(capture: &FrameCapture) -> Vec<DecodedFrame> {
-    let mut last: BTreeMap<(&str, &str), Vec<f32>> = BTreeMap::new();
-    let mut out = Vec::with_capacity(capture.frames.len());
-    for f in &capture.frames {
-        let n = f.nx as usize * f.ny as usize;
-        let values = match &f.data {
-            FrameData::Dense(v) => v.clone(),
-            FrameData::Delta { indices, values } => {
-                let mut base = last
-                    .get(&(f.name, f.stage))
-                    .cloned()
-                    .unwrap_or_else(|| vec![0.0; n]);
-                base.resize(n, 0.0);
-                for (&i, &v) in indices.iter().zip(values.iter()) {
-                    if let Some(cell) = base.get_mut(i as usize) {
-                        *cell = v;
-                    }
-                }
-                base
-            }
-        };
-        last.insert((f.name, f.stage), values.clone());
-        out.push(DecodedFrame {
-            name: f.name.to_string(),
-            stage: f.stage.to_string(),
-            iter: f.iter,
-            nx: f.nx as usize,
-            ny: f.ny as usize,
-            values,
-        });
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -326,30 +234,20 @@ pub fn decode(capture: &FrameCapture) -> Vec<DecodedFrame> {
 /// Byte-deterministic for a given capture.
 pub fn to_json(capture: &FrameCapture) -> String {
     let mut w = Writer::new();
-    w.object().key("version").u64(1);
+    w.object().key("version").u64(VERSION);
     w.key("budget").u64(capture.budget as u64);
     w.key("dropped_frames").u64(capture.dropped_frames);
     w.key("frames").array();
     for f in &capture.frames {
-        w.object().key("name").str(f.name).key("stage").str(f.stage);
+        w.object()
+            .key("name")
+            .str(&f.name)
+            .key("stage")
+            .str(&f.stage);
         w.key("iter").u64(f.iter);
-        w.key("nx").u64(f.nx.into()).key("ny").u64(f.ny.into());
-        let values = match &f.data {
-            FrameData::Dense(values) => {
-                w.key("encoding").str("dense");
-                values
-            }
-            FrameData::Delta { indices, values } => {
-                w.key("encoding").str("delta").key("indices").array();
-                for &ix in indices {
-                    w.u64(ix.into());
-                }
-                w.end();
-                values
-            }
-        };
+        w.key("nx").u64(f.nx as u64).key("ny").u64(f.ny as u64);
         w.key("values").array();
-        for &v in values {
+        for &v in &f.values {
             w.f64(f64::from(v));
         }
         w.end().end();
@@ -358,58 +256,45 @@ pub fn to_json(capture: &FrameCapture) -> String {
     w.finish()
 }
 
-/// Decodes a frames document ([`to_json`] output) to dense grids,
-/// applying deltas per `(name, stage)` sequence in file order.
+/// Decodes a frames document: `decode_json(&to_json(&c)) == Ok(c)` for
+/// every capture `c` (JSON has no infinity, so an infinite cell, like a
+/// NaN one, reads back as NaN).
 ///
 /// # Errors
 ///
-/// Malformed JSON, a violation of `schemas/field_frames.schema.json`, a
-/// grid size that is not a pair of in-range integers, a dense frame whose
-/// value count is not `nx * ny`, or a delta frame that has no previous
-/// frame of the same sequence and shape or indexes outside it. No
+/// Malformed JSON, a violation of `schemas/field_frames.schema.json`
+/// (among them any version but 2), a size or count that is not an
+/// in-range integer, or a frame whose value count is not `nx * ny`. No
 /// allocation is sized by a number the file merely claims.
-pub fn decode_json(input: &str) -> Result<Vec<DecodedFrame>, String> {
+pub fn decode_json(input: &str) -> Result<FrameCapture, String> {
     static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
     let doc = parse_checked(input, SCHEMA_JSON, &SCHEMA)?;
-    let mut last: BTreeMap<(String, String), (usize, usize, Vec<f32>)> = BTreeMap::new();
-    doc.each("frames", |f| {
-        let key = (f.str("name")?.to_string(), f.str("stage")?.to_string());
+    let frames = doc.each("frames", |f| {
+        let (name, stage) = (f.str("name")?.to_string(), f.str("stage")?.to_string());
         let (nx, ny) = (f.usize("nx")?, f.usize("ny")?);
         let n = nx
             .checked_mul(ny)
             .ok_or_else(|| format!("a {nx}x{ny} grid overflows"))?;
-        let raw = f.each("values", |v| v.to_f64().map(|v| v as f32))?;
-        let values = if f.str("encoding")? == "dense" {
-            if raw.len() != n {
-                return Err(format!("{} values for a {nx}x{ny} dense frame", raw.len()));
-            }
-            raw
-        } else {
-            let indices = f.each("indices", Json::to_usize)?;
-            if indices.len() != raw.len() {
-                let (i, v) = (indices.len(), raw.len());
-                return Err(format!("{i} indices for {v} delta values"));
-            }
-            let mut base = match last.get(&key) {
-                Some((bx, by, base)) if (*bx, *by) == (nx, ny) => base.clone(),
-                _ => return Err(format!("delta frame without a previous {nx}x{ny} frame")),
-            };
-            for (&i, &v) in indices.iter().zip(&raw) {
-                *base
-                    .get_mut(i)
-                    .ok_or_else(|| format!("delta index {i} outside {n} cells"))? = v;
-            }
-            base
-        };
-        last.insert(key.clone(), (nx, ny, values.clone()));
-        Ok(DecodedFrame {
-            name: key.0,
-            stage: key.1,
+        let values = f.each("values", |v| match v {
+            Json::Null => Ok(f32::NAN),
+            v => v.to_f64().map(|v| v as f32),
+        })?;
+        if values.len() != n {
+            return Err(format!("{} values for a {nx}x{ny} grid", values.len()));
+        }
+        Ok(Frame {
+            name,
+            stage,
             iter: f.u64("iter")?,
             nx,
             ny,
             values,
         })
+    })?;
+    Ok(FrameCapture {
+        frames,
+        dropped_frames: doc.u64("dropped_frames")?,
+        budget: doc.usize("budget")?,
     })
 }
 
@@ -469,7 +354,7 @@ pub struct Verdict {
 /// `place.density_overflow` sequence, then displacement-conflict verdicts
 /// over each `place.displacement` sequence, sequences in first-appearance
 /// order. Empty means nothing anomalous.
-pub fn diagnose(frames: &[DecodedFrame]) -> Vec<Verdict> {
+pub fn diagnose(frames: &[Frame]) -> Vec<Verdict> {
     let mut out = Vec::new();
     check_hotspots(frames, &mut out);
     check_displacement(frames, &mut out);
@@ -477,11 +362,8 @@ pub fn diagnose(frames: &[DecodedFrame]) -> Vec<Verdict> {
 }
 
 /// The frames named `name`, grouped by stage in first-appearance order.
-fn frame_sequences<'f>(
-    frames: &'f [DecodedFrame],
-    name: &str,
-) -> Vec<(String, Vec<&'f DecodedFrame>)> {
-    let mut seqs: Vec<(String, Vec<&DecodedFrame>)> = Vec::new();
+fn frame_sequences<'f>(frames: &'f [Frame], name: &str) -> Vec<(String, Vec<&'f Frame>)> {
+    let mut seqs: Vec<(String, Vec<&Frame>)> = Vec::new();
     for f in frames.iter().filter(|f| f.name == name) {
         match seqs.iter_mut().find(|(stage, _)| *stage == f.stage) {
             Some((_, v)) => v.push(f),
@@ -491,7 +373,7 @@ fn frame_sequences<'f>(
     seqs
 }
 
-fn check_hotspots(frames: &[DecodedFrame], out: &mut Vec<Verdict>) {
+fn check_hotspots(frames: &[Frame], out: &mut Vec<Verdict>) {
     for (stage, seq) in frame_sequences(frames, "place.density_overflow") {
         if seq.len() < MIN_FRAMES {
             continue;
@@ -545,7 +427,7 @@ fn check_hotspots(frames: &[DecodedFrame], out: &mut Vec<Verdict>) {
     }
 }
 
-fn check_displacement(frames: &[DecodedFrame], out: &mut Vec<Verdict>) {
+fn check_displacement(frames: &[Frame], out: &mut Vec<Verdict>) {
     for (stage, seq) in frame_sequences(frames, "place.displacement") {
         if seq.len() < MIN_DISPLACEMENT_FRAMES {
             continue;
@@ -610,35 +492,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_encoding_roundtrips() {
-        let _g = serial();
-        enable(16);
-        {
-            let _s = scope("stage-a");
-            record_with("t.delta", 0, 2, 2, || grid(&[1.0, 2.0, 3.0, 4.0]));
-            record_with("t.delta", 1, 2, 2, || grid(&[1.0, 2.5, 3.0, 4.0]));
-            record_with("t.delta", 2, 2, 2, || grid(&[9.0, 8.0, 7.0, 6.0]));
-        }
-        let cap = take();
-        disable();
-        assert_eq!(cap.frames.len(), 3);
-        assert!(matches!(cap.frames[0].data, FrameData::Dense(_)));
-        match &cap.frames[1].data {
-            FrameData::Delta { indices, values } => {
-                assert_eq!(indices, &[1]);
-                assert_eq!(values, &[2.5]);
-            }
-            other => panic!("one-cell change must delta-encode, got {other:?}"),
-        }
-        // Every cell changed: dense wins.
-        assert!(matches!(cap.frames[2].data, FrameData::Dense(_)));
-        let decoded = decode(&cap);
-        assert_eq!(decoded[1].values, grid(&[1.0, 2.5, 3.0, 4.0]));
-        assert_eq!(decoded[2].values, grid(&[9.0, 8.0, 7.0, 6.0]));
-        assert_eq!(decoded[1].stage, "stage-a");
-    }
-
-    #[test]
     fn budget_drops_and_counts() {
         let _g = serial();
         enable(2);
@@ -681,27 +534,21 @@ mod tests {
         {
             let _s = scope("stage-j");
             record_with("t.json", 0, 2, 1, || grid(&[0.5, -1.25]));
-            record_with("t.json", 1, 2, 1, || grid(&[0.5, 2.0]));
+            record_with("t.json", 1, 2, 1, || grid(&[f32::NAN, 2.0]));
         }
         let cap = take();
         disable();
-        let text = to_json(&cap);
-        let decoded = decode_json(&text).expect("parses, validates and decodes");
-        assert_eq!(decoded, decode(&cap));
+        assert_eq!(decode_json(&to_json(&cap)), Ok(cap));
     }
 
     fn golden_capture() -> FrameCapture {
-        let frame = |name, stage, iter, (nx, ny), data| FieldFrame {
-            name,
-            stage,
+        let frame = |name: &str, stage: &str, iter, (nx, ny), values| Frame {
+            name: name.to_string(),
+            stage: stage.to_string(),
             iter,
             nx,
             ny,
-            data,
-        };
-        let delta = FrameData::Delta {
-            indices: vec![1, 3],
-            values: vec![2.0, f32::NAN],
+            values,
         };
         FrameCapture {
             frames: vec![
@@ -710,16 +557,16 @@ mod tests {
                     "flat placement",
                     0,
                     (2, 2),
-                    FrameData::Dense(vec![0.5, -1.25, 0.0, 3.0]),
+                    vec![0.5, -1.25, 0.0, 3.0],
                 ),
-                frame("place.density_overflow", "flat placement", 1, (2, 2), delta),
                 frame(
-                    "route.\"congestion\"",
-                    "ppa",
-                    7,
-                    (1, 1),
-                    FrameData::Dense(vec![1e-3]),
+                    "place.density_overflow",
+                    "flat placement",
+                    1,
+                    (2, 2),
+                    vec![0.5, 2.0, 0.0, f32::NAN],
                 ),
+                frame("route.\"congestion\"", "ppa", 7, (1, 1), vec![1e-3]),
             ],
             dropped_frames: 2,
             budget: 16,
@@ -730,16 +577,17 @@ mod tests {
     fn document_matches_its_golden_bytes() {
         assert_eq!(
             to_json(&golden_capture()),
-            r#"{"version":1,"budget":16,"dropped_frames":2,"frames":[{"name":"place.density_overflow","stage":"flat placement","iter":0,"nx":2,"ny":2,"encoding":"dense","values":[0.5,-1.25,0.0,3.0]},{"name":"place.density_overflow","stage":"flat placement","iter":1,"nx":2,"ny":2,"encoding":"delta","indices":[1,3],"values":[2.0,null]},{"name":"route.\"congestion\"","stage":"ppa","iter":7,"nx":1,"ny":1,"encoding":"dense","values":[0.0010000000474974513]}]}"#
+            r#"{"version":2,"budget":16,"dropped_frames":2,"frames":[{"name":"place.density_overflow","stage":"flat placement","iter":0,"nx":2,"ny":2,"values":[0.5,-1.25,0.0,3.0]},{"name":"place.density_overflow","stage":"flat placement","iter":1,"nx":2,"ny":2,"values":[0.5,2.0,0.0,null]},{"name":"route.\"congestion\"","stage":"ppa","iter":7,"nx":1,"ny":1,"values":[0.0010000000474974513]}]}"#
         );
     }
 
-    /// The crafted files that used to reach a multiply overflow, an
-    /// out-of-bounds index and an allocation sized by two unchecked
-    /// numbers (`tests/regressions/`).
+    /// The crafted files that used to reach a multiply overflow and an
+    /// allocation sized by two unchecked numbers, and a version-1
+    /// document (`tests/regressions/`).
     #[test]
     fn crafted_frames_are_typed_errors() {
         let negative = include_str!("../../../tests/regressions/frames_negative_grid.json");
+        let golden = to_json(&golden_capture());
         for (file, reason) in [
             (
                 include_str!("../../../tests/regressions/frames_huge_grid.json"),
@@ -751,20 +599,18 @@ mod tests {
                 "frames[0]: nx: expected an integer in 0..",
             ),
             (
-                include_str!("../../../tests/regressions/frames_delta_without_base.json"),
-                "frames[0]: delta frame without a previous 65536x65536 frame",
+                include_str!("../../../tests/regressions/frames_v1.json"),
+                "schema violations: $/version: value not in enum",
             ),
+            (
+                &golden.replace("\"nx\":1,", "\"nx\":2,"),
+                "frames[2]: 1 values for a 2x1 grid",
+            ),
+            (&golden.replace("\"budget\":16", "\"budget\":-1"), "budget:"),
         ] {
             let err = decode_json(file).expect_err(reason);
             assert!(err.contains(reason), "{err}");
         }
-        // A delta only applies to a predecessor of its own shape.
-        let reshaped = to_json(&golden_capture()).replace("null", "1.0").replace(
-            "\"iter\":1,\"nx\":2,\"ny\":2",
-            "\"iter\":1,\"nx\":4,\"ny\":1",
-        );
-        let err = decode_json(&reshaped).expect_err("reshaped delta");
-        assert!(err.contains("frames[1]: delta frame without"), "{err}");
     }
 
     #[test]
@@ -783,8 +629,8 @@ mod tests {
 
     // -- doctor --
 
-    fn frame(name: &str, stage: &str, iter: u64, values: Vec<f32>) -> DecodedFrame {
-        DecodedFrame {
+    fn frame(name: &str, stage: &str, iter: u64, values: Vec<f32>) -> Frame {
+        Frame {
             name: name.to_string(),
             stage: stage.to_string(),
             iter,
@@ -796,7 +642,7 @@ mod tests {
 
     #[test]
     fn doctor_flags_persistent_hotspot_bins() {
-        let frames: Vec<DecodedFrame> = (0..6)
+        let frames: Vec<Frame> = (0..6)
             .map(|i| {
                 // Bin 3 always dominates; bin 0 cools off.
                 frame(
@@ -817,7 +663,7 @@ mod tests {
 
     #[test]
     fn doctor_flags_undamped_displacement() {
-        let frames: Vec<DecodedFrame> = (0..8)
+        let frames: Vec<Frame> = (0..8)
             .map(|i| frame("place.displacement", "flat placement", i, vec![2.0; 4]))
             .collect();
         let v = diagnose(&frames);
@@ -827,7 +673,7 @@ mod tests {
             "{v:?}"
         );
         // Decaying displacement passes.
-        let frames: Vec<DecodedFrame> = (0..8)
+        let frames: Vec<Frame> = (0..8)
             .map(|i| {
                 frame(
                     "place.displacement",

@@ -43,7 +43,7 @@ pub mod json;
 pub mod report;
 
 pub use analysis::{Analysis, DiffEntry, DiffKind, DiffOptions, NameAgg, PathStep, TraceDiff};
-pub use fields::{DecodedFrame, FieldFrame, FrameCapture, FrameData, Verdict, VerdictKind};
+pub use fields::{Frame, FrameCapture, Verdict, VerdictKind};
 pub use report::{chrome_trace, MetricSnapshot, MetricValue, ReportDoc, TraceReport};
 
 use std::cell::Cell;

@@ -1,6 +1,6 @@
-//! Backend parity contract of the `PlacerBackend` seam: the default
-//! options run the incumbent B2B spreading bitwise-identically to an
-//! explicit `B2bBackend` selection at every thread count, the eDensity
+//! Backend parity contract of the spreading seam (`PlacerBackendKind`):
+//! the default options run the incumbent B2B spreading bitwise-identically
+//! to an explicit `PlacerBackendKind::B2b` at every thread count, the eDensity
 //! backend is itself bitwise thread-invariant, and checkpoint/resume
 //! reproduces an eDensity run bit for bit — the refactor added a
 //! dispatch point, not a numerics change.

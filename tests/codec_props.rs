@@ -16,7 +16,7 @@ use cp_core::checkpoint::{Checkpoint, PlacementState, ShapingState};
 use cp_core::flow::ShapingStats;
 use cp_core::{stages, RecoveryEvent};
 use cp_netlist::ClusterShape;
-use cp_trace::fields::{self, FieldFrame, FrameCapture, FrameData};
+use cp_trace::fields::{self, Frame, FrameCapture};
 use cp_trace::json::{self, Json, Writer};
 use cp_trace::{
     Analysis, ArgValue, InstantRecord, MetricSnapshot, MetricValue, ReportDoc, SeriesRow,
@@ -256,31 +256,28 @@ fn checkpoint(rng: &mut TestRng) -> Checkpoint {
 
 fn capture(rng: &mut TestRng) -> FrameCapture {
     let mut frames = Vec::new();
-    // Sequences of one shape each, so every delta has its base; named
-    // and sized so the doctor's checks run on them.
-    let names = ["place.density_overflow", "place.displacement"];
-    for (seq, stage) in ["cluster placement", "flat placement"].iter().enumerate() {
-        let (nx, ny) = (1 + below(rng, 4), below(rng, 4));
-        for iter in 0..below(rng, 8) {
-            let cells = nx * ny;
-            let data = if iter == 0 || cells == 0 || rng.below(2) == 0 {
-                FrameData::Dense((0..cells).map(|_| float(rng) as f32).collect())
-            } else {
-                let indices: Vec<u32> = (0..cells as u32).filter(|_| rng.below(3) == 0).collect();
-                FrameData::Delta {
-                    values: indices.iter().map(|_| float(rng) as f32).collect(),
-                    indices,
-                }
-            };
-            frames.push(FieldFrame {
-                name: names[seq],
-                stage,
-                iter: iter as u64,
-                nx: nx as u32,
-                ny: ny as u32,
-                data,
-            });
-        }
+    // Dense grids of random shapes (a zero side included), NaN cells
+    // among them; named so the doctor's checks run on them.
+    let names = [
+        "place.density_overflow",
+        "place.displacement",
+        "route.congestion",
+    ];
+    for _ in 0..below(rng, 12) {
+        let (nx, ny) = (below(rng, 6), below(rng, 6));
+        frames.push(Frame {
+            name: names[below(rng, names.len())].to_string(),
+            stage: name(rng).to_string(),
+            iter: rng.below(64),
+            nx,
+            ny,
+            values: (0..nx * ny)
+                .map(|_| match rng.below(8) {
+                    0 => f32::NAN,
+                    _ => float(rng) as f32,
+                })
+                .collect(),
+        });
     }
     FrameCapture {
         frames,
@@ -427,14 +424,18 @@ proptest! {
         let rng = &mut TestRng::seed_from_u64(seed);
         let cap = capture(rng);
         let text = fields::to_json(&cap);
-        prop_assert_eq!(fields::decode_json(&text), Ok(fields::decode(&cap)));
+        let decoded = fields::decode_json(&text);
+        prop_assert_eq!(decoded.as_ref().map(fields::to_json), Ok(text.clone()));
+        prop_assert_eq!(decoded, Ok(cap));
         for_each_mutant(&text, rng, |mutant| {
-            let frames = fields::decode_json(mutant).unwrap_or_default();
-            for f in &frames {
+            let Ok(cap) = fields::decode_json(mutant) else { return };
+            for f in &cap.frames {
                 // What `tracetool render` and the doctor index by.
                 assert_eq!(Some(f.values.len()), f.nx.checked_mul(f.ny), "{mutant}");
             }
-            let _ = fields::diagnose(&frames);
+            let _ = fields::diagnose(&cap.frames);
+            let again = fields::to_json(&cap);
+            assert_eq!(fields::decode_json(&again).map(|c| fields::to_json(&c)), Ok(again));
         });
     }
 

@@ -73,15 +73,16 @@ fn run_with_fields(
     (report, capture)
 }
 
-/// A bit-exact, comparable view of one decoded frame.
+/// A bit-exact, comparable view of one frame.
 type FrameSig = (String, String, u64, usize, usize, Vec<u32>);
 
 fn signatures(capture: &FrameCapture) -> Vec<FrameSig> {
-    cp_trace::fields::decode(capture)
-        .into_iter()
+    capture
+        .frames
+        .iter()
         .map(|f| {
             let bits = f.values.iter().map(|v| v.to_bits()).collect();
-            (f.name, f.stage, f.iter, f.nx, f.ny, bits)
+            (f.name.clone(), f.stage.clone(), f.iter, f.nx, f.ny, bits)
         })
         .collect()
 }
@@ -150,6 +151,8 @@ fn field_capture_leaves_flow_outputs_bitwise_identical() {
         cp_trace::fields::to_json(&capture),
         "artifact differs across runs"
     );
+    // The written artifact reads back as the live capture.
+    assert_eq!(cp_trace::fields::decode_json(&base_json), Ok(capture));
 }
 
 #[test]
@@ -178,7 +181,7 @@ fn doctor_verdicts_on_a_real_capture_are_pinned() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (_, capture) = cp_bench::qor_gate::run_hermetic_fields(DesignProfile::Aes, 0.01)
         .expect("hermetic flow runs");
-    let verdicts = cp_trace::fields::diagnose(&cp_trace::fields::decode(&capture));
+    let verdicts = cp_trace::fields::diagnose(&capture.frames);
     let got: Vec<(&str, &str, &str)> = verdicts
         .iter()
         .map(|v| (v.kind.as_str(), v.stage.as_str(), v.evidence.as_str()))

@@ -179,6 +179,25 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
     assert_eq!(out.status.code(), Some(3), "{out:?}");
 }
 
+/// A frames document of a version the reader no longer knows is refused
+/// with the version error, exit 2, by both frame readers.
+#[test]
+fn a_version_1_frames_document_exits_2() {
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/regressions/frames_v1.json"
+    );
+    for args in [["explain", v1], ["render", v1]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
+            .args(args)
+            .output()
+            .expect("tracetool runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("$/version: value not in enum"), "{stderr}");
+    }
+}
+
 /// A one-span report whose only metric is the legalized-HPWL gauge.
 fn tiny_report(hpwl: f64) -> TraceReport {
     TraceReport {
