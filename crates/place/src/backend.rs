@@ -227,13 +227,8 @@ impl EDensity {
             for (r, q) in grid.sys.rhs_mut().iter_mut().zip(&grid.rho) {
                 *r = q - mean;
             }
-            grid.sys.solve_into(
-                &mut grid.psi,
-                &mut grid.scratch,
-                POISSON_ITERS,
-                POISSON_TOL,
-                None,
-            );
+            grid.sys
+                .solve_into(&mut grid.psi, &mut grid.scratch, POISSON_ITERS, POISSON_TOL);
             // Field E = −∇ψ by central differences (one-sided at the
             // borders), serial over the ≤128² bins.
             let psi = &grid.psi;

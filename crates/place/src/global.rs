@@ -2,11 +2,11 @@
 
 use crate::backend::{PlacerBackendKind, Spreader};
 use crate::error::{BestSnapshot, PlaceError};
-use crate::hpwl::raw_hpwl_soa;
+use crate::hpwl::raw_hpwl;
 use crate::kernels;
 use crate::problem::PlacementProblem;
-use crate::soa::{PlacementSoa, VertexCoords};
-use crate::solver::{record_cg, Anchors, Axis, B2bRebuilder, CgScratch};
+use crate::soa::PlacementSoa;
+use crate::solver::{Anchors, Axis, B2bRebuilder, CgScratch, CgStats};
 use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_soa};
 use cp_resilience::RunControl;
 use cp_trace::ArgValue;
@@ -98,6 +98,19 @@ struct Snapshot {
 
 fn all_finite(pos: &[(f64, f64)]) -> bool {
     pos.iter().all(|p| p.0.is_finite() && p.1.is_finite())
+}
+
+/// Feeds one lower-bound solve's stats into the metrics registry (no-op
+/// below trace level `Full`). The axes may solve on two threads, so the
+/// loop records X then Y after both finish and the registry sees one
+/// fixed order.
+fn record_cg(stats: &CgStats) {
+    if !cp_trace::telemetry_enabled() {
+        return;
+    }
+    cp_trace::counter_add("place.cg.solves", 1);
+    cp_trace::observe("place.cg.iterations", stats.iterations as f64);
+    cp_trace::observe("place.cg.residual", stats.relative_residual);
 }
 
 /// The global placer. See the crate docs for the algorithm outline.
@@ -235,19 +248,16 @@ impl GlobalPlacer {
                 .collect(),
         };
         self.clamp(problem, &mut pos);
-        // SoA views shared by every per-iteration kernel: contiguous cell
-        // areas for spreading/density, flat per-axis coordinates for HPWL.
+        // Contiguous cell areas shared by spreading and density.
         let soa = PlacementSoa::from_problem(problem);
-        let mut coords = VertexCoords::new(problem);
         // One spreading state per placement run: any internal state (the
         // eDensity grid, warm-started potential) is scoped to this call,
         // keeping repeated and resumed runs bitwise-deterministic.
         let mut spreader = Spreader::new(opt.backend);
         let mut upper = Vec::new();
         spreader.spread(problem, &soa, &pos, &mut upper);
-        coords.set_movable(&upper);
         let mut overflow = density_overflow_soa(problem, &soa, &upper);
-        let mut hpwl = raw_hpwl_soa(problem, &coords);
+        let mut hpwl = raw_hpwl(problem, &upper);
         let mut done = 0;
         let mut best = if all_finite(&upper) && hpwl.is_finite() {
             Some(Snapshot {
@@ -323,7 +333,7 @@ impl GlobalPlacer {
                 let weight = &anchor_w;
                 rb.rebuild(problem, &pos, Some(Anchors { target, weight }));
                 rb.system()
-                    .cg(start, scratch, opt.cg_iterations, 1e-6, None)
+                    .solve_into(start, scratch, opt.cg_iterations, 1e-6)
             };
             let (cg_x, cg_y) = if m >= AXIS_TASK_MIN_MOVABLES {
                 cp_parallel::join(
@@ -359,9 +369,8 @@ impl GlobalPlacer {
             }
             self.clamp(problem, &mut pos);
             spreader.spread(problem, &soa, &pos, &mut upper);
-            coords.set_movable(&upper);
             overflow = density_overflow_soa(problem, &soa, &upper);
-            hpwl = raw_hpwl_soa(problem, &coords);
+            hpwl = raw_hpwl(problem, &upper);
             cp_trace::series(
                 "place.outer",
                 it as u64,
@@ -479,7 +488,6 @@ impl GlobalPlacer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hpwl::raw_hpwl;
     use cp_netlist::floorplan::Floorplan;
     use cp_netlist::generator::{DesignProfile, GeneratorConfig};
     use cp_netlist::netlist::Netlist;
@@ -554,6 +562,38 @@ mod tests {
             inc.hpwl,
             full.hpwl
         );
+    }
+
+    #[test]
+    fn reported_hpwl_is_raw_hpwl_of_the_positions() {
+        let (n, fp) = flat(0.01, 12);
+        let scratch = PlacementProblem::from_netlist(&n, &fp);
+        let placed = GlobalPlacer::default()
+            .place(&scratch)
+            .expect("placement succeeds");
+        let seeded = scratch.clone().with_seeds(placed.positions);
+        for backend in [PlacerBackendKind::B2b, PlacerBackendKind::EDensity] {
+            // A revert at the first iteration, one mid-run, and none.
+            for fault in [None, Some(0), Some(3)] {
+                for (mode, p) in [("scratch", &scratch), ("seeded", &seeded)] {
+                    let r = GlobalPlacer::new(PlacerOptions {
+                        backend,
+                        fault_nan_at_iteration: fault,
+                        ..PlacerOptions::default()
+                    })
+                    .place(p)
+                    .expect("placement succeeds");
+                    if fault == Some(0) {
+                        assert!(r.diverged, "{backend:?} {mode}: the NaN reverts");
+                    }
+                    assert_eq!(
+                        r.hpwl.to_bits(),
+                        raw_hpwl(p, &r.positions).to_bits(),
+                        "{backend:?} {mode} fault {fault:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

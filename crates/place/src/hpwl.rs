@@ -7,7 +7,6 @@
 //! can re-evaluate moves against only the touched nets.
 
 use crate::problem::PlacementProblem;
-use crate::soa::VertexCoords;
 
 /// Nets per parallel chunk for full-design HPWL sums.
 const NET_CHUNK: usize = 256;
@@ -49,37 +48,6 @@ pub fn raw_hpwl(problem: &PlacementProblem, positions: &[(f64, f64)]) -> f64 {
         }
         s
     })
-}
-
-/// [`raw_hpwl`] over a prebuilt [`VertexCoords`] arena: the per-net
-/// bounding-box sweep indexes the flat per-axis arrays directly instead
-/// of branching between movable and fixed storage per pin. Bit-identical
-/// to [`raw_hpwl`] at the same positions.
-pub fn raw_hpwl_soa(problem: &PlacementProblem, coords: &VertexCoords) -> f64 {
-    let (xs, ys) = (coords.xs(), coords.ys());
-    cp_parallel::par_sum(problem.hypergraph.edge_count(), NET_CHUNK, |r| {
-        let mut s = 0.0;
-        for e in r {
-            s += edge_hpwl_soa(problem, e as u32, xs, ys);
-        }
-        s
-    })
-}
-
-/// HPWL of one hyperedge from flat per-axis coordinate arrays.
-fn edge_hpwl_soa(problem: &PlacementProblem, e: u32, xs: &[f64], ys: &[f64]) -> f64 {
-    let verts = problem.hypergraph.edge(e);
-    if verts.len() < 2 {
-        return 0.0;
-    }
-    let mut lo = (f64::INFINITY, f64::INFINITY);
-    let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for &v in verts {
-        let (x, y) = (xs[v as usize], ys[v as usize]);
-        lo = (lo.0.min(x), lo.1.min(y));
-        hi = (hi.0.max(x), hi.1.max(y));
-    }
-    (hi.0 - lo.0) + (hi.1 - lo.1)
 }
 
 /// HPWL of one hyperedge.
@@ -272,18 +240,6 @@ mod tests {
         for e in 0..p.hypergraph.edge_count() as u32 {
             assert_eq!(set.net(e).to_bits(), updated.net(e).to_bits(), "net {e}");
         }
-    }
-
-    #[test]
-    fn soa_hpwl_matches_tuple_path_bitwise() {
-        let p = toy();
-        let pos = vec![(0.37, 0.71), (2.93, 1.13)];
-        let mut coords = VertexCoords::new(&p);
-        coords.set_movable(&pos);
-        assert_eq!(
-            raw_hpwl_soa(&p, &coords).to_bits(),
-            raw_hpwl(&p, &pos).to_bits()
-        );
     }
 
     #[test]

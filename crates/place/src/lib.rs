@@ -4,7 +4,7 @@
 //! The placer follows the SimPL/bound-to-bound recipe:
 //!
 //! 1. **Lower bound**: minimize quadratic wirelength under the
-//!    bound-to-bound (B2B) net model, solved per axis with preconditioned
+//!    bound-to-bound (B2B) net model, solved per axis with Jacobi-preconditioned
 //!    conjugate gradients ([`solver`]).
 //! 2. **Upper bound**: spread cells to meet density by recursive-bisection
 //!    look-ahead legalization ([`spreading`]).
@@ -50,7 +50,7 @@ pub mod detailed;
 pub mod error;
 pub mod global;
 pub mod hpwl;
-pub mod kernels;
+pub(crate) mod kernels;
 pub mod legalize;
 pub mod problem;
 pub mod soa;
@@ -65,6 +65,5 @@ pub use crate::error::{BestSnapshot, PlaceError};
 pub use crate::global::{GlobalPlacer, PlacementResult, PlacerOptions};
 pub use crate::legalize::legalize;
 pub use crate::problem::{Object, PlacementProblem};
-pub use crate::soa::{PlacementSoa, VertexCoords};
-pub use crate::solver::{CgStats, IcPreconditioner};
+pub use crate::soa::PlacementSoa;
 pub use crate::svg::placement_svg;

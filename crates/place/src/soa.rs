@@ -1,17 +1,12 @@
-//! Arena-backed structure-of-arrays views over a placement problem.
+//! The structure-of-arrays view of a placement problem's cell areas.
 //!
 //! [`PlacementProblem`] keeps its public array-of-structs shape
-//! (`Vec<Object>`, `Vec<(f64, f64)>`) because the whole flow constructs
-//! it, but the per-iteration kernels want flat per-field arrays: the
-//! spreading bisection and density scatter read only cell *areas*, and
-//! the HPWL / B2B kernels read only one axis's *coordinate* per vertex.
-//! These views materialize exactly those arrays once, so the hot loops
-//! index contiguous `f64` arenas instead of chasing struct fields or
-//! branching between movable and fixed storage.
-//!
-//! Every kernel that accepts a view is bit-identical to its
-//! problem-walking counterpart — the arrays hold the same values in the
-//! same order, only the memory layout changes.
+//! (`Vec<Object>`) because the whole flow constructs it, but the spreading
+//! bisection and density scatter read only cell *areas*, once per outer
+//! placer iteration. [`PlacementSoa`] materializes that array once per
+//! placement run, so those loops index a contiguous `f64` arena instead of
+//! multiplying struct fields. (The B2B assembler keeps its own flat
+//! per-axis coordinate array; HPWL reads the positions directly.)
 
 use crate::problem::PlacementProblem;
 
@@ -35,63 +30,6 @@ impl PlacementSoa {
         let area: Vec<f64> = problem.movable.iter().map(|o| o.area()).collect();
         let total_area = area.iter().sum();
         Self { area, total_area }
-    }
-}
-
-/// Flat per-axis coordinates over *all* hypergraph vertices (movables
-/// first, fixed terminals after), so net kernels index `xs[v]`/`ys[v]`
-/// directly instead of branching through
-/// [`PlacementProblem::vertex_pos`].
-///
-/// The fixed tail is filled once at construction; refresh the movable
-/// prefix with [`VertexCoords::set_movable`] each iteration (no
-/// allocation).
-#[derive(Debug, Clone)]
-pub struct VertexCoords {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    movable: usize,
-}
-
-impl VertexCoords {
-    /// A coordinate arena sized for `problem`, fixed tail filled, movable
-    /// prefix zeroed.
-    pub fn new(problem: &PlacementProblem) -> Self {
-        let m = problem.movable_count();
-        let n = m + problem.fixed.len();
-        let mut xs = vec![0.0; n];
-        let mut ys = vec![0.0; n];
-        for (k, &(x, y)) in problem.fixed.iter().enumerate() {
-            xs[m + k] = x;
-            ys[m + k] = y;
-        }
-        Self { xs, ys, movable: m }
-    }
-
-    /// Copies the movable positions into the arena prefix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `positions` has fewer entries than the movable count.
-    pub fn set_movable(&mut self, positions: &[(f64, f64)]) {
-        for (i, &(x, y)) in positions.iter().take(self.movable).enumerate() {
-            self.xs[i] = x;
-            self.ys[i] = y;
-        }
-        assert!(
-            positions.len() >= self.movable,
-            "positions shorter than movable count"
-        );
-    }
-
-    /// X coordinate per vertex (movables then fixed).
-    pub fn xs(&self) -> &[f64] {
-        &self.xs
-    }
-
-    /// Y coordinate per vertex (movables then fixed).
-    pub fn ys(&self) -> &[f64] {
-        &self.ys
     }
 }
 
@@ -131,17 +69,5 @@ mod tests {
         let soa = PlacementSoa::from_problem(&p);
         assert_eq!(soa.area, vec![6.0, 1.5]);
         assert_eq!(soa.total_area.to_bits(), p.movable_area().to_bits());
-    }
-
-    #[test]
-    fn coords_cover_movable_and_fixed() {
-        let p = toy();
-        let mut vc = VertexCoords::new(&p);
-        vc.set_movable(&[(1.0, 2.0), (3.0, 4.5)]);
-        assert_eq!(vc.xs(), &[1.0, 3.0, 10.0]);
-        assert_eq!(vc.ys(), &[2.0, 4.5, 4.0]);
-        // Refresh overwrites in place.
-        vc.set_movable(&[(5.0, 6.0), (7.0, 8.0)]);
-        assert_eq!(vc.xs(), &[5.0, 7.0, 10.0]);
     }
 }

@@ -18,10 +18,10 @@
 //! unrolled away or perfectly regular. Each row's entries keep their
 //! assembly order, so per-row accumulation, and with it every CG iterate,
 //! is bit-identical to a row-order CSR loop. The CG kernels write into
-//! caller-owned [`CgScratch`] buffers so a full solve allocates nothing,
-//! and [`B2bRebuilder`] caches per-net B2B pairs between outer placement
-//! iterations, regenerating only nets whose pin coordinates actually
-//! changed (bitwise) since the previous linearization.
+//! caller-owned `CgScratch` buffers so a full solve allocates nothing,
+//! and the placer's `B2bRebuilder` caches per-net B2B pairs between outer
+//! placement iterations, regenerating only nets whose pin coordinates
+//! actually changed (bitwise) since the previous linearization.
 //!
 //! Everything is deterministic across thread counts: pair generation is
 //! chunked over fixed net ranges and consumed in chunk order, SpMV is
@@ -62,31 +62,18 @@ type Pair = (u32, u32, f64);
 
 /// Convergence facts from one CG solve, for the telemetry channel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CgStats {
+pub(crate) struct CgStats {
     /// CG iterations taken (0 when the start was already converged).
     pub iterations: usize,
     /// Final relative residual `‖r‖ / ‖b‖`.
     pub relative_residual: f64,
 }
 
-/// Feeds one solve's stats into the metrics registry (no-op below trace
-/// level `Full`). [`B2bSystem::solve_into`] calls it itself; the placer's
-/// axis-parallel lower bound runs [`B2bSystem::cg`] on two threads and
-/// records X then Y afterwards, so the registry sees one fixed order.
-pub(crate) fn record_cg(stats: &CgStats) {
-    if !cp_trace::telemetry_enabled() {
-        return;
-    }
-    cp_trace::counter_add("place.cg.solves", 1);
-    cp_trace::observe("place.cg.iterations", stats.iterations as f64);
-    cp_trace::observe("place.cg.residual", stats.relative_residual);
-}
-
 /// Reusable CG work vectors (residual, preconditioned residual, search
 /// direction, `A·p`). Hold one per axis across outer placement iterations
 /// and the solve path stops allocating entirely.
 #[derive(Debug, Clone, Default)]
-pub struct CgScratch {
+pub(crate) struct CgScratch {
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
@@ -106,8 +93,6 @@ pub struct B2bSystem {
     order: Vec<u32>,
     /// `ptr[p]..ptr[p+1]` bounds the entries of row `order[p]`.
     ptr: Vec<u32>,
-    /// Storage position of each row (inverse of `order`).
-    pos: Vec<u32>,
     /// `bucket[d]` is the storage position of the first row with exactly
     /// `d` entries; `bucket[MAX_EXACT_ROW + 1]` starts the long-row tail.
     bucket: [u32; MAX_EXACT_ROW + 2],
@@ -258,7 +243,7 @@ impl NetChunk {
 /// bit-identical to a from-scratch [`B2bSystem::build`] at the same
 /// positions, at any thread count.
 #[derive(Debug, Clone)]
-pub struct B2bRebuilder {
+pub(crate) struct B2bRebuilder {
     axis: Axis,
     /// This axis's coordinate per global vertex (movables then fixed).
     coord: Vec<f64>,
@@ -442,9 +427,8 @@ impl B2bRebuilder {
 impl B2bSystem {
     /// Builds the B2B system for one axis, linearized at `positions`.
     ///
-    /// One-shot wrapper over [`B2bRebuilder`]; callers that rebuild every
-    /// outer iteration should hold a rebuilder instead and get the
-    /// incremental path.
+    /// One-shot wrapper over the incremental assembler the placer holds
+    /// across outer iterations.
     pub fn build(
         problem: &PlacementProblem,
         positions: &[(f64, f64)],
@@ -467,20 +451,26 @@ impl B2bSystem {
     }
 
     /// Number of stored off-diagonal entries.
-    pub fn nnz(&self) -> usize {
+    #[cfg(test)]
+    fn nnz(&self) -> usize {
         self.val.len()
     }
 
     /// Row `i`'s off-diagonal entries `(columns, values)`, in assembly
     /// order.
-    pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
-        let p = self.pos[i] as usize;
+    #[cfg(test)]
+    fn row(&self, i: usize) -> (&[u32], &[f64]) {
+        let p = self
+            .order
+            .iter()
+            .position(|&r| r as usize == i)
+            .expect("row in range");
         let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
         (&self.col_idx[entries.clone()], &self.val[entries])
     }
 
     /// Solves with Jacobi-preconditioned CG from `x0` — the allocating
-    /// convenience over [`B2bSystem::solve_into`].
+    /// convenience over the placer's in-place solve.
     ///
     /// The SpMV, dot products and vector updates run in parallel; dot
     /// products use fixed-order tree reductions and the element-wise
@@ -488,7 +478,7 @@ impl B2bSystem {
     /// bit-identical for every thread count.
     pub fn solve(&self, x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
         let mut x = x0.to_vec();
-        self.solve_into(&mut x, &mut CgScratch::default(), max_iters, tol, None);
+        self.solve_into(&mut x, &mut CgScratch::default(), max_iters, tol);
         x
     }
 
@@ -533,7 +523,7 @@ impl B2bSystem {
     }
 
     /// Lays the rows out by off-diagonal count with a counting sort:
-    /// fills `order`/`pos`/`ptr`/`bucket` and sizes `col_idx`/`val`. On
+    /// fills `order`/`ptr`/`bucket` and sizes `col_idx`/`val`. On
     /// entry `deg[i]` is row `i`'s entry count; on exit it is the index of
     /// the row's first entry — the caller's fill cursor.
     fn layout_rows(&mut self, deg: &mut [u32]) {
@@ -551,11 +541,9 @@ impl B2bSystem {
             start += count[d];
         }
         self.order.resize(n, 0);
-        self.pos.resize(n, 0);
         for (i, &d) in deg.iter().enumerate() {
             let p = &mut next[(d as usize).min(TAIL)];
             self.order[*p as usize] = i as u32;
-            self.pos[i] = *p;
             *p += 1;
         }
         self.ptr.clear();
@@ -571,39 +559,19 @@ impl B2bSystem {
         self.val.resize(entry as usize, 0.0);
     }
 
-    /// In-place CG solve: `x` holds the start on entry and the solution on
-    /// exit, and all work vectors live in `scratch` — zero allocations
-    /// once the scratch has warmed up to the system size. Jacobi
-    /// preconditioning, or the caller-held IC(0) factorization when `ic`
-    /// is given (so benchmarks can time factor and solve apart). Returns
-    /// the convergence stats and reports them on the `place.cg.*`
-    /// telemetry channel.
-    pub fn solve_into(
+    /// In-place Jacobi-preconditioned CG on the fused kernels
+    /// ([`crate::kernels`]): two vector sweeps and one SpMV per iteration,
+    /// all fixed-order, so the iterates are bit-identical at every thread
+    /// count. `x` holds the start on entry and the solution on exit, and
+    /// all work vectors live in `scratch` — zero allocations once the
+    /// scratch has warmed up to the system size. Records nothing: the
+    /// placer reports its lower-bound solves on the `place.cg.*` channel.
+    pub(crate) fn solve_into(
         &self,
         x: &mut [f64],
         scratch: &mut CgScratch,
         max_iters: usize,
         tol: f64,
-        ic: Option<&IcPreconditioner>,
-    ) -> CgStats {
-        let stats = self.cg(x, scratch, max_iters, tol, ic);
-        record_cg(&stats);
-        stats
-    }
-
-    /// The CG loop on the fused kernels ([`crate::kernels`]): two vector
-    /// sweeps and one SpMV per iteration. `z = M⁻¹ r` is the fused Jacobi
-    /// scale, or the IC(0) triangular solves when `ic` is given; those are
-    /// serial and everything else fixed-order, so either way the iterates
-    /// are bit-identical at every thread count. [`B2bSystem::solve_into`]
-    /// without the telemetry record (see [`record_cg`]).
-    pub(crate) fn cg(
-        &self,
-        x: &mut [f64],
-        scratch: &mut CgScratch,
-        max_iters: usize,
-        tol: f64,
-        ic: Option<&IcPreconditioner>,
     ) -> CgStats {
         let n = self.diag.len();
         assert_eq!(x.len(), n, "start vector length != system size");
@@ -612,16 +580,9 @@ impl B2bSystem {
         z.resize(n, 0.0);
         p.resize(n, 0.0);
         ap.resize(n, 0.0);
-        let precondition = |z: &mut [f64], r: &[f64]| match ic {
-            Some(ic) => {
-                ic.apply_to(r, z);
-                dot(r, z)
-            }
-            None => kernels::jacobi_dot(z, r, &self.diag),
-        };
         self.apply_into(x, ap);
         let rr0 = kernels::sub_dot(r, &self.rhs, ap);
-        let mut rz = precondition(z, r);
+        let mut rz = kernels::jacobi_dot(z, r, &self.diag);
         p.copy_from_slice(z);
         let rhs_norm: f64 = dot(&self.rhs, &self.rhs).sqrt().max(1e-30);
         // Early exit on an already-converged starting point: warm-started
@@ -656,7 +617,7 @@ impl B2bSystem {
             if relative_residual < tol {
                 break;
             }
-            let rz_new = precondition(z, r);
+            let rz_new = kernels::jacobi_dot(z, r, &self.diag);
             let beta = rz_new / rz;
             if !beta.is_finite() {
                 break;
@@ -749,210 +710,6 @@ impl B2bSystem {
             // `order` is a permutation, so no other storage position — in
             // this chunk or another — writes row `i`.
             unsafe { *out.get().add(i) = acc };
-        }
-    }
-}
-
-/// Incomplete-Cholesky IC(0) preconditioner: `M = L Lᵀ` with `L` on the
-/// sparsity pattern of the (coalesced) lower triangle of `A`.
-///
-/// B2B systems are symmetric M-matrices (positive diagonals, non-positive
-/// off-diagonals, diagonally dominant), for which IC(0) exists without
-/// breakdown; a pivot floor guards degenerate inputs anyway. Applying the
-/// preconditioner is two serial triangular sweeps — trivially bitwise
-/// thread-invariant — and costs one pass over `nnz/2` entries each, which
-/// at B2B's ~4–6 nnz/row is comparable to a single SpMV.
-///
-/// Modified-IC (moving the dropped Schur fill onto the diagonal to
-/// preserve row sums) was evaluated here and *increased* iteration counts
-/// on B2B systems (39→45 at 100k vars on the solver bench), so the
-/// factorization stays plain IC(0).
-#[derive(Debug, Clone)]
-pub struct IcPreconditioner {
-    /// `L`'s diagonal.
-    ldiag: Vec<f64>,
-    /// Reciprocal of `L`'s diagonal: the triangular sweeps sit on a
-    /// serial dependency chain, so a multiply beats a divide there.
-    linv: Vec<f64>,
-    /// Strict lower triangle of `L`, CSR by rows, columns ascending.
-    lptr: Vec<u32>,
-    lcol: Vec<u32>,
-    lval: Vec<f64>,
-    /// Transpose of the strict lower triangle (strict upper, CSR by rows)
-    /// for the backward sweep.
-    uptr: Vec<u32>,
-    ucol: Vec<u32>,
-    uval: Vec<f64>,
-}
-
-impl IcPreconditioner {
-    /// Factors `sys`'s matrix. Serial and deterministic.
-    pub fn new(sys: &B2bSystem) -> Self {
-        let n = sys.diag.len();
-        // 1. Gather the strict lower triangle with duplicate columns
-        //    coalesced (the pair arena stores one CSR entry per B2B pair,
-        //    so parallel edges appear multiple times). Off-diagonal values
-        //    follow the apply convention A_ij = -val.
-        let mut lptr: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut lcol: Vec<u32> = Vec::new();
-        let mut lval: Vec<f64> = Vec::new();
-        let mut row: Vec<(u32, f64)> = Vec::new();
-        lptr.push(0);
-        for i in 0..n {
-            row.clear();
-            let (cols, vals) = sys.row(i);
-            for (&j, &w) in cols.iter().zip(vals) {
-                if (j as usize) < i {
-                    row.push((j, -w));
-                }
-            }
-            row.sort_unstable_by_key(|&(j, _)| j);
-            let mut k = 0;
-            while k < row.len() {
-                let (j, mut v) = row[k];
-                k += 1;
-                while k < row.len() && row[k].0 == j {
-                    v += row[k].1;
-                    k += 1;
-                }
-                lcol.push(j);
-                lval.push(v);
-            }
-            lptr.push(lcol.len() as u32);
-        }
-        // 2. Up-looking IC(0) factorization, then the transpose for the
-        //    backward sweep.
-        let mut ldiag = vec![0.0; n];
-        Self::factor(&sys.diag, &lptr, &lcol, &mut lval, &mut ldiag);
-        let (uptr, ucol, uval) = Self::transpose(n, &lptr, &lcol, &lval);
-        let linv: Vec<f64> = ldiag.iter().map(|&d| 1.0 / d).collect();
-        Self {
-            ldiag,
-            linv,
-            lptr,
-            lcol,
-            lval,
-            uptr,
-            ucol,
-            uval,
-        }
-    }
-
-    /// Up-looking factorization in place over `lval`:
-    /// `L_ij = (A_ij − Σ_{k<j} L_ik·L_jk) / L_jj`, then
-    /// `L_ii = √(A_ii − Σ_k L_ik²)`, with a pivot floor so degenerate
-    /// rows cannot produce a zero or imaginary pivot.
-    fn factor(diag: &[f64], lptr: &[u32], lcol: &[u32], lval: &mut [f64], ldiag: &mut [f64]) {
-        for i in 0..diag.len() {
-            let row_i = lptr[i] as usize..lptr[i + 1] as usize;
-            for idx in row_i.clone() {
-                let j = lcol[idx] as usize;
-                let mut s = lval[idx];
-                let (mut a, mut b) = (row_i.start, lptr[j] as usize);
-                let b_end = lptr[j + 1] as usize;
-                while a < idx && b < b_end {
-                    match lcol[a].cmp(&lcol[b]) {
-                        std::cmp::Ordering::Equal => {
-                            s -= lval[a] * lval[b];
-                            a += 1;
-                            b += 1;
-                        }
-                        std::cmp::Ordering::Less => a += 1,
-                        std::cmp::Ordering::Greater => b += 1,
-                    }
-                }
-                lval[idx] = s / ldiag[j];
-            }
-            let mut d = diag[i];
-            for idx in row_i {
-                d -= lval[idx] * lval[idx];
-            }
-            ldiag[i] = d.max(diag[i] * 1e-8).max(1e-30).sqrt();
-        }
-    }
-
-    /// Transposes the strict lower triangle (CSR by rows) into the strict
-    /// upper triangle for the backward sweep. Scattering rows in ascending
-    /// order keeps each upper row's columns ascending.
-    #[allow(clippy::type_complexity)]
-    fn transpose(
-        n: usize,
-        lptr: &[u32],
-        lcol: &[u32],
-        lval: &[f64],
-    ) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
-        let nnz = lcol.len();
-        let mut ucount = vec![0u32; n];
-        for &j in lcol {
-            ucount[j as usize] += 1;
-        }
-        let mut uptr: Vec<u32> = Vec::with_capacity(n + 1);
-        uptr.push(0);
-        let mut acc = 0u32;
-        let mut cursor = vec![0u32; n];
-        for (j, &c) in ucount.iter().enumerate() {
-            cursor[j] = acc;
-            acc += c;
-            uptr.push(acc);
-        }
-        let mut ucol = vec![0u32; nnz];
-        let mut uval = vec![0.0; nnz];
-        for i in 0..n {
-            for idx in lptr[i] as usize..lptr[i + 1] as usize {
-                let j = lcol[idx] as usize;
-                let at = cursor[j] as usize;
-                ucol[at] = i as u32;
-                uval[at] = lval[idx];
-                cursor[j] += 1;
-            }
-        }
-        (uptr, ucol, uval)
-    }
-
-    /// Applies `M⁻¹` in place: forward solve `L y = z` (ascending rows),
-    /// then backward solve `Lᵀ z = y` (descending rows). Serial.
-    pub fn apply_in_place(&self, z: &mut [f64]) {
-        let n = self.ldiag.len();
-        for i in 0..n {
-            let seg = self.lptr[i] as usize..self.lptr[i + 1] as usize;
-            let mut s = z[i];
-            for (&j, &w) in self.lcol[seg.clone()].iter().zip(&self.lval[seg]) {
-                s -= w * z[j as usize];
-            }
-            z[i] = s * self.linv[i];
-        }
-        self.backward(z);
-    }
-
-    /// Applies `M⁻¹` out of place: bitwise-identical to copying `src` into
-    /// `dst` and calling [`Self::apply_in_place`], but the forward sweep
-    /// reads `src` directly, saving one full vector pass per CG iteration.
-    pub fn apply_to(&self, src: &[f64], dst: &mut [f64]) {
-        let n = self.ldiag.len();
-        assert_eq!(src.len(), n);
-        assert_eq!(dst.len(), n);
-        for i in 0..n {
-            let seg = self.lptr[i] as usize..self.lptr[i + 1] as usize;
-            let mut s = src[i];
-            for (&j, &w) in self.lcol[seg.clone()].iter().zip(&self.lval[seg]) {
-                s -= w * dst[j as usize];
-            }
-            dst[i] = s * self.linv[i];
-        }
-        self.backward(dst);
-    }
-
-    /// Backward solve `Lᵀ z = y` (descending rows), shared tail of the
-    /// in-place and out-of-place applies.
-    fn backward(&self, z: &mut [f64]) {
-        let n = self.ldiag.len();
-        for i in (0..n).rev() {
-            let seg = self.uptr[i] as usize..self.uptr[i + 1] as usize;
-            let mut s = z[i];
-            for (&j, &w) in self.ucol[seg.clone()].iter().zip(&self.uval[seg]) {
-                s -= w * z[j as usize];
-            }
-            z[i] = s * self.linv[i];
         }
     }
 }
@@ -1294,10 +1051,10 @@ mod tests {
         let reference = sys.solve(&[20.0, 30.0], 100, 1e-10);
         let mut x = vec![20.0, 30.0];
         let mut scratch = CgScratch::default();
-        sys.solve_into(&mut x, &mut scratch, 100, 1e-10, None);
+        sys.solve_into(&mut x, &mut scratch, 100, 1e-10);
         // Re-using warm scratch must not change anything either.
         let mut x2 = vec![20.0, 30.0];
-        sys.solve_into(&mut x2, &mut scratch, 100, 1e-10, None);
+        sys.solve_into(&mut x2, &mut scratch, 100, 1e-10);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&reference), bits(&x));
         assert_eq!(bits(&reference), bits(&x2));
@@ -1406,85 +1163,6 @@ mod tests {
         let sy = B2bSystem::build(&p, &pos, Axis::Y, None).solve(&[7.0], 10, 1e-10);
         assert!((sx[0] - 3.0).abs() < 1e-9);
         assert!((sy[0] - 7.0).abs() < 1e-9);
-    }
-
-    /// A chain of `m` movables between two fixed terminals — the worst
-    /// case for Jacobi-CG (information crosses one link per iteration)
-    /// and the shape the IC(0) factorization handles exactly.
-    fn chain_problem(m: usize) -> PlacementProblem {
-        let n = (m + 2) as u32;
-        let mut edges: Vec<(Vec<u32>, f64)> = vec![(vec![m as u32, 0], 1.0)];
-        for i in 0..m - 1 {
-            edges.push((vec![i as u32, i as u32 + 1], 1.0));
-        }
-        edges.push((vec![m as u32 - 1, m as u32 + 1], 1.0));
-        PlacementProblem {
-            movable: vec![
-                Object {
-                    width: 1.0,
-                    height: 1.0,
-                };
-                m
-            ],
-            fixed: vec![(0.0, 0.0), (100.0, 0.0)],
-            hypergraph: Hypergraph::new(n as usize, edges),
-            net_weights: vec![1.0; m + 1],
-            core: Rect::new(0.0, 0.0, 100.0, 100.0),
-            region: vec![None; m],
-            seed_positions: None,
-            blockages: Vec::new(),
-            density_target: 0.9,
-        }
-    }
-
-    #[test]
-    fn ic_preconditioner_converges_where_jacobi_stalls() {
-        // On a 400-long chain, 30 Jacobi-CG iterations barely move the
-        // residual; IC(0) factors the tridiagonal exactly and converges
-        // in a handful of iterations.
-        let m = 400;
-        let p = chain_problem(m);
-        let pos: Vec<(f64, f64)> = (0..m).map(|_| (50.0, 0.0)).collect();
-        let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-        let x0 = vec![50.0; m];
-        let mut scratch = CgScratch::default();
-        let mut plain = x0.clone();
-        let plain_stats = sys.solve_into(&mut plain, &mut scratch, 30, 1e-8, None);
-        let mut pre = x0.clone();
-        let ic = IcPreconditioner::new(&sys);
-        let pre_stats = sys.solve_into(&mut pre, &mut scratch, 30, 1e-8, Some(&ic));
-        assert!(
-            pre_stats.relative_residual < 1e-8,
-            "IC(0) residual {}",
-            pre_stats.relative_residual
-        );
-        assert!(
-            pre_stats.relative_residual < plain_stats.relative_residual / 1e3,
-            "IC(0) {} vs Jacobi {}",
-            pre_stats.relative_residual,
-            plain_stats.relative_residual
-        );
-        assert!(pre_stats.iterations < plain_stats.iterations);
-    }
-
-    #[test]
-    fn preconditioned_solve_is_thread_count_invariant() {
-        let m = 100;
-        let p = chain_problem(m);
-        let pos: Vec<(f64, f64)> = (0..m).map(|i| (1.0 + i as f64 * 0.2, 0.0)).collect();
-        let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-        let run = |threads: usize| {
-            cp_parallel::with_threads(threads, || {
-                let mut x: Vec<f64> = pos.iter().map(|&(x, _)| x).collect();
-                let mut scratch = CgScratch::default();
-                let ic = IcPreconditioner::new(&sys);
-                sys.solve_into(&mut x, &mut scratch, 50, 1e-10, Some(&ic));
-                x.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-            })
-        };
-        let t1 = run(1);
-        assert_eq!(t1, run(4));
-        assert_eq!(t1, run(8));
     }
 
     #[test]
@@ -1721,41 +1399,6 @@ mod proptests {
             }
         }
 
-        /// Preconditioned (IC(0)) and plain (Jacobi) CG solve the same
-        /// SPD system, so run to tight tolerance they converge to the
-        /// same fixed point — different iteration paths, same answer.
-        /// Anchors on every movable keep the system strictly positive
-        /// definite (a movable pair connected only to each other would
-        /// otherwise make it singular, where the fixed point is not
-        /// unique).
-        #[test]
-        fn preconditioned_and_plain_cg_share_a_fixed_point(case in case_strategy()) {
-            let m = case.problem.movable_count();
-            let targets: Vec<f64> = (0..m).map(|i| i as f64 - 2.0).collect();
-            let weights = vec![case.anchor_weight.max(0.05); m];
-            let anchors = Some(Anchors { target: &targets, weight: &weights });
-            for axis in [Axis::X, Axis::Y] {
-                let sys = B2bSystem::build(&case.problem, &case.pos0, axis, anchors);
-                let x0: Vec<f64> = case.pos0.iter()
-                    .map(|&(x, y)| match axis { Axis::X => x, Axis::Y => y })
-                    .collect();
-                let mut scratch = CgScratch::default();
-                let mut plain = x0.clone();
-                sys.solve_into(&mut plain, &mut scratch, 500, 1e-12, None);
-                let mut pre = x0.clone();
-                let ic = IcPreconditioner::new(&sys);
-                sys.solve_into(&mut pre, &mut scratch, 500, 1e-12, Some(&ic));
-                for i in 0..plain.len() {
-                    let scale = plain[i].abs().max(1.0);
-                    prop_assert!(
-                        (plain[i] - pre[i]).abs() <= 1e-6 * scale,
-                        "row {}: plain {} vs preconditioned {}",
-                        i, plain[i], pre[i],
-                    );
-                }
-            }
-        }
-
         /// Build + solve are bitwise-invariant across 1/4/8 threads.
         #[test]
         fn thread_count_does_not_change_bits(case in case_strategy()) {
@@ -1768,7 +1411,7 @@ mod proptests {
                     let x0: Vec<f64> = case.pos1.iter().map(|&(x, _)| x).collect();
                     let mut x = x0.clone();
                     let mut scratch = CgScratch::default();
-                    rb.system().solve_into(&mut x, &mut scratch, 40, 1e-9, None);
+                    rb.system().solve_into(&mut x, &mut scratch, 40, 1e-9);
                     (fp, bits(&x))
                 })
             };

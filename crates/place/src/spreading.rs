@@ -123,28 +123,11 @@ fn cell_tie_order(sorted: &AxisOrder, order: &mut Vec<u32>, rank: &mut Vec<u32>)
     fill_ranks(order, rank);
 }
 
-/// Spreads `positions` to meet the problem's density target.
-///
-/// Returns one position per movable, inside the core. Convenience
-/// wrapper over [`spread_soa`] that builds the area array and the
-/// buffers on the fly; per-iteration callers should hold a
-/// [`PlacementSoa`] and a [`SpreadScratch`] and call that directly.
-pub fn spread(problem: &PlacementProblem, positions: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut out = Vec::new();
-    spread_soa(
-        problem,
-        &PlacementSoa::from_problem(problem),
-        positions,
-        &mut SpreadScratch::default(),
-        &mut out,
-    );
-    out
-}
-
-/// [`spread`] over a prebuilt [`PlacementSoa`] and caller-held buffers:
-/// `out` is overwritten with one position per movable. The result depends
-/// on the inputs alone — not on the thread count, nor on what `scratch`
-/// and `out` held before.
+/// Spreads `positions` to meet the problem's density target, reading the
+/// cell areas from `soa` and working in caller-held buffers: `out` is
+/// overwritten with one position per movable, inside the core. The result
+/// depends on the inputs alone — not on the thread count, nor on what
+/// `scratch` and `out` held before.
 pub fn spread_soa(
     problem: &PlacementProblem,
     soa: &PlacementSoa,
@@ -441,13 +424,6 @@ fn area_grid_soa(
     (bins, area)
 }
 
-/// Density overflow of a placement: the fraction of movable area exceeding
-/// per-bin capacity (`bin_area · density_target`), on a `bins × bins` grid
-/// sized to the problem.
-pub fn density_overflow(problem: &PlacementProblem, positions: &[(f64, f64)]) -> f64 {
-    density_overflow_soa(problem, &PlacementSoa::from_problem(problem), positions)
-}
-
 /// Per-bin overflow amounts `(area − capacity)⁺` on the density grid —
 /// the spatial view behind the scalar [`density_overflow_soa`], recorded
 /// as a field frame when fields are enabled. Serial on purpose: it only
@@ -502,9 +478,10 @@ pub fn displacement_grid(
     (bins, grid.into_iter().map(|v| v as f32).collect())
 }
 
-/// [`density_overflow`] over a prebuilt [`PlacementSoa`]: the bin scatter
-/// reads cell areas from the contiguous arena and the total from the
-/// precomputed sum. Bit-identical to [`density_overflow`].
+/// Density overflow of a placement: the fraction of movable area exceeding
+/// per-bin capacity (`bin_area · density_target`), on a `bins × bins` grid
+/// sized to the problem. The bin scatter reads cell areas from `soa` and
+/// the total from its precomputed sum.
 pub fn density_overflow_soa(
     problem: &PlacementProblem,
     soa: &PlacementSoa,
@@ -541,6 +518,18 @@ mod tests {
     use super::*;
     use crate::problem::Object;
     use cp_graph::Hypergraph;
+
+    /// One-shot [`spread_soa`] on fresh buffers.
+    pub(super) fn spread(p: &PlacementProblem, positions: &[(f64, f64)]) -> Vec<(f64, f64)> {
+        let mut out = Vec::new();
+        let soa = PlacementSoa::from_problem(p);
+        spread_soa(p, &soa, positions, &mut SpreadScratch::default(), &mut out);
+        out
+    }
+
+    fn density_overflow(p: &PlacementProblem, positions: &[(f64, f64)]) -> f64 {
+        density_overflow_soa(p, &PlacementSoa::from_problem(p), positions)
+    }
 
     fn uniform_problem(n: usize) -> PlacementProblem {
         PlacementProblem {
@@ -613,6 +602,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::spread;
     use super::*;
     use crate::problem::Object;
     use cp_graph::Hypergraph;

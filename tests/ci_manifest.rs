@@ -40,32 +40,58 @@ fn regenerate_blocks(text: &str) -> String {
     out
 }
 
+/// `t` without leading and trailing punctuation.
+fn bare(t: &str) -> &str {
+    t.trim_matches(|c: char| !c.is_ascii_alphanumeric())
+}
+
+/// The `cargo` commands of `text`, each the tokens from one `cargo` token
+/// to the next.
+fn cargo_commands(text: &str) -> Vec<Vec<&str>> {
+    let tokens: Vec<&str> = text.split_whitespace().collect();
+    tokens
+        .split(|t| bare(t) == "cargo")
+        .skip(1)
+        .map(<[&str]>::to_vec)
+        .collect()
+}
+
 /// `(flag, name)` for every target or feature flag of a `cargo` command
 /// that selects `-p cp-bench`. A command runs from one `cargo` token to the
 /// next and stops at the bare `--` that starts the program's own arguments;
 /// `<placeholder>` values are skipped.
 fn named_targets(text: &str) -> Vec<(String, String)> {
+    cargo_commands(text)
+        .iter()
+        .flat_map(|command| command_targets(command))
+        .collect()
+}
+
+/// [`named_targets`] of one command.
+fn command_targets(command: &[&str]) -> Vec<(String, String)> {
     const FLAGS: [&str; 5] = ["--bin", "--example", "--test", "--bench", "--features"];
-    let tokens: Vec<&str> = text.split_whitespace().collect();
+    let end = command.iter().position(|t| *t == "--");
+    let command = &command[..end.unwrap_or(command.len())];
+    if !command.windows(2).any(|w| w == ["-p", "cp-bench"]) {
+        return Vec::new();
+    }
     let mut out = Vec::new();
-    let bare = |t: &str| {
-        t.trim_matches(|c: char| !c.is_ascii_alphanumeric())
-            .to_string()
-    };
-    for command in tokens.split(|t| bare(t) == "cargo").skip(1) {
-        let end = command.iter().position(|t| *t == "--");
-        let command = &command[..end.unwrap_or(command.len())];
-        if !command.windows(2).any(|w| w == ["-p", "cp-bench"]) {
-            continue;
-        }
-        for w in command.windows(2) {
-            if FLAGS.contains(&w[0]) && !w[1].starts_with('<') {
-                let names = bare(w[1]);
-                out.extend(names.split(',').map(|v| (w[0].to_string(), v.to_string())));
-            }
+    for w in command.windows(2) {
+        if FLAGS.contains(&w[0]) && !w[1].starts_with('<') {
+            let names = bare(w[1]);
+            out.extend(names.split(',').map(|v| (w[0].to_string(), v.to_string())));
         }
     }
     out
+}
+
+/// The targets of the first command in `text` that names `artifact` as a
+/// whole token, or `None` when no command names it.
+fn regenerating_targets(text: &str, artifact: &str) -> Option<Vec<(String, String)>> {
+    cargo_commands(text)
+        .iter()
+        .find(|command| command.iter().any(|t| bare(t) == bare(artifact)))
+        .map(|command| command_targets(command))
 }
 
 /// `name = "…"` of every `[[kind]]` entry, or the keys of `[features]`.
@@ -353,24 +379,28 @@ fn every_schema_is_embedded_once_and_validates_its_document() {
     }
 }
 
-#[test]
-fn committed_commands_name_targets_that_exist() {
+/// The cp-bench names a target or feature flag can select.
+fn known_targets(flag: &str) -> BTreeSet<String> {
     let manifest = read("crates/bench/Cargo.toml");
-    let bins = bench_bins();
-    assert_eq!(
-        bins.iter().map(String::as_str).collect::<Vec<_>>(),
-        ["repro", "solverbench", "tracetool"],
-        "one experiment driver, one trace tool, one solver bench"
-    );
-    let known = |flag: &str| match flag {
-        "--bin" => bins.clone(),
+    match flag {
+        "--bin" => bench_bins(),
         "--example" => manifest_names(&manifest, "[[example]]"),
         "--test" => manifest_names(&manifest, "[[test]]"),
         "--bench" => manifest_names(&manifest, "[[bench]]"),
         _ => manifest_names(&manifest, "[features]"),
-    };
-    assert!(known("--features").contains("fault-injection"));
-    assert!(known("--test").contains("ci_manifest"));
+    }
+}
+
+#[test]
+fn committed_commands_name_targets_that_exist() {
+    let bins = bench_bins();
+    assert_eq!(
+        bins.iter().map(String::as_str).collect::<Vec<_>>(),
+        ["repro", "tracetool"],
+        "one experiment driver, one trace tool"
+    );
+    assert!(known_targets("--features").contains("fault-injection"));
+    assert!(known_targets("--test").contains("ci_manifest"));
 
     let sources = [
         (".github/workflows/ci.yml", read(".github/workflows/ci.yml")),
@@ -386,7 +416,7 @@ fn committed_commands_name_targets_that_exist() {
     let mut stale = Vec::new();
     for (file, text) in &sources {
         for (flag, name) in named_targets(text) {
-            if !known(&flag).contains(&name) {
+            if !known_targets(&flag).contains(&name) {
                 stale.push(format!("{file}: {flag} {name}"));
             }
             seen.insert(name);
@@ -403,6 +433,53 @@ fn committed_commands_name_targets_that_exist() {
     ] {
         assert!(seen.contains(name), "no committed command names `{name}`");
     }
+}
+
+/// Every JSON file at the repo root other than the benchmark manifest is
+/// an artifact some command writes: an EXPERIMENTS.md "Regenerate with"
+/// block spells out a command that names the file, and that command runs a
+/// cp-bench target that exists. An artifact whose writer was deleted, or
+/// whose block never says how to rewrite it, fails here.
+#[test]
+fn root_json_artifacts_have_a_regenerate_command() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut artifacts: Vec<String> = std::fs::read_dir(&root)
+        .expect("the repo root is readable")
+        .filter_map(|e| Some(e.ok()?.file_name().to_string_lossy().into_owned()))
+        .filter(|name| name.ends_with(".json") && name != "BENCHMARK.json")
+        .collect();
+    artifacts.sort();
+    assert!(!artifacts.is_empty(), "REPRO.json is committed");
+    let blocks = regenerate_blocks(&read("EXPERIMENTS.md"));
+    let mut stale = Vec::new();
+    for artifact in &artifacts {
+        match regenerating_targets(&blocks, artifact) {
+            None => stale.push(format!("{artifact}: no command names it")),
+            Some(targets) if targets.is_empty() => {
+                stale.push(format!("{artifact}: its command runs no cp-bench target"))
+            }
+            Some(targets) => {
+                for (flag, name) in targets {
+                    if !known_targets(&flag).contains(&name) {
+                        stale.push(format!("{artifact}: {flag} {name}"));
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(stale, Vec::<String>::new(), "artifacts without a writer");
+    // The case the check is for: a block that runs a bench which writes
+    // the file without naming it.
+    let md = "Regenerate with:\n\n```sh\ncargo run -p cp-bench --bin kernelbench\n```\n";
+    assert_eq!(
+        regenerating_targets(&regenerate_blocks(md), "BENCH_kernels.json"),
+        None
+    );
+    let md = "Regenerate with:\n\n```sh\ncargo run -p cp-bench --bin repro -- --json R.json\n```\n";
+    assert_eq!(
+        regenerating_targets(&regenerate_blocks(md), "R.json"),
+        Some(vec![("--bin".to_string(), "repro".to_string())])
+    );
 }
 
 #[test]

@@ -14,8 +14,8 @@ use cp_netlist::{CellId, Floorplan};
 use cp_place::hpwl::{raw_hpwl, weighted_hpwl};
 use cp_place::problem::{Object, PlacementProblem};
 use cp_place::solver::{Axis, B2bSystem};
-use cp_place::spreading::density_overflow;
-use cp_place::{GlobalPlacer, PlacerOptions};
+use cp_place::spreading::density_overflow_soa;
+use cp_place::{GlobalPlacer, PlacementSoa, PlacerOptions};
 use cp_route::{route_nets, RouterOptions};
 use proptest::prelude::*;
 
@@ -202,8 +202,9 @@ proptest! {
 
     #[test]
     fn density_bits_match_across_threads((p, pos) in arb_problem()) {
-        let seq = cp_parallel::with_threads(1, || density_overflow(&p, &pos));
-        let par = cp_parallel::with_threads(4, || density_overflow(&p, &pos));
+        let soa = PlacementSoa::from_problem(&p);
+        let seq = cp_parallel::with_threads(1, || density_overflow_soa(&p, &soa, &pos));
+        let par = cp_parallel::with_threads(4, || density_overflow_soa(&p, &soa, &pos));
         prop_assert_eq!(seq.to_bits(), par.to_bits());
     }
 

@@ -8,7 +8,8 @@ use cp_graph::{connectivity, metrics, traversal, Graph, Hypergraph};
 use cp_netlist::floorplan::Rect;
 use cp_place::hpwl::raw_hpwl;
 use cp_place::problem::{Object, PlacementProblem};
-use cp_place::spreading::{density_overflow, spread};
+use cp_place::spreading::{density_overflow_soa, spread_soa, SpreadScratch};
+use cp_place::PlacementSoa;
 use cp_route::{route_nets, RouterOptions};
 use proptest::prelude::*;
 
@@ -141,12 +142,14 @@ proptest! {
             blockages: Vec::new(),
             density_target: 0.5,
         };
-        let out = spread(&problem, &positions);
+        let soa = PlacementSoa::from_problem(&problem);
+        let mut out = Vec::new();
+        spread_soa(&problem, &soa, &positions, &mut SpreadScratch::default(), &mut out);
         for &(x, y) in &out {
             prop_assert!(problem.core.contains(x, y));
         }
-        let before = density_overflow(&problem, &positions);
-        let after = density_overflow(&problem, &out);
+        let before = density_overflow_soa(&problem, &soa, &positions);
+        let after = density_overflow_soa(&problem, &soa, &out);
         prop_assert!(after <= before + 1e-9, "overflow rose: {} -> {}", before, after);
     }
 
