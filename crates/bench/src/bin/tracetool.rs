@@ -31,18 +31,24 @@
 //! `explain` is the convergence doctor's front door: it diagnoses the
 //! field frames of one run (a frames artifact, or a fresh hermetic
 //! `--run` with frame capture on) and prints its verdicts — persistent
-//! hotspot bins and spreading displacement that never decays. Verdicts
-//! are warnings: it exits 0 after a diagnosis and 2 on an error. `diff`
-//! is the two-run comparison. `render` turns a frames artifact into
-//! per-frame SVG heatmaps. Stdout goes through
-//! `cp_bench::stdout`, so a reader that closes the pipe early ends the
-//! output without changing the exit code.
+//! hotspot bins and spreading displacement that never decays. A `--run`
+//! also prints its stage table to stderr: wall seconds per flow stage,
+//! plus each stage's heap high-water mark when built with
+//! `alloc-telemetry`. Verdicts are warnings: it exits 0 after a
+//! diagnosis and 2 on an error. `diff` is the two-run comparison.
+//! `render` turns a frames artifact into per-frame SVG heatmaps. Stdout
+//! goes through `cp_bench::stdout`, so a reader that closes the pipe
+//! early ends the output without changing the exit code.
 
 use cp_bench::qor_gate::{self, Baseline};
 use cp_bench::{out, outln};
+use cp_core::{qor, stages};
 use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate};
-use cp_trace::{fields, Analysis, DiffOptions, Frame, FrameCapture, ReportDoc, TraceDiff, Verdict};
+use cp_trace::{
+    fields, Analysis, ArgValue, DiffOptions, Frame, FrameCapture, ReportDoc, SpanRecord, TraceDiff,
+    TraceReport, Verdict,
+};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -437,6 +443,36 @@ fn print_verdicts(verdicts: &[Verdict]) {
     }
 }
 
+/// The run's flow stages with their wall clock and, when the run was
+/// built with `alloc-telemetry`, each stage's live-heap high-water mark.
+/// Written to stderr beside the run summary, so stdout carries the
+/// verdicts alone and matches `explain` on the written frames.
+fn print_stage_table(trace: &TraceReport) {
+    let heap_peak = |s: &SpanRecord| {
+        s.args.iter().find_map(|&(key, value)| match value {
+            ArgValue::U(bytes) if key == qor::HEAP_PEAK_ARG => Some(bytes),
+            _ => None,
+        })
+    };
+    let stage_spans: Vec<&SpanRecord> = trace
+        .spans
+        .iter()
+        .filter(|s| s.parent == trace.root && stages::ALL.contains(&s.name))
+        .collect();
+    let with_heap = stage_spans.iter().any(|s| heap_peak(s).is_some());
+    let heap_head = if with_heap { " heap peak MiB |" } else { "" };
+    eprintln!("| stage | wall s |{heap_head}");
+    eprintln!("|---|---|{}", if with_heap { "---|" } else { "" });
+    for s in stage_spans {
+        let heap = match heap_peak(s) {
+            Some(bytes) => format!(" {:.1} |", bytes as f64 / (1u64 << 20) as f64),
+            None if with_heap => " |".into(),
+            None => String::new(),
+        };
+        eprintln!("| {} | {:.3} |{heap}", s.name, s.seconds());
+    }
+}
+
 const EXPLAIN_USAGE: &str = "usage: tracetool explain <FIELDS_frames.json>\n\
      \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]";
 
@@ -482,6 +518,7 @@ fn explain(args: &[String]) -> Result<(), String> {
         capture.frames.len(),
         capture.dropped_frames
     );
+    print_stage_table(trace);
     if let Some(dest) = fields_out {
         std::fs::write(&dest, fields::to_json(&capture))
             .map_err(|e| format!("cannot write `{dest}`: {e}"))?;

@@ -1,8 +1,10 @@
 //! Dependency-free counting global allocator (`alloc-telemetry` feature).
 //!
-//! Wraps [`System`] and keeps three relaxed atomics: live bytes, peak
-//! live bytes and total allocation count. [`crate::qor::record_heap`]
-//! publishes them as `mem.*` gauges at stage boundaries. The module only
+//! Wraps [`System`] and keeps four relaxed atomics: live bytes, peak
+//! live bytes, total allocation count and a stage-local peak.
+//! [`crate::qor::record_heap`] publishes the first three as `mem.*`
+//! gauges at stage boundaries; the flow resets the stage-local peak as
+//! each stage starts and attaches it to the stage's span. The module only
 //! exists when the feature is enabled, so the disabled configuration pays
 //! nothing — there is no allocator shim to branch through.
 //!
@@ -17,6 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static CURRENT: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 static COUNT: AtomicU64 = AtomicU64::new(0);
+static STAGE_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Snapshot of the process-wide heap counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,6 +45,17 @@ fn on_alloc(bytes: u64) {
     COUNT.fetch_add(1, Ordering::Relaxed);
     let now = CURRENT.fetch_add(bytes, Ordering::Relaxed) + bytes;
     PEAK.fetch_max(now, Ordering::Relaxed);
+    STAGE_PEAK.fetch_max(now, Ordering::Relaxed);
+}
+
+/// Restarts the stage-local high-water mark at the live heap right now.
+pub fn reset_stage_peak() {
+    STAGE_PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
+}
+
+/// Peak live heap bytes since the last [`reset_stage_peak`].
+pub fn stage_peak_bytes() -> u64 {
+    STAGE_PEAK.load(Ordering::Relaxed)
 }
 
 fn on_dealloc(bytes: u64) {
@@ -111,5 +125,23 @@ mod tests {
         let after = heap_stats();
         assert!(after.current_bytes < mid.current_bytes);
         assert!(after.peak_bytes >= mid.peak_bytes);
+    }
+
+    #[test]
+    fn stage_peak_restarts_at_the_live_heap() {
+        // Capacity only, never touched: address space, not resident
+        // memory. Other test threads allocate too, so the sizes dwarf
+        // anything they hold.
+        let big: Vec<u8> = Vec::with_capacity(256 << 20);
+        drop(big);
+        reset_stage_peak();
+        assert!(heap_stats().peak_bytes >= 256 << 20);
+        assert!(
+            stage_peak_bytes() < 256 << 20,
+            "the freed block still counts"
+        );
+        let w: Vec<u8> = Vec::with_capacity(128 << 20);
+        assert!(stage_peak_bytes() >= 128 << 20);
+        drop(w);
     }
 }

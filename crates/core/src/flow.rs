@@ -636,7 +636,8 @@ impl<'a> Run<'a> {
     }
 
     /// Runs `work` as the named stage: under the stage span, its wall
-    /// clock recorded on the timings. A stage's preparation (seeds,
+    /// clock recorded on the timings and, under `alloc-telemetry`, its
+    /// heap high-water mark on the span. A stage's preparation (seeds,
     /// regions, timing weights — which opens `sta.*` spans of its own)
     /// stays outside, so the trace tree has it beside the stage span, not
     /// under it.
@@ -646,8 +647,10 @@ impl<'a> Run<'a> {
         work: impl FnOnce(&mut Self) -> Result<T, FlowError>,
     ) -> Result<T, FlowError> {
         let started = Instant::now();
-        let span = cp_trace::span(stage);
+        qor::start_stage_heap();
+        let mut span = cp_trace::span(stage);
         let output = work(self)?;
+        qor::record_stage_heap(&mut span);
         drop(span);
         self.timings.record(stage, started);
         Ok(output)
@@ -825,7 +828,9 @@ impl<'a> Run<'a> {
         // Line 20: region constraints are removed before legalization/routing,
         // so downstream stages always work on the free problem — in the
         // flat flow too, where it is also the problem that gets placed
-        // (borrowed: a copy is made only to attach timing weights).
+        // (borrowed: a copy is made only to attach timing weights). The
+        // seeded problem and every copy are clones of it and share its
+        // hypergraph.
         let free_problem = PlacementProblem::from_netlist(netlist, &fp);
         let mut positions = match resume.as_ref().and_then(|r| r.flat_placement.as_ref()) {
             Some(state) => state.positions.clone(),
@@ -833,9 +838,13 @@ impl<'a> Run<'a> {
                 // The clustered netlist is dropped here, before the placer
                 // allocates.
                 let mut problem = match seed {
-                    Some((clustered, centers, shaped)) => {
-                        Cow::Owned(self.seeded_problem(netlist, &fp, &clustered, &centers, &shaped))
-                    }
+                    Some((clustered, centers, shaped)) => Cow::Owned(self.seeded_problem(
+                        &free_problem,
+                        &fp,
+                        &clustered,
+                        &centers,
+                        &shaped,
+                    )),
                     None => Cow::Borrowed(&free_problem),
                 };
                 if options.timing_driven {
@@ -1055,20 +1064,20 @@ impl<'a> Run<'a> {
         Ok(picked)
     }
 
-    /// Lines 15-18: the flat problem seeded from the placed clusters —
+    /// Lines 15-18: the free flat problem seeded from the placed clusters —
     /// instances at their cluster centers, with a deterministic in-cluster
     /// jitter so the B2B linearization is non-degenerate, and in the
     /// Innovus-like recipe a region constraint around every shaped
     /// cluster.
     fn seeded_problem(
         &mut self,
-        netlist: &Netlist,
+        free: &PlacementProblem,
         fp: &Floorplan,
         clustered: &ClusteredNetlist,
         centers: &[(f64, f64)],
         shaped: &[u32],
     ) -> PlacementProblem {
-        let mut seeds = vec![(0.0, 0.0); netlist.cell_count()];
+        let mut seeds = vec![(0.0, 0.0); free.movable_count()];
         for (i, &c) in clustered.cluster_of_cell().iter().enumerate() {
             let center = centers[c as usize];
             let (w, h) = clustered.dims(c);
@@ -1076,7 +1085,7 @@ impl<'a> Run<'a> {
             let golden2 = (i as f64 * 0.381_966_011_250_105).fract() - 0.5;
             seeds[i] = fp.core.clamp(center.0 + golden * w, center.1 + golden2 * h);
         }
-        let mut problem = PlacementProblem::from_netlist(netlist, fp).with_seeds(seeds);
+        let mut problem = free.clone().with_seeds(seeds);
         if self.options.tool == Tool::InnovusLike {
             // Line 18: region constraints for shaped clusters.
             for &c in shaped {

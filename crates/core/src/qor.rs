@@ -106,3 +106,27 @@ pub fn record_heap() {
 /// stage-boundary call sites stay unconditional.
 #[cfg(not(feature = "alloc-telemetry"))]
 pub fn record_heap() {}
+
+/// Span argument of each flow stage: the stage's live-heap high-water
+/// mark in bytes (`alloc-telemetry` only; varies with the thread count
+/// and is never gated).
+pub const HEAP_PEAK_ARG: &str = "heap_peak_bytes";
+
+/// Restarts the stage-local heap high-water mark as a stage begins; a
+/// no-op without `alloc-telemetry`.
+pub fn start_stage_heap() {
+    #[cfg(feature = "alloc-telemetry")]
+    crate::alloc::reset_stage_peak();
+}
+
+/// Attaches the stage's heap high-water mark to its span as
+/// [`HEAP_PEAK_ARG`]; a no-op without `alloc-telemetry`.
+pub fn record_stage_heap(span: &mut cp_trace::SpanGuard) {
+    #[cfg(feature = "alloc-telemetry")]
+    span.arg(
+        HEAP_PEAK_ARG,
+        cp_trace::ArgValue::U(crate::alloc::stage_peak_bytes()),
+    );
+    #[cfg(not(feature = "alloc-telemetry"))]
+    let _ = span;
+}

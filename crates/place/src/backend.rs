@@ -295,8 +295,7 @@ impl EDensity {
         }
         // Same tail as spread_soa: honor regions, core bounds, blockages.
         for (i, p) in out.iter_mut().enumerate() {
-            let r = problem.region[i].unwrap_or(problem.core);
-            *p = r.clamp(p.0, p.1);
+            *p = problem.bounds_of(i).clamp(p.0, p.1);
             *p = problem.evict_from_blockages(p.0, p.1);
         }
     }
@@ -320,7 +319,7 @@ mod tests {
                 n
             ],
             fixed: vec![],
-            hypergraph: Hypergraph::new(n, vec![]),
+            hypergraph: Hypergraph::new(n, vec![]).into(),
             net_weights: vec![],
             core: Rect::new(0.0, 0.0, 100.0, 100.0),
             region: vec![None; n],

@@ -433,7 +433,7 @@ mod tests {
         let mut empty = p.clone();
         empty.movable.clear();
         empty.region.clear();
-        empty.hypergraph = cp_graph::Hypergraph::new(empty.fixed.len(), vec![]);
+        empty.hypergraph = cp_graph::Hypergraph::new(empty.fixed.len(), vec![]).into();
         empty.net_weights.clear();
         let mut pos: Vec<(f64, f64)> = Vec::new();
         assert_eq!(

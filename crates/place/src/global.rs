@@ -138,7 +138,8 @@ impl GlobalPlacer {
     /// - [`PlaceError::DegenerateCore`] when the core has non-finite or
     ///   non-positive dimensions.
     /// - [`PlaceError::InvalidInput`] when seed positions don't match the
-    ///   movable count.
+    ///   movable count, or `region` is neither empty nor one entry per
+    ///   movable.
     /// - [`PlaceError::NonFinite`] when the inputs carry NaN/Inf.
     /// - [`PlaceError::Diverged`] when the loop blows up and
     ///   `revert_if_diverge` is off. With it on (the default), divergence
@@ -210,6 +211,11 @@ impl GlobalPlacer {
                 });
             }
         }
+        if !problem.region.is_empty() && problem.region.len() != m {
+            return Err(PlaceError::InvalidInput {
+                reason: format!("{} regions for {m} movables", problem.region.len()),
+            });
+        }
         if !all_finite(&problem.fixed) {
             return Err(PlaceError::NonFinite {
                 stage: "fixed terminal positions",
@@ -272,11 +278,10 @@ impl GlobalPlacer {
 
         let mut anchor_w: Vec<f64> = vec![0.0; m];
         // Persistent per-axis B2B assemblers, CG scratch and coordinate
-        // buffers (and the spreader's buffers): once they have
-        // grown to size an outer iteration allocates nothing, and nets
-        // whose pins did not move between iterations reuse their cached
-        // B2B pairs instead of re-linearizing. The Y scratch is only
-        // touched — and so only sized — when the axes run as two tasks.
+        // buffers (and the spreader's buffers and the best snapshot):
+        // once they have grown to size an outer iteration allocates
+        // nothing. The Y scratch is only touched — and so only sized —
+        // when the axes run as two tasks.
         let mut rb_x = B2bRebuilder::new(Axis::X);
         let mut rb_y = B2bRebuilder::new(Axis::Y);
         let mut scratch_x = CgScratch::default();
@@ -433,11 +438,20 @@ impl GlobalPlacer {
                 None => true,
             };
             if better {
-                best = Some(Snapshot {
-                    positions: upper.clone(),
-                    hpwl,
-                    overflow,
-                });
+                match &mut best {
+                    Some(b) => {
+                        b.positions.copy_from_slice(&upper);
+                        b.hpwl = hpwl;
+                        b.overflow = overflow;
+                    }
+                    None => {
+                        best = Some(Snapshot {
+                            positions: upper.clone(),
+                            hpwl,
+                            overflow,
+                        });
+                    }
+                }
             }
             if overflow <= TARGET_OVERFLOW {
                 break;
@@ -478,8 +492,7 @@ impl GlobalPlacer {
 
     fn clamp(&self, problem: &PlacementProblem, pos: &mut [(f64, f64)]) {
         for (i, p) in pos.iter_mut().enumerate() {
-            let r = problem.region[i].unwrap_or(problem.core);
-            *p = r.clamp(p.0, p.1);
+            *p = problem.bounds_of(i).clamp(p.0, p.1);
             *p = problem.evict_from_blockages(p.0, p.1);
         }
     }
@@ -635,7 +648,7 @@ mod tests {
         p.movable.clear();
         p.region.clear();
         // Rebuild a consistent empty hypergraph.
-        p.hypergraph = cp_graph::Hypergraph::new(p.fixed.len(), vec![]);
+        p.hypergraph = cp_graph::Hypergraph::new(p.fixed.len(), vec![]).into();
         p.net_weights.clear();
         let r = GlobalPlacer::new(PlacerOptions::default())
             .place(&p)
@@ -777,5 +790,19 @@ mod tests {
             GlobalPlacer::default().place(&nan_seeds),
             Err(crate::error::PlaceError::NonFinite { .. })
         ));
+        // A region vector that is neither empty nor one per movable
+        // (bypassing set_region), under both spreading backends.
+        let mut short_regions = p.clone();
+        short_regions.region = vec![None; p.movable_count() - 1];
+        for backend in [PlacerBackendKind::B2b, PlacerBackendKind::EDensity] {
+            assert!(matches!(
+                GlobalPlacer::new(PlacerOptions {
+                    backend,
+                    ..PlacerOptions::default()
+                })
+                .place(&short_regions),
+                Err(crate::error::PlaceError::InvalidInput { .. })
+            ));
+        }
     }
 }

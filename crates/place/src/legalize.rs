@@ -574,7 +574,7 @@ mod oracle_tests {
                         })
                         .collect(),
                     fixed: vec![],
-                    hypergraph: Hypergraph::new(m, vec![]),
+                    hypergraph: Hypergraph::new(m, vec![]).into(),
                     net_weights: vec![],
                     core,
                     region: vec![None; m],

@@ -8,8 +8,8 @@
 use cp_graph::Hypergraph;
 use cp_netlist::clustered::ClusteredNetlist;
 use cp_netlist::floorplan::{Floorplan, Rect};
-
 use cp_netlist::netlist::Netlist;
+use std::sync::Arc;
 
 /// A movable object (standard cell or cluster macro).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,20 +30,27 @@ impl Object {
 /// A placement problem instance.
 ///
 /// Hypergraph vertices `0..movable.len()` are the movable objects;
-/// `movable.len()..` are fixed terminals with known positions.
+/// `movable.len()..` are fixed terminals with known positions. Cloning a
+/// problem to reweigh, seed, constrain or inflate it shares the
+/// hypergraph; everything else is per copy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementProblem {
     /// Movable objects.
     pub movable: Vec<Object>,
     /// Positions of fixed terminals (hypergraph vertices after movables).
     pub fixed: Vec<(f64, f64)>,
-    /// Connectivity over `movable.len() + fixed.len()` vertices.
-    pub hypergraph: Hypergraph,
+    /// Connectivity over `movable.len() + fixed.len()` vertices, shared
+    /// between clones.
+    pub hypergraph: Arc<Hypergraph>,
     /// Per-hyperedge weights.
     pub net_weights: Vec<f64>,
     /// The placeable core region.
     pub core: Rect,
-    /// Optional region constraint per movable object (Innovus-style).
+    /// Region constraint per movable object (Innovus-style): empty — no
+    /// object constrained — until the first
+    /// [`set_region`](Self::set_region), one entry per movable after it.
+    /// The placer rejects any other length. Read it through
+    /// [`bounds_of`](Self::bounds_of).
     pub region: Vec<Option<Rect>>,
     /// Optional seed positions per movable object (incremental mode).
     pub seed_positions: Option<Vec<(f64, f64)>>,
@@ -68,16 +75,15 @@ impl PlacementProblem {
                 }
             })
             .collect();
-        let hypergraph = netlist.to_hypergraph();
+        let hypergraph = Arc::new(netlist.to_hypergraph());
         let net_weights = vec![1.0; hypergraph.edge_count()];
-        let n = movable.len();
         Self {
             movable,
             fixed: floorplan.port_positions.clone(),
             hypergraph,
             net_weights,
             core: floorplan.core,
-            region: vec![None; n],
+            region: Vec::new(),
             seed_positions: None,
             blockages: floorplan.blockages.clone(),
             density_target: floorplan.utilization.min(0.95),
@@ -94,14 +100,13 @@ impl PlacementProblem {
                 Object { width, height }
             })
             .collect();
-        let n = movable.len();
         Self {
             movable,
             fixed: floorplan.port_positions.clone(),
-            hypergraph: clustered.hypergraph().clone(),
+            hypergraph: Arc::new(clustered.hypergraph().clone()),
             net_weights: clustered.net_weights().to_vec(),
             core: floorplan.core,
-            region: vec![None; n],
+            region: Vec::new(),
             seed_positions: None,
             blockages: floorplan.blockages.clone(),
             density_target: 0.95,
@@ -129,9 +134,24 @@ impl PlacementProblem {
         self
     }
 
-    /// Constrains movable `i` into `rect` (clamped every iteration).
+    /// Constrains movable `i` into `rect` (clamped every iteration). The
+    /// first call sizes [`region`](Self::region) to one entry per movable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= movable_count()`.
     pub fn set_region(&mut self, i: usize, rect: Rect) {
+        if self.region.is_empty() {
+            self.region = vec![None; self.movable.len()];
+        }
         self.region[i] = Some(rect);
+    }
+
+    /// The rectangle movable `i` is clamped into: its region, or the core
+    /// when it has none (also for every object while `region` is empty).
+    #[inline]
+    pub fn bounds_of(&self, i: usize) -> Rect {
+        self.region.get(i).copied().flatten().unwrap_or(self.core)
     }
 
     /// Area of `rect` not covered by this problem's blockages.
@@ -229,6 +249,27 @@ mod tests {
         assert_eq!(p.vertex_pos(0, &pos), (1.0, 2.0));
         let port_v = p.movable_count() as u32;
         assert_eq!(p.vertex_pos(port_v, &pos), fp.port_positions[0]);
+    }
+
+    #[test]
+    fn regions_stay_empty_until_the_first_set_region() {
+        let (n, fp) = flat();
+        let mut p = PlacementProblem::from_netlist(&n, &fp);
+        assert!(p.region.is_empty());
+        assert_eq!(p.bounds_of(3), fp.core);
+        let r = Rect::new(fp.core.llx, fp.core.lly, 5.0, 5.0);
+        p.set_region(3, r);
+        assert_eq!(p.region.len(), p.movable_count());
+        assert_eq!(p.bounds_of(3), r);
+        assert_eq!(p.bounds_of(2), fp.core);
+    }
+
+    #[test]
+    fn clones_share_the_hypergraph() {
+        let (n, fp) = flat();
+        let p = PlacementProblem::from_netlist(&n, &fp);
+        let seeded = p.clone().with_seeds(vec![(0.0, 0.0); p.movable_count()]);
+        assert!(Arc::ptr_eq(&p.hypergraph, &seeded.hypergraph));
     }
 
     #[test]

@@ -53,7 +53,7 @@ mod tests {
                 },
             ],
             fixed: vec![(10.0, 4.0)],
-            hypergraph: Hypergraph::new(3, vec![(vec![0, 1, 2], 1.0)]),
+            hypergraph: Hypergraph::new(3, vec![(vec![0, 1, 2], 1.0)]).into(),
             net_weights: vec![1.0],
             core: Rect::new(0.0, 0.0, 10.0, 10.0),
             region: vec![None, None],

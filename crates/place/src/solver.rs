@@ -19,17 +19,18 @@
 //! assembly order, so per-row accumulation, and with it every CG iterate,
 //! is bit-identical to a row-order CSR loop. The CG kernels write into
 //! caller-owned `CgScratch` buffers so a full solve allocates nothing,
-//! and the placer's `B2bRebuilder` caches per-net B2B pairs between outer
-//! placement iterations, regenerating only nets whose pin coordinates
-//! actually changed (bitwise) since the previous linearization.
+//! and the placer's `B2bRebuilder` assembles each system straight from
+//! the nets into buffers it keeps between outer placement iterations —
+//! no per-pair list is ever materialized.
 //!
-//! Everything is deterministic across thread counts: pair generation is
-//! chunked over fixed net ranges and consumed in chunk order, SpMV is
-//! row-parallel with unchanged per-row accumulation order, and dot
-//! products use `cp-parallel`'s fixed-order tree reduction.
+//! Everything is deterministic across thread counts: assembly is serial
+//! in net order, SpMV is row-parallel with unchanged per-row accumulation
+//! order, and dot products use `cp-parallel`'s fixed-order tree
+//! reduction.
 
 use crate::kernels::{self, dot};
 use crate::problem::PlacementProblem;
+use cp_graph::Hypergraph;
 use std::ops::Range;
 
 /// Axis selector.
@@ -44,8 +45,6 @@ pub enum Axis {
 /// Minimum pin separation for B2B weights, µm (avoids singular weights).
 const MIN_DIST: f64 = 0.5;
 
-/// Hyperedges per parallel chunk when generating B2B pairs.
-const EDGE_CHUNK: usize = 512;
 /// Rows per parallel chunk in the SpMV (the CG vector kernels' geometry).
 const VEC_CHUNK: usize = kernels::VEC_CHUNK;
 
@@ -56,9 +55,6 @@ const VEC_CHUNK: usize = kernels::VEC_CHUNK;
 /// amortize their one loop-exit mispredict; 8 and 12 measured 20% and 3%
 /// slower (EXPERIMENTS.md, "Placer outer iteration").
 const MAX_EXACT_ROW: usize = 16;
-
-/// One B2B two-pin edge: `(u, v, weight)` over global vertex ids.
-type Pair = (u32, u32, f64);
 
 /// Convergence facts from one CG solve, for the telemetry channel.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -125,147 +121,171 @@ pub struct Anchors<'a> {
     pub weight: &'a [f64],
 }
 
-/// Hands the B2B pairs of one net to `emit`, reading this axis's
-/// coordinates from the flat `coord` array (movables first, then fixed).
+/// Positions within `verts` of the net's lowest and highest pin on this
+/// axis (the first of several ties; `(0, 0)` for an empty net).
 #[inline]
-fn net_pairs(verts: &[u32], w_net: f64, coord: &[f64], mut emit: impl FnMut(Pair)) {
-    let p = verts.len();
-    if p < 2 {
-        return;
-    }
-    // Locate extreme pins on this axis.
-    let (mut lo_i, mut hi_i) = (0usize, 0usize);
-    for (i, &v) in verts.iter().enumerate() {
-        if coord[v as usize] < coord[verts[lo_i] as usize] {
-            lo_i = i;
+fn extreme_pins(verts: &[u32], coord: &[f64]) -> (u32, u32) {
+    let Some(&first) = verts.first() else {
+        return (0, 0);
+    };
+    let (mut lo_i, mut hi_i) = (0, 0);
+    let (mut lo, mut hi) = (coord[first as usize], coord[first as usize]);
+    for (i, &v) in verts.iter().enumerate().skip(1) {
+        let c = coord[v as usize];
+        if c < lo {
+            (lo, lo_i) = (c, i);
         }
-        if coord[v as usize] > coord[verts[hi_i] as usize] {
-            hi_i = i;
+        if c > hi {
+            (hi, hi_i) = (c, i);
         }
     }
-    let scale = w_net * 2.0 / (p as f64 - 1.0);
-    let b2b_w =
-        |a: u32, b: u32| scale / (coord[a as usize] - coord[b as usize]).abs().max(MIN_DIST);
-    let (lo, hi) = (verts[lo_i], verts[hi_i]);
+    (lo_i as u32, hi_i as u32)
+}
+
+/// Hands the B2B two-pin edges `(u, v)` of one net of at least two pins
+/// to `emit`, in assembly order: the extremes to each other, then every
+/// other pin, in pin-list order, to the low and to the high extreme.
+#[inline]
+fn net_pairs(verts: &[u32], (lo_i, hi_i): (u32, u32), mut emit: impl FnMut(u32, u32)) {
+    let (lo, hi) = (verts[lo_i as usize], verts[hi_i as usize]);
     if lo != hi {
-        emit((lo, hi, b2b_w(lo, hi)));
+        emit(lo, hi);
     }
-    for (i, &v) in verts.iter().enumerate() {
-        if i == lo_i || i == hi_i {
-            continue;
-        }
+    let mut other = |v: u32| {
         if v != lo {
-            emit((v, lo, b2b_w(v, lo)));
+            emit(v, lo);
         }
         if v != hi {
-            emit((v, hi, b2b_w(v, hi)));
+            emit(v, hi);
         }
+    };
+    // The runs before, between and after the two extreme positions
+    // `a ≤ b`: no per-pin test for "is this an extreme", which a branch
+    // predictor cannot learn (the extremes sit anywhere in the list).
+    let (a, b) = (lo_i.min(hi_i) as usize, lo_i.max(hi_i) as usize);
+    for &v in &verts[..a] {
+        other(v);
+    }
+    for &v in &verts[a + 1..b.max(a + 1)] {
+        other(v);
+    }
+    for &v in &verts[b + 1..] {
+        other(v);
     }
 }
 
-/// The cached B2B pairs of one fixed range of [`EDGE_CHUNK`] nets, in
-/// net order.
-#[derive(Debug, Clone, Default)]
-struct NetChunk {
-    /// `ptr[k]..ptr[k+1]` bounds the pairs of the chunk's `k`-th net.
-    ptr: Vec<u32>,
-    pairs: Vec<Pair>,
-    /// Nets regenerated (not kept) by the last rebuild.
-    rebuilt: u32,
+/// Pass 1 of the assembly: every net's extreme pins into `extremes`, and
+/// each row's off-diagonal entry count added onto `deg`. Returns the
+/// total entry count.
+fn extremes_and_degrees(
+    hypergraph: &Hypergraph,
+    coord: &[f64],
+    extremes: &mut Vec<(u32, u32)>,
+    deg: &mut [u32],
+) -> usize {
+    let m = deg.len();
+    let mut entries = 0;
+    extremes.clear();
+    for e in 0..hypergraph.edge_count() {
+        let verts = hypergraph.edge(e as u32);
+        let ext = extreme_pins(verts, coord);
+        extremes.push(ext);
+        if verts.len() < 2 {
+            continue;
+        }
+        net_pairs(verts, ext, |u, v| {
+            if (u as usize) < m && (v as usize) < m {
+                deg[u as usize] += 1;
+                deg[v as usize] += 1;
+                entries += 2;
+            }
+        });
+    }
+    entries
 }
 
-impl NetChunk {
-    /// Regenerates the dirty nets among `nets` over their cached pairs
-    /// and keeps the clean ones, so nothing is copied or allocated. A
-    /// net's pair count is fixed by its pin count — except while all its
-    /// pins share one coordinate and the extremes collapse — so a dirty
-    /// net normally fits its span; returns `false` as soon as one does
-    /// not, leaving the chunk to be regenerated from scratch.
-    fn update_in_place(
-        &mut self,
-        nets: Range<usize>,
-        problem: &PlacementProblem,
-        coord: &[f64],
-        prev: &[f64],
-    ) -> bool {
-        if self.ptr.len() != nets.len() + 1 {
-            return false;
+/// Pass 2 of the assembly: every net's two-pin edges weighed and
+/// scattered in net-then-pair order. Both endpoints movable: two
+/// off-diagonal entries, at the rows' fill `cursor`s; one fixed: the
+/// fixed coordinate moves to the right-hand side. The arenas arrive as
+/// separate slices so the compiler knows no store aliases `coord`.
+#[allow(clippy::too_many_arguments)]
+fn scatter_nets(
+    problem: &PlacementProblem,
+    extremes: &[(u32, u32)],
+    coord: &[f64],
+    cursor: &mut [u32],
+    diag: &mut [f64],
+    rhs: &mut [f64],
+    col_idx: &mut [u32],
+    val: &mut [f64],
+) {
+    let m = cursor.len();
+    for (e, &ext) in extremes.iter().enumerate() {
+        let verts = problem.hypergraph.edge(e as u32);
+        if verts.len() < 2 {
+            continue;
         }
-        self.rebuilt = 0;
-        for (k, e) in nets.enumerate() {
-            let verts = problem.hypergraph.edge(e as u32);
-            if verts
-                .iter()
-                .all(|&v| prev[v as usize].to_bits() == coord[v as usize].to_bits())
-            {
-                continue;
-            }
-            self.rebuilt += 1;
-            let span = &mut self.pairs[self.ptr[k] as usize..self.ptr[k + 1] as usize];
-            let mut used = 0;
-            net_pairs(verts, problem.net_weights[e], coord, |pair| {
-                if let Some(slot) = span.get_mut(used) {
-                    *slot = pair;
+        let scale = problem.net_weights[e] * 2.0 / (verts.len() as f64 - 1.0);
+        net_pairs(verts, ext, |u, v| {
+            let (ui, vi) = (u as usize, v as usize);
+            let w = scale / (coord[ui] - coord[vi]).abs().max(MIN_DIST);
+            match (ui < m, vi < m) {
+                (true, true) => {
+                    diag[ui] += w;
+                    diag[vi] += w;
+                    let cu = cursor[ui] as usize;
+                    col_idx[cu] = v;
+                    val[cu] = w;
+                    cursor[ui] += 1;
+                    let cv = cursor[vi] as usize;
+                    col_idx[cv] = u;
+                    val[cv] = w;
+                    cursor[vi] += 1;
                 }
-                used += 1;
-            });
-            if used != span.len() {
-                return false;
+                (true, false) => {
+                    diag[ui] += w;
+                    rhs[ui] += w * coord[vi];
+                }
+                (false, true) => {
+                    diag[vi] += w;
+                    rhs[vi] += w * coord[ui];
+                }
+                (false, false) => {}
             }
-        }
-        true
-    }
-
-    /// Regenerates every net of `nets`.
-    fn regenerate(&mut self, nets: Range<usize>, problem: &PlacementProblem, coord: &[f64]) {
-        self.rebuilt = nets.len() as u32;
-        self.pairs.clear();
-        self.ptr.clear();
-        self.ptr.push(0);
-        for e in nets {
-            let verts = problem.hypergraph.edge(e as u32);
-            net_pairs(verts, problem.net_weights[e], coord, |pair| {
-                self.pairs.push(pair)
-            });
-            self.ptr.push(self.pairs.len() as u32);
-        }
+        });
     }
 }
 
-/// Incremental per-axis B2B assembler.
+/// Per-axis B2B assembler.
 ///
-/// Holds the flat coordinate array, the per-net B2B pair cache and the
-/// assembled [`B2bSystem`] across outer placement iterations. On each
-/// [`B2bRebuilder::rebuild`] only nets with at least one pin whose
-/// coordinate changed (bitwise) since the last call regenerate their
-/// pairs; clean nets keep their cached ones, which makes the rebuild
-/// cost proportional to how much actually moved. The assembled system is
-/// bit-identical to a from-scratch [`B2bSystem::build`] at the same
-/// positions, at any thread count.
+/// Holds the flat coordinate array, each net's extreme pins and the
+/// assembled [`B2bSystem`] across outer placement iterations, so from the
+/// second [`B2bRebuilder::rebuild`] on nothing is allocated unless a
+/// buffer has to grow. Every rebuild re-linearizes every net: every
+/// movable moves every outer iteration, so a per-net cache of the last
+/// linearization never hits (DESIGN.md, "B2B assembly straight from the
+/// nets"). The assembled system is bit-identical to a one-shot
+/// [`B2bSystem::build`] at the same positions, at any thread count.
 #[derive(Debug, Clone)]
 pub(crate) struct B2bRebuilder {
     axis: Axis,
     /// This axis's coordinate per global vertex (movables then fixed).
     coord: Vec<f64>,
-    /// Coordinates at the previous pair generation (empty before the
-    /// first rebuild).
-    prev_coord: Vec<f64>,
-    /// Per-net pairs, one entry per fixed net chunk, in net order.
-    chunks: Vec<NetChunk>,
+    /// Per net, the positions in its pin list of its extreme pins.
+    extremes: Vec<(u32, u32)>,
     /// Per-row scratch: off-diagonal degree, then the fill cursor.
     deg: Vec<u32>,
     sys: B2bSystem,
 }
 
 impl B2bRebuilder {
-    /// A rebuilder for one axis with empty caches; the first
-    /// [`B2bRebuilder::rebuild`] regenerates every net.
+    /// A rebuilder for one axis with empty buffers.
     pub fn new(axis: Axis) -> Self {
         Self {
             axis,
             coord: Vec::new(),
-            prev_coord: Vec::new(),
-            chunks: Vec::new(),
+            extremes: Vec::new(),
             deg: Vec::new(),
             sys: B2bSystem::default(),
         }
@@ -281,12 +301,11 @@ impl B2bRebuilder {
         self.sys
     }
 
-    /// (Re)builds the B2B system linearized at `positions`. Every buffer
-    /// — coordinates, pair cache, system arenas — is reused, so from the
-    /// second call on a rebuild allocates only when a buffer has to grow.
-    ///
-    /// Must be called with the same `problem` across a rebuilder's
-    /// lifetime; a shape change falls back to a full regeneration.
+    /// (Re)builds the B2B system linearized at `positions`, straight from
+    /// the nets in two passes: the first finds every net's extreme pins
+    /// and counts the rows' off-diagonal degrees, the second computes the
+    /// edge weights and scatters them in net-then-pair order, which fixes
+    /// every row's entry order and every `diag`/`rhs` accumulation order.
     pub fn rebuild(
         &mut self,
         problem: &PlacementProblem,
@@ -295,113 +314,59 @@ impl B2bRebuilder {
     ) {
         let m = problem.movable_count();
         let nf = problem.fixed.len();
-        let nets = problem.hypergraph.edge_count();
-        let axis = self.axis;
+        let Self {
+            axis,
+            coord,
+            extremes,
+            deg,
+            sys,
+        } = self;
 
         // Flat coordinates for this axis: movables from `positions`,
         // fixed from the problem. Branch-free lookup in the net kernel.
-        self.coord.resize(m + nf, 0.0);
+        coord.resize(m + nf, 0.0);
         match axis {
             Axis::X => {
-                for (c, pos) in self.coord.iter_mut().zip(positions.iter().take(m)) {
+                for (c, pos) in coord.iter_mut().zip(positions.iter().take(m)) {
                     *c = pos.0;
                 }
-                for (c, f) in self.coord[m..].iter_mut().zip(&problem.fixed) {
+                for (c, f) in coord[m..].iter_mut().zip(&problem.fixed) {
                     *c = f.0;
                 }
             }
             Axis::Y => {
-                for (c, pos) in self.coord.iter_mut().zip(positions.iter().take(m)) {
+                for (c, pos) in coord.iter_mut().zip(positions.iter().take(m)) {
                     *c = pos.1;
                 }
-                for (c, f) in self.coord[m..].iter_mut().zip(&problem.fixed) {
+                for (c, f) in coord[m..].iter_mut().zip(&problem.fixed) {
                     *c = f.1;
                 }
             }
         }
 
-        // Pair generation: parallel over fixed net chunks. A net is dirty
-        // iff any of its pins moved (bitwise) since the last rebuild;
-        // dirty nets recompute, clean nets keep their cached pairs. Each
-        // chunk holds its pairs in net order and the assembly below walks
-        // the chunks in order, which reproduces the serial build bit for
-        // bit.
-        let all_dirty = self.prev_coord.len() != self.coord.len();
-        self.chunks.resize_with(
-            cp_parallel::chunk_count(nets, EDGE_CHUNK),
-            NetChunk::default,
-        );
-        let coord = &self.coord;
-        let prev = &self.prev_coord;
-        cp_parallel::par_chunks_mut(&mut self.chunks, 1, |ci, _, chunk| {
-            let chunk_nets = ci * EDGE_CHUNK..nets.min((ci + 1) * EDGE_CHUNK);
-            if all_dirty || !chunk[0].update_in_place(chunk_nets.clone(), problem, coord, prev) {
-                chunk[0].regenerate(chunk_nets, problem, coord);
-            }
-        });
-        if cp_trace::telemetry_enabled() {
-            let nets_rebuilt: u64 = self.chunks.iter().map(|c| u64::from(c.rebuilt)).sum();
-            cp_trace::counter_add("place.b2b.nets_rebuilt", nets_rebuilt);
-            cp_trace::counter_add(
-                "place.b2b.nets_cached",
-                (nets as u64).saturating_sub(nets_rebuilt),
-            );
-        }
-        let pair_count: usize = self.chunks.iter().map(|c| c.pairs.len()).sum();
+        deg.clear();
+        deg.resize(m, 0);
+        let entries = extremes_and_degrees(&problem.hypergraph, coord, extremes, deg);
         assert!(
-            pair_count < (u32::MAX / 2) as usize,
-            "B2B pair count overflows the u32 arena index"
+            entries < u32::MAX as usize,
+            "B2B entry count overflows the u32 arena index"
         );
-
-        // Assembly from the pair cache, in net order, with the same
-        // four-case scatter the jagged build used: count off-diagonal
-        // degrees, lay the rows out by degree, then cursor-fill
-        // `col_idx`/`val` while accumulating `diag`/`rhs` in pair order.
-        let sys = &mut self.sys;
         sys.diag.clear();
         sys.diag.resize(m, 0.0);
         sys.rhs.clear();
         sys.rhs.resize(m, 0.0);
-        self.deg.clear();
-        self.deg.resize(m, 0);
-        for chunk in &self.chunks {
-            for &(u, v, _) in &chunk.pairs {
-                if (u as usize) < m && (v as usize) < m {
-                    self.deg[u as usize] += 1;
-                    self.deg[v as usize] += 1;
-                }
-            }
-        }
         // `deg` turns into each row's fill cursor.
-        sys.layout_rows(&mut self.deg);
-        for chunk in &self.chunks {
-            for &(u, v, w) in &chunk.pairs {
-                let (ui, vi) = (u as usize, v as usize);
-                match (ui < m, vi < m) {
-                    (true, true) => {
-                        sys.diag[ui] += w;
-                        sys.diag[vi] += w;
-                        let cu = self.deg[ui] as usize;
-                        sys.col_idx[cu] = v;
-                        sys.val[cu] = w;
-                        self.deg[ui] += 1;
-                        let cv = self.deg[vi] as usize;
-                        sys.col_idx[cv] = u;
-                        sys.val[cv] = w;
-                        self.deg[vi] += 1;
-                    }
-                    (true, false) => {
-                        sys.diag[ui] += w;
-                        sys.rhs[ui] += w * self.coord[vi];
-                    }
-                    (false, true) => {
-                        sys.diag[vi] += w;
-                        sys.rhs[vi] += w * self.coord[ui];
-                    }
-                    (false, false) => {}
-                }
-            }
-        }
+        sys.layout_rows(deg);
+        scatter_nets(
+            problem,
+            extremes,
+            coord,
+            deg,
+            &mut sys.diag,
+            &mut sys.rhs,
+            &mut sys.col_idx,
+            &mut sys.val,
+        );
         if let Some(a) = anchors {
             for i in 0..m {
                 let w = a.weight[i];
@@ -412,23 +377,20 @@ impl B2bRebuilder {
             }
         }
         // Isolated objects stay where they are.
-        for i in 0..m {
-            if sys.diag[i] == 0.0 {
-                sys.diag[i] = 1.0;
-                sys.rhs[i] = self.coord[i];
+        for ((d, r), &c) in sys.diag.iter_mut().zip(&mut sys.rhs).zip(coord.iter()) {
+            if *d == 0.0 {
+                *d = 1.0;
+                *r = c;
             }
         }
-
-        // The coords we just linearized at become the dirty-check baseline.
-        std::mem::swap(&mut self.prev_coord, &mut self.coord);
     }
 }
 
 impl B2bSystem {
     /// Builds the B2B system for one axis, linearized at `positions`.
     ///
-    /// One-shot wrapper over the incremental assembler the placer holds
-    /// across outer iterations.
+    /// One-shot wrapper over the assembler the placer holds across outer
+    /// iterations.
     pub fn build(
         problem: &PlacementProblem,
         positions: &[(f64, f64)],
@@ -715,8 +677,8 @@ impl B2bSystem {
 }
 
 /// The pre-refactor jagged (`Vec<Vec<_>>`) B2B implementation, kept
-/// verbatim as the bitwise oracle for the CSR kernels and the incremental
-/// rebuild. Test-only; not compiled into the library.
+/// verbatim as the bitwise oracle for the CSR kernels and the two-pass
+/// assembly. Test-only; not compiled into the library.
 #[cfg(test)]
 pub(crate) mod jagged_oracle {
     use super::{Anchors, Axis, MIN_DIST, VEC_CHUNK};
@@ -955,7 +917,8 @@ mod tests {
             hypergraph: Hypergraph::new(
                 4,
                 vec![(vec![2, 0], 1.0), (vec![0, 1], 1.0), (vec![1, 3], 1.0)],
-            ),
+            )
+            .into(),
             net_weights: vec![1.0, 1.0, 1.0],
             core: Rect::new(0.0, 0.0, 9.0, 9.0),
             region: vec![None, None],
@@ -1027,18 +990,18 @@ mod tests {
     }
 
     #[test]
-    fn incremental_rebuild_matches_fresh_build() {
+    fn reused_rebuild_matches_fresh_build() {
         let p = line_problem();
         let mut rb = B2bRebuilder::new(Axis::X);
         let pos0 = vec![(20.0, 0.0), (30.0, 0.0)];
         rb.rebuild(&p, &pos0, None);
         assert_sys_bitwise_eq(rb.system(), &B2bSystem::build(&p, &pos0, Axis::X, None));
-        // Move one cell: nets touching it regenerate, the rest come from
-        // the cache — and the result must equal a from-scratch build.
+        // Move one cell: the rebuild on the warm buffers must equal a
+        // from-scratch build.
         let pos1 = vec![(20.0, 0.0), (7.5, 0.0)];
         rb.rebuild(&p, &pos1, None);
         assert_sys_bitwise_eq(rb.system(), &B2bSystem::build(&p, &pos1, Axis::X, None));
-        // No movement at all: fully cached rebuild, still identical.
+        // No movement at all: still identical.
         rb.rebuild(&p, &pos1, None);
         assert_sys_bitwise_eq(rb.system(), &B2bSystem::build(&p, &pos1, Axis::X, None));
     }
@@ -1105,7 +1068,7 @@ mod tests {
                 height: 1.0,
             }],
             fixed: vec![(0.0, 0.0), (9.0, 0.0)],
-            hypergraph: Hypergraph::new(3, vec![(vec![0, 1], 1.0), (vec![0, 2], 1.0)]),
+            hypergraph: Hypergraph::new(3, vec![(vec![0, 1], 1.0), (vec![0, 2], 1.0)]).into(),
             net_weights: vec![1.0, 10.0],
             core: Rect::new(0.0, 0.0, 9.0, 9.0),
             region: vec![None],
@@ -1150,7 +1113,7 @@ mod tests {
                 height: 1.0,
             }],
             fixed: vec![],
-            hypergraph: Hypergraph::new(1, vec![]),
+            hypergraph: Hypergraph::new(1, vec![]).into(),
             net_weights: vec![],
             core: Rect::new(0.0, 0.0, 10.0, 10.0),
             region: vec![None],
@@ -1190,7 +1153,7 @@ mod proptests {
     use proptest::prelude::*;
 
     /// A randomized placement problem plus start positions and a sparse
-    /// perturbation (for the incremental-rebuild property).
+    /// perturbation (for the reused-buffer rebuild property).
     #[derive(Debug, Clone)]
     struct Case {
         problem: PlacementProblem,
@@ -1226,7 +1189,7 @@ mod proptests {
                         m
                     ],
                     fixed: coords[m..m + f].to_vec(),
-                    hypergraph: Hypergraph::new(m + f, edges),
+                    hypergraph: Hypergraph::new(m + f, edges).into(),
                     net_weights,
                     core: Rect::new(-10.0, -10.0, 10.0, 10.0),
                     region: vec![None; m],
@@ -1384,10 +1347,10 @@ mod proptests {
             }
         }
 
-        /// An incremental rebuild after a sparse perturbation equals a
-        /// from-scratch build at the new positions, bit for bit.
+        /// A rebuild on buffers that held the previous linearization
+        /// equals a from-scratch build at the new positions, bit for bit.
         #[test]
-        fn incremental_rebuild_matches_fresh(case in case_strategy()) {
+        fn reused_rebuild_matches_fresh(case in case_strategy()) {
             for axis in [Axis::X, Axis::Y] {
                 let mut rb = B2bRebuilder::new(axis);
                 rb.rebuild(&case.problem, &case.pos0, None);

@@ -190,9 +190,8 @@ pub fn spread_soa(
     for (&i, &p) in by_x.order.iter().zip(mapped.iter()) {
         out[i as usize] = p;
     }
-    for (p, region) in out.iter_mut().zip(&problem.region) {
-        let r = region.unwrap_or(problem.core);
-        *p = r.clamp(p.0, p.1);
+    for (i, p) in out.iter_mut().enumerate() {
+        *p = problem.bounds_of(i).clamp(p.0, p.1);
         *p = problem.evict_from_blockages(p.0, p.1);
     }
 }
@@ -541,7 +540,7 @@ mod tests {
                 n
             ],
             fixed: vec![],
-            hypergraph: Hypergraph::new(n, vec![]),
+            hypergraph: Hypergraph::new(n, vec![]).into(),
             net_weights: vec![],
             core: Rect::new(0.0, 0.0, 100.0, 100.0),
             region: vec![None; n],
@@ -643,7 +642,7 @@ mod proptests {
                         })
                         .collect(),
                     fixed: vec![],
-                    hypergraph: Hypergraph::new(m, vec![]),
+                    hypergraph: Hypergraph::new(m, vec![]).into(),
                     net_weights: vec![],
                     core,
                     region: cells

@@ -160,7 +160,7 @@ fn arb_problem() -> impl Strategy<Value = (PlacementProblem, Vec<(f64, f64)>)> {
                     m
                 ],
                 fixed: vec![],
-                hypergraph: Hypergraph::new(m, edges),
+                hypergraph: Hypergraph::new(m, edges).into(),
                 net_weights: weights,
                 core: Rect::new(0.0, 0.0, 100.0, 100.0),
                 region: vec![None; m],

@@ -134,7 +134,7 @@ proptest! {
         let problem = PlacementProblem {
             movable: vec![Object { width: 1.0, height: 1.0 }; n],
             fixed: vec![],
-            hypergraph: Hypergraph::new(n, vec![]),
+            hypergraph: Hypergraph::new(n, vec![]).into(),
             net_weights: vec![],
             core: Rect::new(0.0, 0.0, 100.0, 100.0),
             region: vec![None; n],
@@ -167,7 +167,7 @@ proptest! {
         let problem = PlacementProblem {
             movable: vec![Object { width: 1.0, height: 1.0 }; n],
             fixed: vec![],
-            hypergraph: Hypergraph::new(n, edges),
+            hypergraph: Hypergraph::new(n, edges).into(),
             net_weights: vec![1.0; n.saturating_sub(1)],
             core: Rect::new(-100.0, -100.0, 300.0, 300.0),
             region: vec![None; n],
@@ -376,7 +376,7 @@ fn all_fixed_problem_places_without_panicking() {
     let problem = PlacementProblem {
         movable: vec![],
         fixed: vec![(1.0, 1.0), (9.0, 9.0)],
-        hypergraph: Hypergraph::new(0, vec![]),
+        hypergraph: Hypergraph::new(0, vec![]).into(),
         net_weights: vec![],
         core: Rect::new(0.0, 0.0, 10.0, 10.0),
         region: vec![],
