@@ -297,9 +297,10 @@ pub struct ShapingStats {
     pub exact_evals_avoided: usize,
     /// Low-effort placement-proxy evaluations (untrained Hybrid ranking).
     pub proxy_evals: usize,
-    /// Batched surrogate forward passes.
+    /// Surrogate forward passes: one per scored cluster, over its 20
+    /// candidates.
     pub surrogate_batches: usize,
-    /// Samples scored across those batches (clusters × candidates).
+    /// Samples scored across those passes (clusters × candidates).
     pub surrogate_samples: usize,
     /// Exact evaluations warm-started from a previous candidate's solution.
     pub warm_start_hits: usize,
@@ -930,28 +931,10 @@ impl<'a> Run<'a> {
                 shapeable.iter().map(&mut pick).collect()
             }
             mode => {
-                let subs: Vec<Option<Netlist>> = shapeable
-                    .iter()
-                    .map(|&c| extract_subnetlist(netlist, clustered.cells(c)).ok())
-                    .collect();
-                // Clusters whose extraction failed fall back to the uniform
-                // shape below; the evaluators only see the ones that induced.
-                let present: Vec<&Netlist> = subs.iter().flatten().collect();
-                let present_ids: Vec<u32> = shapeable
-                    .iter()
-                    .zip(&subs)
-                    .filter(|(_, sub)| sub.is_some())
-                    .map(|(&c, _)| c)
-                    .collect();
-                let mut picked = self
-                    .search_shapes(mode, &present, &present_ids, &mut stats)?
-                    .into_iter();
+                let picked =
+                    self.search_shapes(mode, netlist, clustered, &shapeable, &mut stats)?;
                 let mut shapes = Vec::with_capacity(shapeable.len());
-                for (&c, sub) in shapeable.iter().zip(&subs) {
-                    let pick = match sub {
-                        Some(_) => picked.next().flatten(),
-                        None => None,
-                    };
+                for (&c, pick) in shapeable.iter().zip(picked) {
                     if pick.is_none() {
                         self.diagnostics
                             .record(RecoveryEvent::ShapeFallback { cluster: c });
@@ -969,71 +952,65 @@ impl<'a> Run<'a> {
         })
     }
 
-    /// The V-P&R modes' shape search: one pick per sub-netlist in
-    /// `present` (`None` when the search failed and the cluster keeps the
-    /// uniform shape). Clusters are independent V-P&R problems, so the
-    /// exact and hybrid modes fan the per-cluster work out in parallel and
-    /// collect the picks sequentially in cluster order — diagnostics and
+    /// The V-P&R modes' shape search: one pick per cluster in `shapeable`
+    /// (`None` when its sub-netlist cannot be induced or its search
+    /// failed, and the cluster keeps the uniform shape). Clusters are
+    /// independent V-P&R problems, so each is one pool task that induces
+    /// its sub-netlist, ranks and searches it and drops it: the working
+    /// set is the clusters in flight, not all of them. Picks and counters
+    /// are collected sequentially in cluster order, so diagnostics and
     /// shape assignment match the serial loop exactly.
     fn search_shapes(
         &mut self,
         mode: &ShapeMode,
-        present: &[&Netlist],
-        present_ids: &[u32],
+        netlist: &Netlist,
+        clustered: &ClusteredNetlist,
+        shapeable: &[u32],
         stats: &mut ShapingStats,
     ) -> Result<Vec<Option<ClusterShape>>, FlowError> {
         let candidate_count = ClusterShape::candidates().len();
-        let mut count_batch = || {
-            if !present.is_empty() {
-                stats.surrogate_batches += 1;
-                stats.surrogate_samples += present.len() * candidate_count;
-            }
-        };
-        if let ShapeMode::VprMl(selector) = mode {
-            count_batch();
-            let picks = selector.select_shapes_batched(present);
-            if cp_trace::enabled() {
-                // The batch scores all clusters in one forward pass,
-                // so per-cluster attribution is an instant, not a span.
-                for &c in present_ids {
-                    cp_trace::instant(
-                        stages::SPAN_VPR_CLUSTER,
-                        &[
-                            ("cluster", ArgValue::U(c as u64)),
-                            ("ranker", ArgValue::S("surrogate")),
-                        ],
-                    );
-                }
-            }
-            return Ok(picks.into_iter().map(Some).collect());
-        }
+        // `top_k: None` picks the surrogate's argmin with no exact search.
         // The exact sweep is the hybrid search keeping every candidate:
         // from `top_k = 20` up `best_shape_hybrid_with_control` runs the
         // plain 20-candidate sweep and ranks nothing.
-        let (selector, top_k, unranked) = match mode {
-            ShapeMode::Hybrid { selector, top_k } => (selector.as_deref(), *top_k, "proxy"),
-            _ => (None, candidate_count, "exact"),
-        };
-        let surrogate: Option<Vec<Vec<f64>>> = selector.map(|sel| {
-            count_batch();
-            sel.predicted_candidate_costs(present)
-        });
-        let ranker = match surrogate {
-            Some(_) => "surrogate",
-            None => unranked,
+        let (selector, top_k, ranker) = match mode {
+            ShapeMode::VprMl(selector) => (Some(&**selector), None, "surrogate"),
+            ShapeMode::Hybrid {
+                selector: Some(selector),
+                top_k,
+            } => (Some(&**selector), Some(*top_k), "surrogate"),
+            ShapeMode::Hybrid {
+                selector: None,
+                top_k,
+            } => (None, Some(*top_k), "proxy"),
+            _ => (None, Some(candidate_count), "exact"),
         };
         let (vpr, control) = (&self.options.vpr, &self.exec.control);
-        let idx: Vec<usize> = (0..present.len()).collect();
-        let results = cp_parallel::try_par_map(&idx, 1, control, |&i| {
+        // Per cluster: `None` when the sub-netlist cannot be induced, else
+        // the search's outcome.
+        let results = cp_parallel::try_par_map(shapeable, 1, control, |&c| {
             let _span = cp_trace::span_with(
                 stages::SPAN_VPR_CLUSTER,
                 &[
-                    ("cluster", ArgValue::U(present_ids[i] as u64)),
+                    ("cluster", ArgValue::U(c as u64)),
                     ("ranker", ArgValue::S(ranker)),
                 ],
             );
-            let costs = surrogate.as_ref().map(|m| m[i].as_slice());
-            best_shape_hybrid_with_control(present[i], vpr, top_k, costs, Some(control))
+            let sub = extract_subnetlist(netlist, clustered.cells(c)).ok()?;
+            Some(match (selector, top_k) {
+                (Some(sel), None) => Ok((sel.select_shape(&sub), ShapeSearchStats::default())),
+                (selector, top_k) => {
+                    let costs = selector.map(|sel| sel.predicted_candidate_costs(&sub));
+                    best_shape_hybrid_with_control(
+                        &sub,
+                        vpr,
+                        top_k.unwrap_or(candidate_count),
+                        costs.as_deref(),
+                        Some(control),
+                    )
+                    .map(|(shape, _, search)| (shape, search))
+                }
+            })
         });
         // A contained worker panic becomes `FlowError::WorkerPanic`, an
         // interruption of the region the flow-level interrupt.
@@ -1048,8 +1025,17 @@ impl<'a> Run<'a> {
         })?;
         let mut picked = Vec::with_capacity(results.len());
         for r in results {
+            let Some(r) = r else {
+                picked.push(None);
+                continue;
+            };
+            if selector.is_some() {
+                // One surrogate forward pass over the cluster's candidates.
+                stats.surrogate_batches += 1;
+                stats.surrogate_samples += candidate_count;
+            }
             match r {
-                Ok((shape, _, search)) => {
+                Ok((shape, search)) => {
                     stats.absorb(&search);
                     picked.push(Some(shape));
                 }

@@ -388,45 +388,23 @@ impl MlShapeSelector {
     /// Picks the best shape for a cluster by predicting Total Cost for all
     /// 20 candidates — the ML replacement for [`best_shape`](super::best_shape).
     pub fn select_shape(&self, sub: &Netlist) -> ClusterShape {
-        self.select_shapes_batched(&[sub])[0]
+        ClusterShape::candidates()[argmin(&self.predicted_candidate_costs(sub))]
     }
 
-    /// Picks the best shape for every cluster in one batched forward pass
-    /// over all `clusters × 20` candidate samples. Feature extraction runs
-    /// once per cluster (the 33 shape-independent columns are shared across
-    /// the 20 candidates) and in parallel across clusters; selection is
-    /// identical to calling [`Self::select_shape`] per cluster.
-    pub fn select_shapes_batched(&self, subs: &[&Netlist]) -> Vec<ClusterShape> {
-        let candidates = ClusterShape::candidates();
-        self.predicted_candidate_costs(subs)
-            .iter()
-            .map(|costs| candidates[argmin(costs)])
-            .collect()
-    }
-
-    /// Predicted Total Cost (raw label scale) for all 20 candidates of each
-    /// cluster, scored in a single batched forward pass. Row order follows
-    /// `subs`; column order follows [`ClusterShape::candidates`]. This is
-    /// the surrogate ranking consumed by `ShapeMode::Hybrid`.
-    pub fn predicted_candidate_costs(&self, subs: &[&Netlist]) -> Vec<Vec<f64>> {
+    /// Predicted Total Cost (raw label scale) for the cluster's 20
+    /// candidates, in [`ClusterShape::candidates`] order, scored in one
+    /// forward pass over the 20 samples (the 33 shape-independent feature
+    /// columns are extracted once). This is the surrogate ranking consumed
+    /// by `ShapeMode::Hybrid`.
+    pub fn predicted_candidate_costs(&self, sub: &Netlist) -> Vec<f64> {
         let candidates = ClusterShape::candidates();
         let _span = cp_trace::span_with(
             "vpr.surrogate_batch",
-            &[
-                ("clusters", cp_trace::ArgValue::U(subs.len() as u64)),
-                (
-                    "candidates",
-                    cp_trace::ArgValue::U((subs.len() * candidates.len()) as u64),
-                ),
-            ],
+            &[("candidates", cp_trace::ArgValue::U(candidates.len() as u64))],
         );
-        let feats = cp_parallel::par_map(subs, 1, |sub| cluster_features(sub));
-        let samples: Vec<GraphSample> = feats
-            .iter()
-            .flat_map(|f| candidates.iter().map(|&s| f.with_shape(s)))
-            .collect();
-        let pred = self.predict_costs(&samples);
-        pred.chunks(candidates.len()).map(<[f64]>::to_vec).collect()
+        let feats = cluster_features(sub);
+        let samples: Vec<GraphSample> = candidates.iter().map(|&s| feats.with_shape(s)).collect();
+        self.predict_costs(&samples)
     }
 }
 
@@ -498,37 +476,6 @@ mod tests {
         ] {
             assert!(type_class(f) < TYPE_CLASSES);
         }
-    }
-
-    #[test]
-    fn multi_cluster_batch_matches_per_cluster_scoring() {
-        let n = GeneratorConfig::from_profile(DesignProfile::Aes)
-            .scale(0.01)
-            .seed(13)
-            .generate();
-        let a: Vec<CellId> = (0..80).map(CellId).collect();
-        let b: Vec<CellId> = (80..150).map(CellId).collect();
-        let sub_a = extract_subnetlist(&n, &a).expect("valid sub-netlist");
-        let sub_b = extract_subnetlist(&n, &b).expect("valid sub-netlist");
-        let selector = MlShapeSelector::from_model(TotalCostModel::new(&ModelConfig::default(), 7));
-
-        let batched = selector.predicted_candidate_costs(&[&sub_a, &sub_b]);
-        assert_eq!(batched.len(), 2);
-        for (sub, costs) in [(&sub_a, &batched[0]), (&sub_b, &batched[1])] {
-            let feats = cluster_features(sub);
-            let samples: Vec<GraphSample> = ClusterShape::candidates()
-                .iter()
-                .map(|&s| feats.with_shape(s))
-                .collect();
-            let solo = selector.predict_costs(&samples);
-            assert_eq!(costs.len(), solo.len());
-            for (x, y) in costs.iter().zip(&solo) {
-                assert_eq!(x.to_bits(), y.to_bits(), "cross-cluster batching drifted");
-            }
-        }
-        let shapes = selector.select_shapes_batched(&[&sub_a, &sub_b]);
-        assert_eq!(shapes[0], selector.select_shape(&sub_a));
-        assert_eq!(shapes[1], selector.select_shape(&sub_b));
     }
 
     #[test]

@@ -384,8 +384,9 @@ pub fn best_shape_with_control(
 ///
 /// # Errors
 ///
-/// [`FlowError::Validation`] for a degenerate sub-netlist; otherwise
-/// propagates the first evaluation failure.
+/// [`FlowError::Validation`] for a degenerate sub-netlist;
+/// [`PlaceError::InvalidInput`] when `surrogate_costs` does not hold one
+/// cost per candidate; otherwise propagates the first evaluation failure.
 pub fn best_shape_hybrid(
     sub: &Netlist,
     options: &VprOptions,
@@ -411,6 +412,15 @@ pub fn best_shape_hybrid_with_control(
     control: Option<&RunControl>,
 ) -> Result<(ClusterShape, Vec<ShapeCost>, ShapeSearchStats), FlowError> {
     let candidates = ClusterShape::candidates();
+    if let Some(costs) = surrogate_costs.filter(|c| c.len() != candidates.len()) {
+        return Err(FlowError::Place(PlaceError::InvalidInput {
+            reason: format!(
+                "{} surrogate costs for {} shape candidates",
+                costs.len(),
+                candidates.len()
+            ),
+        }));
+    }
     let top_k = top_k.max(1);
     if top_k >= candidates.len() {
         let (best, costs) = best_shape_with_control(sub, options, control)?;
@@ -427,10 +437,7 @@ pub fn best_shape_hybrid_with_control(
     // candidate (stable sort), matching the exact sweep's preference for
     // lower aspect ratio / utilization.
     let ranking: Vec<f64> = match surrogate_costs {
-        Some(costs) => {
-            assert_eq!(costs.len(), candidates.len(), "one cost per candidate");
-            costs.to_vec()
-        }
+        Some(costs) => costs.to_vec(),
         None => {
             stats.proxy_evals += candidates.len();
             ctx.proxy_costs(options)?
@@ -642,6 +649,15 @@ mod tests {
         assert_eq!(stats.proxy_evals, 0);
         assert_eq!(stats.exact_evals, 2);
         assert_eq!(stats.exact_evals_avoided, 18);
+        // One cost short or one too many is a typed error, not a panic.
+        for len in [19, 21] {
+            let err = best_shape_hybrid(&sub, &opts, 2, Some(&vec![0.0; len]))
+                .expect_err("cost count must match the candidates");
+            assert!(
+                matches!(err, FlowError::Place(PlaceError::InvalidInput { .. })),
+                "{len} costs: {err:?}"
+            );
+        }
     }
 
     #[test]

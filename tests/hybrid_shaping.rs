@@ -134,7 +134,7 @@ fn surrogate_backed_modes_run_the_flow_thread_invariantly() {
         assert!(report.ppa.rwl > 0.0 && report.ppa.wns.is_finite() && report.ppa.tns.is_finite());
         let s = report.shaping;
         assert!(s.clusters_shaped > 0);
-        assert_eq!(s.surrogate_batches, 1);
+        assert_eq!(s.surrogate_batches, s.clusters_shaped);
         assert_eq!(s.surrogate_samples, 20 * s.clusters_shaped);
         match opts.shape_mode {
             ShapeMode::VprMl(_) => assert_eq!(s.exact_evals, 0),
