@@ -29,7 +29,7 @@ use crate::error::RecoveryEvent;
 use crate::flow::{FlowOptions, ShapingStats};
 use crate::stages;
 use cp_netlist::netlist::Netlist;
-use cp_netlist::ClusterShape;
+use cp_netlist::{CellId, ClusterShape, NetId};
 use cp_trace::json::{parse_checked, Json, Writer};
 use std::path::Path;
 use std::sync::OnceLock;
@@ -110,12 +110,12 @@ pub fn fingerprint(netlist: &Netlist, options: &FlowOptions) -> u64 {
     let mut eat = |bytes: &[u8]| h = fnv1a64(h, bytes);
     eat(&(netlist.cell_count() as u64).to_le_bytes());
     eat(&(netlist.net_count() as u64).to_le_bytes());
-    for cell in netlist.cells() {
-        eat(cell.name.as_bytes());
+    for i in 0..netlist.cell_count() {
+        eat(netlist.cell_name(CellId(i as u32)).as_bytes());
         eat(&[0]);
     }
-    for net in netlist.nets() {
-        eat(net.name.as_bytes());
+    for (i, net) in netlist.nets().iter().enumerate() {
+        eat(netlist.net_name(NetId(i as u32)).as_bytes());
         eat(&(net.pin_count() as u64).to_le_bytes());
     }
     // The Debug form covers every option field (placer seeds, shape mode,

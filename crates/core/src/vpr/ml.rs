@@ -20,7 +20,7 @@ use cp_gnn::train::{train, TrainOptions, TrainStats};
 use cp_graph::{centrality, connectivity, metrics, Graph};
 use cp_netlist::library::{CellClass, LogicFunction};
 use cp_netlist::netlist::{Netlist, PinRef};
-use cp_netlist::{CellId, ClusterShape, Constraints};
+use cp_netlist::{CellId, ClusterShape, Constraints, NetId};
 
 /// Number of cell-type one-hot classes.
 pub const TYPE_CLASSES: usize = 8;
@@ -67,12 +67,12 @@ pub fn cluster_features(sub: &Netlist) -> ClusterFeatures {
     let mut border = 0usize;
     let mut net_sizes = 0usize;
     let mut n_nets = 0usize;
-    for net in sub.nets() {
+    for (i, net) in sub.nets().iter().enumerate() {
         if net.is_clock {
             continue;
         }
         n_nets += 1;
-        let fanout = net.sinks.len();
+        let fanout = net.sink_count();
         n_pins += net.pin_count();
         net_sizes += net.pin_count();
         if (5..=10).contains(&fanout) {
@@ -82,7 +82,7 @@ pub fn cluster_features(sub: &Netlist) -> ClusterFeatures {
         }
         let mut cells: Vec<u32> = Vec::new();
         let mut touches_port = false;
-        for p in net.driver.iter().chain(net.sinks.iter()) {
+        for p in net.driver.iter().chain(sub.sinks(NetId(i as u32))) {
             match *p {
                 PinRef::Cell { cell, .. } => cells.push(cell.0),
                 PinRef::Port(_) => touches_port = true,

@@ -10,7 +10,7 @@
 //! every net of the design meets them — so the builder receives the same
 //! calls either way (the full scan is kept as the test oracle).
 
-use cp_netlist::netlist::{BuildNetlistError, Net, Netlist, NetlistBuilder, PinRef, PortDir};
+use cp_netlist::netlist::{BuildNetlistError, Netlist, NetlistBuilder, PinRef, PortDir};
 use cp_netlist::{CellId, HierTree, NetId};
 
 /// Induces the sub-netlist over `cells` (clock nets are dropped; CTS owns
@@ -59,7 +59,7 @@ pub fn extract_subnetlist(
     incident.sort_unstable();
     incident.dedup();
     for id in incident {
-        project_net(&mut builder, netlist.net(id), inside);
+        project_net(&mut builder, netlist, id, inside);
     }
     builder.finish()
 }
@@ -70,43 +70,45 @@ fn sub_builder(netlist: &Netlist, cells: &[CellId]) -> NetlistBuilder {
     let mut builder =
         NetlistBuilder::new(format!("{}_sub", netlist.name()), netlist.library().clone());
     for &c in cells {
-        let cell = netlist.cell(c);
-        builder.add_cell(cell.name.clone(), cell.ty, HierTree::ROOT);
+        builder.add_cell(netlist.cell_name(c), netlist.cell(c).ty, HierTree::ROOT);
     }
     builder
 }
 
-/// Adds `net`'s projection onto the cluster, where `inside` maps a design
-/// pin to its sub-netlist pin (`None` outside the cluster). A clock net,
-/// or a net with no pin inside, adds nothing.
+/// Adds net `id`'s projection onto the cluster, where `inside` maps a
+/// design pin to its sub-netlist pin (`None` outside the cluster). A clock
+/// net, or a net with no pin inside, adds nothing.
 fn project_net(
     builder: &mut NetlistBuilder,
-    net: &Net,
+    netlist: &Netlist,
+    id: NetId,
     inside: impl Fn(&PinRef) -> Option<PinRef>,
 ) {
+    let net = netlist.net(id);
     if net.is_clock {
         return;
     }
+    let name = netlist.net_name(id);
     let driver_in = net.driver.as_ref().and_then(&inside);
-    let sinks_in: Vec<PinRef> = net.sinks.iter().filter_map(&inside).collect();
+    let sinks_in: Vec<PinRef> = netlist.sinks(id).iter().filter_map(&inside).collect();
     // Sinks lost in projection (cells outside the cluster or top ports)
     // make the net cross the boundary.
-    let has_outside_sink = net.sinks.len() > sinks_in.len();
+    let has_outside_sink = net.sink_count() > sinks_in.len();
     match (driver_in, sinks_in.is_empty()) {
         (Some(driver), _) => {
             // Driver inside: keep internal sinks; an output port stands
             // in for any outside sinks.
             let mut sinks = sinks_in;
             if has_outside_sink {
-                let port = builder.add_port(format!("po_{}", net.name), PortDir::Output);
+                let port = builder.add_port(format!("po_{name}"), PortDir::Output);
                 sinks.push(PinRef::Port(port));
             }
-            builder.add_net(net.name.clone(), Some(driver), sinks);
+            builder.add_net(name, Some(driver), sinks);
         }
         (None, false) => {
             // Driver outside: an input port drives the internal sinks.
-            let port = builder.add_port(format!("pi_{}", net.name), PortDir::Input);
-            builder.add_net(net.name.clone(), Some(PinRef::Port(port)), sinks_in);
+            let port = builder.add_port(format!("pi_{name}"), PortDir::Input);
+            builder.add_net(name, Some(PinRef::Port(port)), sinks_in);
         }
         (None, true) => {} // net does not touch the cluster
     }
@@ -150,8 +152,8 @@ mod tests {
                 _ => None,
             }
         };
-        for net in netlist.nets() {
-            project_net(&mut builder, net, inside);
+        for i in 0..netlist.net_count() {
+            project_net(&mut builder, netlist, NetId(i as u32), inside);
         }
         builder.finish()
     }
@@ -191,13 +193,13 @@ mod tests {
         assert_eq!(sub.cell_count(), n.cell_count());
         // The sub-netlist replaces real top ports with boundary ports; the
         // count matches the nets that touched a top port.
-        let io_nets = n
-            .nets()
-            .iter()
-            .filter(|net| {
+        let io_nets = (0..n.net_count() as u32)
+            .map(NetId)
+            .filter(|&id| {
+                let net = n.net(id);
                 !net.is_clock
                     && (matches!(net.driver, Some(PinRef::Port(_)))
-                        || net.sinks.iter().any(|s| matches!(s, PinRef::Port(_))))
+                        || n.sinks(id).iter().any(|s| matches!(s, PinRef::Port(_))))
             })
             .count();
         assert_eq!(sub.port_count(), io_nets);
@@ -223,25 +225,27 @@ mod tests {
     /// net behind, and one input port drives a net with no sinks.
     fn with_single_pin_nets(n: &Netlist) -> Netlist {
         let mut b = NetlistBuilder::new(n.name(), n.library().clone());
-        for cell in n.cells() {
-            b.add_cell(cell.name.clone(), cell.ty, HierTree::ROOT);
+        for (i, cell) in n.cells().iter().enumerate() {
+            b.add_cell(n.cell_name(CellId(i as u32)), cell.ty, HierTree::ROOT);
         }
         for port in n.ports() {
             b.add_port(port.name.clone(), port.dir);
         }
         let mut split = Vec::new();
         for (i, net) in n.nets().iter().enumerate() {
-            let mut sinks = net.sinks.clone();
+            let id = NetId(i as u32);
+            let name = n.net_name(id);
+            let mut sinks = n.sinks(id).to_vec();
             if !net.is_clock && i % 5 == 0 {
                 if let [sink @ PinRef::Cell { .. }] = sinks[..] {
-                    split.push((format!("{}_split", net.name), sink));
+                    split.push((format!("{name}_split"), sink));
                     sinks.clear();
                 }
             }
             if net.is_clock {
-                b.add_clock_net(net.name.clone(), net.driver, sinks);
+                b.add_clock_net(name, net.driver, sinks);
             } else {
-                b.add_net(net.name.clone(), net.driver, sinks);
+                b.add_net(name, net.driver, sinks);
             }
         }
         for (name, sink) in split {
@@ -297,19 +301,24 @@ mod tests {
         let mut keep: Vec<bool> = (0..n.cell_count() as u64)
             .map(|i| mix(seed, i) % 1000 < permille)
             .collect();
-        fn pick(nets: Vec<&Net>, seed: u64, salt: u64) -> &Net {
+        fn pick(nets: Vec<NetId>, seed: u64, salt: u64) -> NetId {
             nets[(mix(seed, salt) % nets.len() as u64) as usize]
         }
         let cell_of = |p: &PinRef| match *p {
             PinRef::Cell { cell, .. } => Some(cell),
             PinRef::Port(_) => None,
         };
-        let nets = || n.nets().iter().filter(|net| !net.is_clock);
+        let nets = || {
+            (0..n.net_count() as u32)
+                .map(NetId)
+                .filter(|&id| !n.net(id).is_clock)
+        };
         // A multi-sink net driven inside with every sink outside.
         let fanout = pick(
             nets()
-                .filter(|net| {
-                    net.sinks.len() > 1 && net.driver.as_ref().and_then(cell_of).is_some()
+                .filter(|&id| {
+                    let net = n.net(id);
+                    net.sink_count() > 1 && net.driver.as_ref().and_then(cell_of).is_some()
                 })
                 .collect(),
             seed,
@@ -320,23 +329,22 @@ mod tests {
                 keep[c.index()] = true;
             }
         };
-        add(fanout.driver.as_ref());
-        let port_driven = nets().filter(|net| matches!(net.driver, Some(PinRef::Port(_))));
-        add(pick(port_driven.collect(), seed, 2).sinks.first());
-        let clock = n
-            .nets()
-            .iter()
-            .find(|net| net.is_clock)
+        add(n.net(fanout).driver.as_ref());
+        let port_driven = nets().filter(|&id| matches!(n.net(id).driver, Some(PinRef::Port(_))));
+        add(n.sinks(pick(port_driven.collect(), seed, 2)).first());
+        let clock = (0..n.net_count() as u32)
+            .map(NetId)
+            .find(|&id| n.net(id).is_clock)
             .expect("a clock net");
-        add(clock
-            .sinks
-            .get((mix(seed, 3) % clock.sinks.len() as u64) as usize));
-        let driver_only = nets().filter(|net| net.pin_count() == 1 && net.driver.is_some());
-        add(pick(driver_only.collect(), seed, 4).driver.as_ref());
-        let sink_only = nets().filter(|net| net.pin_count() == 1 && net.driver.is_none());
-        add(pick(sink_only.collect(), seed, 5).sinks.first());
-        let driver = fanout.driver.as_ref().and_then(cell_of);
-        for c in fanout.sinks.iter().filter_map(cell_of) {
+        let clock_sinks = n.sinks(clock);
+        add(clock_sinks.get((mix(seed, 3) % clock_sinks.len() as u64) as usize));
+        let single = |id: &NetId| n.net(*id).pin_count() == 1;
+        let driver_only = nets().filter(|id| single(id) && n.net(*id).driver.is_some());
+        add(n.net(pick(driver_only.collect(), seed, 4)).driver.as_ref());
+        let sink_only = nets().filter(|id| single(id) && n.net(*id).driver.is_none());
+        add(n.sinks(pick(sink_only.collect(), seed, 5)).first());
+        let driver = n.net(fanout).driver.as_ref().and_then(cell_of);
+        for c in n.sinks(fanout).iter().filter_map(cell_of) {
             if Some(c) != driver {
                 keep[c.index()] = false;
             }
@@ -360,11 +368,11 @@ mod tests {
         }
         let on = |p: &PinRef| matches!(*p, PinRef::Cell { cell, .. } if member[cell.index()]);
         let mut seen = [false; 5];
-        for net in n.nets() {
+        for (i, net) in n.nets().iter().enumerate() {
             let driver_in = net.driver.as_ref().is_some_and(on);
-            let sink_in = net.sinks.iter().any(on);
+            let sink_in = n.sinks(NetId(i as u32)).iter().any(on);
             seen[0] |= !net.is_clock && matches!(net.driver, Some(PinRef::Port(_))) && sink_in;
-            seen[1] |= !net.is_clock && driver_in && !net.sinks.is_empty() && !sink_in;
+            seen[1] |= !net.is_clock && driver_in && net.sink_count() > 0 && !sink_in;
             seen[2] |= net.is_clock && sink_in;
             seen[3] |= net.pin_count() == 1 && driver_in;
             seen[4] |= net.pin_count() == 1 && net.driver.is_none() && sink_in;

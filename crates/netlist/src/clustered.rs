@@ -87,7 +87,7 @@ impl ClusteredNetlist {
             }
             let mut verts: Vec<u32> = Vec::with_capacity(net.pin_count());
             let mut is_io = false;
-            for p in net.driver.iter().chain(net.sinks.iter()) {
+            for p in net.driver.iter().chain(netlist.sinks(NetId(nid as u32))) {
                 match *p {
                     PinRef::Cell { cell, .. } => verts.push(dense[cell.index()]),
                     PinRef::Port(port) => {

@@ -26,7 +26,6 @@ use crate::netlist::{Netlist, NetlistBuilder, PinRef, PortDir};
 use crate::sdc::Constraints;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::HashMap;
 
 /// The six benchmark profiles of Table 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -234,7 +233,7 @@ struct LeafModule {
     home_ports: Vec<PortId>,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy)]
 enum Source {
     Cell(CellId),
     Port(PortId),
@@ -436,11 +435,12 @@ impl<'a> Generator<'a> {
         self.gate_ids[self.gate_ids.len() - 1].0
     }
 
-    /// Wires every input pin, accumulating sinks per source, then emits one
-    /// net per driving source. Output ports get dedicated buffers so every
-    /// net keeps a unique driver.
+    /// Wires every input pin, recording a (source, sink) pair per pin, then
+    /// emits one net per driving source with its sinks in wiring order.
+    /// Output ports get dedicated buffers so every net keeps a unique
+    /// driver.
     fn wire(&mut self, outputs: &[PortId]) {
-        let mut sinks_of: HashMap<Source, Vec<PinRef>> = HashMap::new();
+        let mut wired: Vec<(Source, PinRef)> = Vec::new();
         let depth = self.cfg.logic_depth.max(1);
         let (rent_k, rent_p) = (self.cfg.rent_k, self.cfg.rent_exponent);
 
@@ -457,10 +457,13 @@ impl<'a> Generator<'a> {
                         } else {
                             self.pick_local_source(li, lvl)
                         };
-                        sinks_of.entry(src).or_default().push(PinRef::Cell {
-                            cell,
-                            pin: pin as u8,
-                        });
+                        wired.push((
+                            src,
+                            PinRef::Cell {
+                                cell,
+                                pin: pin as u8,
+                            },
+                        ));
                     }
                 }
             }
@@ -472,10 +475,7 @@ impl<'a> Generator<'a> {
                 } else {
                     self.pick_local_source(li, depth + 1)
                 };
-                sinks_of
-                    .entry(src)
-                    .or_default()
-                    .push(PinRef::Cell { cell: ff, pin: 0 });
+                wired.push((src, PinRef::Cell { cell: ff, pin: 0 }));
             }
         }
 
@@ -488,34 +488,51 @@ impl<'a> Generator<'a> {
             let src = flops[i / self.leaves.len() % flops.len()];
             let node = self.leaves[li].node;
             let b = self.new_cell(format!("obuf{i}"), buf, node);
-            sinks_of
-                .entry(Source::Cell(src))
-                .or_default()
-                .push(PinRef::Cell { cell: b, pin: 0 });
+            wired.push((Source::Cell(src), PinRef::Cell { cell: b, pin: 0 }));
             port_nets.push((i, b, p));
         }
 
-        // Emit nets in deterministic order.
-        let mut cell_sources: Vec<(CellId, Vec<PinRef>)> = Vec::new();
-        let mut port_sources: Vec<(PortId, Vec<PinRef>)> = Vec::new();
-        for (src, sinks) in sinks_of {
-            match src {
-                Source::Cell(c) => cell_sources.push((c, sinks)),
-                Source::Port(p) => port_sources.push((p, sinks)),
+        // Bucket the sinks by source (cells by id, then ports by id) with a
+        // counting sort, which keeps each source's sinks in wiring order
+        // and lets the pairs and fill cursors go before the nets are built.
+        let n_cells = self.builder.cell_count();
+        let slot = |src: Source| match src {
+            Source::Cell(c) => c.index(),
+            Source::Port(p) => n_cells + p.index(),
+        };
+        let slots = wired
+            .iter()
+            .map(|&(src, _)| slot(src) + 1)
+            .max()
+            .unwrap_or(0);
+        let mut start = vec![0u32; slots + 1];
+        for &(src, _) in &wired {
+            start[slot(src) + 1] += 1;
+        }
+        for i in 1..start.len() {
+            start[i] += start[i - 1];
+        }
+        let mut next = start.clone();
+        let mut sinks = vec![PinRef::Port(PortId(0)); wired.len()];
+        for (src, sink) in wired {
+            let at = &mut next[slot(src)];
+            sinks[*at as usize] = sink;
+            *at += 1;
+        }
+        drop(next);
+        for (s, bounds) in start.windows(2).enumerate() {
+            let run = &sinks[bounds[0] as usize..bounds[1] as usize];
+            if run.is_empty() {
+                continue;
             }
-        }
-        cell_sources.sort_by_key(|&(c, _)| c);
-        port_sources.sort_by_key(|&(p, _)| p);
-        for (c, sinks) in cell_sources {
-            self.builder.add_net(
-                format!("n_{}", c.0),
-                Some(PinRef::Cell { cell: c, pin: 0 }),
-                sinks,
-            );
-        }
-        for (p, sinks) in port_sources {
-            self.builder
-                .add_net(format!("n_in{}", p.0), Some(PinRef::Port(p)), sinks);
+            let (name, driver) = if s < n_cells {
+                let cell = CellId(s as u32);
+                (format!("n_{s}"), PinRef::Cell { cell, pin: 0 })
+            } else {
+                let p = s - n_cells;
+                (format!("n_in{p}"), PinRef::Port(PortId(p as u32)))
+            };
+            self.builder.add_net(name, Some(driver), run.to_vec());
         }
         for (i, b, p) in port_nets {
             self.builder.add_net(
@@ -619,7 +636,9 @@ struct Ports {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::NetId;
     use crate::library::CellClass;
+    use crate::netlist::Net;
 
     #[test]
     fn generates_valid_netlist() {
@@ -645,10 +664,7 @@ mod tests {
         assert_eq!(a.cell_count(), b.cell_count());
         assert_eq!(a.net_count(), b.net_count());
         assert_eq!(a.stats(), b.stats());
-        assert_eq!(
-            a.nets().iter().map(|n| n.sinks.clone()).collect::<Vec<_>>(),
-            b.nets().iter().map(|n| n.sinks.clone()).collect::<Vec<_>>()
-        );
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -662,8 +678,8 @@ mod tests {
             .seed(2)
             .generate();
         assert_ne!(
-            a.nets().iter().map(|n| n.sinks.len()).collect::<Vec<_>>(),
-            b.nets().iter().map(|n| n.sinks.len()).collect::<Vec<_>>()
+            a.nets().iter().map(Net::sink_count).collect::<Vec<_>>(),
+            b.nets().iter().map(Net::sink_count).collect::<Vec<_>>()
         );
     }
 
@@ -696,7 +712,7 @@ mod tests {
             .iter()
             .filter(|c| n.library().cell(c.ty).class == CellClass::Sequential)
             .count();
-        assert_eq!(clock_net.sinks.len(), flops);
+        assert_eq!(clock_net.sink_count(), flops);
     }
 
     #[test]
@@ -719,8 +735,7 @@ mod tests {
                 let succ: Vec<usize> = n
                     .output_net(crate::ids::CellId(u as u32))
                     .map(|net| {
-                        n.net(net)
-                            .sinks
+                        n.sinks(net)
                             .iter()
                             .filter_map(|s| match s {
                                 PinRef::Cell { cell, .. } if is_comb(cell.index()) => {
@@ -772,12 +787,12 @@ mod tests {
             .generate();
         let mut local = 0usize;
         let mut cross = 0usize;
-        for net in n.nets() {
+        for (i, net) in n.nets().iter().enumerate() {
             if net.is_clock {
                 continue;
             }
-            let mut modules: Vec<_> = net
-                .sinks
+            let mut modules: Vec<_> = n
+                .sinks(NetId(i as u32))
                 .iter()
                 .chain(net.driver.iter())
                 .filter_map(|p| match p {

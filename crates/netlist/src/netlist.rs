@@ -1,10 +1,18 @@
 //! The netlist database: cells, nets, ports and their connectivity.
+//!
+//! The database is packed for the whole flow's lifetime: names live in one
+//! byte arena per entity kind, net sinks in one CSR array and cell input
+//! nets in another, so a netlist of `n` cells holds a dozen allocations
+//! rather than a few per cell. [`NetlistBuilder`] appends into the same
+//! arenas as it goes, and [`NetlistBuilder::finish`] only derives the
+//! per-cell pin → net maps and validates.
 
 use crate::hierarchy::HierTree;
 use crate::ids::{CellId, CellTypeId, HierNodeId, NetId, PortId};
 use crate::library::{CellClass, Library};
 use cp_graph::Hypergraph;
 use std::fmt;
+use std::ops::Range;
 
 /// A connection endpoint: either a pin of a cell instance or a top port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,34 +50,80 @@ pub struct Port {
     pub net: Option<NetId>,
 }
 
-/// A cell instance.
-#[derive(Debug, Clone, PartialEq)]
+/// A cell instance. Its name is [`Netlist::cell_name`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cell {
-    /// Instance name.
-    pub name: String,
     /// Master (library cell type).
     pub ty: CellTypeId,
     /// Deepest hierarchy node containing the instance.
     pub hier: HierNodeId,
 }
 
-/// A net: one driver, many sinks.
-#[derive(Debug, Clone, PartialEq)]
+/// A net: one driver, many sinks. Its name is [`Netlist::net_name`] and its
+/// sinks are [`Netlist::sinks`]; the net itself records only where they sit
+/// in the netlist's sink array.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Net {
-    /// Net name.
-    pub name: String,
     /// The driving endpoint (an input port or a cell output).
     pub driver: Option<PinRef>,
-    /// Sink endpoints (cell input pins or output ports).
-    pub sinks: Vec<PinRef>,
     /// `true` for the clock net (excluded from clustering/placement nets).
     pub is_clock: bool,
+    sinks_start: u32,
+    sinks_end: u32,
 }
 
 impl Net {
+    /// Number of sink endpoints.
+    pub fn sink_count(&self) -> usize {
+        (self.sinks_end - self.sinks_start) as usize
+    }
+
     /// Number of endpoints (driver + sinks).
     pub fn pin_count(&self) -> usize {
-        self.sinks.len() + usize::from(self.driver.is_some())
+        self.sink_count() + usize::from(self.driver.is_some())
+    }
+
+    /// Where the sinks sit in the netlist's sink array.
+    fn sink_range(&self) -> Range<usize> {
+        self.sinks_start as usize..self.sinks_end as usize
+    }
+}
+
+/// Strings stored end to end in one buffer and addressed by insertion
+/// index: one allocation for every name instead of one per name.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct NameArena {
+    bytes: String,
+    /// `ends[i]` is the byte offset one past name `i`.
+    ends: Vec<u32>,
+}
+
+impl NameArena {
+    fn push(&mut self, name: &str) {
+        self.bytes.push_str(name);
+        self.ends.push(arena_offset(self.bytes.len()));
+    }
+
+    fn get(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start as usize..self.ends[i] as usize]
+    }
+
+    fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+}
+
+/// An arena length as a `u32` offset.
+///
+/// # Panics
+///
+/// Panics past 4 GiB of names or 2³² sinks, far beyond the largest design.
+fn arena_offset(len: usize) -> u32 {
+    match u32::try_from(len) {
+        Ok(offset) => offset,
+        Err(_) => panic!("netlist arena exceeds u32 offsets"),
     }
 }
 
@@ -121,6 +175,11 @@ pub enum BuildNetlistError {
         /// The port name.
         port: String,
     },
+    /// A net's driver or sink names a cell or port the builder never added.
+    UnknownEndpoint {
+        /// Offending net.
+        net: String,
+    },
 }
 
 impl fmt::Display for BuildNetlistError {
@@ -144,6 +203,9 @@ impl fmt::Display for BuildNetlistError {
             Self::PortDirectionMismatch { port } => {
                 write!(f, "port {port} is used against its direction")
             }
+            Self::UnknownEndpoint { net } => {
+                write!(f, "net {net} names a cell or port that was never added")
+            }
         }
     }
 }
@@ -153,17 +215,26 @@ impl std::error::Error for BuildNetlistError {}
 /// The netlist database.
 ///
 /// Construct with [`NetlistBuilder`]; connectivity indexes (per-cell pin →
-/// net maps) are derived once at build time.
+/// net maps) are derived once at build time. Names, net sinks and cell
+/// input nets are packed into flat arenas (see the module docs) and read
+/// through [`Netlist::cell_name`], [`Netlist::net_name`],
+/// [`Netlist::sinks`] and [`Netlist::input_nets`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     name: String,
     library: Library,
     cells: Vec<Cell>,
+    cell_names: NameArena,
     nets: Vec<Net>,
+    net_names: NameArena,
+    // Every net's sinks, net after net; `Net` holds its range.
+    sinks: Vec<PinRef>,
     ports: Vec<Port>,
     hierarchy: HierTree,
-    // Derived: net on each input pin of each cell (dense, small pin counts).
-    input_net: Vec<Vec<Option<NetId>>>,
+    // Derived: cell `i`'s input nets are `input_net[input_start[i]..input_start[i + 1]]`,
+    // one slot per input pin of its master.
+    input_start: Vec<u32>,
+    input_net: Vec<Option<NetId>>,
     // Derived: net driven by each cell's output.
     output_net: Vec<Option<NetId>>,
 }
@@ -209,9 +280,25 @@ impl Netlist {
         &self.cells[id.index()]
     }
 
+    /// A cell's instance name.
+    pub fn cell_name(&self, id: CellId) -> &str {
+        self.cell_names.get(id.index())
+    }
+
     /// A net by id.
     pub fn net(&self, id: NetId) -> &Net {
         &self.nets[id.index()]
+    }
+
+    /// A net's name.
+    pub fn net_name(&self, id: NetId) -> &str {
+        self.net_names.get(id.index())
+    }
+
+    /// A net's sink endpoints (cell input pins or output ports), in the
+    /// order they were added.
+    pub fn sinks(&self, id: NetId) -> &[PinRef] {
+        &self.sinks[self.nets[id.index()].sink_range()]
     }
 
     /// A port by id.
@@ -241,15 +328,13 @@ impl Netlist {
 
     /// The net bound to input pin `pin` of `cell`, if any.
     pub fn input_net(&self, cell: CellId, pin: u8) -> Option<NetId> {
-        self.input_net[cell.index()]
-            .get(pin as usize)
-            .copied()
-            .flatten()
+        self.input_nets(cell).get(pin as usize).copied().flatten()
     }
 
     /// All input nets of a cell (indexed by pin).
     pub fn input_nets(&self, cell: CellId) -> &[Option<NetId>] {
-        &self.input_net[cell.index()]
+        let i = cell.index();
+        &self.input_net[self.input_start[i] as usize..self.input_start[i + 1] as usize]
     }
 
     /// The net driven by `cell`'s output, if any.
@@ -272,7 +357,6 @@ impl Netlist {
             .iter()
             .filter(|c| self.library.cell(c.ty).class == CellClass::Sequential)
             .count();
-        let fanout_sum: usize = self.nets.iter().map(|n| n.sinks.len()).sum();
         NetlistStats {
             cells: self.cells.len(),
             nets: self.nets.len(),
@@ -282,7 +366,7 @@ impl Netlist {
             avg_fanout: if self.nets.is_empty() {
                 0.0
             } else {
-                fanout_sum as f64 / self.nets.len() as f64
+                self.sinks.len() as f64 / self.nets.len() as f64
             },
             hier_depth: self.hierarchy.max_depth(),
         }
@@ -323,7 +407,7 @@ impl Netlist {
             if let Some(d) = net.driver {
                 verts.push(self.endpoint_vertex(d));
             }
-            for &s in &net.sinks {
+            for &s in self.sinks(NetId(nid as u32)) {
                 verts.push(self.endpoint_vertex(s));
             }
             verts.dedup();
@@ -346,6 +430,9 @@ impl Netlist {
 /// Incremental netlist constructor; validates connectivity at
 /// [`NetlistBuilder::finish`].
 ///
+/// Every `add_*` call appends into the arenas the finished [`Netlist`]
+/// keeps, so no per-cell or per-net allocation outlives its call.
+///
 /// # Examples
 ///
 /// ```
@@ -362,6 +449,7 @@ impl Netlist {
 /// b.add_net("n_y", Some(PinRef::Cell { cell: u0, pin: 0 }), vec![PinRef::Port(y)]);
 /// let netlist = b.finish()?;
 /// assert_eq!(netlist.cell_count(), 1);
+/// assert_eq!(netlist.cell_name(u0), "u0");
 /// # Ok(())
 /// # }
 /// ```
@@ -370,7 +458,10 @@ pub struct NetlistBuilder {
     name: String,
     library: Library,
     cells: Vec<Cell>,
+    cell_names: NameArena,
     nets: Vec<Net>,
+    net_names: NameArena,
+    sinks: Vec<PinRef>,
     ports: Vec<Port>,
     hierarchy: HierTree,
 }
@@ -385,7 +476,10 @@ impl NetlistBuilder {
             name,
             library,
             cells: Vec::new(),
+            cell_names: NameArena::default(),
             nets: Vec::new(),
+            net_names: NameArena::default(),
+            sinks: Vec::new(),
             ports: Vec::new(),
             hierarchy,
         }
@@ -412,18 +506,10 @@ impl NetlistBuilder {
     }
 
     /// Adds a cell instance, returning its id.
-    pub fn add_cell(
-        &mut self,
-        name: impl Into<String>,
-        ty: CellTypeId,
-        hier: HierNodeId,
-    ) -> CellId {
+    pub fn add_cell(&mut self, name: impl AsRef<str>, ty: CellTypeId, hier: HierNodeId) -> CellId {
         let id = CellId(self.cells.len() as u32);
-        self.cells.push(Cell {
-            name: name.into(),
-            ty,
-            hier,
-        });
+        self.cells.push(Cell { ty, hier });
+        self.cell_names.push(name.as_ref());
         id
     }
 
@@ -438,27 +524,31 @@ impl NetlistBuilder {
         id
     }
 
-    /// Adds a net, returning its id.
+    /// Adds a net, returning its id. `sinks` is copied into the netlist's
+    /// sink array and dropped.
     pub fn add_net(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         driver: Option<PinRef>,
         sinks: Vec<PinRef>,
     ) -> NetId {
         let id = NetId(self.nets.len() as u32);
+        let sinks_start = arena_offset(self.sinks.len());
+        self.sinks.extend_from_slice(&sinks);
         self.nets.push(Net {
-            name: name.into(),
             driver,
-            sinks,
             is_clock: false,
+            sinks_start,
+            sinks_end: arena_offset(self.sinks.len()),
         });
+        self.net_names.push(name.as_ref());
         id
     }
 
     /// Adds the clock net (marked so clustering/placement skip it).
     pub fn add_clock_net(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         driver: Option<PinRef>,
         sinks: Vec<PinRef>,
     ) -> NetId {
@@ -476,74 +566,85 @@ impl NetlistBuilder {
     ///
     /// # Errors
     ///
-    /// Returns a [`BuildNetlistError`] when a pin index is out of range, an
-    /// endpoint is driven or bound twice, or a port is used against its
-    /// direction.
+    /// Returns a [`BuildNetlistError`] when an endpoint names a cell or
+    /// port that was never added, a pin index is out of range, an endpoint
+    /// is driven or bound twice, or a port is used against its direction.
     pub fn finish(mut self) -> Result<Netlist, BuildNetlistError> {
-        let mut input_net: Vec<Vec<Option<NetId>>> = self
-            .cells
-            .iter()
-            .map(|c| vec![None; self.library.cell(c.ty).input_count()])
-            .collect();
+        // Drop the arenas' growth slack before the derived maps join them.
+        self.cells.shrink_to_fit();
+        self.cell_names.shrink_to_fit();
+        self.nets.shrink_to_fit();
+        self.net_names.shrink_to_fit();
+        self.sinks.shrink_to_fit();
+        let mut input_start = Vec::with_capacity(self.cells.len() + 1);
+        input_start.push(0);
+        for c in &self.cells {
+            let end =
+                input_start[input_start.len() - 1] as usize + self.library.cell(c.ty).input_count();
+            input_start.push(arena_offset(end));
+        }
+        let mut input_net = vec![None; input_start[self.cells.len()] as usize];
         let mut output_net: Vec<Option<NetId>> = vec![None; self.cells.len()];
         let mut port_net: Vec<Option<NetId>> = vec![None; self.ports.len()];
 
+        let unknown = |nid: NetId| BuildNetlistError::UnknownEndpoint {
+            net: self.net_names.get(nid.index()).to_string(),
+        };
         for (nid, net) in self.nets.iter().enumerate() {
             let nid = NetId(nid as u32);
-            if let Some(driver) = net.driver {
-                match driver {
-                    PinRef::Cell { cell, .. } => {
+            let sinks = &self.sinks[net.sink_range()];
+            for (i, &pin) in net.driver.iter().chain(sinks).enumerate() {
+                let is_driver = i == 0 && net.driver.is_some();
+                match pin {
+                    PinRef::Cell { cell, .. } if cell.index() >= self.cells.len() => {
+                        return Err(unknown(nid));
+                    }
+                    PinRef::Port(p) if p.index() >= self.ports.len() => {
+                        return Err(unknown(nid));
+                    }
+                    PinRef::Cell { cell, .. } if is_driver => {
                         let slot = &mut output_net[cell.index()];
                         if slot.is_some() {
                             return Err(BuildNetlistError::DriverConflict {
-                                endpoint: self.cells[cell.index()].name.clone(),
+                                endpoint: self.cell_names.get(cell.index()).to_string(),
                             });
                         }
                         *slot = Some(nid);
                     }
-                    PinRef::Port(p) => {
-                        if self.ports[p.index()].dir != PortDir::Input {
-                            return Err(BuildNetlistError::PortDirectionMismatch {
-                                port: self.ports[p.index()].name.clone(),
-                            });
-                        }
-                        if port_net[p.index()].is_some() {
-                            return Err(BuildNetlistError::DriverConflict {
-                                endpoint: self.ports[p.index()].name.clone(),
-                            });
-                        }
-                        port_net[p.index()] = Some(nid);
-                    }
-                }
-            }
-            for &sink in &net.sinks {
-                match sink {
                     PinRef::Cell { cell, pin } => {
-                        let pins = &mut input_net[cell.index()];
+                        let i = cell.index();
+                        let pins =
+                            &mut input_net[input_start[i] as usize..input_start[i + 1] as usize];
                         let Some(slot) = pins.get_mut(pin as usize) else {
                             return Err(BuildNetlistError::BadPinIndex {
-                                net: net.name.clone(),
-                                cell: self.cells[cell.index()].name.clone(),
+                                net: self.net_names.get(nid.index()).to_string(),
+                                cell: self.cell_names.get(i).to_string(),
                                 pin,
                             });
                         };
                         if slot.is_some() {
                             return Err(BuildNetlistError::SinkConflict {
-                                cell: self.cells[cell.index()].name.clone(),
+                                cell: self.cell_names.get(i).to_string(),
                                 pin,
                             });
                         }
                         *slot = Some(nid);
                     }
                     PinRef::Port(p) => {
-                        if self.ports[p.index()].dir != PortDir::Output {
+                        let port = &self.ports[p.index()];
+                        let dir = if is_driver {
+                            PortDir::Input
+                        } else {
+                            PortDir::Output
+                        };
+                        if port.dir != dir {
                             return Err(BuildNetlistError::PortDirectionMismatch {
-                                port: self.ports[p.index()].name.clone(),
+                                port: port.name.clone(),
                             });
                         }
                         if port_net[p.index()].is_some() {
                             return Err(BuildNetlistError::DriverConflict {
-                                endpoint: self.ports[p.index()].name.clone(),
+                                endpoint: port.name.clone(),
                             });
                         }
                         port_net[p.index()] = Some(nid);
@@ -558,9 +659,13 @@ impl NetlistBuilder {
             name: self.name,
             library: self.library,
             cells: self.cells,
+            cell_names: self.cell_names,
             nets: self.nets,
+            net_names: self.net_names,
+            sinks: self.sinks,
             ports: self.ports,
             hierarchy: self.hierarchy,
+            input_start,
             input_net,
             output_net,
         })
@@ -711,5 +816,53 @@ mod tests {
             b.finish(),
             Err(BuildNetlistError::DriverConflict { .. })
         ));
+    }
+
+    /// A one-cell builder whose net `bad` has the given driver and sinks.
+    fn with_endpoints(driver: Option<PinRef>, sinks: Vec<PinRef>) -> NetlistBuilder {
+        let lib = Library::nangate45ish();
+        let inv = lib.find("INV_X1").unwrap();
+        let mut b = NetlistBuilder::new("bad", lib);
+        let a = b.add_port("a", PortDir::Input);
+        let u0 = b.add_cell("u0", inv, HierTree::ROOT);
+        b.add_net(
+            "na",
+            Some(PinRef::Port(a)),
+            vec![PinRef::Cell { cell: u0, pin: 0 }],
+        );
+        b.add_net("bad", driver, sinks);
+        b
+    }
+
+    #[test]
+    fn unknown_endpoints_are_errors() {
+        let stray = PinRef::Cell {
+            cell: CellId(7),
+            pin: 0,
+        };
+        let cases = [
+            (None, vec![stray]),
+            (Some(stray), vec![]),
+            (Some(PinRef::Port(PortId(5))), vec![]),
+            (None, vec![PinRef::Port(PortId(5))]),
+        ];
+        for (driver, sinks) in cases {
+            assert_eq!(
+                with_endpoints(driver, sinks).finish(),
+                Err(BuildNetlistError::UnknownEndpoint { net: "bad".into() })
+            );
+        }
+    }
+
+    #[test]
+    fn names_and_sinks_read_back() {
+        let n = tiny();
+        let names: Vec<_> = (0..2).map(|i| n.cell_name(CellId(i))).collect();
+        assert_eq!(names, ["u0", "u1"]);
+        let nets: Vec<_> = (0..3).map(|i| n.net_name(NetId(i))).collect();
+        assert_eq!(nets, ["na", "n1", "ny"]);
+        assert_eq!(n.sinks(NetId(2)), [PinRef::Port(PortId(1))]);
+        assert_eq!(n.net(NetId(1)).pin_count(), 2);
+        assert_eq!(n.input_nets(CellId(0)), [Some(NetId(0))]);
     }
 }

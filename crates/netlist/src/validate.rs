@@ -5,6 +5,7 @@
 //! the alternative to panicking five stages later inside the solver.
 
 use crate::floorplan::Floorplan;
+use crate::ids::NetId;
 use crate::netlist::{Netlist, PinRef};
 use crate::sdc::Constraints;
 use std::fmt;
@@ -147,21 +148,22 @@ impl Netlist {
             }
         }
         let mut placeable = 0usize;
-        for net in self.nets() {
+        for (i, net) in self.nets().iter().enumerate() {
+            let id = NetId(i as u32);
             if net.pin_count() == 0 {
                 return Err(ValidationError::NetWithoutPins {
-                    net: net.name.clone(),
+                    net: self.net_name(id).to_string(),
                 });
             }
             if !net.is_clock {
                 placeable += 1;
             }
-            for sink in &net.sinks {
+            for sink in self.sinks(id) {
                 if let PinRef::Cell { cell, pin } = *sink {
                     if pin as usize >= self.master(cell).input_count() {
                         return Err(ValidationError::DanglingPin {
-                            net: net.name.clone(),
-                            cell: self.cell(cell).name.clone(),
+                            net: self.net_name(id).to_string(),
+                            cell: self.cell_name(cell).to_string(),
                             pin,
                         });
                     }

@@ -20,7 +20,7 @@
 //! unique, so a reference means the same instance wherever it appears.
 
 use crate::hierarchy::HierTree;
-use crate::ids::{CellId, PortId};
+use crate::ids::{CellId, NetId, PortId};
 use crate::library::Library;
 use crate::netlist::{Netlist, NetlistBuilder, PinRef, PortDir};
 use std::collections::HashMap;
@@ -72,32 +72,33 @@ pub fn write(netlist: &Netlist) -> String {
         out.push_str(&format!("port {dir} {}\n", p.name));
     }
     let tree = netlist.hierarchy();
-    for c in netlist.cells() {
+    for (i, c) in netlist.cells().iter().enumerate() {
         out.push_str(&format!(
             "cell {} {} {}\n",
-            c.name,
+            netlist.cell_name(CellId(i as u32)),
             netlist.library().cell(c.ty).name,
             tree.path(c.hier)
         ));
     }
-    for net in netlist.nets() {
+    for (i, net) in netlist.nets().iter().enumerate() {
+        let id = NetId(i as u32);
         let kw = if net.is_clock { "clocknet" } else { "net" };
         let driver = match net.driver {
-            Some(PinRef::Cell { cell, .. }) => netlist.cell(cell).name.clone(),
+            Some(PinRef::Cell { cell, .. }) => netlist.cell_name(cell).to_string(),
             Some(PinRef::Port(p)) => netlist.port(p).name.clone(),
             None => "-".to_string(),
         };
-        let sinks: Vec<String> = net
-            .sinks
+        let sinks: Vec<String> = netlist
+            .sinks(id)
             .iter()
             .map(|s| match *s {
-                PinRef::Cell { cell, pin } => format!("{}.{pin}", netlist.cell(cell).name),
+                PinRef::Cell { cell, pin } => format!("{}.{pin}", netlist.cell_name(cell)),
                 PinRef::Port(p) => netlist.port(p).name.clone(),
             })
             .collect();
         out.push_str(&format!(
             "{kw} {} {driver} : {}\n",
-            net.name,
+            netlist.net_name(id),
             sinks.join(" ")
         ));
     }

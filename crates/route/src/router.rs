@@ -4,6 +4,7 @@ use crate::congestion::{CongestionMap, MAX_EDGE_COST};
 use crate::error::RouteError;
 use cp_netlist::floorplan::{Floorplan, Rect};
 use cp_netlist::netlist::{Netlist, PinRef};
+use cp_netlist::NetId;
 
 /// Router tuning knobs.
 ///
@@ -265,12 +266,12 @@ pub fn route_placed_netlist(
     opts.tracks_per_layer = netlist.library().tracks_per_layer;
     opts.layers_per_direction = netlist.library().horizontal_layers;
     let mut nets: Vec<Vec<(f64, f64)>> = Vec::with_capacity(netlist.net_count());
-    for net in netlist.nets() {
+    for (i, net) in netlist.nets().iter().enumerate() {
         if net.is_clock {
             continue;
         }
         let mut pins = Vec::with_capacity(net.pin_count());
-        for p in net.driver.iter().chain(net.sinks.iter()) {
+        for p in net.driver.iter().chain(netlist.sinks(NetId(i as u32))) {
             let v = match *p {
                 PinRef::Cell { cell, .. } => netlist.cell_vertex(cell),
                 PinRef::Port(port) => netlist.port_vertex(port),

@@ -57,10 +57,10 @@ pub fn power_report(
     let f_ghz = constraints.frequency_ghz();
     let lib = netlist.library();
     let mut switching_uw = 0.0;
-    for (i, net) in netlist.nets().iter().enumerate() {
+    for i in 0..netlist.net_count() {
         let nid = NetId(i as u32);
         let mut cap = lib.wire_cap * wire.net_length(netlist, nid);
-        for s in &net.sinks {
+        for s in netlist.sinks(nid) {
             cap += match *s {
                 PinRef::Cell { cell, pin } => netlist
                     .master(cell)

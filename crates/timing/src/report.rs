@@ -40,7 +40,7 @@ pub fn format_timing_report(
             let _ = writeln!(
                 out,
                 "  {:<28} {:>12.1}",
-                format!("{} ({})", netlist.cell(*cell).name, master.name),
+                format!("{} ({})", netlist.cell_name(*cell), master.name),
                 arrival
             );
         }
@@ -68,14 +68,13 @@ pub fn timing_report_text(
 fn endpoint_name(netlist: &Netlist, p: &PinRef) -> String {
     match *p {
         PinRef::Cell { cell, pin } => {
-            let c = netlist.cell(cell);
             let pin_name = netlist
                 .master(cell)
                 .input_names
                 .get(pin as usize)
                 .map(String::as_str)
                 .unwrap_or("?");
-            format!("{}/{}", c.name, pin_name)
+            format!("{}/{}", netlist.cell_name(cell), pin_name)
         }
         PinRef::Port(port) => netlist.port(port).name.clone(),
     }

@@ -114,7 +114,7 @@ impl<'a> Sta<'a> {
                 continue;
             }
             let mut c = nl.library().wire_cap * wire.net_length(nl, NetId(i as u32));
-            for s in &net.sinks {
+            for s in nl.sinks(NetId(i as u32)) {
                 c += match *s {
                     PinRef::Cell { cell, pin } => nl
                         .master(cell)
@@ -194,7 +194,7 @@ impl<'a> Sta<'a> {
                 continue;
             }
             let nid = NetId(i as u32);
-            for s in &net.sinks {
+            for s in nl.sinks(nid) {
                 match *s {
                     PinRef::Cell { cell, pin } => {
                         let master = nl.master(cell);
@@ -227,11 +227,10 @@ impl<'a> Sta<'a> {
 
         // Backward: propagate required through combinational cells.
         for &nid in self.topo_nets.iter().rev() {
-            let net = nl.net(nid);
-            if net.is_clock {
+            if nl.net(nid).is_clock {
                 continue;
             }
-            for s in &net.sinks {
+            for s in nl.sinks(nid) {
                 let PinRef::Cell { cell, pin } = *s else {
                     continue;
                 };
@@ -383,7 +382,7 @@ fn topological_nets(nl: &Netlist) -> Result<Vec<NetId>, TimingError> {
     while head < order.len() {
         let nid = order[head];
         head += 1;
-        for s in &nl.net(nid).sinks {
+        for s in nl.sinks(nid) {
             let PinRef::Cell { cell, .. } = *s else {
                 continue;
             };

@@ -36,7 +36,7 @@ impl WireModel<'_> {
     pub fn net_length(&self, netlist: &Netlist, net: NetId) -> f64 {
         match self {
             Self::Estimate => {
-                let fanout = netlist.net(net).sinks.len().max(1);
+                let fanout = netlist.net(net).sink_count().max(1);
                 EST_LENGTH_PER_FANOUT * fanout as f64
             }
             Self::Placed(pos) => hpwl_of_net(netlist, net, pos),
@@ -79,7 +79,7 @@ pub fn hpwl_of_net(netlist: &Netlist, net: NetId, pos: &Positions) -> f64 {
     let mut lo = (f64::INFINITY, f64::INFINITY);
     let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     let mut count = 0;
-    for p in n.driver.iter().chain(n.sinks.iter()) {
+    for p in n.driver.iter().chain(netlist.sinks(net)) {
         let (x, y) = endpoint_pos(netlist, *p, pos);
         lo = (lo.0.min(x), lo.1.min(y));
         hi = (hi.0.max(x), hi.1.max(y));
