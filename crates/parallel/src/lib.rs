@@ -1,10 +1,13 @@
 //! Deterministic work-stealing thread pool for the placement flow.
 //!
-//! Dependency-free `rayon`-flavored data parallelism, sized for the three
-//! hot layers of this workspace (V-P&R shape search, the global placer's
-//! linear algebra, and the GNN kernels). The design trades a little peak
-//! throughput for a hard guarantee the flow's reproducibility story
-//! depends on:
+//! Dependency-free `rayon`-flavored data parallelism for the regions of
+//! the flow that win on two threads: V-P&R shaping (one task per cluster,
+//! one per shape candidate), the placer's X/Y lower bounds and spreading
+//! halves as [`join`] tasks, the full-design HPWL and density sums, and
+//! the GNN's matmuls. The placer's CG kernels and SpMV are serial: each
+//! axis gets one thread of two, and a V-P&R system fits one chunk. The
+//! design trades a little peak throughput for a hard guarantee the flow's
+//! reproducibility story depends on:
 //!
 //! **Determinism contract.** Every primitive in this crate produces
 //! bit-identical results for *any* thread count, including the inline
@@ -44,8 +47,8 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// Why a fallible parallel region ([`try_par_for`], [`try_par_map`])
-/// terminated without completing every chunk.
+/// Why a fallible parallel region ([`try_par_map`]) terminated without
+/// completing every chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegionError {
     /// A chunk's task panicked; the panic was contained by the pool's
@@ -95,7 +98,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The process-wide default thread budget: `CP_THREADS` when set to a
 /// positive integer, otherwise the number of available cores.
-pub fn max_threads() -> usize {
+fn max_threads() -> usize {
     static MAX: OnceLock<usize> = OnceLock::new();
     *MAX.get_or_init(|| {
         std::env::var("CP_THREADS")
@@ -118,7 +121,8 @@ thread_local! {
 }
 
 /// The thread budget in effect on this thread: the innermost
-/// [`with_threads`] override, or [`max_threads`].
+/// [`with_threads`] override, or else `CP_THREADS` when set to a positive
+/// integer, or else the number of available cores.
 pub fn current_threads() -> usize {
     OVERRIDE
         .with(std::cell::Cell::get)
@@ -140,9 +144,10 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// One parallel region. Lives in an `Arc` so stale queue entries stay
-/// valid after the region completes; the type-erased `task` pointer is
-/// only dereferenced while the submitter provably blocks in [`par_for`].
+/// One parallel region. Lives in an `Arc` so an entry a worker popped
+/// stays valid after the region completes; the type-erased `task` pointer
+/// is only dereferenced while the submitter provably blocks in
+/// [`par_for`].
 struct Job {
     task: *const (dyn Fn(usize) + Sync),
     chunks: usize,
@@ -265,6 +270,10 @@ impl Job {
 }
 
 struct Shared {
+    /// One entry per worker a region asked for. Holds entries of open
+    /// regions only: a submitter withdraws its unpopped entries before it
+    /// closes its region, so the queue never outgrows the regions in
+    /// flight, even while every worker is busy inside an outer region.
     queue: Mutex<VecDeque<Arc<Job>>>,
     available: Condvar,
 }
@@ -337,7 +346,7 @@ fn worker_loop(shared: &Shared, index: u32) {
 /// Panics if any chunk's task panicked, after all participants have left
 /// the region. The lowest-indexed panicking chunk's payload message is
 /// preserved in the new panic's message.
-pub fn par_for(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
+fn par_for(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     match par_for_region(chunks, None, task) {
         Ok(()) => {}
         Err(RegionError::Panicked { message }) => {
@@ -350,22 +359,14 @@ pub fn par_for(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Fallible [`par_for`]: runs chunks under `control`, checking it before
-/// each chunk ([`cp_resilience::sites::POOL_CHUNK`], uncounted so the
-/// schedule-dependent number of polls never perturbs deterministic
-/// check counting). On the first panic or interrupt the region is
-/// abandoned — remaining chunks are claimed but not run — and the typed
-/// error is returned after every participant has left. A contained panic
-/// preserves the payload message; the pool itself always survives.
-pub fn try_par_for(
-    chunks: usize,
-    control: &RunControl,
-    task: &(dyn Fn(usize) + Sync),
-) -> Result<(), RegionError> {
-    par_for_region(chunks, Some(control), task)
-}
-
-/// Shared region driver for [`par_for`] and [`try_par_for`].
+/// Shared region driver for [`par_for`] and [`try_par_map`]: under a
+/// `control`, checks it before each chunk
+/// ([`cp_resilience::sites::POOL_CHUNK`], uncounted so the
+/// schedule-dependent number of polls never perturbs deterministic check
+/// counting). On the first panic or interrupt the region is abandoned —
+/// remaining chunks are claimed but not run — and the typed error is
+/// returned after every participant has left. A contained panic keeps
+/// its payload message; the pool itself always survives.
 fn par_for_region(
     chunks: usize,
     control: Option<&RunControl>,
@@ -415,6 +416,9 @@ fn par_for_region(
     if ran > 0 {
         cp_trace::counter_add("pool.submitter.tasks", ran as u64);
     }
+    // Every chunk is claimed, so an unpopped entry has nothing left to
+    // run; withdraw it rather than leave it for the next idle worker.
+    lock(&p.shared.queue).retain(|queued| !Arc::ptr_eq(queued, &job));
     job.closed.store(true, Ordering::SeqCst);
     {
         let mut guard = lock(&job.done);
@@ -474,12 +478,12 @@ fn inline_region(
 /// Number of fixed-size chunks covering `n` items (`chunk` clamped to at
 /// least 1). This is the only chunk geometry the crate uses, so results
 /// depend on `(n, chunk)` alone.
-pub fn chunk_count(n: usize, chunk: usize) -> usize {
+fn chunk_count(n: usize, chunk: usize) -> usize {
     n.div_ceil(chunk.max(1))
 }
 
 /// Runs `f(chunk_index, range)` over the fixed chunking of `0..n`.
-pub fn par_ranges(n: usize, chunk: usize, f: impl Fn(usize, Range<usize>) + Sync) {
+fn par_ranges(n: usize, chunk: usize, f: impl Fn(usize, Range<usize>) + Sync) {
     let chunk = chunk.max(1);
     par_for(chunk_count(n, chunk), &|i| {
         let start = i * chunk;
@@ -526,8 +530,9 @@ pub fn par_map_ranges<R: Send>(
         // SAFETY: chunk `i` owns slot `i` exclusively.
         unsafe { ptr.get().add(i).write(MaybeUninit::new(v)) };
     });
-    // A panicking chunk aborts via par_for's panic before reaching here,
-    // leaking (not dropping) the buffer — safe, if wasteful.
+    // A panicking chunk aborts via par_for's panic before reaching here;
+    // the unwind frees the buffer without dropping the results already
+    // written, which leak — safe, if wasteful.
     let mut out = ManuallyDrop::new(out);
     // SAFETY: all `chunks` slots were initialized exactly once above.
     unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), chunks, out.capacity()) }
@@ -607,65 +612,6 @@ pub fn par_chunks_mut<T: Send>(
     });
 }
 
-/// [`par_chunks_mut`] fused with a deterministic reduction: each chunk
-/// mutates its disjoint slice and returns a partial, and the partials are
-/// tree-combined in fixed order ([`tree_combine`]) — one memory pass
-/// where a mutate-then-reduce pair would take two. The reduction is
-/// bit-identical to running [`par_chunks_mut`] followed by [`par_sum`]
-/// over the same chunk geometry whenever `f` accumulates its partial in
-/// index order.
-pub fn par_chunks_mut_sum<T: Send>(
-    data: &mut [T],
-    chunk: usize,
-    f: impl Fn(usize, usize, &mut [T]) -> f64 + Sync,
-) -> f64 {
-    let n = data.len();
-    let chunk = chunk.max(1);
-    if n <= chunk {
-        return if n == 0 { 0.0 } else { f(0, 0, data) };
-    }
-    let ptr = SendPtr(data.as_mut_ptr());
-    let mut parts = par_map_ranges(n, chunk, |r| {
-        // SAFETY: ranges from the fixed chunking are pairwise disjoint.
-        let slice = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        f(r.start / chunk, r.start, slice)
-    });
-    tree_combine(&mut parts, |a, b| a + b).unwrap_or(0.0)
-}
-
-/// Two-buffer [`par_chunks_mut_sum`]: `a` and `b` are chunked with the
-/// same fixed geometry and each chunk mutates both disjoint slices,
-/// returning a partial for the fixed-order tree reduction. The CG fused
-/// kernels use this to update the iterate and the residual — and reduce
-/// the new residual norm — in a single pass.
-///
-/// # Panics
-///
-/// Panics if `a` and `b` differ in length.
-pub fn par_chunks2_mut_sum<T: Send>(
-    a: &mut [T],
-    b: &mut [T],
-    chunk: usize,
-    f: impl Fn(usize, usize, &mut [T], &mut [T]) -> f64 + Sync,
-) -> f64 {
-    assert_eq!(a.len(), b.len(), "par_chunks2_mut_sum buffers differ");
-    let n = a.len();
-    let chunk = chunk.max(1);
-    if n <= chunk {
-        return if n == 0 { 0.0 } else { f(0, 0, a, b) };
-    }
-    let pa = SendPtr(a.as_mut_ptr());
-    let pb = SendPtr(b.as_mut_ptr());
-    let mut parts = par_map_ranges(n, chunk, |r| {
-        // SAFETY: ranges from the fixed chunking are pairwise disjoint,
-        // and `a`/`b` are distinct exclusive borrows.
-        let sa = unsafe { std::slice::from_raw_parts_mut(pa.get().add(r.start), r.len()) };
-        let sb = unsafe { std::slice::from_raw_parts_mut(pb.get().add(r.start), r.len()) };
-        f(r.start / chunk, r.start, sa, sb)
-    });
-    tree_combine(&mut parts, |a, b| a + b).unwrap_or(0.0)
-}
-
 /// Combines `parts` pairwise in fixed order until one value remains:
 /// `((p0 ⊕ p1) ⊕ (p2 ⊕ p3)) ⊕ …`. The combination tree depends only on
 /// `parts.len()`, which is what makes the reductions here bit-identical
@@ -709,7 +655,7 @@ pub fn par_sum(n: usize, chunk: usize, f: impl Fn(Range<usize>) -> f64 + Sync) -
 ///
 /// # Panics
 ///
-/// Panics if either task panicked, like [`par_for`].
+/// Panics if either task panicked, with that task's panic message.
 pub fn join<A: Send, B: Send>(
     a: impl FnOnce() -> A + Send,
     b: impl FnOnce() -> B + Send,
@@ -749,6 +695,15 @@ fn into_inner<T>(m: Mutex<T>) -> T {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    /// Queue entries whose region has closed (the queue invariant keeps
+    /// this at zero).
+    fn queued_closed_jobs() -> usize {
+        lock(&pool().shared.queue)
+            .iter()
+            .filter(|job| job.closed.load(Ordering::SeqCst))
+            .count()
+    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -810,75 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_sum_matches_separate_passes() {
-        let vals: Vec<f64> = (0..5000)
-            .map(|i| ((i * 2_654_435_761_u64) % 997) as f64 * 1e-3)
-            .collect();
-        // Reference: mutate, then reduce over the same chunk geometry.
-        let mut a = vals.clone();
-        par_chunks_mut(&mut a, 128, |_, off, s| {
-            for (k, v) in s.iter_mut().enumerate() {
-                *v = *v * 2.0 + (off + k) as f64;
-            }
-        });
-        let want = par_sum(a.len(), 128, |r| {
-            let mut s = 0.0;
-            for i in r {
-                s += a[i] * a[i];
-            }
-            s
-        });
-        for t in [1usize, 4, 8] {
-            let mut b = vals.clone();
-            let got = with_threads(t, || {
-                par_chunks_mut_sum(&mut b, 128, |_, off, s| {
-                    let mut acc = 0.0;
-                    for (k, v) in s.iter_mut().enumerate() {
-                        *v = *v * 2.0 + (off + k) as f64;
-                        acc += *v * *v;
-                    }
-                    acc
-                })
-            });
-            assert_eq!(want.to_bits(), got.to_bits(), "threads = {t}");
-            assert_eq!(a, b, "threads = {t}");
-        }
-    }
-
-    #[test]
-    fn par_chunks2_mut_sum_is_thread_count_invariant() {
-        let n = 3000;
-        let run = |t: usize| {
-            let mut x: Vec<f64> = (0..n).map(|i| i as f64 * 0.5).collect();
-            let mut r: Vec<f64> = (0..n).map(|i| (n - i) as f64 * 0.25).collect();
-            let s = with_threads(t, || {
-                par_chunks2_mut_sum(&mut x, &mut r, 64, |_, _, sx, sr| {
-                    let mut acc = 0.0;
-                    for (xi, ri) in sx.iter_mut().zip(sr.iter_mut()) {
-                        *xi += 0.125 * *ri;
-                        *ri -= 0.25 * *xi;
-                        acc += *ri * *ri;
-                    }
-                    acc
-                })
-            });
-            (x, r, s.to_bits())
-        };
-        let base = run(1);
-        for t in [2, 4, 8] {
-            assert_eq!(base, run(t), "threads = {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "buffers differ")]
-    fn par_chunks2_mut_sum_rejects_length_mismatch() {
-        let mut a = vec![0.0; 4];
-        let mut b = vec![0.0; 5];
-        par_chunks2_mut_sum(&mut a, &mut b, 2, |_, _, _, _| 0.0);
-    }
-
-    #[test]
     fn all_threads_participate() {
         let seen = AtomicU64::new(0);
         with_threads(4, || {
@@ -930,11 +816,12 @@ mod tests {
     }
 
     #[test]
-    fn try_par_for_preserves_panic_message() {
+    fn try_par_map_preserves_panic_message() {
         let ctl = RunControl::unlimited();
+        let items: Vec<u32> = (0..16).collect();
         for threads in [1, 4] {
             let err = with_threads(threads, || {
-                try_par_for(16, &ctl, &|i| {
+                try_par_map(&items, 1, &ctl, |&i| {
                     if i == 5 {
                         panic!("task {i} exploded");
                     }
@@ -951,9 +838,9 @@ mod tests {
     }
 
     #[test]
-    fn try_par_for_pool_survives_contained_panic() {
+    fn try_par_map_pool_survives_contained_panic() {
         let ctl = RunControl::unlimited();
-        let _ = with_threads(4, || try_par_for(8, &ctl, &|_| panic!("boom")));
+        let _ = with_threads(4, || try_par_map(&[(); 8], 1, &ctl, |_| panic!("boom")));
         // The pool must still run subsequent regions to completion.
         let ok = AtomicU64::new(0);
         with_threads(4, || {
@@ -962,23 +849,6 @@ mod tests {
             })
         });
         assert_eq!(ok.load(Ordering::SeqCst), 32);
-    }
-
-    #[test]
-    fn try_par_for_observes_cancellation() {
-        for threads in [1, 4] {
-            let ctl = RunControl::unlimited();
-            ctl.cancel();
-            let ran = AtomicU64::new(0);
-            let err = with_threads(threads, || {
-                try_par_for(64, &ctl, &|_| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                })
-            })
-            .expect_err("cancelled region must fail");
-            assert!(matches!(err, RegionError::Interrupted(_)), "got {err:?}");
-            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -994,12 +864,44 @@ mod tests {
 
     #[test]
     fn try_par_map_cancelled_yields_no_partial_results() {
-        let ctl = RunControl::unlimited();
-        ctl.cancel();
         let items: Vec<String> = (0..100).map(|i| i.to_string()).collect();
-        let err = with_threads(4, || try_par_map(&items, 4, &ctl, |s| format!("out-{s}")))
+        for threads in [1, 4] {
+            let ctl = RunControl::unlimited();
+            ctl.cancel();
+            let ran = AtomicU64::new(0);
+            let err = with_threads(threads, || {
+                try_par_map(&items, 4, &ctl, |s| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    format!("out-{s}")
+                })
+            })
             .expect_err("cancelled map must fail");
-        assert!(matches!(err, RegionError::Interrupted(_)));
+            assert!(matches!(err, RegionError::Interrupted(_)), "got {err:?}");
+            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn closed_regions_leave_no_queue_entries() {
+        // Both participants of the outer region stay inside it while the
+        // nested regions open and close, so no worker goes back to the
+        // queue to pop their entries: only the submitters can clear them.
+        let started = AtomicUsize::new(0);
+        let closed_in_queue = AtomicUsize::new(0);
+        with_threads(2, || {
+            par_for(2, &|_| {
+                started.fetch_add(1, Ordering::SeqCst);
+                let t0 = std::time::Instant::now();
+                while started.load(Ordering::SeqCst) < 2 && t0.elapsed().as_secs() < 5 {
+                    std::thread::yield_now();
+                }
+                for _ in 0..64 {
+                    with_threads(2, || par_sum(64, 8, |r| r.len() as f64));
+                    closed_in_queue.fetch_max(queued_closed_jobs(), Ordering::SeqCst);
+                }
+            });
+        });
+        assert_eq!(closed_in_queue.load(Ordering::SeqCst), 0);
     }
 
     #[test]

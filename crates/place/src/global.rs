@@ -79,14 +79,16 @@ pub struct PlacementResult {
     pub diverged: bool,
 }
 
-/// Movable count above which the X and Y lower bounds (rebuild + solve)
-/// run as two pool tasks, each on half the thread budget: the size from
-/// which the CG kernels span more than one chunk and would otherwise each
-/// open a region of their own — a few hundred per outer iteration, every
-/// one too short to pay for waking a worker (2.6× slower than the two
-/// tasks at 8k cells on two threads). Up to it — every V-P&R candidate —
-/// nothing in the lower bound opens a region and the two axes run back to
-/// back on the calling thread (EXPERIMENTS.md, "Placer outer iteration").
+/// Movable count from which the X and Y lower bounds (rebuild + solve)
+/// run as two pool tasks, each on half the thread budget. Below it the
+/// two axes run back to back on the calling thread, so no V-P&R
+/// candidate (≤ 800 cells in the benchmark) opens a region for its
+/// lower bound. On two threads the tasks beat both axes on one thread
+/// at every size measured from 1,093 movables (1.3 vs 1.8–2.1 ms per
+/// outer iteration; 10–11 vs 12–18 ms at 8.6k) and beat per-kernel
+/// regions from 1,067 (0.72 vs 1.13 ms; 3.4 vs 9.6 ms at 8k);
+/// EXPERIMENTS.md, "Parallel regions, measured" and the axis-task table
+/// of "Placer outer iteration".
 const AXIS_TASK_MIN_MOVABLES: usize = kernels::VEC_CHUNK + 1;
 
 /// The best finite iterate seen so far, for divergence recovery.

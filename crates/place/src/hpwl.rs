@@ -11,33 +11,6 @@ use crate::problem::PlacementProblem;
 /// Nets per parallel chunk for full-design HPWL sums.
 const NET_CHUNK: usize = 256;
 
-/// Weighted HPWL of all hyperedges under the given movable positions.
-///
-/// # Examples
-///
-/// ```
-/// use cp_netlist::generator::{DesignProfile, GeneratorConfig};
-/// use cp_netlist::Floorplan;
-/// use cp_place::{hpwl::weighted_hpwl, PlacementProblem};
-///
-/// let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
-///     .scale(0.01)
-///     .generate();
-/// let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
-/// let p = PlacementProblem::from_netlist(&netlist, &fp);
-/// let center = vec![fp.core.center(); p.movable_count()];
-/// assert!(weighted_hpwl(&p, &center) > 0.0); // port-to-center spans remain
-/// ```
-pub fn weighted_hpwl(problem: &PlacementProblem, positions: &[(f64, f64)]) -> f64 {
-    cp_parallel::par_sum(problem.hypergraph.edge_count(), NET_CHUNK, |r| {
-        let mut s = 0.0;
-        for e in r {
-            s += problem.net_weights[e] * edge_hpwl(problem, e as u32, positions);
-        }
-        s
-    })
-}
-
 /// Unweighted HPWL (every net counted at weight 1) — the metric the paper's
 /// Table 2 reports.
 pub fn raw_hpwl(problem: &PlacementProblem, positions: &[(f64, f64)]) -> f64 {
@@ -87,14 +60,13 @@ pub struct IncrementalHpwl {
 impl IncrementalHpwl {
     /// Builds the cache at `positions` (parallel over net chunks).
     pub fn new(problem: &PlacementProblem, positions: &[(f64, f64)]) -> Self {
-        let net = cp_parallel::par_map_ranges(problem.hypergraph.edge_count(), NET_CHUNK, |r| {
-            r.map(|e| edge_hpwl(problem, e as u32, positions))
-                .collect::<Vec<f64>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect::<Vec<f64>>();
-        let n = net.len();
+        let n = problem.hypergraph.edge_count();
+        let mut net = vec![0.0; n];
+        cp_parallel::par_chunks_mut(&mut net, NET_CHUNK, |_, off, slice| {
+            for (k, h) in slice.iter_mut().enumerate() {
+                *h = edge_hpwl(problem, (off + k) as u32, positions);
+            }
+        });
         let total = cp_parallel::par_sum(n, NET_CHUNK, |r| {
             let mut s = 0.0;
             for e in r {
@@ -182,7 +154,6 @@ mod tests {
         assert_eq!(edge_hpwl(&p, 0, &pos), 3.0);
         assert_eq!(edge_hpwl(&p, 1, &pos), 9.0);
         assert_eq!(raw_hpwl(&p, &pos), 12.0);
-        assert_eq!(weighted_hpwl(&p, &pos), 3.0 + 3.0 * 9.0);
     }
 
     #[test]
@@ -246,9 +217,8 @@ mod tests {
     fn hpwl_is_thread_count_invariant() {
         let p = toy();
         let pos = vec![(0.3, 0.7), (2.9, 1.1)];
-        let seq = cp_parallel::with_threads(1, || (raw_hpwl(&p, &pos), weighted_hpwl(&p, &pos)));
-        let par = cp_parallel::with_threads(4, || (raw_hpwl(&p, &pos), weighted_hpwl(&p, &pos)));
-        assert_eq!(seq.0.to_bits(), par.0.to_bits());
-        assert_eq!(seq.1.to_bits(), par.1.to_bits());
+        let seq = cp_parallel::with_threads(1, || raw_hpwl(&p, &pos));
+        let par = cp_parallel::with_threads(4, || raw_hpwl(&p, &pos));
+        assert_eq!(seq.to_bits(), par.to_bits());
     }
 }

@@ -23,10 +23,11 @@
 //! the nets into buffers it keeps between outer placement iterations —
 //! no per-pair list is ever materialized.
 //!
-//! Everything is deterministic across thread counts: assembly is serial
-//! in net order, SpMV is row-parallel with unchanged per-row accumulation
-//! order, and dot products use `cp-parallel`'s fixed-order tree
-//! reduction.
+//! Everything is serial and deterministic: assembly runs in net order,
+//! SpMV keeps each row's accumulation order, and dot products combine
+//! fixed-chunk partials in `cp-parallel`'s pairwise tree order
+//! (`kernels`). The placer runs the X and Y systems as two pool
+//! tasks; nothing inside one system opens a parallel region.
 
 use crate::kernels::{self, dot};
 use crate::problem::PlacementProblem;
@@ -44,9 +45,6 @@ pub enum Axis {
 
 /// Minimum pin separation for B2B weights, µm (avoids singular weights).
 const MIN_DIST: f64 = 0.5;
-
-/// Rows per parallel chunk in the SpMV (the CG vector kernels' geometry).
-const VEC_CHUNK: usize = kernels::VEC_CHUNK;
 
 /// Longest row that gets an exact-length SpMV bucket; rows with more
 /// off-diagonal entries share the variable-length tail. B2B rows above
@@ -94,22 +92,6 @@ pub struct B2bSystem {
     bucket: [u32; MAX_EXACT_ROW + 2],
     col_idx: Vec<u32>,
     val: Vec<f64>,
-}
-
-/// Raw-pointer handle for disjoint-row writes from parallel chunks (same
-/// pattern as `cp-parallel`'s chunk primitives).
-struct SendPtr(*mut f64);
-// SAFETY: only `B2bSystem::apply_into` builds one, and every chunk there
-// writes a disjoint set of rows (`order` is a permutation).
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-impl SendPtr {
-    /// Accessor (rather than direct field access) so closures capture the
-    /// `Send + Sync` wrapper, not the raw pointer field.
-    fn get(&self) -> *mut f64 {
-        self.0
-    }
 }
 
 /// Anchor pseudo-nets: per-movable target position and weight.
@@ -434,10 +416,9 @@ impl B2bSystem {
     /// Solves with Jacobi-preconditioned CG from `x0` — the allocating
     /// convenience over the placer's in-place solve.
     ///
-    /// The SpMV, dot products and vector updates run in parallel; dot
-    /// products use fixed-order tree reductions and the element-wise
+    /// Dot products use fixed-order tree reductions and the element-wise
     /// kernels keep per-element arithmetic order, so the iterates are
-    /// bit-identical for every thread count.
+    /// bit-identical to the unfused loop.
     pub fn solve(&self, x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
         let mut x = x0.to_vec();
         self.solve_into(&mut x, &mut CgScratch::default(), max_iters, tol);
@@ -523,10 +504,12 @@ impl B2bSystem {
 
     /// In-place Jacobi-preconditioned CG on the fused kernels
     /// ([`crate::kernels`]): two vector sweeps and one SpMV per iteration,
-    /// all fixed-order, so the iterates are bit-identical at every thread
-    /// count. `x` holds the start on entry and the solution on exit, and
-    /// all work vectors live in `scratch` — zero allocations once the
-    /// scratch has warmed up to the system size. Records nothing: the
+    /// all serial and fixed-order, so the iterates are bit-identical at
+    /// every thread count. `x` holds the start on entry and the solution
+    /// on exit, and all work vectors live in `scratch`, so a system that
+    /// fits one 1,024-row chunk solves without allocating once the
+    /// scratch has warmed up (a longer one allocates each reduction's
+    /// chunk partials). Records nothing: the
     /// placer reports its lower-bound solves on the `place.cg.*` channel.
     pub(crate) fn solve_into(
         &self,
@@ -593,10 +576,9 @@ impl B2bSystem {
         }
     }
 
-    /// Sparse matrix-vector product `out = A x`, row-parallel over fixed
-    /// chunks of the storage order. Each row accumulates `diag·x` then its
-    /// entries in assembly order — bit-identical to the serial row-order
-    /// CSR loop at any thread count.
+    /// Sparse matrix-vector product `out = A x`: each exact bucket, then
+    /// the long-row tail. Each row accumulates `diag·x` then its entries in
+    /// assembly order — bit-identical to the row-order CSR loop.
     ///
     /// # Panics
     ///
@@ -604,44 +586,33 @@ impl B2bSystem {
     pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
         let n = self.diag.len();
         assert!(x.len() == n && out.len() == n, "vector length != rows");
-        let out = SendPtr(out.as_mut_ptr());
-        cp_parallel::par_ranges(n, VEC_CHUNK, |_, chunk| {
-            // The chunk's share of each exact bucket, then of the tail.
-            for d in 0..=MAX_EXACT_ROW {
-                let lo = chunk.start.max(self.bucket[d] as usize);
-                let hi = chunk.end.min(self.bucket[d + 1] as usize);
-                if lo < hi {
-                    self.apply_exact_rows(d, lo..hi, x, &out);
-                }
+        for d in 0..=MAX_EXACT_ROW {
+            let rows = self.bucket[d] as usize..self.bucket[d + 1] as usize;
+            if !rows.is_empty() {
+                self.apply_exact_rows(d, rows, x, out);
             }
-            let lo = chunk.start.max(self.bucket[MAX_EXACT_ROW + 1] as usize);
-            for p in lo..chunk.end {
-                let i = self.order[p] as usize;
-                let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
-                let mut acc = self.diag[i] * x[i];
-                for (&j, &w) in self.col_idx[entries.clone()].iter().zip(&self.val[entries]) {
-                    acc -= w * x[j as usize];
-                }
-                // SAFETY: `i < n == out.len()` (checked by `self.diag[i]`),
-                // and `order` is a permutation, so no other storage
-                // position — in this chunk or another — writes row `i`.
-                unsafe { *out.get().add(i) = acc };
+        }
+        for p in self.bucket[MAX_EXACT_ROW + 1] as usize..n {
+            let i = self.order[p] as usize;
+            let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
+            let mut acc = self.diag[i] * x[i];
+            for (&j, &w) in self.col_idx[entries.clone()].iter().zip(&self.val[entries]) {
+                acc -= w * x[j as usize];
             }
-        });
+            out[i] = acc;
+        }
     }
 
     /// Dispatches storage positions `rows` of exact bucket `d` to the
     /// kernel compiled for that row length.
-    fn apply_exact_rows(&self, d: usize, rows: Range<usize>, x: &[f64], out: &SendPtr) {
+    fn apply_exact_rows(&self, d: usize, rows: Range<usize>, x: &[f64], out: &mut [f64]) {
         macro_rules! dispatch {
             ($($len:literal)+) => {
                 match d {
                     0 => {
                         for &i in &self.order[rows] {
                             let i = i as usize;
-                            let acc = self.diag[i] * x[i];
-                            // SAFETY: as in `rows_of_len`.
-                            unsafe { *out.get().add(i) = acc };
+                            out[i] = self.diag[i] * x[i];
                         }
                     }
                     $($len => self.rows_of_len::<$len>(rows, x, out),)+
@@ -657,7 +628,7 @@ impl B2bSystem {
     /// so the inner loop has a compile-time trip count and no slice-bound
     /// tests.
     #[inline(always)]
-    fn rows_of_len<const D: usize>(&self, rows: Range<usize>, x: &[f64], out: &SendPtr) {
+    fn rows_of_len<const D: usize>(&self, rows: Range<usize>, x: &[f64], out: &mut [f64]) {
         let first = self.ptr[rows.start] as usize;
         let entries = first..first + rows.len() * D;
         let (cols, _) = self.col_idx[entries.clone()].as_chunks::<D>();
@@ -668,10 +639,7 @@ impl B2bSystem {
             for k in 0..D {
                 acc -= v[k] * x[c[k] as usize];
             }
-            // SAFETY: `i < n == out.len()` (checked by `self.diag[i]`), and
-            // `order` is a permutation, so no other storage position — in
-            // this chunk or another — writes row `i`.
-            unsafe { *out.get().add(i) = acc };
+            out[i] = acc;
         }
     }
 }
@@ -681,7 +649,8 @@ impl B2bSystem {
 /// assembly. Test-only; not compiled into the library.
 #[cfg(test)]
 pub(crate) mod jagged_oracle {
-    use super::{Anchors, Axis, MIN_DIST, VEC_CHUNK};
+    use super::{Anchors, Axis, MIN_DIST};
+    use crate::kernels::VEC_CHUNK;
     use crate::problem::PlacementProblem;
 
     const EDGE_CHUNK: usize = 512;
@@ -1147,6 +1116,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::kernels::VEC_CHUNK;
     use crate::problem::Object;
     use cp_graph::Hypergraph;
     use cp_netlist::floorplan::Rect;
@@ -1234,7 +1204,7 @@ mod proptests {
     }
 
     /// A random system in plain CSR form plus an input vector: zero, one,
-    /// a handful or a few parallel chunks' worth of rows, each row empty,
+    /// a handful or a few 1,024-row chunks' worth of rows, each row empty,
     /// short (an exact bucket) or longer than the largest exact bucket.
     #[derive(Debug, Clone)]
     struct CsrCase {

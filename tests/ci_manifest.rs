@@ -10,7 +10,9 @@
 //! job are checked against the binaries that exist, and every schema must
 //! be embedded by the one module that encodes or decodes its document.
 //! Every `tracetool <sub> … --flag` the docs, CI and the verify skill
-//! spell out must name a subcommand and flag tracetool's usage text lists.
+//! spell out must name a subcommand and flag tracetool's usage text lists,
+//! and the cp-parallel primitives DESIGN.md and README.md name must be
+//! exactly the pool's public functions.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -634,4 +636,70 @@ fn committed_tracetool_commands_use_listed_flags() {
     let sh =
         "./target/release/tracetool render F.json --out-dir svg   # or --name\n`tracetool` fills";
     assert_eq!(tracetool_commands(sh), [pair("render", &["--out-dir"])]);
+}
+
+/// The `pub fn` names of cp-parallel's library code (its tests excluded).
+fn pool_functions() -> BTreeSet<String> {
+    let text = read("crates/parallel/src/lib.rs");
+    let library = text.split("#[cfg(test)]").next().unwrap_or_default();
+    library
+        .lines()
+        .filter_map(|l| l.strip_prefix("pub fn "))
+        .map(|rest| {
+            rest.split(['<', '('])
+                .next()
+                .unwrap_or_default()
+                .to_string()
+        })
+        .collect()
+}
+
+/// The cp-parallel primitives `text` names: every whole word that starts
+/// `par_` or `try_par_`, and every `cp_parallel::name` path.
+fn pool_mentions(text: &str) -> BTreeSet<String> {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out: BTreeSet<String> = text
+        .split(|c: char| !is_ident(c))
+        .filter(|w| w.starts_with("par_") || w.starts_with("try_par_"))
+        .map(String::from)
+        .collect();
+    for (at, path) in text.match_indices("cp_parallel::") {
+        let rest = &text[at + path.len()..];
+        let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
+        if name.starts_with(|c: char| c.is_ascii_lowercase()) {
+            out.insert(name);
+        }
+    }
+    out
+}
+
+/// The pool's surface and the prose about it move together: a primitive
+/// DESIGN.md or README.md names must still be public, and DESIGN.md must
+/// name every public one.
+#[test]
+fn prose_names_the_pools_public_functions() {
+    let public = pool_functions();
+    assert!(
+        public.contains("par_map"),
+        "cp-parallel was scanned: {public:?}"
+    );
+    let mut stale = Vec::new();
+    for file in ["DESIGN.md", "README.md"] {
+        for name in pool_mentions(&read(file)).difference(&public) {
+            stale.push(format!("{file}: `{name}` is not a pub fn of cp-parallel"));
+        }
+    }
+    let design = read("DESIGN.md");
+    let design_words: BTreeSet<&str> = design
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .collect();
+    for name in public.iter().filter(|n| !design_words.contains(n.as_str())) {
+        stale.push(format!("DESIGN.md: pub fn `{name}` is not named"));
+    }
+    assert_eq!(stale, Vec::<String>::new(), "pool prose out of date");
+    // The forms the docs use: backticked and bare names, slash lists,
+    // qualified paths; `parallel` and `spare_par_x` are not primitives.
+    let md = "`par_map`/`try_par_map`, par_sum; `cp_parallel::with_threads(n, f)` and cp_parallel::RegionError, parallel spare_par_x";
+    let want = ["par_map", "par_sum", "try_par_map", "with_threads"];
+    assert_eq!(pool_mentions(md), want.map(String::from).into());
 }
