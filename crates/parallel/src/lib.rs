@@ -864,18 +864,28 @@ mod tests {
 
     #[test]
     fn try_par_map_cancelled_yields_no_partial_results() {
+        let ctl = RunControl::unlimited();
+        ctl.cancel();
         let items: Vec<String> = (0..100).map(|i| i.to_string()).collect();
+        let err = with_threads(4, || try_par_map(&items, 4, &ctl, |s| format!("out-{s}")))
+            .expect_err("cancelled map must fail");
+        assert!(matches!(err, RegionError::Interrupted(_)));
+    }
+
+    #[test]
+    fn try_par_map_observes_cancellation() {
+        let items: Vec<u64> = (0..64).collect();
         for threads in [1, 4] {
             let ctl = RunControl::unlimited();
             ctl.cancel();
             let ran = AtomicU64::new(0);
             let err = with_threads(threads, || {
-                try_par_map(&items, 4, &ctl, |s| {
+                try_par_map(&items, 4, &ctl, |&x| {
                     ran.fetch_add(1, Ordering::SeqCst);
-                    format!("out-{s}")
+                    x
                 })
             })
-            .expect_err("cancelled map must fail");
+            .expect_err("cancelled region must fail");
             assert!(matches!(err, RegionError::Interrupted(_)), "got {err:?}");
             assert_eq!(ran.load(Ordering::SeqCst), 0, "threads = {threads}");
         }
