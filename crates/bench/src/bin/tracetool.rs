@@ -6,7 +6,6 @@
 //! tracetool diff <base.json> <new.json> [--rel R] [--abs S] [--metric-rel M]
 //! tracetool flamegraph <report.json> [-o out.folded]
 //! tracetool gate [--baseline FILE] [--from report.json] [--write] [--timeout-s S] [--large]
-//! tracetool chaos [--seeds N] [--timeout-s S] [--site SUBSTR]
 //! tracetool explain <FIELDS_frames.json>
 //! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]
 //! tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]
@@ -23,9 +22,7 @@
 //! `--large` swaps in the large gate flow (Ariane at scale 0.5, ~60k
 //! cells, uniform shapes) gated against `baselines/QOR_large.json` — the
 //! large-design guard for the solver/spreading/clustering hot paths.
-//! `chaos` sweeps the fault-injection sites (needs `--features
-//! fault-injection`) and exits 1 when any case violates the resilience
-//! contract. `diff` exits 1 when regressions survive the tolerances;
+//! `diff` exits 1 when regressions survive the tolerances;
 //! `summarize` and `flamegraph` are read-only.
 //!
 //! `explain` is the convergence doctor's front door: it diagnoses the
@@ -392,40 +389,6 @@ fn gate(args: &[String]) -> Result<u8, String> {
     Ok(1)
 }
 
-/// Deterministic fault-injection sweep: arm each site at seed-derived
-/// hit indices and assert the resilience contract (typed error, clean
-/// recorded recovery, or bitwise-identical resume — never a panic, hang
-/// or silent QoR drift). Needs `--features fault-injection`.
-fn chaos(args: &[String]) -> Result<u8, String> {
-    let (mut seeds, mut timeout_s, mut site) = (None, None, None);
-    let pos = split_args(
-        args,
-        &mut [
-            ("--seeds", &mut seeds),
-            ("--timeout-s", &mut timeout_s),
-            ("--site", &mut site),
-        ],
-        &mut [],
-    )?;
-    if !pos.is_empty() {
-        return Err(format!("chaos takes no positional arguments, got {pos:?}"));
-    }
-    let seeds: u64 = seeds
-        .map(|v| {
-            v.parse()
-                .map_err(|_| format!("`--seeds` must be an integer, got `{v}`"))
-        })
-        .transpose()?
-        .unwrap_or(3)
-        .max(1);
-    let timeout = timeout_s
-        .as_deref()
-        .map_or(Ok(Duration::from_secs(120)), timeout)?;
-    let report = cp_bench::chaos::run_chaos(seeds, timeout, site.as_deref())?;
-    out!("{}", report.render());
-    Ok(u8::from(report.failures() > 0))
-}
-
 /// Loads a `field_frames.schema.json`-shaped artifact.
 fn load_frames(path: &str) -> Result<FrameCapture, String> {
     cp_trace::fields::decode_json(&read(path)?).map_err(|e| format!("`{path}`: {e}"))
@@ -705,7 +668,7 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|explain|render|check-schema> ...\n\
+const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|explain|render|check-schema> ...\n\
      \n\
      summarize <report.json>                    self-time table, critical path, QoR gauges\n\
      diff <base.json> <new.json>                span/metric diff (--rel/--abs/--metric-rel)\n\
@@ -715,8 +678,6 @@ const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|chaos|expl
      \x20                                          gauges vs the baseline (exit 3 when the\n\
      \x20                                          wall-clock timeout expires; --large gates the\n\
      \x20                                          ~60k-cell Ariane flow vs baselines/QOR_large.json)\n\
-     chaos [--seeds N] [--timeout-s S] [--site SUBSTR]\n\
-     \x20                                          fault-injection sweep (needs --features fault-injection)\n\
      explain <FIELDS_frames.json>\n\
      explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]\n\
      \x20                                          convergence doctor: hotspot-persistence and\n\
@@ -736,7 +697,6 @@ fn main() -> ExitCode {
         "diff" => diff(rest).map(u8::from),
         "flamegraph" => flamegraph(rest).map(|()| 0),
         "gate" => gate(rest),
-        "chaos" => chaos(rest),
         "explain" => explain(rest).map(|()| 0),
         "render" => render(rest).map(|()| 0),
         "check-schema" => check_schema(rest).map(u8::from),

@@ -7,7 +7,6 @@
 //! is always an explicit argument — `repro --scale`, or the constant a
 //! bench or gate generates at — and the flow options are sized from it.
 
-pub mod chaos;
 pub mod qor_gate;
 pub mod repro;
 pub mod stdout;

@@ -1,5 +1,5 @@
 //! Experiment support: scaled designs, flow presets, table printing and
-//! the watchdog the QoR gate and the chaos sweep run flows under.
+//! the watchdog the QoR gate runs flows under.
 
 use cp_core::flow::FlowOptions;
 use cp_core::ClusteringOptions;

@@ -94,8 +94,8 @@ pub struct Checkpoint {
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into a running FNV-1a 64 `hash` — the workspace's one
-/// non-cryptographic identity hash: run fingerprints here and fault-site
-/// streams in the chaos sweep.
+/// non-cryptographic identity hash, behind run fingerprints and content
+/// digests.
 pub fn fnv1a64(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -171,13 +171,10 @@ impl Checkpoint {
                 RecoveryEvent::RegionDropped { cluster } => {
                     cluster_event(&mut w, "region_dropped", *cluster);
                 }
-                // Bookkeeping and interrupt events describe one run's
-                // execution, not the pipeline state: not replayed on
-                // resume, so not written.
-                RecoveryEvent::Cancelled { .. }
-                | RecoveryEvent::DeadlineExceeded { .. }
-                | RecoveryEvent::CheckpointWritten { .. }
-                | RecoveryEvent::Resumed { .. } => {}
+                // Bookkeeping events describe one run's execution, not
+                // the pipeline state: not replayed on resume, so not
+                // written.
+                RecoveryEvent::CheckpointWritten { .. } | RecoveryEvent::Resumed { .. } => {}
             }
         }
         w.end().key("dropped").u64(self.dropped as u64).end();
@@ -442,8 +439,7 @@ mod tests {
     /// The three hashes the one helper replaced, at the values their own
     /// loops produced: the run fingerprint (which hashes the options'
     /// `Debug` form, so it moves when an option field is added or
-    /// removed), the chaos sweep's site key and a document's byte
-    /// identity.
+    /// removed), a string key and a document's byte identity.
     #[test]
     fn fnv1a64_keeps_the_three_hashes_it_replaced() {
         let (netlist, _) = GeneratorConfig::from_profile(DesignProfile::Aes)

@@ -10,31 +10,9 @@
 use cp_netlist::netlist::BuildNetlistError;
 use cp_netlist::ValidationError;
 use cp_place::PlaceError;
-use cp_resilience::{Interrupt, InterruptKind};
 use cp_route::RouteError;
 use cp_timing::TimingError;
 use std::fmt;
-use std::path::PathBuf;
-
-/// Partial progress preserved when a run was interrupted (cancellation,
-/// deadline, or memory budget): enough for a caller to report what
-/// happened, keep the best placement seen, and resume from the last
-/// checkpoint instead of restarting cold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InterruptedFlow {
-    /// The interrupt that stopped the run (kind, site, elapsed, heap).
-    pub interrupt: Interrupt,
-    /// The stage that was executing or about to execute.
-    pub stage: &'static str,
-    /// Recoveries collected before the interruption.
-    pub diagnostics: FlowDiagnostics,
-    /// Best placement snapshot available at the interruption, if a placer
-    /// had produced one.
-    pub best: Option<cp_place::BestSnapshot>,
-    /// The progressive checkpoint file, when checkpointing was enabled —
-    /// it holds the last *completed* stage and is resumable.
-    pub checkpoint: Option<PathBuf>,
-}
 
 /// Why the flow could not produce a [`crate::flow::FlowReport`].
 #[derive(Debug, Clone, PartialEq)]
@@ -50,12 +28,6 @@ pub enum FlowError {
     Timing(TimingError),
     /// Global routing failed.
     Route(RouteError),
-    /// The run's `RunControl` was cancelled.
-    Cancelled(Box<InterruptedFlow>),
-    /// The run's deadline passed.
-    DeadlineExceeded(Box<InterruptedFlow>),
-    /// The run's memory budget was exceeded.
-    BudgetExceeded(Box<InterruptedFlow>),
     /// A parallel worker panicked; the panic was contained by the pool and
     /// re-raised here as a typed error.
     WorkerPanic {
@@ -72,25 +44,6 @@ pub enum FlowError {
     },
 }
 
-impl FlowError {
-    /// Wraps an [`InterruptedFlow`] in the variant matching its kind.
-    pub fn from_interrupted(flow: InterruptedFlow) -> Self {
-        match flow.interrupt.kind {
-            InterruptKind::Cancelled => Self::Cancelled(Box::new(flow)),
-            InterruptKind::DeadlineExceeded => Self::DeadlineExceeded(Box::new(flow)),
-            InterruptKind::BudgetExceeded => Self::BudgetExceeded(Box::new(flow)),
-        }
-    }
-
-    /// The interruption details, when this error is an interrupt variant.
-    pub fn interrupted(&self) -> Option<&InterruptedFlow> {
-        match self {
-            Self::Cancelled(i) | Self::DeadlineExceeded(i) | Self::BudgetExceeded(i) => Some(i),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -99,16 +52,6 @@ impl fmt::Display for FlowError {
             Self::Place(e) => write!(f, "placement failed: {e}"),
             Self::Timing(e) => write!(f, "timing analysis failed: {e}"),
             Self::Route(e) => write!(f, "routing failed: {e}"),
-            Self::Cancelled(i) | Self::DeadlineExceeded(i) | Self::BudgetExceeded(i) => write!(
-                f,
-                "flow interrupted at stage '{}': {}{}",
-                i.stage,
-                i.interrupt,
-                match &i.checkpoint {
-                    Some(p) => format!(" (resumable checkpoint: {})", p.display()),
-                    None => String::new(),
-                }
-            ),
             Self::WorkerPanic { stage, message } => {
                 write!(f, "worker panicked during {stage}: {message}")
             }
@@ -125,11 +68,7 @@ impl std::error::Error for FlowError {
             Self::Place(e) => Some(e),
             Self::Timing(e) => Some(e),
             Self::Route(e) => Some(e),
-            Self::Cancelled(_)
-            | Self::DeadlineExceeded(_)
-            | Self::BudgetExceeded(_)
-            | Self::WorkerPanic { .. }
-            | Self::Checkpoint { .. } => None,
+            Self::WorkerPanic { .. } | Self::Checkpoint { .. } => None,
         }
     }
 }
@@ -187,18 +126,6 @@ pub enum RecoveryEvent {
         /// The cluster whose region was dropped.
         cluster: u32,
     },
-    /// The run's [`cp_resilience::RunControl`] was cancelled (recorded
-    /// when an interrupted run still produced a partial artifact).
-    Cancelled {
-        /// The check site that observed the cancellation.
-        site: &'static str,
-    },
-    /// The run's deadline passed (recorded when an interrupted run still
-    /// produced a partial artifact).
-    DeadlineExceeded {
-        /// The check site that observed the expiry.
-        site: &'static str,
-    },
     /// A stage checkpoint was written.
     CheckpointWritten {
         /// The completed stage the checkpoint captures.
@@ -234,8 +161,6 @@ impl fmt::Display for RecoveryEvent {
             Self::RegionDropped { cluster } => {
                 write!(f, "cluster {cluster}: infeasible region constraint dropped")
             }
-            Self::Cancelled { site } => write!(f, "cancelled at {site}"),
-            Self::DeadlineExceeded { site } => write!(f, "deadline exceeded at {site}"),
             Self::CheckpointWritten { stage } => {
                 write!(f, "checkpoint written after {stage}")
             }
@@ -299,14 +224,6 @@ impl FlowDiagnostics {
             RecoveryEvent::RegionDropped { cluster } => cp_trace::instant(
                 "recovery.region_dropped",
                 &[("cluster", cp_trace::ArgValue::U(*cluster as u64))],
-            ),
-            RecoveryEvent::Cancelled { site } => cp_trace::instant(
-                "recovery.cancelled",
-                &[("site", cp_trace::ArgValue::S(site))],
-            ),
-            RecoveryEvent::DeadlineExceeded { site } => cp_trace::instant(
-                "recovery.deadline_exceeded",
-                &[("site", cp_trace::ArgValue::S(site))],
             ),
             RecoveryEvent::CheckpointWritten { stage } => cp_trace::instant(
                 "recovery.checkpoint_written",

@@ -58,9 +58,8 @@ pub mod vpr;
 
 pub use crate::checkpoint::Checkpoint;
 pub use crate::cluster::{ClusteringOptions, ClusteringResult};
-pub use crate::error::{FlowDiagnostics, FlowError, InterruptedFlow, RecoveryEvent};
+pub use crate::error::{FlowDiagnostics, FlowError, RecoveryEvent};
 pub use crate::flow::{
     run_default_flow, run_flow, run_flow_resilient, FlowOptions, FlowReport, PpaReport,
     ResilienceOptions, Tool,
 };
-pub use cp_resilience::{Interrupt, InterruptKind, RunControl};

@@ -18,28 +18,10 @@ use cp_netlist::floorplan::Rect;
 use cp_netlist::netlist::Netlist;
 use cp_netlist::{ClusterShape, Floorplan};
 use cp_place::{GlobalPlacer, PlaceError, PlacementProblem, PlacerOptions};
-use cp_resilience::RunControl;
 use cp_route::{route_placed_netlist, RouterOptions};
 use cp_trace::ArgValue;
 
 pub use subnetlist::extract_subnetlist;
-
-/// Polls the run control (when one is threaded in) at the per-candidate
-/// interruption site.
-fn poll_candidate(control: Option<&RunControl>) -> Option<cp_resilience::Interrupt> {
-    control.and_then(|ctl| ctl.poll(cp_resilience::sites::VPR_CANDIDATE).err())
-}
-
-/// An interruption observed inside the candidate sweep, typed so the flow
-/// can tell it apart from a genuine per-candidate evaluation failure
-/// (which falls back to the uniform shape instead of aborting the run).
-fn interrupted_candidate(interrupt: cp_resilience::Interrupt) -> FlowError {
-    FlowError::Place(PlaceError::Interrupted {
-        interrupt,
-        iteration: 0,
-        best: None,
-    })
-}
 
 /// Span wrapping one cluster×candidate evaluation; `verdict` names the
 /// ranking tier that paid for it (exact V-P&R, reduced-effort screening,
@@ -212,11 +194,6 @@ impl<'a> ClusterVpr<'a> {
         effort: f64,
         route: bool,
     ) -> Result<(ShapeCost, WarmStart), FlowError> {
-        if cp_resilience::faultpoint!(cp_resilience::sites::VPR_CANDIDATE_FAIL) {
-            return Err(FlowError::Place(PlaceError::InvalidInput {
-                reason: "injected fault: vpr.candidate.fail".to_string(),
-            }));
-        }
         let sub = self.sub;
         let fp = Floorplan::try_for_netlist(sub, shape.utilization, shape.aspect_ratio)?;
         let mut problem = PlacementProblem::from_netlist(sub, &fp);
@@ -325,28 +302,9 @@ pub fn best_shape(
     sub: &Netlist,
     options: &VprOptions,
 ) -> Result<(ClusterShape, Vec<ShapeCost>), FlowError> {
-    best_shape_with_control(sub, options, None)
-}
-
-/// [`best_shape`] polling a [`RunControl`] before each candidate, so a
-/// cancellation or deadline interrupts the sweep between P&R runs instead
-/// of after all twenty. The interruption surfaces as
-/// [`PlaceError::Interrupted`] (see `poll_candidate`).
-///
-/// # Errors
-///
-/// See [`best_shape`]; additionally the interruption when `control` trips.
-pub fn best_shape_with_control(
-    sub: &Netlist,
-    options: &VprOptions,
-    control: Option<&RunControl>,
-) -> Result<(ClusterShape, Vec<ShapeCost>), FlowError> {
     let ctx = ClusterVpr::new(sub)?;
     let candidates = ClusterShape::candidates();
     let results = cp_parallel::par_map(&candidates, 1, |&shape| {
-        if let Some(interrupt) = poll_candidate(control) {
-            return Err(interrupted_candidate(interrupt));
-        }
         let _span = candidate_span(shape, "exact");
         ctx.evaluate(shape, options)
     });
@@ -393,24 +351,6 @@ pub fn best_shape_hybrid(
     top_k: usize,
     surrogate_costs: Option<&[f64]>,
 ) -> Result<(ClusterShape, Vec<ShapeCost>, ShapeSearchStats), FlowError> {
-    best_shape_hybrid_with_control(sub, options, top_k, surrogate_costs, None)
-}
-
-/// [`best_shape_hybrid`] polling a [`RunControl`] before each exact solve
-/// (the successive-halving rounds run sequentially per cluster, so every
-/// candidate is an interruption point).
-///
-/// # Errors
-///
-/// See [`best_shape_hybrid`]; additionally the interruption when
-/// `control` trips.
-pub fn best_shape_hybrid_with_control(
-    sub: &Netlist,
-    options: &VprOptions,
-    top_k: usize,
-    surrogate_costs: Option<&[f64]>,
-    control: Option<&RunControl>,
-) -> Result<(ClusterShape, Vec<ShapeCost>, ShapeSearchStats), FlowError> {
     let candidates = ClusterShape::candidates();
     if let Some(costs) = surrogate_costs.filter(|c| c.len() != candidates.len()) {
         return Err(FlowError::Place(PlaceError::InvalidInput {
@@ -423,7 +363,7 @@ pub fn best_shape_hybrid_with_control(
     }
     let top_k = top_k.max(1);
     if top_k >= candidates.len() {
-        let (best, costs) = best_shape_with_control(sub, options, control)?;
+        let (best, costs) = best_shape(sub, options)?;
         let stats = ShapeSearchStats {
             exact_evals: candidates.len(),
             ..Default::default()
@@ -477,9 +417,6 @@ pub fn best_shape_hybrid_with_control(
         round_costs.clear();
         let mut round_warms: Vec<WarmStart> = Vec::new();
         for &ci in &survivors {
-            if let Some(interrupt) = poll_candidate(control) {
-                return Err(interrupted_candidate(interrupt));
-            }
             let cost = if last {
                 let _span = candidate_span(candidates[ci], "exact");
                 ctx.evaluate(candidates[ci], options)?

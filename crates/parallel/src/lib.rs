@@ -36,7 +36,6 @@
 //! the submitting thread always participates, so progress never depends
 //! on another region finishing first).
 
-use cp_resilience::{Interrupt, RunControl};
 use std::any::Any;
 use std::collections::VecDeque;
 use std::fmt;
@@ -59,16 +58,12 @@ pub enum RegionError {
         /// payload types surface as a placeholder).
         message: String,
     },
-    /// The region's [`RunControl`] was interrupted; remaining chunks were
-    /// drained without running.
-    Interrupted(Interrupt),
 }
 
 impl fmt::Display for RegionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::Panicked { message } => write!(f, "a parallel task panicked: {message}"),
-            Self::Interrupted(i) => write!(f, "parallel region interrupted: {i}"),
         }
     }
 }
@@ -85,10 +80,6 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
         "opaque panic payload".to_string()
     }
 }
-
-/// The panic message used when the worker-panic fault fires (see
-/// [`cp_resilience::sites::WORKER_PANIC`]).
-const INJECTED_PANIC_MSG: &str = "injected fault: parallel.worker.panic";
 
 /// Locks ignoring poisoning: a panicked task is already being reported
 /// through the job's panic flag, so the guarded data stays usable.
@@ -155,9 +146,9 @@ struct Job {
     /// spans opened inside chunks nest under the span that spawned the
     /// region (0 = tracing off or no ambient span).
     parent_span: u64,
-    /// Cancellation/deadline/budget handle for fallible regions. `None`
-    /// for the infallible primitives, whose behavior is unchanged.
-    control: Option<RunControl>,
+    /// Set for fallible regions ([`try_par_map`]): the first contained
+    /// panic abandons the region. Infallible primitives run every chunk.
+    fallible: bool,
     /// Next chunk index to steal.
     next: AtomicUsize,
     /// Workers currently inside the region.
@@ -167,13 +158,11 @@ struct Job {
     closed: AtomicBool,
     panicked: AtomicBool,
     /// Once set, remaining chunks are claimed but not run (fast drain
-    /// after the first panic or interrupt).
+    /// after the first panic of a fallible region).
     abandoned: AtomicBool,
     /// First captured panic, keyed by chunk index — the lowest-indexed
     /// chunk's message wins so reporting is stable under scheduling.
     panic_slot: Mutex<Option<(usize, String)>>,
-    /// First observed interrupt.
-    interrupt_slot: Mutex<Option<Interrupt>>,
     done: Mutex<()>,
     done_cv: Condvar,
 }
@@ -190,9 +179,9 @@ impl Job {
     /// Steals and runs chunks until the counter is exhausted, returning
     /// how many this participant ran. Panics in the task are captured
     /// into `panic_slot` so every participant keeps draining (a worker
-    /// must never unwind out of the pool loop); after the first panic or
-    /// interrupt the region is abandoned and remaining chunks are claimed
-    /// without running.
+    /// must never unwind out of the pool loop); after the first panic of
+    /// a fallible region the region is abandoned and remaining chunks are
+    /// claimed without running.
     fn run_chunks(&self) -> usize {
         // SAFETY: see the struct-level invariant — the submitter keeps the
         // pointee alive while any participant is registered.
@@ -206,48 +195,25 @@ impl Job {
             if self.abandoned.load(Ordering::SeqCst) {
                 continue;
             }
-            if let Some(ctl) = &self.control {
-                if let Err(interrupt) = ctl.poll(cp_resilience::sites::POOL_CHUNK) {
-                    self.record_interrupt(interrupt);
-                    continue;
-                }
-            }
             ran += 1;
-            let inject = self.control.is_some()
-                && cp_resilience::faultpoint!(cp_resilience::sites::WORKER_PANIC);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                if inject {
-                    panic!("{INJECTED_PANIC_MSG}");
-                }
-                task(i)
-            }));
-            if let Err(payload) = outcome {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
                 self.record_panic(i, payload_message(payload.as_ref()));
             }
         }
         ran
     }
 
-    /// Records a contained panic (lowest chunk index wins) and abandons
-    /// the region.
+    /// Records a contained panic (lowest chunk index wins) and, in a
+    /// fallible region, abandons the region.
     fn record_panic(&self, chunk: usize, message: String) {
         self.panicked.store(true, Ordering::SeqCst);
-        if self.control.is_some() {
+        if self.fallible {
             self.abandoned.store(true, Ordering::SeqCst);
         }
         let mut slot = lock(&self.panic_slot);
         match &*slot {
             Some((c, _)) if *c <= chunk => {}
             _ => *slot = Some((chunk, message)),
-        }
-    }
-
-    /// Records the first observed interrupt and abandons the region.
-    fn record_interrupt(&self, interrupt: Interrupt) {
-        self.abandoned.store(true, Ordering::SeqCst);
-        let mut slot = lock(&self.interrupt_slot);
-        if slot.is_none() {
-            *slot = Some(interrupt);
         }
     }
 
@@ -347,29 +313,19 @@ fn worker_loop(shared: &Shared, index: u32) {
 /// the region. The lowest-indexed panicking chunk's payload message is
 /// preserved in the new panic's message.
 fn par_for(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
-    match par_for_region(chunks, None, task) {
-        Ok(()) => {}
-        Err(RegionError::Panicked { message }) => {
-            panic!("cp-parallel: a parallel task panicked: {message}");
-        }
-        // Unreachable: regions without a control are never interrupted.
-        Err(RegionError::Interrupted(i)) => {
-            panic!("cp-parallel: control-free region interrupted: {i}");
-        }
+    if let Err(RegionError::Panicked { message }) = par_for_region(chunks, false, task) {
+        panic!("cp-parallel: a parallel task panicked: {message}");
     }
 }
 
-/// Shared region driver for [`par_for`] and [`try_par_map`]: under a
-/// `control`, checks it before each chunk
-/// ([`cp_resilience::sites::POOL_CHUNK`], uncounted so the
-/// schedule-dependent number of polls never perturbs deterministic check
-/// counting). On the first panic or interrupt the region is abandoned —
-/// remaining chunks are claimed but not run — and the typed error is
-/// returned after every participant has left. A contained panic keeps
-/// its payload message; the pool itself always survives.
+/// Shared region driver for [`par_for`] and [`try_par_map`]. In a
+/// `fallible` region the first panic abandons the region — remaining
+/// chunks are claimed but not run — and the typed error is returned
+/// after every participant has left. A contained panic keeps its payload
+/// message; the pool itself always survives.
 fn par_for_region(
     chunks: usize,
-    control: Option<&RunControl>,
+    fallible: bool,
     task: &(dyn Fn(usize) + Sync),
 ) -> Result<(), RegionError> {
     if chunks == 0 {
@@ -377,7 +333,7 @@ fn par_for_region(
     }
     let budget = current_threads().min(chunks);
     if budget <= 1 {
-        return inline_region(chunks, control, task);
+        return inline_region(chunks, fallible, task);
     }
     let p = pool();
     p.ensure_workers(budget - 1);
@@ -394,14 +350,13 @@ fn par_for_region(
         task: task_static as *const _,
         chunks,
         parent_span: cp_trace::current_span_id(),
-        control: control.cloned(),
+        fallible,
         next: AtomicUsize::new(0),
         active: AtomicUsize::new(0),
         closed: AtomicBool::new(false),
         panicked: AtomicBool::new(false),
         abandoned: AtomicBool::new(false),
         panic_slot: Mutex::new(None),
-        interrupt_slot: Mutex::new(None),
         done: Mutex::new(()),
         done_cv: Condvar::new(),
     });
@@ -436,37 +391,25 @@ fn par_for_region(
             .unwrap_or_else(|| "opaque panic payload".to_string());
         return Err(RegionError::Panicked { message });
     }
-    if let Some(interrupt) = lock(&job.interrupt_slot).take() {
-        return Err(RegionError::Interrupted(interrupt));
-    }
     Ok(())
 }
 
 /// Sequential fallback for a budget of one (or a single chunk). The
-/// control-free path calls the task directly — panics unwind natively —
+/// infallible path calls the task directly — panics unwind natively —
 /// so the infallible primitives keep their zero-overhead inline path.
 fn inline_region(
     chunks: usize,
-    control: Option<&RunControl>,
+    fallible: bool,
     task: &(dyn Fn(usize) + Sync),
 ) -> Result<(), RegionError> {
-    let Some(ctl) = control else {
+    if !fallible {
         for i in 0..chunks {
             task(i);
         }
         return Ok(());
-    };
+    }
     for i in 0..chunks {
-        ctl.poll(cp_resilience::sites::POOL_CHUNK)
-            .map_err(RegionError::Interrupted)?;
-        let inject = cp_resilience::faultpoint!(cp_resilience::sites::WORKER_PANIC);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if inject {
-                panic!("{INJECTED_PANIC_MSG}");
-            }
-            task(i)
-        }));
-        if let Err(payload) = outcome {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
             return Err(RegionError::Panicked {
                 message: payload_message(payload.as_ref()),
             });
@@ -556,16 +499,15 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], chunk: usize, f: impl Fn(&T) -> R 
     unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
 }
 
-/// Fallible [`par_map`]: maps `f` over `items` under `control`. `Ok`
-/// means every element was produced, so partial results can never leak
-/// out of an interrupted or panicked region; on `Err` the intermediate
-/// buffer is discarded without dropping element contents (initialized
-/// slots leak their heap allocations — safe, if wasteful, and only on
-/// the error path).
+/// Fallible [`par_map`]: maps `f` over `items`, containing a panic in `f`
+/// as [`RegionError::Panicked`]. `Ok` means every element was produced,
+/// so partial results can never leak out of a panicked region; on `Err`
+/// the intermediate buffer is discarded without dropping element contents
+/// (initialized slots leak their heap allocations — safe, if wasteful,
+/// and only on the error path).
 pub fn try_par_map<T: Sync, R: Send>(
     items: &[T],
     chunk: usize,
-    control: &RunControl,
     f: impl Fn(&T) -> R + Sync,
 ) -> Result<Vec<R>, RegionError> {
     let n = items.len();
@@ -574,7 +516,7 @@ pub fn try_par_map<T: Sync, R: Send>(
     // SAFETY: MaybeUninit slots need no initialization.
     unsafe { out.set_len(n) };
     let ptr = SendPtr(out.as_mut_ptr());
-    let result = par_for_region(chunk_count(n, chunk), Some(control), &|ci| {
+    let result = par_for_region(chunk_count(n, chunk), true, &|ci| {
         let start = ci * chunk;
         let end = (start + chunk).min(n);
         for (i, item) in items.iter().enumerate().take(end).skip(start) {
@@ -817,30 +759,23 @@ mod tests {
 
     #[test]
     fn try_par_map_preserves_panic_message() {
-        let ctl = RunControl::unlimited();
         let items: Vec<u32> = (0..16).collect();
         for threads in [1, 4] {
-            let err = with_threads(threads, || {
-                try_par_map(&items, 1, &ctl, |&i| {
+            let RegionError::Panicked { message } = with_threads(threads, || {
+                try_par_map(&items, 1, |&i| {
                     if i == 5 {
                         panic!("task {i} exploded");
                     }
                 })
             })
             .expect_err("panicking region must fail");
-            match err {
-                RegionError::Panicked { message } => {
-                    assert!(message.contains("exploded"), "got: {message}")
-                }
-                other => panic!("expected Panicked, got {other:?}"),
-            }
+            assert!(message.contains("task 5 exploded"), "got: {message}");
         }
     }
 
     #[test]
     fn try_par_map_pool_survives_contained_panic() {
-        let ctl = RunControl::unlimited();
-        let _ = with_threads(4, || try_par_map(&[(); 8], 1, &ctl, |_| panic!("boom")));
+        let _ = with_threads(4, || try_par_map(&[(); 8], 1, |_| panic!("boom")));
         // The pool must still run subsequent regions to completion.
         let ok = AtomicU64::new(0);
         with_threads(4, || {
@@ -854,41 +789,27 @@ mod tests {
     #[test]
     fn try_par_map_matches_par_map_when_uninterrupted() {
         let items: Vec<u64> = (0..500).collect();
-        let ctl = RunControl::unlimited();
         for threads in [1, 4] {
-            let out = with_threads(threads, || try_par_map(&items, 7, &ctl, |&x| x * 3))
+            let out = with_threads(threads, || try_par_map(&items, 7, |&x| x * 3))
                 .expect("uninterrupted map succeeds");
             assert_eq!(out, (0..500).map(|x| x * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn try_par_map_cancelled_yields_no_partial_results() {
-        let ctl = RunControl::unlimited();
-        ctl.cancel();
-        let items: Vec<String> = (0..100).map(|i| i.to_string()).collect();
-        let err = with_threads(4, || try_par_map(&items, 4, &ctl, |s| format!("out-{s}")))
-            .expect_err("cancelled map must fail");
-        assert!(matches!(err, RegionError::Interrupted(_)));
-    }
-
-    #[test]
-    fn try_par_map_observes_cancellation() {
-        let items: Vec<u64> = (0..64).collect();
-        for threads in [1, 4] {
-            let ctl = RunControl::unlimited();
-            ctl.cancel();
-            let ran = AtomicU64::new(0);
-            let err = with_threads(threads, || {
-                try_par_map(&items, 4, &ctl, |&x| {
-                    ran.fetch_add(1, Ordering::SeqCst);
-                    x
-                })
+    fn try_par_map_abandons_the_region_after_a_panic() {
+        // Inline, the chunks run in order, so the panic in chunk 0 must
+        // leave every later chunk unrun.
+        let ran = AtomicU64::new(0);
+        let RegionError::Panicked { message } = with_threads(1, || {
+            try_par_map(&[(); 16], 1, |_| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                panic!("first chunk failed");
             })
-            .expect_err("cancelled region must fail");
-            assert!(matches!(err, RegionError::Interrupted(_)), "got {err:?}");
-            assert_eq!(ran.load(Ordering::SeqCst), 0, "threads = {threads}");
-        }
+        })
+        .expect_err("panicking region must fail");
+        assert_eq!(message, "first chunk failed");
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

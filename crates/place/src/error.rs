@@ -1,17 +1,6 @@
 //! Typed errors for the placement stages.
 
-use cp_resilience::Interrupt;
 use std::fmt;
-
-/// The best finite iterate available when a run was interrupted, so
-/// callers can keep partial progress instead of discarding the work.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BestSnapshot {
-    /// One position per movable object, inside the core.
-    pub positions: Vec<(f64, f64)>,
-    /// Unweighted HPWL of the snapshot, µm.
-    pub hpwl: f64,
-}
 
 /// Why a placement stage could not produce a result.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,17 +29,6 @@ pub enum PlaceError {
         /// Best finite HPWL observed before the blow-up, µm.
         best_hpwl: f64,
     },
-    /// The run's [`cp_resilience::RunControl`] interrupted the outer loop
-    /// (cancellation, deadline, or memory budget).
-    Interrupted {
-        /// What interrupted the run and where.
-        interrupt: Interrupt,
-        /// Outer iterations completed before the interruption.
-        iteration: usize,
-        /// Best finite iterate seen so far, if any — attached so partial
-        /// progress survives the interruption.
-        best: Option<BestSnapshot>,
-    },
 }
 
 impl fmt::Display for PlaceError {
@@ -71,18 +49,6 @@ impl fmt::Display for PlaceError {
                 "placement diverged at iteration {iteration} \
                  (best HPWL before blow-up: {best_hpwl:.1} um); \
                  enable revert_if_diverge to recover the best snapshot"
-            ),
-            Self::Interrupted {
-                interrupt,
-                iteration,
-                best,
-            } => write!(
-                f,
-                "placement interrupted after {iteration} iteration(s): {interrupt}{}",
-                match best {
-                    Some(b) => format!(" (best snapshot HPWL {:.1} um attached)", b.hpwl),
-                    None => String::new(),
-                }
             ),
         }
     }

@@ -1,14 +1,13 @@
 //! The global placement loop (SimPL-style lower/upper bound iteration).
 
 use crate::backend::{PlacerBackendKind, Spreader};
-use crate::error::{BestSnapshot, PlaceError};
+use crate::error::PlaceError;
 use crate::hpwl::raw_hpwl;
 use crate::kernels;
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
 use crate::solver::{Anchors, Axis, B2bRebuilder, CgScratch, CgStats};
 use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_soa};
-use cp_resilience::RunControl;
 use cp_trace::ArgValue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -148,32 +147,6 @@ impl GlobalPlacer {
     ///   reverts to the best snapshot and returns `Ok` with
     ///   [`PlacementResult::diverged`] set.
     pub fn place(&self, problem: &PlacementProblem) -> Result<PlacementResult, PlaceError> {
-        self.place_impl(problem, None)
-    }
-
-    /// [`place`](Self::place) under a [`RunControl`]: the control is
-    /// checked once per outer iteration (site
-    /// [`cp_resilience::sites::PLACE_OUTER`]), so cancellation, deadline,
-    /// and memory-budget interrupts land at a deterministic loop boundary.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`place`](Self::place) can return, plus
-    /// [`PlaceError::Interrupted`] carrying the best finite iterate seen
-    /// so far so partial progress survives.
-    pub fn place_with_control(
-        &self,
-        problem: &PlacementProblem,
-        control: &RunControl,
-    ) -> Result<PlacementResult, PlaceError> {
-        self.place_impl(problem, Some(control))
-    }
-
-    fn place_impl(
-        &self,
-        problem: &PlacementProblem,
-        control: Option<&RunControl>,
-    ) -> Result<PlacementResult, PlaceError> {
         let start = Instant::now();
         let m = problem.movable_count();
         let _span = cp_trace::span_with(
@@ -293,22 +266,6 @@ impl GlobalPlacer {
         let mut sx: Vec<f64> = vec![0.0; m];
         let mut sy: Vec<f64> = vec![0.0; m];
         for it in 0..iters {
-            if let Some(ctl) = control {
-                if let Err(interrupt) = ctl.check(cp_resilience::sites::PLACE_OUTER) {
-                    cp_trace::instant(
-                        "recovery.place_interrupted",
-                        &[("iteration", ArgValue::U(it as u64))],
-                    );
-                    return Err(PlaceError::Interrupted {
-                        interrupt,
-                        iteration: it,
-                        best: best.take().map(|b| BestSnapshot {
-                            positions: b.positions,
-                            hpwl: b.hpwl,
-                        }),
-                    });
-                }
-            }
             done = it + 1;
             // Anchor targets: spread positions (weight ramping up), blended
             // with the seed pull in incremental mode.
@@ -358,9 +315,7 @@ impl GlobalPlacer {
             for i in 0..m {
                 pos[i] = (sx[i], sy[i]);
             }
-            if opt.fault_nan_at_iteration == Some(it)
-                || cp_resilience::faultpoint!(cp_resilience::sites::SOLVER_NAN)
-            {
+            if opt.fault_nan_at_iteration == Some(it) {
                 pos[0].0 = f64::NAN;
             }
             // Guard rail 1: the linear solve must stay finite.
@@ -700,71 +655,6 @@ mod tests {
         .place(&p)
         .expect_err("NaN without revert must error");
         assert_eq!(err, crate::error::PlaceError::NonFinite { stage: "solver" });
-    }
-
-    #[test]
-    fn cancellation_mid_loop_returns_best_snapshot() {
-        let (n, fp) = flat(0.01, 9);
-        let p = PlacementProblem::from_netlist(&n, &fp);
-        // The placer checks PLACE_OUTER once per iteration; cancelling
-        // after 5 checks interrupts at the start of iteration 5 (0-based)
-        // with the best snapshot from the first 5 iterations attached.
-        let ctl = RunControl::unlimited().cancel_after_checks(5);
-        let err = GlobalPlacer::new(PlacerOptions::default())
-            .place_with_control(&p, &ctl)
-            .expect_err("cancelled run must be interrupted");
-        match err {
-            PlaceError::Interrupted {
-                interrupt,
-                iteration,
-                best,
-            } => {
-                assert_eq!(interrupt.kind, cp_resilience::InterruptKind::Cancelled);
-                assert_eq!(iteration, 4);
-                let best = best.expect("5 finished iterations leave a snapshot");
-                assert!(best.hpwl.is_finite());
-                assert_eq!(best.positions.len(), p.movable_count());
-            }
-            other => panic!("expected Interrupted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn expired_deadline_interrupts_before_first_iteration() {
-        let (n, fp) = flat(0.005, 10);
-        let p = PlacementProblem::from_netlist(&n, &fp);
-        let ctl = RunControl::unlimited().with_deadline(std::time::Duration::ZERO);
-        let err = GlobalPlacer::new(PlacerOptions::default())
-            .place_with_control(&p, &ctl)
-            .expect_err("expired deadline must interrupt");
-        match err {
-            PlaceError::Interrupted {
-                interrupt,
-                iteration,
-                ..
-            } => {
-                assert_eq!(
-                    interrupt.kind,
-                    cp_resilience::InterruptKind::DeadlineExceeded
-                );
-                assert_eq!(iteration, 0);
-            }
-            other => panic!("expected Interrupted, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn unlimited_control_matches_plain_place_bitwise() {
-        let (n, fp) = flat(0.005, 11);
-        let p = PlacementProblem::from_netlist(&n, &fp);
-        let plain = GlobalPlacer::new(PlacerOptions::default())
-            .place(&p)
-            .expect("placement succeeds");
-        let controlled = GlobalPlacer::new(PlacerOptions::default())
-            .place_with_control(&p, &RunControl::unlimited())
-            .expect("placement succeeds");
-        assert_eq!(plain.positions, controlled.positions);
-        assert_eq!(plain.hpwl.to_bits(), controlled.hpwl.to_bits());
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod svg;
 pub use crate::backend::PlacerBackendKind;
 pub use crate::cts::{synthesize_clock_tree, ClockTree, CtsOptions};
 pub use crate::detailed::{refine, DetailedOptions};
-pub use crate::error::{BestSnapshot, PlaceError};
+pub use crate::error::PlaceError;
 pub use crate::global::{GlobalPlacer, PlacementResult, PlacerOptions};
 pub use crate::legalize::legalize;
 pub use crate::problem::{Object, PlacementProblem};

@@ -10,14 +10,15 @@
 //! test here holds one lock: the telemetry test then counts only its own
 //! placements.
 
+mod common;
+
 use cp_bench::qor_gate;
 use cp_core::flow::{run_flow, FlowOptions, ShapeMode};
-use cp_core::{run_flow_resilient, Checkpoint, ClusteringOptions, ResilienceOptions, RunControl};
+use cp_core::ClusteringOptions;
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::Floorplan;
 use cp_place::{GlobalPlacer, PlacementProblem, PlacerBackendKind, PlacerOptions};
 use cp_trace::{Level, MetricValue, TraceReport};
-use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 
 const THREADS: [usize; 3] = [1, 4, 8];
@@ -73,7 +74,7 @@ fn edensity_flow_is_thread_count_invariant() {
     }
 }
 
-/// Reduced-effort options on a tiny design for the interrupt/resume loop,
+/// Reduced-effort options on a tiny design for the checkpoint/resume loop,
 /// mirroring `tests/resilience.rs` but with the eDensity backend.
 fn edensity_resume_opts() -> FlowOptions {
     FlowOptions {
@@ -89,12 +90,6 @@ fn edensity_resume_opts() -> FlowOptions {
     .backend(PlacerBackendKind::EDensity)
 }
 
-fn ckpt_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("cp-backend-parity-tests");
-    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
-    dir.join(format!("{}-{tag}.json", std::process::id()))
-}
-
 #[test]
 fn edensity_checkpoint_resume_is_bitwise_identical() {
     let _lock = serialized();
@@ -105,49 +100,7 @@ fn edensity_checkpoint_resume_is_bitwise_identical() {
     let opts = edensity_resume_opts();
     let reference = run_flow(&n, &c, &opts).expect("plain eDensity flow runs");
 
-    // Count the clean run's cancellation checks, then interrupt in the
-    // middle and at the tail, checkpointing at the boundary.
-    let control = RunControl::unlimited();
-    let clean = ResilienceOptions {
-        control: control.clone(),
-        ..Default::default()
-    };
-    run_flow_resilient(&n, &c, &opts, &clean).expect("clean resilient run");
-    let total = control.checks();
-    assert!(total > 2, "flow should count cancellation checks");
-
-    for k in [total / 2, total - 1] {
-        let path = ckpt_path(&format!("edensity-{k}"));
-        let _ = std::fs::remove_file(&path);
-        let interrupted = ResilienceOptions {
-            control: RunControl::unlimited().cancel_after_checks(k),
-            checkpoint: Some(path.clone()),
-            resume_from: None,
-        };
-        let err =
-            run_flow_resilient(&n, &c, &opts, &interrupted).expect_err("run must be cancelled");
-        err.interrupted()
-            .expect("cancellation is a typed interrupt");
-        let ckpt = Checkpoint::load(&path).expect("interrupted run leaves a loadable checkpoint");
-
-        for threads in [1usize, 4] {
-            let resume = ResilienceOptions {
-                control: RunControl::unlimited(),
-                checkpoint: None,
-                resume_from: Some(path.clone()),
-            };
-            let resumed = cp_parallel::with_threads(threads, || {
-                run_flow_resilient(&n, &c, &opts, &resume).expect("resume completes")
-            });
-            assert!(
-                resumed.deterministic_eq(&reference),
-                "eDensity resume from `{}` (cancel at check {k}, {threads} threads) must be \
-                 bitwise-identical to the clean run",
-                ckpt.stage
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
+    common::assert_resumes_bitwise(&n, &c, &opts, &reference, "edensity");
 }
 
 /// One placement traced at `Full` from a cleared registry; the level is

@@ -401,7 +401,7 @@ fn committed_commands_name_targets_that_exist() {
         ["repro", "tracetool"],
         "one experiment driver, one trace tool"
     );
-    assert!(known_targets("--features").contains("fault-injection"));
+    assert!(known_targets("--features").contains("alloc-telemetry"));
     assert!(known_targets("--test").contains("ci_manifest"));
 
     let sources = [
@@ -431,7 +431,7 @@ fn committed_commands_name_targets_that_exist() {
         "tracetool",
         "quickstart",
         "backend_parity",
-        "fault-injection",
+        "alloc-telemetry",
     ] {
         assert!(seen.contains(name), "no committed command names `{name}`");
     }

@@ -1,0 +1,105 @@
+//! Resume checks shared by the flow's test suites.
+//!
+//! A run writes one progressive checkpoint, so a clean run leaves only the
+//! file of its last checkpointed stage (flat placement). The checkpoint a
+//! run that died after an earlier stage would have left is that file with
+//! the later stages' state cleared and `stage` set back: every stage's
+//! state is the deterministic output of the stages before it. The recovery
+//! events match too when the clean run recorded none.
+
+use std::path::PathBuf;
+
+use cp_core::flow::{FlowOptions, FlowReport};
+use cp_core::{run_flow_resilient, stages, Checkpoint, RecoveryEvent, ResilienceOptions};
+use cp_netlist::{Constraints, Netlist};
+
+/// A per-process checkpoint path under the system temp directory.
+pub fn ckpt_path(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join("cp-resume-tests");
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    dir.join(format!("{}-{tag}.json", std::process::id()))
+}
+
+/// The checkpoint of every stage boundary, in pipeline order, derived from
+/// the final checkpoint of a clean run.
+fn checkpoints_by_stage(last: &Checkpoint) -> Vec<Checkpoint> {
+    assert_eq!(
+        last.stage,
+        stages::FLAT_PLACEMENT,
+        "a complete clustered run"
+    );
+    let mut derived = vec![last.clone()];
+    let mut cp = last.clone();
+    cp.stage = stages::CLUSTER_PLACEMENT;
+    cp.flat_placement = None;
+    derived.push(cp.clone());
+    cp.stage = stages::SHAPING;
+    cp.cluster_placement = None;
+    derived.push(cp.clone());
+    cp.stage = stages::CLUSTERING;
+    cp.shaping = None;
+    derived.push(cp);
+    derived.reverse();
+    derived
+}
+
+/// Runs the flow once with checkpointing and requires a resume from each
+/// stage boundary's checkpoint, at 1 and 4 threads, to reproduce
+/// `reference` bit for bit and to record where it picked up.
+pub fn assert_resumes_bitwise(
+    netlist: &Netlist,
+    constraints: &Constraints,
+    options: &FlowOptions,
+    reference: &FlowReport,
+    tag: &str,
+) {
+    let path = ckpt_path(tag);
+    let checkpointed = ResilienceOptions {
+        checkpoint: Some(path.clone()),
+        ..Default::default()
+    };
+    let clean = run_flow_resilient(netlist, constraints, options, &checkpointed)
+        .expect("checkpointed flow runs");
+    assert!(
+        clean.deterministic_eq(reference),
+        "checkpointing is passive"
+    );
+    assert!(
+        clean
+            .diagnostics
+            .events
+            .iter()
+            .all(RecoveryEvent::is_bookkeeping)
+            && clean.diagnostics.dropped == 0,
+        "derived checkpoints carry no recovery events, so the run must record none: {:?}",
+        clean.diagnostics
+    );
+    let last = Checkpoint::load(&path).expect("the run leaves a loadable checkpoint");
+    let resume = ResilienceOptions {
+        resume_from: Some(path.clone()),
+        ..Default::default()
+    };
+    for cp in checkpoints_by_stage(&last) {
+        cp.save(&path).expect("write derived checkpoint");
+        for threads in [1usize, 4] {
+            let resumed = cp_parallel::with_threads(threads, || {
+                run_flow_resilient(netlist, constraints, options, &resume)
+                    .expect("resume completes")
+            });
+            assert!(
+                resumed.deterministic_eq(reference),
+                "resume from `{}` at {threads} threads must be bitwise-identical to the clean run",
+                cp.stage
+            );
+            assert!(
+                resumed
+                    .diagnostics
+                    .events
+                    .iter()
+                    .any(|e| matches!(e, RecoveryEvent::Resumed { stage } if *stage == cp.stage)),
+                "resumed run must record where it picked up"
+            );
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}

@@ -148,7 +148,6 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         (&["gate", "--timeout-s", "-1"], "--timeout-s"),
         (&["gate", "--timeout-s", "nan"], "--timeout-s"),
         (&["gate", "--timeout-s", "1e300"], "--timeout-s"),
-        (&["chaos", "--timeout-s", "-5"], "--timeout-s"),
         (&["diff", "a.json", "b.json", "--rel", "NaN"], "--rel"),
         (&["diff", "a.json", "b.json", "--abs", "-1"], "--abs"),
         (
@@ -158,6 +157,7 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         (&["explain", "--run", "aes@0"], "--run"),
         (&["trend"], "unknown subcommand"),
         (&["harvest"], "unknown subcommand"),
+        (&["chaos"], "unknown subcommand"),
         (&["gate", "--reps", "2"], "unknown option"),
     ];
     for (args, flag) in cases {
