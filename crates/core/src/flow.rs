@@ -1492,47 +1492,84 @@ mod resilience_tests {
             .events
             .iter()
             .any(|e| matches!(e, RecoveryEvent::CheckpointWritten { .. })));
+        // The file holds the flat-placement checkpoint; resuming replays
+        // only legalization onward and must reproduce the report bitwise.
+        let resumed = run_flow_resilient(
+            &n,
+            &c,
+            &opts,
+            &ResilienceOptions {
+                resume_from: Some(path.clone()),
+                ..Default::default()
+            },
+        )
+        .expect("flow resumes");
         assert!(
-            full.diagnostics
+            full.deterministic_eq(&resumed),
+            "resume must be bitwise: {} vs {}",
+            full.hpwl,
+            resumed.hpwl
+        );
+        assert!(resumed
+            .diagnostics
+            .events
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::Resumed { .. })));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn cancelled_run_leaves_resumable_checkpoint() {
+        let (n, c) = setup(0.01);
+        let opts = FlowOptions::fast();
+        let path = ckpt_path("cancelled-run.json");
+        let clean = run_flow_resilient(
+            &n,
+            &c,
+            &opts,
+            &ResilienceOptions {
+                checkpoint: Some(path.clone()),
+                ..Default::default()
+            },
+        )
+        .expect("flow runs");
+        assert!(
+            clean
+                .diagnostics
                 .events
                 .iter()
                 .all(RecoveryEvent::is_bookkeeping),
             "the derived checkpoint below assumes no recoveries: {:?}",
-            full.diagnostics
+            clean.diagnostics
         );
-        // The file holds the flat-placement checkpoint; resuming replays
-        // only legalization onward. Clearing both placements gives the
-        // checkpoint a run that died after shaping would have left.
-        let last = Checkpoint::load(&path).expect("checkpoint is readable");
-        let mut after_shaping = last.clone();
-        after_shaping.stage = stages::SHAPING;
-        after_shaping.cluster_placement = None;
-        after_shaping.flat_placement = None;
-        for cp in [last, after_shaping] {
-            cp.save(&path).expect("checkpoint is writable");
-            let resumed = run_flow_resilient(
-                &n,
-                &c,
-                &opts,
-                &ResilienceOptions {
-                    resume_from: Some(path.clone()),
-                    ..Default::default()
-                },
-            )
-            .expect("flow resumes");
-            assert!(
-                full.deterministic_eq(&resumed),
-                "resume from {} must be bitwise: {} vs {}",
-                cp.stage,
-                full.hpwl,
-                resumed.hpwl
-            );
-            assert!(resumed
-                .diagnostics
-                .events
-                .iter()
-                .any(|e| matches!(e, RecoveryEvent::Resumed { stage } if *stage == cp.stage)));
-        }
+        // A process cancelled (Ctrl-C, SIGKILL) after shaping leaves the
+        // shaping-stage checkpoint: the final file with both placements
+        // cleared and `stage` set back.
+        let mut cp = Checkpoint::load(&path).expect("checkpoint is readable");
+        assert_eq!(cp.stage, stages::FLAT_PLACEMENT, "a complete run");
+        cp.stage = stages::SHAPING;
+        cp.cluster_placement = None;
+        cp.flat_placement = None;
+        cp.save(&path).expect("checkpoint is writable");
+        // Resuming the cancelled run completes it and matches a clean
+        // uninterrupted run bit for bit — no partially-mutated state leaks.
+        let resumed = run_flow_resilient(
+            &n,
+            &c,
+            &opts,
+            &ResilienceOptions {
+                resume_from: Some(path.clone()),
+                ..Default::default()
+            },
+        )
+        .expect("flow resumes");
+        let plain = run_flow(&n, &c, &opts).expect("flow runs");
+        assert!(plain.deterministic_eq(&resumed));
+        assert!(resumed
+            .diagnostics
+            .events
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::Resumed { stage } if *stage == stages::SHAPING)));
         let _ = std::fs::remove_file(&path);
     }
 
