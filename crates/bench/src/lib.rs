@@ -7,6 +7,8 @@
 //! is always an explicit argument — `repro --scale`, or the constant a
 //! bench or gate generates at — and the flow options are sized from it.
 
+#![forbid(unsafe_code)]
+
 pub mod qor_gate;
 pub mod repro;
 pub mod stdout;

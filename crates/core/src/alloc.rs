@@ -12,6 +12,11 @@
 //! interleavings can momentarily under-report `current`, but `peak` is
 //! maintained with `fetch_max` so it never loses a high-water mark that
 //! a single thread observed.
+//!
+//! This is the one module of the workspace's libraries allowed `unsafe`:
+//! a [`GlobalAlloc`] impl is `unsafe` by definition.
+
+#![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

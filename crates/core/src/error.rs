@@ -28,8 +28,8 @@ pub enum FlowError {
     Timing(TimingError),
     /// Global routing failed.
     Route(RouteError),
-    /// A parallel worker panicked; the panic was contained by the pool and
-    /// re-raised here as a typed error.
+    /// A task of a parallel region panicked; the panic was contained by
+    /// the region and re-raised here as a typed error.
     WorkerPanic {
         /// Stage whose parallel region panicked.
         stage: &'static str,

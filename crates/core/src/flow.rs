@@ -911,7 +911,7 @@ impl<'a> Run<'a> {
     /// The V-P&R modes' shape search: one pick per cluster in `shapeable`
     /// (`None` when its sub-netlist cannot be induced or its search
     /// failed, and the cluster keeps the uniform shape). Clusters are
-    /// independent V-P&R problems, so each is one pool task that induces
+    /// independent V-P&R problems, so each is one region task that induces
     /// its sub-netlist, ranks and searches it and drops it: the working
     /// set is the clusters in flight, not all of them. Picks and counters
     /// are collected sequentially in cluster order, so diagnostics and

@@ -45,6 +45,8 @@
 //! assert!(ours.diagnostics.is_clean());
 //! ```
 
+#![deny(unsafe_code)]
+
 #[cfg(feature = "alloc-telemetry")]
 pub mod alloc;
 pub mod baselines;

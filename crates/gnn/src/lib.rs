@@ -29,6 +29,8 @@
 //! assert!(y[0].is_finite());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod layers;
 pub mod metrics;
 pub mod model;

@@ -33,6 +33,8 @@
 //! assert_eq!(ecc[3], 2);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod centrality;
 pub mod coarsen;
 pub mod community;

@@ -37,6 +37,8 @@
 //! assert_eq!(hg.vertex_count(), netlist.cell_count() + netlist.port_count());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod clustered;
 pub mod floorplan;
 pub mod generator;

@@ -1,4 +1,5 @@
-//! Deterministic work-stealing thread pool for the placement flow.
+//! Deterministic parallel regions on scoped threads for the placement
+//! flow.
 //!
 //! Dependency-free `rayon`-flavored data parallelism for the regions of
 //! the flow that win on two threads: V-P&R shaping (one task per cluster,
@@ -15,11 +16,11 @@
 //! chunking: work is split into chunks whose boundaries depend only on
 //! the input size (never on the thread count), each chunk's result is
 //! stored by chunk index, and reductions combine the per-chunk partials
-//! with a fixed-order pairwise tree ([`tree_combine`]). Threads *steal
+//! with a fixed-order pairwise tree ([`tree_combine`]). Threads *claim
 //! chunks* from a shared atomic counter, so scheduling is dynamic but the
 //! arithmetic — including floating-point association — is not.
 //!
-//! **Thread count.** `CP_THREADS` controls the default worker budget
+//! **Thread count.** `CP_THREADS` controls the default thread budget
 //! (default: available cores; `1` = run everything inline on the calling
 //! thread). [`with_threads`] overrides the budget for a scope, which is
 //! how the scaling bench sweeps 1/2/4/8 threads in one process and how
@@ -30,29 +31,32 @@
 //! that splits better at the top (the placer's X and Y systems, the two
 //! halves of a bisection) than into many short fixed chunks.
 //!
-//! Workers are spawned lazily on first parallel call and parked on a
-//! shared queue afterwards; nested parallel calls from worker threads are
-//! allowed (inner regions push chunks other idle workers can steal, and
-//! the submitting thread always participates, so progress never depends
-//! on another region finishing first).
+//! **Regions.** A region with a budget of n runs on the calling thread
+//! plus n − 1 helper threads spawned inside [`std::thread::scope`], and
+//! returns after the caller has joined every helper, so no thread
+//! outlives its region. Every participant runs its chunks under a
+//! budget of 1, so a region opened inside a chunk runs inline on that
+//! participant's thread; only [`join`] hands its two tasks a share of the
+//! caller's budget each.
+
+#![forbid(unsafe_code)]
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
-use std::mem::{ManuallyDrop, MaybeUninit};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Why a fallible parallel region ([`try_par_map`]) terminated without
 /// completing every chunk.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RegionError {
-    /// A chunk's task panicked; the panic was contained by the pool's
-    /// `catch_unwind` (siblings kept their work, the pool survives) and
-    /// is re-raised here as a typed error with the payload preserved.
+    /// A chunk's task panicked; the panic was contained by the region's
+    /// `catch_unwind` (no chunk is claimed after it, and later regions
+    /// run as usual) and is re-raised here as a typed error with the
+    /// payload preserved.
     Panicked {
         /// The panic payload's message (`&str`/`String` payloads; other
         /// payload types surface as a placeholder).
@@ -82,7 +86,8 @@ fn payload_message(payload: &(dyn Any + Send)) -> String {
 }
 
 /// Locks ignoring poisoning: a panicked task is already being reported
-/// through the job's panic flag, so the guarded data stays usable.
+/// through its region's first-panic slot, so the guarded data stays
+/// usable.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -135,287 +140,126 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// One parallel region. Lives in an `Arc` so an entry a worker popped
-/// stays valid after the region completes; the type-erased `task` pointer
-/// is only dereferenced while the submitter provably blocks in
-/// [`par_for`].
-struct Job {
-    task: *const (dyn Fn(usize) + Sync),
+/// Runs `task(i)` for every chunk index `0..chunks` on up to
+/// [`current_threads`] threads, the caller included, and returns the
+/// results in chunk order. With a budget of 1 (or a single chunk) the
+/// chunks run inline on the caller. Otherwise the caller and its helpers
+/// claim chunks from one atomic counter, each under a budget of 1, so a
+/// region opened inside a chunk runs inline. Scheduling is dynamic;
+/// determinism is the *caller's* contract — a chunk's result must depend
+/// on its index alone.
+///
+/// A chunk's panic is contained and reported as the lowest-indexed
+/// panicking chunk's message once every helper has exited. A `fallible`
+/// region stops claiming chunks after the first panic; an infallible one
+/// runs every chunk (inline, its panic unwinds natively).
+fn region<R: Send>(
     chunks: usize,
-    /// Ambient trace span on the submitting thread; workers adopt it so
-    /// spans opened inside chunks nest under the span that spawned the
-    /// region (0 = tracing off or no ambient span).
-    parent_span: u64,
-    /// Set for fallible regions ([`try_par_map`]): the first contained
-    /// panic abandons the region. Infallible primitives run every chunk.
     fallible: bool,
-    /// Next chunk index to steal.
-    next: AtomicUsize,
-    /// Workers currently inside the region.
-    active: AtomicUsize,
-    /// Set by the submitter once every chunk has been claimed; late
-    /// workers that see it never touch `task`.
-    closed: AtomicBool,
-    panicked: AtomicBool,
-    /// Once set, remaining chunks are claimed but not run (fast drain
-    /// after the first panic of a fallible region).
-    abandoned: AtomicBool,
-    /// First captured panic, keyed by chunk index — the lowest-indexed
-    /// chunk's message wins so reporting is stable under scheduling.
-    panic_slot: Mutex<Option<(usize, String)>>,
-    done: Mutex<()>,
-    done_cv: Condvar,
-}
-
-// SAFETY: `task` points at a `Sync` closure on the submitting thread's
-// stack; the submitter blocks until `active` drains back to zero before
-// the pointee can go out of scope, and `closed` keeps late workers from
-// dereferencing it afterwards (see the interleaving argument in
-// `par_for`).
-unsafe impl Send for Job {}
-unsafe impl Sync for Job {}
-
-impl Job {
-    /// Steals and runs chunks until the counter is exhausted, returning
-    /// how many this participant ran. Panics in the task are captured
-    /// into `panic_slot` so every participant keeps draining (a worker
-    /// must never unwind out of the pool loop); after the first panic of
-    /// a fallible region the region is abandoned and remaining chunks are
-    /// claimed without running.
-    fn run_chunks(&self) -> usize {
-        // SAFETY: see the struct-level invariant — the submitter keeps the
-        // pointee alive while any participant is registered.
-        let task = unsafe { &*self.task };
-        let mut ran = 0;
-        loop {
-            let i = self.next.fetch_add(1, Ordering::SeqCst);
-            if i >= self.chunks {
-                break;
-            }
-            if self.abandoned.load(Ordering::SeqCst) {
-                continue;
-            }
-            ran += 1;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-                self.record_panic(i, payload_message(payload.as_ref()));
-            }
-        }
-        ran
+    task: impl Fn(usize) -> R + Sync,
+) -> Result<Vec<R>, RegionError> {
+    let threads = current_threads().min(chunks);
+    if threads <= 1 && !fallible {
+        return Ok((0..chunks).map(task).collect());
     }
-
-    /// Records a contained panic (lowest chunk index wins) and, in a
-    /// fallible region, abandons the region.
-    fn record_panic(&self, chunk: usize, message: String) {
-        self.panicked.store(true, Ordering::SeqCst);
-        if self.fallible {
-            self.abandoned.store(true, Ordering::SeqCst);
-        }
-        let mut slot = lock(&self.panic_slot);
-        match &*slot {
-            Some((c, _)) if *c <= chunk => {}
-            _ => *slot = Some((chunk, message)),
-        }
+    if threads <= 1 {
+        let contained = |i| catch_unwind(AssertUnwindSafe(|| task(i)));
+        return (0..chunks)
+            .map(|i| {
+                contained(i).map_err(|payload| RegionError::Panicked {
+                    message: payload_message(payload.as_ref()),
+                })
+            })
+            .collect();
     }
-
-    /// Worker-side entry: register, steal chunks unless the region
-    /// already closed (running them under the submitter's trace span),
-    /// deregister, and wake the submitter when last out.
-    fn run_worker(&self, worker: u32) {
-        self.active.fetch_add(1, Ordering::SeqCst);
-        if !self.closed.load(Ordering::SeqCst) {
-            let ran = cp_trace::run_with_parent(self.parent_span, || self.run_chunks());
-            if ran > 0 {
-                cp_trace::counter_add_slot("pool.worker.tasks", worker, ran as u64);
-            }
+    let slots: Vec<Mutex<Option<R>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    let next = AtomicUsize::new(0);
+    let abandoned = AtomicBool::new(false);
+    let first_panic: Mutex<Option<(usize, String)>> = Mutex::new(None);
+    let record_panic = |at: usize, payload: &(dyn Any + Send)| {
+        let mut first = lock(&first_panic);
+        if first.as_ref().is_none_or(|&(c, _)| at < c) {
+            *first = Some((at, payload_message(payload)));
         }
-        if self.active.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let _guard = lock(&self.done);
-            self.done_cv.notify_all();
-        }
-    }
-}
-
-struct Shared {
-    /// One entry per worker a region asked for. Holds entries of open
-    /// regions only: a submitter withdraws its unpopped entries before it
-    /// closes its region, so the queue never outgrows the regions in
-    /// flight, even while every worker is busy inside an outer region.
-    queue: Mutex<VecDeque<Arc<Job>>>,
-    available: Condvar,
-}
-
-struct Pool {
-    shared: Arc<Shared>,
-    spawned: Mutex<usize>,
-}
-
-fn pool() -> &'static Pool {
-    static POOL: OnceLock<Pool> = OnceLock::new();
-    POOL.get_or_init(|| Pool {
-        shared: Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            available: Condvar::new(),
-        }),
-        spawned: Mutex::new(0),
-    })
-}
-
-impl Pool {
-    /// Spawns workers up to `want` (lazily, on demand). Spawn failures
-    /// degrade gracefully to fewer workers — the submitter always
-    /// participates, so the region still completes.
-    fn ensure_workers(&self, want: usize) {
-        let mut n = lock(&self.spawned);
-        while *n < want {
-            let shared = Arc::clone(&self.shared);
-            let index = *n as u32;
-            let spawned = thread::Builder::new()
-                .name(format!("cp-par-{n}"))
-                .spawn(move || worker_loop(&shared, index));
-            if spawned.is_err() {
-                break;
-            }
-            *n += 1;
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared, index: u32) {
-    loop {
-        let job = {
-            let mut q = lock(&shared.queue);
+    };
+    // One participant: claims and runs chunks until none is left (or a
+    // fallible region is abandoned) and returns how many it ran.
+    let participate = || {
+        with_threads(1, || {
+            let mut ran = 0;
             loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= chunks || abandoned.load(Ordering::Relaxed) {
+                    return ran;
                 }
-                q = shared
-                    .available
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
+                ran += 1;
+                match catch_unwind(AssertUnwindSafe(|| task(i))) {
+                    Ok(result) => *lock(&slots[i]) = Some(result),
+                    Err(payload) => {
+                        record_panic(i, payload.as_ref());
+                        if fallible {
+                            abandoned.store(true, Ordering::Relaxed);
+                        }
+                    }
+                }
             }
-        };
-        job.run_worker(index);
-    }
-}
-
-/// Runs `task(i)` for every chunk index `0..chunks`, stealing chunks
-/// across up to [`current_threads`] threads (the caller included). Blocks
-/// until every chunk has finished. With a budget of 1 (or a single
-/// chunk), runs inline with zero synchronization.
-///
-/// Scheduling is dynamic; determinism is the *caller's* contract — each
-/// chunk must write only chunk-indexed state (see [`par_map`],
-/// [`par_sum`] for ready-made deterministic shapes).
-///
-/// # Panics
-///
-/// Panics if any chunk's task panicked, after all participants have left
-/// the region. The lowest-indexed panicking chunk's payload message is
-/// preserved in the new panic's message.
-fn par_for(chunks: usize, task: &(dyn Fn(usize) + Sync)) {
-    if let Err(RegionError::Panicked { message }) = par_for_region(chunks, false, task) {
-        panic!("cp-parallel: a parallel task panicked: {message}");
-    }
-}
-
-/// Shared region driver for [`par_for`] and [`try_par_map`]. In a
-/// `fallible` region the first panic abandons the region — remaining
-/// chunks are claimed but not run — and the typed error is returned
-/// after every participant has left. A contained panic keeps its payload
-/// message; the pool itself always survives.
-fn par_for_region(
-    chunks: usize,
-    fallible: bool,
-    task: &(dyn Fn(usize) + Sync),
-) -> Result<(), RegionError> {
-    if chunks == 0 {
-        return Ok(());
-    }
-    let budget = current_threads().min(chunks);
-    if budget <= 1 {
-        return inline_region(chunks, fallible, task);
-    }
-    let p = pool();
-    p.ensure_workers(budget - 1);
-    // SAFETY: erase the task's lifetime for the queue. Soundness argument:
-    // a worker dereferences `task` only after registering in `active` and
-    // stealing a chunk `< chunks`. Chunk exhaustion is monotone, and the
-    // submitter sets `closed` only after exhaustion, then blocks until
-    // `active == 0` (SeqCst total order makes the register/closed-check
-    // pair on the worker and the closed-store/active-read pair here
-    // mutually visible). So either the worker registered in time — and we
-    // wait for it — or it observes `closed` and never touches `task`.
-    let task_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(task) };
-    let job = Arc::new(Job {
-        task: task_static as *const _,
-        chunks,
-        parent_span: cp_trace::current_span_id(),
-        fallible,
-        next: AtomicUsize::new(0),
-        active: AtomicUsize::new(0),
-        closed: AtomicBool::new(false),
-        panicked: AtomicBool::new(false),
-        abandoned: AtomicBool::new(false),
-        panic_slot: Mutex::new(None),
-        done: Mutex::new(()),
-        done_cv: Condvar::new(),
+        })
+    };
+    let participate = &participate;
+    let parent_span = cp_trace::current_span_id();
+    thread::scope(|scope| {
+        // A helper that cannot be spawned leaves the region with fewer
+        // threads; the caller always takes part.
+        let helpers: Vec<_> = (0..threads - 1)
+            .filter_map(|h| {
+                let helper = move || {
+                    let ran = cp_trace::run_with_parent(parent_span, participate);
+                    if ran > 0 {
+                        cp_trace::counter_add_slot("pool.worker.tasks", h as u32, ran as u64);
+                    }
+                };
+                let builder = thread::Builder::new().name(format!("cp-par-{h}"));
+                builder.spawn_scoped(scope, helper).ok()
+            })
+            .collect();
+        let ran = participate();
+        if ran > 0 {
+            cp_trace::counter_add("pool.submitter.tasks", ran as u64);
+        }
+        // Join every helper here rather than leave it to `scope`, which
+        // returns as soon as each helper's closure has finished — possibly
+        // before the thread's thread-local destructors have run and glibc
+        // has handed its malloc arena back. The next region's helpers
+        // would then get fresh arenas, and peak RSS grows by whole arenas
+        // (EXPERIMENTS.md, "Scoped regions, measured"). A panic outside a
+        // chunk still fails the region; any chunk's message ranks first.
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                record_panic(chunks, payload.as_ref());
+            }
+        }
     });
-    {
-        let mut q = lock(&p.shared.queue);
-        for _ in 0..budget - 1 {
-            q.push_back(Arc::clone(&job));
-        }
+    match into_inner(first_panic) {
+        Some((_, message)) => Err(RegionError::Panicked { message }),
+        // No panic means every chunk ran and filled its slot.
+        None => Ok(slots.into_iter().filter_map(into_inner).collect()),
     }
-    p.shared.available.notify_all();
-    let ran = job.run_chunks();
-    if ran > 0 {
-        cp_trace::counter_add("pool.submitter.tasks", ran as u64);
-    }
-    // Every chunk is claimed, so an unpopped entry has nothing left to
-    // run; withdraw it rather than leave it for the next idle worker.
-    lock(&p.shared.queue).retain(|queued| !Arc::ptr_eq(queued, &job));
-    job.closed.store(true, Ordering::SeqCst);
-    {
-        let mut guard = lock(&job.done);
-        while job.active.load(Ordering::SeqCst) != 0 {
-            guard = job
-                .done_cv
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-    if job.panicked.load(Ordering::SeqCst) {
-        let message = lock(&job.panic_slot)
-            .take()
-            .map(|(_, m)| m)
-            .unwrap_or_else(|| "opaque panic payload".to_string());
-        return Err(RegionError::Panicked { message });
-    }
-    Ok(())
 }
 
-/// Sequential fallback for a budget of one (or a single chunk). The
-/// infallible path calls the task directly — panics unwind natively —
-/// so the infallible primitives keep their zero-overhead inline path.
-fn inline_region(
-    chunks: usize,
-    fallible: bool,
-    task: &(dyn Fn(usize) + Sync),
-) -> Result<(), RegionError> {
-    if !fallible {
-        for i in 0..chunks {
-            task(i);
-        }
-        return Ok(());
-    }
-    for i in 0..chunks {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| task(i))) {
-            return Err(RegionError::Panicked {
-                message: payload_message(payload.as_ref()),
-            });
+/// The result of an infallible region, re-raising a contained panic with
+/// its message.
+fn or_panic<T>(result: Result<T, RegionError>) -> T {
+    match result {
+        Ok(value) => value,
+        Err(RegionError::Panicked { message }) => {
+            panic!("cp-parallel: a parallel task panicked: {message}")
         }
     }
-    Ok(())
+}
+
+/// Infallible [`region`].
+fn par_for<R: Send>(chunks: usize, task: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    or_panic(region(chunks, false, task))
 }
 
 /// Number of fixed-size chunks covering `n` items (`chunk` clamped to at
@@ -425,30 +269,10 @@ fn chunk_count(n: usize, chunk: usize) -> usize {
     n.div_ceil(chunk.max(1))
 }
 
-/// Runs `f(chunk_index, range)` over the fixed chunking of `0..n`.
-fn par_ranges(n: usize, chunk: usize, f: impl Fn(usize, Range<usize>) + Sync) {
-    let chunk = chunk.max(1);
-    par_for(chunk_count(n, chunk), &|i| {
-        let start = i * chunk;
-        f(i, start..(start + chunk).min(n));
-    });
+/// Chunk `i` of that geometry, for `chunk >= 1`.
+fn chunk_range(i: usize, chunk: usize, n: usize) -> Range<usize> {
+    i * chunk..((i + 1) * chunk).min(n)
 }
-
-/// Raw-pointer wrapper so disjoint chunk writers can share one buffer.
-/// Accessed through [`SendPtr::get`] so closures capture the `Sync`
-/// wrapper rather than the raw pointer field.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-// SAFETY: every user writes a disjoint index range (enforced by the fixed
-// chunk geometry), so aliased mutation never occurs.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 /// Maps `f` over one fixed-size range per chunk, returning the per-chunk
 /// results ordered by chunk index. The building block for deterministic
@@ -459,82 +283,42 @@ pub fn par_map_ranges<R: Send>(
     f: impl Fn(Range<usize>) -> R + Sync,
 ) -> Vec<R> {
     let chunk = chunk.max(1);
-    let chunks = chunk_count(n, chunk);
-    if chunks == 1 {
-        return vec![f(0..n)];
-    }
-    let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(chunks);
-    // SAFETY: MaybeUninit slots need no initialization.
-    unsafe { out.set_len(chunks) };
-    let ptr = SendPtr(out.as_mut_ptr());
-    par_for(chunks, &|i| {
-        let start = i * chunk;
-        let v = f(start..(start + chunk).min(n));
-        // SAFETY: chunk `i` owns slot `i` exclusively.
-        unsafe { ptr.get().add(i).write(MaybeUninit::new(v)) };
-    });
-    // A panicking chunk aborts via par_for's panic before reaching here;
-    // the unwind frees the buffer without dropping the results already
-    // written, which leak — safe, if wasteful.
-    let mut out = ManuallyDrop::new(out);
-    // SAFETY: all `chunks` slots were initialized exactly once above.
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), chunks, out.capacity()) }
+    par_for(chunk_count(n, chunk), |i| f(chunk_range(i, chunk, n)))
+}
+
+/// The element maps: each chunk maps its items in order, and the chunks'
+/// outputs are concatenated in chunk order.
+fn map_items<T: Sync, R: Send>(
+    items: &[T],
+    chunk: usize,
+    fallible: bool,
+    f: impl Fn(&T) -> R + Sync,
+) -> Result<Vec<R>, RegionError> {
+    let (n, chunk) = (items.len(), chunk.max(1));
+    let parts = region(chunk_count(n, chunk), fallible, |i| {
+        items[chunk_range(i, chunk, n)]
+            .iter()
+            .map(&f)
+            .collect::<Vec<R>>()
+    })?;
+    Ok(parts.into_iter().flatten().collect())
 }
 
 /// Parallel element map with order-preserving output: `out[i] = f(&items[i])`.
 pub fn par_map<T: Sync, R: Send>(items: &[T], chunk: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let n = items.len();
-    let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit slots need no initialization.
-    unsafe { out.set_len(n) };
-    let ptr = SendPtr(out.as_mut_ptr());
-    par_ranges(n, chunk, |_, r| {
-        for i in r {
-            // SAFETY: index `i` belongs to exactly one chunk.
-            unsafe { ptr.get().add(i).write(MaybeUninit::new(f(&items[i]))) };
-        }
-    });
-    let mut out = ManuallyDrop::new(out);
-    // SAFETY: all `n` slots were initialized exactly once above.
-    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) }
+    or_panic(map_items(items, chunk, false, f))
 }
 
 /// Fallible [`par_map`]: maps `f` over `items`, containing a panic in `f`
 /// as [`RegionError::Panicked`]. `Ok` means every element was produced,
 /// so partial results can never leak out of a panicked region; on `Err`
-/// the intermediate buffer is discarded without dropping element contents
-/// (initialized slots leak their heap allocations — safe, if wasteful,
-/// and only on the error path).
+/// the results of the chunks that did finish are dropped.
 pub fn try_par_map<T: Sync, R: Send>(
     items: &[T],
     chunk: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Result<Vec<R>, RegionError> {
-    let n = items.len();
-    let chunk = chunk.max(1);
-    let mut out: Vec<MaybeUninit<R>> = Vec::with_capacity(n);
-    // SAFETY: MaybeUninit slots need no initialization.
-    unsafe { out.set_len(n) };
-    let ptr = SendPtr(out.as_mut_ptr());
-    let result = par_for_region(chunk_count(n, chunk), true, &|ci| {
-        let start = ci * chunk;
-        let end = (start + chunk).min(n);
-        for (i, item) in items.iter().enumerate().take(end).skip(start) {
-            // SAFETY: index `i` belongs to exactly one chunk.
-            unsafe { ptr.get().add(i).write(MaybeUninit::new(f(item))) };
-        }
-    });
-    match result {
-        Ok(()) => {
-            let mut out = ManuallyDrop::new(out);
-            // SAFETY: Ok means every chunk completed, so all `n` slots
-            // were initialized exactly once above.
-            Ok(unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<R>(), n, out.capacity()) })
-        }
-        // Dropping Vec<MaybeUninit<R>> frees the buffer without running
-        // any R destructors — safe even with uninitialized slots.
-        Err(e) => Err(e),
-    }
+    map_items(items, chunk, true, f)
 }
 
 /// Splits `data` into fixed-size chunks and hands each chunk mutably to
@@ -545,13 +329,9 @@ pub fn par_chunks_mut<T: Send>(
     chunk: usize,
     f: impl Fn(usize, usize, &mut [T]) + Sync,
 ) {
-    let n = data.len();
-    let ptr = SendPtr(data.as_mut_ptr());
-    par_ranges(n, chunk, |ci, r| {
-        // SAFETY: ranges from the fixed chunking are pairwise disjoint.
-        let slice = unsafe { std::slice::from_raw_parts_mut(ptr.get().add(r.start), r.len()) };
-        f(ci, r.start, slice);
-    });
+    let chunk = chunk.max(1);
+    let slices: Vec<Mutex<&mut [T]>> = data.chunks_mut(chunk).map(Mutex::new).collect();
+    par_for(slices.len(), |i| f(i, i * chunk, &mut lock(&slices[i])));
 }
 
 /// Combines `parts` pairwise in fixed order until one value remains:
@@ -608,7 +388,7 @@ pub fn join<A: Send, B: Send>(
     }
     let (task_a, task_b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
     let (out_a, out_b) = (Mutex::new(None), Mutex::new(None));
-    par_for(2, &|i| match i {
+    par_for(2, |i| match i {
         0 => run_slot(&task_a, &out_a, budget - budget / 2),
         _ => run_slot(&task_b, &out_b, budget / 2),
     });
@@ -637,15 +417,6 @@ fn into_inner<T>(m: Mutex<T>) -> T {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-
-    /// Queue entries whose region has closed (the queue invariant keeps
-    /// this at zero).
-    fn queued_closed_jobs() -> usize {
-        lock(&pool().shared.queue)
-            .iter()
-            .filter(|job| job.closed.load(Ordering::SeqCst))
-            .count()
-    }
 
     #[test]
     fn par_map_preserves_order() {
@@ -710,9 +481,9 @@ mod tests {
     fn all_threads_participate() {
         let seen = AtomicU64::new(0);
         with_threads(4, || {
-            par_for(64, &|_| {
+            par_for(64, |_| {
                 // Record which thread ran a chunk (best effort; the
-                // submitter may legitimately steal everything on a loaded
+                // caller may legitimately claim everything on a loaded
                 // machine, so only the side-effect count is asserted).
                 seen.fetch_add(1, Ordering::SeqCst);
                 std::thread::sleep(std::time::Duration::from_micros(200));
@@ -725,7 +496,7 @@ mod tests {
     fn nested_parallelism_completes() {
         let total = AtomicU64::new(0);
         with_threads(4, || {
-            par_for(8, &|_| {
+            par_for(8, |_| {
                 let inner = par_sum(100, 10, |r| r.map(|i| i as f64).sum());
                 assert_eq!(inner, 4950.0);
                 total.fetch_add(1, Ordering::SeqCst);
@@ -749,7 +520,7 @@ mod tests {
     #[should_panic(expected = "a parallel task panicked")]
     fn panics_propagate_to_the_submitter() {
         with_threads(4, || {
-            par_for(16, &|i| {
+            par_for(16, |i| {
                 if i == 5 {
                     panic!("boom");
                 }
@@ -776,10 +547,10 @@ mod tests {
     #[test]
     fn try_par_map_pool_survives_contained_panic() {
         let _ = with_threads(4, || try_par_map(&[(); 8], 1, |_| panic!("boom")));
-        // The pool must still run subsequent regions to completion.
+        // Later regions must still run to completion.
         let ok = AtomicU64::new(0);
         with_threads(4, || {
-            par_for(32, &|_| {
+            par_for(32, |_| {
                 ok.fetch_add(1, Ordering::SeqCst);
             })
         });
@@ -813,26 +584,66 @@ mod tests {
     }
 
     #[test]
-    fn closed_regions_leave_no_queue_entries() {
-        // Both participants of the outer region stay inside it while the
-        // nested regions open and close, so no worker goes back to the
-        // queue to pop their entries: only the submitters can clear them.
-        let started = AtomicUsize::new(0);
-        let closed_in_queue = AtomicUsize::new(0);
+    fn nested_regions_keep_the_callers_budget() {
+        // Each outer item opens a 64-item region of its own. Those inner
+        // regions must run inline on the outer region's participants, not
+        // on `CP_THREADS` or the core count.
+        let threads = Mutex::new(std::collections::HashSet::new());
+        let inner_budgets = Mutex::new(std::collections::BTreeSet::new());
         with_threads(2, || {
-            par_for(2, &|_| {
-                started.fetch_add(1, Ordering::SeqCst);
-                let t0 = std::time::Instant::now();
-                while started.load(Ordering::SeqCst) < 2 && t0.elapsed().as_secs() < 5 {
-                    std::thread::yield_now();
-                }
-                for _ in 0..64 {
-                    with_threads(2, || par_sum(64, 8, |r| r.len() as f64));
-                    closed_in_queue.fetch_max(queued_closed_jobs(), Ordering::SeqCst);
-                }
-            });
+            par_map(&[(); 2], 1, |()| {
+                inner_budgets.lock().unwrap().insert(current_threads());
+                par_map(&[(); 64], 1, |()| {
+                    threads.lock().unwrap().insert(thread::current().id());
+                    thread::sleep(std::time::Duration::from_micros(100));
+                })
+            })
         });
-        assert_eq!(closed_in_queue.load(Ordering::SeqCst), 0);
+        let distinct = threads.lock().unwrap().len();
+        assert!((1..=2).contains(&distinct), "{distinct} threads ran chunks");
+        assert_eq!(*inner_budgets.lock().unwrap(), [1].into());
+    }
+
+    #[test]
+    fn regions_return_after_their_helpers_exit() {
+        // A helper arms a thread-local whose destructor counts the exit;
+        // the count must have caught up by the time the region returns.
+        static ARMED: AtomicUsize = AtomicUsize::new(0);
+        static EXITED: AtomicUsize = AtomicUsize::new(0);
+        struct ExitFlag(std::cell::Cell<bool>);
+        impl Drop for ExitFlag {
+            fn drop(&mut self) {
+                if self.0.get() {
+                    EXITED.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+        thread_local! {
+            static EXIT: ExitFlag = const { ExitFlag(std::cell::Cell::new(false)) };
+        }
+        let caller = thread::current().id();
+        for threads in [2, 4] {
+            let before = ARMED.load(Ordering::SeqCst);
+            with_threads(threads, || {
+                par_for(16, |_| {
+                    if thread::current().id() != caller {
+                        EXIT.with(|flag| {
+                            if !flag.0.replace(true) {
+                                ARMED.fetch_add(1, Ordering::SeqCst);
+                            }
+                        });
+                    }
+                    // Hold every chunk until a helper has taken one.
+                    let t0 = std::time::Instant::now();
+                    while ARMED.load(Ordering::SeqCst) == before && t0.elapsed().as_secs() < 5 {
+                        thread::yield_now();
+                    }
+                });
+            });
+            let armed = ARMED.load(Ordering::SeqCst);
+            assert!(armed > before, "no helper ran a chunk at {threads} threads");
+            assert_eq!(EXITED.load(Ordering::SeqCst), armed, "threads = {threads}");
+        }
     }
 
     #[test]
@@ -887,6 +698,6 @@ mod tests {
         assert_eq!(par_sum(5, 16, |r| r.len() as f64), 5.0);
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, 4, |&x| x).is_empty());
-        par_for(0, &|_| panic!("must not run"));
+        par_for(0, |_| panic!("must not run"));
     }
 }

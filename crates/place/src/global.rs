@@ -79,15 +79,16 @@ pub struct PlacementResult {
 }
 
 /// Movable count from which the X and Y lower bounds (rebuild + solve)
-/// run as two pool tasks, each on half the thread budget. Below it the
+/// run as two `join` tasks, each on half the thread budget. Below it the
 /// two axes run back to back on the calling thread, so no V-P&R
 /// candidate (≤ 800 cells in the benchmark) opens a region for its
-/// lower bound. On two threads the tasks beat both axes on one thread
-/// at every size measured from 1,093 movables (1.3 vs 1.8–2.1 ms per
-/// outer iteration; 10–11 vs 12–18 ms at 8.6k) and beat per-kernel
-/// regions from 1,067 (0.72 vs 1.13 ms; 3.4 vs 9.6 ms at 8k);
-/// EXPERIMENTS.md, "Parallel regions, measured" and the axis-task table
-/// of "Placer outer iteration".
+/// lower bound. Each join spawns one helper thread (≈ 40 µs). On two
+/// threads the tasks beat both axes on one thread at 1,093 movables in
+/// 4 of 5 sweeps (1.5–1.6 vs 1.7–2.6 ms per outer iteration; the fifth
+/// lost by 4%, 1.87 vs 1.80) and in every sweep from 1,632 (1.9–2.3 vs
+/// 2.6–3.5 ms; 10.6–10.7 vs 18.5 ms at 8.6k); EXPERIMENTS.md, "Scoped
+/// regions, measured", "Parallel regions, measured" and the axis-task
+/// table of "Placer outer iteration".
 const AXIS_TASK_MIN_MOVABLES: usize = kernels::VEC_CHUNK + 1;
 
 /// The best finite iterate seen so far, for divergence recovery.

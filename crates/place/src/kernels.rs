@@ -15,7 +15,7 @@
 //! - [`xpay`] / [`dot`] / [`sub_dot`] — the remaining primitive shapes.
 //!
 //! The kernels are serial loops. The placer's parallelism sits one level
-//! up: above the axis-task cutoff the X and Y solves run as two pool
+//! up: above the axis-task cutoff the X and Y solves run as two `join`
 //! tasks, which on two threads leaves each axis one thread, and below it
 //! every system fits one chunk anyway (DESIGN.md, "Parallel execution").
 //!
@@ -23,9 +23,10 @@
 //! arithmetic in the same order as the unfused sequence it replaces. The
 //! reductions sum fixed [`VEC_CHUNK`]-element partials and combine them
 //! with `cp_parallel::tree_combine`, the shape `cp_parallel::par_sum`
-//! reduces in, so a dot product here equals the pool's reduction at any
-//! thread count. The jagged-oracle proptests in [`crate::solver`], whose
-//! oracle runs the unfused loop on the pool's primitives, pin this.
+//! reduces in, so a dot product here equals `cp-parallel`'s reduction at
+//! any thread count. The jagged-oracle proptests in [`crate::solver`],
+//! whose oracle runs the unfused loop on `cp-parallel`'s primitives, pin
+//! this.
 
 use std::ops::Range;
 
@@ -129,7 +130,7 @@ mod tests {
         }
     }
 
-    /// The pool's reduction of `Σ a[i]·b[i]` over the kernels' chunks —
+    /// `cp-parallel`'s reduction of `Σ a[i]·b[i]` over the kernels' chunks —
     /// the reference every kernel's sum must equal bit for bit.
     fn pool_dot(a: &[f64], b: &[f64], threads: usize) -> f64 {
         cp_parallel::with_threads(threads, || {
@@ -143,7 +144,7 @@ mod tests {
         })
     }
 
-    /// `out[i] = f(i)` through the pool's chunked writer.
+    /// `out[i] = f(i)` through `cp-parallel`'s chunked writer.
     fn pool_fill(n: usize, threads: usize, f: impl Fn(usize) -> f64 + Sync) -> Vec<f64> {
         let mut out = vec![0.0; n];
         cp_parallel::with_threads(threads, || {
@@ -188,7 +189,7 @@ mod tests {
         {
             let (x0, r0, p, ap) = vecs(n);
             let alpha = 0.3725;
-            // Unfused reference: two axpys, then the pool's dot.
+            // Unfused reference: two axpys, then `cp-parallel`'s dot.
             let mut x_ref = x0.clone();
             let mut r_ref = r0.clone();
             axpy(&mut x_ref, alpha, &p);

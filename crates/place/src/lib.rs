@@ -44,6 +44,8 @@
 //! a diverging global-placement loop reverts to its best snapshot when
 //! [`PlacerOptions::revert_if_diverge`] is set (the default).
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod cts;
 pub mod detailed;

@@ -26,7 +26,7 @@
 //! Everything is serial and deterministic: assembly runs in net order,
 //! SpMV keeps each row's accumulation order, and dot products combine
 //! fixed-chunk partials in `cp-parallel`'s pairwise tree order
-//! (`kernels`). The placer runs the X and Y systems as two pool
+//! (`kernels`). The placer runs the X and Y systems as two `join`
 //! tasks; nothing inside one system opens a parallel region.
 
 use crate::kernels::{self, dot};

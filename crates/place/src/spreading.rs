@@ -18,8 +18,8 @@
 //! off the order of its cut axis, whose prefix *is* the left half, and
 //! stable-partitions the others by rank, so all stay sorted all the way
 //! down — O(n log n) overall, no per-node sort or allocation. The two
-//! halves are disjoint sub-slices (`split_at_mut`) and run as pool tasks
-//! above `TASK_MIN_CELLS` (4096).
+//! halves are disjoint sub-slices (`split_at_mut`) and run as `join`
+//! tasks from `TASK_MIN_CELLS` (4096) cells.
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
@@ -29,9 +29,12 @@ use cp_netlist::floorplan::Rect;
 const LEAF_CELLS: usize = 10;
 /// Minimum region extent, µm.
 const MIN_EXTENT: f64 = 2.0;
-/// Smallest bisection node (and smallest root sort) that is handed to the
-/// pool as two tasks; below it one region's set-up costs more than the
-/// node (EXPERIMENTS.md, "Placer outer iteration").
+/// Smallest bisection node (and smallest root sort) that runs as two
+/// `join` tasks. Each join spawns one helper thread (≈ 40 µs); on two
+/// threads a 1,024- or 2,048-cell cutoff wins or loses by run at 2.2k
+/// cells (270–300 vs 190–345 µs per `spread_soa`), while this one wins
+/// from 4.3k (505–514 vs 805–846 µs). EXPERIMENTS.md, "Scoped regions,
+/// measured" and "Placer outer iteration".
 const TASK_MIN_CELLS: usize = 4096;
 /// Cells per parallel chunk in the density scatter.
 const CELL_CHUNK: usize = 4096;
@@ -614,7 +617,7 @@ mod proptests {
     /// constraints on some cells, plus lower-bound positions drawn
     /// from a box wider than the core and clamped into it — so a good
     /// share of the cells sits exactly on a core edge, tied on that
-    /// coordinate. Either a few cells or enough to run as pool tasks.
+    /// coordinate. Either a few cells or enough to run as `join` tasks.
     fn case_strategy() -> impl Strategy<Value = (PlacementProblem, Vec<(f64, f64)>)> {
         (
             0u32..4,

@@ -38,6 +38,8 @@
 //! too-short position arrays surface as [`RouteError`] instead of a panic
 //! or a silently garbage route.
 
+#![forbid(unsafe_code)]
+
 pub mod congestion;
 pub mod error;
 pub mod router;

@@ -40,6 +40,8 @@
 //! as [`TimingError::CombinationalCycle`](error::TimingError) instead of a
 //! panic.
 
+#![forbid(unsafe_code)]
+
 pub mod activity;
 pub mod error;
 pub mod power;

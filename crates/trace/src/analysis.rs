@@ -26,9 +26,8 @@
 //! The critical path is extracted by walking from the root and
 //! repeatedly descending into the child with the largest wall time (ties
 //! broken by earliest start, then insertion order). Parent/child links
-//! are id-based, so a child adopted onto another thread by the
-//! `cp-parallel` pool is followed like any other — the path freely
-//! crosses threads.
+//! are id-based, so a child adopted onto a `cp-parallel` helper thread
+//! is followed like any other — the path freely crosses threads.
 //!
 //! # Diffing and the noise model
 //!
@@ -265,7 +264,7 @@ impl Analysis {
 
     /// The critical path: root first, each step the heaviest child of the
     /// previous one. Crosses threads wherever cross-thread adoption put a
-    /// child on another worker.
+    /// child on another thread.
     pub fn critical_path(&self) -> Vec<PathStep> {
         let mut path = Vec::new();
         let mut cur = self.root;

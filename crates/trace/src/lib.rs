@@ -5,14 +5,14 @@
 //! affecting numerical results. Three primitives:
 //!
 //! - **Spans** ([`span`], [`span_with`]) — RAII guards forming a
-//!   parent/child tree via a thread-local ambient-parent cell. Workers of
-//!   the `cp-parallel` pool re-parent themselves onto the submitting
-//!   span with [`run_with_parent`], so a V-P&R candidate evaluated on a
-//!   stolen chunk still nests under its cluster's span.
+//!   parent/child tree via a thread-local ambient-parent cell. The helper
+//!   threads of a `cp-parallel` region re-parent themselves onto the
+//!   span that opened the region with [`run_with_parent`], so a V-P&R
+//!   candidate evaluated on a helper still nests under its cluster's span.
 //! - **Metrics** ([`counter_add`], [`gauge_set`], [`observe`]) — a
 //!   process-wide registry of monotonic counters, gauges and fixed-bucket
 //!   histograms addressed by static names (plus an optional `u32` slot
-//!   for per-worker instances).
+//!   for per-thread instances).
 //! - **Series** ([`series`]) — per-iteration convergence telemetry
 //!   (global-placer HPWL/overflow/CG residuals, GNN epoch loss), each row
 //!   tagged with the ambient span so a report can attribute it.
@@ -36,6 +36,8 @@
 //! [`TraceReport::dropped_events`]) and holds events until [`take_report`]
 //! extracts one root span's subtree into a [`TraceReport`], which exports
 //! structured JSON and Chrome `trace_event` JSON (Perfetto-loadable).
+
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod fields;
@@ -128,9 +130,10 @@ thread_local! {
     static CURRENT: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A small dense per-thread ordinal (assigned on first use), stable for
-/// the thread's lifetime. Used as the Chrome-trace `tid` and as the
-/// metric slot for per-worker counters.
+/// A per-thread ordinal, assigned in order of first use and never reused:
+/// `cp-parallel` spawns short-lived helper threads per region, so a run
+/// numbers every thread that recorded an event. Used as the Chrome-trace
+/// `tid`.
 pub fn thread_ordinal() -> u32 {
     THREAD_ORD.with(|c| {
         let v = c.get();
@@ -144,8 +147,8 @@ pub fn thread_ordinal() -> u32 {
 }
 
 /// The id of the innermost open span on this thread (0 when tracing is
-/// off or no span is open). This is what `cp-parallel` captures at job
-/// submission so workers can attach to the submitting span.
+/// off or no span is open). This is what `cp-parallel` captures when a
+/// region opens so its helper threads can attach to the opening span.
 pub fn current_span_id() -> u64 {
     if !enabled() {
         return 0;
@@ -154,8 +157,9 @@ pub fn current_span_id() -> u64 {
 }
 
 /// Runs `f` with the ambient parent span set to `parent`, restoring the
-/// previous ambient on exit (including unwind). Pool workers wrap stolen
-/// chunks in this so spans they open nest under the submitter's span.
+/// previous ambient on exit (including unwind). `cp-parallel`'s helper
+/// threads run their chunks in this so spans they open nest under the
+/// span that opened the region.
 pub fn run_with_parent<R>(parent: u64, f: impl FnOnce() -> R) -> R {
     struct Restore(u64);
     impl Drop for Restore {
@@ -422,7 +426,7 @@ pub fn counter_add(name: &'static str, delta: u64) {
     counter_add_slot(name, NO_SLOT, delta);
 }
 
-/// Adds to a slotted monotonic counter (e.g. per pool worker).
+/// Adds to a slotted monotonic counter (e.g. per `cp-parallel` helper).
 pub fn counter_add_slot(name: &'static str, slot: u32, delta: u64) {
     if !telemetry_enabled() {
         return;

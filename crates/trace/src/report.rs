@@ -25,7 +25,7 @@ pub const SCHEMA_JSON: &str = include_str!("../../../schemas/trace_report.schema
 pub struct MetricSnapshot {
     /// Static metric name.
     pub name: &'static str,
-    /// Slot for per-instance metrics (e.g. pool worker index).
+    /// Slot for per-instance metrics (e.g. `cp-parallel` helper index).
     pub slot: Option<u32>,
     /// The metric's value.
     pub value: MetricValue,

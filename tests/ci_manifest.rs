@@ -703,3 +703,41 @@ fn prose_names_the_pools_public_functions() {
     let want = ["par_map", "par_sum", "try_par_map", "with_threads"];
     assert_eq!(pool_mentions(md), want.map(String::from).into());
 }
+
+/// No library crate writes `unsafe`: every `crates/*/src/lib.rs` forbids
+/// it, except cp-core's, which denies it so that its feature-gated
+/// counting allocator, the one `GlobalAlloc` impl, can allow it.
+#[test]
+fn every_library_crate_root_locks_out_unsafe() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let entries = std::fs::read_dir(root.join("crates")).expect("list crates/");
+    let mut crates: Vec<String> = entries
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| root.join("crates").join(name).join("src/lib.rs").is_file())
+        .collect();
+    crates.sort();
+    assert!(
+        crates.contains(&"parallel".to_string()),
+        "crates/ was scanned: {crates:?}"
+    );
+    let mut missing = Vec::new();
+    for name in &crates {
+        let want = match name.as_str() {
+            "core" => "#![deny(unsafe_code)]",
+            _ => "#![forbid(unsafe_code)]",
+        };
+        let lib = format!("crates/{name}/src/lib.rs");
+        if !read(&lib).lines().any(|l| l == want) {
+            missing.push(format!("{lib} lacks {want}"));
+        }
+    }
+    assert_eq!(missing, Vec::<String>::new());
+    let mut sources = Vec::new();
+    rust_sources("crates", &mut sources);
+    let allows: Vec<&String> = sources
+        .iter()
+        .filter(|f| f.contains("/src/") && read(f).contains("allow(unsafe_code)"))
+        .collect();
+    assert_eq!(allows, ["crates/core/src/alloc.rs"]);
+}
