@@ -157,7 +157,7 @@ fn bench_substrates(c: &mut Criterion) {
     });
     group.bench_function("spread", |bench| big_design.bench_spread(bench));
     group.bench_function("activity", |bench| {
-        bench.iter(|| black_box(propagate_activity(&big.netlist, &big.constraints).iterations))
+        bench.iter(|| black_box(propagate_activity(&big.netlist, &big.constraints).density))
     });
     group.bench_function("legalize", |bench| {
         big_design.bench_legalize(&big_fp, bench)

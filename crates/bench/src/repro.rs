@@ -743,15 +743,18 @@ fn gnn(r: &mut Runner) -> Result<Table, FlowError> {
 
 /// Ablation of the three PPA signals the clustering adds to connectivity
 /// (hierarchy, timing-path criticality, switching activity), OpenROAD-like
-/// flow. Not a paper table; its repository publishes the same study.
+/// flow. Not a paper table; its repository publishes the same study. A
+/// signal of Eq. 3 is ablated by zeroing its weight (β for timing, γ for
+/// switching); hierarchy is not a weight, so it keeps its toggle.
 fn ablation(r: &mut Runner) -> Result<Table, FlowError> {
     let base = r.options().tool(Tool::OpenRoadLike);
+    let (beta, gamma) = (base.clustering.beta, base.clustering.gamma);
     let variants = [
-        ("full", [true, true, true]),
-        ("no hierarchy", [false, true, true]),
-        ("no timing", [true, false, true]),
-        ("no switching", [true, true, false]),
-        ("connectivity only", [false, false, false]),
+        ("full", (true, beta, gamma)),
+        ("no hierarchy", (false, beta, gamma)),
+        ("no timing", (true, 0.0, gamma)),
+        ("no switching", (true, beta, 0.0)),
+        ("connectivity only", (false, 0.0, 0.0)),
     ];
     let profiles = r.profiles_in(&small_profiles());
     let title = "Ablation — post-route PPA by ablated signal (normalized to the default flat flow)";
@@ -760,12 +763,12 @@ fn ablation(r: &mut Runner) -> Result<Table, FlowError> {
     for &p in &profiles {
         let default = r.flow(Flow::Default, p, &base)?;
         let name = r.design(p).name();
-        for (variant, [use_hierarchy, use_timing, use_switching]) in variants {
+        for (variant, (use_hierarchy, beta, gamma)) in variants {
             let mut opts = base.clone();
             opts.clustering = ClusteringOptions {
                 use_hierarchy,
-                use_timing,
-                use_switching,
+                beta,
+                gamma,
                 ..base.clustering
             };
             let rep = r.flow(Flow::Ours, p, &opts)?;
@@ -847,7 +850,9 @@ fn backend(r: &mut Runner) -> Result<Table, FlowError> {
     for &p in &profiles {
         let b2b = r.flow(Flow::Default, p, &opts)?;
         for kind in [PlacerBackendKind::B2b, PlacerBackendKind::EDensity] {
-            let rep = r.flow(Flow::Default, p, &opts.clone().backend(kind))?;
+            let mut with_kind = opts.clone();
+            with_kind.placer.backend = kind;
+            let rep = r.flow(Flow::Default, p, &with_kind)?;
             t.rows.push(vec![
                 r.design(p).name().to_string(),
                 kind.name().to_string(),

@@ -81,7 +81,6 @@ pub fn mfc_assignment(netlist: &Netlist, clustering: &ClusteringOptions) -> (Vec
             target_clusters: clustering.target_clusters(netlist.cell_count()),
             max_cluster_size: clustering.max_cluster_size(),
             seed: clustering.seed,
-            max_passes: 24,
         },
     );
     cp_graph::community::compact_labels(&mut labels);

@@ -1,15 +1,14 @@
 //! PPA cost terms on hyperedges: timing cost `t_e`, switching cost `s_e`
 //! (Eq. 2) and the heavy-edge rating (Eq. 3).
 
-use cp_netlist::netlist::Netlist;
 use cp_timing::activity::ActivityReport;
 use cp_timing::sta::TimingPath;
 
 /// Per-hyperedge PPA cost annotation (indexed like the hypergraph edges).
+/// The connectivity weight `w_e` is 1 for every hyperedge, so it is not
+/// stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EdgeCosts {
-    /// Connectivity weight `w_e` (net weight).
-    pub weight: Vec<f64>,
     /// Timing criticality `t_e`, normalized to `[0, 1]`.
     pub timing: Vec<f64>,
     /// Switching cost `s_e` (Eq. 2), `≥ 1`.
@@ -17,19 +16,19 @@ pub struct EdgeCosts {
 }
 
 impl EdgeCosts {
-    /// Uniform costs (used by the plain-FC baseline).
+    /// Uniform costs (used by the plain-FC baseline, and per term by a
+    /// clustering whose weight for it is zero).
     pub fn uniform(edge_count: usize) -> Self {
         Self {
-            weight: vec![1.0; edge_count],
             timing: vec![0.0; edge_count],
             switching: vec![1.0; edge_count],
         }
     }
 
-    /// Combined edge attraction `α·w_e + β·t_e + γ·s_e` (the numerator of
-    /// Eq. 3).
+    /// Combined edge attraction `α·w_e + β·t_e + γ·s_e` with `w_e = 1`
+    /// (the numerator of Eq. 3).
     pub fn combined(&self, e: usize, alpha: f64, beta: f64, gamma: f64) -> f64 {
-        alpha * self.weight[e] + beta * self.timing[e] + gamma * self.switching[e]
+        alpha + beta * self.timing[e] + gamma * self.switching[e]
     }
 }
 
@@ -40,25 +39,18 @@ pub fn path_cost(slack: f64, clock_period: f64) -> f64 {
     x * x
 }
 
-/// Builds the PPA edge costs for a netlist's hypergraph view.
-///
-/// - `t_e`: sum of `t_p` over the extracted critical paths running through
-///   the net, max-normalized to `[0, 1]`;
-/// - `s_e`: Eq. 2, `(1 + θ_e / Σθ)^μ` with `θ_e` the net's switching
-///   activity;
-/// - `w_e`: 1 for every hyperedge (reweighted later by the flow).
+/// The timing cost `t_e` per hyperedge: the sum of `t_p` over the
+/// extracted critical paths running through the net, max-normalized to
+/// `[0, 1]`.
 ///
 /// `net_to_edge` maps net ids to hyperedge ids
-/// (from [`Netlist::to_hypergraph_with_map`]).
-pub fn build_edge_costs(
-    _netlist: &Netlist,
+/// (from [`Netlist::to_hypergraph_with_map`](cp_netlist::netlist::Netlist::to_hypergraph_with_map)).
+pub fn timing_costs(
+    paths: &[TimingPath],
     net_to_edge: &[Option<u32>],
     edge_count: usize,
-    paths: &[TimingPath],
     clock_period: f64,
-    activity: &ActivityReport,
-    mu: f64,
-) -> EdgeCosts {
+) -> Vec<f64> {
     let mut timing = vec![0.0f64; edge_count];
     for p in paths {
         let tp = path_cost(p.slack, clock_period);
@@ -74,7 +66,18 @@ pub fn build_edge_costs(
             *t /= max_t;
         }
     }
-    // Switching: θ per edge from the net activity.
+    timing
+}
+
+/// The switching cost `s_e` per hyperedge, Eq. 2: `(1 + θ_e / Σθ)^μ` with
+/// `θ_e` the net's transition density. `net_to_edge` is as for
+/// [`timing_costs`].
+pub fn switching_costs(
+    activity: &ActivityReport,
+    net_to_edge: &[Option<u32>],
+    edge_count: usize,
+    mu: f64,
+) -> Vec<f64> {
     let mut theta = vec![0.0f64; edge_count];
     for (nid, e) in net_to_edge.iter().enumerate() {
         if let Some(e) = e {
@@ -82,15 +85,10 @@ pub fn build_edge_costs(
         }
     }
     let total_theta: f64 = theta.iter().sum::<f64>().max(1e-12);
-    let switching: Vec<f64> = theta
+    theta
         .iter()
         .map(|&t| (1.0 + t / total_theta).powf(mu))
-        .collect();
-    EdgeCosts {
-        weight: vec![1.0; edge_count],
-        timing,
-        switching,
-    }
+        .collect()
 }
 
 #[cfg(test)]
@@ -120,28 +118,25 @@ mod tests {
         let sta = Sta::new(&n, &c).expect("acyclic netlist");
         let report = sta.run(&WireModel::Estimate);
         let paths = sta.extract_paths(&report, 500);
-        let act = propagate_activity(&n, &c);
-        let costs = build_edge_costs(&n, &map, hg.edge_count(), &paths, c.clock_period, &act, 2.0);
-        assert_eq!(costs.timing.len(), hg.edge_count());
+        let timing = timing_costs(&paths, &map, hg.edge_count(), c.clock_period);
+        assert_eq!(timing.len(), hg.edge_count());
         // Normalization holds.
-        assert!(costs.timing.iter().all(|&t| (0.0..=1.0).contains(&t)));
-        assert!(
-            costs.timing.iter().any(|&t| t > 0.0),
-            "some nets are critical"
-        );
+        assert!(timing.iter().all(|&t| (0.0..=1.0).contains(&t)));
+        assert!(timing.iter().any(|&t| t > 0.0), "some nets are critical");
         // Eq. 2 lower bound.
-        assert!(costs.switching.iter().all(|&s| s >= 1.0));
-        assert!(costs.switching.iter().any(|&s| s > 1.0));
+        let act = propagate_activity(&n, &c);
+        let switching = switching_costs(&act, &map, hg.edge_count(), 2.0);
+        assert!(switching.iter().all(|&s| s >= 1.0));
+        assert!(switching.iter().any(|&s| s > 1.0));
     }
 
     #[test]
     fn combined_mixes_terms() {
         let costs = EdgeCosts {
-            weight: vec![2.0],
             timing: vec![0.5],
             switching: vec![1.5],
         };
-        let c = costs.combined(0, 1.0, 2.0, 3.0);
+        let c = costs.combined(0, 2.0, 2.0, 3.0);
         assert!((c - (2.0 + 1.0 + 4.5)).abs() < 1e-12);
     }
 
@@ -153,11 +148,11 @@ mod tests {
             .generate_with_constraints();
         let (hg, map) = n.to_hypergraph_with_map();
         let act = propagate_activity(&n, &c);
-        let flat = build_edge_costs(&n, &map, hg.edge_count(), &[], c.clock_period, &act, 1.0);
-        let sharp = build_edge_costs(&n, &map, hg.edge_count(), &[], c.clock_period, &act, 4.0);
+        let flat = switching_costs(&act, &map, hg.edge_count(), 1.0);
+        let sharp = switching_costs(&act, &map, hg.edge_count(), 4.0);
         let spread = |v: &[f64]| {
             v.iter().copied().fold(f64::MIN, f64::max) - v.iter().copied().fold(f64::MAX, f64::min)
         };
-        assert!(spread(&sharp.switching) > spread(&flat.switching));
+        assert!(spread(&sharp) > spread(&flat));
     }
 }

@@ -49,19 +49,13 @@ pub struct DendrogramClustering {
 /// assert_eq!(result.assignment.len(), netlist.cell_count());
 /// ```
 pub fn cluster_by_hierarchy(netlist: &Netlist) -> DendrogramClustering {
-    let hg = netlist.to_hypergraph();
-    cluster_by_hierarchy_on(netlist, &hg)
+    cluster_by_hierarchy_with_min(netlist, &netlist.to_hypergraph(), 0)
 }
 
-/// Like [`cluster_by_hierarchy`] but reusing an existing hypergraph view.
-pub fn cluster_by_hierarchy_on(netlist: &Netlist, hg: &Hypergraph) -> DendrogramClustering {
-    cluster_by_hierarchy_with_min(netlist, hg, 0)
-}
-
-/// Like [`cluster_by_hierarchy_on`], but levels yielding fewer than
-/// `min_clusters` clusters are disqualified — a cut coarser than the
-/// downstream coarsening target cannot guide it. If every level is too
-/// coarse, the finest one wins.
+/// Like [`cluster_by_hierarchy`] on an existing hypergraph view, but
+/// levels yielding fewer than `min_clusters` clusters are disqualified —
+/// a cut coarser than the downstream coarsening target cannot guide it.
+/// If every level is too coarse, the finest one wins.
 pub fn cluster_by_hierarchy_with_min(
     netlist: &Netlist,
     hg: &Hypergraph,

@@ -19,6 +19,9 @@ use rand::SeedableRng;
 /// giant nets carry no locality signal).
 const MAX_RATED_EDGE: usize = 64;
 
+/// Maximum coarsening passes.
+const MAX_PASSES: usize = 24;
+
 /// Coarsening options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FcOptions {
@@ -34,8 +37,6 @@ pub struct FcOptions {
     pub max_cluster_size: usize,
     /// Visit-order seed.
     pub seed: u64,
-    /// Maximum coarsening passes.
-    pub max_passes: usize,
 }
 
 impl Default for FcOptions {
@@ -47,7 +48,6 @@ impl Default for FcOptions {
             target_clusters: 64,
             max_cluster_size: usize::MAX,
             seed: 11,
-            max_passes: 24,
         }
     }
 }
@@ -81,7 +81,7 @@ pub fn multilevel_fc(
     let mut count = cp_graph::community::compact_labels(&mut assignment);
     let mut rng = StdRng::seed_from_u64(opts.seed);
 
-    for _ in 0..opts.max_passes {
+    for _ in 0..MAX_PASSES {
         if count <= opts.target_clusters {
             break;
         }
@@ -348,7 +348,6 @@ mod tests {
                 beta: 10.0,
                 gamma: 0.0,
                 target_clusters: 3,
-                max_passes: 1,
                 ..Default::default()
             },
         );

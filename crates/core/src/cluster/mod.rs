@@ -6,7 +6,7 @@ pub mod fc;
 pub mod quality;
 pub mod rent;
 
-use crate::cluster::costs::{build_edge_costs, EdgeCosts};
+use crate::cluster::costs::{switching_costs, timing_costs, EdgeCosts};
 use crate::cluster::dendrogram::cluster_by_hierarchy_with_min;
 use crate::cluster::fc::{multilevel_fc, FcOptions};
 use crate::error::FlowError;
@@ -22,9 +22,10 @@ use std::time::Instant;
 pub struct ClusteringOptions {
     /// Connectivity scale α (Eq. 3).
     pub alpha: f64,
-    /// Timing scale β.
+    /// Timing scale β. At 0 the timing term is ablated: no STA runs.
     pub beta: f64,
-    /// Switching scale γ.
+    /// Switching scale γ. At 0 the switching term is ablated: no activity
+    /// propagation runs.
     pub gamma: f64,
     /// Switching-cost exponent µ (Eq. 2, default 2).
     pub mu: f64,
@@ -36,10 +37,6 @@ pub struct ClusteringOptions {
     pub max_cluster_factor: f64,
     /// Use hierarchy grouping constraints (ablation toggle).
     pub use_hierarchy: bool,
-    /// Use timing costs (ablation toggle).
-    pub use_timing: bool,
-    /// Use switching costs (ablation toggle).
-    pub use_switching: bool,
     /// RNG seed for the coarsening visit order.
     pub seed: u64,
     /// Above this many cells, seed FC with heavy-edge-matched pre-clusters
@@ -60,8 +57,6 @@ impl Default for ClusteringOptions {
             avg_cluster_size: 250,
             max_cluster_factor: 4.0,
             use_hierarchy: true,
-            use_timing: true,
-            use_switching: true,
             seed: 11,
             coarsen_threshold: 200_000,
         }
@@ -100,8 +95,10 @@ pub struct ClusteringResult {
 /// path/net slacks → `t_e`, vectorless activity → `s_e`, then enhanced
 /// multilevel FC.
 ///
-/// The STA (build, run, path extraction) and the activity propagation run
-/// inside this call, so its [`ClusteringResult::runtime`] — and the
+/// Eq. 3's weights are the ablation switches: the STA runs only when
+/// `beta != 0.0` and the activity propagation only when `gamma != 0.0`;
+/// a term whose weight is zero keeps [`EdgeCosts::uniform`]'s value.
+/// Both run inside this call, so its [`ClusteringResult::runtime`] — and the
 /// benchmark's `cluster.ppa_aware_s` — is all of lines 2–10, not only the
 /// coarsening: on the 119k-cell Ariane profile ≈ 0.035 s activity and
 /// ≈ 0.045 s STA of 0.10 s (EXPERIMENTS.md, "Flow tail").
@@ -109,8 +106,8 @@ pub struct ClusteringResult {
 /// # Errors
 ///
 /// [`FlowError::Validation`] when the netlist or constraints are
-/// degenerate; [`FlowError::Timing`] when the timing-cost STA finds a
-/// combinational cycle.
+/// degenerate; [`FlowError::Timing`] when the timing-cost STA (`beta !=
+/// 0.0`) finds a combinational cycle.
 pub fn ppa_aware_clustering(
     netlist: &Netlist,
     constraints: &Constraints,
@@ -133,49 +130,29 @@ pub fn ppa_aware_clustering(
         .then(|| cluster_by_hierarchy_with_min(netlist, &hg, target))
         .filter(|d| d.cluster_count >= 2 && 2 * d.cluster_count >= target);
 
-    // Lines 4-5: timing paths and switching activity.
-    let mut costs = if options.use_timing || options.use_switching {
+    // Lines 4-5: timing paths and switching activity, each only when its
+    // Eq. 3 weight can see it; a zero-weight term keeps the uniform value.
+    let edges = hg.edge_count();
+    let mut costs = EdgeCosts::uniform(edges);
+    if options.beta != 0.0 {
+        let sta = Sta::new(netlist, constraints)?;
+        let report = sta.run(&WireModel::Estimate);
+        let paths = sta.extract_paths(&report, options.path_count);
+        costs.timing = timing_costs(&paths, &net_to_edge, edges, constraints.clock_period);
+    }
+    if options.gamma != 0.0 {
         let act = propagate_activity(netlist, constraints);
-        let paths = if options.use_timing {
-            let sta = Sta::new(netlist, constraints)?;
-            let report = sta.run(&WireModel::Estimate);
-            sta.extract_paths(&report, options.path_count)
-        } else {
-            Vec::new()
-        };
-        build_edge_costs(
-            netlist,
-            &net_to_edge,
-            hg.edge_count(),
-            &paths,
-            constraints.clock_period,
-            &act,
-            options.mu,
-        )
-    } else {
-        EdgeCosts::uniform(hg.edge_count())
-    };
-    if !options.use_switching {
-        costs.switching = vec![1.0; hg.edge_count()];
+        costs.switching = switching_costs(&act, &net_to_edge, edges, options.mu);
     }
 
     // Line 9: enhanced multilevel FC.
     let fc_opts = FcOptions {
         alpha: options.alpha,
-        beta: if options.use_timing {
-            options.beta
-        } else {
-            0.0
-        },
-        gamma: if options.use_switching {
-            options.gamma
-        } else {
-            0.0
-        },
-        target_clusters: options.target_clusters(n_cells),
+        beta: options.beta,
+        gamma: options.gamma,
+        target_clusters: target,
         max_cluster_size: options.max_cluster_size(),
         seed: options.seed,
-        max_passes: 24,
     };
     // Multi-level front-end: above the coarsening threshold, heavy-edge
     // matching over the cell graph produces pre-clusters that seed FC, so

@@ -28,7 +28,7 @@
 //! dropped regions) are reported on [`FlowReport::diagnostics`].
 
 use crate::checkpoint::{self, Checkpoint, PlacementState, ShapingState};
-use crate::cluster::costs::build_edge_costs;
+use crate::cluster::costs::timing_costs;
 use crate::cluster::{ppa_aware_clustering, ClusteringOptions};
 use crate::error::{FlowDiagnostics, FlowError, RecoveryEvent, DEFAULT_DIAGNOSTICS_LIMIT};
 use crate::qor;
@@ -188,16 +188,6 @@ impl FlowOptions {
     /// Sets the shape mode (builder style).
     pub fn shape_mode(mut self, mode: ShapeMode) -> Self {
         self.shape_mode = mode;
-        self
-    }
-
-    /// Sets the placer's spreading backend (builder style). Every
-    /// placement the flow runs — clustered, flat, and V-P&R candidate
-    /// evaluations — uses the chosen backend; checkpointing and QoR
-    /// gating work unchanged (the backend is part of the options
-    /// fingerprint, so checkpoints never mix backends).
-    pub fn backend(mut self, backend: cp_place::PlacerBackendKind) -> Self {
-        self.placer.backend = backend;
         self
     }
 }
@@ -1068,17 +1058,8 @@ pub fn timing_net_weights(
     let sta = Sta::new(netlist, constraints)?;
     let report = sta.run(&cp_timing::wire::WireModel::Estimate);
     let paths = sta.extract_paths(&report, 20_000);
-    let act = propagate_activity(netlist, constraints);
-    let costs = build_edge_costs(
-        netlist,
-        &map,
-        hg.edge_count(),
-        &paths,
-        constraints.clock_period,
-        &act,
-        2.0,
-    );
-    Ok(costs.timing.iter().map(|&t| 1.0 + 2.0 * t).collect())
+    let timing = timing_costs(&paths, &map, hg.edge_count(), constraints.clock_period);
+    Ok(timing.iter().map(|&t| 1.0 + 2.0 * t).collect())
 }
 
 /// One congestion-driven refinement pass (RePlAce-style routability

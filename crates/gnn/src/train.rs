@@ -181,94 +181,3 @@ mod tests {
         train(&mut m, &[], &TrainOptions::default());
     }
 }
-
-/// K-fold cross-validation: trains `k` fresh models, each holding out one
-/// fold, and returns the per-fold `(MAE, R²)` on the held-out fold.
-///
-/// # Panics
-///
-/// Panics unless `k >= 2` and `data.len() >= k`.
-pub fn cross_validate(
-    config: &crate::model::ModelConfig,
-    data: &[(GraphSample, f64)],
-    options: &TrainOptions,
-    k: usize,
-    model_seed: u64,
-) -> Vec<(f64, f64)> {
-    assert!(k >= 2, "need at least two folds");
-    assert!(data.len() >= k, "need at least one sample per fold");
-    let fold_size = data.len() / k;
-    let mut out = Vec::with_capacity(k);
-    for fold in 0..k {
-        let lo = fold * fold_size;
-        let hi = if fold + 1 == k {
-            data.len()
-        } else {
-            lo + fold_size
-        };
-        let held: Vec<(GraphSample, f64)> = data[lo..hi].to_vec();
-        let train_data: Vec<(GraphSample, f64)> = data[..lo]
-            .iter()
-            .chain(data[hi..].iter())
-            .cloned()
-            .collect();
-        let mut model = TotalCostModel::new(config, model_seed + fold as u64);
-        let _ = train(&mut model, &train_data, options);
-        out.push(evaluate(&model, &held));
-    }
-    out
-}
-
-#[cfg(test)]
-mod cv_tests {
-    use super::*;
-    use crate::model::ModelConfig;
-    use crate::sparse::SparseSym;
-    use crate::tensor::Matrix;
-
-    #[test]
-    fn cross_validation_returns_k_folds() {
-        let cfg = ModelConfig {
-            in_dim: 4,
-            hidden_dim: 8,
-            out_dim: 4,
-            branches: 1,
-            head_hidden: 8,
-        };
-        let data: Vec<(GraphSample, f64)> = (0..12)
-            .map(|i| {
-                let t = i as f64 / 12.0;
-                (
-                    GraphSample {
-                        adj: SparseSym::normalized_from_edges(3, &[(0, 1, 1.0), (1, 2, 1.0)]),
-                        features: Matrix::from_fn(3, 4, |r, c| t + 0.01 * (r + c) as f64),
-                    },
-                    t,
-                )
-            })
-            .collect();
-        let folds = cross_validate(
-            &cfg,
-            &data,
-            &TrainOptions {
-                epochs: 5,
-                batch_size: 4,
-                ..Default::default()
-            },
-            3,
-            1,
-        );
-        assert_eq!(folds.len(), 3);
-        for (mae, r2) in folds {
-            assert!(mae.is_finite());
-            assert!(r2.is_finite());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "two folds")]
-    fn one_fold_panics() {
-        let cfg = ModelConfig::default();
-        cross_validate(&cfg, &[], &TrainOptions::default(), 1, 0);
-    }
-}

@@ -187,11 +187,6 @@ impl Floorplan {
         (self.core.height() / self.row_height).round() as usize
     }
 
-    /// Number of sites per row.
-    pub fn sites_per_row(&self) -> usize {
-        (self.core.width() / self.site_width).floor() as usize
-    }
-
     /// The y coordinate of row `r`'s bottom edge.
     pub fn row_y(&self, r: usize) -> f64 {
         self.core.lly + r as f64 * self.row_height

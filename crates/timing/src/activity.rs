@@ -11,7 +11,11 @@
 //! standard vectorless approximation). Flop outputs resample: `p_Q = p_D`,
 //! `d_Q = 2 · p_D · (1 − p_D)` (at most one toggle per cycle).
 //!
-//! Sequential feedback loops are handled by fixed-point iteration.
+//! Sequential feedback loops are handled by a fixed budget of
+//! Gauss–Seidel sweeps, not iteration to a fixed point: on the generated
+//! designs the densities never settle (on the full-size profiles the last
+//! round still moves one by 0.6–2.1), so the sweep count is part of the
+//! model.
 
 use cp_netlist::library::{CellClass, LogicFunction};
 use cp_netlist::netlist::{Netlist, PinRef};
@@ -24,8 +28,6 @@ pub struct ActivityReport {
     pub probability: Vec<f64>,
     /// Transition density per net, toggles per clock cycle.
     pub density: Vec<f64>,
-    /// Fixed-point iterations performed.
-    pub iterations: usize,
 }
 
 impl ActivityReport {
@@ -35,10 +37,8 @@ impl ActivityReport {
     }
 }
 
-/// Maximum fixed-point iterations over sequential feedback.
+/// Rounds of two Gauss–Seidel sweeps over sequential feedback.
 const MAX_ITERS: usize = 8;
-/// Convergence tolerance on densities.
-const TOL: f64 = 1e-6;
 /// Combinational density cap, toggles per cycle. The Boolean-difference
 /// method counts glitching, which XOR trees amplify without bound;
 /// vectorless tools clip at the clock rate (two edges per cycle).
@@ -90,8 +90,7 @@ impl GateRow {
 
 /// Propagates vectorless activity through the design.
 ///
-/// Runs `MAX_ITERS` (8) fixed-point iterations of two Gauss–Seidel sweeps
-/// in net-id order (fewer only if the densities settle within `TOL`)
+/// Runs `MAX_ITERS` (8) rounds of two Gauss–Seidel sweeps in net-id order
 /// over a gate table built once per call: one row per cell-driven net
 /// with the function's minterm sets resolved, so a sweep touches no
 /// library or connectivity structure.
@@ -180,14 +179,13 @@ pub fn propagate_activity(netlist: &Netlist, constraints: &Constraints) -> Activ
         }
     }
 
-    let mut iterations = 0;
     let mut delta = 0.0f64;
     for _ in 0..MAX_ITERS {
-        iterations += 1;
         delta = 0.0;
-        // One forward sweep in net-id order repeated until fixpoint; the
-        // sweep count is bounded by logic depth, which MAX_ITERS covers for
-        // the generated pipelines because ids are roughly topological.
+        // Forward sweeps in net-id order, which is roughly topological for
+        // the generated pipelines. `delta` keeps the last round's largest
+        // change for the span: the evidence that the budget, not a fixed
+        // point, ends the loop.
         for _ in 0..2 {
             for row in &rows {
                 let i = row.net as usize;
@@ -221,22 +219,17 @@ pub fn propagate_activity(netlist: &Netlist, constraints: &Constraints) -> Activ
                 dens[i] = new_d;
             }
         }
-        if delta < TOL {
-            break;
-        }
     }
     prob.truncate(nn);
     dens.truncate(nn);
     span.arg(
         "gate_evals",
-        cp_trace::ArgValue::U((rows.len() * 2 * iterations) as u64),
+        cp_trace::ArgValue::U((rows.len() * 2 * MAX_ITERS) as u64),
     );
-    span.arg("iterations", cp_trace::ArgValue::U(iterations as u64));
     span.arg("delta", cp_trace::ArgValue::F(delta));
     ActivityReport {
         probability: prob,
         density: dens,
-        iterations,
     }
 }
 
@@ -304,7 +297,10 @@ mod tests {
     }
 
     /// The netlist-walking implementation [`propagate_activity`] replaced,
-    /// kept as the oracle it must match bit for bit.
+    /// kept as the oracle it must match bit for bit. It keeps the early
+    /// exit the production loop dropped (densities settled within 1e-6),
+    /// so the bit-equality tests fail on any design where that exit would
+    /// have fired.
     fn reference_activity(netlist: &Netlist, constraints: &Constraints) -> ActivityReport {
         let nn = netlist.net_count();
         let mut prob = vec![0.5f64; nn];
@@ -328,9 +324,7 @@ mod tests {
                 _ => {}
             }
         }
-        let mut iterations = 0;
         for _ in 0..MAX_ITERS {
-            iterations += 1;
             let mut delta = 0.0f64;
             for _ in 0..2 {
                 for (i, net) in netlist.nets().iter().enumerate() {
@@ -371,19 +365,17 @@ mod tests {
                     dens[i] = new_d;
                 }
             }
-            if delta < TOL {
+            if delta < 1e-6 {
                 break;
             }
         }
         ActivityReport {
             probability: prob,
             density: dens,
-            iterations,
         }
     }
 
     fn assert_bits_equal(got: &ActivityReport, want: &ActivityReport, what: &str) {
-        assert_eq!(got.iterations, want.iterations, "{what}: iterations");
         assert_eq!(got.probability.len(), want.probability.len(), "{what}");
         assert_eq!(got.density.len(), want.density.len(), "{what}");
         for i in 0..want.probability.len() {
@@ -573,7 +565,6 @@ mod tests {
             .seed(3)
             .generate_with_constraints();
         let act = propagate_activity(&n, &c);
-        assert!(act.iterations <= MAX_ITERS);
         for (i, (&p, &d)) in act.probability.iter().zip(&act.density).enumerate() {
             assert!((0.0..=1.0).contains(&p), "net {i} p={p}");
             assert!((0.0..=4.0).contains(&d), "net {i} d={d}");

@@ -19,7 +19,7 @@
 //! error. The definition telescopes: summed over every span of a tree,
 //! self-time equals the root's wall time *exactly* (in integer
 //! nanoseconds), which is what makes per-name aggregation a partition of
-//! the run and lets `tracetool gate` reason about shares.
+//! the run: the shares `tracetool summarize` prints add up to the root.
 //!
 //! # Critical path
 //!
@@ -36,8 +36,9 @@
 //! model (`|new − base| > max(abs_tol, rel_tol·|base|)` counts as a
 //! change) because wall-clock jitters; metric comparisons default to
 //! exact because the flow's outputs are bitwise deterministic. A diff is
-//! always one run against one run; rejecting a slow repetition is the
-//! caller's job (`tracetool gate` diffs its fastest rep).
+//! always one run against one run (`tracetool diff` on two report files);
+//! whether time moved across many runs is the benchmark's question, not
+//! this module's.
 
 use crate::report::ReportDoc;
 use std::collections::BTreeMap;

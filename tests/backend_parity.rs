@@ -40,7 +40,8 @@ fn default_options_match_explicit_b2b_backend_at_every_thread_count() {
         "b2b must stay the default backend"
     );
     let reference = run_flow(&b.netlist, &b.constraints, &default_opts).expect("flow runs");
-    let explicit = qor_gate::gate_options().backend(PlacerBackendKind::B2b);
+    let mut explicit = qor_gate::gate_options();
+    explicit.placer.backend = PlacerBackendKind::B2b;
     for threads in THREADS {
         let report = cp_parallel::with_threads(threads, || {
             run_flow(&b.netlist, &b.constraints, &explicit).expect("flow runs")
@@ -57,7 +58,8 @@ fn default_options_match_explicit_b2b_backend_at_every_thread_count() {
 fn edensity_flow_is_thread_count_invariant() {
     let _lock = serialized();
     let b = qor_gate::gate_bench();
-    let opts = qor_gate::gate_options().backend(PlacerBackendKind::EDensity);
+    let mut opts = qor_gate::gate_options();
+    opts.placer.backend = PlacerBackendKind::EDensity;
     let reference = run_flow(&b.netlist, &b.constraints, &opts).expect("flow runs");
     assert!(
         reference.hpwl.is_finite() && reference.hpwl > 0.0,
@@ -77,7 +79,7 @@ fn edensity_flow_is_thread_count_invariant() {
 /// Reduced-effort options on a tiny design for the checkpoint/resume loop,
 /// mirroring `tests/resilience.rs` but with the eDensity backend.
 fn edensity_resume_opts() -> FlowOptions {
-    FlowOptions {
+    let mut opts = FlowOptions {
         clustering: ClusteringOptions {
             avg_cluster_size: 50,
             path_count: 1000,
@@ -86,8 +88,9 @@ fn edensity_resume_opts() -> FlowOptions {
         vpr_min_instances: 60,
         ..Default::default()
     }
-    .shape_mode(ShapeMode::Vpr)
-    .backend(PlacerBackendKind::EDensity)
+    .shape_mode(ShapeMode::Vpr);
+    opts.placer.backend = PlacerBackendKind::EDensity;
+    opts
 }
 
 #[test]

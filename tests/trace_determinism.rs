@@ -6,8 +6,8 @@
 
 use cp_core::cluster::ppa_aware_clustering;
 use cp_core::flow::{
-    run_default_flow, run_flow, run_flow_resilient, run_flow_with_assignment, FlowOptions,
-    FlowReport, ResilienceOptions, ShapeMode, ShapingStats,
+    run_default_flow, run_flow, run_flow_resilient, run_flow_with_assignment, timing_net_weights,
+    FlowOptions, FlowReport, ResilienceOptions, ShapeMode, ShapingStats,
 };
 use cp_core::{Checkpoint, ClusteringOptions};
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
@@ -407,14 +407,62 @@ fn legalize_and_activity_ignore_the_trace_level_and_publish_their_counts() {
             "the outward search stops early: {scored} of {rows} x {cells}"
         );
         assert_eq!(arg("place.legalize", "displacement_um"), off.1);
-        let iterations = arg("timing.activity", "iterations");
         assert_eq!(arg("timing.activity", "nets"), n.net_count() as f64);
-        assert_eq!(iterations, off.2.iterations as f64);
+        // Eight rounds of two sweeps over at most one gate per net.
         let evals = arg("timing.activity", "gate_evals");
-        assert!(evals > 0.0 && evals <= 2.0 * iterations * n.net_count() as f64);
+        assert!(evals > 0.0 && evals <= 16.0 * n.net_count() as f64);
+        assert_eq!(evals % 16.0, 0.0, "every round runs");
         assert!(arg("timing.activity", "delta") >= 0.0);
     }
     cp_trace::clear();
+}
+
+/// How many spans of each name `f` records at `Level::Spans`.
+fn span_counts<const K: usize>(names: [&str; K], f: impl FnOnce()) -> [usize; K] {
+    let trace = at_level(Level::Spans, || {
+        let root = cp_trace::span("test.root");
+        f();
+        cp_trace::take_report(root).expect("tracing is on")
+    });
+    cp_trace::clear();
+    names.map(|name| trace.spans_named(name).count())
+}
+
+/// The flat flow's timing weights read only `t_e`, so building them runs
+/// the STA and no activity propagation.
+#[test]
+fn timing_net_weights_propagate_no_activity() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, c) = small_design();
+    let counts = span_counts(["sta.run", "timing.activity"], || {
+        timing_net_weights(&n, &c).expect("acyclic netlist");
+    });
+    assert_eq!(counts, [1, 0]);
+}
+
+/// Eq. 3's weights are the clustering's ablation switches: β = 0 runs no
+/// STA, γ = 0 no activity propagation, and the defaults run both.
+#[test]
+fn clustering_runs_only_the_signals_its_weights_read() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, c) = small_design();
+    let defaults = opts().clustering;
+    for (beta, gamma, want) in [
+        (defaults.beta, defaults.gamma, [1, 1]),
+        (0.0, defaults.gamma, [0, 1]),
+        (defaults.beta, 0.0, [1, 0]),
+        (0.0, 0.0, [0, 0]),
+    ] {
+        let options = ClusteringOptions {
+            beta,
+            gamma,
+            ..defaults
+        };
+        let counts = span_counts(["sta.run", "timing.activity"], || {
+            ppa_aware_clustering(&n, &c, &options).expect("clustering runs");
+        });
+        assert_eq!(counts, want, "β = {beta}, γ = {gamma}");
+    }
 }
 
 proptest! {
