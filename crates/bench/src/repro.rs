@@ -19,6 +19,7 @@ use cp_core::baselines::{
     leiden_assignment, mfc_assignment, run_blob_flow, run_leiden_flow, run_mfc_flow,
 };
 use cp_core::checkpoint::fingerprint;
+use cp_core::cluster::dendrogram::cluster_by_hierarchy_with_min;
 use cp_core::cluster::ppa_aware_clustering;
 use cp_core::cluster::quality::clustering_quality;
 use cp_core::flow::{
@@ -776,8 +777,39 @@ fn ablation(r: &mut Runner) -> Result<Table, FlowError> {
             let last = t.rows.len() - 1;
             t.rows[last].insert(2, fmt_norm(rep.hpwl, default.hpwl));
         }
+        if let Some(note) = inert_hierarchy_note(r, p, &base.clustering)? {
+            t.notes.push(note);
+        }
     }
     Ok(t)
+}
+
+/// Says so when the hierarchy toggle cannot move `profile`'s rows:
+/// `ppa_aware_clustering` under `options` keeps no dendrogram level — it
+/// drops a level with fewer than half the FC target's clusters — so "no
+/// hierarchy" clusters exactly as "full" does.
+fn inert_hierarchy_note(
+    r: &mut Runner,
+    profile: DesignProfile,
+    options: &ClusteringOptions,
+) -> Result<Option<String>, FlowError> {
+    let b = r.design(profile);
+    if !options.use_hierarchy
+        || ppa_aware_clustering(&b.netlist, &b.constraints, options)?
+            .dendrogram_level
+            .is_some()
+    {
+        return Ok(None);
+    }
+    let target = options.target_clusters(b.netlist.cell_count());
+    let level = cluster_by_hierarchy_with_min(&b.netlist, &b.netlist.to_hypergraph(), target);
+    Ok(Some(format!(
+        "{}: \"no hierarchy\" equals \"full\". The dendrogram level has {} clusters \
+         against an FC target of {target}, under half of it, so the clustering \
+         drops it and runs without grouping constraints.",
+        b.name(),
+        level.cluster_count
+    )))
 }
 
 /// Classic clustering criteria for Leiden, MFC and ours — read against
@@ -1053,6 +1085,31 @@ mod tests {
             .replace("THREADS", &cp_parallel::current_threads().to_string())
             .replace("CORES", &cp_parallel::detected_cores().to_string());
         assert_eq!(to_json(&r, &[t, empty], 1.23456), golden);
+    }
+
+    /// On Jpeg @ 1/32 the one dendrogram level has 5 clusters against an
+    /// FC target of 27, so the clustering drops it and the ablation's
+    /// hierarchy toggle changes nothing; the table says so.
+    #[test]
+    fn ablation_notes_an_inert_hierarchy_toggle() {
+        let mut r = Runner::new(1.0 / 32.0, vec![Jpeg]);
+        let base = r.options().clustering;
+        let note = inert_hierarchy_note(&mut r, Jpeg, &base)
+            .expect("clustering runs")
+            .expect("the level is dropped");
+        assert!(note.starts_with("jpeg: "), "{note}");
+        assert!(
+            note.contains("5 clusters against an FC target of 27"),
+            "{note}"
+        );
+        let off = ClusteringOptions {
+            use_hierarchy: false,
+            ..base
+        };
+        assert_eq!(
+            inert_hierarchy_note(&mut r, Jpeg, &off).expect("runs"),
+            None
+        );
     }
 
     /// Tables 2, 3 and 5 on aes share the flat flow and the

@@ -12,7 +12,7 @@ use crate::cluster::fc::{multilevel_fc, FcOptions};
 use crate::error::FlowError;
 use cp_netlist::netlist::Netlist;
 use cp_netlist::Constraints;
-use cp_timing::activity::propagate_activity;
+use cp_timing::activity::{propagate_activity, ActivityReport};
 use cp_timing::sta::Sta;
 use cp_timing::wire::WireModel;
 use std::time::Instant;
@@ -88,6 +88,10 @@ pub struct ClusteringResult {
     pub dendrogram_rent: Option<f64>,
     /// Wall-clock seconds spent clustering (incl. STA/activity extraction).
     pub runtime: f64,
+    /// The switching activity `s_e` was built from (`None` at `gamma ==
+    /// 0.0`, where none is propagated); the flow's power analysis reuses
+    /// it.
+    pub activity: Option<ActivityReport>,
 }
 
 /// Runs the full PPA-aware clustering pipeline (Algorithm 1, lines 2–10):
@@ -140,9 +144,9 @@ pub fn ppa_aware_clustering(
         let paths = sta.extract_paths(&report, options.path_count);
         costs.timing = timing_costs(&paths, &net_to_edge, edges, constraints.clock_period);
     }
-    if options.gamma != 0.0 {
-        let act = propagate_activity(netlist, constraints);
-        costs.switching = switching_costs(&act, &net_to_edge, edges, options.mu);
+    let activity = (options.gamma != 0.0).then(|| propagate_activity(netlist, constraints));
+    if let Some(act) = &activity {
+        costs.switching = switching_costs(act, &net_to_edge, edges, options.mu);
     }
 
     // Line 9: enhanced multilevel FC.
@@ -187,6 +191,7 @@ pub fn ppa_aware_clustering(
         dendrogram_level: dendro.as_ref().map(|d| d.level),
         dendrogram_rent: dendro.as_ref().map(|d| d.rent),
         runtime: start.elapsed().as_secs_f64(),
+        activity,
     })
 }
 

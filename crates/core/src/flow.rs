@@ -45,7 +45,7 @@ use cp_place::detailed::{refine, DetailedOptions};
 use cp_place::hpwl::raw_hpwl;
 use cp_place::{legalize, GlobalPlacer, PlacementProblem, PlacementResult, PlacerOptions};
 use cp_route::{route_placed_netlist, RouterOptions};
-use cp_timing::activity::propagate_activity;
+use cp_timing::activity::{propagate_activity, ActivityReport};
 use cp_timing::power::power_report;
 use cp_timing::sta::Sta;
 use cp_timing::wire::WireModel;
@@ -649,18 +649,20 @@ impl<'a> Run<'a> {
         });
         let resume = self.exec.resume.take();
 
-        // Lines 2-9: the cluster assignment.
+        // Lines 2-9: the cluster assignment. The clustering's switching
+        // activity, when it propagated one, is the power analysis's too.
         let clustering;
-        let (assignment, clustering_runtime) = match clusters {
-            Clusters::Flat => (None, 0.0),
-            Clusters::Given(assignment, runtime) => (Some(assignment), runtime),
+        let (assignment, clustering_runtime, activity) = match clusters {
+            Clusters::Flat => (None, 0.0, None),
+            Clusters::Given(assignment, runtime) => (Some(assignment), runtime, None),
             Clusters::PpaAware => match &resume {
-                Some(cp) => (Some(cp.assignment.as_slice()), cp.clustering_runtime),
+                Some(cp) => (Some(cp.assignment.as_slice()), cp.clustering_runtime, None),
                 None => {
                     clustering = self.timed(stages::CLUSTERING, |run| {
                         ppa_aware_clustering(netlist, constraints, &run.options.clustering)
                     })?;
-                    (Some(clustering.assignment.as_slice()), clustering.runtime)
+                    let assignment = Some(clustering.assignment.as_slice());
+                    (assignment, clustering.runtime, clustering.activity.as_ref())
                 }
             },
         };
@@ -842,7 +844,7 @@ impl<'a> Run<'a> {
         qor::record_heap();
 
         let ppa = self.timed(stages::PPA, |_| {
-            evaluate_ppa(netlist, constraints, &positions, &fp, options)
+            evaluate_ppa(netlist, constraints, &positions, &fp, options, activity)
         })?;
         let trace = cp_trace::take_report(root);
         self.timings.finalize(trace.as_ref(), clustering_runtime);
@@ -1083,29 +1085,19 @@ pub fn congestion_driven_refine(
 ) -> Result<Vec<(f64, f64)>, FlowError> {
     let mut all = positions.clone();
     all.extend_from_slice(&fp.port_positions);
-    let routed = route_placed_netlist(netlist, &all, fp, &options.router)?;
-    let cong = routed.congestion.gcell_congestion();
-    let (nx, gsize) = (routed.congestion.nx(), routed.congestion.gcell_size());
-    if routed.congestion.max_utilization() <= 1.0 {
+    let grid = route_placed_netlist(netlist, &all, fp, &options.router)?.congestion;
+    if grid.max_utilization() <= 1.0 {
         return Ok(positions); // nothing overflows
     }
     let mut inflated = problem.clone();
-    let mut touched = 0usize;
-    for (i, &(x, y)) in positions.iter().enumerate() {
-        let gi = (((x - fp.die.llx) / gsize) as usize).min(nx - 1);
-        let gj = (((y - fp.die.lly) / gsize) as usize).min(cong.len() / nx - 1);
-        let c = cong[gj * nx + gi];
+    for (cell, &(x, y)) in inflated.movable.iter_mut().zip(&positions) {
+        let c = grid.congestion_at(grid.gcell_of(x, y));
         if c > 1.0 {
-            let f = c.min(2.0);
-            inflated.movable[i].width = problem.movable[i].width * f;
+            cell.width *= c.min(2.0);
         }
     }
-    for (a, b) in inflated.movable.iter().zip(problem.movable.iter()) {
-        if a.width != b.width {
-            touched += 1;
-        }
-    }
-    if touched == 0 {
+    let mut pairs = inflated.movable.iter().zip(&problem.movable);
+    if pairs.all(|(a, b)| a.width == b.width) {
         return Ok(positions);
     }
     let replaced = GlobalPlacer::new(PlacerOptions {
@@ -1122,7 +1114,9 @@ pub fn congestion_driven_refine(
 }
 
 /// Post-placement evaluation (Algorithm 1, lines 27-30): CTS, global
-/// routing, post-route STA and power.
+/// routing, post-route STA and power. Power reads `activity` when the
+/// caller has the design's switching activity, and propagates it here
+/// otherwise.
 ///
 /// # Errors
 ///
@@ -1135,6 +1129,7 @@ pub fn evaluate_ppa(
     cell_positions: &[(f64, f64)],
     floorplan: &Floorplan,
     options: &FlowOptions,
+    activity: Option<&ActivityReport>,
 ) -> Result<PpaReport, FlowError> {
     let mut positions = cell_positions.to_vec();
     positions.extend_from_slice(&floorplan.port_positions);
@@ -1144,7 +1139,10 @@ pub fn evaluate_ppa(
     let wire = WireModel::Routed(&positions, detour);
     let sta = Sta::new(netlist, constraints)?;
     let timing = sta.run_with_clock(&wire, Some(&tree.arrival));
-    let activity = propagate_activity(netlist, constraints);
+    let activity = activity.map_or_else(
+        || Cow::Owned(propagate_activity(netlist, constraints)),
+        Cow::Borrowed,
+    );
     let power = power_report(netlist, constraints, &activity, &wire);
     cp_trace::gauge_set(
         qor::ROUTE_MAX_UTILIZATION,

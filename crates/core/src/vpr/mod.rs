@@ -94,16 +94,6 @@ pub struct ShapeSearchStats {
     pub warm_start_hits: usize,
 }
 
-impl ShapeSearchStats {
-    /// Accumulates another search's counters into this one.
-    pub fn merge(&mut self, other: &Self) {
-        self.exact_evals += other.exact_evals;
-        self.exact_evals_avoided += other.exact_evals_avoided;
-        self.proxy_evals += other.proxy_evals;
-        self.warm_start_hits += other.warm_start_hits;
-    }
-}
-
 /// A finished virtual placement, reusable as the starting point of the
 /// next candidate's solve: the movable-cell positions (ports excluded)
 /// plus the core they were placed in, so they can be rescaled onto a die

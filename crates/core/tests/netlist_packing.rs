@@ -233,7 +233,7 @@ fn aes_identities_match_the_unpacked_database() {
         .generate();
     assert_eq!(
         fingerprint(&n, &FlowOptions::default()),
-        0xbe8b_6b57_628b_5c42
+        0xc95b_98f8_2bb3_eb3a
     );
     assert_eq!(
         fnv1a64(FNV_OFFSET, verilog::write(&n).as_bytes()),

@@ -86,11 +86,6 @@ impl HierTree {
         false
     }
 
-    /// `true` if the node has no child module instances.
-    pub fn is_leaf(&self, id: HierNodeId) -> bool {
-        self.nodes[id.index()].children.is_empty()
-    }
-
     /// Full hierarchical path, `/`-separated from the root.
     pub fn path(&self, id: HierNodeId) -> String {
         let mut parts = Vec::new();
@@ -146,8 +141,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.node(a).depth, 1);
         assert_eq!(t.node(aa).depth, 2);
-        assert!(t.is_leaf(b));
-        assert!(!t.is_leaf(a));
         assert_eq!(t.node(HierTree::ROOT).children, vec![a, b]);
         assert_eq!(t.max_depth(), 2);
     }

@@ -166,11 +166,6 @@ impl CellType {
         self.width * self.height
     }
 
-    /// Index of the clock pin for sequential cells (`ck` is input 1).
-    pub fn clock_pin(&self) -> Option<usize> {
-        self.function.is_sequential().then_some(1)
-    }
-
     /// Number of input pins.
     pub fn input_count(&self) -> usize {
         self.input_names.len()
@@ -409,16 +404,6 @@ mod tests {
         let x4 = lib.cell(lib.find("INV_X4").unwrap());
         assert!(x4.drive_res < x1.drive_res);
         assert!(x4.area() > x1.area());
-    }
-
-    #[test]
-    fn dff_clock_pin() {
-        let lib = Library::nangate45ish();
-        let dff = lib.cell(lib.find("DFF_X1").unwrap());
-        assert_eq!(dff.clock_pin(), Some(1));
-        assert_eq!(dff.input_names[1], "ck");
-        let inv = lib.cell(lib.find("INV_X1").unwrap());
-        assert_eq!(inv.clock_pin(), None);
     }
 
     #[test]

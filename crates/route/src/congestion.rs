@@ -1,4 +1,7 @@
-//! The GCell congestion map.
+//! The GCell congestion map: the routing grid and its track demand.
+
+use cp_netlist::floorplan::{Floorplan, Rect};
+use cp_netlist::netlist::Netlist;
 
 /// Sub-unit resolution of the integer maze cost: one unit of the f64 cost
 /// `1 + 8u²` is `COST_RESOLUTION` integer steps (quarter-unit).
@@ -16,12 +19,17 @@ fn edge_cost(demand: f64, capacity: f64) -> u16 {
     (units * f64::from(COST_RESOLUTION) + 0.5) as u16
 }
 
-/// Track demand/capacity over a `nx × ny` GCell grid.
+/// Track demand/capacity over a `nx × ny` grid of square GCells.
+///
+/// GCell `(i, j)` spans `[x0 + i·g, x0 + (i+1)·g) × [y0 + j·g, y0 + (j+1)·g)`
+/// from the grid's origin `(x0, y0)`; [`CongestionMap::gcell_of`] is the
+/// one map from a position to its GCell.
 ///
 /// Horizontal edges connect `(i, j)`–`(i+1, j)` (there are `(nx−1)·ny`);
 /// vertical edges connect `(i, j)`–`(i, j+1)` (`nx·(ny−1)`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CongestionMap {
+    origin: (f64, f64),
     nx: usize,
     ny: usize,
     gcell: f64,
@@ -35,33 +43,74 @@ pub struct CongestionMap {
 }
 
 impl CongestionMap {
-    /// An empty map over a `nx × ny` grid with per-edge capacities.
+    /// An empty map over `region` at `gcell` µm per GCell: the grid starts
+    /// at the region's lower-left corner and has `⌈extent / gcell⌉` (at
+    /// least one) GCells per axis, every edge at `capacity` tracks.
     ///
     /// # Panics
     ///
-    /// Panics unless the grid is at least 1×1 and capacities are positive.
-    pub fn new(nx: usize, ny: usize, gcell: f64, h_capacity: f64, v_capacity: f64) -> Self {
-        assert!(nx >= 1 && ny >= 1, "grid must be at least 1x1");
-        assert!(
-            h_capacity > 0.0 && v_capacity > 0.0,
-            "capacities must be positive"
-        );
+    /// Panics unless `gcell` and `capacity` are positive.
+    pub fn new(region: Rect, gcell: f64, capacity: f64) -> Self {
+        assert!(gcell > 0.0, "GCell size must be positive");
+        assert!(capacity > 0.0, "capacity must be positive");
+        let nx = ((region.width() / gcell).ceil() as usize).max(1);
+        let ny = ((region.height() / gcell).ceil() as usize).max(1);
+        let (h_edges, v_edges) = ((nx - 1) * ny, nx * (ny - 1));
+        let cost = edge_cost(0.0, capacity);
         Self {
+            origin: (region.llx, region.lly),
             nx,
             ny,
             gcell,
-            h_demand: vec![0.0; (nx.saturating_sub(1)) * ny],
-            v_demand: vec![0.0; nx * (ny.saturating_sub(1))],
-            h_capacity: vec![h_capacity; (nx.saturating_sub(1)) * ny],
-            v_capacity: vec![v_capacity; nx * (ny.saturating_sub(1))],
-            h_cost: vec![edge_cost(0.0, h_capacity); (nx.saturating_sub(1)) * ny],
-            v_cost: vec![edge_cost(0.0, v_capacity); nx * (ny.saturating_sub(1))],
+            h_demand: vec![0.0; h_edges],
+            v_demand: vec![0.0; v_edges],
+            h_capacity: vec![capacity; h_edges],
+            v_capacity: vec![capacity; v_edges],
+            h_cost: vec![cost; h_edges],
+            v_cost: vec![cost; v_edges],
         }
     }
 
+    /// The routing grid of a placed design — the one place its values are
+    /// decided: the die at three row heights per GCell, each edge at the
+    /// library's `tracks_per_layer × horizontal_layers` tracks (10 × 3 in
+    /// [`cp_netlist::Library::nangate45ish`]), and each floorplan
+    /// blockage derated to 40% (macros consume the lower routing layers)
+    /// over GCell indices from the floor of its low corner's offset to
+    /// the ceiling of its high corner's, so one GCell past the block on
+    /// the high side of each axis is derated too.
+    pub fn for_design(netlist: &Netlist, floorplan: &Floorplan) -> Self {
+        let library = netlist.library();
+        let capacity = (library.tracks_per_layer * library.horizontal_layers) as f64;
+        let region = floorplan.die;
+        let gcell = 3.0 * floorplan.row_height;
+        let mut map = Self::new(region, gcell, capacity);
+        let (nx, ny) = (map.nx, map.ny);
+        for b in &floorplan.blockages {
+            let i0 = (((b.llx - region.llx) / gcell).floor().max(0.0)) as usize;
+            let j0 = (((b.lly - region.lly) / gcell).floor().max(0.0)) as usize;
+            let i1 = (((b.urx - region.llx) / gcell).ceil().max(0.0)) as usize;
+            let j1 = (((b.ury - region.lly) / gcell).ceil().max(0.0)) as usize;
+            map.derate(i0, j0, i1.min(nx - 1), j1.min(ny - 1), 0.4);
+        }
+        map
+    }
+
+    /// The GCell holding `(x, y)`; positions outside the grid clamp to its
+    /// border GCells. The index is the offset in GCells truncated `as
+    /// isize` and clamped to `[0, n − 1]`, which equals truncating `as
+    /// usize` and capping at `n − 1`: both casts saturate, so a negative
+    /// or NaN offset gives 0 and a far-out one `n − 1` either way.
+    pub fn gcell_of(&self, x: f64, y: f64) -> (usize, usize) {
+        let index = |offset: f64, n: usize| (offset as isize).clamp(0, n as isize - 1) as usize;
+        (
+            index((x - self.origin.0) / self.gcell, self.nx),
+            index((y - self.origin.1) / self.gcell, self.ny),
+        )
+    }
+
     /// Scales the capacity of every edge whose GCell index falls inside
-    /// `[i0, i1] × [j0, j1]` by `factor` (macro obstructions consume
-    /// routing resources on the lower layers).
+    /// `[i0, i1] × [j0, j1]` by `factor`, keeping at least one track.
     ///
     /// A one-column grid has no horizontal edges and a one-row grid no
     /// vertical ones; the absent direction is skipped.
@@ -149,6 +198,18 @@ impl CongestionMap {
         self.v_demand[self.v_idx(i, j)]
     }
 
+    /// Capacity of a horizontal edge.
+    #[cfg(test)]
+    pub(crate) fn h_capacity(&self, i: usize, j: usize) -> f64 {
+        self.h_capacity[self.h_idx(i, j)]
+    }
+
+    /// Capacity of a vertical edge.
+    #[cfg(test)]
+    pub(crate) fn v_capacity(&self, i: usize, j: usize) -> f64 {
+        self.v_capacity[self.v_idx(i, j)]
+    }
+
     /// Utilization (demand/capacity) of a horizontal edge.
     pub fn h_utilization(&self, i: usize, j: usize) -> f64 {
         let idx = self.h_idx(i, j);
@@ -161,29 +222,31 @@ impl CongestionMap {
         self.v_demand[idx] / self.v_capacity[idx]
     }
 
-    /// Per-GCell congestion: the max utilization over the cell's incident
+    /// Congestion of GCell `(i, j)`: the max utilization over its incident
     /// edges (the quantity Eq. 5 averages).
-    pub fn gcell_congestion(&self) -> Vec<f64> {
-        let mut out = vec![0.0f64; self.nx * self.ny];
-        for j in 0..self.ny {
-            for i in 0..self.nx {
-                let mut c = 0.0f64;
-                if i > 0 {
-                    c = c.max(self.h_utilization(i - 1, j));
-                }
-                if i + 1 < self.nx {
-                    c = c.max(self.h_utilization(i, j));
-                }
-                if j > 0 {
-                    c = c.max(self.v_utilization(i, j - 1));
-                }
-                if j + 1 < self.ny {
-                    c = c.max(self.v_utilization(i, j));
-                }
-                out[j * self.nx + i] = c;
-            }
+    pub fn congestion_at(&self, (i, j): (usize, usize)) -> f64 {
+        let mut c = 0.0f64;
+        if i > 0 {
+            c = c.max(self.h_utilization(i - 1, j));
         }
-        out
+        if i + 1 < self.nx {
+            c = c.max(self.h_utilization(i, j));
+        }
+        if j > 0 {
+            c = c.max(self.v_utilization(i, j - 1));
+        }
+        if j + 1 < self.ny {
+            c = c.max(self.v_utilization(i, j));
+        }
+        c
+    }
+
+    /// [`CongestionMap::congestion_at`] of every GCell, row-major —
+    /// GCell `(i, j)` at `j · nx + i`.
+    pub fn gcell_congestion(&self) -> Vec<f64> {
+        (0..self.ny)
+            .flat_map(|j| (0..self.nx).map(move |i| self.congestion_at((i, j))))
+            .collect()
     }
 
     /// Eq. 5 of the paper: the average congestion over the top `x_percent`
@@ -241,11 +304,18 @@ impl CongestionMap {
 mod tests {
     use super::*;
 
+    /// An `nx × ny` grid of 5 µm GCells from the origin.
+    fn grid(nx: usize, ny: usize, capacity: f64) -> CongestionMap {
+        let region = Rect::new(0.0, 0.0, 5.0 * nx as f64, 5.0 * ny as f64);
+        CongestionMap::new(region, 5.0, capacity)
+    }
+
     #[test]
     fn demand_and_utilization() {
-        let mut m = CongestionMap::new(3, 2, 5.0, 10.0, 20.0);
+        let mut m = grid(3, 2, 10.0);
+        assert_eq!((m.nx(), m.ny(), m.gcell_size()), (3, 2, 5.0));
         m.add_h(0, 0, 5.0);
-        m.add_v(1, 0, 10.0);
+        m.add_v(1, 0, 5.0);
         assert_eq!(m.h_utilization(0, 0), 0.5);
         assert_eq!(m.v_utilization(1, 0), 0.5);
         assert_eq!(m.h_utilization(1, 0), 0.0);
@@ -257,15 +327,19 @@ mod tests {
 
     #[test]
     fn gcell_congestion_takes_incident_max() {
-        let mut m = CongestionMap::new(2, 1, 5.0, 10.0, 10.0);
+        let mut m = grid(2, 1, 10.0);
         m.add_h(0, 0, 8.0);
         let c = m.gcell_congestion();
         assert_eq!(c, vec![0.8, 0.8]);
+        assert_eq!(
+            (m.congestion_at((0, 0)), m.congestion_at((1, 0))),
+            (0.8, 0.8)
+        );
     }
 
     #[test]
     fn top_percent_average_matches_eq5() {
-        let mut m = CongestionMap::new(10, 10, 5.0, 10.0, 10.0);
+        let mut m = grid(10, 10, 10.0);
         // One very hot edge.
         m.add_h(4, 4, 20.0);
         let top1 = m.top_percent_average(1.0); // 1 cell
@@ -277,17 +351,17 @@ mod tests {
     #[test]
     fn derate_skips_the_absent_edge_direction() {
         // One column: no horizontal edges to derate.
-        let mut column = CongestionMap::new(1, 4, 5.0, 10.0, 10.0);
+        let mut column = grid(1, 4, 10.0);
         column.derate(0, 0, 0, 3, 0.4);
         column.add_v(0, 1, 4.0);
         assert_eq!(column.v_utilization(0, 1), 1.0);
         // One row: no vertical edges.
-        let mut row = CongestionMap::new(4, 1, 5.0, 10.0, 10.0);
+        let mut row = grid(4, 1, 10.0);
         row.derate(0, 0, 3, 0, 0.4);
         row.add_h(1, 0, 4.0);
         assert_eq!(row.h_utilization(1, 0), 1.0);
         // One GCell: no edges at all.
-        let mut cell = CongestionMap::new(1, 1, 5.0, 10.0, 10.0);
+        let mut cell = grid(1, 1, 10.0);
         cell.derate(0, 0, 0, 0, 0.4);
         assert_eq!(cell.max_utilization(), 0.0);
     }
@@ -295,7 +369,7 @@ mod tests {
     #[test]
     fn cached_cost_tracks_demand_and_capacity() {
         let unit = COST_RESOLUTION as u16;
-        let mut m = CongestionMap::new(3, 2, 5.0, 10.0, 10.0);
+        let mut m = grid(3, 2, 10.0);
         assert_eq!(m.h_cost_row(0, 0, 2), [unit, unit]);
         assert_eq!(m.v_cost_row(0, 0, 3), [unit, unit, unit]);
         m.add_h(0, 0, 5.0); // u = 0.5: 1 + 8·0.25 = 3 units
@@ -311,9 +385,99 @@ mod tests {
         assert_eq!(m.v_cost_row(1, 0, 1), [unit]);
     }
 
+    /// A partial GCell at the far edge counts, and an empty region still
+    /// gets one GCell.
+    #[test]
+    fn new_covers_the_region_from_its_corner() {
+        let m = CongestionMap::new(Rect::new(-3.0, 7.0, 21.0, 10.0), 5.0, 8.0);
+        assert_eq!((m.nx(), m.ny()), (5, 2));
+        assert_eq!(m.gcell_of(-3.0, 7.0), (0, 0));
+        assert_eq!(m.gcell_of(1.9, 11.9), (0, 0));
+        assert_eq!(m.gcell_of(2.0, 12.0), (1, 1));
+        let empty = CongestionMap::new(Rect::new(1.0, 1.0, 0.0, 0.0), 5.0, 8.0);
+        assert_eq!((empty.nx(), empty.ny()), (1, 1));
+    }
+
+    /// `gcell_of` is the expression the router and the congestion refine
+    /// each used to write out: in the die, below it, NaN and past it.
+    #[test]
+    fn gcell_of_matches_both_former_expressions() {
+        let (llx, lly, g) = (-3.0, 7.0, 4.2);
+        let m = CongestionMap::new(Rect::new(llx, lly, 40.0, 30.0), g, 8.0);
+        let (nx, ny) = (m.nx(), m.ny());
+        assert_eq!((nx, ny), (10, 8));
+        let to_gcell = |x: f64, y: f64| {
+            let i = (((x - llx) / g) as isize).clamp(0, nx as isize - 1) as usize;
+            let j = (((y - lly) / g) as isize).clamp(0, ny as isize - 1) as usize;
+            (i, j)
+        };
+        let refine = |x: f64, y: f64| {
+            let i = (((x - llx) / g) as usize).min(nx - 1);
+            let j = (((y - lly) / g) as usize).min(ny - 1);
+            (i, j)
+        };
+        let coordinates = [
+            (0.0, 10.0),
+            (llx, lly),
+            (llx + 4.2, lly + 4.2),
+            (30.0, 30.0),
+            (36.9, 36.9),
+            (-50.0, -1e300),
+            (f64::NAN, 20.0),
+            (10.0, f64::NAN),
+            (37.0, 37.0),
+            (1e9, 1e300),
+            (f64::INFINITY, f64::NEG_INFINITY),
+        ];
+        for (x, y) in coordinates {
+            assert_eq!(m.gcell_of(x, y), to_gcell(x, y), "({x}, {y})");
+            assert_eq!(m.gcell_of(x, y), refine(x, y), "({x}, {y})");
+        }
+        assert_eq!(m.gcell_of(f64::NAN, 1e9), (0, ny - 1));
+    }
+
+    /// The design grid derates every edge of a GCell a floorplan blockage
+    /// touches to 0.4 of the library's tracks, and no other edge.
+    #[test]
+    fn design_grid_derates_edges_under_a_blockage() {
+        use cp_netlist::generator::{DesignProfile, GeneratorConfig};
+        let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
+            .scale(0.02)
+            .generate();
+        let mut fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+        let open = CongestionMap::for_design(&netlist, &fp);
+        let g = open.gcell_size();
+        let (llx, lly) = (fp.die.llx, fp.die.lly);
+        // The block spans GCells 2.5..4.3 × 1.5..3.3: from the floor of its
+        // low corner to the ceiling of its high one, 2..=5 × 1..=4.
+        fp.blockages = vec![Rect::new(llx + 2.5 * g, lly + 1.5 * g, 1.8 * g, 1.8 * g)];
+        let blocked = CongestionMap::for_design(&netlist, &fp);
+        let full = open.h_capacity(0, 0);
+        assert!(
+            open.nx() > 7 && open.ny() > 6,
+            "{} x {}",
+            open.nx(),
+            open.ny()
+        );
+        for j in 0..open.ny() {
+            for i in 0..open.nx() {
+                let inside = (2..=5).contains(&i) && (1..=4).contains(&j);
+                let want = if inside { 0.4 * full } else { full };
+                if i + 1 < open.nx() {
+                    assert_eq!(open.h_capacity(i, j), full);
+                    assert_eq!(blocked.h_capacity(i, j), want, "h ({i}, {j})");
+                }
+                if j + 1 < open.ny() {
+                    assert_eq!(open.v_capacity(i, j), full);
+                    assert_eq!(blocked.v_capacity(i, j), want, "v ({i}, {j})");
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "percentage")]
     fn bad_percentage_panics() {
-        CongestionMap::new(2, 2, 5.0, 1.0, 1.0).top_percent_average(0.0);
+        grid(2, 2, 1.0).top_percent_average(0.0);
     }
 }

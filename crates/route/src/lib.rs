@@ -34,6 +34,13 @@
 //! assert!(routed.congestion.max_utilization() >= 0.0);
 //! ```
 //!
+//! The routing grid — origin, GCell size, per-edge capacity, the macro
+//! derate and the position→GCell map — is a [`CongestionMap`], and a
+//! placed design's grid is decided in one place,
+//! [`CongestionMap::for_design`]. [`route_placed_netlist`] routes a placed
+//! netlist on it; [`route_nets`] routes pin lists on any grid its caller
+//! built.
+//!
 //! All routing entry points are fallible: NaN pin coordinates and
 //! too-short position arrays surface as [`RouteError`] instead of a panic
 //! or a silently garbage route.
@@ -46,6 +53,4 @@ pub mod router;
 
 pub use crate::congestion::CongestionMap;
 pub use crate::error::RouteError;
-pub use crate::router::{
-    route_nets, route_nets_with_blockages, route_placed_netlist, RouterOptions, RoutingResult,
-};
+pub use crate::router::{route_nets, route_placed_netlist, RouterOptions, RoutingResult};

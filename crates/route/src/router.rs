@@ -2,26 +2,15 @@
 
 use crate::congestion::{CongestionMap, MAX_EDGE_COST};
 use crate::error::RouteError;
-use cp_netlist::floorplan::{Floorplan, Rect};
+use cp_netlist::floorplan::Floorplan;
 use cp_netlist::netlist::{Netlist, PinRef};
 use cp_netlist::NetId;
 
-/// Router tuning knobs.
-///
-/// [`route_placed_netlist`] takes `tracks_per_layer` and
-/// `layers_per_direction` from the netlist's library and ignores the values
-/// given here; only [`route_nets`] and [`route_nets_with_blockages`] read
-/// them.
+/// Router tuning knobs. The grid the router works on is not among them:
+/// [`route_placed_netlist`] routes on [`CongestionMap::for_design`], and
+/// [`route_nets`] on whatever grid its caller built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RouterOptions {
-    /// GCell edge length in µm (0 = auto: three row heights).
-    pub gcell_size: f64,
-    /// Tracks per GCell edge per routing layer (overwritten from the
-    /// library by [`route_placed_netlist`]).
-    pub tracks_per_layer: u32,
-    /// Routing layers per direction (overwritten from the library by
-    /// [`route_placed_netlist`]).
-    pub layers_per_direction: u32,
     /// Send a segment whose two L-shapes both cross an edge at or over
     /// capacity to the maze stage: the cheapest path inside its window.
     pub maze_fallback: bool,
@@ -32,9 +21,6 @@ pub struct RouterOptions {
 impl Default for RouterOptions {
     fn default() -> Self {
         Self {
-            gcell_size: 0.0,
-            tracks_per_layer: 10,
-            layers_per_direction: 3,
             maze_fallback: true,
             maze_margin: 8,
         }
@@ -68,7 +54,9 @@ impl RoutingResult {
     }
 }
 
-/// Routes a set of nets given as pin-position lists within `region`.
+/// Routes a set of nets given as pin-position lists onto `grid`, which
+/// comes back as the result's congestion map. Pins map to GCells with
+/// [`CongestionMap::gcell_of`].
 ///
 /// Three-pin nets route to their Steiner (median) point, larger nets are
 /// decomposed over a Manhattan-distance Prim MST; each two-pin segment
@@ -82,27 +70,10 @@ impl RoutingResult {
 /// infinite (such a pin cannot be mapped to a GCell).
 pub fn route_nets(
     nets: &[Vec<(f64, f64)>],
-    region: Rect,
+    grid: CongestionMap,
     options: &RouterOptions,
 ) -> Result<RoutingResult, RouteError> {
-    route_nets_with_blockages(nets, region, &[], options)
-}
-
-/// Like [`route_nets`], with macro obstructions: GCell edges under a
-/// blockage keep only 40% of their capacity (macros consume the lower
-/// routing layers).
-///
-/// # Errors
-///
-/// Returns [`RouteError::NonFinitePin`] if any pin coordinate is NaN or
-/// infinite.
-pub fn route_nets_with_blockages(
-    nets: &[Vec<(f64, f64)>],
-    region: Rect,
-    blockages: &[Rect],
-    options: &RouterOptions,
-) -> Result<RoutingResult, RouteError> {
-    route_nets_counted(nets, region, blockages, options).map(|(routed, _)| routed)
+    route_nets_counted(nets, grid, options).map(|(routed, _)| routed)
 }
 
 /// Work counts of one routing call, published on the `route.global` span.
@@ -149,11 +120,10 @@ impl RouteStats {
 
 type GCell = (usize, usize);
 
-/// The body of [`route_nets_with_blockages`], also returning work counts.
+/// The body of [`route_nets`], also returning work counts.
 fn route_nets_counted(
     nets: &[Vec<(f64, f64)>],
-    region: Rect,
-    blockages: &[Rect],
+    mut map: CongestionMap,
     options: &RouterOptions,
 ) -> Result<(RoutingResult, RouteStats), RouteError> {
     for (ni, pins) in nets.iter().enumerate() {
@@ -161,28 +131,7 @@ fn route_nets_counted(
             return Err(RouteError::NonFinitePin { net: ni });
         }
     }
-    let gcell = if options.gcell_size > 0.0 {
-        options.gcell_size
-    } else {
-        4.2 // three NanGate45-ish rows
-    };
-    let nx = ((region.width() / gcell).ceil() as usize).max(1);
-    let ny = ((region.height() / gcell).ceil() as usize).max(1);
-    let cap = (options.tracks_per_layer * options.layers_per_direction) as f64;
-    let mut map = CongestionMap::new(nx, ny, gcell, cap, cap);
-    for b in blockages {
-        let i0 = (((b.llx - region.llx) / gcell).floor().max(0.0)) as usize;
-        let j0 = (((b.lly - region.lly) / gcell).floor().max(0.0)) as usize;
-        let i1 = (((b.urx - region.llx) / gcell).ceil().max(0.0)) as usize;
-        let j1 = (((b.ury - region.lly) / gcell).ceil().max(0.0)) as usize;
-        map.derate(i0, j0, i1.min(nx - 1), j1.min(ny - 1), 0.4);
-    }
-
-    let to_gcell = |x: f64, y: f64| -> GCell {
-        let i = (((x - region.llx) / gcell) as isize).clamp(0, nx as isize - 1) as usize;
-        let j = (((y - region.lly) / gcell) as isize).clamp(0, ny as isize - 1) as usize;
-        (i, j)
-    };
+    let gcell = map.gcell_size();
 
     // Route small-bbox nets first (they have the least flexibility).
     let bbox_hp: Vec<f64> = nets
@@ -215,7 +164,7 @@ fn route_nets_counted(
         }
         hpwl += bbox_hp[ni];
         cells.clear();
-        cells.extend(pins.iter().map(|&(x, y)| to_gcell(x, y)));
+        cells.extend(pins.iter().map(|&(x, y)| map.gcell_of(x, y)));
         mst_segments(&cells, &mut mst);
         for &(a, b) in &mst.segments {
             if a == b {
@@ -235,7 +184,8 @@ fn route_nets_counted(
 }
 
 /// Routes a placed flat netlist (positions indexed as hypergraph vertices:
-/// cells then ports). Clock nets are skipped — CTS owns them.
+/// cells then ports) on its design grid, [`CongestionMap::for_design`].
+/// Clock nets are skipped — CTS owns them.
 ///
 /// # Errors
 ///
@@ -259,12 +209,6 @@ pub fn route_placed_netlist(
             got: positions.len(),
         });
     }
-    let mut opts = *options;
-    if opts.gcell_size <= 0.0 {
-        opts.gcell_size = 3.0 * floorplan.row_height;
-    }
-    opts.tracks_per_layer = netlist.library().tracks_per_layer;
-    opts.layers_per_direction = netlist.library().horizontal_layers;
     let mut nets: Vec<Vec<(f64, f64)>> = Vec::with_capacity(netlist.net_count());
     for (i, net) in netlist.nets().iter().enumerate() {
         if net.is_clock {
@@ -280,7 +224,8 @@ pub fn route_placed_netlist(
         }
         nets.push(pins);
     }
-    let (routed, stats) = route_nets_counted(&nets, floorplan.die, &floorplan.blockages, &opts)?;
+    let grid = CongestionMap::for_design(netlist, floorplan);
+    let (routed, stats) = route_nets_counted(&nets, grid, options)?;
     if cp_trace::enabled() {
         for (name, count) in stats.entries() {
             span.arg(name, cp_trace::ArgValue::U(count));
@@ -838,16 +783,15 @@ fn maze_route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cp_netlist::floorplan::Rect;
 
-    fn region() -> Rect {
-        Rect::new(0.0, 0.0, 100.0, 100.0)
+    /// 10 × 10 GCells of 10 µm, two tracks per edge.
+    fn grid() -> CongestionMap {
+        CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0, 2.0)
     }
 
     fn opts() -> RouterOptions {
         RouterOptions {
-            gcell_size: 10.0,
-            tracks_per_layer: 2,
-            layers_per_direction: 1,
             maze_fallback: true,
             maze_margin: 4,
         }
@@ -856,7 +800,7 @@ mod tests {
     #[test]
     fn two_pin_net_length_is_manhattan() {
         let nets = vec![vec![(5.0, 5.0), (45.0, 35.0)]];
-        let r = route_nets(&nets, region(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid(), &opts()).expect("routable");
         // (0,0) → (4,3): 7 edges × 10 µm.
         assert_eq!(r.wirelength, 70.0);
         assert_eq!(r.mazed_segments, 0);
@@ -868,7 +812,7 @@ mod tests {
     fn multi_pin_net_uses_mst() {
         // Three collinear pins: MST length = span, not star.
         let nets = vec![vec![(5.0, 5.0), (55.0, 5.0), (95.0, 5.0)]];
-        let r = route_nets(&nets, region(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid(), &opts()).expect("routable");
         assert_eq!(r.wirelength, 90.0);
     }
 
@@ -879,7 +823,7 @@ mod tests {
         for _ in 0..4 {
             nets.push(vec![(5.0, 55.0), (95.0, 55.0)]);
         }
-        let r = route_nets(&nets, region(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid(), &opts()).expect("routable");
         // Capacity 2/edge: 4 straight routes must overflow or detour.
         assert!(
             r.mazed_segments > 0 || r.congestion.overflow_edges() > 0,
@@ -896,7 +840,7 @@ mod tests {
         for _ in 0..8 {
             nets.push(vec![(5.0, 55.0), (95.0, 55.0)]);
         }
-        let r = route_nets(&nets, region(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid(), &opts()).expect("routable");
         assert!(r.detour_factor() >= 1.0);
         assert!(r.wirelength >= 8.0 * 90.0);
     }
@@ -904,14 +848,14 @@ mod tests {
     #[test]
     fn nan_pin_is_a_typed_error() {
         let nets = vec![vec![(5.0, 5.0), (f64::NAN, 35.0)]];
-        let err = route_nets(&nets, region(), &opts()).expect_err("NaN pin must be rejected");
+        let err = route_nets(&nets, grid(), &opts()).expect_err("NaN pin must be rejected");
         assert_eq!(err, RouteError::NonFinitePin { net: 0 });
     }
 
     #[test]
     fn single_pin_nets_are_free() {
         let nets = vec![vec![(5.0, 5.0)]];
-        let r = route_nets(&nets, region(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid(), &opts()).expect("routable");
         assert_eq!(r.wirelength, 0.0);
     }
 
@@ -921,8 +865,8 @@ mod tests {
         let mut nets: Vec<Vec<(f64, f64)>> =
             (0..8).map(|_| vec![(5.0, 55.0), (95.0, 55.0)]).collect();
         nets.push(vec![(15.0, 5.0), (85.0, 95.0), (45.0, 45.0), (5.0, 85.0)]);
-        let (first, stats) = route_nets_counted(&nets, region(), &[], &opts()).expect("routable");
-        let (second, again) = route_nets_counted(&nets, region(), &[], &opts()).expect("routable");
+        let (first, stats) = route_nets_counted(&nets, grid(), &opts()).expect("routable");
+        let (second, again) = route_nets_counted(&nets, grid(), &opts()).expect("routable");
         assert_eq!(first, second);
         assert_eq!(stats, again);
         assert!(stats.mazed_segments > 0, "{stats:?}");
@@ -945,6 +889,51 @@ mod tests {
         assert!(stats.maze_bbox_nodes <= stats.maze_window_nodes);
     }
 
+    /// `route_placed_netlist` routes on the design grid: GCells three rows
+    /// wide covering the die, and every edge at the library's tracks per
+    /// layer times its layers per direction.
+    #[test]
+    fn placed_designs_route_on_the_design_grid() {
+        use cp_netlist::generator::{DesignProfile, GeneratorConfig};
+        let mut netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
+            .scale(0.005)
+            .generate();
+        let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+        let die = fp.die;
+        let mut positions: Vec<(f64, f64)> = (0..netlist.cell_count())
+            .map(|k| {
+                let (u, v) = ((k * 37 % 100) as f64 / 100.0, (k * 61 % 100) as f64 / 100.0);
+                (die.llx + u * die.width(), die.lly + v * die.height())
+            })
+            .collect();
+        positions.extend_from_slice(&fp.port_positions);
+        let route = |netlist: &Netlist| {
+            route_placed_netlist(netlist, &positions, &fp, &RouterOptions::default())
+                .expect("finite positions route")
+                .congestion
+        };
+        let capacity_everywhere = |grid: &CongestionMap, tracks: f64| {
+            let (nx, ny) = (grid.nx(), grid.ny());
+            (0..ny).all(|j| (0..nx - 1).all(|i| grid.h_capacity(i, j) == tracks))
+                && (0..ny - 1).all(|j| (0..nx).all(|i| grid.v_capacity(i, j) == tracks))
+        };
+        let grid = route(&netlist);
+        let g = grid.gcell_size();
+        assert_eq!(g, 3.0 * fp.row_height);
+        let (nx, ny) = (grid.nx(), grid.ny());
+        assert!(nx >= 4 && ny >= 4, "{nx} x {ny}");
+        assert!((nx - 1) as f64 * g < die.width() && die.width() <= nx as f64 * g);
+        assert!((ny - 1) as f64 * g < die.height() && die.height() <= ny as f64 * g);
+        assert_eq!(grid.gcell_of(die.llx, die.lly), (0, 0));
+        assert_eq!(grid.gcell_of(die.urx, die.ury), (nx - 1, ny - 1));
+        assert!(grid.max_utilization() > 0.0);
+        // The default library's 10 tracks on each of 3 layers.
+        assert!(capacity_everywhere(&grid, 30.0));
+        let library = netlist.library_mut();
+        (library.tracks_per_layer, library.horizontal_layers) = (7, 2);
+        assert!(capacity_everywhere(&route(&netlist), 14.0));
+    }
+
     #[test]
     fn deterministic() {
         let nets = vec![
@@ -952,8 +941,8 @@ mod tests {
             vec![(15.0, 85.0), (85.0, 15.0)],
             vec![(50.0, 5.0), (50.0, 95.0), (5.0, 50.0)],
         ];
-        let a = route_nets(&nets, region(), &opts()).expect("routable");
-        let b = route_nets(&nets, region(), &opts()).expect("routable");
+        let a = route_nets(&nets, grid(), &opts()).expect("routable");
+        let b = route_nets(&nets, grid(), &opts()).expect("routable");
         assert_eq!(a, b);
     }
 }
@@ -961,22 +950,21 @@ mod tests {
 #[cfg(test)]
 mod blockage_tests {
     use super::*;
+    use cp_netlist::floorplan::Rect;
 
     #[test]
     fn derated_region_congests_sooner() {
-        let region = Rect::new(0.0, 0.0, 100.0, 100.0);
+        let grid = CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0, 4.0);
         let opts = RouterOptions {
-            gcell_size: 10.0,
-            tracks_per_layer: 4,
-            layers_per_direction: 1,
             maze_fallback: false,
             maze_margin: 4,
         };
         let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(5.0, 55.0), (95.0, 55.0)]).collect();
-        let open = route_nets(&nets, region, &opts).expect("routable");
-        let blocked =
-            route_nets_with_blockages(&nets, region, &[Rect::new(30.0, 40.0, 40.0, 30.0)], &opts)
-                .expect("routable");
+        let open = route_nets(&nets, grid.clone(), &opts).expect("routable");
+        // GCells 3..=7 × 4..=7: the block over x 30–70, y 40–70.
+        let mut derated = grid;
+        derated.derate(3, 4, 7, 7, 0.4);
+        let blocked = route_nets(&nets, derated, &opts).expect("routable");
         assert!(
             blocked.congestion.max_utilization() > open.congestion.max_utilization(),
             "derated capacity should raise utilization: {} vs {}",
@@ -989,12 +977,10 @@ mod blockage_tests {
 #[cfg(test)]
 mod degenerate_grid_tests {
     use super::*;
+    use cp_netlist::floorplan::Rect;
 
     fn opts() -> RouterOptions {
         RouterOptions {
-            gcell_size: 10.0,
-            tracks_per_layer: 1,
-            layers_per_direction: 1,
             maze_fallback: true,
             maze_margin: 4,
         }
@@ -1003,10 +989,11 @@ mod degenerate_grid_tests {
     #[test]
     fn one_column_region_with_a_blockage_routes() {
         // 5 µm wide at 10 µm GCells: a 1 × 10 grid with no horizontal edges.
-        let region = Rect::new(0.0, 0.0, 5.0, 100.0);
+        let mut grid = CongestionMap::new(Rect::new(0.0, 0.0, 5.0, 100.0), 10.0, 1.0);
         let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(2.0, 5.0), (3.0, 95.0)]).collect();
-        let blockage = Rect::new(0.0, 20.0, 5.0, 40.0);
-        let r = route_nets_with_blockages(&nets, region, &[blockage], &opts()).expect("routable");
+        // A block over x 0–5, y 20–60: GCells 0..=0 × 2..=6.
+        grid.derate(0, 2, 0, 6, 0.4);
+        let r = route_nets(&nets, grid, &opts()).expect("routable");
         assert_eq!((r.congestion.nx(), r.congestion.ny()), (1, 10));
         assert_eq!(r.wirelength, 3.0 * 90.0);
         assert_eq!(r.congestion.overflow_edges(), 9);
@@ -1014,10 +1001,11 @@ mod degenerate_grid_tests {
 
     #[test]
     fn one_row_region_with_a_blockage_routes() {
-        let region = Rect::new(0.0, 0.0, 100.0, 5.0);
+        let mut grid = CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 5.0), 10.0, 1.0);
         let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(5.0, 2.0), (95.0, 3.0)]).collect();
-        let blockage = Rect::new(20.0, 0.0, 40.0, 5.0);
-        let r = route_nets_with_blockages(&nets, region, &[blockage], &opts()).expect("routable");
+        // A block over x 20–60, y 0–5: GCells 2..=6 × 0..=0.
+        grid.derate(2, 0, 6, 0, 0.4);
+        let r = route_nets(&nets, grid, &opts()).expect("routable");
         assert_eq!((r.congestion.nx(), r.congestion.ny()), (10, 1));
         assert_eq!(r.wirelength, 3.0 * 90.0);
     }
@@ -1028,11 +1016,17 @@ mod degenerate_grid_tests {
 #[cfg(test)]
 mod maze_oracle_tests {
     use super::*;
+    use cp_netlist::floorplan::Rect;
     use proptest::prelude::*;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
     /// Cost of the cheapest `a`→`b` path inside the maze's window.
+    /// An `nx × ny` grid of 1 µm GCells, four tracks per edge.
+    fn unit_grid(nx: usize, ny: usize) -> CongestionMap {
+        CongestionMap::new(Rect::new(0.0, 0.0, nx as f64, ny as f64), 1.0, 4.0)
+    }
+
     fn oracle_cost(map: &CongestionMap, a: GCell, b: GCell, margin: usize) -> Option<u32> {
         let (x0, y0, x1, y1) = maze_window(map, a, b, margin);
         let mut dist = vec![u32::MAX; map.nx() * map.ny()];
@@ -1236,7 +1230,7 @@ mod maze_oracle_tests {
             prop::collection::vec((0usize..196, 0usize..195, 0usize..5), 1..6),
         )
             .prop_map(|((nx, ny), excess, holes, derates, segments)| {
-                let mut map = CongestionMap::new(nx, ny, 1.0, 4.0, 4.0);
+                let mut map = unit_grid(nx, ny);
                 let span = |p: usize, q: usize, n: usize| ((p % n).min(q % n), (p % n).max(q % n));
                 for (i0, j0, i1, j1) in derates {
                     let ((i0, i1), (j0, j1)) = (span(i0, i1, nx), span(j0, j1, ny));
@@ -1284,7 +1278,7 @@ mod maze_oracle_tests {
             segments in prop::collection::vec((0usize..144, 0usize..143, 0usize..5), 1..6),
         ) {
             let (nx, ny) = if dims == (1, 1) { (1, 2) } else { dims };
-            let mut map = CongestionMap::new(nx, ny, 1.0, 4.0, 4.0);
+            let mut map = unit_grid(nx, ny);
             for (i0, j0, i1, j1) in derates {
                 map.derate(i0.min(i1) % nx, j0.min(j1) % ny, i0.max(i1) % nx, j0.max(j1) % ny, 0.4);
             }
@@ -1345,7 +1339,7 @@ mod maze_oracle_tests {
             maze_margin: margin,
             ..Default::default()
         };
-        let mut map = CongestionMap::new(n, n, 1.0, 4.0, 4.0);
+        let mut map = unit_grid(n, n);
         let mut rng = proptest::TestRng::seed_from_u64(40);
         let mut scratch = MazeScratch::new();
         let mut outcomes = Vec::new();
@@ -1377,7 +1371,7 @@ mod maze_oracle_tests {
     #[test]
     fn degenerate_segments_and_windows_match_the_oracle() {
         let saturated = |nx: usize, ny: usize| {
-            let mut map = CongestionMap::new(nx, ny, 1.0, 4.0, 4.0);
+            let mut map = unit_grid(nx, ny);
             // Capacity 1.6 on the staircases' way through the middle.
             map.derate(nx / 3, ny / 3, 2 * nx / 3, 2 * ny / 3, 0.4);
             for j in 0..ny {
@@ -1437,7 +1431,7 @@ mod maze_oracle_tests {
             ((1, 1), (8, 8)),
         ] {
             let route = || {
-                let before = CongestionMap::new(20, 20, 1.0, 4.0, 4.0);
+                let before = unit_grid(20, 20);
                 let mut after = before.clone();
                 let mut stats = RouteStats::default();
                 let mut scratch = MazeScratch::new();
@@ -1464,19 +1458,20 @@ mod maze_oracle_tests {
 #[cfg(test)]
 mod steiner_tests {
     use super::*;
+    use cp_netlist::floorplan::Rect;
+
+    /// 20 × 20 GCells of 10 µm at the default library's 30 tracks.
+    fn grid() -> CongestionMap {
+        CongestionMap::new(Rect::new(0.0, 0.0, 200.0, 200.0), 10.0, 30.0)
+    }
 
     #[test]
     fn three_pin_steiner_beats_mst_on_an_l() {
         // Pins at the corners of an L: MST length 2·10 gcells; Steiner via
         // the median point also 20 — but for a T shape Steiner wins.
-        let region = Rect::new(0.0, 0.0, 200.0, 200.0);
-        let opts = RouterOptions {
-            gcell_size: 10.0,
-            ..Default::default()
-        };
         // T shape: pins at (0,10), (20,10), (10,0) in gcells.
         let nets = vec![vec![(5.0, 105.0), (195.0, 105.0), (105.0, 5.0)]];
-        let r = route_nets(&nets, region, &opts).expect("routable");
+        let r = route_nets(&nets, grid(), &RouterOptions::default()).expect("routable");
         // Steiner point (10,10): total = 10 + 9 + 10 = 29 edges = 290 µm.
         // An MST would pay 10 + (10+10) = ... ≥ 29; exact check:
         assert_eq!(r.wirelength, 290.0);
@@ -1484,13 +1479,8 @@ mod steiner_tests {
 
     #[test]
     fn three_collinear_pins_unchanged() {
-        let region = Rect::new(0.0, 0.0, 200.0, 200.0);
-        let opts = RouterOptions {
-            gcell_size: 10.0,
-            ..Default::default()
-        };
         let nets = vec![vec![(5.0, 5.0), (105.0, 5.0), (195.0, 5.0)]];
-        let r = route_nets(&nets, region, &opts).expect("routable");
+        let r = route_nets(&nets, grid(), &RouterOptions::default()).expect("routable");
         assert_eq!(r.wirelength, 190.0);
     }
 }

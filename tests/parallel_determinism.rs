@@ -16,7 +16,7 @@ use cp_place::problem::{Object, PlacementProblem};
 use cp_place::solver::{Axis, B2bSystem};
 use cp_place::spreading::density_overflow_soa;
 use cp_place::{GlobalPlacer, PlacementSoa, PlacerOptions};
-use cp_route::{route_nets, RouterOptions};
+use cp_route::{route_nets, CongestionMap, RouterOptions};
 use proptest::prelude::*;
 
 fn opts() -> FlowOptions {
@@ -70,13 +70,8 @@ fn vpr_sweep_is_thread_count_invariant() {
 /// to the one routed alone.
 #[test]
 fn concurrent_mazed_routes_match_the_serial_route() {
-    let region = Rect::new(0.0, 0.0, 200.0, 200.0);
-    let opts = RouterOptions {
-        gcell_size: 10.0,
-        tracks_per_layer: 2,
-        layers_per_direction: 1,
-        ..Default::default()
-    };
+    let grid = CongestionMap::new(Rect::new(0.0, 0.0, 200.0, 200.0), 10.0, 2.0);
+    let opts = RouterOptions::default();
     // Twelve nets per corridor on capacity-2 edges: most of them maze.
     let nets: Vec<Vec<(f64, f64)>> = (0..36)
         .map(|k| {
@@ -87,14 +82,14 @@ fn concurrent_mazed_routes_match_the_serial_route() {
             ]
         })
         .collect();
-    let alone = route_nets(&nets, region, &opts).expect("routable");
+    let alone = route_nets(&nets, grid.clone(), &opts).expect("routable");
     assert!(
         alone.mazed_segments > 0,
         "the net list must exercise the maze"
     );
     let together = cp_parallel::with_threads(4, || {
         cp_parallel::par_map(&[(); 8], 1, |()| {
-            route_nets(&nets, region, &opts).expect("routable")
+            route_nets(&nets, grid.clone(), &opts).expect("routable")
         })
     });
     for routed in &together {

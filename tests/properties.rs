@@ -10,7 +10,7 @@ use cp_place::hpwl::raw_hpwl;
 use cp_place::problem::{Object, PlacementProblem};
 use cp_place::spreading::{density_overflow_soa, spread_soa, SpreadScratch};
 use cp_place::PlacementSoa;
-use cp_route::{route_nets, RouterOptions};
+use cp_route::{route_nets, CongestionMap, RouterOptions};
 use proptest::prelude::*;
 
 /// A random undirected graph as an edge list over `n` vertices.
@@ -186,15 +186,8 @@ proptest! {
         pins in prop::collection::vec((0.0f64..99.0, 0.0f64..99.0), 2..8)
     ) {
         let nets = vec![pins.clone()];
-        let r = route_nets(
-            &nets,
-            Rect::new(0.0, 0.0, 100.0, 100.0),
-            &RouterOptions {
-                gcell_size: 10.0,
-                ..Default::default()
-            },
-        )
-        .expect("finite pins route");
+        let grid = CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0, 30.0);
+        let r = route_nets(&nets, grid, &RouterOptions::default()).expect("finite pins route");
         // Grid-quantized HPWL of the pins is a lower bound on routed WL.
         let gc = |v: f64| (v / 10.0) as i64;
         let (mut lx, mut ly, mut hx, mut hy) = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);

@@ -465,6 +465,28 @@ fn clustering_runs_only_the_signals_its_weights_read() {
     }
 }
 
+/// A flow propagates switching activity once: the clustered flow's power
+/// analysis reuses the report the clustering built `s_e` from, and the
+/// flat flow propagates it in its PPA stage. (A supplied assignment also
+/// propagates it there; `tracing_leaves_flow_outputs_bitwise_identical` checks that its report
+/// equals `run_flow`'s.)
+#[test]
+fn each_flow_propagates_activity_once() {
+    let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (n, c) = small_design();
+    let o = opts();
+    let propagations = |report: FlowReport| {
+        let trace = report.trace.expect("tracing is on");
+        trace.spans_named("timing.activity").count()
+    };
+    let clustered = at_level(Level::Spans, || run_flow(&n, &c, &o).expect("flow runs"));
+    let flat = at_level(Level::Spans, || {
+        run_default_flow(&n, &c, &o).expect("flow runs")
+    });
+    cp_trace::clear();
+    assert_eq!((propagations(clustered), propagations(flat)), (1, 1));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
