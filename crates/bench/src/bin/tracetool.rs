@@ -1,51 +1,47 @@
-//! Trace analytics CLI: summarize, diff, flamegraph and QoR-gate
-//! cp-trace reports.
+//! Trace CLI: QoR-gate a run, explain a run, render its field frames
+//! and check a document against its schema.
 //!
 //! ```text
-//! tracetool summarize <report.json>
-//! tracetool diff <base.json> <new.json> [--rel R] [--abs S] [--metric-rel M]
-//! tracetool flamegraph <report.json> [-o out.folded]
-//! tracetool gate [--baseline FILE] [--from report.json] [--write] [--timeout-s S] [--large]
+//! tracetool gate [--baseline FILE] [--write] [--timeout-s S] [--large]
 //! tracetool explain <FIELDS_frames.json>
 //! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]
 //! tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]
+//! tracetool check-schema <doc.json> <schema.json>
 //! ```
 //!
 //! `gate` runs the pinned gate flow once (Aes at scale 0.02, exact V-P&R,
 //! fully traced; see `cp_bench::qor_gate`) and checks the run's `qor.*`
 //! gauges against `baselines/QOR_baseline.json`, exiting 1 on any
 //! violation. It judges QoR only; time is the benchmark's question
-//! (`benchmark/`). `--from` gates an existing report file instead of
-//! running the flow; `--write` (re)records the baseline; `--timeout-s`
+//! (`benchmark/`). `--write` (re)records the baseline; `--timeout-s`
 //! bounds the flow's wall-clock and exits 3 (distinct from the gate-fail
 //! exit 1) when exceeded, while a flow that panics is an error (exit 2);
 //! `--large` swaps in the large gate flow (Ariane at scale 0.5, ~60k
 //! cells, uniform shapes) gated against `baselines/QOR_large.json` — the
 //! large-design guard for the solver/spreading/clustering hot paths.
-//! `diff` exits 1 when regressions survive the tolerances;
-//! `summarize` and `flamegraph` are read-only.
 //!
-//! `explain` is the convergence doctor's front door: it diagnoses the
-//! field frames of one run (a frames artifact, or a fresh hermetic
-//! `--run` with frame capture on) and prints its verdicts — persistent
-//! hotspot bins and spreading displacement that never decays. A `--run`
-//! also prints its stage table to stderr: wall seconds per flow stage,
-//! plus each stage's heap high-water mark when built with
-//! `alloc-telemetry`. Verdicts are warnings: it exits 0 after a
-//! diagnosis and 2 on an error. `diff` is the two-run comparison.
-//! `render` turns a frames artifact into per-frame SVG heatmaps. Stdout
-//! goes through `cp_bench::stdout`, so a reader that closes the pipe
-//! early ends the output without changing the exit code.
+//! `explain` is the convergence doctor's front door and the one command
+//! that reads a run: it diagnoses the field frames of one run (a frames
+//! artifact, or a fresh hermetic `--run` with frame capture on) and
+//! prints its verdicts — persistent hotspot bins and spreading
+//! displacement that never decays. A `--run` also prints to stderr its
+//! stage table (wall seconds per flow stage, plus each stage's heap
+//! high-water mark when built with `alloc-telemetry`) and its self-time
+//! table (the 20 span names with the most self time, and the dropped-event
+//! count), read from the live trace. The report it writes with
+//! `--report-out` is for people and `check-schema`, and the
+//! `--chrome-out` timeline for Perfetto; nothing reads either back. Verdicts are warnings: it exits 0 after a diagnosis
+//! and 2 on an error. `render` turns a frames artifact into per-frame
+//! SVG heatmaps. Stdout goes through `cp_bench::stdout`, so a reader
+//! that closes the pipe early ends the output without changing the exit
+//! code.
 
+use cp_bench::outln;
 use cp_bench::qor_gate::{self, Baseline};
-use cp_bench::{out, outln};
 use cp_core::{qor, stages};
 use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate};
-use cp_trace::{
-    fields, Analysis, ArgValue, DiffOptions, Frame, FrameCapture, ReportDoc, SpanRecord, TraceDiff,
-    TraceReport, Verdict,
-};
+use cp_trace::{fields, ArgValue, Frame, FrameCapture, SpanRecord, TraceReport, Verdict};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -63,13 +59,6 @@ fn repo_path(rel: &str) -> std::path::PathBuf {
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
-}
-
-/// Reads, decodes and analyzes a structured trace report file.
-fn load_analysis(path: &str) -> Result<Analysis, String> {
-    let doc = ReportDoc::from_json(&read(path)?)
-        .map_err(|e| format!("`{path}` is not a trace report: {e}"))?;
-    Analysis::from_report(doc).map_err(|e| format!("`{path}`: {e}"))
 }
 
 /// Parses `--flag value` style options out of `args`, returning the
@@ -126,22 +115,6 @@ fn timeout(v: &str) -> Result<Duration, String> {
         .map_err(|_| format!("`--timeout-s` is out of range, got `{v}`"))
 }
 
-/// The `--rel` / `--abs` / `--metric-rel` tolerances of `diff`, each
-/// defaulting to [`DiffOptions::default`].
-fn diff_options(
-    rel: Option<String>,
-    abs: Option<String>,
-    metric_rel: Option<String>,
-) -> Result<DiffOptions, String> {
-    let d = DiffOptions::default();
-    let read = |v: Option<String>, flag, default| v.map_or(Ok(default), |v| number(flag, &v));
-    Ok(DiffOptions {
-        time_rel_tol: read(rel, "--rel", d.time_rel_tol)?,
-        time_abs_tol_s: read(abs, "--abs", d.time_abs_tol_s)?,
-        metric_rel_tol: read(metric_rel, "--metric-rel", d.metric_rel_tol)?,
-    })
-}
-
 /// Reads a `--run PROFILE@SCALE` spec.
 fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
     let (profile_name, scale) = spec
@@ -155,133 +128,11 @@ fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
     }
 }
 
-fn summarize(args: &[String]) -> Result<(), String> {
-    let pos = split_args(args, &mut [], &mut [])?;
-    let [path] = pos.as_slice() else {
-        return Err("usage: tracetool summarize <report.json>".into());
-    };
-    let a = load_analysis(path)?;
-    outln!(
-        "# {} — {:.3}s, {} spans, {} dropped events",
-        a.root_name(),
-        a.duration_seconds(),
-        a.span_count(),
-        a.dropped_events
-    );
-    outln!("\n## Self-time by span name\n");
-    outln!("| span | count | wall s | self s | self % |");
-    outln!("|---|---|---|---|---|");
-    let total = a.duration_seconds().max(1e-12);
-    for row in a.self_time_by_name().iter().take(20) {
-        outln!(
-            "| {} | {} | {:.4} | {:.4} | {:.1}% |",
-            row.name,
-            row.count,
-            row.wall_s,
-            row.self_s,
-            row.self_s / total * 100.0
-        );
-    }
-    outln!("\n## Critical path\n");
-    for step in a.critical_path() {
-        outln!(
-            "{}- {} ({:.4}s wall, {:.4}s self, thread {})",
-            "  ".repeat(step.depth),
-            step.name,
-            step.wall_s,
-            step.self_s,
-            step.thread
-        );
-    }
-    let qor = a.gauges_with_prefix("qor.");
-    if !qor.is_empty() {
-        outln!("\n## QoR gauges\n");
-        for (name, value) in qor {
-            outln!("- {name}: {value}");
-        }
-    }
-    let mem = a.gauges_with_prefix("mem.");
-    if !mem.is_empty() {
-        outln!("\n## Memory gauges (alloc-telemetry)\n");
-        for (name, value) in mem {
-            outln!("- {name}: {value}");
-        }
-    }
-    Ok(())
-}
-
-fn diff(args: &[String]) -> Result<bool, String> {
-    let (mut rel, mut abs, mut metric_rel) = (None, None, None);
-    let pos = split_args(
-        args,
-        &mut [
-            ("--rel", &mut rel),
-            ("--abs", &mut abs),
-            ("--metric-rel", &mut metric_rel),
-        ],
-        &mut [],
-    )?;
-    let [base_path, new_path] = pos.as_slice() else {
-        return Err(
-            "usage: tracetool diff <base.json> <new.json> [--rel R] [--abs S] [--metric-rel M]"
-                .into(),
-        );
-    };
-    let opts = diff_options(rel, abs, metric_rel)?;
-    let base = load_analysis(base_path)?;
-    let new = load_analysis(new_path)?;
-    let d = TraceDiff::between(&base, &new, &opts);
-    if d.is_empty() {
-        outln!("no differences beyond tolerances");
-        return Ok(false);
-    }
-    outln!("| kind | name | base | new | delta |");
-    outln!("|---|---|---|---|---|");
-    for e in &d.entries {
-        outln!(
-            "| {:?} | {} | {:.6} | {:.6} | {:+.6} |",
-            e.kind,
-            e.name,
-            e.base,
-            e.new,
-            e.delta()
-        );
-    }
-    let regressions = d.regressions().len();
-    outln!(
-        "\n{} entries, {} regression(s)",
-        d.entries.len(),
-        regressions
-    );
-    Ok(regressions > 0)
-}
-
-fn flamegraph(args: &[String]) -> Result<(), String> {
-    let mut out = None;
-    let pos = split_args(args, &mut [("-o", &mut out)], &mut [])?;
-    let [path] = pos.as_slice() else {
-        return Err("usage: tracetool flamegraph <report.json> [-o out.folded]".into());
-    };
-    let folded = load_analysis(path)?.folded();
-    match out {
-        Some(dest) => {
-            std::fs::write(&dest, &folded).map_err(|e| format!("cannot write `{dest}`: {e}"))?;
-            eprintln!(
-                "wrote {} ({} stacks) — load it in speedscope or inferno-flamegraph",
-                dest,
-                folded.lines().count()
-            );
-        }
-        None => out!("{folded}"),
-    }
-    Ok(())
-}
-
-/// Runs the gate flow once under [`cp_bench::with_watchdog`] and
-/// analyzes its trace. `Ok(None)` means `timeout` expired first; a flow
-/// that panics is an error carrying the panic message.
-fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<Analysis>, String> {
-    let run = move || -> Result<Analysis, String> {
+/// Runs the gate flow once under [`cp_bench::with_watchdog`] and hands
+/// back its trace. `Ok(None)` means `timeout` expired first; a flow that
+/// panics is an error carrying the panic message.
+fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<TraceReport>, String> {
+    let run = move || -> Result<TraceReport, String> {
         let t0 = Instant::now();
         let report = if large {
             qor_gate::run_gate_flow_large()
@@ -289,13 +140,14 @@ fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<Analysis>, 
             qor_gate::run_gate_flow()
         }
         .map_err(|e| format!("gate flow: {e}"))?;
-        let trace = report.trace.as_ref().ok_or("gate flow produced no trace")?;
         eprintln!(
             "gate flow: {:.3}s, hpwl {}",
             t0.elapsed().as_secs_f64(),
             report.hpwl
         );
-        Analysis::from_report(trace).map_err(|e| format!("analyze gate trace: {e}"))
+        report
+            .trace
+            .ok_or_else(|| "gate flow produced no trace".into())
     };
     cp_bench::with_watchdog(timeout.unwrap_or(Duration::MAX), run)
         .map_err(|panic| format!("gate flow panicked: {panic}"))?
@@ -303,13 +155,12 @@ fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<Analysis>, 
 }
 
 fn gate(args: &[String]) -> Result<u8, String> {
-    let (mut baseline_path, mut from, mut timeout_s) = (None, None, None);
+    let (mut baseline_path, mut timeout_s) = (None, None);
     let (mut write, mut large) = (false, false);
     let pos = split_args(
         args,
         &mut [
             ("--baseline", &mut baseline_path),
-            ("--from", &mut from),
             ("--timeout-s", &mut timeout_s),
         ],
         &mut [("--write", &mut write), ("--large", &mut large)],
@@ -328,21 +179,14 @@ fn gate(args: &[String]) -> Result<u8, String> {
         });
     let timeout = timeout_s.as_deref().map(timeout).transpose()?;
 
-    // The run to gate: an existing report file, or one execution of the
-    // pinned gate flow — QoR is bitwise-deterministic, so one is the
-    // answer.
-    let run = match &from {
-        Some(path) => load_analysis(path)?,
-        None => match gate_run(timeout, large)? {
-            Some(run) => run,
-            None => {
-                outln!(
-                    "gate TIMEOUT: the gate flow did not finish within {}s",
-                    timeout.map_or(0.0, |t| t.as_secs_f64())
-                );
-                return Ok(EXIT_TIMEOUT);
-            }
-        },
+    // One execution of the pinned gate flow: QoR is
+    // bitwise-deterministic, so one is the answer.
+    let Some(run) = gate_run(timeout, large)? else {
+        outln!(
+            "gate TIMEOUT: the gate flow did not finish within {}s",
+            timeout.map_or(0.0, |t| t.as_secs_f64())
+        );
+        return Ok(EXIT_TIMEOUT);
     };
 
     if write {
@@ -351,7 +195,7 @@ fn gate(args: &[String]) -> Result<u8, String> {
         } else {
             ("aes", qor_gate::GATE_SCALE)
         };
-        let b = Baseline::from_analysis(&run, design, scale);
+        let b = Baseline::from_trace(&run, design, scale);
         if let Some(dir) = baseline_path.parent() {
             std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
         }
@@ -436,6 +280,27 @@ fn print_stage_table(trace: &TraceReport) {
     }
 }
 
+/// The run's 20 span names with the most self time (wall minus direct
+/// children), then the events the collector dropped. Written to stderr
+/// after the stage table; the self column of all names sums to the root
+/// span's wall time.
+fn print_self_time_table(trace: &TraceReport) {
+    let total = trace.duration_seconds().max(1e-12);
+    eprintln!("\n| span | count | wall s | self s | self % |");
+    eprintln!("|---|---|---|---|---|");
+    for t in trace.self_seconds_by_name().iter().take(20) {
+        eprintln!(
+            "| {} | {} | {:.4} | {:.4} | {:.1}% |",
+            t.name,
+            t.count,
+            t.wall_s,
+            t.self_s,
+            t.self_s / total * 100.0
+        );
+    }
+    eprintln!("{} dropped event(s)", trace.dropped_events);
+}
+
 const EXPLAIN_USAGE: &str = "usage: tracetool explain <FIELDS_frames.json>\n\
      \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]";
 
@@ -482,6 +347,7 @@ fn explain(args: &[String]) -> Result<(), String> {
         capture.dropped_frames
     );
     print_stage_table(trace);
+    print_self_time_table(trace);
     if let Some(dest) = fields_out {
         std::fs::write(&dest, fields::to_json(&capture))
             .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
@@ -668,12 +534,9 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|explain|render|check-schema> ...\n\
+const USAGE: &str = "usage: tracetool <gate|explain|render|check-schema> ...\n\
      \n\
-     summarize <report.json>                    self-time table, critical path, QoR gauges\n\
-     diff <base.json> <new.json>                span/metric diff (--rel/--abs/--metric-rel)\n\
-     flamegraph <report.json> [-o out.folded]   collapsed stacks for speedscope/inferno\n\
-     gate [--baseline F] [--from R] [--write] [--timeout-s S] [--large]\n\
+     gate [--baseline F] [--write] [--timeout-s S] [--large]\n\
      \x20                                          run the pinned flow once and gate its qor.*\n\
      \x20                                          gauges vs the baseline (exit 3 when the\n\
      \x20                                          wall-clock timeout expires; --large gates the\n\
@@ -681,7 +544,8 @@ const USAGE: &str = "usage: tracetool <summarize|diff|flamegraph|gate|explain|re
      explain <FIELDS_frames.json>\n\
      explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]\n\
      \x20                                          convergence doctor: hotspot-persistence and\n\
-     \x20                                          displacement-conflict warnings over field frames\n\
+     \x20                                          displacement-conflict warnings over field frames;\n\
+     \x20                                          a --run adds stage and self-time tables on stderr\n\
      render <fields.json> [--out-dir DIR] [--name SUBSTR]\n\
      \x20                                          SVG heatmap sequences from a field-frames artifact\n\
      check-schema <doc.json> <schema.json>      validate a JSON file against a repo schema";
@@ -693,9 +557,6 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let outcome = match cmd.as_str() {
-        "summarize" => summarize(rest).map(|()| 0),
-        "diff" => diff(rest).map(u8::from),
-        "flamegraph" => flamegraph(rest).map(|()| 0),
         "gate" => gate(rest),
         "explain" => explain(rest).map(|()| 0),
         "render" => render(rest).map(|()| 0),

@@ -1,9 +1,8 @@
 //! QoR regression gating against a committed baseline.
 //!
-//! `tracetool gate` runs the pinned gate flow (or loads an existing
-//! `TRACE_report.json`), extracts every `qor.*` gauge from the trace and
-//! compares them against [`Baseline`] as committed in
-//! `baselines/QOR_baseline.json`. Each gauge is compared two-sided with a
+//! `tracetool gate` runs the pinned gate flow, extracts every `qor.*`
+//! gauge from its trace and compares them against [`Baseline`] as
+//! committed in `baselines/QOR_baseline.json`. Each gauge is compared two-sided with a
 //! per-metric relative tolerance (default [`QOR_REL_TOL`], near-exact).
 //! The flow is bitwise-deterministic across thread counts, so any drift
 //! means the algorithm changed — improvements fail the gate too, on
@@ -15,7 +14,7 @@ use cp_core::flow::{run_flow, FlowOptions, FlowReport, ShapeMode};
 use cp_core::FlowError;
 use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse_checked, Json, Writer};
-use cp_trace::{Analysis, Level};
+use cp_trace::{Level, TraceReport};
 use std::sync::OnceLock;
 
 use crate::support::Bench;
@@ -154,19 +153,18 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// Records a fresh baseline from an analyzed gate run, with the
+    /// Records a fresh baseline from a gate run's trace, with the
     /// default tolerances.
-    pub fn from_analysis(a: &Analysis, design: &str, scale: f64) -> Self {
-        let mut qor: Vec<QorEntry> = a
+    pub fn from_trace(trace: &TraceReport, design: &str, scale: f64) -> Self {
+        let qor = trace
             .gauges_with_prefix(cp_core::qor::PREFIX)
             .into_iter()
             .map(|(name, value)| QorEntry {
-                name,
+                name: name.to_string(),
                 value,
                 rel_tol: QOR_REL_TOL,
             })
             .collect();
-        qor.sort_by(|x, y| x.name.cmp(&y.name));
         Self {
             design: design.to_string(),
             scale,
@@ -174,11 +172,11 @@ impl Baseline {
         }
     }
 
-    /// Checks an analyzed run against the baseline. Returns one line per
+    /// Checks a run's trace against the baseline. Returns one line per
     /// violation; empty means the gate passes.
-    pub fn check(&self, a: &Analysis) -> Vec<String> {
+    pub fn check(&self, trace: &TraceReport) -> Vec<String> {
         let mut failures = Vec::new();
-        let gauges = a.gauges_with_prefix(cp_core::qor::PREFIX);
+        let gauges = trace.gauges_with_prefix(cp_core::qor::PREFIX);
         for e in &self.qor {
             let Some(&(_, new)) = gauges.iter().find(|(n, _)| *n == e.name) else {
                 failures.push(format!("qor gauge `{}` missing from the run", e.name));
@@ -196,7 +194,7 @@ impl Baseline {
             }
         }
         for (name, _) in &gauges {
-            if !self.qor.iter().any(|e| &e.name == name) {
+            if !self.qor.iter().any(|e| e.name == *name) {
                 failures.push(format!(
                     "qor gauge `{name}` not in the baseline — regenerate with `tracetool gate --write`"
                 ));

@@ -1,5 +1,5 @@
 //! Stdout for the cp-bench binaries. `println!` panics when the reader
-//! closes the pipe early (`tracetool summarize R | head -1`);
+//! closes the pipe early (`repro --table 2 | head -1`);
 //! [`out!`](crate::out) and [`outln!`](crate::outln) write through
 //! [`write()`] instead, which ends output quietly at the first
 //! `BrokenPipe`, so the command still runs to completion and exits with

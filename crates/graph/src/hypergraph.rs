@@ -146,33 +146,15 @@ impl Hypergraph {
         (self.inc_ptr[v + 1] - self.inc_ptr[v]) as usize
     }
 
-    /// Standard clique expansion: every hyperedge `e` contributes a clique
-    /// over its vertices with per-pair weight `w_e / (|e| - 1)` \[16\].
+    /// Clique expansion: every hyperedge `e` contributes a clique over its
+    /// vertices with per-pair weight `w_e / (|e| - 1)` \[16\]. Cliques
+    /// explode on high-fanout nets, so a net with more than
+    /// `clique_threshold` vertices is expanded as a star around its first
+    /// vertex (the driver, by netlist convention) at the same pair weight;
+    /// `usize::MAX` gives the standard, unbounded expansion.
     ///
     /// Single-vertex hyperedges contribute nothing. Parallel clique edges
     /// are merged by weight summation.
-    pub fn clique_expansion(&self) -> Graph {
-        let mut g = Graph::new(self.vertex_count);
-        for e in 0..self.edge_count() as u32 {
-            let verts = self.edge(e);
-            if verts.len() < 2 {
-                continue;
-            }
-            let pair_w = self.weights[e as usize] / (verts.len() as f64 - 1.0);
-            for i in 0..verts.len() {
-                for j in (i + 1)..verts.len() {
-                    g.add_edge(verts[i], verts[j], pair_w);
-                }
-            }
-        }
-        g.merge_parallel_edges();
-        g
-    }
-
-    /// Star expansion on small nets plus clique on large: cliques explode on
-    /// high-fanout nets, so nets with more than `clique_threshold` vertices
-    /// are expanded as a star around their first vertex (the driver, by
-    /// netlist convention).
     pub fn bounded_clique_expansion(&self, clique_threshold: usize) -> Graph {
         let mut g = Graph::new(self.vertex_count);
         for e in 0..self.edge_count() as u32 {
@@ -282,7 +264,7 @@ mod tests {
     #[test]
     fn clique_expansion_weights() {
         let h = sample();
-        let g = h.clique_expansion();
+        let g = h.bounded_clique_expansion(usize::MAX);
         // Hyperedge {0,1,2} w=1 ⇒ pairs at 1/2 each.
         assert!((g.edge_weight(0, 1).unwrap() - 0.5).abs() < 1e-12);
         // Hyperedge {2,3} w=2 ⇒ pair at 2.
@@ -298,7 +280,7 @@ mod tests {
         let g = h.bounded_clique_expansion(5);
         assert_eq!(g.degree(0), 9); // hub
         assert_eq!(g.degree(1), 1);
-        let full = h.clique_expansion();
+        let full = h.bounded_clique_expansion(usize::MAX);
         assert_eq!(full.degree(1), 9);
     }
 

@@ -4,8 +4,9 @@
 //! feature extraction. It provides:
 //!
 //! - [`Graph`]: a simple undirected weighted graph with adjacency lists.
-//! - [`Hypergraph`]: weighted hypergraphs plus [`Hypergraph::clique_expansion`]
-//!   with the standard `1/(|e|-1)` edge weights.
+//! - [`Hypergraph`]: weighted hypergraphs plus
+//!   [`Hypergraph::bounded_clique_expansion`] with the standard
+//!   `1/(|e|-1)` edge weights (high-fanout nets as stars).
 //! - Traversal and distance queries ([`traversal`]).
 //! - Centralities used as GNN cell-level features ([`centrality`]):
 //!   betweenness (Brandes), closeness, degree centrality, average

@@ -76,9 +76,10 @@ impl CongestionMap {
     /// library's `tracks_per_layer × horizontal_layers` tracks (10 × 3 in
     /// [`cp_netlist::Library::nangate45ish`]), and each floorplan
     /// blockage derated to 40% (macros consume the lower routing layers)
-    /// over GCell indices from the floor of its low corner's offset to
-    /// the ceiling of its high corner's, so one GCell past the block on
-    /// the high side of each axis is derated too.
+    /// over exactly the GCells it overlaps: indices from the floor of its
+    /// low corner's offset to one below the ceiling of its high corner's
+    /// (never below the low index), so a block ending on a GCell boundary
+    /// leaves the GCell beyond it alone.
     pub fn for_design(netlist: &Netlist, floorplan: &Floorplan) -> Self {
         let library = netlist.library();
         let capacity = (library.tracks_per_layer * library.horizontal_layers) as f64;
@@ -89,8 +90,9 @@ impl CongestionMap {
         for b in &floorplan.blockages {
             let i0 = (((b.llx - region.llx) / gcell).floor().max(0.0)) as usize;
             let j0 = (((b.lly - region.lly) / gcell).floor().max(0.0)) as usize;
-            let i1 = (((b.urx - region.llx) / gcell).ceil().max(0.0)) as usize;
-            let j1 = (((b.ury - region.lly) / gcell).ceil().max(0.0)) as usize;
+            let i1 = (((b.urx - region.llx) / gcell).ceil() - 1.0).max(0.0) as usize;
+            let j1 = (((b.ury - region.lly) / gcell).ceil() - 1.0).max(0.0) as usize;
+            let (i1, j1) = (i1.max(i0), j1.max(j0));
             map.derate(i0, j0, i1.min(nx - 1), j1.min(ny - 1), 0.4);
         }
         map
@@ -437,7 +439,7 @@ mod tests {
     }
 
     /// The design grid derates every edge of a GCell a floorplan blockage
-    /// touches to 0.4 of the library's tracks, and no other edge.
+    /// overlaps to 0.4 of the library's tracks, and no other edge.
     #[test]
     fn design_grid_derates_edges_under_a_blockage() {
         use cp_netlist::generator::{DesignProfile, GeneratorConfig};
@@ -448,10 +450,6 @@ mod tests {
         let open = CongestionMap::for_design(&netlist, &fp);
         let g = open.gcell_size();
         let (llx, lly) = (fp.die.llx, fp.die.lly);
-        // The block spans GCells 2.5..4.3 × 1.5..3.3: from the floor of its
-        // low corner to the ceiling of its high one, 2..=5 × 1..=4.
-        fp.blockages = vec![Rect::new(llx + 2.5 * g, lly + 1.5 * g, 1.8 * g, 1.8 * g)];
-        let blocked = CongestionMap::for_design(&netlist, &fp);
         let full = open.h_capacity(0, 0);
         assert!(
             open.nx() > 7 && open.ny() > 6,
@@ -459,17 +457,40 @@ mod tests {
             open.nx(),
             open.ny()
         );
-        for j in 0..open.ny() {
-            for i in 0..open.nx() {
-                let inside = (2..=5).contains(&i) && (1..=4).contains(&j);
-                let want = if inside { 0.4 * full } else { full };
-                if i + 1 < open.nx() {
-                    assert_eq!(open.h_capacity(i, j), full);
-                    assert_eq!(blocked.h_capacity(i, j), want, "h ({i}, {j})");
-                }
-                if j + 1 < open.ny() {
-                    assert_eq!(open.v_capacity(i, j), full);
-                    assert_eq!(blocked.v_capacity(i, j), want, "v ({i}, {j})");
+        let at = |i: f64, j: f64| (llx + i * g, lly + j * g);
+        let cases = [
+            // Inside GCells 2.5..4.3 × 1.5..3.3: it overlaps 2..=4 × 1..=3.
+            (at(2.5, 1.5), at(4.3, 3.3), (2..=4, 1..=3)),
+            // Ending exactly on GCell boundaries (5 g, 4 g): GCells 5 and
+            // 4 beyond them stay open.
+            (at(2.0, 1.0), at(5.0, 4.0), (2..=4, 1..=3)),
+        ];
+        for ((x0, y0), (x1, y1), (is, js)) in cases {
+            // The high corner's offset is exactly on a boundary or well
+            // inside a GCell, never a rounding error away from one.
+            for offset in [(x1 - llx) / g, (y1 - lly) / g] {
+                let f = offset.fract();
+                assert!(f == 0.0 || (0.2..0.8).contains(&f), "{offset}");
+            }
+            fp.blockages = vec![Rect {
+                llx: x0,
+                lly: y0,
+                urx: x1,
+                ury: y1,
+            }];
+            let blocked = CongestionMap::for_design(&netlist, &fp);
+            for j in 0..open.ny() {
+                for i in 0..open.nx() {
+                    let inside = is.contains(&i) && js.contains(&j);
+                    let want = if inside { 0.4 * full } else { full };
+                    if i + 1 < open.nx() {
+                        assert_eq!(open.h_capacity(i, j), full);
+                        assert_eq!(blocked.h_capacity(i, j), want, "h ({i}, {j}) of {is:?}");
+                    }
+                    if j + 1 < open.ny() {
+                        assert_eq!(open.v_capacity(i, j), full);
+                        assert_eq!(blocked.v_capacity(i, j), want, "v ({i}, {j}) of {js:?}");
+                    }
                 }
             }
         }

@@ -380,13 +380,6 @@ impl Json {
             .map(|n| n as i64)
     }
 
-    /// The value times `scale`, rounded, as a `u64` — how the trace
-    /// report's microsecond floats come back as the integer nanoseconds
-    /// they were written from.
-    pub fn to_u64_scaled(&self, scale: f64) -> Result<u64, String> {
-        Json::Num((self.to_f64()? * scale).round()).to_u64()
-    }
-
     /// The value as a boolean.
     pub fn to_bool(&self) -> Result<bool, String> {
         match self {
@@ -942,7 +935,7 @@ mod tests {
         let doc = parse(
             "{\"neg\":-1,\"frac\":2.7,\"huge\":1e300,\"u32\":4294967296,\
              \"u64\":18446744073709551616,\"ok\":7,\"inf\":1e999,\"s\":\"x\",\
-             \"null\":null,\"us\":1.5,\"items\":[1,2,-3],\"obj\":{\"n\":0.5}}",
+             \"null\":null,\"items\":[1,2,-3],\"obj\":{\"n\":0.5}}",
         )
         .expect("parses");
         for key in ["neg", "frac", "huge", "u64", "inf", "s", "null", "missing"] {
@@ -956,8 +949,6 @@ mod tests {
             (Ok(7), Ok(7), Ok(-1))
         );
         assert!(doc.i64("huge").is_err() && doc.f64("inf").is_err());
-        assert_eq!(doc.at("us", |v| v.to_u64_scaled(1e3)), Ok(1500));
-        assert!(doc.at("huge", |v| v.to_u64_scaled(1e3)).is_err());
         assert_eq!(doc.opt("null", Json::to_u32), Ok(None));
         assert_eq!(doc.opt("missing", Json::to_u32), Ok(None));
         assert_eq!(doc.opt("ok", Json::to_u32), Ok(Some(7)));

@@ -39,14 +39,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod fields;
 pub mod json;
 pub mod report;
 
-pub use analysis::{Analysis, DiffEntry, DiffKind, DiffOptions, NameAgg, PathStep, TraceDiff};
 pub use fields::{Frame, FrameCapture, Verdict, VerdictKind};
-pub use report::{chrome_trace, MetricSnapshot, MetricValue, ReportDoc, TraceReport};
+pub use report::{chrome_trace, MetricSnapshot, MetricValue, SpanTotals, TraceReport};
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};

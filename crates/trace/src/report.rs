@@ -1,5 +1,4 @@
-//! The structured trace report, its two export formats and its one
-//! decoder.
+//! The structured trace report and its two export formats.
 //!
 //! [`TraceReport`] is one root span's subtree (see
 //! [`crate::take_report`]): the spans, instant events and series rows
@@ -7,15 +6,13 @@
 //! [`TraceReport::to_json`] writes the structured report
 //! (`schemas/trace_report.schema.json`) and [`chrome_trace`] writes
 //! Chrome `trace_event` JSON that loads directly in `chrome://tracing` /
-//! [Perfetto](https://ui.perfetto.dev). [`ReportDoc`] is what the analysis
-//! reads: a live report converts into it and [`ReportDoc::from_json`]
-//! decodes a written one, so the analysis has one body.
+//! [Perfetto](https://ui.perfetto.dev). Both are write-only: what the
+//! workspace asks of a run (its `qor.*` gauges, its self-time by span
+//! name) it asks of the live report.
 
-use crate::analysis::{MetricReading, MetricReadingValue};
-use crate::json::{parse_checked, Json, Writer};
+use crate::json::Writer;
 use crate::{ArgValue, InstantRecord, SeriesRow, SpanRecord};
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, HashMap};
 
 /// The checked-in schema of the structured report.
 pub const SCHEMA_JSON: &str = include_str!("../../../schemas/trace_report.schema.json");
@@ -69,6 +66,20 @@ pub struct TraceReport {
     /// Events lost to the buffer cap since the last
     /// [`crate::clear`] (process-cumulative).
     pub dropped_events: u64,
+}
+
+/// One row of [`TraceReport::self_seconds_by_name`]: every span of one
+/// name.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpanTotals {
+    /// Span name.
+    pub name: &'static str,
+    /// Spans with this name.
+    pub count: u64,
+    /// Total wall seconds (nested same-name spans count repeatedly).
+    pub wall_s: f64,
+    /// Total self seconds.
+    pub self_s: f64,
 }
 
 /// Series rows grouped by `(name, span)`, groups in first-appearance
@@ -125,9 +136,67 @@ impl TraceReport {
         self.spans.iter().filter(move |s| s.name == name)
     }
 
+    /// Gauge readings whose name starts with `prefix`, in name order —
+    /// how `tracetool gate` pulls the `qor.*` snapshot out of a run.
+    pub fn gauges_with_prefix(&self, prefix: &str) -> Vec<(&'static str, f64)> {
+        let mut out: Vec<(&'static str, f64)> = self
+            .metrics
+            .iter()
+            .filter(|m| m.name.starts_with(prefix))
+            .filter_map(|m| match m.value {
+                MetricValue::Gauge(v) => Some((m.name, v)),
+                _ => None,
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(b.0));
+        out
+    }
+
+    /// Per-name timing, sorted by descending self time (ties by name).
+    ///
+    /// A span's self time is its duration minus the durations of its
+    /// direct children; a span whose parent was not captured counts as
+    /// a child of the root. With parallel children (cross-thread
+    /// adoption via [`run_with_parent`](crate::run_with_parent)) the
+    /// children can overlap and outlast the parent, so self time can be
+    /// negative: the span fanned work out. The sums are formed in integer
+    /// nanoseconds and telescope, so the `self_s` column adds up to the
+    /// root's wall time exactly.
+    pub fn self_seconds_by_name(&self) -> Vec<SpanTotals> {
+        let dur = |s: &SpanRecord| s.end_ns.saturating_sub(s.start_ns) as i64;
+        let index_of: HashMap<u64, usize> = self
+            .spans
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.id, i))
+            .collect();
+        let root = index_of.get(&self.root).copied();
+        let mut self_ns: Vec<i64> = self.spans.iter().map(dur).collect();
+        for s in self.spans.iter().filter(|s| s.id != self.root) {
+            if let Some(p) = index_of.get(&s.parent).copied().or(root) {
+                self_ns[p] -= dur(s);
+            }
+        }
+        let mut by_name: BTreeMap<&'static str, (u64, i64, i64)> = BTreeMap::new();
+        for (s, own) in self.spans.iter().zip(self_ns) {
+            let e = by_name.entry(s.name).or_default();
+            *e = (e.0 + 1, e.1 + dur(s), e.2 + own);
+        }
+        let mut rows: Vec<SpanTotals> = by_name
+            .into_iter()
+            .map(|(name, (count, wall, own))| SpanTotals {
+                name,
+                count,
+                wall_s: wall as f64 * 1e-9,
+                self_s: own as f64 * 1e-9,
+            })
+            .collect();
+        rows.sort_by(|a, b| b.self_s.total_cmp(&a.self_s).then(a.name.cmp(b.name)));
+        rows
+    }
+
     /// Structured JSON export (compact, schema-stable; see
-    /// `schemas/trace_report.schema.json`). [`ReportDoc::from_json`]
-    /// reads it back.
+    /// `schemas/trace_report.schema.json`).
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(4096 + self.spans.len() * 128);
         w.object().key("version").u64(1);
@@ -257,133 +326,6 @@ pub fn chrome_trace(reports: &[&TraceReport]) -> String {
     }
     w.end().end();
     w.finish()
-}
-
-/// One span of a [`ReportDoc`].
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SpanRow {
-    pub(crate) id: u64,
-    pub(crate) parent: u64,
-    pub(crate) name: String,
-    pub(crate) thread: u32,
-    pub(crate) start_ns: u64,
-    pub(crate) dur_ns: u64,
-}
-
-/// The structured report as its reader consumes it, in owned form: a
-/// live [`TraceReport`] converts into it (`From<&TraceReport>`) and
-/// [`ReportDoc::from_json`] decodes a written one, so
-/// [`Analysis::from_report`](crate::Analysis::from_report) runs the same
-/// code in-process and on a file. Both conversions agree: decoding a
-/// report's JSON equals converting the report.
-///
-/// It carries what the analysis uses. Span arguments, instant events,
-/// series rows and histogram buckets are written for Chrome timelines and
-/// people; nothing reads them back.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportDoc {
-    /// Id of the root span.
-    pub(crate) root: u64,
-    /// Events lost to the collector's buffer cap.
-    pub(crate) dropped_events: u64,
-    /// The spans, in start order.
-    pub(crate) spans: Vec<SpanRow>,
-    /// Scalar views of the metrics registry snapshot.
-    pub(crate) metrics: Vec<MetricReading>,
-}
-
-impl From<&TraceReport> for ReportDoc {
-    fn from(report: &TraceReport) -> Self {
-        let spans = report
-            .spans
-            .iter()
-            .map(|s| SpanRow {
-                id: s.id,
-                parent: s.parent,
-                name: s.name.to_string(),
-                thread: s.thread,
-                start_ns: s.start_ns,
-                dur_ns: s.end_ns.saturating_sub(s.start_ns),
-            })
-            .collect();
-        let metrics = report
-            .metrics
-            .iter()
-            .map(|m| MetricReading {
-                name: m.name.to_string(),
-                slot: m.slot,
-                value: match &m.value {
-                    MetricValue::Counter(v) => MetricReadingValue::Counter(*v as f64),
-                    MetricValue::Gauge(v) => MetricReadingValue::Gauge(*v),
-                    MetricValue::Histogram { count, sum, .. } => MetricReadingValue::Histogram {
-                        count: *count as f64,
-                        sum: *sum,
-                    },
-                },
-            })
-            .collect();
-        Self {
-            root: report.root,
-            dropped_events: report.dropped_events,
-            spans,
-            metrics,
-        }
-    }
-}
-
-impl ReportDoc {
-    /// Decodes a structured report ([`TraceReport::to_json`] output): the
-    /// one place that document is read. The exported µs span fields
-    /// convert back to integer ns by rounding — exact for any run shorter
-    /// than ~29 days, so the self-time partition survives the JSON trip.
-    ///
-    /// # Errors
-    ///
-    /// Malformed JSON, a violation of `schemas/trace_report.schema.json`,
-    /// or an id, thread, slot or time that is not a non-negative integer
-    /// in range — each named by its key path.
-    pub fn from_json(input: &str) -> Result<Self, String> {
-        static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
-        let doc = parse_checked(input, SCHEMA_JSON, &SCHEMA)?;
-        let nanos = |v: &Json| v.to_u64_scaled(1e3);
-        let spans = doc.each("spans", |s| {
-            Ok(SpanRow {
-                id: s.u64("id")?,
-                parent: s.u64("parent")?,
-                name: s.str("name")?.to_string(),
-                thread: s.u32("thread")?,
-                start_ns: s.at("start_us", nanos)?,
-                dur_ns: s.at("dur_us", nanos)?,
-            })
-        })?;
-        // Every sum the analysis forms (self time) is a signed sum of a
-        // subset of these, so it cannot overflow either.
-        let total = spans.iter().try_fold(0u64, |t, s| t.checked_add(s.dur_ns));
-        if total.is_none_or(|t| i64::try_from(t).is_err()) {
-            return Err("spans: durations overflow 2^63 ns in total".to_string());
-        }
-        let metrics = doc.each("metrics", |m| {
-            let value = match m.str("kind")? {
-                "counter" => MetricReadingValue::Counter(m.f64("value")?),
-                "gauge" => MetricReadingValue::Gauge(m.f64("value")?),
-                _ => MetricReadingValue::Histogram {
-                    count: m.f64("count")?,
-                    sum: m.f64("sum")?,
-                },
-            };
-            Ok(MetricReading {
-                name: m.str("name")?.to_string(),
-                slot: m.opt("slot", Json::to_u32)?,
-                value,
-            })
-        })?;
-        Ok(Self {
-            root: doc.u64("root")?,
-            dropped_events: doc.u64("dropped_events")?,
-            spans,
-            metrics,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -520,6 +462,72 @@ mod tests {
         assert_eq!(names, ["setup", "clustering", "shaping"]);
     }
 
+    /// A parallel fan-out: root [0, 100ms] → stage a [0, 60ms] with two
+    /// overlapping children on other threads (30ms + 40ms > 60ms), stage
+    /// b [60ms, 100ms], and an orphan whose parent was not captured.
+    #[test]
+    fn self_time_telescopes_to_root_wall() {
+        let span =
+            |id, parent, name: &'static str, thread, start_ms: u64, end_ms: u64| SpanRecord {
+                id,
+                parent,
+                name,
+                thread,
+                start_ns: start_ms * 1_000_000,
+                end_ns: end_ms * 1_000_000,
+                args: vec![],
+            };
+        let r = TraceReport {
+            root: 1,
+            spans: vec![
+                span(1, 0, "flow", 0, 0, 100),
+                span(2, 1, "stage a", 0, 0, 60),
+                span(3, 2, "work", 1, 5, 35),
+                span(4, 2, "work", 2, 10, 50),
+                span(5, 1, "stage b", 0, 60, 100),
+                span(6, 99, "orphan", 3, 70, 75),
+            ],
+            ..sample_report()
+        };
+        let rows = r.self_seconds_by_name();
+        let row = |name| rows.iter().find(|t| t.name == name).expect("present");
+        // Descending self time, so the negative one comes last.
+        let names: Vec<&str> = rows.iter().map(|t| t.name).collect();
+        assert_eq!(names, ["work", "stage b", "orphan", "flow", "stage a"]);
+        assert_eq!((row("work").count, row("work").self_s), (2, 0.070));
+        assert_eq!(row("stage a").self_s, -0.010);
+        // The orphan is the root's child: 100 − 60 − 40 − 5 ms.
+        assert_eq!(row("flow").self_s, -0.005);
+        assert_eq!(row("flow").wall_s, r.duration_seconds());
+        let total_ns: i64 = rows.iter().map(|t| (t.self_s * 1e9).round() as i64).sum();
+        assert_eq!(total_ns, 100_000_000);
+    }
+
+    #[test]
+    fn gauges_with_prefix_reads_gauges_in_name_order() {
+        let gauge = |name, v| MetricSnapshot {
+            name,
+            slot: None,
+            value: MetricValue::Gauge(v),
+        };
+        let mut r = sample_report();
+        r.metrics.extend([
+            gauge("qor.timing.wns", -5.0),
+            gauge("mem.heap.peak", 7.0),
+            gauge("qor.legalized.hpwl", 1e3),
+        ]);
+        r.metrics.push(MetricSnapshot {
+            name: "qor.evals",
+            slot: None,
+            value: MetricValue::Counter(3),
+        });
+        assert_eq!(
+            r.gauges_with_prefix("qor."),
+            [("qor.legalized.hpwl", 1e3), ("qor.timing.wns", -5.0)]
+        );
+        assert_eq!(r.gauges_with_prefix("place."), []);
+    }
+
     #[test]
     fn structured_json_parses_back() {
         let r = sample_report();
@@ -572,46 +580,6 @@ mod tests {
             chrome_trace(&[&r]),
             r#"{"traceEvents":[{"name":"flow","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":3000.0},{"name":"shaping","ph":"X","pid":1,"tid":0,"ts":100.0,"dur":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"name":"ppa","ph":"X","pid":1,"tid":1,"ts":1200.0,"dur":1700.0},{"name":"place.revert","ph":"i","s":"t","pid":1,"tid":0,"ts":500.0,"args":{"iteration":4}}]}"#
         );
-    }
-
-    #[test]
-    fn decoding_the_export_is_the_live_conversion() {
-        let r = sample_report();
-        let doc = ReportDoc::from_json(&r.to_json()).expect("decodes");
-        assert_eq!(doc, ReportDoc::from(&r));
-        assert_eq!(doc.spans[2].dur_ns, 1_700_000);
-    }
-
-    #[test]
-    fn decoder_names_the_field_it_rejects() {
-        let json = sample_report().to_json();
-        for (from, to, path) in [
-            ("\"id\":2", "\"id\":-2", "spans[1]: id: "),
-            (
-                "\"thread\":1",
-                "\"thread\":4294967296",
-                "spans[2]: thread: ",
-            ),
-            (
-                "\"dur_us\":1700.0",
-                "\"dur_us\":1e300",
-                "spans[2]: dur_us: ",
-            ),
-            (
-                "\"slot\":1",
-                "\"slot\":0.5",
-                "schema violations: $/metrics/1/slot",
-            ),
-        ] {
-            assert!(json.contains(from), "{from}");
-            let err = ReportDoc::from_json(&json.replace(from, to)).expect_err(to);
-            assert!(err.contains(path), "{to}: {err}");
-        }
-        // Durations whose sum would overflow the analysis' i64 arithmetic.
-        let huge = json.replace("\"dur_us\":3000.0", "\"dur_us\":9000000000000000.0");
-        let huge = huge.replace("\"dur_us\":1000.0", "\"dur_us\":9000000000000000.0");
-        let err = ReportDoc::from_json(&huge).expect_err("overflowing durations");
-        assert!(err.contains("overflow"), "{err}");
     }
 
     #[test]

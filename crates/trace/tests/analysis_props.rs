@@ -1,9 +1,7 @@
-//! Property tests for the trace analysis layer: self-time telescopes to
-//! the root wall on arbitrary span trees, the critical path is monotone
-//! under child insertion, and a report diffed against itself is empty at
-//! any tolerance.
+//! Property tests for the trace report's self-time table: self time
+//! telescopes to the root wall on arbitrary span trees.
 
-use cp_trace::{Analysis, DiffOptions, SpanRecord, TraceDiff, TraceReport};
+use cp_trace::{SpanRecord, TraceReport};
 use proptest::prelude::*;
 
 /// Fixed name pool: `SpanRecord::name` is `&'static str`.
@@ -63,85 +61,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// `self(s) = wall(s) − Σ wall(children)` telescopes: summed over any
-    /// tree — balanced, degenerate, with overlapping parallel children —
-    /// it equals the root's wall time exactly.
+    /// tree — balanced, degenerate, with overlapping parallel children or
+    /// spans whose parent was not captured — it equals the root's wall
+    /// time exactly, in integer nanoseconds.
     #[test]
-    fn self_time_sums_to_root_wall(raw in raw_spans(), root_dur in 0u64..10_000_000_000) {
-        let a = Analysis::from_report(&report_from(&raw, root_dur)).expect("analyzes");
-        prop_assert_eq!(a.total_self_seconds(), a.duration_seconds());
-        // The per-name aggregation partitions the same total.
-        let by_name: f64 = a.self_time_by_name().iter().map(|r| r.self_s).sum();
-        prop_assert!((by_name - a.duration_seconds()).abs() < 1e-6);
-    }
-
-    /// Inserting one more child anywhere in the tree either leaves the
-    /// critical path unchanged, or the two paths share the prefix up to
-    /// the insertion point and the newly selected child's wall time is
-    /// at least the previously selected one's.
-    #[test]
-    fn critical_path_is_monotone_under_child_insertion(
-        raw in raw_spans(),
-        root_dur in 1u64..10_000_000_000,
-        parent_pick in 0usize..64,
-        start in 0u64..1_000_000_000,
-        dur in 0u64..2_000_000_000,
-    ) {
-        let before_report = report_from(&raw, root_dur);
-        let before = Analysis::from_report(&before_report).expect("analyzes");
-        let mut after_report = before_report.clone();
-        let parent_id = (parent_pick % after_report.spans.len()) as u64 + 1;
-        after_report.spans.push(SpanRecord {
-            id: after_report.spans.len() as u64 + 1,
-            parent: parent_id,
-            name: "inserted",
-            thread: 3,
-            start_ns: start,
-            end_ns: start.saturating_add(dur),
-            args: vec![],
-        });
-        let after = Analysis::from_report(&after_report).expect("analyzes");
-        let p_before = before.critical_path();
-        let p_after = after.critical_path();
-        // Walk the shared prefix; at the first divergence the new pick
-        // must be at least as heavy as the old one.
-        let mut diverged = false;
-        for (b, a) in p_before.iter().zip(p_after.iter()) {
-            if b.name == a.name && b.start_s == a.start_s && b.wall_s == a.wall_s {
-                continue;
-            }
-            diverged = true;
-            prop_assert!(
-                a.wall_s >= b.wall_s,
-                "divergence replaced wall {} with lighter {}",
-                b.wall_s,
-                a.wall_s
-            );
-            break;
-        }
-        if !diverged {
-            // One path is a prefix of the other: only the new span can
-            // extend it (insertion never removes path steps).
-            prop_assert!(p_after.len() >= p_before.len());
-        }
-    }
-
-    /// A report diffed against itself is empty at every tolerance —
-    /// including zero — for spans and metrics alike.
-    #[test]
-    fn diff_against_self_is_empty_at_any_tolerance(
+    fn self_time_sums_to_root_wall(
         raw in raw_spans(),
         root_dur in 0u64..10_000_000_000,
-        rel in 0.0f64..10.0,
-        abs in 0.0f64..10.0,
-        metric_rel in 0.0f64..10.0,
+        orphans in proptest::collection::vec((0u64..1_000_000_000, 0u64..1_000_000_000), 0..3),
     ) {
-        let a = Analysis::from_report(&report_from(&raw, root_dur)).expect("analyzes");
-        let opts = DiffOptions {
-            time_rel_tol: rel,
-            time_abs_tol_s: abs,
-            metric_rel_tol: metric_rel,
-        };
-        let d = TraceDiff::between(&a, &a, &opts);
-        prop_assert!(d.is_empty(), "self-diff produced {:?}", d.entries);
+        let mut report = report_from(&raw, root_dur);
+        for (start, dur) in orphans {
+            report.spans.push(SpanRecord {
+                id: report.spans.len() as u64 + 1,
+                parent: 1 << 40,
+                name: "orphan",
+                thread: 1,
+                start_ns: start,
+                end_ns: start + dur,
+                args: vec![],
+            });
+        }
+        let rows = report.self_seconds_by_name();
+        let self_ns: i64 = rows.iter().map(|t| (t.self_s * 1e9).round() as i64).sum();
+        prop_assert_eq!(self_ns, root_dur as i64);
+        let count: u64 = rows.iter().map(|t| t.count).sum();
+        prop_assert_eq!(count, report.spans.len() as u64);
+        // Rows run from the most self time to the least.
+        prop_assert!(rows.windows(2).all(|w| w[0].self_s >= w[1].self_s));
     }
 }

@@ -594,8 +594,8 @@ fn committed_tracetool_commands_use_listed_flags() {
         "usage text parses: {listed:?}"
     );
     assert!(listed
-        .get("diff")
-        .is_some_and(|f| f.contains("--metric-rel")));
+        .get("gate")
+        .is_some_and(|f| f.contains("--timeout-s")));
     let mut stale = Vec::new();
     let mut scanned = 0;
     for file in [
@@ -628,10 +628,10 @@ fn committed_tracetool_commands_use_listed_flags() {
         tracetool_commands(yaml),
         [pair("gate", &["--large", "--timeout-s"])]
     );
-    let md = "| `tracetool render`, `explain --fields` | `tracetool summarize · gate --from`";
+    let md = "| `tracetool render`, `explain --fields` | `tracetool check-schema · gate --write`";
     assert_eq!(
         tracetool_commands(md),
-        [pair("render", &[]), pair("summarize", &[])]
+        [pair("render", &[]), pair("check-schema", &[])]
     );
     let sh =
         "./target/release/tracetool render F.json --out-dir svg   # or --name\n`tracetool` fills";

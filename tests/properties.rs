@@ -107,7 +107,7 @@ proptest! {
 
     #[test]
     fn clique_expansion_preserves_reachability(hg in arb_hypergraph(16)) {
-        let g = hg.clique_expansion();
+        let g = hg.bounded_clique_expansion(usize::MAX);
         prop_assert_eq!(g.node_count(), hg.vertex_count());
         // Vertices sharing a hyperedge are adjacent in the expansion.
         for e in 0..hg.edge_count() as u32 {

@@ -1,17 +1,16 @@
 //! QoR gate end-to-end: the pinned gate flow is bitwise-deterministic
 //! across thread counts, the committed baseline matches a fresh run, the
-//! `tracetool gate` binary passes on a clean report and exits nonzero on
-//! a doctored one, the binaries keep their exit codes when stdout closes
-//! early, and
-//! the analysis layer's self-time/flamegraph output reconciles with the
-//! report's stage accounting on a real trace.
+//! `tracetool gate` binary passes against a baseline it just wrote and
+//! exits nonzero against a doctored one, the binaries keep their exit
+//! codes when stdout closes early, and the self-time table reconciles
+//! with the report's stage accounting on a real trace.
 //!
 //! The trace level is process-global state, so every test here
 //! serializes on one mutex (see `tests/trace_determinism.rs`).
 
 use cp_bench::qor_gate::{self, Baseline};
 use cp_trace::json::parse;
-use cp_trace::{Analysis, MetricSnapshot, MetricValue, SpanRecord, TraceReport};
+use cp_trace::TraceReport;
 use std::process::{Command, Stdio};
 use std::sync::Mutex;
 
@@ -28,19 +27,17 @@ fn gate_flow_is_thread_invariant_and_matches_committed_baseline() {
     let _guard = LEVEL_LOCK.lock().expect("level lock");
     let t1 = cp_parallel::with_threads(1, gate_trace);
     let t4 = cp_parallel::with_threads(4, gate_trace);
-    let a1 = Analysis::from_report(&t1).expect("analyzes");
-    let a4 = Analysis::from_report(&t4).expect("analyzes");
 
     // Bitwise-deterministic outputs: every qor.* gauge matches exactly
     // across thread counts.
-    let g1 = a1.gauges_with_prefix("qor.");
-    let g4 = a4.gauges_with_prefix("qor.");
+    let g1 = t1.gauges_with_prefix("qor.");
+    let g4 = t4.gauges_with_prefix("qor.");
     assert_eq!(g1, g4, "qor gauges must not depend on the thread count");
     assert!(g1.len() >= 10, "expected a full QoR snapshot, got {g1:?}");
 
     // A baseline recorded at one thread count gates the other.
-    let baseline = Baseline::from_analysis(&a1, "aes", qor_gate::GATE_SCALE);
-    let failures = baseline.check(&a4);
+    let baseline = Baseline::from_trace(&t1, "aes", qor_gate::GATE_SCALE);
+    let failures = baseline.check(&t4);
     assert!(
         failures.is_empty(),
         "cross-thread gate failed: {failures:?}"
@@ -53,7 +50,7 @@ fn gate_flow_is_thread_invariant_and_matches_committed_baseline() {
     ))
     .expect("read committed baseline");
     let committed = Baseline::from_json(&committed).expect("committed baseline parses");
-    let failures = committed.check(&a1);
+    let failures = committed.check(&t1);
     assert!(
         failures.is_empty(),
         "fresh gate run violates the committed baseline: {failures:?}"
@@ -72,58 +69,39 @@ fn committed_baseline_conforms_to_its_schema() {
     assert!(violations.is_empty(), "{violations:?}");
 }
 
+/// `gate --write` records the baseline `gate` then passes against; a
+/// baseline whose legalized HPWL is 10% off fails naming the gauge.
 #[test]
 fn tracetool_gate_passes_clean_and_rejects_doctored_reports() {
-    let _guard = LEVEL_LOCK.lock().expect("level lock");
-    let trace = gate_trace();
     let dir = std::env::temp_dir().join(format!("qor_gate_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
-    let report_path = dir.join("report.json");
     let baseline_path = dir.join("baseline.json");
-    let clean = trace.to_json();
-    std::fs::write(&report_path, &clean).expect("write report");
-
-    let tracetool = env!("CARGO_BIN_EXE_tracetool");
+    let doctored_path = dir.join("doctored.json");
     let run = |args: &[&str]| {
-        Command::new(tracetool)
+        Command::new(env!("CARGO_BIN_EXE_tracetool"))
             .args(args)
             .output()
             .expect("tracetool runs")
     };
-    let report_arg = report_path.to_str().expect("utf-8 temp path");
     let baseline_arg = baseline_path.to_str().expect("utf-8 temp path");
+    let doctored_arg = doctored_path.to_str().expect("utf-8 temp path");
 
-    // Record a baseline from the report, then gate the same report: pass.
-    let out = run(&[
-        "gate",
-        "--from",
-        report_arg,
-        "--baseline",
-        baseline_arg,
-        "--write",
-    ]);
+    let out = run(&["gate", "--baseline", baseline_arg, "--write"]);
     assert!(out.status.success(), "write failed: {out:?}");
-    let out = run(&["gate", "--from", report_arg, "--baseline", baseline_arg]);
+    let out = run(&["gate", "--baseline", baseline_arg]);
     assert!(out.status.success(), "clean gate must pass: {out:?}");
 
-    // +10% on the legalized-HPWL gauge: the gate must exit nonzero.
-    let needle = "\"name\":\"qor.legalized.hpwl\",\"kind\":\"gauge\",\"value\":";
-    let start = clean.find(needle).expect("hpwl gauge present") + needle.len();
-    let end = start
-        + clean[start..]
-            .find([',', '}'])
-            .expect("number is delimited");
-    let value: f64 = clean[start..end].parse().expect("gauge value parses");
-    let doctored = format!("{}{}{}", &clean[..start], value * 1.1, &clean[end..]);
-    let doctored_path = dir.join("doctored.json");
-    std::fs::write(&doctored_path, &doctored).expect("write doctored report");
-    let out = run(&[
-        "gate",
-        "--from",
-        doctored_path.to_str().expect("utf-8 temp path"),
-        "--baseline",
-        baseline_arg,
-    ]);
+    // +10% on the legalized-HPWL gauge: the gate must exit 1.
+    let clean = std::fs::read_to_string(&baseline_path).expect("read baseline");
+    let mut doctored = Baseline::from_json(&clean).expect("written baseline parses");
+    let hpwl = doctored
+        .qor
+        .iter_mut()
+        .find(|e| e.name == "qor.legalized.hpwl")
+        .expect("hpwl gauge recorded");
+    hpwl.value *= 1.1;
+    std::fs::write(&doctored_path, doctored.to_json()).expect("write doctored baseline");
+    let out = run(&["gate", "--baseline", doctored_arg]);
     assert_eq!(
         out.status.code(),
         Some(1),
@@ -148,16 +126,14 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         (&["gate", "--timeout-s", "-1"], "--timeout-s"),
         (&["gate", "--timeout-s", "nan"], "--timeout-s"),
         (&["gate", "--timeout-s", "1e300"], "--timeout-s"),
-        (&["diff", "a.json", "b.json", "--rel", "NaN"], "--rel"),
-        (&["diff", "a.json", "b.json", "--abs", "-1"], "--abs"),
-        (
-            &["diff", "a.json", "b.json", "--metric-rel", "inf"],
-            "--metric-rel",
-        ),
         (&["explain", "--run", "aes@0"], "--run"),
         (&["trend"], "unknown subcommand"),
         (&["harvest"], "unknown subcommand"),
         (&["chaos"], "unknown subcommand"),
+        (&["summarize", "r.json"], "unknown subcommand"),
+        (&["diff", "a.json", "b.json"], "unknown subcommand"),
+        (&["flamegraph", "r.json"], "unknown subcommand"),
+        (&["gate", "--from", "x"], "unknown option"),
         (&["gate", "--reps", "2"], "unknown option"),
     ];
     for (args, flag) in cases {
@@ -198,30 +174,6 @@ fn a_version_1_frames_document_exits_2() {
     }
 }
 
-/// A one-span report whose only metric is the legalized-HPWL gauge.
-fn tiny_report(hpwl: f64) -> TraceReport {
-    TraceReport {
-        root: 1,
-        spans: vec![SpanRecord {
-            id: 1,
-            parent: 0,
-            name: "flow.flat",
-            thread: 0,
-            start_ns: 0,
-            end_ns: 1_000,
-            args: vec![],
-        }],
-        instants: vec![],
-        series: vec![],
-        metrics: vec![MetricSnapshot {
-            name: "qor.legalized.hpwl",
-            slot: None,
-            value: MetricValue::Gauge(hpwl),
-        }],
-        dropped_events: 0,
-    }
-}
-
 /// A reader that closes the pipe before reading ends the output, not the
 /// command: each binary exits with its own code, never a panic's 101.
 #[test]
@@ -234,18 +186,16 @@ fn closed_stdout_keeps_the_exit_code() {
             .expect("utf-8 temp path")
             .to_string()
     };
-    let (base, new, frames) = (path("base.json"), path("new.json"), path("frames.json"));
-    std::fs::write(&base, tiny_report(1e6).to_json()).expect("write report");
-    std::fs::write(&new, tiny_report(2e6).to_json()).expect("write report");
+    let (frames, schema) = (path("frames.json"), path("schema.json"));
     let capture = cp_trace::FrameCapture::default();
     std::fs::write(&frames, cp_trace::fields::to_json(&capture)).expect("write frames");
+    // A document that violates its schema: check-schema's exit 1.
+    std::fs::write(&schema, r#"{"type": "array"}"#).expect("write schema");
 
     let tracetool = env!("CARGO_BIN_EXE_tracetool");
     let repro = env!("CARGO_BIN_EXE_repro");
     let cases: &[(&str, &[&str], i32)] = &[
-        (tracetool, &["summarize", &base], 0),
-        (tracetool, &["diff", &base, &new], 1),
-        (tracetool, &["flamegraph", &base], 0),
+        (tracetool, &["check-schema", &frames, &schema], 1),
         (tracetool, &["explain", &frames], 0),
         (repro, &["--table", "1", "--scale", "0.01"], 0),
     ];
@@ -263,39 +213,25 @@ fn closed_stdout_keeps_the_exit_code() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// On a real gate trace the self-time table accounts for the whole run:
+/// each flow stage's row carries the stage's wall clock as
+/// `stage_seconds` reports it, and the self column sums to the root's
+/// wall time.
 #[test]
 fn analysis_reconciles_with_stage_seconds_on_a_real_trace() {
     let _guard = LEVEL_LOCK.lock().expect("level lock");
     let trace = gate_trace();
-    let a = Analysis::from_report(&trace).expect("analyzes");
-
-    // Subtree self-time per stage telescopes back to the stage's wall
-    // clock as reported by `stage_seconds`, to nanosecond precision.
-    let stage_walls = trace.stage_seconds();
-    let stage_self = a.stage_self_seconds();
-    for (name, wall) in &stage_walls {
-        let (_, self_total) = stage_self
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("stage `{name}` missing from analysis"));
-        assert!(
-            (wall - self_total).abs() < 1e-9,
-            "stage `{name}`: wall {wall} vs subtree self {self_total}"
-        );
+    let rows = trace.self_seconds_by_name();
+    let stages = trace.stage_seconds();
+    for stage in cp_core::stages::ALL {
+        let row = rows.iter().find(|t| t.name == stage);
+        let wall = stages.iter().find(|&&(name, _)| name == stage);
+        let (Some(row), Some(&(_, wall))) = (row, wall) else {
+            panic!("stage `{stage}` missing: {row:?}, {wall:?}");
+        };
+        assert_eq!((row.count, row.wall_s), (1, wall), "stage `{stage}`");
     }
-
-    // The folded export is loadable collapsed-stack format: every line is
-    // `frame(;frame)* count` with a non-negative integer count and
-    // frames free of `;` and newlines.
-    let folded = a.folded();
-    assert!(!folded.is_empty(), "real trace must produce stacks");
-    for line in folded.lines() {
-        let (stack, count) = line.rsplit_once(' ').expect("count separated by space");
-        assert!(count.parse::<u64>().is_ok(), "bad count in `{line}`");
-        assert!(!stack.is_empty() && stack.split(';').all(|f| !f.is_empty()));
-    }
-    // Root frame of every stack is the flow root.
-    assert!(folded
-        .lines()
-        .all(|l| l.starts_with("flow.clustered") || l.starts_with("flow.clustered;")));
+    let self_ns: i64 = rows.iter().map(|t| (t.self_s * 1e9).round() as i64).sum();
+    let root = trace.root_span().expect("root captured");
+    assert_eq!(self_ns, (root.end_ns - root.start_ns) as i64);
 }
