@@ -1,11 +1,9 @@
-//! Trace CLI: QoR-gate a run, explain a run, render its field frames
-//! and check a document against its schema.
+//! Trace CLI: QoR-gate a run, explain a run and check a document
+//! against its schema.
 //!
 //! ```text
 //! tracetool gate [--baseline FILE] [--write] [--timeout-s S] [--large]
-//! tracetool explain <FIELDS_frames.json>
-//! tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]
-//! tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]
+//! tracetool explain --run PROFILE@SCALE [--report-out R] [--chrome-out C] [--svg-dir D]
 //! tracetool check-schema <doc.json> <schema.json>
 //! ```
 //!
@@ -21,27 +19,28 @@
 //! large-design guard for the solver/spreading/clustering hot paths.
 //!
 //! `explain` is the convergence doctor's front door and the one command
-//! that reads a run: it diagnoses the field frames of one run (a frames
-//! artifact, or a fresh hermetic `--run` with frame capture on) and
-//! prints its verdicts — persistent hotspot bins and spreading
-//! displacement that never decays. A `--run` also prints to stderr its
-//! stage table (wall seconds per flow stage, plus each stage's heap
-//! high-water mark when built with `alloc-telemetry`) and its self-time
-//! table (the 20 span names with the most self time, and the dropped-event
-//! count), read from the live trace. The report it writes with
-//! `--report-out` is for people and `check-schema`, and the
-//! `--chrome-out` timeline for Perfetto; nothing reads either back. Verdicts are warnings: it exits 0 after a diagnosis
-//! and 2 on an error. `render` turns a frames artifact into per-frame
-//! SVG heatmaps. Stdout goes through `cp_bench::stdout`, so a reader
-//! that closes the pipe early ends the output without changing the exit
-//! code.
+//! that reads a run: it runs one hermetic, fully-traced flow with the gate
+//! options and prints the doctor's verdicts over the field frames of its
+//! trace — persistent hotspot bins and spreading displacement that never
+//! decays. To stderr it prints its stage table (wall seconds per flow
+//! stage, plus each stage's heap high-water mark when built with
+//! `alloc-telemetry`) and its self-time table (the 20 span names with the
+//! most self time, and the dropped-event count), read from the live
+//! trace. The report it writes with `--report-out` (frames included) is
+//! for people and `check-schema`, the `--chrome-out` timeline for
+//! Perfetto, and `--svg-dir` writes one SVG heatmap per frame; nothing
+//! reads any of them back. Verdicts are warnings: it exits 0 after a
+//! diagnosis and 2 on an error. Stdout carries the verdicts alone and goes
+//! through `cp_bench::stdout`, so a reader that closes the pipe early ends
+//! the output without changing the exit code.
 
 use cp_bench::outln;
 use cp_bench::qor_gate::{self, Baseline};
+use cp_bench::support::Bench;
 use cp_core::{qor, stages};
 use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate};
-use cp_trace::{fields, ArgValue, Frame, FrameCapture, SpanRecord, TraceReport, Verdict};
+use cp_trace::{fields, ArgValue, Frame, SpanRecord, TraceReport, Verdict};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -134,12 +133,13 @@ fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
 fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<TraceReport>, String> {
     let run = move || -> Result<TraceReport, String> {
         let t0 = Instant::now();
-        let report = if large {
-            qor_gate::run_gate_flow_large()
+        let (bench, options) = if large {
+            (qor_gate::gate_bench_large(), qor_gate::gate_large_options())
         } else {
-            qor_gate::run_gate_flow()
-        }
-        .map_err(|e| format!("gate flow: {e}"))?;
+            (qor_gate::gate_bench(), qor_gate::gate_options())
+        };
+        let report =
+            qor_gate::run_traced(&bench, &options).map_err(|e| format!("gate flow: {e}"))?;
         eprintln!(
             "gate flow: {:.3}s, hpwl {}",
             t0.elapsed().as_secs_f64(),
@@ -233,11 +233,6 @@ fn gate(args: &[String]) -> Result<u8, String> {
     Ok(1)
 }
 
-/// Loads a `field_frames.schema.json`-shaped artifact.
-fn load_frames(path: &str) -> Result<FrameCapture, String> {
-    cp_trace::fields::decode_json(&read(path)?).map_err(|e| format!("`{path}`: {e}"))
-}
-
 fn print_verdicts(verdicts: &[Verdict]) {
     if verdicts.is_empty() {
         outln!("no anomalies detected");
@@ -253,7 +248,7 @@ fn print_verdicts(verdicts: &[Verdict]) {
 /// The run's flow stages with their wall clock and, when the run was
 /// built with `alloc-telemetry`, each stage's live-heap high-water mark.
 /// Written to stderr beside the run summary, so stdout carries the
-/// verdicts alone and matches `explain` on the written frames.
+/// verdicts alone.
 fn print_stage_table(trace: &TraceReport) {
     let heap_peak = |s: &SpanRecord| {
         s.args.iter().find_map(|&(key, value)| match value {
@@ -301,58 +296,43 @@ fn print_self_time_table(trace: &TraceReport) {
     eprintln!("{} dropped event(s)", trace.dropped_events);
 }
 
-const EXPLAIN_USAGE: &str = "usage: tracetool explain <FIELDS_frames.json>\n\
-     \x20      tracetool explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]";
+const EXPLAIN_USAGE: &str = "usage: tracetool explain --run PROFILE@SCALE \
+     [--report-out R] [--chrome-out C] [--svg-dir D]";
 
-/// The convergence doctor: diagnoses one run's field frames, from a
-/// frames artifact or a fresh hermetic run.
+/// The convergence doctor: runs one hermetic, fully-traced flow and
+/// diagnoses the field frames of its trace.
 fn explain(args: &[String]) -> Result<(), String> {
-    let (mut run, mut fields_out, mut report_out, mut chrome_out) = (None, None, None, None);
+    let (mut run, mut report_out, mut chrome_out, mut svg_dir) = (None, None, None, None);
     let pos = split_args(
         args,
         &mut [
             ("--run", &mut run),
-            ("--fields-out", &mut fields_out),
             ("--report-out", &mut report_out),
             ("--chrome-out", &mut chrome_out),
+            ("--svg-dir", &mut svg_dir),
         ],
         &mut [],
     )?;
-    let Some(spec) = run else {
-        let [frames_path] = pos.as_slice() else {
-            return Err(EXPLAIN_USAGE.into());
-        };
-        if fields_out.is_some() || report_out.is_some() || chrome_out.is_some() {
-            return Err("`--fields-out`/`--report-out`/`--chrome-out` need `--run`".into());
-        }
-        print_verdicts(&fields::diagnose(&load_frames(frames_path)?.frames));
-        return Ok(());
-    };
-    if !pos.is_empty() {
+    let (Some(spec), []) = (run, pos.as_slice()) else {
         return Err(EXPLAIN_USAGE.into());
-    }
+    };
     let (profile, scale) = run_spec(&spec)?;
     let t0 = Instant::now();
-    let (report, capture) =
-        qor_gate::run_hermetic_fields(profile, scale).map_err(|e| format!("hermetic flow: {e}"))?;
+    let bench = Bench::generate_at(profile, scale);
+    let report = qor_gate::run_traced(&bench, &qor_gate::gate_options())
+        .map_err(|e| format!("hermetic flow: {e}"))?;
     let trace = report
         .trace
         .as_ref()
         .ok_or("hermetic flow produced no trace")?;
     eprintln!(
-        "hermetic {} @ {scale}: {:.3}s, {} field frame(s) ({} dropped)",
+        "hermetic {} @ {scale}: {:.3}s, {} field frame(s)",
         profile.name(),
         t0.elapsed().as_secs_f64(),
-        capture.frames.len(),
-        capture.dropped_frames
+        trace.frames.len()
     );
     print_stage_table(trace);
     print_self_time_table(trace);
-    if let Some(dest) = fields_out {
-        std::fs::write(&dest, fields::to_json(&capture))
-            .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
-        eprintln!("wrote {dest}");
-    }
     if let Some(dest) = report_out {
         std::fs::write(&dest, trace.to_json())
             .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
@@ -363,7 +343,10 @@ fn explain(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
         eprintln!("wrote {dest} — load it in chrome://tracing or ui.perfetto.dev");
     }
-    print_verdicts(&fields::diagnose(&capture.frames));
+    if let Some(dir) = svg_dir {
+        write_svgs(&trace.frames, std::path::Path::new(&dir))?;
+    }
+    print_verdicts(&fields::diagnose(&trace.frames));
     Ok(())
 }
 
@@ -411,8 +394,8 @@ fn frame_svg(frame: &Frame, max: f64) -> String {
     let _ = writeln!(
         out,
         "<title>{} @ {} iter {}</title>",
-        cp_trace::json::escape(&frame.name),
-        cp_trace::json::escape(&frame.stage),
+        cp_trace::json::escape(frame.name),
+        cp_trace::json::escape(frame.stage),
         frame.iter
     );
     let _ = writeln!(
@@ -448,44 +431,21 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
-/// `render`: SVG heatmap sequences from a field-frames artifact, one
-/// file per frame, normalized per (name, stage) sequence.
-fn render(args: &[String]) -> Result<(), String> {
-    let (mut out_dir, mut name_filter) = (None, None);
-    let pos = split_args(
-        args,
-        &mut [("--out-dir", &mut out_dir), ("--name", &mut name_filter)],
-        &mut [],
-    )?;
-    let [path] = pos.as_slice() else {
-        return Err("usage: tracetool render <fields.json> [--out-dir DIR] [--name SUBSTR]".into());
-    };
-    let frames = load_frames(path)?.frames;
-    let out_dir = std::path::PathBuf::from(out_dir.unwrap_or_else(|| "frames_svg".to_string()));
-    std::fs::create_dir_all(&out_dir)
+/// SVG heatmap sequences of a run's frames into `out_dir`, one file per
+/// frame, normalized per (name, stage) sequence; a summary line per
+/// sequence goes to stderr.
+fn write_svgs(frames: &[Frame], out_dir: &std::path::Path) -> Result<(), String> {
+    std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("cannot create `{}`: {e}", out_dir.display()))?;
-
     // Group into (name, stage) sequences in first-appearance order.
-    let mut sequences: Vec<((String, String), Vec<&Frame>)> = Vec::new();
-    for f in &frames {
-        if let Some(filter) = &name_filter {
-            if !f.name.contains(filter.as_str()) {
-                continue;
-            }
-        }
-        let key = (f.name.clone(), f.stage.clone());
+    let mut sequences: Vec<((&str, &str), Vec<&Frame>)> = Vec::new();
+    for f in frames {
+        let key = (f.name, f.stage);
         match sequences.iter_mut().find(|(k, _)| *k == key) {
             Some((_, seq)) => seq.push(f),
             None => sequences.push((key, vec![f])),
         }
     }
-    if sequences.is_empty() {
-        return Err(match name_filter {
-            Some(filter) => format!("no frames match `--name {filter}` in `{path}`"),
-            None => format!("no frames in `{path}`"),
-        });
-    }
-    let mut written = 0usize;
     for (si, ((name, stage), seq)) in sequences.iter().enumerate() {
         let max = seq
             .iter()
@@ -499,17 +459,16 @@ fn render(args: &[String]) -> Result<(), String> {
             ));
             std::fs::write(&file, frame_svg(frame, max))
                 .map_err(|e| format!("cannot write `{}`: {e}", file.display()))?;
-            written += 1;
         }
-        outln!(
+        eprintln!(
             "{name} @ {stage}: {} frame(s), {}x{}, max {}",
             seq.len(),
-            seq.first().map_or(0, |f| f.nx),
-            seq.first().map_or(0, |f| f.ny),
+            seq[0].nx,
+            seq[0].ny,
             fmt_f64(max)
         );
     }
-    outln!("wrote {written} SVG(s) -> {}", out_dir.display());
+    eprintln!("wrote {} SVG(s) -> {}", frames.len(), out_dir.display());
     Ok(())
 }
 
@@ -534,20 +493,18 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-const USAGE: &str = "usage: tracetool <gate|explain|render|check-schema> ...\n\
+const USAGE: &str = "usage: tracetool <gate|explain|check-schema> ...\n\
      \n\
      gate [--baseline F] [--write] [--timeout-s S] [--large]\n\
      \x20                                          run the pinned flow once and gate its qor.*\n\
      \x20                                          gauges vs the baseline (exit 3 when the\n\
      \x20                                          wall-clock timeout expires; --large gates the\n\
      \x20                                          ~60k-cell Ariane flow vs baselines/QOR_large.json)\n\
-     explain <FIELDS_frames.json>\n\
-     explain --run PROFILE@SCALE [--fields-out F] [--report-out R] [--chrome-out C]\n\
+     explain --run PROFILE@SCALE [--report-out R] [--chrome-out C] [--svg-dir D]\n\
      \x20                                          convergence doctor: hotspot-persistence and\n\
-     \x20                                          displacement-conflict warnings over field frames;\n\
-     \x20                                          a --run adds stage and self-time tables on stderr\n\
-     render <fields.json> [--out-dir DIR] [--name SUBSTR]\n\
-     \x20                                          SVG heatmap sequences from a field-frames artifact\n\
+     \x20                                          displacement-conflict warnings over one run's\n\
+     \x20                                          field frames, stage and self-time tables on\n\
+     \x20                                          stderr, one SVG heatmap per frame in D\n\
      check-schema <doc.json> <schema.json>      validate a JSON file against a repo schema";
 
 fn main() -> ExitCode {
@@ -559,7 +516,6 @@ fn main() -> ExitCode {
     let outcome = match cmd.as_str() {
         "gate" => gate(rest),
         "explain" => explain(rest).map(|()| 0),
-        "render" => render(rest).map(|()| 0),
         "check-schema" => check_schema(rest).map(u8::from),
         _ => {
             eprintln!("unknown subcommand `{cmd}`\n{USAGE}");

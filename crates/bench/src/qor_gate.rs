@@ -60,34 +60,21 @@ pub fn gate_large_options() -> FlowOptions {
     FlowOptions::fast()
 }
 
-/// Runs a flow once at [`Level::Full`] and returns the report (its
-/// `trace` is always present).
-fn run_traced(b: &Bench, options: &FlowOptions) -> Result<FlowReport, FlowError> {
+/// Runs a flow once at [`Level::Full`] and returns the report: its
+/// `trace` is always present, and carries the run's `qor.*` gauges and
+/// field frames. The gate runs it on [`gate_bench`] / [`gate_options`]
+/// (or the large pair), `tracetool explain --run` on any design with
+/// [`gate_options`].
+///
+/// # Errors
+///
+/// Propagates any [`FlowError`] from the flow.
+pub fn run_traced(b: &Bench, options: &FlowOptions) -> Result<FlowReport, FlowError> {
     cp_trace::set_level(Level::Full);
     let r = run_flow(&b.netlist, &b.constraints, options);
     cp_trace::set_level(Level::Off);
     cp_trace::clear();
     r
-}
-
-/// Runs the gate flow once at [`Level::Full`] and returns the report
-/// (its `trace` is always present).
-///
-/// # Errors
-///
-/// Propagates any [`FlowError`] from the flow.
-pub fn run_gate_flow() -> Result<FlowReport, FlowError> {
-    run_traced(&gate_bench(), &gate_options())
-}
-
-/// Runs the large gate flow ([`gate_bench_large`]) once at
-/// [`Level::Full`].
-///
-/// # Errors
-///
-/// Propagates any [`FlowError`] from the flow.
-pub fn run_gate_flow_large() -> Result<FlowReport, FlowError> {
-    run_traced(&gate_bench_large(), &gate_large_options())
 }
 
 /// Parses a profile name as accepted by `tracetool explain --run`
@@ -103,31 +90,6 @@ pub fn parse_profile(name: &str) -> Option<DesignProfile> {
         "mempool" | "mempoolgroup" => Some(DesignProfile::MemPoolGroup),
         _ => None,
     }
-}
-
-/// Runs one hermetic, fully-traced flow of `profile` at `scale` with the
-/// pinned gate options and spatial field-frame capture enabled, returning
-/// the report (its `trace` is always present) and the captured
-/// [`FrameCapture`](cp_trace::FrameCapture). This is the `tracetool
-/// explain --run` backend. Frames are drained *before* the trace buffers
-/// are cleared — [`cp_trace::clear`] wipes buffered frames too.
-///
-/// # Errors
-///
-/// Propagates any [`FlowError`] from the flow.
-pub fn run_hermetic_fields(
-    profile: DesignProfile,
-    scale: f64,
-) -> Result<(FlowReport, cp_trace::FrameCapture), FlowError> {
-    let b = Bench::generate_at(profile, scale);
-    cp_trace::fields::enable(cp_trace::fields::DEFAULT_FRAME_BUDGET);
-    cp_trace::set_level(Level::Full);
-    let r = run_flow(&b.netlist, &b.constraints, &gate_options());
-    cp_trace::set_level(Level::Off);
-    let capture = cp_trace::fields::take();
-    cp_trace::fields::disable();
-    cp_trace::clear();
-    Ok((r?, capture))
 }
 
 /// One gated QoR gauge.

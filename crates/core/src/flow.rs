@@ -1154,12 +1154,13 @@ pub fn evaluate_ppa(
     );
     // Field frame: the router's per-GCell congestion map (Eq. 5). The
     // scope opens here rather than in the callers because evaluate_ppa
-    // *is* the PPA stage wherever it runs; one relaxed load when off.
-    if cp_trace::fields::enabled() {
+    // *is* the PPA stage wherever it runs; one relaxed load below `Full`.
+    if cp_trace::telemetry_enabled() {
         let _fields_scope = cp_trace::fields::scope(stages::PPA);
         let c = &routed.congestion;
-        cp_trace::fields::record_with("route.congestion", 0, c.nx(), c.ny(), || {
-            c.gcell_congestion().iter().map(|&v| v as f32).collect()
+        cp_trace::fields::record_with("route.congestion", 0, || {
+            let values = c.gcell_congestion().iter().map(|&v| v as f32).collect();
+            (c.nx(), c.ny(), values)
         });
     }
     let report = PpaReport {

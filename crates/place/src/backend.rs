@@ -281,17 +281,15 @@ impl EDensity {
                 }
             });
         }
-        // Field frame: the final sub-pass's charge grid. Free when off
-        // (one relaxed load), and nothing recorded feeds back into the
-        // drift, so placements are bitwise identical either way.
+        // Field frame: the final sub-pass's charge grid. One relaxed load
+        // below `Full`, and nothing recorded feeds back into the drift, so
+        // placements are bitwise identical either way.
         let call = self.calls;
         self.calls += 1;
-        if cp_trace::fields::recording() {
-            if let Some(g) = self.grid.as_ref() {
-                cp_trace::fields::record_with("edensity.rho", call, bins, bins, || {
-                    g.rho.iter().map(|&v| v as f32).collect()
-                });
-            }
+        if let Some(g) = self.grid.as_ref() {
+            cp_trace::fields::record_with("edensity.rho", call, || {
+                (bins, bins, g.rho.iter().map(|&v| v as f32).collect())
+            });
         }
         // Same tail as spread_soa: honor regions, core bounds, blockages.
         for (i, p) in out.iter_mut().enumerate() {

@@ -349,20 +349,16 @@ impl GlobalPlacer {
             // Field frames: the spatial view behind the scalar series row
             // — the per-bin density overflow of the spread (upper-bound)
             // positions, and where the spreader displaced cells away from
-            // the lower bound. Free when off (one relaxed load); nothing
+            // the lower bound. One relaxed load each below `Full`; nothing
             // recorded feeds back into the loop.
-            if cp_trace::fields::recording() {
+            cp_trace::fields::record_with("place.density_overflow", it as u64, || {
                 let (bins, grid) = overflow_grid_soa(problem, &soa, &upper);
-                cp_trace::fields::record_with(
-                    "place.density_overflow",
-                    it as u64,
-                    bins,
-                    bins,
-                    || grid,
-                );
+                (bins, bins, grid)
+            });
+            cp_trace::fields::record_with("place.displacement", it as u64, || {
                 let (bins, grid) = displacement_grid(problem, &pos, &upper);
-                cp_trace::fields::record_with("place.displacement", it as u64, bins, bins, || grid);
-            }
+                (bins, bins, grid)
+            });
             // Guard rail 2: HPWL blowing up while overflow regresses means
             // the anchors lost control — revert rather than walk off.
             let blown_up = match &best {

@@ -428,7 +428,7 @@ fn area_grid_soa(
 
 /// Per-bin overflow amounts `(area − capacity)⁺` on the density grid —
 /// the spatial view behind the scalar [`density_overflow_soa`], recorded
-/// as a field frame when fields are enabled. Serial on purpose: it only
+/// as a field frame at `Level::Full`. Serial on purpose: it only
 /// runs on the instrumentation path.
 pub fn overflow_grid_soa(
     problem: &PlacementProblem,

@@ -2,7 +2,7 @@
 //!
 //! The flow's observability layer: dependency-free, deterministic-safe
 //! instrumentation that every crate in the workspace can call without
-//! affecting numerical results. Three primitives:
+//! affecting numerical results. Four primitives:
 //!
 //! - **Spans** ([`span`], [`span_with`]) — RAII guards forming a
 //!   parent/child tree via a thread-local ambient-parent cell. The helper
@@ -16,6 +16,9 @@
 //! - **Series** ([`series`]) — per-iteration convergence telemetry
 //!   (global-placer HPWL/overflow/CG residuals, GNN epoch loss), each row
 //!   tagged with the ambient span so a report can attribute it.
+//! - **Field frames** ([`fields::record_with`]) — per-bin grid snapshots
+//!   (density overflow, displacement, congestion) recorded inside a
+//!   [`fields::scope`], tagged with the ambient span like series rows.
 //!
 //! # Overhead contract
 //!
@@ -27,11 +30,11 @@
 //! `trace_determinism` tests).
 //!
 //! Levels: `Off` (0) — no-op; `Spans` (1) — spans and instant events;
-//! `Full` (2) — spans plus metrics and series. Callers pick one with
-//! [`set_level`].
+//! `Full` (2) — spans plus metrics, series and field frames. Callers pick
+//! one with [`set_level`].
 //!
 //! Every record site does one thing past the level check: push into the
-//! process-wide collector (spans, instants, series) or the metrics
+//! process-wide collector (spans, instants, series, frames) or the metrics
 //! registry (counters, gauges, histograms). The collector is bounded (see
 //! [`TraceReport::dropped_events`]) and holds events until [`take_report`]
 //! extracts one root span's subtree into a [`TraceReport`], which exports
@@ -43,7 +46,7 @@ pub mod fields;
 pub mod json;
 pub mod report;
 
-pub use fields::{Frame, FrameCapture, Verdict, VerdictKind};
+pub use fields::{Frame, Verdict, VerdictKind};
 pub use report::{chrome_trace, MetricSnapshot, MetricValue, SpanTotals, TraceReport};
 
 use std::cell::Cell;
@@ -59,7 +62,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// Serializes tests that touch process-global state (the level byte and
-/// the field store) across this crate's test modules.
+/// the collector) across this crate's test modules.
 #[cfg(test)]
 pub(crate) fn test_serial() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
@@ -77,7 +80,7 @@ pub enum Level {
     Off = 0,
     /// Record spans and instant events.
     Spans = 1,
-    /// Record spans, metrics and convergence series.
+    /// Record spans, metrics, convergence series and field frames.
     Full = 2,
 }
 
@@ -104,7 +107,8 @@ pub fn enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) != 0
 }
 
-/// `true` when metrics and series are being recorded (level `Full`).
+/// `true` when metrics, series and field frames are being recorded
+/// (level `Full`).
 #[inline]
 pub fn telemetry_enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) >= 2
@@ -249,6 +253,9 @@ struct Collector {
     spans: Vec<SpanRecord>,
     instants: Vec<InstantRecord>,
     series: Vec<SeriesRow>,
+    /// Field frames with the span they were recorded under; capped by
+    /// [`fields::MAX_FRAMES`], not by [`MAX_BUFFERED_EVENTS`].
+    frames: Vec<(u64, Frame)>,
     dropped: u64,
 }
 
@@ -528,11 +535,12 @@ fn snapshot_metrics() -> Vec<MetricSnapshot> {
 // ---------------------------------------------------------------------------
 // Report extraction
 
-/// Closes `root` and extracts its subtree — spans, instants and series
-/// transitively parented under it — into a [`TraceReport`], together with
-/// a snapshot of the (process-cumulative) metrics registry. Events that
-/// belong to *other* subtrees stay buffered for their own `take_report`,
-/// so nested or concurrent captures don't steal from each other.
+/// Closes `root` and extracts its subtree — spans, instants, series rows
+/// and field frames transitively parented under it — into a
+/// [`TraceReport`], together with a snapshot of the (process-cumulative)
+/// metrics registry. Events that belong to *other* subtrees stay
+/// buffered for their own `take_report`, so nested or concurrent captures
+/// don't steal from each other.
 ///
 /// Returns `None` when the guard is inert (tracing was off when the root
 /// span opened).
@@ -546,6 +554,7 @@ pub fn take_report(root: SpanGuard) -> Option<TraceReport> {
     let spans = std::mem::take(&mut c.spans);
     let instants = std::mem::take(&mut c.instants);
     let series = std::mem::take(&mut c.series);
+    let frames = std::mem::take(&mut c.frames);
     let dropped = c.dropped;
 
     let parent_of: HashMap<u64, u64> = spans.iter().map(|s| (s.id, s.parent)).collect();
@@ -579,9 +588,12 @@ pub fn take_report(root: SpanGuard) -> Option<TraceReport> {
         instants.into_iter().partition(|i| in_subtree(i.span));
     let (mine_series, rest_series): (Vec<_>, Vec<_>) =
         series.into_iter().partition(|r| in_subtree(r.span));
+    let (mine_frames, rest_frames): (Vec<_>, Vec<_>) =
+        frames.into_iter().partition(|&(span, _)| in_subtree(span));
     c.spans = rest;
     c.instants = rest_inst;
     c.series = rest_series;
+    c.frames = rest_frames;
     drop(c);
 
     mine.sort_by_key(|s| (s.start_ns, s.id));
@@ -590,6 +602,7 @@ pub fn take_report(root: SpanGuard) -> Option<TraceReport> {
         spans: mine,
         instants: mine_inst,
         series: mine_series,
+        frames: mine_frames.into_iter().map(|(_, f)| f).collect(),
         metrics: snapshot_metrics(),
         dropped_events: dropped,
     })
@@ -602,10 +615,10 @@ pub fn clear() {
     c.spans.clear();
     c.instants.clear();
     c.series.clear();
+    c.frames.clear();
     c.dropped = 0;
     drop(c);
     lock(metrics()).clear();
-    fields::clear();
 }
 
 #[cfg(test)]

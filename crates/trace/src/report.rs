@@ -1,17 +1,18 @@
 //! The structured trace report and its two export formats.
 //!
 //! [`TraceReport`] is one root span's subtree (see
-//! [`crate::take_report`]): the spans, instant events and series rows
-//! that ran under it, plus a snapshot of the metrics registry.
+//! [`crate::take_report`]): the spans, instant events, series rows and
+//! field frames that ran under it, plus a snapshot of the metrics
+//! registry.
 //! [`TraceReport::to_json`] writes the structured report
 //! (`schemas/trace_report.schema.json`) and [`chrome_trace`] writes
 //! Chrome `trace_event` JSON that loads directly in `chrome://tracing` /
 //! [Perfetto](https://ui.perfetto.dev). Both are write-only: what the
 //! workspace asks of a run (its `qor.*` gauges, its self-time by span
-//! name) it asks of the live report.
+//! name, its doctor's verdicts) it asks of the live report.
 
 use crate::json::Writer;
-use crate::{ArgValue, InstantRecord, SeriesRow, SpanRecord};
+use crate::{ArgValue, Frame, InstantRecord, SeriesRow, SpanRecord};
 use std::collections::{BTreeMap, HashMap};
 
 /// The checked-in schema of the structured report.
@@ -61,10 +62,13 @@ pub struct TraceReport {
     pub instants: Vec<InstantRecord>,
     /// Convergence-series rows under the root.
     pub series: Vec<SeriesRow>,
+    /// Field frames under the root, in record order.
+    pub frames: Vec<Frame>,
     /// Snapshot of the process metrics registry at capture time.
     pub metrics: Vec<MetricSnapshot>,
-    /// Events lost to the buffer cap since the last
-    /// [`crate::clear`] (process-cumulative).
+    /// Events and frames lost to the buffer caps, or frames refused for
+    /// a malformed grid, since the last [`crate::clear`]
+    /// (process-cumulative).
     pub dropped_events: u64,
 }
 
@@ -196,10 +200,11 @@ impl TraceReport {
     }
 
     /// Structured JSON export (compact, schema-stable; see
-    /// `schemas/trace_report.schema.json`).
+    /// `schemas/trace_report.schema.json`). A non-finite frame cell is
+    /// written as `null`.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(4096 + self.spans.len() * 128);
-        w.object().key("version").u64(1);
+        w.object().key("version").u64(2);
         w.key("root").u64(self.root);
         w.key("duration_s").f64(self.duration_seconds());
         w.key("dropped_events").u64(self.dropped_events);
@@ -231,6 +236,16 @@ impl TraceReport {
                     w.key(k).f64(v);
                 }
                 w.end();
+            }
+            w.end().end();
+        }
+        w.end().key("frames").array();
+        for f in &self.frames {
+            w.object().key("name").str(f.name).key("stage").str(f.stage);
+            w.key("iter").u64(f.iter).key("nx").u64(f.nx as u64);
+            w.key("ny").u64(f.ny as u64).key("values").array();
+            for &v in &f.values {
+                w.f64(f64::from(v));
             }
             w.end().end();
         }
@@ -389,6 +404,14 @@ mod tests {
                     values: vec![("hpwl", 8.0), ("overflow", 0.5)],
                 },
             ],
+            frames: vec![Frame {
+                name: "place.density_overflow",
+                stage: "flat placement",
+                iter: 0,
+                nx: 2,
+                ny: 1,
+                values: vec![0.5, f32::NAN],
+            }],
             metrics: vec![
                 MetricSnapshot {
                     name: "place.cg.solves",
@@ -453,6 +476,7 @@ mod tests {
             ],
             instants: vec![],
             series: vec![],
+            frames: vec![],
             metrics: vec![],
             dropped_events: 0,
         };
@@ -574,7 +598,7 @@ mod tests {
         let r = sample_report();
         assert_eq!(
             r.to_json(),
-            r#"{"version":1,"root":1,"duration_s":0.003,"dropped_events":0,"spans":[{"id":1,"parent":0,"name":"flow","thread":0,"start_us":0.0,"dur_us":3000.0},{"id":2,"parent":1,"name":"shaping","thread":0,"start_us":100.0,"dur_us":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"id":3,"parent":1,"name":"ppa","thread":1,"start_us":1200.0,"dur_us":1700.0}],"instants":[{"name":"place.revert","span":2,"thread":0,"ts_us":500.0,"args":{"iteration":4}}],"series":[{"name":"place.outer","span":2,"rows":[{"i":0,"hpwl":10.0,"overflow":0.9},{"i":1,"hpwl":8.0,"overflow":0.5}]}],"metrics":[{"name":"place.cg.solves","kind":"counter","value":12},{"name":"pool.worker.tasks","slot":1,"kind":"counter","value":40},{"name":"place.cg.iterations","kind":"histogram","count":2,"sum":30.0,"min":10.0,"max":20.0,"buckets":[[10.0,1],[100.0,1],["+inf",0]]}]}"#
+            r#"{"version":2,"root":1,"duration_s":0.003,"dropped_events":0,"spans":[{"id":1,"parent":0,"name":"flow","thread":0,"start_us":0.0,"dur_us":3000.0},{"id":2,"parent":1,"name":"shaping","thread":0,"start_us":100.0,"dur_us":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"id":3,"parent":1,"name":"ppa","thread":1,"start_us":1200.0,"dur_us":1700.0}],"instants":[{"name":"place.revert","span":2,"thread":0,"ts_us":500.0,"args":{"iteration":4}}],"series":[{"name":"place.outer","span":2,"rows":[{"i":0,"hpwl":10.0,"overflow":0.9},{"i":1,"hpwl":8.0,"overflow":0.5}]}],"frames":[{"name":"place.density_overflow","stage":"flat placement","iter":0,"nx":2,"ny":1,"values":[0.5,null]}],"metrics":[{"name":"place.cg.solves","kind":"counter","value":12},{"name":"pool.worker.tasks","slot":1,"kind":"counter","value":40},{"name":"place.cg.iterations","kind":"histogram","count":2,"sum":30.0,"min":10.0,"max":20.0,"buckets":[[10.0,1],[100.0,1],["+inf",0]]}]}"#
         );
         assert_eq!(
             chrome_trace(&[&r]),

@@ -39,6 +39,7 @@ fn report_from(raw: &[RawSpan], root_dur_ns: u64) -> TraceReport {
         spans,
         instants: vec![],
         series: vec![],
+        frames: vec![],
         metrics: vec![],
         dropped_events: 0,
     }

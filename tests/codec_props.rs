@@ -1,5 +1,5 @@
 //! Never-panic and round-trip properties for every document the repo
-//! reads back: checkpoint, field frames and QoR baseline. `REPRO.json`
+//! reads back: checkpoint and QoR baseline. `REPRO.json`
 //! and the trace report are encode-only; their property is that every
 //! generated document validates against its schema.
 //!
@@ -17,10 +17,9 @@ use cp_core::checkpoint::{Checkpoint, PlacementState, ShapingState};
 use cp_core::flow::ShapingStats;
 use cp_core::{stages, RecoveryEvent};
 use cp_netlist::ClusterShape;
-use cp_trace::fields::{self, Frame, FrameCapture};
 use cp_trace::json::{self, Json, Writer};
 use cp_trace::{
-    ArgValue, InstantRecord, MetricSnapshot, MetricValue, SeriesRow, SpanRecord, TraceReport,
+    ArgValue, Frame, InstantRecord, MetricSnapshot, MetricValue, SeriesRow, SpanRecord, TraceReport,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -254,36 +253,36 @@ fn checkpoint(rng: &mut TestRng) -> Checkpoint {
     }
 }
 
-fn capture(rng: &mut TestRng) -> FrameCapture {
-    let mut frames = Vec::new();
-    // Dense grids of random shapes (a zero side included), NaN cells
-    // among them; named so the doctor's checks run on them.
+/// Dense grids of random shapes (a zero side included), a NaN cell in
+/// every nonempty one.
+fn frames(rng: &mut TestRng) -> Vec<Frame> {
     let names = [
         "place.density_overflow",
         "place.displacement",
         "route.congestion",
     ];
-    for _ in 0..below(rng, 12) {
-        let (nx, ny) = (below(rng, 6), below(rng, 6));
-        frames.push(Frame {
-            name: names[below(rng, names.len())].to_string(),
-            stage: name(rng).to_string(),
-            iter: rng.below(64),
-            nx,
-            ny,
-            values: (0..nx * ny)
-                .map(|_| match rng.below(8) {
-                    0 => f32::NAN,
-                    _ => float(rng) as f32,
-                })
-                .collect(),
-        });
-    }
-    FrameCapture {
-        frames,
-        dropped_frames: rng.below(5),
-        budget: below(rng, 4096),
-    }
+    (0..below(rng, 6))
+        .map(|_| {
+            let (nx, ny) = (below(rng, 6), below(rng, 6));
+            let nan = below(rng, (nx * ny).max(1));
+            Frame {
+                name: names[below(rng, names.len())],
+                stage: name(rng),
+                iter: rng.below(64),
+                nx,
+                ny,
+                values: (0..nx * ny)
+                    .map(|i| {
+                        if i == nan {
+                            f32::NAN
+                        } else {
+                            float(rng) as f32
+                        }
+                    })
+                    .collect(),
+            }
+        })
+        .collect()
 }
 
 fn report(rng: &mut TestRng) -> TraceReport {
@@ -352,6 +351,7 @@ fn report(rng: &mut TestRng) -> TraceReport {
         spans,
         instants,
         series,
+        frames: frames(rng),
         metrics,
         dropped_events: rng.below(3),
     }
@@ -416,26 +416,6 @@ proptest! {
                 let again = cp.to_json();
                 assert_eq!(Checkpoint::from_json(&again).map(|c| c.to_json()), Ok(again));
             }
-        });
-    }
-
-    #[test]
-    fn frames_decoder_is_total_and_keeps_grids_whole(seed in 0u64..u64::MAX) {
-        let rng = &mut TestRng::seed_from_u64(seed);
-        let cap = capture(rng);
-        let text = fields::to_json(&cap);
-        let decoded = fields::decode_json(&text);
-        prop_assert_eq!(decoded.as_ref().map(fields::to_json), Ok(text.clone()));
-        prop_assert_eq!(decoded, Ok(cap));
-        for_each_mutant(&text, rng, |mutant| {
-            let Ok(cap) = fields::decode_json(mutant) else { return };
-            for f in &cap.frames {
-                // What `tracetool render` and the doctor index by.
-                assert_eq!(Some(f.values.len()), f.nx.checked_mul(f.ny), "{mutant}");
-            }
-            let _ = fields::diagnose(&cap.frames);
-            let again = fields::to_json(&cap);
-            assert_eq!(fields::decode_json(&again).map(|c| fields::to_json(&c)), Ok(again));
         });
     }
 

@@ -1,22 +1,23 @@
-//! Spatial field-frame capture must be a pure observer: the flow's
-//! outputs are bitwise identical with capture on and off, at 1, 4 and 8
-//! worker threads — and the captured frames themselves (names, stages,
+//! Field frames must be a pure observer: the flow's outputs are bitwise
+//! identical at `Level::Full` and `Level::Off`, at 1, 4 and 8 worker
+//! threads — and the recorded frames themselves (names, stages,
 //! iteration indices, dims and every f32 bit) are identical across
 //! thread counts and across repeat runs, because record sites only fire
-//! on the flow thread under an open stage scope.
+//! on the flow thread under an open stage scope. Below `Full` no frame
+//! records.
 //!
-//! Field capture is process-global state (like the trace level), so
-//! every test serializes on one mutex and restores the off state when
-//! done. The doctor's verdicts on one real capture are pinned here too.
+//! The trace level is process-global state, so every test serializes on
+//! one mutex and restores the off state when done. The doctor's verdicts
+//! on one real run are pinned here too.
 
 use cp_core::flow::{run_flow, FlowOptions, FlowReport, ShapeMode};
 use cp_core::ClusteringOptions;
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{Constraints, Netlist};
-use cp_trace::{FrameCapture, Level};
+use cp_trace::{Frame, Level};
 use std::sync::Mutex;
 
-/// Serializes tests that flip the process-global capture/trace state.
+/// Serializes tests that flip the process-global trace level.
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
 fn small_design() -> (Netlist, Constraints) {
@@ -47,44 +48,45 @@ fn assert_same_outputs(a: &FlowReport, b: &FlowReport) {
     assert_eq!(a.shaping, b.shaping);
 }
 
-/// Runs the flow with field capture enabled at `threads` workers,
-/// restoring the off state (and clearing trace buffers) afterwards.
-fn run_with_fields(
+/// Runs the flow at `level` with `threads` workers, restoring the off
+/// state (and clearing trace buffers) afterwards.
+fn run_at(
     n: &Netlist,
     c: &Constraints,
     o: &FlowOptions,
     threads: usize,
     level: Level,
-) -> (FlowReport, FrameCapture) {
+) -> FlowReport {
     struct Reset;
     impl Drop for Reset {
         fn drop(&mut self) {
             cp_trace::set_level(Level::Off);
-            cp_trace::fields::disable();
             cp_trace::clear();
         }
     }
     let _reset = Reset;
-    cp_trace::fields::enable(cp_trace::fields::DEFAULT_FRAME_BUDGET);
     cp_trace::set_level(level);
-    let report = cp_parallel::with_threads(threads, || run_flow(n, c, o).expect("flow runs"));
-    cp_trace::set_level(Level::Off);
-    let capture = cp_trace::fields::take();
-    (report, capture)
+    cp_parallel::with_threads(threads, || run_flow(n, c, o).expect("flow runs"))
 }
 
 /// A bit-exact, comparable view of one frame.
-type FrameSig = (String, String, u64, usize, usize, Vec<u32>);
+type FrameSig = (&'static str, &'static str, u64, usize, usize, Vec<u32>);
 
-fn signatures(capture: &FrameCapture) -> Vec<FrameSig> {
-    capture
-        .frames
+fn signatures(frames: &[Frame]) -> Vec<FrameSig> {
+    frames
         .iter()
         .map(|f| {
             let bits = f.values.iter().map(|v| v.to_bits()).collect();
-            (f.name.clone(), f.stage.clone(), f.iter, f.nx, f.ny, bits)
+            (f.name, f.stage, f.iter, f.nx, f.ny, bits)
         })
         .collect()
+}
+
+/// The frames of a traced run, with nothing dropped.
+fn frames_of(report: &FlowReport) -> Vec<FrameSig> {
+    let trace = report.trace.as_ref().expect("trace present at Full");
+    assert_eq!(trace.dropped_events, 0, "the cap is generous for this flow");
+    signatures(&trace.frames)
 }
 
 #[test]
@@ -92,96 +94,66 @@ fn field_capture_leaves_flow_outputs_bitwise_identical() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (n, c) = small_design();
     let o = opts();
-    let off = run_flow(&n, &c, &o).expect("flow runs");
 
-    let mut first: Option<(Vec<FrameSig>, String)> = None;
+    let mut first: Option<Vec<FrameSig>> = None;
     for threads in [1usize, 4, 8] {
-        let (report, capture) = run_with_fields(&n, &c, &o, threads, Level::Off);
-        assert_same_outputs(&off, &report);
-        assert!(
-            report.trace.is_none(),
-            "field capture must not imply tracing"
-        );
-        assert_eq!(capture.dropped_frames, 0, "budget generous for this flow");
-        let sigs = signatures(&capture);
-        assert!(
-            !sigs.is_empty(),
-            "record sites must fire when capture is on"
-        );
-        let names: Vec<&str> = sigs.iter().map(|(name, ..)| name.as_str()).collect();
-        assert!(
-            names.contains(&"place.density_overflow"),
-            "density-overflow grids recorded, got {names:?}"
-        );
-        assert!(
-            names.contains(&"place.displacement"),
-            "displacement fields recorded, got {names:?}"
-        );
-        assert!(
-            names.contains(&"route.congestion"),
-            "router congestion map recorded, got {names:?}"
-        );
-        // Frames — and their serialized artifact — are deterministic per
-        // flow, independent of the worker-thread count: candidate
-        // placements on pool threads never record.
-        let json = cp_trace::fields::to_json(&capture);
+        let off = run_at(&n, &c, &o, threads, Level::Off);
+        let full = run_at(&n, &c, &o, threads, Level::Full);
+        assert_same_outputs(&off, &full);
+        let sigs = frames_of(&full);
+        let names: Vec<&str> = sigs.iter().map(|(name, ..)| *name).collect();
+        for name in [
+            "place.density_overflow",
+            "place.displacement",
+            "route.congestion",
+        ] {
+            assert!(names.contains(&name), "{name} recorded, got {names:?}");
+        }
+        // Frames are deterministic per flow, independent of the
+        // worker-thread count: candidate placements on helper threads
+        // never record.
         match &first {
-            Some((base_sigs, base_json)) => {
-                assert_eq!(base_sigs, &sigs, "frames differ at {threads} threads");
-                assert_eq!(base_json, &json, "artifact differs at {threads} threads");
-            }
-            None => first = Some((sigs, json)),
+            Some(base) => assert_eq!(base, &sigs, "frames differ at {threads} threads"),
+            None => first = Some(sigs),
         }
     }
 
-    // Repeat run at one thread: the capture reproduces exactly.
-    let (report, capture) = run_with_fields(&n, &c, &o, 1, Level::Off);
-    assert_same_outputs(&off, &report);
-    let (base_sigs, base_json) = first.expect("first capture recorded");
-    // The flow's artifact conforms to the schema `tracetool render` reads.
-    let doc = cp_trace::json::parse(&base_json).expect("artifact parses");
-    let schema = cp_trace::json::parse(cp_trace::fields::SCHEMA_JSON).expect("schema parses");
+    // Repeat run at one thread: the frames reproduce exactly.
+    let again = run_at(&n, &c, &o, 1, Level::Full);
     assert_eq!(
-        cp_trace::json::validate(&doc, &schema),
-        Vec::<String>::new()
+        first.expect("first run recorded"),
+        frames_of(&again),
+        "frames differ across runs"
     );
-    assert_eq!(base_sigs, signatures(&capture), "frames differ across runs");
-    assert_eq!(
-        base_json,
-        cp_trace::fields::to_json(&capture),
-        "artifact differs across runs"
-    );
-    // The written artifact reads back as the live capture.
-    assert_eq!(cp_trace::fields::decode_json(&base_json), Ok(capture));
 }
 
+/// Frames are a record kind of `Full`: a run traced at `Spans` has a
+/// trace but no frames, and its outputs match the untraced run.
 #[test]
 fn field_capture_composes_with_full_tracing() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (n, c) = small_design();
     let o = opts();
-    let off = run_flow(&n, &c, &o).expect("flow runs");
-    let (report, capture) = run_with_fields(&n, &c, &o, 4, Level::Full);
-    assert_same_outputs(&off, &report);
-    assert!(report.trace.is_some(), "trace present at Full");
-    assert!(
-        !capture.frames.is_empty(),
-        "frames captured alongside trace"
-    );
-    // With capture off again, nothing records even inside open scopes.
-    let after = run_flow(&n, &c, &o).expect("flow runs");
-    assert_same_outputs(&off, &after);
-    assert!(cp_trace::fields::take().frames.is_empty());
+    let off = run_at(&n, &c, &o, 4, Level::Off);
+    assert!(off.trace.is_none());
+    let spans = run_at(&n, &c, &o, 4, Level::Spans);
+    assert_same_outputs(&off, &spans);
+    let trace = spans.trace.as_ref().expect("trace present at Spans");
+    assert!(trace.frames.is_empty(), "no frames below Full");
+    let full = run_at(&n, &c, &o, 4, Level::Full);
+    assert!(!frames_of(&full).is_empty(), "frames recorded at Full");
 }
 
-/// The doctor on a real capture: the hermetic gate-options Aes flow at
+/// The doctor on a real run: the hermetic gate-options Aes flow at
 /// scale 0.01 yields exactly these verdicts.
 #[test]
 fn doctor_verdicts_on_a_real_capture_are_pinned() {
     let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (_, capture) = cp_bench::qor_gate::run_hermetic_fields(DesignProfile::Aes, 0.01)
+    let bench = cp_bench::support::Bench::generate_at(DesignProfile::Aes, 0.01);
+    let report = cp_bench::qor_gate::run_traced(&bench, &cp_bench::qor_gate::gate_options())
         .expect("hermetic flow runs");
-    let verdicts = cp_trace::fields::diagnose(&capture.frames);
+    let trace = report.trace.expect("trace present at Full");
+    let verdicts = cp_trace::fields::diagnose(&trace.frames);
     let got: Vec<(&str, &str, &str)> = verdicts
         .iter()
         .map(|v| (v.kind.as_str(), v.stage.as_str(), v.evidence.as_str()))

@@ -18,7 +18,8 @@ use std::sync::Mutex;
 static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
 fn gate_trace() -> TraceReport {
-    let report = qor_gate::run_gate_flow().expect("gate flow runs");
+    let report = qor_gate::run_traced(&qor_gate::gate_bench(), &qor_gate::gate_options())
+        .expect("gate flow runs");
     report.trace.expect("gate flow is fully traced")
 }
 
@@ -133,6 +134,12 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         (&["summarize", "r.json"], "unknown subcommand"),
         (&["diff", "a.json", "b.json"], "unknown subcommand"),
         (&["flamegraph", "r.json"], "unknown subcommand"),
+        (&["render", "f.json"], "unknown subcommand"),
+        (&["explain", "f.json"], "usage: tracetool explain --run"),
+        (
+            &["explain", "--run", "aes@0.01", "--fields-out", "f"],
+            "unknown option",
+        ),
         (&["gate", "--from", "x"], "unknown option"),
         (&["gate", "--reps", "2"], "unknown option"),
     ];
@@ -155,25 +162,6 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
     assert_eq!(out.status.code(), Some(3), "{out:?}");
 }
 
-/// A frames document of a version the reader no longer knows is refused
-/// with the version error, exit 2, by both frame readers.
-#[test]
-fn a_version_1_frames_document_exits_2() {
-    let v1 = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../tests/regressions/frames_v1.json"
-    );
-    for args in [["explain", v1], ["render", v1]] {
-        let out = Command::new(env!("CARGO_BIN_EXE_tracetool"))
-            .args(args)
-            .output()
-            .expect("tracetool runs");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("$/version: value not in enum"), "{stderr}");
-    }
-}
-
 /// A reader that closes the pipe before reading ends the output, not the
 /// command: each binary exits with its own code, never a panic's 101.
 #[test]
@@ -186,17 +174,16 @@ fn closed_stdout_keeps_the_exit_code() {
             .expect("utf-8 temp path")
             .to_string()
     };
-    let (frames, schema) = (path("frames.json"), path("schema.json"));
-    let capture = cp_trace::FrameCapture::default();
-    std::fs::write(&frames, cp_trace::fields::to_json(&capture)).expect("write frames");
+    let (doc, schema) = (path("doc.json"), path("schema.json"));
     // A document that violates its schema: check-schema's exit 1.
+    std::fs::write(&doc, r#"{"version": 2}"#).expect("write document");
     std::fs::write(&schema, r#"{"type": "array"}"#).expect("write schema");
 
     let tracetool = env!("CARGO_BIN_EXE_tracetool");
     let repro = env!("CARGO_BIN_EXE_repro");
     let cases: &[(&str, &[&str], i32)] = &[
-        (tracetool, &["check-schema", &frames, &schema], 1),
-        (tracetool, &["explain", &frames], 0),
+        (tracetool, &["check-schema", &doc, &schema], 1),
+        (tracetool, &["explain", "--run", "aes@0.01"], 0),
         (repro, &["--table", "1", "--scale", "0.01"], 0),
     ];
     for (bin, args, code) in cases {
