@@ -431,12 +431,40 @@ fn sanitize(label: &str) -> String {
         .collect()
 }
 
+/// True for a file name [`write_svgs`] writes,
+/// `{si:02}_{name}_{stage}_{fi:04}.svg` with `name` and `stage` passed
+/// through [`sanitize`] (which leaves no `_` in them).
+fn is_frame_svg(file: &str) -> bool {
+    let digits = |s: &str, min: usize| s.len() >= min && s.bytes().all(|c| c.is_ascii_digit());
+    let label = |s: &str| s.bytes().all(|c| c.is_ascii_alphanumeric() || c == b'-');
+    let Some(stem) = file.strip_suffix(".svg") else {
+        return false;
+    };
+    matches!(
+        stem.split('_').collect::<Vec<_>>().as_slice(),
+        [si, name, stage, fi] if digits(si, 2) && label(name) && label(stage) && digits(fi, 4)
+    )
+}
+
 /// SVG heatmap sequences of a run's frames into `out_dir`, one file per
 /// frame, normalized per (name, stage) sequence; a summary line per
-/// sequence goes to stderr.
+/// sequence goes to stderr. The frame SVGs of an earlier run in `out_dir`
+/// are removed first — file names repeat across runs, so a shorter
+/// sequence would otherwise keep the old one's tail — and every other
+/// file is left alone.
 fn write_svgs(frames: &[Frame], out_dir: &std::path::Path) -> Result<(), String> {
     std::fs::create_dir_all(out_dir)
         .map_err(|e| format!("cannot create `{}`: {e}", out_dir.display()))?;
+    let listing = std::fs::read_dir(out_dir)
+        .map_err(|e| format!("cannot list `{}`: {e}", out_dir.display()))?;
+    for entry in listing {
+        let entry = entry.map_err(|e| format!("cannot list `{}`: {e}", out_dir.display()))?;
+        let is_file = entry.file_type().is_ok_and(|t| t.is_file());
+        if is_file && entry.file_name().to_str().is_some_and(is_frame_svg) {
+            std::fs::remove_file(entry.path())
+                .map_err(|e| format!("cannot remove `{}`: {e}", entry.path().display()))?;
+        }
+    }
     // Group into (name, stage) sequences in first-appearance order.
     let mut sequences: Vec<((&str, &str), Vec<&Frame>)> = Vec::new();
     for f in frames {
@@ -528,5 +556,65 @@ fn main() -> ExitCode {
             eprintln!("tracetool {cmd}: {e}");
             ExitCode::from(2)
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn frames(n: u64) -> Vec<Frame> {
+        (0..n)
+            .map(|iter| Frame {
+                name: "place.density_overflow",
+                stage: "cluster_placement",
+                iter,
+                nx: 2,
+                ny: 1,
+                values: vec![0.5, 1.0],
+            })
+            .collect()
+    }
+
+    fn listing(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("dir lists")
+            .map(|e| {
+                e.expect("entry reads")
+                    .file_name()
+                    .into_string()
+                    .expect("utf-8 name")
+            })
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// A second run into the same directory leaves exactly its own frames
+    /// plus every file that is not one of the writer's, near misses of the
+    /// name pattern included.
+    #[test]
+    fn a_second_run_replaces_the_first_runs_frames_only() {
+        let dir = std::env::temp_dir().join(format!("tracetool_svgs_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("dir creates");
+        let kept = [
+            "00_a-b_c_000.svg",
+            "00_a.b_c_0000.svg",
+            "00_a_b_c_0000.svg",
+            "notes.txt",
+            "plot.svg",
+        ];
+        for name in kept {
+            std::fs::write(dir.join(name), "kept").expect("file writes");
+        }
+        write_svgs(&frames(3), &dir).expect("first run writes");
+        assert_eq!(listing(&dir).len(), kept.len() + 3);
+        write_svgs(&frames(1), &dir).expect("second run writes");
+        let mut expected = vec!["00_place-density-overflow_cluster-placement_0000.svg"];
+        expected.extend(kept);
+        expected.sort_unstable();
+        assert_eq!(listing(&dir), expected);
+        std::fs::remove_dir_all(&dir).expect("dir removes");
     }
 }

@@ -11,20 +11,19 @@ use crate::cluster::fc::{multilevel_fc, FcOptions};
 use crate::cluster::ClusteringOptions;
 use crate::error::FlowError;
 use crate::flow::{run_flow_with_assignment, FlowOptions, FlowReport};
-use cp_graph::coarsen::{leiden_multilevel, louvain_multilevel, CoarsenOptions};
-use cp_graph::community::CommunityOptions;
+use cp_graph::coarsen::{leiden_multilevel, louvain_multilevel};
 use cp_netlist::netlist::Netlist;
 use cp_netlist::Constraints;
 use std::time::Instant;
 
+/// Node count above which Louvain and Leiden run on a heavy-edge-matched
+/// coarse graph.
+const COARSEN_THRESHOLD: usize = 50_000;
+
 /// Community detection over the netlist's cells (ports dropped), using a
 /// bounded clique expansion so high-fanout nets stay tractable.
 fn cell_graph(netlist: &Netlist) -> cp_graph::Graph {
-    let (hg, _) = netlist.to_hypergraph_with_map();
-    let n_cells = netlist.cell_count();
-    let keep: Vec<u32> = (0..n_cells as u32).collect();
-    let (cells_only, _) = hg.induce(&keep, 2);
-    cells_only.bounded_clique_expansion(16)
+    netlist.to_hypergraph().cell_graph(netlist.cell_count())
 }
 
 /// Louvain clustering of the cells (the clustering of blob placement \[9\]).
@@ -36,14 +35,7 @@ fn cell_graph(netlist: &Netlist) -> cp_graph::Graph {
 pub fn louvain_assignment(netlist: &Netlist, seed: u64) -> (Vec<u32>, f64) {
     let t0 = Instant::now();
     let g = cell_graph(netlist);
-    let (labels, _q) = louvain_multilevel(
-        &g,
-        &CommunityOptions {
-            seed,
-            ..Default::default()
-        },
-        &CoarsenOptions::default(),
-    );
+    let (labels, _q) = louvain_multilevel(&g, seed, COARSEN_THRESHOLD);
     (labels, t0.elapsed().as_secs_f64())
 }
 
@@ -52,14 +44,7 @@ pub fn louvain_assignment(netlist: &Netlist, seed: u64) -> (Vec<u32>, f64) {
 pub fn leiden_assignment(netlist: &Netlist, seed: u64) -> (Vec<u32>, f64) {
     let t0 = Instant::now();
     let g = cell_graph(netlist);
-    let (labels, _q) = leiden_multilevel(
-        &g,
-        &CommunityOptions {
-            seed,
-            ..Default::default()
-        },
-        &CoarsenOptions::default(),
-    );
+    let (labels, _q) = leiden_multilevel(&g, seed, COARSEN_THRESHOLD);
     (labels, t0.elapsed().as_secs_f64())
 }
 

@@ -165,15 +165,8 @@ pub fn ppa_aware_clustering(
     // (group, pre-cluster) composite, which splits any matched pair that
     // crosses a dendrogram group.
     let precoarse: Option<Vec<u32>> = (n_cells > options.coarsen_threshold).then(|| {
-        let keep: Vec<u32> = (0..n_cells as u32).collect();
-        let (cells_only, _) = hg.induce(&keep, 2);
-        let g = cells_only.bounded_clique_expansion(16);
-        let copts = cp_graph::coarsen::CoarsenOptions {
-            threshold: options.coarsen_threshold,
-            max_levels: 16,
-        };
-        let (_, map, _) = cp_graph::coarsen::coarsen_to(&g, &copts);
-        map
+        let g = hg.cell_graph(n_cells);
+        cp_graph::coarsen::coarsen_to(&g, options.coarsen_threshold).1
     });
     let seeded: Option<Vec<u32>> = match (&dendro, precoarse) {
         (Some(d), Some(pc)) => Some(compose_groups(&d.assignment, &pc)),

@@ -57,10 +57,7 @@ pub fn clustering_quality(hg: &Hypergraph, labels: &[u32]) -> ClusteringQuality 
         }
     }
     // Modularity over the clique expansion restricted to clustered cells.
-    let keep: Vec<u32> = (0..labels.len() as u32).collect();
-    let (cells_only, _) = hg.induce(&keep, 2);
-    let g = cells_only.bounded_clique_expansion(16);
-    let q = modularity(&g, labels);
+    let q = modularity(&hg.cell_graph(labels.len()), labels);
     let mut sizes = vec![0usize; cluster_count];
     for &l in labels {
         sizes[l as usize] += 1;

@@ -1,4 +1,5 @@
-//! The weighted-average Rent exponent criterion (Eq. 1 of the paper).
+//! The weighted-average Rent exponent (Eq. 1 of the paper), the score the
+//! hierarchy-driven clustering ranks dendrogram levels by.
 //!
 //! For a cluster `c`: `R_c = ln(E(c) / (Int(c) + Ext(c))) / ln(|c|) + 1`,
 //! where `E(c)` counts external hyperedges, `Ext(c)` pins of `c` on

@@ -146,7 +146,7 @@ impl Default for FlowOptions {
             vpr_min_instances: 200,
             vpr: VprOptions::default(),
             placer: PlacerOptions::default(),
-            router: RouterOptions::default(),
+            router: RouterOptions,
             cts: CtsOptions::default(),
             utilization: 0.6,
             aspect_ratio: 1.0,

@@ -4,7 +4,7 @@
 //! [`StageTimings`](crate::flow::StageTimings) labels and the recovery
 //! events — so the flat and clustered paths can never drift apart on
 //! labels again, and trace-derived timings line up with the
-//! `timings.get(...)` keys benches already use.
+//! `timings.get(...)` keys `repro` and the benchmark read.
 
 /// Root span of the flat (default) flow.
 pub const FLOW_FLAT: &str = "flow.flat";

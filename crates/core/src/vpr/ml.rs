@@ -349,15 +349,6 @@ impl MlShapeSelector {
         (selector, stats)
     }
 
-    /// Wraps an already-trained model (no label rescaling).
-    pub fn from_model(model: TotalCostModel) -> Self {
-        Self {
-            model,
-            label_mean: 0.0,
-            label_std: 1.0,
-        }
-    }
-
     /// The underlying model (predictions are in standardized space).
     pub fn model(&self) -> &TotalCostModel {
         &self.model

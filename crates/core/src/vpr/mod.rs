@@ -60,7 +60,7 @@ impl Default for VprOptions {
                 cg_iterations: 30,
                 ..Default::default()
             },
-            router: RouterOptions::default(),
+            router: RouterOptions,
         }
     }
 }
@@ -257,22 +257,6 @@ impl<'a> ClusterVpr<'a> {
         });
         results.into_iter().collect()
     }
-}
-
-/// Places and routes `sub` on a virtual die of the given shape and scores
-/// it (one arm of Figure 3).
-///
-/// # Errors
-///
-/// [`FlowError::Validation`] when `sub` is degenerate (no cells, no
-/// nets); [`FlowError::Place`] / [`FlowError::Route`] when the virtual
-/// P&R itself fails.
-pub fn evaluate_shape(
-    sub: &Netlist,
-    shape: ClusterShape,
-    options: &VprOptions,
-) -> Result<ShapeCost, FlowError> {
-    ClusterVpr::new(sub)?.evaluate(shape, options)
 }
 
 /// Sweeps the paper's 20 shape candidates through V-P&R; returns the best
@@ -475,7 +459,8 @@ mod tests {
     #[test]
     fn shape_costs_are_finite_and_positive() {
         let sub = cluster_sub();
-        let c = evaluate_shape(&sub, ClusterShape::UNIFORM, &VprOptions::default())
+        let c = ClusterVpr::new(&sub)
+            .and_then(|vpr| vpr.evaluate(ClusterShape::UNIFORM, &VprOptions::default()))
             .expect("shape evaluates");
         assert!(c.hpwl_cost > 0.0 && c.hpwl_cost.is_finite());
         assert!(c.congestion_cost >= 0.0 && c.congestion_cost.is_finite());
@@ -510,8 +495,9 @@ mod tests {
     #[test]
     fn evaluation_is_deterministic() {
         let sub = cluster_sub();
-        let a = evaluate_shape(&sub, ClusterShape::new(1.25, 0.8), &VprOptions::default());
-        let b = evaluate_shape(&sub, ClusterShape::new(1.25, 0.8), &VprOptions::default());
+        let shape = ClusterShape::new(1.25, 0.8);
+        let a = ClusterVpr::new(&sub).and_then(|vpr| vpr.evaluate(shape, &VprOptions::default()));
+        let b = ClusterVpr::new(&sub).and_then(|vpr| vpr.evaluate(shape, &VprOptions::default()));
         assert_eq!(a.expect("shape evaluates"), b.expect("shape evaluates"));
     }
 
@@ -590,12 +576,10 @@ mod tests {
     #[test]
     fn empty_subnetlist_is_a_typed_error() {
         let sub = cluster_sub();
-        let err = evaluate_shape(
-            &extract_subnetlist(&sub, &[]).expect("empty induction builds"),
-            ClusterShape::UNIFORM,
-            &VprOptions::default(),
-        )
-        .expect_err("no cells to place");
+        let empty = extract_subnetlist(&sub, &[]).expect("empty induction builds");
+        let err = ClusterVpr::new(&empty)
+            .and_then(|vpr| vpr.evaluate(ClusterShape::UNIFORM, &VprOptions::default()))
+            .expect_err("no cells to place");
         assert!(matches!(err, FlowError::Validation(_)));
     }
 }

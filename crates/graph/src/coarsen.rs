@@ -11,27 +11,12 @@
 //! clustering follows, so quality loss is small while the detection cost
 //! drops by the coarsening factor per level.
 
-use crate::community::{self, CommunityOptions};
+use crate::community;
 use crate::Graph;
 
-/// Options for [`coarsen_to`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoarsenOptions {
-    /// Stop coarsening once the node count is at or below this.
-    pub threshold: usize,
-    /// Hard cap on matching levels (a level that stops shrinking also
-    /// terminates the loop).
-    pub max_levels: usize,
-}
-
-impl Default for CoarsenOptions {
-    fn default() -> Self {
-        Self {
-            threshold: 50_000,
-            max_levels: 16,
-        }
-    }
-}
+/// Hard cap on [`coarsen_to`]'s matching levels (a level that stops
+/// shrinking also ends the loop).
+const MAX_LEVELS: usize = 16;
 
 /// One greedy heavy-edge matching pass. Returns a dense coarse id per
 /// node and the coarse node count.
@@ -110,17 +95,17 @@ pub fn contract(g: &Graph, map: &[u32], k: usize) -> Graph {
 }
 
 /// Coarsens `g` by repeated heavy-edge matching until it has at most
-/// `opts.threshold` nodes (or a level stops shrinking).
+/// `threshold` nodes (or a level stops shrinking).
 ///
 /// Returns the coarse graph, the composed original-node → coarse-node
 /// map, and the number of matching levels applied (0 when `g` is already
 /// small enough — the returned graph is then a clone of `g`).
-pub fn coarsen_to(g: &Graph, opts: &CoarsenOptions) -> (Graph, Vec<u32>, usize) {
+pub fn coarsen_to(g: &Graph, threshold: usize) -> (Graph, Vec<u32>, usize) {
     let n = g.node_count();
     let mut composed: Vec<u32> = (0..n as u32).collect();
     let mut current = g.clone();
     let mut levels = 0usize;
-    while current.node_count() > opts.threshold && levels < opts.max_levels {
+    while current.node_count() > threshold && levels < MAX_LEVELS {
         let (map, k) = heavy_edge_matching(&current);
         if k == current.node_count() {
             break; // nothing matched; a further pass cannot shrink either
@@ -134,41 +119,33 @@ pub fn coarsen_to(g: &Graph, opts: &CoarsenOptions) -> (Graph, Vec<u32>, usize) 
     (current, composed, levels)
 }
 
-/// Louvain through the multi-level wrapper: coarsen to
-/// `opts.threshold` nodes, detect on the coarse graph, project back.
+/// Louvain (seeded with `seed`) through the multi-level wrapper: coarsen
+/// to `threshold` nodes, detect on the coarse graph, project back.
 ///
 /// Below the threshold this is exactly [`community::louvain`] (zero
 /// levels, same labels bit for bit). Returns `(labels, modularity)` with
 /// the modularity evaluated on the *original* graph.
-pub fn louvain_multilevel(
-    g: &Graph,
-    copts: &CommunityOptions,
-    opts: &CoarsenOptions,
-) -> (Vec<u32>, f64) {
-    project_communities(g, opts, |coarse| community::louvain(coarse, copts))
+pub fn louvain_multilevel(g: &Graph, seed: u64, threshold: usize) -> (Vec<u32>, f64) {
+    project_communities(g, threshold, |coarse| community::louvain(coarse, seed))
 }
 
 /// Leiden through the multi-level wrapper (see [`louvain_multilevel`]).
-pub fn leiden_multilevel(
-    g: &Graph,
-    copts: &CommunityOptions,
-    opts: &CoarsenOptions,
-) -> (Vec<u32>, f64) {
-    project_communities(g, opts, |coarse| community::leiden(coarse, copts))
+pub fn leiden_multilevel(g: &Graph, seed: u64, threshold: usize) -> (Vec<u32>, f64) {
+    project_communities(g, threshold, |coarse| community::leiden(coarse, seed))
 }
 
 /// The generic coarsen–detect–project wrapper: any community detector
 /// that labels the coarse graph can run under it.
 pub fn project_communities(
     g: &Graph,
-    opts: &CoarsenOptions,
+    threshold: usize,
     detect: impl FnOnce(&Graph) -> (Vec<u32>, f64),
 ) -> (Vec<u32>, f64) {
     let _span = cp_trace::span_with(
         "graph.coarsen",
         &[("nodes", cp_trace::ArgValue::U(g.node_count() as u64))],
     );
-    let (coarse, map, levels) = coarsen_to(g, opts);
+    let (coarse, map, levels) = coarsen_to(g, threshold);
     if cp_trace::telemetry_enabled() {
         cp_trace::observe("graph.coarsen.levels", levels as f64);
     }
@@ -237,13 +214,7 @@ mod tests {
     #[test]
     fn coarsen_to_respects_threshold() {
         let g = two_cliques();
-        let (coarse, map, levels) = coarsen_to(
-            &g,
-            &CoarsenOptions {
-                threshold: 3,
-                max_levels: 16,
-            },
-        );
+        let (coarse, map, levels) = coarsen_to(&g, 3);
         assert!(coarse.node_count() <= 4, "{}", coarse.node_count());
         assert!(levels >= 1);
         assert_eq!(map.len(), 8);
@@ -253,16 +224,8 @@ mod tests {
     #[test]
     fn below_threshold_is_identity() {
         let g = two_cliques();
-        let copts = CommunityOptions::default();
-        let direct = community::louvain(&g, &copts);
-        let wrapped = louvain_multilevel(
-            &g,
-            &copts,
-            &CoarsenOptions {
-                threshold: 100,
-                max_levels: 16,
-            },
-        );
+        let direct = community::louvain(&g, 1);
+        let wrapped = louvain_multilevel(&g, 1, 100);
         assert_eq!(direct.0, wrapped.0);
         assert_eq!(direct.1.to_bits(), wrapped.1.to_bits());
     }
@@ -270,14 +233,7 @@ mod tests {
     #[test]
     fn multilevel_still_finds_the_cliques() {
         let g = two_cliques();
-        let opts = CoarsenOptions {
-            threshold: 4,
-            max_levels: 16,
-        };
-        for (labels, q) in [
-            louvain_multilevel(&g, &CommunityOptions::default(), &opts),
-            leiden_multilevel(&g, &CommunityOptions::default(), &opts),
-        ] {
+        for (labels, q) in [louvain_multilevel(&g, 1, 4), leiden_multilevel(&g, 1, 4)] {
             assert_eq!(labels[0], labels[3]);
             assert_eq!(labels[4], labels[7]);
             assert_ne!(labels[0], labels[4]);
@@ -288,12 +244,8 @@ mod tests {
     #[test]
     fn multilevel_is_deterministic() {
         let g = two_cliques();
-        let opts = CoarsenOptions {
-            threshold: 2,
-            max_levels: 16,
-        };
-        let a = louvain_multilevel(&g, &CommunityOptions::default(), &opts);
-        let b = louvain_multilevel(&g, &CommunityOptions::default(), &opts);
+        let a = louvain_multilevel(&g, 1, 2);
+        let b = louvain_multilevel(&g, 1, 2);
         assert_eq!(a.0, b.0);
         assert_eq!(a.1.to_bits(), b.1.to_bits());
     }

@@ -75,32 +75,14 @@ pub fn compact_labels(labels: &mut [u32]) -> usize {
     next as usize
 }
 
-/// Options shared by [`louvain`] and [`leiden`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CommunityOptions {
-    /// Resolution parameter γ (1.0 = classic modularity).
-    pub resolution: f64,
-    /// RNG seed for the node-visit order.
-    pub seed: u64,
-    /// Maximum number of aggregation levels.
-    pub max_levels: usize,
-    /// Minimum modularity gain to accept a move.
-    pub min_gain: f64,
-}
-
-impl Default for CommunityOptions {
-    fn default() -> Self {
-        Self {
-            resolution: 1.0,
-            seed: 1,
-            max_levels: 32,
-            min_gain: 1e-9,
-        }
-    }
-}
+/// Maximum number of aggregation levels of [`louvain`] and [`leiden`].
+const MAX_LEVELS: usize = 32;
+/// Minimum modularity gain to accept a move. Gains are classic modularity
+/// (resolution 1).
+const MIN_GAIN: f64 = 1e-9;
 
 /// One pass of greedy local moving. Returns `true` if any node moved.
-fn local_move(g: &Graph, labels: &mut [u32], opts: &CommunityOptions, rng: &mut StdRng) -> bool {
+fn local_move(g: &Graph, labels: &mut [u32], rng: &mut StdRng) -> bool {
     let n = g.node_count();
     let m = g.total_weight();
     if m <= 0.0 || n == 0 {
@@ -135,17 +117,15 @@ fn local_move(g: &Graph, labels: &mut [u32], opts: &CommunityOptions, rng: &mut 
             }
             // Gain of staying vs moving; remove u from its community first.
             tot[cu as usize] -= ku;
-            let base =
-                neighbor_weight[cu as usize] - opts.resolution * tot[cu as usize] * ku / two_m;
+            let base = neighbor_weight[cu as usize] - tot[cu as usize] * ku / two_m;
             let mut best_comm = cu;
             let mut best_gain = base;
             for &c in &touched {
                 if c == cu {
                     continue;
                 }
-                let gain =
-                    neighbor_weight[c as usize] - opts.resolution * tot[c as usize] * ku / two_m;
-                if gain > best_gain + opts.min_gain {
+                let gain = neighbor_weight[c as usize] - tot[c as usize] * ku / two_m;
+                if gain > best_gain + MIN_GAIN {
                     best_gain = gain;
                     best_comm = c;
                 }
@@ -176,7 +156,8 @@ fn aggregate(g: &Graph, labels: &[u32], k: usize) -> Graph {
     agg
 }
 
-/// Louvain community detection [Blondel et al. 2008].
+/// Louvain community detection [Blondel et al. 2008], classic modularity
+/// (resolution 1), with `seed` fixing the node-visit order.
 ///
 /// Returns `(labels, modularity)` with labels densified to `0..k`.
 ///
@@ -191,24 +172,24 @@ fn aggregate(g: &Graph, labels: &[u32], k: usize) -> Graph {
 ///     (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0),
 ///     (2, 3, 1.0),
 /// ]);
-/// let (labels, q) = community::louvain(&g, &community::CommunityOptions::default());
+/// let (labels, q) = community::louvain(&g, 1);
 /// assert_eq!(labels[0], labels[1]);
 /// assert_eq!(labels[3], labels[5]);
 /// assert_ne!(labels[0], labels[3]);
 /// assert!(q > 0.3);
 /// ```
-pub fn louvain(g: &Graph, opts: &CommunityOptions) -> (Vec<u32>, f64) {
+pub fn louvain(g: &Graph, seed: u64) -> (Vec<u32>, f64) {
     let _span = cp_trace::span_with(
         "graph.louvain",
         &[("nodes", cp_trace::ArgValue::U(g.node_count() as u64))],
     );
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let n = g.node_count();
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut level_graph = g.clone();
     let mut level_labels: Vec<u32> = (0..n as u32).collect();
-    for _ in 0..opts.max_levels {
-        let moved = local_move(&level_graph, &mut level_labels, opts, &mut rng);
+    for _ in 0..MAX_LEVELS {
+        let moved = local_move(&level_graph, &mut level_labels, &mut rng);
         let k = compact_labels(&mut level_labels);
         // Project the level labels down to original nodes.
         for l in labels.iter_mut() {
@@ -227,7 +208,7 @@ pub fn louvain(g: &Graph, opts: &CommunityOptions) -> (Vec<u32>, f64) {
 
 /// Refinement phase of Leiden: split each community into well-connected
 /// sub-communities by greedy merging of singletons (within communities).
-fn refine(g: &Graph, labels: &[u32], opts: &CommunityOptions, rng: &mut StdRng) -> Vec<u32> {
+fn refine(g: &Graph, labels: &[u32], rng: &mut StdRng) -> Vec<u32> {
     let n = g.node_count();
     let m = g.total_weight();
     let two_m = 2.0 * m;
@@ -263,9 +244,8 @@ fn refine(g: &Graph, labels: &[u32], opts: &CommunityOptions, rng: &mut StdRng) 
             if rc == ru {
                 continue;
             }
-            let gain =
-                neighbor_weight[rc as usize] - opts.resolution * ref_tot[rc as usize] * ku / two_m;
-            if gain > best_gain + opts.min_gain {
+            let gain = neighbor_weight[rc as usize] - ref_tot[rc as usize] * ku / two_m;
+            if gain > best_gain + MIN_GAIN {
                 best_gain = gain;
                 best = rc;
             }
@@ -292,17 +272,17 @@ fn refine(g: &Graph, labels: &[u32], opts: &CommunityOptions, rng: &mut StdRng) 
 /// local-moving partition seeds the next level.
 ///
 /// Returns `(labels, modularity)` with labels densified to `0..k`.
-pub fn leiden(g: &Graph, opts: &CommunityOptions) -> (Vec<u32>, f64) {
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+pub fn leiden(g: &Graph, seed: u64) -> (Vec<u32>, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
     let n = g.node_count();
     // node_of[orig] = the current-level node that contains `orig`.
     let mut node_of: Vec<u32> = (0..n as u32).collect();
     let mut level_graph = g.clone();
     let mut level_labels: Vec<u32> = (0..n as u32).collect();
-    for _ in 0..opts.max_levels {
-        let moved = local_move(&level_graph, &mut level_labels, opts, &mut rng);
+    for _ in 0..MAX_LEVELS {
+        let moved = local_move(&level_graph, &mut level_labels, &mut rng);
         compact_labels(&mut level_labels);
-        let mut refined = refine(&level_graph, &level_labels, opts, &mut rng);
+        let mut refined = refine(&level_graph, &level_labels, &mut rng);
         let rk = compact_labels(&mut refined);
         if !moved || rk == level_graph.node_count() {
             break;
@@ -371,7 +351,7 @@ mod tests {
     #[test]
     fn louvain_finds_two_cliques() {
         let g = two_cliques();
-        let (labels, q) = louvain(&g, &CommunityOptions::default());
+        let (labels, q) = louvain(&g, 1);
         assert_eq!(labels[0], labels[3]);
         assert_eq!(labels[4], labels[7]);
         assert_ne!(labels[0], labels[4]);
@@ -381,7 +361,7 @@ mod tests {
     #[test]
     fn leiden_finds_two_cliques() {
         let g = two_cliques();
-        let (labels, q) = leiden(&g, &CommunityOptions::default());
+        let (labels, q) = leiden(&g, 1);
         assert_eq!(labels[0], labels[3]);
         assert_eq!(labels[4], labels[7]);
         assert_ne!(labels[0], labels[4]);
@@ -391,8 +371,8 @@ mod tests {
     #[test]
     fn louvain_is_deterministic_per_seed() {
         let g = two_cliques();
-        let a = louvain(&g, &CommunityOptions::default());
-        let b = louvain(&g, &CommunityOptions::default());
+        let a = louvain(&g, 1);
+        let b = louvain(&g, 1);
         assert_eq!(a.0, b.0);
     }
 
@@ -407,30 +387,8 @@ mod tests {
     #[test]
     fn empty_graph_is_handled() {
         let g = Graph::new(0);
-        let (labels, q) = louvain(&g, &CommunityOptions::default());
+        let (labels, q) = louvain(&g, 1);
         assert!(labels.is_empty());
         assert_eq!(q, 0.0);
-    }
-
-    #[test]
-    fn resolution_controls_granularity() {
-        let g = two_cliques();
-        let coarse = louvain(
-            &g,
-            &CommunityOptions {
-                resolution: 0.1,
-                ..Default::default()
-            },
-        );
-        let fine = louvain(
-            &g,
-            &CommunityOptions {
-                resolution: 4.0,
-                ..Default::default()
-            },
-        );
-        let k_coarse = coarse.0.iter().max().map_or(0, |&x| x + 1);
-        let k_fine = fine.0.iter().max().map_or(0, |&x| x + 1);
-        assert!(k_coarse <= k_fine, "{k_coarse} vs {k_fine}");
     }
 }

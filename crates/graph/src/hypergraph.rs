@@ -2,6 +2,9 @@
 
 use crate::Graph;
 
+/// The largest net [`Hypergraph::cell_graph`] expands as a clique.
+const CELL_GRAPH_CLIQUE_MAX: usize = 16;
+
 /// A weighted hypergraph over vertices `0..n`.
 ///
 /// Storage is arena-backed structure-of-arrays: hyperedge pin lists live
@@ -178,6 +181,18 @@ impl Hypergraph {
         }
         g.merge_parallel_edges();
         g
+    }
+
+    /// The graph community detection and modularity run on: the
+    /// hypergraph restricted to its first `cells` vertices (by netlist
+    /// convention the cells, with the ports after them), hyperedges left
+    /// with fewer than two of them dropped, expanded by
+    /// [`Self::bounded_clique_expansion`] with nets of more than 16
+    /// vertices as stars.
+    pub fn cell_graph(&self, cells: usize) -> Graph {
+        let keep: Vec<u32> = (0..cells as u32).collect();
+        let (cells_only, _) = self.induce(&keep, 2);
+        cells_only.bounded_clique_expansion(CELL_GRAPH_CLIQUE_MAX)
     }
 
     /// Restricts the hypergraph to `keep` vertices, renumbering them densely

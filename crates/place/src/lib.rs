@@ -5,7 +5,8 @@
 //!
 //! 1. **Lower bound**: minimize quadratic wirelength under the
 //!    bound-to-bound (B2B) net model, solved per axis with Jacobi-preconditioned
-//!    conjugate gradients ([`solver`]).
+//!    conjugate gradients (the crate-private `solver`, reached through
+//!    [`GlobalPlacer::place`]).
 //! 2. **Upper bound**: spread cells to meet density by recursive-bisection
 //!    look-ahead legalization ([`spreading`]).
 //! 3. Anchor pseudo-nets pull the next lower bound toward the spread
@@ -56,7 +57,7 @@ pub(crate) mod kernels;
 pub mod legalize;
 pub mod problem;
 pub mod soa;
-pub mod solver;
+pub(crate) mod solver;
 pub mod spreading;
 pub mod svg;
 

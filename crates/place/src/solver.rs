@@ -247,8 +247,8 @@ fn scatter_nets(
 /// buffer has to grow. Every rebuild re-linearizes every net: every
 /// movable moves every outer iteration, so a per-net cache of the last
 /// linearization never hits (DESIGN.md, "B2B assembly straight from the
-/// nets"). The assembled system is bit-identical to a one-shot
-/// [`B2bSystem::build`] at the same positions, at any thread count.
+/// nets"). The assembled system is bit-identical to a one-shot build
+/// from fresh buffers at the same positions, at any thread count.
 #[derive(Debug, Clone)]
 pub(crate) struct B2bRebuilder {
     axis: Axis,
@@ -276,11 +276,6 @@ impl B2bRebuilder {
     /// The most recently assembled system.
     pub fn system(&self) -> &B2bSystem {
         &self.sys
-    }
-
-    /// Consumes the rebuilder, yielding the assembled system.
-    pub fn into_system(self) -> B2bSystem {
-        self.sys
     }
 
     /// (Re)builds the B2B system linearized at `positions`, straight from
@@ -369,11 +364,11 @@ impl B2bRebuilder {
 }
 
 impl B2bSystem {
-    /// Builds the B2B system for one axis, linearized at `positions`.
-    ///
-    /// One-shot wrapper over the assembler the placer holds across outer
-    /// iterations.
-    pub fn build(
+    /// Builds the B2B system for one axis, linearized at `positions`: a
+    /// one-shot rebuild, the reference the tests hold the placer's warm
+    /// rebuilds to.
+    #[cfg(test)]
+    fn build(
         problem: &PlacementProblem,
         positions: &[(f64, f64)],
         axis: Axis,
@@ -381,17 +376,13 @@ impl B2bSystem {
     ) -> Self {
         let mut rb = B2bRebuilder::new(axis);
         rb.rebuild(problem, positions, anchors);
-        rb.into_system()
+        rb.sys
     }
 
     /// Number of rows (movable objects).
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.diag.len()
-    }
-
-    /// True when the system has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.diag.is_empty()
     }
 
     /// Number of stored off-diagonal entries.
@@ -414,12 +405,9 @@ impl B2bSystem {
     }
 
     /// Solves with Jacobi-preconditioned CG from `x0` — the allocating
-    /// convenience over the placer's in-place solve.
-    ///
-    /// Dot products use fixed-order tree reductions and the element-wise
-    /// kernels keep per-element arithmetic order, so the iterates are
-    /// bit-identical to the unfused loop.
-    pub fn solve(&self, x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
+    /// test convenience over the placer's in-place solve.
+    #[cfg(test)]
+    fn solve(&self, x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
         let mut x = x0.to_vec();
         self.solve_into(&mut x, &mut CgScratch::default(), max_iters, tol);
         x
@@ -583,7 +571,7 @@ impl B2bSystem {
     /// # Panics
     ///
     /// Panics if `x` or `out` is not one element per row.
-    pub fn apply_into(&self, x: &[f64], out: &mut [f64]) {
+    fn apply_into(&self, x: &[f64], out: &mut [f64]) {
         let n = self.diag.len();
         assert!(x.len() == n && out.len() == n, "vector length != rows");
         for d in 0..=MAX_EXACT_ROW {

@@ -28,7 +28,7 @@
 //!     .expect("well-formed problem places");
 //! let mut all_pos = placed.positions.clone();
 //! all_pos.extend_from_slice(&fp.port_positions);
-//! let routed = route_placed_netlist(&netlist, &all_pos, &fp, &RouterOptions::default())
+//! let routed = route_placed_netlist(&netlist, &all_pos, &fp, &RouterOptions)
 //!     .expect("finite positions route");
 //! assert!(routed.wirelength > 0.0);
 //! assert!(routed.congestion.max_utilization() >= 0.0);

@@ -6,26 +6,15 @@ use cp_netlist::floorplan::Floorplan;
 use cp_netlist::netlist::{Netlist, PinRef};
 use cp_netlist::NetId;
 
-/// Router tuning knobs. The grid the router works on is not among them:
+/// The router's settings: none. The grid is not among them either —
 /// [`route_placed_netlist`] routes on [`CongestionMap::for_design`], and
-/// [`route_nets`] on whatever grid its caller built.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RouterOptions {
-    /// Send a segment whose two L-shapes both cross an edge at or over
-    /// capacity to the maze stage: the cheapest path inside its window.
-    pub maze_fallback: bool,
-    /// Margin (in GCells) around a segment's bbox for the maze's window.
-    pub maze_margin: usize,
-}
+/// [`route_nets`] on whatever grid its caller built. The struct stays
+/// only because `route_placed_netlist`'s signature is pinned.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct RouterOptions;
 
-impl Default for RouterOptions {
-    fn default() -> Self {
-        Self {
-            maze_fallback: true,
-            maze_margin: 8,
-        }
-    }
-}
+/// Margin (in GCells) around a segment's bbox for the maze's window.
+const MAZE_MARGIN: usize = 8;
 
 /// The routing outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,8 +50,8 @@ impl RoutingResult {
 /// Three-pin nets route to their Steiner (median) point, larger nets are
 /// decomposed over a Manhattan-distance Prim MST; each two-pin segment
 /// takes the less congested L-shape, or, when both L-shapes cross a full
-/// edge, a cheapest path within the segment bbox plus margin: the cheapest
-/// monotone staircase unless a search finds a cheaper detour.
+/// edge, a cheapest path within the segment bbox plus 8 GCells: the
+/// cheapest monotone staircase unless a search finds a cheaper detour.
 ///
 /// # Errors
 ///
@@ -71,9 +60,8 @@ impl RoutingResult {
 pub fn route_nets(
     nets: &[Vec<(f64, f64)>],
     grid: CongestionMap,
-    options: &RouterOptions,
 ) -> Result<RoutingResult, RouteError> {
-    route_nets_counted(nets, grid, options).map(|(routed, _)| routed)
+    route_nets_counted(nets, grid).map(|(routed, _)| routed)
 }
 
 /// Work counts of one routing call, published on the `route.global` span.
@@ -124,7 +112,6 @@ type GCell = (usize, usize);
 fn route_nets_counted(
     nets: &[Vec<(f64, f64)>],
     mut map: CongestionMap,
-    options: &RouterOptions,
 ) -> Result<(RoutingResult, RouteStats), RouteError> {
     for (ni, pins) in nets.iter().enumerate() {
         if pins.iter().any(|&(x, y)| !x.is_finite() || !y.is_finite()) {
@@ -170,7 +157,7 @@ fn route_nets_counted(
             if a == b {
                 continue;
             }
-            let len = route_segment(&mut map, a, b, options, &mut maze, &mut stats);
+            let len = route_segment(&mut map, a, b, MAZE_MARGIN, &mut maze, &mut stats);
             wirelength += len * gcell;
         }
     }
@@ -196,7 +183,7 @@ pub fn route_placed_netlist(
     netlist: &Netlist,
     positions: &[(f64, f64)],
     floorplan: &Floorplan,
-    options: &RouterOptions,
+    _options: &RouterOptions,
 ) -> Result<RoutingResult, RouteError> {
     let mut span = cp_trace::span_with(
         "route.global",
@@ -225,7 +212,7 @@ pub fn route_placed_netlist(
         nets.push(pins);
     }
     let grid = CongestionMap::for_design(netlist, floorplan);
-    let (routed, stats) = route_nets_counted(&nets, grid, options)?;
+    let (routed, stats) = route_nets_counted(&nets, grid)?;
     if cp_trace::enabled() {
         for (name, count) in stats.entries() {
             span.arg(name, cp_trace::ArgValue::U(count));
@@ -318,11 +305,13 @@ fn mst_segments(cells: &[GCell], scratch: &mut MstScratch) {
 }
 
 /// Routes one segment and counts it in `stats`; returns GCell edges used.
+/// A segment whose two L-shapes both cross an edge at or over capacity
+/// goes to the maze stage, windowed to its bbox plus `margin` GCells.
 fn route_segment(
     map: &mut CongestionMap,
     a: GCell,
     b: GCell,
-    options: &RouterOptions,
+    margin: usize,
     maze: &mut MazeScratch,
     stats: &mut RouteStats,
 ) -> f64 {
@@ -356,9 +345,9 @@ fn route_segment(
     } else {
         (false, u_b)
     };
-    if worst >= 1.0 && options.maze_fallback {
+    if worst >= 1.0 {
         stats.mazed_segments += 1;
-        return maze_route(map, a, b, options.maze_margin, maze, stats);
+        return maze_route(map, a, b, margin, maze, stats);
     }
     stats.pattern_segments += 1;
     commit_l(map, a, b, first_horizontal)
@@ -790,17 +779,10 @@ mod tests {
         CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0, 2.0)
     }
 
-    fn opts() -> RouterOptions {
-        RouterOptions {
-            maze_fallback: true,
-            maze_margin: 4,
-        }
-    }
-
     #[test]
     fn two_pin_net_length_is_manhattan() {
         let nets = vec![vec![(5.0, 5.0), (45.0, 35.0)]];
-        let r = route_nets(&nets, grid(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         // (0,0) → (4,3): 7 edges × 10 µm.
         assert_eq!(r.wirelength, 70.0);
         assert_eq!(r.mazed_segments, 0);
@@ -812,7 +794,7 @@ mod tests {
     fn multi_pin_net_uses_mst() {
         // Three collinear pins: MST length = span, not star.
         let nets = vec![vec![(5.0, 5.0), (55.0, 5.0), (95.0, 5.0)]];
-        let r = route_nets(&nets, grid(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         assert_eq!(r.wirelength, 90.0);
     }
 
@@ -823,7 +805,7 @@ mod tests {
         for _ in 0..4 {
             nets.push(vec![(5.0, 55.0), (95.0, 55.0)]);
         }
-        let r = route_nets(&nets, grid(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         // Capacity 2/edge: 4 straight routes must overflow or detour.
         assert!(
             r.mazed_segments > 0 || r.congestion.overflow_edges() > 0,
@@ -840,7 +822,7 @@ mod tests {
         for _ in 0..8 {
             nets.push(vec![(5.0, 55.0), (95.0, 55.0)]);
         }
-        let r = route_nets(&nets, grid(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         assert!(r.detour_factor() >= 1.0);
         assert!(r.wirelength >= 8.0 * 90.0);
     }
@@ -848,14 +830,14 @@ mod tests {
     #[test]
     fn nan_pin_is_a_typed_error() {
         let nets = vec![vec![(5.0, 5.0), (f64::NAN, 35.0)]];
-        let err = route_nets(&nets, grid(), &opts()).expect_err("NaN pin must be rejected");
+        let err = route_nets(&nets, grid()).expect_err("NaN pin must be rejected");
         assert_eq!(err, RouteError::NonFinitePin { net: 0 });
     }
 
     #[test]
     fn single_pin_nets_are_free() {
         let nets = vec![vec![(5.0, 5.0)]];
-        let r = route_nets(&nets, grid(), &opts()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         assert_eq!(r.wirelength, 0.0);
     }
 
@@ -865,8 +847,8 @@ mod tests {
         let mut nets: Vec<Vec<(f64, f64)>> =
             (0..8).map(|_| vec![(5.0, 55.0), (95.0, 55.0)]).collect();
         nets.push(vec![(15.0, 5.0), (85.0, 95.0), (45.0, 45.0), (5.0, 85.0)]);
-        let (first, stats) = route_nets_counted(&nets, grid(), &opts()).expect("routable");
-        let (second, again) = route_nets_counted(&nets, grid(), &opts()).expect("routable");
+        let (first, stats) = route_nets_counted(&nets, grid()).expect("routable");
+        let (second, again) = route_nets_counted(&nets, grid()).expect("routable");
         assert_eq!(first, second);
         assert_eq!(stats, again);
         assert!(stats.mazed_segments > 0, "{stats:?}");
@@ -908,7 +890,7 @@ mod tests {
             .collect();
         positions.extend_from_slice(&fp.port_positions);
         let route = |netlist: &Netlist| {
-            route_placed_netlist(netlist, &positions, &fp, &RouterOptions::default())
+            route_placed_netlist(netlist, &positions, &fp, &RouterOptions)
                 .expect("finite positions route")
                 .congestion
         };
@@ -941,8 +923,8 @@ mod tests {
             vec![(15.0, 85.0), (85.0, 15.0)],
             vec![(50.0, 5.0), (50.0, 95.0), (5.0, 50.0)],
         ];
-        let a = route_nets(&nets, grid(), &opts()).expect("routable");
-        let b = route_nets(&nets, grid(), &opts()).expect("routable");
+        let a = route_nets(&nets, grid()).expect("routable");
+        let b = route_nets(&nets, grid()).expect("routable");
         assert_eq!(a, b);
     }
 }
@@ -955,16 +937,12 @@ mod blockage_tests {
     #[test]
     fn derated_region_congests_sooner() {
         let grid = CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0, 4.0);
-        let opts = RouterOptions {
-            maze_fallback: false,
-            maze_margin: 4,
-        };
         let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(5.0, 55.0), (95.0, 55.0)]).collect();
-        let open = route_nets(&nets, grid.clone(), &opts).expect("routable");
+        let open = route_nets(&nets, grid.clone()).expect("routable");
         // GCells 3..=7 × 4..=7: the block over x 30–70, y 40–70.
         let mut derated = grid;
         derated.derate(3, 4, 7, 7, 0.4);
-        let blocked = route_nets(&nets, derated, &opts).expect("routable");
+        let blocked = route_nets(&nets, derated).expect("routable");
         assert!(
             blocked.congestion.max_utilization() > open.congestion.max_utilization(),
             "derated capacity should raise utilization: {} vs {}",
@@ -979,13 +957,6 @@ mod degenerate_grid_tests {
     use super::*;
     use cp_netlist::floorplan::Rect;
 
-    fn opts() -> RouterOptions {
-        RouterOptions {
-            maze_fallback: true,
-            maze_margin: 4,
-        }
-    }
-
     #[test]
     fn one_column_region_with_a_blockage_routes() {
         // 5 µm wide at 10 µm GCells: a 1 × 10 grid with no horizontal edges.
@@ -993,7 +964,7 @@ mod degenerate_grid_tests {
         let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(2.0, 5.0), (3.0, 95.0)]).collect();
         // A block over x 0–5, y 20–60: GCells 0..=0 × 2..=6.
         grid.derate(0, 2, 0, 6, 0.4);
-        let r = route_nets(&nets, grid, &opts()).expect("routable");
+        let r = route_nets(&nets, grid).expect("routable");
         assert_eq!((r.congestion.nx(), r.congestion.ny()), (1, 10));
         assert_eq!(r.wirelength, 3.0 * 90.0);
         assert_eq!(r.congestion.overflow_edges(), 9);
@@ -1005,7 +976,7 @@ mod degenerate_grid_tests {
         let nets: Vec<Vec<(f64, f64)>> = (0..3).map(|_| vec![(5.0, 2.0), (95.0, 3.0)]).collect();
         // A block over x 20–60, y 0–5: GCells 2..=6 × 0..=0.
         grid.derate(2, 0, 6, 0, 0.4);
-        let r = route_nets(&nets, grid, &opts()).expect("routable");
+        let r = route_nets(&nets, grid).expect("routable");
         assert_eq!((r.congestion.nx(), r.congestion.ny()), (10, 1));
         assert_eq!(r.wirelength, 3.0 * 90.0);
     }
@@ -1335,10 +1306,6 @@ mod maze_oracle_tests {
     #[test]
     fn every_maze_commit_on_an_evolving_field_matches_the_oracle() {
         let (n, margin) = (40usize, 6usize);
-        let options = RouterOptions {
-            maze_margin: margin,
-            ..Default::default()
-        };
         let mut map = unit_grid(n, n);
         let mut rng = proptest::TestRng::seed_from_u64(40);
         let mut scratch = MazeScratch::new();
@@ -1352,7 +1319,7 @@ mod maze_oracle_tests {
             }
             let before = map.clone();
             let mut stats = RouteStats::default();
-            let len = route_segment(&mut map, a, b, &options, &mut scratch, &mut stats);
+            let len = route_segment(&mut map, a, b, margin, &mut scratch, &mut stats);
             if stats.mazed_segments == 1 {
                 check_committed(&before, &map, a, b, margin, len, &stats);
                 outcomes.push(outcome(&stats));
@@ -1471,7 +1438,7 @@ mod steiner_tests {
         // the median point also 20 — but for a T shape Steiner wins.
         // T shape: pins at (0,10), (20,10), (10,0) in gcells.
         let nets = vec![vec![(5.0, 105.0), (195.0, 105.0), (105.0, 5.0)]];
-        let r = route_nets(&nets, grid(), &RouterOptions::default()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         // Steiner point (10,10): total = 10 + 9 + 10 = 29 edges = 290 µm.
         // An MST would pay 10 + (10+10) = ... ≥ 29; exact check:
         assert_eq!(r.wirelength, 290.0);
@@ -1480,7 +1447,7 @@ mod steiner_tests {
     #[test]
     fn three_collinear_pins_unchanged() {
         let nets = vec![vec![(5.0, 5.0), (105.0, 5.0), (195.0, 5.0)]];
-        let r = route_nets(&nets, grid(), &RouterOptions::default()).expect("routable");
+        let r = route_nets(&nets, grid()).expect("routable");
         assert_eq!(r.wirelength, 190.0);
     }
 }

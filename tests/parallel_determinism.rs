@@ -13,10 +13,9 @@ use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{CellId, Floorplan};
 use cp_place::hpwl::raw_hpwl;
 use cp_place::problem::{Object, PlacementProblem};
-use cp_place::solver::{Axis, B2bSystem};
 use cp_place::spreading::density_overflow_soa;
 use cp_place::{GlobalPlacer, PlacementSoa, PlacerOptions};
-use cp_route::{route_nets, CongestionMap, RouterOptions};
+use cp_route::{route_nets, CongestionMap};
 use proptest::prelude::*;
 
 fn opts() -> FlowOptions {
@@ -71,7 +70,6 @@ fn vpr_sweep_is_thread_count_invariant() {
 #[test]
 fn concurrent_mazed_routes_match_the_serial_route() {
     let grid = CongestionMap::new(Rect::new(0.0, 0.0, 200.0, 200.0), 10.0, 2.0);
-    let opts = RouterOptions::default();
     // Twelve nets per corridor on capacity-2 edges: most of them maze.
     let nets: Vec<Vec<(f64, f64)>> = (0..36)
         .map(|k| {
@@ -82,14 +80,14 @@ fn concurrent_mazed_routes_match_the_serial_route() {
             ]
         })
         .collect();
-    let alone = route_nets(&nets, grid.clone(), &opts).expect("routable");
+    let alone = route_nets(&nets, grid.clone()).expect("routable");
     assert!(
         alone.mazed_segments > 0,
         "the net list must exercise the maze"
     );
     let together = cp_parallel::with_threads(4, || {
         cp_parallel::par_map(&[(); 8], 1, |()| {
-            route_nets(&nets, grid.clone(), &opts).expect("routable")
+            route_nets(&nets, grid.clone()).expect("routable")
         })
     });
     for routed in &together {
@@ -177,20 +175,6 @@ proptest! {
         for t in [2usize, 4, 8] {
             let par = cp_parallel::with_threads(t, || raw_hpwl(&p, &pos));
             prop_assert_eq!(seq.to_bits(), par.to_bits());
-        }
-    }
-
-    #[test]
-    fn solver_bits_match_across_threads((p, pos) in arb_problem()) {
-        let x0: Vec<f64> = pos.iter().map(|&(x, _)| x).collect();
-        let seq = cp_parallel::with_threads(1, || {
-            B2bSystem::build(&p, &pos, Axis::X, None).solve(&x0, 40, 1e-9)
-        });
-        let par = cp_parallel::with_threads(4, || {
-            B2bSystem::build(&p, &pos, Axis::X, None).solve(&x0, 40, 1e-9)
-        });
-        for (a, b) in seq.iter().zip(&par) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 

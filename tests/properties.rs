@@ -3,14 +3,14 @@
 //! crafted unit-test cases.
 
 use cp_core::cluster::rent::weighted_average_rent;
-use cp_graph::community::{compact_labels, louvain, modularity, CommunityOptions};
+use cp_graph::community::{compact_labels, louvain, modularity};
 use cp_graph::{connectivity, metrics, traversal, Graph, Hypergraph};
 use cp_netlist::floorplan::Rect;
 use cp_place::hpwl::raw_hpwl;
 use cp_place::problem::{Object, PlacementProblem};
 use cp_place::spreading::{density_overflow_soa, spread_soa, SpreadScratch};
 use cp_place::PlacementSoa;
-use cp_route::{route_nets, CongestionMap, RouterOptions};
+use cp_route::{route_nets, CongestionMap};
 use proptest::prelude::*;
 
 /// A random undirected graph as an edge list over `n` vertices.
@@ -62,7 +62,7 @@ proptest! {
     #[test]
     fn modularity_is_bounded((n, edges) in arb_graph(20, 40)) {
         let g = Graph::from_edges(n, &edges);
-        let (labels, q) = louvain(&g, &CommunityOptions::default());
+        let (labels, q) = louvain(&g, 1);
         prop_assert_eq!(labels.len(), n);
         prop_assert!((-1.0..=1.0).contains(&q), "modularity {} out of range", q);
         // Louvain's result is at least as good as all-singletons.
@@ -187,7 +187,7 @@ proptest! {
     ) {
         let nets = vec![pins.clone()];
         let grid = CongestionMap::new(Rect::new(0.0, 0.0, 100.0, 100.0), 10.0, 30.0);
-        let r = route_nets(&nets, grid, &RouterOptions::default()).expect("finite pins route");
+        let r = route_nets(&nets, grid).expect("finite pins route");
         // Grid-quantized HPWL of the pins is a lower bound on routed WL.
         let gc = |v: f64| (v / 10.0) as i64;
         let (mut lx, mut ly, mut hx, mut hy) = (i64::MAX, i64::MAX, i64::MIN, i64::MIN);

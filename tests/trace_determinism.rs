@@ -302,8 +302,7 @@ fn routing_ignores_the_trace_level_and_publishes_its_maze_counts() {
         })
         .collect();
     positions.extend_from_slice(&fp.port_positions);
-    let route =
-        || route_placed_netlist(&n, &positions, &fp, &RouterOptions::default()).expect("routes");
+    let route = || route_placed_netlist(&n, &positions, &fp, &RouterOptions).expect("routes");
 
     let off = at_level(Level::Off, route);
     assert!(
