@@ -76,10 +76,11 @@ fn run() -> Result<(), String> {
     let per_design = runner.runs_per_design();
     let per_design: Vec<String> = per_design.iter().map(|(d, n)| format!("{d} {n}")).collect();
     outln!(
-        "\nFlow runs: {} distinct (flow kind, fingerprint) pairs for {} requested ({}); wall {wall_s:.0} s.",
+        "\nFlow runs: {} distinct (flow kind, fingerprint) pairs for {} requested ({}), plus {} timing re-runs; wall {wall_s:.0} s.",
         runner.executed.len(),
         runner.requested,
-        per_design.join(", ")
+        per_design.join(", "),
+        runner.reruns
     );
     if let Some(path) = json {
         std::fs::write(&path, repro::to_json(&runner, &tables, wall_s))

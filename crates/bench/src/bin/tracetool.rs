@@ -2,7 +2,7 @@
 //! against its schema.
 //!
 //! ```text
-//! tracetool gate [--baseline FILE] [--write] [--timeout-s S] [--large]
+//! tracetool gate [--baseline FILE] [--write] [--large]
 //! tracetool explain --run PROFILE@SCALE [--report-out R] [--chrome-out C] [--svg-dir D]
 //! tracetool check-schema <doc.json> <schema.json>
 //! ```
@@ -11,12 +11,10 @@
 //! fully traced; see `cp_bench::qor_gate`) and checks the run's `qor.*`
 //! gauges against `baselines/QOR_baseline.json`, exiting 1 on any
 //! violation. It judges QoR only; time is the benchmark's question
-//! (`benchmark/`). `--write` (re)records the baseline; `--timeout-s`
-//! bounds the flow's wall-clock and exits 3 (distinct from the gate-fail
-//! exit 1) when exceeded, while a flow that panics is an error (exit 2);
-//! `--large` swaps in the large gate flow (Ariane at scale 0.5, ~60k
-//! cells, uniform shapes) gated against `baselines/QOR_large.json` — the
-//! large-design guard for the solver/spreading/clustering hot paths.
+//! (`benchmark/`). `--write` (re)records the baseline; `--large` swaps in
+//! the large gate flow (Ariane at scale 0.5, ~60k cells, uniform shapes)
+//! gated against `baselines/QOR_large.json` — the large-design guard for
+//! the solver/spreading/clustering hot paths.
 //!
 //! `explain` is the convergence doctor's front door and the one command
 //! that reads a run: it runs one hermetic, fully-traced flow with the gate
@@ -42,11 +40,7 @@ use cp_netlist::generator::DesignProfile;
 use cp_trace::json::{fmt_f64, parse, validate};
 use cp_trace::{fields, ArgValue, Frame, SpanRecord, TraceReport, Verdict};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
-
-/// Exit code when `gate --timeout-s` expires — distinct from the
-/// gate-fail exit (1) and the usage/error exit (2).
-const EXIT_TIMEOUT: u8 = 3;
+use std::time::Instant;
 
 /// Repo-root-relative path, resolved from this crate's manifest so the
 /// bin works from any working directory.
@@ -108,12 +102,6 @@ fn number(flag: &str, v: &str) -> Result<f64, String> {
     }
 }
 
-/// Reads a `--timeout-s` value.
-fn timeout(v: &str) -> Result<Duration, String> {
-    Duration::try_from_secs_f64(number("--timeout-s", v)?)
-        .map_err(|_| format!("`--timeout-s` is out of range, got `{v}`"))
-}
-
 /// Reads a `--run PROFILE@SCALE` spec.
 fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
     let (profile_name, scale) = spec
@@ -127,42 +115,12 @@ fn run_spec(spec: &str) -> Result<(DesignProfile, f64), String> {
     }
 }
 
-/// Runs the gate flow once under [`cp_bench::with_watchdog`] and hands
-/// back its trace. `Ok(None)` means `timeout` expired first; a flow that
-/// panics is an error carrying the panic message.
-fn gate_run(timeout: Option<Duration>, large: bool) -> Result<Option<TraceReport>, String> {
-    let run = move || -> Result<TraceReport, String> {
-        let t0 = Instant::now();
-        let (bench, options) = if large {
-            (qor_gate::gate_bench_large(), qor_gate::gate_large_options())
-        } else {
-            (qor_gate::gate_bench(), qor_gate::gate_options())
-        };
-        let report =
-            qor_gate::run_traced(&bench, &options).map_err(|e| format!("gate flow: {e}"))?;
-        eprintln!(
-            "gate flow: {:.3}s, hpwl {}",
-            t0.elapsed().as_secs_f64(),
-            report.hpwl
-        );
-        report
-            .trace
-            .ok_or_else(|| "gate flow produced no trace".into())
-    };
-    cp_bench::with_watchdog(timeout.unwrap_or(Duration::MAX), run)
-        .map_err(|panic| format!("gate flow panicked: {panic}"))?
-        .transpose()
-}
-
 fn gate(args: &[String]) -> Result<u8, String> {
-    let (mut baseline_path, mut timeout_s) = (None, None);
+    let mut baseline_path = None;
     let (mut write, mut large) = (false, false);
     let pos = split_args(
         args,
-        &mut [
-            ("--baseline", &mut baseline_path),
-            ("--timeout-s", &mut timeout_s),
-        ],
+        &mut [("--baseline", &mut baseline_path)],
         &mut [("--write", &mut write), ("--large", &mut large)],
     )?;
     if !pos.is_empty() {
@@ -177,17 +135,22 @@ fn gate(args: &[String]) -> Result<u8, String> {
                 "baselines/QOR_baseline.json"
             })
         });
-    let timeout = timeout_s.as_deref().map(timeout).transpose()?;
 
     // One execution of the pinned gate flow: QoR is
     // bitwise-deterministic, so one is the answer.
-    let Some(run) = gate_run(timeout, large)? else {
-        outln!(
-            "gate TIMEOUT: the gate flow did not finish within {}s",
-            timeout.map_or(0.0, |t| t.as_secs_f64())
-        );
-        return Ok(EXIT_TIMEOUT);
+    let t0 = Instant::now();
+    let (bench, options) = if large {
+        (qor_gate::gate_bench_large(), qor_gate::gate_large_options())
+    } else {
+        (qor_gate::gate_bench(), qor_gate::gate_options())
     };
+    let report = qor_gate::run_traced(&bench, &options).map_err(|e| format!("gate flow: {e}"))?;
+    eprintln!(
+        "gate flow: {:.3}s, hpwl {}",
+        t0.elapsed().as_secs_f64(),
+        report.hpwl
+    );
+    let run = report.trace.ok_or("gate flow produced no trace")?;
 
     if write {
         let (design, scale) = if large {
@@ -339,7 +302,7 @@ fn explain(args: &[String]) -> Result<(), String> {
         eprintln!("wrote {dest}");
     }
     if let Some(dest) = chrome_out {
-        std::fs::write(&dest, cp_trace::chrome_trace(&[trace]))
+        std::fs::write(&dest, cp_trace::chrome_trace(trace))
             .map_err(|e| format!("cannot write `{dest}`: {e}"))?;
         eprintln!("wrote {dest} — load it in chrome://tracing or ui.perfetto.dev");
     }
@@ -523,10 +486,8 @@ fn check_schema(args: &[String]) -> Result<bool, String> {
 
 const USAGE: &str = "usage: tracetool <gate|explain|check-schema> ...\n\
      \n\
-     gate [--baseline F] [--write] [--timeout-s S] [--large]\n\
-     \x20                                          run the pinned flow once and gate its qor.*\n\
-     \x20                                          gauges vs the baseline (exit 3 when the\n\
-     \x20                                          wall-clock timeout expires; --large gates the\n\
+     gate [--baseline F] [--write] [--large]    run the pinned flow once and gate its qor.*\n\
+     \x20                                          gauges vs the baseline (--large gates the\n\
      \x20                                          ~60k-cell Ariane flow vs baselines/QOR_large.json)\n\
      explain --run PROFILE@SCALE [--report-out R] [--chrome-out C] [--svg-dir D]\n\
      \x20                                          convergence doctor: hotspot-persistence and\n\

@@ -10,21 +10,19 @@
 //! `holds: false`.
 //!
 //! Every flow goes through the public entry points of the one flow driver
-//! ([`run_default_flow`], [`run_flow`], [`run_blob_flow`],
-//! [`run_leiden_flow`], [`run_mfc_flow`]). Only `gnn` and `quality` take
+//! ([`run_default_flow`], [`run_flow`], and [`run_flow_with_assignment`]
+//! on a comparator's clustering). Only `gnn` and `quality` take
 //! stand-alone measurements (dataset labelling, clustering metrics).
 
 use crate::{flow_options, fmt_norm, fmt_power, fmt_tns, fmt_wns, small_profiles, Bench};
-use cp_core::baselines::{
-    leiden_assignment, mfc_assignment, run_blob_flow, run_leiden_flow, run_mfc_flow,
-};
+use cp_core::baselines::{leiden_assignment, louvain_assignment, mfc_assignment};
 use cp_core::checkpoint::fingerprint;
 use cp_core::cluster::dendrogram::cluster_by_hierarchy_with_min;
 use cp_core::cluster::ppa_aware_clustering;
 use cp_core::cluster::quality::clustering_quality;
 use cp_core::flow::{
-    cluster_members, run_default_flow, run_flow, FlowOptions, FlowReport, PpaReport, ShapeMode,
-    Tool,
+    cluster_members, run_default_flow, run_flow, run_flow_with_assignment, FlowOptions, FlowReport,
+    PpaReport, ShapeMode, Tool,
 };
 use cp_core::vpr::ml::{generate_dataset, DatasetConfig, MlShapeSelector};
 use cp_core::vpr::{best_shape, extract_subnetlist};
@@ -58,6 +56,9 @@ pub const GNN_DATASET_SCALE: f64 = 1.0 / 32.0;
 const GNN_CONFIGS: usize = 6;
 /// Training epochs of the §4.4 model.
 const GNN_EPOCHS: usize = 30;
+/// Runs of each flow behind a Table 2 time cell, which reads their
+/// minimum: one sub-second timing moves with host load alone.
+const TIME_REPS: usize = 3;
 
 /// Which entry point of the flow driver a memoised run went through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -66,11 +67,12 @@ pub enum Flow {
     Default,
     /// [`run_flow`]: Algorithm 1.
     Ours,
-    /// [`run_blob_flow`]: blob placement \[9\].
+    /// [`run_flow_with_assignment`] on [`louvain_assignment`]: blob
+    /// placement \[9\].
     Blob,
-    /// [`run_leiden_flow`].
+    /// [`run_flow_with_assignment`] on [`leiden_assignment`].
     Leiden,
-    /// [`run_mfc_flow`].
+    /// [`run_flow_with_assignment`] on [`mfc_assignment`].
     Mfc,
 }
 
@@ -125,6 +127,9 @@ pub struct Runner {
     pub executed: Vec<(Flow, &'static str, u64)>,
     /// Flow results the tables asked for, hits included.
     pub requested: usize,
+    /// Re-runs of memoised flows for Table 2's time cells, each of which
+    /// reads the fastest of three runs.
+    pub reruns: usize,
 }
 
 impl Runner {
@@ -137,6 +142,7 @@ impl Runner {
             flows: BTreeMap::new(),
             executed: Vec::new(),
             requested: 0,
+            reruns: 0,
         }
     }
 
@@ -206,19 +212,68 @@ impl Runner {
             return Ok(report.clone());
         }
         let t0 = Instant::now();
-        let report = match kind {
-            Flow::Default => run_default_flow(&b.netlist, &b.constraints, options),
-            Flow::Ours => run_flow(&b.netlist, &b.constraints, options),
-            Flow::Blob => run_blob_flow(&b.netlist, &b.constraints, options),
-            Flow::Leiden => run_leiden_flow(&b.netlist, &b.constraints, options),
-            Flow::Mfc => run_mfc_flow(&b.netlist, &b.constraints, options),
-        }?;
+        let report = execute(kind, b, options)?;
         let secs = t0.elapsed().as_secs_f64();
         eprintln!("{} {kind:?} {key:016x}: {secs:.1}s", b.name());
         self.executed.push((kind, b.name(), key));
         self.flows.insert((kind, key), report.clone());
         Ok(report)
     }
+
+    /// [`TIME_REPS`] reports of each of `kinds` on `profile`: the memoised
+    /// one of [`Runner::flow`], then fresh runs taken round-robin across
+    /// `kinds`, so a burst of host load lands on all of them alike. The
+    /// re-runs are counted in [`Runner::reruns`] and not memoised; only
+    /// their wall-clock fields can differ.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the flow entry point returns.
+    ///
+    /// # Panics
+    ///
+    /// If a re-run is not [`FlowReport::deterministic_eq`] to the memoised
+    /// run: the flow driver is deterministic, so that is a bug.
+    fn flow_reps(
+        &mut self,
+        kinds: &[Flow],
+        profile: DesignProfile,
+        options: &FlowOptions,
+    ) -> Result<Vec<Vec<FlowReport>>, FlowError> {
+        let mut out = kinds
+            .iter()
+            .map(|&kind| Ok(vec![self.flow(kind, profile, options)?]))
+            .collect::<Result<Vec<_>, FlowError>>()?;
+        let i = self.design_index(profile);
+        let b = &self.designs[i];
+        for _ in 1..TIME_REPS {
+            for (&kind, reps) in kinds.iter().zip(&mut out) {
+                let report = execute(kind, b, options)?;
+                assert!(
+                    report.deterministic_eq(&reps[0]),
+                    "{} {kind:?}: a re-run does not reproduce the memoised run",
+                    b.name()
+                );
+                reps.push(report);
+            }
+        }
+        self.reruns += kinds.len() * (TIME_REPS - 1);
+        Ok(out)
+    }
+}
+
+/// Runs `kind` on `b` through the flow driver; the comparators cluster
+/// first and hand their assignment to [`run_flow_with_assignment`].
+fn execute(kind: Flow, b: &Bench, options: &FlowOptions) -> Result<FlowReport, FlowError> {
+    let (n, c) = (&b.netlist, &b.constraints);
+    let (assignment, secs) = match kind {
+        Flow::Default => return run_default_flow(n, c, options),
+        Flow::Ours => return run_flow(n, c, options),
+        Flow::Blob => louvain_assignment(n, options.clustering.seed),
+        Flow::Leiden => leiden_assignment(n, options.clustering.seed),
+        Flow::Mfc => mfc_assignment(n, &options.clustering),
+    };
+    run_flow_with_assignment(n, c, &assignment, secs, options)
 }
 
 /// Runs one experiment by its `--table` id (`None` for an unknown id).
@@ -368,9 +423,33 @@ fn table1(r: &mut Runner) -> Table {
     t
 }
 
+/// Clustering + placement seconds of each of `reports`.
+fn cpu_seconds(reports: &[FlowReport]) -> Vec<f64> {
+    let cpu = |f: &FlowReport| f.clustering_runtime + f.placement_runtime;
+    reports.iter().map(cpu).collect()
+}
+
+/// Table 2's CPU verdict over each design's `(ours, default)` seconds, one
+/// per run: it holds when on every design the slowest `ours` run beats the
+/// fastest default run, does not hold when on some design the fastest
+/// `ours` run is no faster than the slowest default run, and is `None`
+/// when the runs overlap.
+fn cpu_verdict(designs: &[(Vec<f64>, Vec<f64>)]) -> Option<bool> {
+    let mut faster = true;
+    for (ours, default) in designs {
+        let ((ours_lo, ours_hi), (default_lo, default_hi)) = (min_max(ours), min_max(default));
+        if ours_lo >= default_hi {
+            return Some(false);
+        }
+        faster &= ours_hi < default_lo;
+    }
+    faster.then_some(true)
+}
+
 /// Table 2: post-place HPWL and CPU (clustering + placement), blob
 /// placement [9] and ours normalised to the default flow. The paper lists
-/// [9] as NA on MegaBoom and MemPool Group; so does this.
+/// [9] as NA on MegaBoom and MemPool Group; so does this. A CPU cell is
+/// the fastest of [`TIME_REPS`] runs over the default flow's fastest.
 fn table2(r: &mut Runner) -> Result<Table, FlowError> {
     let opts = r.options().tool(Tool::OpenRoadLike);
     let profiles = r.profiles.clone();
@@ -378,33 +457,39 @@ fn table2(r: &mut Runner) -> Result<Table, FlowError> {
         "Table 2 — post-place HPWL / CPU, OpenROAD-like flow, normalized to the default flow";
     let header = "Design | [9] HPWL | [9] CPU | Ours HPWL | Ours CPU | #Clusters";
     let mut t = Table::new(r, "2", title, &profiles, header);
-    let (mut hpwl, mut cpu) = (Vec::new(), Vec::new());
+    let (mut hpwl, mut cpu, mut reps) = (Vec::new(), Vec::new(), Vec::new());
     for &p in &profiles {
-        let default = r.flow(Flow::Default, p, &opts)?;
-        let ours = r.flow(Flow::Ours, p, &opts)?;
-        let ours_cpu = ours.clustering_runtime + ours.placement_runtime;
+        let kinds: &[Flow] = match p {
+            MegaBoom | MemPoolGroup => &[Flow::Default, Flow::Ours],
+            _ => &[Flow::Default, Flow::Ours, Flow::Blob],
+        };
+        let runs = r.flow_reps(kinds, p, &opts)?;
+        let default_s: Vec<f64> = runs[0].iter().map(|f| f.placement_runtime).collect();
+        let ours_s = cpu_seconds(&runs[1]);
+        let fastest = |s: &[f64]| min_max(s).0;
+        let (default, ours) = (&runs[0][0], &runs[1][0]);
         hpwl.push(ours.hpwl / default.hpwl);
-        cpu.push(ours_cpu / default.placement_runtime);
+        cpu.push(fastest(&ours_s) / fastest(&default_s));
         let mut row = vec![r.design(p).name().to_string()];
-        if matches!(p, MegaBoom | MemPoolGroup) {
-            row.extend(["NA".to_string(), "NA".to_string()]);
-        } else {
-            let blob = r.flow(Flow::Blob, p, &opts)?;
-            let blob_cpu = blob.clustering_runtime + blob.placement_runtime;
-            row.push(fmt_norm(blob.hpwl, default.hpwl));
-            row.push(fmt_norm(blob_cpu, default.placement_runtime));
+        match runs.get(2) {
+            Some(blob) => {
+                row.push(fmt_norm(blob[0].hpwl, default.hpwl));
+                row.push(fmt_norm(fastest(&cpu_seconds(blob)), fastest(&default_s)));
+            }
+            None => row.extend(["NA".to_string(), "NA".to_string()]),
         }
         row.push(fmt_norm(ours.hpwl, default.hpwl));
-        row.push(fmt_norm(ours_cpu, default.placement_runtime));
+        row.push(fmt_norm(fastest(&ours_s), fastest(&default_s)));
         row.push(ours.cluster_count.to_string());
         t.rows.push(row);
+        reps.push((ours_s, default_s));
     }
     let ((cpu_lo, cpu_hi), (hpwl_lo, hpwl_hi)) = (min_max(&cpu), min_max(&hpwl));
     t.claim(
-        Some(cpu_hi < 1.0),
+        cpu_verdict(&reps),
         "ours cuts CPU (clustering + placement) on every design",
         "CPU ratio 0.53–0.80",
-        format!("CPU ratio {cpu_lo:.3}–{cpu_hi:.3}"),
+        format!("CPU ratio {cpu_lo:.3}–{cpu_hi:.3}, fastest of {TIME_REPS} runs each"),
     );
     t.claim(
         Some(hpwl_lo >= 0.95 && hpwl_hi <= 1.05),
@@ -1110,6 +1195,25 @@ mod tests {
             inert_hierarchy_note(&mut r, Jpeg, &off).expect("runs"),
             None
         );
+    }
+
+    /// The CPU claim holds only when every `ours` run beats every default
+    /// run on every design, fails as soon as one design's fastest `ours`
+    /// run is no faster than its slowest default run, and is unresolved
+    /// when the runs overlap.
+    #[test]
+    fn cpu_verdict_needs_every_run_on_one_side() {
+        let design = |ours: [f64; 3], default: [f64; 3]| (ours.to_vec(), default.to_vec());
+        let clear = design([0.4, 0.5, 0.45], [0.6, 0.7, 0.65]);
+        let overlap = design([0.4, 0.62, 0.5], [0.6, 0.7, 0.65]);
+        let slower = design([0.7, 0.8, 0.75], [0.6, 0.7, 0.65]);
+        assert_eq!(cpu_verdict(&[clear.clone(), clear.clone()]), Some(true));
+        assert_eq!(cpu_verdict(&[clear.clone(), overlap.clone()]), None);
+        assert_eq!(cpu_verdict(&[overlap.clone(), slower.clone()]), Some(false));
+        assert_eq!(cpu_verdict(&[slower, clear]), Some(false));
+        // A tie between the extremes is not a win.
+        assert_eq!(cpu_verdict(&[design([0.5; 3], [0.5; 3])]), Some(false));
+        assert_eq!(cpu_verdict(&[overlap]), None);
     }
 
     /// Tables 2, 3 and 5 on aes share the flat flow and the

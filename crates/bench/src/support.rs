@@ -1,5 +1,4 @@
-//! Experiment support: scaled designs, flow presets, table printing and
-//! the watchdog the QoR gate runs flows under.
+//! Experiment support: scaled designs, flow presets and table printing.
 
 use cp_core::flow::FlowOptions;
 use cp_core::ClusteringOptions;
@@ -7,9 +6,6 @@ use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::netlist::Netlist;
 use cp_netlist::Constraints;
 use cp_place::PlacerOptions;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::time::Duration;
 
 /// A generated benchmark with its constraints.
 #[derive(Debug, Clone)]
@@ -102,37 +98,6 @@ pub fn fmt_power(w: f64) -> String {
     format!("{:.3}", w)
 }
 
-/// Runs `f` on a thread of its own and waits at most `timeout` for it:
-/// `Ok(Some(value))` when it returned, `Ok(None)` when it outlived
-/// `timeout` (the thread is left to finish on its own), and `Err` with
-/// the panic message when it panicked.
-///
-/// # Errors
-///
-/// The panic message of a panicking `f`.
-pub fn with_watchdog<T, F>(timeout: Duration, f: F) -> Result<Option<T>, String>
-where
-    T: Send + 'static,
-    F: FnOnce() -> T + Send + 'static,
-{
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(catch_unwind(AssertUnwindSafe(f)));
-    });
-    match rx.recv_timeout(timeout) {
-        Ok(Ok(value)) => Ok(Some(value)),
-        Ok(Err(payload)) => Err(payload
-            .downcast_ref::<&str>()
-            .map(|m| m.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "panicked with a non-string payload".to_string())),
-        Err(RecvTimeoutError::Timeout) => Ok(None),
-        Err(RecvTimeoutError::Disconnected) => {
-            Err("the watched thread ended without a result".to_string())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,22 +123,5 @@ mod tests {
         assert_eq!(flow_options(1.0 / 32.0).clustering.avg_cluster_size, 62);
         assert_eq!(flow_options(1.0).clustering.avg_cluster_size, 400);
         assert!(flow_options(1.0).vpr_min_instances == 200);
-    }
-
-    #[test]
-    fn watchdog_tells_a_value_a_timeout_and_a_panic_apart() {
-        let long = Duration::from_secs(600);
-        assert_eq!(with_watchdog(long, || 7), Ok(Some(7)));
-        // Blocked until the sender drops, after the watchdog gave up.
-        let (release, wait) = mpsc::channel::<()>();
-        let blocked = with_watchdog(Duration::from_millis(10), move || wait.recv().is_ok());
-        assert_eq!(blocked, Ok(None));
-        drop(release);
-        let panicked = with_watchdog(long, || -> u8 { panic!("flow exploded at {}", 3) });
-        assert_eq!(panicked, Err("flow exploded at 3".to_string()));
-        assert_eq!(
-            with_watchdog(long, || -> u8 { panic!("static message") }),
-            Err("static message".to_string())
-        );
     }
 }

@@ -1,4 +1,5 @@
-//! Baseline clustering flows the paper compares against.
+//! Baseline clusterings the paper compares against; each one's assignment
+//! and runtime feed [`crate::flow::run_flow_with_assignment`].
 //!
 //! - **Blob placement \[9\]**: Louvain communities as clusters, IO-net weight
 //!   ×4, uniform shapes (Table 2).
@@ -9,11 +10,8 @@
 use crate::cluster::costs::EdgeCosts;
 use crate::cluster::fc::{multilevel_fc, FcOptions};
 use crate::cluster::ClusteringOptions;
-use crate::error::FlowError;
-use crate::flow::{run_flow_with_assignment, FlowOptions, FlowReport};
 use cp_graph::coarsen::{leiden_multilevel, louvain_multilevel};
 use cp_netlist::netlist::Netlist;
-use cp_netlist::Constraints;
 use std::time::Instant;
 
 /// Node count above which Louvain and Leiden run on a heavy-edge-matched
@@ -72,54 +70,12 @@ pub fn mfc_assignment(netlist: &Netlist, clustering: &ClusteringOptions) -> (Vec
     (labels, t0.elapsed().as_secs_f64())
 }
 
-/// The blob-placement flow of \[9\]: Louvain clusters, uniform shapes,
-/// OpenROAD-like seeded placement.
-///
-/// # Errors
-///
-/// See [`run_flow_with_assignment`].
-pub fn run_blob_flow(
-    netlist: &Netlist,
-    constraints: &Constraints,
-    options: &FlowOptions,
-) -> Result<FlowReport, FlowError> {
-    let (assignment, runtime) = louvain_assignment(netlist, options.clustering.seed);
-    run_flow_with_assignment(netlist, constraints, &assignment, runtime, options)
-}
-
-/// Our overall flow with Leiden standing in for the PPA-aware clustering
-/// (Table 5's "Leiden" row).
-///
-/// # Errors
-///
-/// See [`run_flow_with_assignment`].
-pub fn run_leiden_flow(
-    netlist: &Netlist,
-    constraints: &Constraints,
-    options: &FlowOptions,
-) -> Result<FlowReport, FlowError> {
-    let (assignment, runtime) = leiden_assignment(netlist, options.clustering.seed);
-    run_flow_with_assignment(netlist, constraints, &assignment, runtime, options)
-}
-
-/// Our overall flow with plain multilevel FC (Table 5's "MFC" row).
-///
-/// # Errors
-///
-/// See [`run_flow_with_assignment`].
-pub fn run_mfc_flow(
-    netlist: &Netlist,
-    constraints: &Constraints,
-    options: &FlowOptions,
-) -> Result<FlowReport, FlowError> {
-    let (assignment, runtime) = mfc_assignment(netlist, &options.clustering);
-    run_flow_with_assignment(netlist, constraints, &assignment, runtime, options)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{run_flow_with_assignment, FlowOptions};
     use cp_netlist::generator::{DesignProfile, GeneratorConfig};
+    use cp_netlist::Constraints;
 
     fn setup() -> (Netlist, Constraints) {
         GeneratorConfig::from_profile(DesignProfile::Aes)
@@ -161,11 +117,13 @@ mod tests {
     fn baseline_flows_run_end_to_end() {
         let (n, c) = setup();
         let opts = FlowOptions::fast();
-        for r in [
-            run_blob_flow(&n, &c, &opts).expect("blob flow runs"),
-            run_leiden_flow(&n, &c, &opts).expect("leiden flow runs"),
-            run_mfc_flow(&n, &c, &opts).expect("mfc flow runs"),
+        for (assignment, secs) in [
+            louvain_assignment(&n, opts.clustering.seed),
+            leiden_assignment(&n, opts.clustering.seed),
+            mfc_assignment(&n, &opts.clustering),
         ] {
+            let r = run_flow_with_assignment(&n, &c, &assignment, secs, &opts)
+                .expect("comparator flow runs");
             assert!(r.hpwl > 0.0);
             assert!(r.ppa.rwl > 0.0);
             assert!(r.cluster_count > 1);

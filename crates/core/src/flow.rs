@@ -1389,7 +1389,8 @@ mod helper_tests {
         let mut td = FlowOptions::fast();
         td.timing_driven = true;
         let report = run_default_flow(&n, &c, &td).expect("flow runs");
-        let fp = Floorplan::for_netlist(&n, td.utilization, td.aspect_ratio);
+        let fp = Floorplan::try_for_netlist(&n, td.utilization, td.aspect_ratio)
+            .expect("valid geometry");
         let free = PlacementProblem::from_netlist(&n, &fp);
         let mut weighted = free.clone();
         weighted.net_weights = timing_net_weights(&n, &c).expect("acyclic netlist");
@@ -1628,7 +1629,8 @@ mod congestion_tests {
             utilization: 0.3,
             ..FlowOptions::fast()
         };
-        let fp = Floorplan::for_netlist(&n, opts.utilization, opts.aspect_ratio);
+        let fp = Floorplan::try_for_netlist(&n, opts.utilization, opts.aspect_ratio)
+            .expect("valid geometry");
         let problem = PlacementProblem::from_netlist(&n, &fp);
         let placed = GlobalPlacer::new(opts.placer)
             .place(&problem)

@@ -1,6 +1,7 @@
 //! Die/core geometry, rows and IO pin placement — the `.def` equivalent.
 
 use crate::netlist::Netlist;
+use crate::validate::ValidationError;
 
 /// An axis-aligned rectangle in µm.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -68,9 +69,10 @@ impl Rect {
 /// let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
 ///     .scale(0.01)
 ///     .generate();
-/// let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+/// let fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0)?;
 /// assert!(fp.core.area() * 0.6 >= netlist.total_cell_area() * 0.99);
 /// assert_eq!(fp.port_positions.len(), netlist.port_count());
+/// # Ok::<(), cp_netlist::ValidationError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
@@ -100,15 +102,23 @@ impl Floorplan {
     /// aspect ratio (`height / width`), and spreads the ports evenly around
     /// the core boundary (counter-clockwise from the lower-left corner).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `utilization` is not in `(0, 1]` or `aspect_ratio <= 0`.
-    pub fn for_netlist(netlist: &Netlist, utilization: f64, aspect_ratio: f64) -> Self {
-        assert!(
-            utilization > 0.0 && utilization <= 1.0,
-            "utilization {utilization} out of (0, 1]"
-        );
-        assert!(aspect_ratio > 0.0, "aspect ratio must be positive");
+    /// Rejects utilization outside `(0, 1]` and non-finite or non-positive
+    /// aspect ratios.
+    pub fn try_for_netlist(
+        netlist: &Netlist,
+        utilization: f64,
+        aspect_ratio: f64,
+    ) -> Result<Self, ValidationError> {
+        if !(utilization > 0.0 && utilization <= 1.0) {
+            return Err(ValidationError::UtilizationOutOfRange { value: utilization });
+        }
+        if !(aspect_ratio.is_finite() && aspect_ratio > 0.0) {
+            return Err(ValidationError::AspectRatioOutOfRange {
+                value: aspect_ratio,
+            });
+        }
         let lib = netlist.library();
         let area = (netlist.total_cell_area() / utilization).max(lib.row_height * lib.site_width);
         // aspect_ratio = height / width; snap height to rows, width to sites.
@@ -120,7 +130,7 @@ impl Floorplan {
         let core = Rect::new(margin, margin, width, height);
         let die = Rect::new(0.0, 0.0, width + 2.0 * margin, height + 2.0 * margin);
         let port_positions = perimeter_points(&core, netlist.port_count());
-        Self {
+        Ok(Self {
             die,
             core,
             row_height: lib.row_height,
@@ -128,7 +138,7 @@ impl Floorplan {
             utilization,
             port_positions,
             blockages: Vec::new(),
-        }
+        })
     }
 
     /// Adds `count` preplaced macro blockages totalling `area_fraction` of
@@ -136,16 +146,21 @@ impl Floorplan {
     /// Macros line up along the top edge with one-row gaps, as macro
     /// placers commonly do.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `area_fraction ∈ [0, 0.5)`.
-    pub fn with_macro_blockages(mut self, count: usize, area_fraction: f64) -> Self {
-        assert!(
-            (0.0..0.5).contains(&area_fraction),
-            "blockage fraction out of [0, 0.5)"
-        );
+    /// Rejects area fractions outside `[0, 0.5)`.
+    pub fn try_with_macro_blockages(
+        mut self,
+        count: usize,
+        area_fraction: f64,
+    ) -> Result<Self, ValidationError> {
+        if !(0.0..0.5).contains(&area_fraction) {
+            return Err(ValidationError::BlockageFractionOutOfRange {
+                value: area_fraction,
+            });
+        }
         if count == 0 || area_fraction == 0.0 {
-            return self;
+            return Ok(self);
         }
         // Grow the core so free capacity stays constant.
         let grow = 1.0 / (1.0 - area_fraction);
@@ -167,11 +182,11 @@ impl Floorplan {
         }
         // Re-spread ports along the (taller) boundary.
         self.port_positions = perimeter_points(&self.core, self.port_positions.len());
-        self
+        Ok(self)
     }
 
     /// Area of `rect` not covered by blockages, µm² (blockages assumed
-    /// disjoint, as produced by [`Floorplan::with_macro_blockages`]).
+    /// disjoint, as produced by [`Floorplan::try_with_macro_blockages`]).
     pub fn free_area_in(&self, rect: &Rect) -> f64 {
         let mut blocked = 0.0;
         for b in &self.blockages {
@@ -255,7 +270,7 @@ mod tests {
             .seed(3)
             .generate();
         for &(util, ar) in &[(0.5, 1.0), (0.8, 1.5), (0.9, 0.75)] {
-            let fp = Floorplan::for_netlist(&netlist, util, ar);
+            let fp = Floorplan::try_for_netlist(&netlist, util, ar).expect("valid geometry");
             assert!(fp.core.area() * util >= netlist.total_cell_area() * 0.999);
             let measured_ar = fp.core.height() / fp.core.width();
             assert!(
@@ -265,15 +280,6 @@ mod tests {
             assert!(fp.row_count() > 0);
             assert!(fp.die.area() > fp.core.area());
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "utilization")]
-    fn zero_utilization_panics() {
-        let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
-            .scale(0.01)
-            .generate();
-        Floorplan::for_netlist(&netlist, 0.0, 1.0);
     }
 }
 
@@ -288,8 +294,11 @@ mod blockage_tests {
             .scale(0.02)
             .seed(3)
             .generate();
-        let plain = Floorplan::for_netlist(&n, 0.6, 1.0);
-        let blocked = Floorplan::for_netlist(&n, 0.6, 1.0).with_macro_blockages(3, 0.2);
+        let plain = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
+        let blocked = plain
+            .clone()
+            .try_with_macro_blockages(3, 0.2)
+            .expect("valid fraction");
         assert_eq!(blocked.blockages.len(), 3);
         let free = blocked.free_area_in(&blocked.core);
         // Free capacity should be at least the unobstructed core's area.
@@ -316,19 +325,10 @@ mod blockage_tests {
         let n = GeneratorConfig::from_profile(DesignProfile::Aes)
             .scale(0.01)
             .generate();
-        let mut fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let mut fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         fp.blockages
             .push(Rect::new(fp.core.llx, fp.core.lly, 5.0, 4.0));
         let probe = Rect::new(fp.core.llx, fp.core.lly, 10.0, 4.0);
         assert!((fp.free_area_in(&probe) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "blockage fraction")]
-    fn excessive_blockage_fraction_panics() {
-        let n = GeneratorConfig::from_profile(DesignProfile::Aes)
-            .scale(0.01)
-            .generate();
-        let _ = Floorplan::for_netlist(&n, 0.6, 1.0).with_macro_blockages(2, 0.6);
     }
 }

@@ -152,8 +152,9 @@ impl GeneratorConfig {
             MemPoolGroup => ((80, 220), (4, 8), 0.25, 10, 0.66, 800),
         };
         Self {
-            // Machine-friendly name (the interchange format tokenizes on
-            // whitespace); `DesignProfile::name` keeps the display form.
+            // Machine-friendly name (the `verilog` text dump separates
+            // tokens with whitespace); `DesignProfile::name` keeps the
+            // display form.
             name: profile.name().replace(' ', "_"),
             target_cells: profile.table1_insts(),
             scale_factor: 1.0,

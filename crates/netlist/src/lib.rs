@@ -21,7 +21,8 @@
 //!   assignment (Algorithm 1 line 10).
 //! - [`generator`]: a hierarchical synthetic design generator with profiles
 //!   matching the paper's six benchmarks (Table 1) at configurable scale.
-//! - [`verilog`]: a minimal structural-netlist text format for interchange.
+//! - [`verilog`]: a line-oriented text dump of a netlist, for golden hashes
+//!   and debugging; nothing reads it back.
 //!
 //! # Examples
 //!

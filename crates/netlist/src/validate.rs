@@ -201,42 +201,8 @@ impl Constraints {
 }
 
 impl Floorplan {
-    /// Fallible twin of [`Floorplan::for_netlist`]: rejects utilization
-    /// outside `(0, 1]` and non-finite or non-positive aspect ratios
-    /// instead of panicking.
-    pub fn try_for_netlist(
-        netlist: &Netlist,
-        utilization: f64,
-        aspect_ratio: f64,
-    ) -> Result<Self, ValidationError> {
-        if !(utilization > 0.0 && utilization <= 1.0) {
-            return Err(ValidationError::UtilizationOutOfRange { value: utilization });
-        }
-        if !(aspect_ratio.is_finite() && aspect_ratio > 0.0) {
-            return Err(ValidationError::AspectRatioOutOfRange {
-                value: aspect_ratio,
-            });
-        }
-        Ok(Self::for_netlist(netlist, utilization, aspect_ratio))
-    }
-
-    /// Fallible twin of [`Floorplan::with_macro_blockages`]: rejects area
-    /// fractions outside `[0, 0.5)` instead of panicking.
-    pub fn try_with_macro_blockages(
-        self,
-        count: usize,
-        area_fraction: f64,
-    ) -> Result<Self, ValidationError> {
-        if !(0.0..0.5).contains(&area_fraction) {
-            return Err(ValidationError::BlockageFractionOutOfRange {
-                value: area_fraction,
-            });
-        }
-        Ok(self.with_macro_blockages(count, area_fraction))
-    }
-
     /// Checks that the netlist's movable area fits the core's free
-    /// capacity (a floorplan built by [`Floorplan::for_netlist`] always
+    /// capacity (a floorplan built by [`Floorplan::try_for_netlist`] always
     /// fits; hand-built or blockage-mutated ones may not).
     pub fn validate_capacity(&self, netlist: &Netlist) -> Result<(), ValidationError> {
         let cell_area = netlist.total_cell_area();
@@ -346,7 +312,9 @@ mod tests {
         ));
         assert!(Floorplan::try_for_netlist(&n, 0.6, 1.0).is_ok());
         assert!(matches!(
-            Floorplan::for_netlist(&n, 0.6, 1.0).try_with_macro_blockages(2, 0.6),
+            Floorplan::try_for_netlist(&n, 0.6, 1.0)
+                .expect("valid geometry")
+                .try_with_macro_blockages(2, 0.6),
             Err(ValidationError::BlockageFractionOutOfRange { .. })
         ));
     }
@@ -354,7 +322,7 @@ mod tests {
     #[test]
     fn capacity_check_catches_overfull_cores() {
         let (n, _) = design();
-        let mut fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let mut fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         assert_eq!(fp.validate_capacity(&n), Ok(()));
         // Shrink the core below the cell area.
         fp.core.urx = fp.core.llx + 1.0;

@@ -215,7 +215,7 @@ fn region<R: Send>(
                 let helper = move || {
                     let ran = cp_trace::run_with_parent(parent_span, participate);
                     if ran > 0 {
-                        cp_trace::counter_add_slot("pool.worker.tasks", h as u32, ran as u64);
+                        cp_trace::counter_add("pool.worker.tasks", ran as u64);
                     }
                 };
                 let builder = thread::Builder::new().name(format!("cp-par-{h}"));

@@ -200,7 +200,7 @@ mod tests {
             .scale(0.01)
             .seed(44)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let mut r = GlobalPlacer::new(PlacerOptions::default())
             .place(&p)
@@ -318,7 +318,7 @@ mod tests {
             .scale(scale)
             .seed(seed)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.55, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.55, 1.0).expect("valid geometry");
         let mut p = PlacementProblem::from_netlist(&n, &fp);
         if macros {
             for obj in p.movable.iter_mut().step_by(40) {

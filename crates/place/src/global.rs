@@ -464,7 +464,7 @@ mod tests {
             .scale(scale)
             .seed(seed)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         (n, fp)
     }
 

@@ -187,7 +187,7 @@ mod tests {
             .scale(0.02)
             .seed(12)
             .generate();
-        let fp = cp_netlist::Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = cp_netlist::Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let m = p.movable_count();
         // A scattered start, then 2000 single-cell moves.

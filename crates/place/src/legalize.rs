@@ -298,7 +298,7 @@ mod tests {
             .scale(0.01)
             .seed(8)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let mut r = GlobalPlacer::new(PlacerOptions::default())
             .place(&p)
@@ -343,7 +343,7 @@ mod tests {
             .scale(0.005)
             .seed(9)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.5, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.5, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let mut r = GlobalPlacer::new(PlacerOptions::default())
             .place(&p)
@@ -360,7 +360,7 @@ mod tests {
             .scale(0.005)
             .seed(9)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.5, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.5, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let mut pos = vec![(0.0, 0.0); p.movable_count()];
         pos[0].0 = f64::NAN;
@@ -388,7 +388,10 @@ mod blockage_tests {
             .scale(0.02)
             .seed(10)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0).with_macro_blockages(2, 0.25);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0)
+            .expect("valid geometry")
+            .try_with_macro_blockages(2, 0.25)
+            .expect("valid fraction");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let mut r = GlobalPlacer::new(PlacerOptions::default())
             .place(&p)

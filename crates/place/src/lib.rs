@@ -31,13 +31,14 @@
 //! let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
 //!     .scale(0.01)
 //!     .generate();
-//! let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+//! let fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0)?;
 //! let problem = PlacementProblem::from_netlist(&netlist, &fp);
 //! let result = GlobalPlacer::new(PlacerOptions::default())
 //!     .place(&problem)
 //!     .expect("well-formed problem places");
 //! assert!(result.hpwl > 0.0);
 //! assert_eq!(result.positions.len(), netlist.cell_count());
+//! # Ok::<(), cp_netlist::ValidationError>(())
 //! ```
 //!
 //! Every stage entry point returns `Result<_, PlaceError>`: degenerate

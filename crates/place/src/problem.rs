@@ -214,7 +214,7 @@ mod tests {
             .scale(0.01)
             .seed(1)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         (n, fp)
     }
 

@@ -101,7 +101,7 @@ mod tests {
             .scale(0.005)
             .seed(71)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let r = GlobalPlacer::new(PlacerOptions::default())
             .place(&p)
@@ -120,7 +120,7 @@ mod tests {
             .scale(0.005)
             .seed(71)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let pos = vec![fp.core.center(); p.movable_count()];
         let groups: Vec<u32> = (0..p.movable_count() as u32).collect();
@@ -136,7 +136,10 @@ mod tests {
             .scale(0.01)
             .seed(72)
             .generate();
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0).with_macro_blockages(2, 0.2);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0)
+            .expect("valid geometry")
+            .try_with_macro_blockages(2, 0.2)
+            .expect("valid fraction");
         let p = PlacementProblem::from_netlist(&n, &fp);
         let pos = vec![fp.core.center(); p.movable_count()];
         let svg = placement_svg(&p, &fp, &pos, None);

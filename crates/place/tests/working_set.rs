@@ -91,7 +91,7 @@ fn placer_heap_growth_per_movable_is_bounded() {
         .scale(0.25)
         .seed(1)
         .generate();
-    let fp = Floorplan::for_netlist(&netlist, 0.7, 1.0);
+    let fp = Floorplan::try_for_netlist(&netlist, 0.7, 1.0).expect("valid geometry");
     let scratch = PlacementProblem::from_netlist(&netlist, &fp);
     assert!(
         scratch.movable_count() > 10_000,

@@ -446,7 +446,7 @@ mod tests {
         let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
             .scale(0.02)
             .generate();
-        let mut fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+        let mut fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0).expect("valid geometry");
         let open = CongestionMap::for_design(&netlist, &fp);
         let g = open.gcell_size();
         let (llx, lly) = (fp.die.llx, fp.die.lly);

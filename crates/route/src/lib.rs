@@ -21,7 +21,7 @@
 //! let netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
 //!     .scale(0.01)
 //!     .generate();
-//! let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+//! let fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0)?;
 //! let problem = PlacementProblem::from_netlist(&netlist, &fp);
 //! let placed = GlobalPlacer::new(PlacerOptions::default())
 //!     .place(&problem)
@@ -32,6 +32,7 @@
 //!     .expect("finite positions route");
 //! assert!(routed.wirelength > 0.0);
 //! assert!(routed.congestion.max_utilization() >= 0.0);
+//! # Ok::<(), cp_netlist::ValidationError>(())
 //! ```
 //!
 //! The routing grid — origin, GCell size, per-edge capacity, the macro

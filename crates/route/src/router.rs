@@ -880,7 +880,7 @@ mod tests {
         let mut netlist = GeneratorConfig::from_profile(DesignProfile::Aes)
             .scale(0.005)
             .generate();
-        let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0).expect("valid geometry");
         let die = fp.die;
         let mut positions: Vec<(f64, f64)> = (0..netlist.cell_count())
             .map(|k| {

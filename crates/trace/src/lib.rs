@@ -11,8 +11,7 @@
 //!   candidate evaluated on a helper still nests under its cluster's span.
 //! - **Metrics** ([`counter_add`], [`gauge_set`], [`observe`]) — a
 //!   process-wide registry of monotonic counters, gauges and fixed-bucket
-//!   histograms addressed by static names (plus an optional `u32` slot
-//!   for per-thread instances).
+//!   histograms addressed by static names.
 //! - **Series** ([`series`]) — per-iteration convergence telemetry
 //!   (global-placer HPWL/overflow/CG residuals, GNN epoch loss), each row
 //!   tagged with the ambient span so a report can attribute it.
@@ -399,9 +398,6 @@ pub fn series(name: &'static str, iter: u64, values: &[(&'static str, f64)]) {
 // ---------------------------------------------------------------------------
 // Metrics registry
 
-/// Slot value for unslotted metrics.
-pub const NO_SLOT: u32 = u32::MAX;
-
 /// Histogram bucket upper bounds (log-spaced; a final +∞ bucket catches
 /// the rest). Wide enough for iteration counts and residuals alike.
 pub const HIST_BOUNDS: [f64; 12] = [
@@ -420,26 +416,18 @@ enum Metric {
     },
 }
 
-static METRICS: OnceLock<Mutex<BTreeMap<(&'static str, u32), Metric>>> = OnceLock::new();
+static METRICS: OnceLock<Mutex<BTreeMap<&'static str, Metric>>> = OnceLock::new();
 
-fn metrics() -> &'static Mutex<BTreeMap<(&'static str, u32), Metric>> {
+fn metrics() -> &'static Mutex<BTreeMap<&'static str, Metric>> {
     METRICS.get_or_init(Mutex::default)
 }
 
 /// Adds to a monotonic counter. No-op below level `Full`.
 pub fn counter_add(name: &'static str, delta: u64) {
-    counter_add_slot(name, NO_SLOT, delta);
-}
-
-/// Adds to a slotted monotonic counter (e.g. per `cp-parallel` helper).
-pub fn counter_add_slot(name: &'static str, slot: u32, delta: u64) {
     if !telemetry_enabled() {
         return;
     }
-    match lock(metrics())
-        .entry((name, slot))
-        .or_insert(Metric::Counter(0))
-    {
+    match lock(metrics()).entry(name).or_insert(Metric::Counter(0)) {
         Metric::Counter(v) => *v += delta,
         other => *other = Metric::Counter(delta),
     }
@@ -450,7 +438,7 @@ pub fn gauge_set(name: &'static str, value: f64) {
     if !telemetry_enabled() {
         return;
     }
-    lock(metrics()).insert((name, NO_SLOT), Metric::Gauge(value));
+    lock(metrics()).insert(name, Metric::Gauge(value));
 }
 
 /// Records one observation into a fixed-bucket histogram. No-op below
@@ -460,7 +448,7 @@ pub fn observe(name: &'static str, value: f64) {
         return;
     }
     let mut m = lock(metrics());
-    let e = m.entry((name, NO_SLOT)).or_insert(Metric::Hist {
+    let e = m.entry(name).or_insert(Metric::Hist {
         counts: [0; HIST_BOUNDS.len() + 1],
         count: 0,
         sum: 0.0,
@@ -490,22 +478,17 @@ pub fn observe(name: &'static str, value: f64) {
 /// Reads a counter's current value (0 when absent) — a test/report hook,
 /// not a hot-path API.
 pub fn counter_value(name: &'static str) -> u64 {
-    let m = lock(metrics());
-    m.iter()
-        .filter(|((n, _), _)| *n == name)
-        .map(|(_, v)| match v {
-            Metric::Counter(c) => *c,
-            _ => 0,
-        })
-        .sum()
+    match lock(metrics()).get(name) {
+        Some(Metric::Counter(c)) => *c,
+        _ => 0,
+    }
 }
 
 fn snapshot_metrics() -> Vec<MetricSnapshot> {
     let m = lock(metrics());
     m.iter()
-        .map(|(&(name, slot), v)| MetricSnapshot {
+        .map(|(&name, v)| MetricSnapshot {
             name,
-            slot: (slot != NO_SLOT).then_some(slot),
             value: match v {
                 Metric::Counter(c) => MetricValue::Counter(*c),
                 Metric::Gauge(g) => MetricValue::Gauge(*g),
@@ -727,14 +710,12 @@ mod tests {
     }
 
     #[test]
-    fn metrics_accumulate_by_kind_and_slot() {
+    fn metrics_accumulate_by_kind() {
         let _g = serial();
         set_level(Level::Full);
         clear();
         counter_add("m.counter", 2);
         counter_add("m.counter", 3);
-        counter_add_slot("m.slotted", 0, 1);
-        counter_add_slot("m.slotted", 1, 10);
         gauge_set("m.gauge", 1.5);
         gauge_set("m.gauge", 2.5);
         observe("m.hist", 0.5);
@@ -743,7 +724,6 @@ mod tests {
         let report = take_report(root).expect("capture yields a report");
         set_level(Level::Off);
         assert_eq!(counter_value("m.counter"), 5);
-        assert_eq!(counter_value("m.slotted"), 11);
         let gauge = report
             .metrics
             .iter()

@@ -23,8 +23,6 @@ pub const SCHEMA_JSON: &str = include_str!("../../../schemas/trace_report.schema
 pub struct MetricSnapshot {
     /// Static metric name.
     pub name: &'static str,
-    /// Slot for per-instance metrics (e.g. `cp-parallel` helper index).
-    pub slot: Option<u32>,
     /// The metric's value.
     pub value: MetricValue,
 }
@@ -252,9 +250,6 @@ impl TraceReport {
         w.end().key("metrics").array();
         for m in &self.metrics {
             w.object().key("name").str(m.name);
-            if let Some(slot) = m.slot {
-                w.key("slot").u64(slot.into());
-            }
             match &m.value {
                 MetricValue::Counter(v) => {
                     w.key("kind").str("counter").key("value").u64(*v);
@@ -313,31 +308,29 @@ fn write_args(w: &mut Writer, args: &[(&'static str, ArgValue)]) {
     w.end();
 }
 
-/// Merges one or more reports into a single Chrome `trace_event` JSON
-/// document (`{"traceEvents":[...]}`), loadable in `chrome://tracing` and
-/// Perfetto. Spans become `"ph":"X"` complete events (timestamps in µs),
-/// instants become `"ph":"i"` thread-scoped instant events.
-pub fn chrome_trace(reports: &[&TraceReport]) -> String {
+/// Writes a report as a Chrome `trace_event` JSON document
+/// (`{"traceEvents":[...]}`), loadable in `chrome://tracing` and Perfetto.
+/// Spans become `"ph":"X"` complete events (timestamps in µs), instants
+/// become `"ph":"i"` thread-scoped instant events.
+pub fn chrome_trace(report: &TraceReport) -> String {
     let mut w = Writer::with_capacity(4096);
     w.object().key("traceEvents").array();
-    for r in reports {
-        for s in &r.spans {
-            w.object().key("name").str(s.name).key("ph").str("X");
-            w.key("pid").u64(1).key("tid").u64(s.thread.into());
-            w.key("ts").f64(micros(s.start_ns));
-            let dur_ns = s.end_ns.saturating_sub(s.start_ns);
-            w.key("dur").f64(micros(dur_ns));
-            write_args(&mut w, &s.args);
-            w.end();
-        }
-        for e in &r.instants {
-            w.object().key("name").str(e.name).key("ph").str("i");
-            w.key("s").str("t").key("pid").u64(1);
-            w.key("tid").u64(e.thread.into());
-            w.key("ts").f64(micros(e.ts_ns));
-            write_args(&mut w, &e.args);
-            w.end();
-        }
+    for s in &report.spans {
+        w.object().key("name").str(s.name).key("ph").str("X");
+        w.key("pid").u64(1).key("tid").u64(s.thread.into());
+        w.key("ts").f64(micros(s.start_ns));
+        let dur_ns = s.end_ns.saturating_sub(s.start_ns);
+        w.key("dur").f64(micros(dur_ns));
+        write_args(&mut w, &s.args);
+        w.end();
+    }
+    for e in &report.instants {
+        w.object().key("name").str(e.name).key("ph").str("i");
+        w.key("s").str("t").key("pid").u64(1);
+        w.key("tid").u64(e.thread.into());
+        w.key("ts").f64(micros(e.ts_ns));
+        write_args(&mut w, &e.args);
+        w.end();
     }
     w.end().end();
     w.finish()
@@ -415,17 +408,10 @@ mod tests {
             metrics: vec![
                 MetricSnapshot {
                     name: "place.cg.solves",
-                    slot: None,
                     value: MetricValue::Counter(12),
                 },
                 MetricSnapshot {
-                    name: "pool.worker.tasks",
-                    slot: Some(1),
-                    value: MetricValue::Counter(40),
-                },
-                MetricSnapshot {
                     name: "place.cg.iterations",
-                    slot: None,
                     value: MetricValue::Histogram {
                         count: 2,
                         sum: 30.0,
@@ -531,7 +517,6 @@ mod tests {
     fn gauges_with_prefix_reads_gauges_in_name_order() {
         let gauge = |name, v| MetricSnapshot {
             name,
-            slot: None,
             value: MetricValue::Gauge(v),
         };
         let mut r = sample_report();
@@ -542,7 +527,6 @@ mod tests {
         ]);
         r.metrics.push(MetricSnapshot {
             name: "qor.evals",
-            slot: None,
             value: MetricValue::Counter(3),
         });
         assert_eq!(
@@ -583,12 +567,7 @@ mod tests {
             .get("metrics")
             .and_then(|v| v.as_array())
             .expect("metrics");
-        assert_eq!(metrics.len(), 3);
-        assert_eq!(
-            metrics[1].get("slot").and_then(|v| v.as_f64()),
-            Some(1.0),
-            "slotted metric keeps its slot"
-        );
+        assert_eq!(metrics.len(), 2);
     }
 
     /// Both exports, byte for byte as the hand-written encoders before
@@ -598,10 +577,10 @@ mod tests {
         let r = sample_report();
         assert_eq!(
             r.to_json(),
-            r#"{"version":2,"root":1,"duration_s":0.003,"dropped_events":0,"spans":[{"id":1,"parent":0,"name":"flow","thread":0,"start_us":0.0,"dur_us":3000.0},{"id":2,"parent":1,"name":"shaping","thread":0,"start_us":100.0,"dur_us":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"id":3,"parent":1,"name":"ppa","thread":1,"start_us":1200.0,"dur_us":1700.0}],"instants":[{"name":"place.revert","span":2,"thread":0,"ts_us":500.0,"args":{"iteration":4}}],"series":[{"name":"place.outer","span":2,"rows":[{"i":0,"hpwl":10.0,"overflow":0.9},{"i":1,"hpwl":8.0,"overflow":0.5}]}],"frames":[{"name":"place.density_overflow","stage":"flat placement","iter":0,"nx":2,"ny":1,"values":[0.5,null]}],"metrics":[{"name":"place.cg.solves","kind":"counter","value":12},{"name":"pool.worker.tasks","slot":1,"kind":"counter","value":40},{"name":"place.cg.iterations","kind":"histogram","count":2,"sum":30.0,"min":10.0,"max":20.0,"buckets":[[10.0,1],[100.0,1],["+inf",0]]}]}"#
+            r#"{"version":2,"root":1,"duration_s":0.003,"dropped_events":0,"spans":[{"id":1,"parent":0,"name":"flow","thread":0,"start_us":0.0,"dur_us":3000.0},{"id":2,"parent":1,"name":"shaping","thread":0,"start_us":100.0,"dur_us":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"id":3,"parent":1,"name":"ppa","thread":1,"start_us":1200.0,"dur_us":1700.0}],"instants":[{"name":"place.revert","span":2,"thread":0,"ts_us":500.0,"args":{"iteration":4}}],"series":[{"name":"place.outer","span":2,"rows":[{"i":0,"hpwl":10.0,"overflow":0.9},{"i":1,"hpwl":8.0,"overflow":0.5}]}],"frames":[{"name":"place.density_overflow","stage":"flat placement","iter":0,"nx":2,"ny":1,"values":[0.5,null]}],"metrics":[{"name":"place.cg.solves","kind":"counter","value":12},{"name":"place.cg.iterations","kind":"histogram","count":2,"sum":30.0,"min":10.0,"max":20.0,"buckets":[[10.0,1],[100.0,1],["+inf",0]]}]}"#
         );
         assert_eq!(
-            chrome_trace(&[&r]),
+            chrome_trace(&r),
             r#"{"traceEvents":[{"name":"flow","ph":"X","pid":1,"tid":0,"ts":0.0,"dur":3000.0},{"name":"shaping","ph":"X","pid":1,"tid":0,"ts":100.0,"dur":1000.0,"args":{"cluster":3,"verdict":"exact"}},{"name":"ppa","ph":"X","pid":1,"tid":1,"ts":1200.0,"dur":1700.0},{"name":"place.revert","ph":"i","s":"t","pid":1,"tid":0,"ts":500.0,"args":{"iteration":4}}]}"#
         );
     }
@@ -609,7 +588,7 @@ mod tests {
     #[test]
     fn chrome_export_is_well_formed() {
         let r = sample_report();
-        let doc = parse(&chrome_trace(&[&r])).expect("chrome JSON parses");
+        let doc = parse(&chrome_trace(&r)).expect("chrome JSON parses");
         let events = doc
             .get("traceEvents")
             .and_then(|v| v.as_array())
@@ -622,15 +601,6 @@ mod tests {
             events[1].get("ts").and_then(|v| v.as_f64()),
             Some(100.0),
             "timestamps are microseconds"
-        );
-        // Merging two reports concatenates their events.
-        let merged = parse(&chrome_trace(&[&r, &r])).expect("merged parses");
-        assert_eq!(
-            merged
-                .get("traceEvents")
-                .and_then(|v| v.as_array())
-                .map(Vec::len),
-            Some(8)
         );
     }
 }

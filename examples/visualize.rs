@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..Default::default()
         },
     )?;
-    let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+    let fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0)?;
     let problem = PlacementProblem::from_netlist(&netlist, &fp);
     let mut result = GlobalPlacer::new(PlacerOptions::default()).place(&problem)?;
     legalize(&problem, &fp, &mut result.positions)?;

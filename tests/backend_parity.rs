@@ -139,7 +139,7 @@ fn cg_telemetry_counts_two_lower_bound_solves_per_iteration() {
         .scale(0.01)
         .seed(3)
         .generate();
-    let fp = Floorplan::for_netlist(&netlist, 0.6, 1.0);
+    let fp = Floorplan::try_for_netlist(&netlist, 0.6, 1.0).expect("valid geometry");
     let problem = PlacementProblem::from_netlist(&netlist, &fp);
     for backend in [PlacerBackendKind::B2b, PlacerBackendKind::EDensity] {
         let (iterations, report) = traced_place(&problem, backend);

@@ -586,9 +586,7 @@ fn committed_tracetool_commands_use_listed_flags() {
         listed.get("explain").is_some_and(|f| f.contains("--run")),
         "usage text parses: {listed:?}"
     );
-    assert!(listed
-        .get("gate")
-        .is_some_and(|f| f.contains("--timeout-s")));
+    assert!(listed.get("gate").is_some_and(|f| f.contains("--large")));
     let mut stale = Vec::new();
     let mut named: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
     for file in [
@@ -633,10 +631,10 @@ fn committed_tracetool_commands_use_listed_flags() {
         let flags = flags.iter().map(|f| f.to_string()).collect();
         (sub.to_string(), flags)
     };
-    let yaml = "run: >\n  cargo run -p cp-bench --bin tracetool --\n  gate --large --timeout-s 900\n- name: x --no";
+    let yaml = "run: >\n  cargo run -p cp-bench --bin tracetool --\n  gate --large --baseline b.json\n- name: x --no";
     assert_eq!(
         tracetool_commands(yaml),
-        [pair("gate", &["--large", "--timeout-s"])]
+        [pair("gate", &["--large", "--baseline"])]
     );
     let md = "| `tracetool explain`, `gate --write` | `tracetool check-schema · gate --write`";
     assert_eq!(

@@ -332,7 +332,6 @@ fn report(rng: &mut TestRng) -> TraceReport {
     let metrics = (0..below(rng, 5))
         .map(|_| MetricSnapshot {
             name: name(rng),
-            slot: (rng.below(2) == 0).then(|| rng.below(8) as u32),
             value: match rng.below(3) {
                 0 => MetricValue::Counter(rng.next_u64() >> 12),
                 1 => MetricValue::Gauge(float(rng)),

@@ -1,8 +1,10 @@
 //! Cross-crate integration tests: the full Algorithm 1 pipeline against
 //! the flat baseline, on a scaled `jpeg` profile.
 
-use cp_core::baselines::{run_blob_flow, run_leiden_flow, run_mfc_flow};
-use cp_core::flow::{run_default_flow, run_flow, FlowOptions, ShapeMode, Tool};
+use cp_core::baselines::{leiden_assignment, louvain_assignment, mfc_assignment};
+use cp_core::flow::{
+    run_default_flow, run_flow, run_flow_with_assignment, FlowOptions, ShapeMode, Tool,
+};
 use cp_core::ClusteringOptions;
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::netlist::Netlist;
@@ -82,17 +84,14 @@ fn baseline_flows_are_comparable() {
     let (n, c) = setup();
     let opts = options();
     let flat = run_default_flow(&n, &c, &opts).expect("flat flow runs");
-    for (name, r) in [
-        (
-            "blob",
-            run_blob_flow(&n, &c, &opts).expect("blob flow runs"),
-        ),
-        (
-            "leiden",
-            run_leiden_flow(&n, &c, &opts).expect("leiden flow runs"),
-        ),
-        ("mfc", run_mfc_flow(&n, &c, &opts).expect("mfc flow runs")),
+    let seed = opts.clustering.seed;
+    for (name, (assignment, secs)) in [
+        ("blob", louvain_assignment(&n, seed)),
+        ("leiden", leiden_assignment(&n, seed)),
+        ("mfc", mfc_assignment(&n, &opts.clustering)),
     ] {
+        let r = run_flow_with_assignment(&n, &c, &assignment, secs, &opts)
+            .expect("comparator flow runs");
         let ratio = r.hpwl / flat.hpwl;
         assert!(
             (0.6..=1.8).contains(&ratio),
@@ -109,7 +108,8 @@ fn ppa_aware_clustering_is_no_worse_than_mfc_on_tns() {
     let (n, c) = setup();
     let opts = options();
     let ours = run_flow(&n, &c, &opts).expect("clustered flow runs");
-    let mfc = run_mfc_flow(&n, &c, &opts).expect("mfc flow runs");
+    let (assignment, secs) = mfc_assignment(&n, &opts.clustering);
+    let mfc = run_flow_with_assignment(&n, &c, &assignment, secs, &opts).expect("mfc flow runs");
     let ours_tns = ours.ppa.tns.abs();
     let mfc_tns = mfc.ppa.tns.abs();
     assert!(

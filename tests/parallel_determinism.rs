@@ -114,7 +114,7 @@ fn axis_parallel_lower_bound_matches_the_serial_one() {
         let cells = n.cell_count();
         assert_eq!(cells > 1024, axis_tasks, "{cells} cells");
         assert_eq!(cells >= 4096, spread_tasks, "{cells} cells");
-        let fp = Floorplan::for_netlist(&n, 0.6, 1.0);
+        let fp = Floorplan::try_for_netlist(&n, 0.6, 1.0).expect("valid geometry");
         let problem = PlacementProblem::from_netlist(&n, &fp);
         let placer = GlobalPlacer::new(PlacerOptions {
             max_iterations: 4,

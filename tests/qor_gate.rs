@@ -118,15 +118,11 @@ fn tracetool_gate_passes_clean_and_rejects_doctored_reports() {
 
 /// Every numeric flag rejects negative, non-finite and out-of-range
 /// values with a usage error (exit 2) naming the flag, never a panic, and
-/// a deleted subcommand or flag is a usage error too; a tiny valid
-/// timeout still expires with exit 3.
+/// a deleted subcommand or flag is a usage error too.
 #[test]
 fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
     let tracetool = env!("CARGO_BIN_EXE_tracetool");
     let cases: &[(&[&str], &str)] = &[
-        (&["gate", "--timeout-s", "-1"], "--timeout-s"),
-        (&["gate", "--timeout-s", "nan"], "--timeout-s"),
-        (&["gate", "--timeout-s", "1e300"], "--timeout-s"),
         (&["explain", "--run", "aes@0"], "--run"),
         (&["trend"], "unknown subcommand"),
         (&["harvest"], "unknown subcommand"),
@@ -142,6 +138,7 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
         ),
         (&["gate", "--from", "x"], "unknown option"),
         (&["gate", "--reps", "2"], "unknown option"),
+        (&["gate", "--timeout-s", "1"], "unknown option"),
     ];
     for (args, flag) in cases {
         let out = Command::new(tracetool)
@@ -155,11 +152,6 @@ fn tracetool_rejects_bad_numeric_flags_with_a_usage_error() {
             "{args:?} must name `{flag}`: {stderr}"
         );
     }
-    let out = Command::new(tracetool)
-        .args(["gate", "--timeout-s", "0.01"])
-        .output()
-        .expect("tracetool runs");
-    assert_eq!(out.status.code(), Some(3), "{out:?}");
 }
 
 /// A reader that closes the pipe before reading ends the output, not the

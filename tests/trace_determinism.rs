@@ -152,7 +152,7 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
         &cp_trace::json::parse(cp_trace::report::SCHEMA_JSON).expect("schema parses"),
     );
     assert_eq!(violations, Vec::<String>::new());
-    let chrome = cp_trace::json::parse(&cp_trace::chrome_trace(&[trace])).expect("timeline parses");
+    let chrome = cp_trace::json::parse(&cp_trace::chrome_trace(trace)).expect("timeline parses");
     let events = chrome
         .get("traceEvents")
         .and_then(|e| e.as_array())
