@@ -629,7 +629,7 @@ fn table6(outer: &mut Runner) -> Result<Table, FlowError> {
     for &p in &profiles {
         let mode = |m: ShapeMode| base.clone().shape_mode(m);
         let uniform = r.flow(Flow::Ours, p, &mode(ShapeMode::Uniform))?;
-        let random = r.flow(Flow::Ours, p, &mode(ShapeMode::Random(41)))?;
+        let random = r.flow(Flow::Ours, p, &mode(ShapeMode::Random))?;
         let ml_mode = ShapeMode::VprMl(Box::new(selector.clone()));
         let ml = r.flow(Flow::Ours, p, &mode(ml_mode))?;
         let name = r.design(p).name();

@@ -36,31 +36,23 @@ use std::sync::OnceLock;
 
 /// On-disk format version; bumped on breaking layout changes, and a file
 /// of any other version is refused. Version 2 dropped the two sub-netlist
-/// cache counters from the shaping stats.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// cache counters from the shaping stats; version 3 dropped the stored
+/// stage (implied by which outputs are present, see [`Checkpoint::stage`]),
+/// the shaping stage's `shaped` list (the cluster ids of its `shapes`) and
+/// the placements' `diverged` flags (a revert is a restored event).
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// The checked-in schema every loaded checkpoint is validated against.
 pub const SCHEMA_JSON: &str = include_str!("../../../schemas/checkpoint.schema.json");
-
-/// A placement stage's output: the position vector and whether the run
-/// diverged and reverted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementState {
-    /// One `(x, y)` per object, bit-exact.
-    pub positions: Vec<(f64, f64)>,
-    /// Whether the placer reverted to its best snapshot.
-    pub diverged: bool,
-}
 
 /// The shaping stage's output: the selected shape per shaped cluster plus
 /// the stage's work counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShapingState {
-    /// `(cluster, shape)` for clusters that got a non-default shape.
+    /// `(cluster, shape)` for every cluster that went through shape
+    /// selection, including ones that fell back and keep the uniform
+    /// shape (none in `Uniform` mode).
     pub shapes: Vec<(u32, ClusterShape)>,
-    /// Every cluster that went through shape selection (including ones
-    /// that fell back to the uniform default).
-    pub shaped: Vec<u32>,
     /// The stage's counters, restored verbatim into the report.
     pub stats: ShapingStats,
 }
@@ -70,23 +62,22 @@ pub struct ShapingState {
 pub struct Checkpoint {
     /// FNV-1a fingerprint of the netlist + options (see [`fingerprint`]).
     pub fingerprint: u64,
-    /// Last *completed* stage (a [`stages`] constant).
-    pub stage: &'static str,
     /// The clustering assignment (one cluster id per cell).
     pub assignment: Vec<u32>,
     /// Seconds the clustering stage took in the original run.
     pub clustering_runtime: f64,
-    /// Recovery events collected up to (and including) `stage`.
+    /// Recovery events collected up to (and including) [`Self::stage`].
     pub events: Vec<RecoveryEvent>,
     /// Recoveries dropped past the diagnostics cap.
     pub dropped: usize,
     /// Present once shaping completed.
     pub shaping: Option<ShapingState>,
-    /// Present once cluster placement completed.
-    pub cluster_placement: Option<PlacementState>,
-    /// Present once flat placement (incl. congestion refinement)
+    /// One `(x, y)` per cluster, bit-exact; present once cluster placement
     /// completed.
-    pub flat_placement: Option<PlacementState>,
+    pub cluster_placement: Option<Vec<(f64, f64)>>,
+    /// One `(x, y)` per movable cell, bit-exact; present once flat
+    /// placement (incl. congestion refinement) completed.
+    pub flat_placement: Option<Vec<(f64, f64)>>,
 }
 
 /// The FNV-1a 64 offset basis: the hash of no bytes, and the `hash` a
@@ -134,7 +125,6 @@ impl Checkpoint {
     ) -> Self {
         Self {
             fingerprint,
-            stage: stages::CLUSTERING,
             assignment,
             clustering_runtime,
             events: Vec::new(),
@@ -145,15 +135,33 @@ impl Checkpoint {
         }
     }
 
+    /// The last *completed* stage (a [`stages`] constant): the last one
+    /// whose output is present, or clustering when none is.
+    pub fn stage(&self) -> &'static str {
+        if self.flat_placement.is_some() {
+            stages::FLAT_PLACEMENT
+        } else if self.cluster_placement.is_some() {
+            stages::CLUSTER_PLACEMENT
+        } else if self.shaping.is_some() {
+            stages::SHAPING
+        } else {
+            stages::CLUSTERING
+        }
+    }
+
     /// Serializes to the schema-conformant JSON document.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(4096);
         w.object_lines().key("version").u64(CHECKPOINT_VERSION);
         w.key("fingerprint").hex64(self.fingerprint);
-        w.key("stage").str(self.stage);
-        w.key("clustering").object_padded().key("assignment");
-        write_ids(&mut w, &self.assignment);
-        w.key("runtime").f64(self.clustering_runtime).end();
+        w.key("clustering")
+            .object_padded()
+            .key("assignment")
+            .array();
+        for &id in &self.assignment {
+            w.u64(id.into());
+        }
+        w.end().key("runtime").f64(self.clustering_runtime).end();
         w.key("diagnostics").object_padded().key("events").array();
         let cluster_event = |w: &mut Writer, kind: &str, cluster: u32| {
             w.object().key("kind").str(kind);
@@ -171,10 +179,6 @@ impl Checkpoint {
                 RecoveryEvent::RegionDropped { cluster } => {
                     cluster_event(&mut w, "region_dropped", *cluster);
                 }
-                // Bookkeeping events describe one run's execution, not
-                // the pipeline state: not replayed on resume, so not
-                // written.
-                RecoveryEvent::CheckpointWritten { .. } | RecoveryEvent::Resumed { .. } => {}
             }
         }
         w.end().key("dropped").u64(self.dropped as u64).end();
@@ -185,9 +189,7 @@ impl Checkpoint {
                 w.key("aspect_ratio").f64(shape.aspect_ratio);
                 w.key("utilization").f64(shape.utilization).end();
             }
-            w.end().key("shaped");
-            write_ids(&mut w, &sh.shaped);
-            w.key("stats").object();
+            w.end().key("stats").object();
             for (key, count) in stats_fields(&sh.stats) {
                 w.key(key).u64(count as u64);
             }
@@ -198,12 +200,12 @@ impl Checkpoint {
             ("flat_placement", &self.flat_placement),
         ];
         for (key, placement) in placements {
-            let Some(p) = placement else { continue };
+            let Some(positions) = placement else { continue };
             w.key(key).object_padded().key("positions").array();
-            for &(x, y) in &p.positions {
+            for &(x, y) in positions {
                 w.array().f64(x).f64(y).end();
             }
-            w.end().key("diverged").bool(p.diverged).end();
+            w.end().end();
         }
         w.end();
         let mut text = w.finish();
@@ -216,7 +218,7 @@ impl Checkpoint {
     /// # Errors
     ///
     /// A human-readable reason when the document is malformed, fails
-    /// schema validation, carries an unknown version or stage, or holds a
+    /// schema validation, carries an unknown version or event stage, or holds a
     /// cluster id or count that is not a non-negative integer in range.
     pub fn from_json(input: &str) -> Result<Self, String> {
         static SCHEMA: OnceLock<Result<Json, String>> = OnceLock::new();
@@ -235,7 +237,6 @@ impl Checkpoint {
         })?;
         Ok(Self {
             fingerprint: doc.hex64("fingerprint")?,
-            stage: doc.at("stage", stage_static)?,
             assignment,
             clustering_runtime,
             events,
@@ -272,15 +273,6 @@ impl Checkpoint {
     }
 }
 
-/// Writes a compact array of cluster ids.
-fn write_ids(w: &mut Writer, ids: &[u32]) {
-    w.array();
-    for &id in ids {
-        w.u64(id.into());
-    }
-    w.end();
-}
-
 /// The shaping counters under their document keys, in document order.
 fn stats_fields(st: &ShapingStats) -> [(&'static str, usize); 7] {
     [
@@ -294,14 +286,10 @@ fn stats_fields(st: &ShapingStats) -> [(&'static str, usize); 7] {
     ]
 }
 
-fn placement_from_json(j: &Json) -> Result<PlacementState, String> {
-    let positions = j.each("positions", |pair| match pair.to_array()? {
+fn placement_from_json(j: &Json) -> Result<Vec<(f64, f64)>, String> {
+    j.each("positions", |pair| match pair.to_array()? {
         [x, y, ..] => Ok((x.to_f64()?, y.to_f64()?)),
         _ => Err("expected an [x, y] pair".to_string()),
-    })?;
-    Ok(PlacementState {
-        positions,
-        diverged: j.bool("diverged")?,
     })
 }
 
@@ -324,11 +312,7 @@ fn shaping_from_json(j: &Json) -> Result<ShapingState, String> {
             warm_start_hits: st.usize("warm_start_hits")?,
         })
     })?;
-    Ok(ShapingState {
-        shapes,
-        shaped: j.each("shaped", Json::to_u32)?,
-        stats,
-    })
+    Ok(ShapingState { shapes, stats })
 }
 
 fn event_from_json(j: &Json) -> Result<RecoveryEvent, String> {
@@ -365,7 +349,6 @@ mod tests {
     fn sample() -> Checkpoint {
         Checkpoint {
             fingerprint: 0xdead_beef_0123_4567,
-            stage: stages::CLUSTER_PLACEMENT,
             assignment: vec![0, 1, 1, 0, 2],
             clustering_runtime: 0.125,
             events: vec![
@@ -376,22 +359,21 @@ mod tests {
             ],
             dropped: 0,
             shaping: Some(ShapingState {
-                shapes: vec![(0, ClusterShape::new(1.25, 0.8))],
-                shaped: vec![0, 1],
+                shapes: vec![
+                    (0, ClusterShape::new(1.25, 0.8)),
+                    (1, ClusterShape::UNIFORM),
+                ],
                 stats: ShapingStats {
                     clusters_shaped: 2,
                     exact_evals: 40,
                     ..Default::default()
                 },
             }),
-            cluster_placement: Some(PlacementState {
-                positions: vec![
-                    (1.5, -2.25),
-                    (0.1 + 0.2, f64::MIN_POSITIVE),
-                    (1.0 / 3.0, -0.0),
-                ],
-                diverged: true,
-            }),
+            cluster_placement: Some(vec![
+                (1.5, -2.25),
+                (0.1 + 0.2, f64::MIN_POSITIVE),
+                (1.0 / 3.0, -0.0),
+            ]),
             flat_placement: None,
         }
     }
@@ -402,7 +384,7 @@ mod tests {
         let text = cp.to_json();
         let back = Checkpoint::from_json(&text).expect("round trip parses");
         assert_eq!(back.fingerprint, cp.fingerprint);
-        assert_eq!(back.stage, cp.stage);
+        assert_eq!(back.stage(), stages::CLUSTER_PLACEMENT);
         assert_eq!(back.assignment, cp.assignment);
         assert_eq!(
             back.clustering_runtime.to_bits(),
@@ -413,15 +395,13 @@ mod tests {
             cp.cluster_placement.expect("present"),
             back.cluster_placement.expect("present"),
         );
-        assert_eq!(a.diverged, b.diverged);
-        for (pa, pb) in a.positions.iter().zip(&b.positions) {
+        for (pa, pb) in a.iter().zip(&b) {
             assert_eq!(pa.0.to_bits(), pb.0.to_bits());
             assert_eq!(pa.1.to_bits(), pb.1.to_bits());
         }
         let (sa, sb) = (cp.shaping.expect("present"), back.shaping.expect("present"));
         assert_eq!(sa.stats, sb.stats);
-        assert_eq!(sa.shaped, sb.shaped);
-        assert_eq!(sa.shapes.len(), sb.shapes.len());
+        assert_eq!(sa.shapes, sb.shapes);
     }
 
     #[test]
@@ -432,7 +412,7 @@ mod tests {
         assert!(Checkpoint::from_json(&bad_stage).is_err());
         let bad_version = sample()
             .to_json()
-            .replace("\"version\": 2", "\"version\": 99");
+            .replace("\"version\": 3", "\"version\": 99");
         assert!(Checkpoint::from_json(&bad_version).is_err());
     }
 
@@ -447,7 +427,7 @@ mod tests {
             .seed(1)
             .generate_with_constraints();
         let run = fingerprint(&netlist, &FlowOptions::fast());
-        assert_eq!(run, 0x9e84_7e76_910a_23f2);
+        assert_eq!(run, 0xbae2_60c0_61a7_d36c);
         assert_eq!(fnv1a64(FNV_OFFSET, b"flow.start"), 0xba12_3255_f7b7_2d93);
         let artifact = fnv1a64(FNV_OFFSET, br#"{"version":1}"#);
         assert_eq!(artifact, 0x07eb_e02b_9b5e_69f2);
@@ -478,31 +458,23 @@ mod tests {
         assert_ne!(f1, fingerprint(&n1, &other), "option changes invalidate");
     }
 
-    /// The parent encoder's bytes, but for `version` and the two removed
-    /// cache counters.
+    /// The parent encoder's bytes, but for `version` and the keys version
+    /// 3 dropped (`stage`, `shaped`, both `diverged`).
     #[test]
     fn document_matches_its_golden_bytes() {
         let mut cp = sample();
-        cp.flat_placement = Some(PlacementState {
-            positions: vec![],
-            diverged: false,
-        });
+        cp.flat_placement = Some(vec![]);
         cp.events.push(RecoveryEvent::RegionDropped { cluster: 7 });
-        // Bookkeeping events are not written.
-        cp.events.push(RecoveryEvent::Resumed {
-            stage: stages::CLUSTERING,
-        });
         assert_eq!(
             cp.to_json(),
             r#"{
-  "version": 2,
+  "version": 3,
   "fingerprint": "deadbeef01234567",
-  "stage": "cluster placement",
   "clustering": { "assignment": [0,1,1,0,2], "runtime": 0.125 },
   "diagnostics": { "events": [{"kind":"shape_fallback","cluster":1},{"kind":"placer_reverted","stage":"cluster placement"},{"kind":"region_dropped","cluster":7}], "dropped": 0 },
-  "shaping": { "shapes": [{"cluster":0,"aspect_ratio":1.25,"utilization":0.8}], "shaped": [0,1], "stats": {"clusters_shaped":2,"exact_evals":40,"exact_evals_avoided":0,"proxy_evals":0,"surrogate_batches":0,"surrogate_samples":0,"warm_start_hits":0} },
-  "cluster_placement": { "positions": [[1.5,-2.25],[0.30000000000000004,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014],[0.3333333333333333,-0.0]], "diverged": true },
-  "flat_placement": { "positions": [], "diverged": false }
+  "shaping": { "shapes": [{"cluster":0,"aspect_ratio":1.25,"utilization":0.8},{"cluster":1,"aspect_ratio":1.0,"utilization":0.9}], "stats": {"clusters_shaped":2,"exact_evals":40,"exact_evals_avoided":0,"proxy_evals":0,"surrogate_batches":0,"surrogate_samples":0,"warm_start_hits":0} },
+  "cluster_placement": { "positions": [[1.5,-2.25],[0.30000000000000004,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014],[0.3333333333333333,-0.0]] },
+  "flat_placement": { "positions": [] }
 }
 "#
         );
@@ -510,13 +482,30 @@ mod tests {
         assert_eq!(
             fresh.to_json(),
             r#"{
-  "version": 2,
+  "version": 3,
   "fingerprint": "0000000000000001",
-  "stage": "clustering",
   "clustering": { "assignment": [], "runtime": 0.0 },
   "diagnostics": { "events": [], "dropped": 0 }
 }
 "#
+        );
+    }
+
+    /// The stage is the last one whose output is present.
+    #[test]
+    fn stage_is_the_last_present_output() {
+        let mut cp = sample();
+        assert_eq!(cp.stage(), stages::CLUSTER_PLACEMENT);
+        cp.flat_placement = Some(vec![]);
+        assert_eq!(cp.stage(), stages::FLAT_PLACEMENT);
+        cp.flat_placement = None;
+        cp.cluster_placement = None;
+        assert_eq!(cp.stage(), stages::SHAPING);
+        cp.shaping = None;
+        assert_eq!(cp.stage(), stages::CLUSTERING);
+        assert_eq!(
+            Checkpoint::after_clustering(1, vec![], 0.0).stage(),
+            stages::CLUSTERING
         );
     }
 
@@ -533,9 +522,9 @@ mod tests {
         let text = sample().to_json();
         for (from, to, path) in [
             (
-                "\"shaped\": [0,1]",
-                "\"shaped\": [0,4294967296]",
-                "shaping: shaped[1]: ",
+                "\"cluster\":1,\"aspect_ratio\"",
+                "\"cluster\":4294967296,\"aspect_ratio\"",
+                "shaping: shapes[1]: cluster: ",
             ),
             (
                 "\"cluster\":0,",
@@ -572,7 +561,7 @@ mod tests {
         let cp = sample();
         cp.save(&path).expect("saves");
         let back = Checkpoint::load(&path).expect("loads");
-        assert_eq!(back.stage, cp.stage);
+        assert_eq!(back.stage(), cp.stage());
         assert_eq!(back.assignment, cp.assignment);
         let _ = std::fs::remove_file(&path);
     }

@@ -17,6 +17,12 @@ use cp_timing::sta::Sta;
 use cp_timing::wire::WireModel;
 use std::time::Instant;
 
+/// Above this many cells, FC is seeded with heavy-edge-matched
+/// pre-clusters (multi-level coarsening) so the first FC pass starts far
+/// below the cell count instead of from singletons. Below it the pipeline
+/// is unchanged.
+const COARSEN_THRESHOLD: usize = 200_000;
+
 /// Options for the full PPA-aware clustering stage.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusteringOptions {
@@ -39,11 +45,6 @@ pub struct ClusteringOptions {
     pub use_hierarchy: bool,
     /// RNG seed for the coarsening visit order.
     pub seed: u64,
-    /// Above this many cells, seed FC with heavy-edge-matched pre-clusters
-    /// (multi-level coarsening) so the first FC pass starts far below the
-    /// cell count instead of from singletons. Below the threshold the
-    /// pipeline is unchanged.
-    pub coarsen_threshold: usize,
 }
 
 impl Default for ClusteringOptions {
@@ -58,7 +59,6 @@ impl Default for ClusteringOptions {
             max_cluster_factor: 4.0,
             use_hierarchy: true,
             seed: 11,
-            coarsen_threshold: 200_000,
         }
     }
 }
@@ -117,6 +117,17 @@ pub fn ppa_aware_clustering(
     constraints: &Constraints,
     options: &ClusteringOptions,
 ) -> Result<ClusteringResult, FlowError> {
+    clustering_above(netlist, constraints, options, COARSEN_THRESHOLD)
+}
+
+/// [`ppa_aware_clustering`] with the multi-level front-end engaging above
+/// `coarsen_threshold` cells.
+fn clustering_above(
+    netlist: &Netlist,
+    constraints: &Constraints,
+    options: &ClusteringOptions,
+    coarsen_threshold: usize,
+) -> Result<ClusteringResult, FlowError> {
     netlist.validate()?;
     constraints.validate()?;
     let start = Instant::now();
@@ -164,9 +175,9 @@ pub fn ppa_aware_clustering(
     // singletons. Hierarchy groups stay inviolable: the seed id is the
     // (group, pre-cluster) composite, which splits any matched pair that
     // crosses a dendrogram group.
-    let precoarse: Option<Vec<u32>> = (n_cells > options.coarsen_threshold).then(|| {
+    let precoarse: Option<Vec<u32>> = (n_cells > coarsen_threshold).then(|| {
         let g = hg.cell_graph(n_cells);
-        cp_graph::coarsen::coarsen_to(&g, options.coarsen_threshold).1
+        cp_graph::coarsen::coarsen_to(&g, coarsen_threshold).1
     });
     let seeded: Option<Vec<u32>> = match (&dendro, precoarse) {
         (Some(d), Some(pc)) => Some(compose_groups(&d.assignment, &pc)),
@@ -287,11 +298,10 @@ mod tests {
         let opts = ClusteringOptions {
             avg_cluster_size: 30,
             max_cluster_factor: 2.0,
-            coarsen_threshold: 64,
             ..Default::default()
         };
-        let a = ppa_aware_clustering(&n, &c, &opts).expect("clustering runs");
-        let b = ppa_aware_clustering(&n, &c, &opts).expect("clustering runs");
+        let a = clustering_above(&n, &c, &opts, 64).expect("clustering runs");
+        let b = clustering_above(&n, &c, &opts, 64).expect("clustering runs");
         assert_eq!(a.assignment, b.assignment);
         assert!(a.cluster_count > 1);
         let mut sizes = vec![0usize; a.cluster_count];

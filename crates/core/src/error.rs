@@ -126,27 +126,6 @@ pub enum RecoveryEvent {
         /// The cluster whose region was dropped.
         cluster: u32,
     },
-    /// A stage checkpoint was written.
-    CheckpointWritten {
-        /// The completed stage the checkpoint captures.
-        stage: &'static str,
-    },
-    /// The flow resumed from a checkpoint instead of recomputing.
-    Resumed {
-        /// The last completed stage restored from the checkpoint.
-        stage: &'static str,
-    },
-}
-
-impl RecoveryEvent {
-    /// `true` for resilience bookkeeping events (checkpoints, resumes):
-    /// they describe *how* the run executed, not what it computed, so
-    /// deterministic-equality comparisons between a clean run and a
-    /// resumed run must ignore them (see
-    /// [`crate::flow::FlowReport::deterministic_eq`]).
-    pub fn is_bookkeeping(&self) -> bool {
-        matches!(self, Self::CheckpointWritten { .. } | Self::Resumed { .. })
-    }
 }
 
 impl fmt::Display for RecoveryEvent {
@@ -161,10 +140,6 @@ impl fmt::Display for RecoveryEvent {
             Self::RegionDropped { cluster } => {
                 write!(f, "cluster {cluster}: infeasible region constraint dropped")
             }
-            Self::CheckpointWritten { stage } => {
-                write!(f, "checkpoint written after {stage}")
-            }
-            Self::Resumed { stage } => write!(f, "resumed from checkpoint at {stage}"),
         }
     }
 }
@@ -224,14 +199,6 @@ impl FlowDiagnostics {
             RecoveryEvent::RegionDropped { cluster } => cp_trace::instant(
                 "recovery.region_dropped",
                 &[("cluster", cp_trace::ArgValue::U(*cluster as u64))],
-            ),
-            RecoveryEvent::CheckpointWritten { stage } => cp_trace::instant(
-                "recovery.checkpoint_written",
-                &[("stage", cp_trace::ArgValue::S(stage))],
-            ),
-            RecoveryEvent::Resumed { stage } => cp_trace::instant(
-                "recovery.resumed",
-                &[("stage", cp_trace::ArgValue::S(stage))],
             ),
         }
         if self.events.len() < self.limit {

@@ -27,7 +27,7 @@
 //! the flow performed on its own (divergence reverts, shape fallbacks,
 //! dropped regions) are reported on [`FlowReport::diagnostics`].
 
-use crate::checkpoint::{self, Checkpoint, PlacementState, ShapingState};
+use crate::checkpoint::{self, Checkpoint, ShapingState};
 use crate::cluster::costs::timing_costs;
 use crate::cluster::{ppa_aware_clustering, ClusteringOptions};
 use crate::error::{FlowDiagnostics, FlowError, RecoveryEvent, DEFAULT_DIAGNOSTICS_LIMIT};
@@ -73,8 +73,9 @@ pub enum Tool {
 pub enum ShapeMode {
     /// Every cluster at utilization 0.9, aspect ratio 1.0.
     Uniform,
-    /// Random candidate per cluster (seeded).
-    Random(u64),
+    /// Random candidate per cluster, drawn from a fixed seed (41, Table
+    /// 6's).
+    Random,
     /// Exact V-P&R sweep (20 place-and-route runs per cluster).
     Vpr,
     /// GNN-predicted Total Cost (the ML-accelerated path).
@@ -92,6 +93,9 @@ pub enum ShapeMode {
         top_k: usize,
     },
 }
+
+/// The seed of [`ShapeMode::Random`]'s draws.
+const RANDOM_SHAPE_SEED: u64 = 41;
 
 /// Flow configuration.
 #[derive(Debug, Clone)]
@@ -147,7 +151,7 @@ impl Default for FlowOptions {
             vpr: VprOptions::default(),
             placer: PlacerOptions::default(),
             router: RouterOptions,
-            cts: CtsOptions::default(),
+            cts: CtsOptions,
             utilization: 0.6,
             aspect_ratio: 1.0,
             io_weight: 4.0,
@@ -330,16 +334,11 @@ pub struct FlowReport {
 impl FlowReport {
     /// Bitwise equality of everything a resumed or re-executed run must
     /// reproduce: HPWL and PPA bits, cluster count, shaping counters and
-    /// the non-bookkeeping recovery events. Wall-clock fields (runtimes,
-    /// stage timings) and the trace are excluded — they describe a
-    /// particular execution, not its result — as are the
-    /// checkpoint/resume bookkeeping events, which differ by construction
-    /// between an original and a resumed run.
+    /// the recovery events. Wall-clock fields (runtimes, stage timings)
+    /// and the trace are excluded — they describe a particular execution,
+    /// not its result.
     pub fn deterministic_eq(&self, other: &Self) -> bool {
         let bits = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        fn events(d: &FlowDiagnostics) -> Vec<&RecoveryEvent> {
-            d.events.iter().filter(|e| !e.is_bookkeeping()).collect()
-        }
         bits(self.hpwl, other.hpwl)
             && self.cluster_count == other.cluster_count
             && bits(self.ppa.rwl, other.ppa.rwl)
@@ -349,7 +348,7 @@ impl FlowReport {
             && bits(self.ppa.skew, other.ppa.skew)
             && bits(self.ppa.hold_wns, other.ppa.hold_wns)
             && self.shaping == other.shaping
-            && events(&self.diagnostics) == events(&other.diagnostics)
+            && self.diagnostics.events == other.diagnostics.events
             && self.diagnostics.dropped == other.diagnostics.dropped
     }
 }
@@ -585,30 +584,23 @@ impl<'a> Run<'a> {
         Ok(output)
     }
 
-    /// Marks `stage` complete on the checkpoint draft, lets `fill` store
-    /// the stage's output in it and persists it. A no-op when
-    /// checkpointing is off. A failed write is reported as telemetry but
-    /// never fails the flow — the run's result outranks its checkpoint.
+    /// Lets `fill` store `stage`'s output on the checkpoint draft and
+    /// persists it, marking the write (or its failure) with a trace
+    /// instant. A no-op when checkpointing is off. A failed write never
+    /// fails the flow — the run's result outranks its checkpoint.
     fn checkpoint(&mut self, stage: &'static str, fill: impl FnOnce(&mut Checkpoint)) {
         let (Some(path), Some(cp)) = (self.exec.checkpoint_path.as_ref(), self.draft.as_mut())
         else {
             return;
         };
-        cp.stage = stage;
         fill(cp);
         cp.events.clone_from(&self.diagnostics.events);
         cp.dropped = self.diagnostics.dropped;
-        match cp.save(path) {
-            Ok(()) => self
-                .diagnostics
-                .record(RecoveryEvent::CheckpointWritten { stage }),
-            Err(_reason) => {
-                cp_trace::instant(
-                    "recovery.checkpoint_failed",
-                    &[("stage", ArgValue::S(stage))],
-                );
-            }
-        }
+        let instant = match cp.save(path) {
+            Ok(()) => "recovery.checkpoint_written",
+            Err(_) => "recovery.checkpoint_failed",
+        };
+        cp_trace::instant(instant, &[("stage", ArgValue::S(stage))]);
     }
 
     /// The flow's one global-placement call. Field frames are scoped to
@@ -677,8 +669,7 @@ impl<'a> Run<'a> {
         let fp = validated_floorplan(netlist, constraints, options)?;
         if let Some(cp) = &resume {
             self.diagnostics.restore(cp.events.clone(), cp.dropped);
-            self.diagnostics
-                .record(RecoveryEvent::Resumed { stage: cp.stage });
+            cp_trace::instant("recovery.resumed", &[("stage", ArgValue::S(cp.stage()))]);
         }
         if let (Some(_), Some(assignment)) = (&self.exec.checkpoint_path, assignment) {
             self.draft = Some(match &resume {
@@ -706,11 +697,8 @@ impl<'a> Run<'a> {
             let clusters = clustered.cluster_count();
             let shapes = match resume.as_ref().and_then(|r| r.shaping.as_ref()) {
                 Some(state) => {
-                    let ids = state.shapes.iter().map(|&(c, _)| c);
-                    if let Some(c) = ids
-                        .chain(state.shaped.iter().copied())
-                        .find(|&c| c as usize >= clusters)
-                    {
+                    let foreign = state.shapes.iter().find(|&&(c, _)| c as usize >= clusters);
+                    if let Some((c, _)) = foreign {
                         return Err(unfit_checkpoint(
                             stages::SHAPING,
                             format!("cluster {c} of {clusters}"),
@@ -739,31 +727,25 @@ impl<'a> Run<'a> {
             }
             let cluster_problem = PlacementProblem::from_clustered(&clustered, &fp);
             let centers = match resume.as_ref().and_then(|r| r.cluster_placement.as_ref()) {
-                Some(state) if state.positions.len() != clusters => {
+                Some(centers) if centers.len() != clusters => {
                     return Err(unfit_checkpoint(
                         stages::CLUSTER_PLACEMENT,
-                        format!(
-                            "{} positions for {clusters} clusters",
-                            state.positions.len()
-                        ),
+                        format!("{} positions for {clusters} clusters", centers.len()),
                     ));
                 }
-                Some(state) => state.positions.clone(),
+                Some(centers) => centers.clone(),
                 None => {
                     let placed = self.timed(stages::CLUSTER_PLACEMENT, |run| {
                         run.place(stages::CLUSTER_PLACEMENT, &cluster_problem)
                     })?;
                     self.checkpoint(stages::CLUSTER_PLACEMENT, |cp| {
-                        cp.cluster_placement = Some(PlacementState {
-                            positions: placed.positions.clone(),
-                            diverged: placed.diverged,
-                        });
+                        cp.cluster_placement = Some(placed.positions.clone());
                     });
                     placed.positions
                 }
             };
             qor::record_placement_hpwl(qor::CLUSTER_PLACEMENT_HPWL, &cluster_problem, &centers);
-            seed = Some((clustered, centers, shapes.shaped));
+            seed = Some((clustered, centers, shapes.shapes));
         }
 
         // Line 20: region constraints are removed before legalization/routing,
@@ -775,52 +757,45 @@ impl<'a> Run<'a> {
         let free_problem = PlacementProblem::from_netlist(netlist, &fp);
         let movables = free_problem.movable_count();
         let mut positions = match resume.as_ref().and_then(|r| r.flat_placement.as_ref()) {
-            Some(state) if state.positions.len() != movables => {
+            Some(placed) if placed.len() != movables => {
                 return Err(unfit_checkpoint(
                     stages::FLAT_PLACEMENT,
-                    format!(
-                        "{} positions for {movables} movables",
-                        state.positions.len()
-                    ),
+                    format!("{} positions for {movables} movables", placed.len()),
                 ));
             }
-            Some(state) => state.positions.clone(),
+            Some(placed) => placed.clone(),
             None => {
                 // The clustered netlist is dropped here, before the placer
                 // allocates.
                 let mut problem = match seed {
-                    Some((clustered, centers, shaped)) => Cow::Owned(self.seeded_problem(
+                    Some((clustered, centers, shapes)) => Cow::Owned(self.seeded_problem(
                         &free_problem,
                         &fp,
                         &clustered,
                         &centers,
-                        &shaped,
+                        &shapes,
                     )),
                     None => Cow::Borrowed(&free_problem),
                 };
                 if options.timing_driven {
                     problem.to_mut().net_weights = timing_net_weights(netlist, constraints)?;
                 }
-                let (positions, diverged) = self.timed(stages::FLAT_PLACEMENT, |run| {
-                    let placed = run.place(stages::FLAT_PLACEMENT, &problem)?;
-                    let mut positions = placed.positions;
-                    if options.congestion_driven {
-                        positions = congestion_driven_refine(
-                            netlist,
-                            &fp,
-                            &free_problem,
-                            positions,
-                            options,
-                            &mut run.diagnostics,
-                        )?;
+                let positions = self.timed(stages::FLAT_PLACEMENT, |run| {
+                    let placed = run.place(stages::FLAT_PLACEMENT, &problem)?.positions;
+                    if !options.congestion_driven {
+                        return Ok(placed);
                     }
-                    Ok((positions, placed.diverged))
+                    congestion_driven_refine(
+                        netlist,
+                        &fp,
+                        &free_problem,
+                        placed,
+                        options,
+                        &mut run.diagnostics,
+                    )
                 })?;
                 self.checkpoint(stages::FLAT_PLACEMENT, |cp| {
-                    cp.flat_placement = Some(PlacementState {
-                        positions: positions.clone(),
-                        diverged,
-                    });
+                    cp.flat_placement = Some(positions.clone());
                 });
                 positions
             }
@@ -830,12 +805,7 @@ impl<'a> Run<'a> {
 
         self.timed(stages::LEGALIZE_REFINE, |_| {
             legalize(&free_problem, &fp, &mut positions)?;
-            refine(
-                &free_problem,
-                &fp,
-                &mut positions,
-                &DetailedOptions::default(),
-            );
+            refine(&free_problem, &fp, &mut positions, &DetailedOptions);
             Ok(())
         })?;
         let placement_runtime = placement_clock.elapsed().as_secs_f64();
@@ -872,8 +842,8 @@ impl<'a> Run<'a> {
         let mut stats = ShapingStats::default();
         let shapes: Vec<(u32, ClusterShape)> = match &self.options.shape_mode {
             ShapeMode::Uniform => Vec::new(),
-            ShapeMode::Random(seed) => {
-                let mut rng = StdRng::seed_from_u64(*seed);
+            ShapeMode::Random => {
+                let mut rng = StdRng::seed_from_u64(RANDOM_SHAPE_SEED);
                 let cands = ClusterShape::candidates();
                 let mut pick = |&c| (c, cands[rng.random_range(0..cands.len())]);
                 shapeable.iter().map(&mut pick).collect()
@@ -893,11 +863,7 @@ impl<'a> Run<'a> {
             }
         };
         stats.clusters_shaped = shapes.len();
-        Ok(ShapingState {
-            shaped: shapes.iter().map(|&(c, _)| c).collect(),
-            shapes,
-            stats,
-        })
+        Ok(ShapingState { shapes, stats })
     }
 
     /// The V-P&R modes' shape search: one pick per cluster in `shapeable`
@@ -986,14 +952,14 @@ impl<'a> Run<'a> {
     /// instances at their cluster centers, with a deterministic in-cluster
     /// jitter so the B2B linearization is non-degenerate, and in the
     /// Innovus-like recipe a region constraint around every shaped
-    /// cluster.
+    /// cluster (every cluster in `shapes`).
     fn seeded_problem(
         &mut self,
         free: &PlacementProblem,
         fp: &Floorplan,
         clustered: &ClusteredNetlist,
         centers: &[(f64, f64)],
-        shaped: &[u32],
+        shapes: &[(u32, ClusterShape)],
     ) -> PlacementProblem {
         let mut seeds = vec![(0.0, 0.0); free.movable_count()];
         for (i, &c) in clustered.cluster_of_cell().iter().enumerate() {
@@ -1006,7 +972,7 @@ impl<'a> Run<'a> {
         let mut problem = free.clone().with_seeds(seeds);
         if self.options.tool == Tool::InnovusLike {
             // Line 18: region constraints for shaped clusters.
-            for &c in shaped {
+            for &(c, _) in shapes {
                 let (w, h) = clustered.dims(c);
                 let (cx, cy) = centers[c as usize];
                 // Regions get 25% slack over the macro footprint so
@@ -1248,12 +1214,8 @@ mod tests {
     fn random_shapes_differ_from_uniform() {
         let (n, c) = setup(0.01);
         let uni = run_flow(&n, &c, &FlowOptions::fast()).expect("flow runs");
-        let rnd = run_flow(
-            &n,
-            &c,
-            &FlowOptions::fast().shape_mode(ShapeMode::Random(3)),
-        )
-        .expect("flow runs");
+        let rnd = run_flow(&n, &c, &FlowOptions::fast().shape_mode(ShapeMode::Random))
+            .expect("flow runs");
         assert_ne!(uni.hpwl, rnd.hpwl);
     }
 
@@ -1397,7 +1359,7 @@ mod helper_tests {
         let placed = GlobalPlacer::new(td.placer).place(&weighted);
         let mut positions = placed.expect("well-formed problem places").positions;
         legalize(&free, &fp, &mut positions).expect("legalizes");
-        refine(&free, &fp, &mut positions, &DetailedOptions::default());
+        refine(&free, &fp, &mut positions, &DetailedOptions);
         assert_eq!(
             report.hpwl.to_bits(),
             raw_hpwl(&free, &positions).to_bits(),
@@ -1453,49 +1415,99 @@ mod resilience_tests {
         );
     }
 
+    fn checkpointing(path: &std::path::Path) -> ResilienceOptions {
+        ResilienceOptions {
+            checkpoint: Some(path.to_path_buf()),
+            ..Default::default()
+        }
+    }
+
+    fn resuming(path: &std::path::Path) -> ResilienceOptions {
+        ResilienceOptions {
+            resume_from: Some(path.to_path_buf()),
+            ..Default::default()
+        }
+    }
+
+    /// A run resumed from a checkpoint of `stage` times every later stage
+    /// and no other (restored stages have no timing entry), apart from
+    /// the clustering entry `StageTimings::finalize` adds back for the
+    /// restored clustering runtime.
+    fn assert_timed_after(report: &FlowReport, stage: &str) {
+        let timed: Vec<&str> = (report.timings.stages.iter().map(|&(s, _)| s))
+            .filter(|&s| s != stages::CLUSTERING)
+            .collect();
+        let after = stages::ALL
+            .iter()
+            .position(|&s| s == stage)
+            .expect("a stage")
+            + 1;
+        assert_eq!(timed, stages::ALL[after..], "{:?}", report.timings);
+    }
+
     #[test]
     fn checkpoint_resume_is_bitwise_identical() {
         let (n, c) = setup(0.01);
         let opts = FlowOptions::fast();
         let path = ckpt_path("full-run.json");
-        let full = run_flow_resilient(
-            &n,
-            &c,
-            &opts,
-            &ResilienceOptions {
-                checkpoint: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect("flow runs");
-        assert!(full
-            .diagnostics
-            .events
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::CheckpointWritten { .. })));
+        let full = run_flow_resilient(&n, &c, &opts, &checkpointing(&path)).expect("flow runs");
+        assert!(full.diagnostics.is_clean(), "{:?}", full.diagnostics);
+        let cp = Checkpoint::load(&path).expect("checkpoint is readable");
+        assert_eq!(cp.stage(), stages::FLAT_PLACEMENT, "a complete run");
         // The file holds the flat-placement checkpoint; resuming replays
         // only legalization onward and must reproduce the report bitwise.
-        let resumed = run_flow_resilient(
-            &n,
-            &c,
-            &opts,
-            &ResilienceOptions {
-                resume_from: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect("flow resumes");
+        let resumed = run_flow_resilient(&n, &c, &opts, &resuming(&path)).expect("flow resumes");
         assert!(
             full.deterministic_eq(&resumed),
             "resume must be bitwise: {} vs {}",
             full.hpwl,
             resumed.hpwl
         );
-        assert!(resumed
-            .diagnostics
-            .events
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::Resumed { .. })));
+        assert!(resumed.diagnostics.is_clean(), "{:?}", resumed.diagnostics);
+        assert_timed_after(&resumed, cp.stage());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A pristine checkpointing run recovered from nothing: checkpoint
+    /// writes are trace instants, not recoveries.
+    #[test]
+    fn pristine_checkpointing_run_is_clean() {
+        let (n, c) = setup(0.01);
+        let path = ckpt_path("pristine.json");
+        let opts = FlowOptions::fast();
+        let r = run_flow_resilient(&n, &c, &opts, &checkpointing(&path)).expect("flow runs");
+        assert!(r.diagnostics.is_clean(), "{:?}", r.diagnostics);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Checkpoint writes and resumes take no diagnostics slot: with the
+    /// cap at two, the plain, checkpointing and resumed runs of a design
+    /// whose shaped clusters all fall back store the same events and drop
+    /// the same count.
+    #[test]
+    fn bookkeeping_takes_no_diagnostics_slot() {
+        let (n, c) = setup(0.01);
+        let mut opts = FlowOptions::fast().shape_mode(ShapeMode::Vpr);
+        opts.vpr.placer.fault_nan_at_iteration = Some(0);
+        opts.vpr.placer.revert_if_diverge = false;
+        opts.diagnostics_limit = 2;
+        let plain = run_flow(&n, &c, &opts).expect("flow falls back to uniform shapes");
+        assert!(!plain.diagnostics.is_clean(), "the seam forces a fallback");
+        let path = ckpt_path("diagnostics-cap.json");
+        let checkpointed = run_flow_resilient(&n, &c, &opts, &checkpointing(&path)).expect("runs");
+        let resumed = run_flow_resilient(&n, &c, &opts, &resuming(&path)).expect("resumes");
+        for (name, report) in [("checkpointing", &checkpointed), ("resumed", &resumed)] {
+            assert_eq!(
+                report.diagnostics.events, plain.diagnostics.events,
+                "{name}"
+            );
+            assert_eq!(
+                report.diagnostics.dropped, plain.diagnostics.dropped,
+                "{name}"
+            );
+            assert!(report.deterministic_eq(&plain), "{name}");
+        }
+        assert!(checkpointed.deterministic_eq(&resumed));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1504,53 +1516,28 @@ mod resilience_tests {
         let (n, c) = setup(0.01);
         let opts = FlowOptions::fast();
         let path = ckpt_path("cancelled-run.json");
-        let clean = run_flow_resilient(
-            &n,
-            &c,
-            &opts,
-            &ResilienceOptions {
-                checkpoint: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect("flow runs");
+        let clean = run_flow_resilient(&n, &c, &opts, &checkpointing(&path)).expect("flow runs");
         assert!(
-            clean
-                .diagnostics
-                .events
-                .iter()
-                .all(RecoveryEvent::is_bookkeeping),
+            clean.diagnostics.is_clean(),
             "the derived checkpoint below assumes no recoveries: {:?}",
             clean.diagnostics
         );
         // A process cancelled (Ctrl-C, SIGKILL) after shaping leaves the
         // shaping-stage checkpoint: the final file with both placements
-        // cleared and `stage` set back.
+        // cleared.
         let mut cp = Checkpoint::load(&path).expect("checkpoint is readable");
-        assert_eq!(cp.stage, stages::FLAT_PLACEMENT, "a complete run");
-        cp.stage = stages::SHAPING;
+        assert_eq!(cp.stage(), stages::FLAT_PLACEMENT, "a complete run");
         cp.cluster_placement = None;
         cp.flat_placement = None;
+        assert_eq!(cp.stage(), stages::SHAPING);
         cp.save(&path).expect("checkpoint is writable");
         // Resuming the cancelled run completes it and matches a clean
         // uninterrupted run bit for bit — no partially-mutated state leaks.
-        let resumed = run_flow_resilient(
-            &n,
-            &c,
-            &opts,
-            &ResilienceOptions {
-                resume_from: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect("flow resumes");
+        let resumed = run_flow_resilient(&n, &c, &opts, &resuming(&path)).expect("flow resumes");
         let plain = run_flow(&n, &c, &opts).expect("flow runs");
         assert!(plain.deterministic_eq(&resumed));
-        assert!(resumed
-            .diagnostics
-            .events
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::Resumed { stage } if *stage == stages::SHAPING)));
+        assert!(resumed.diagnostics.is_clean(), "{:?}", resumed.diagnostics);
+        assert_timed_after(&resumed, stages::SHAPING);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1559,28 +1546,10 @@ mod resilience_tests {
         let (n, c) = setup(0.01);
         let opts = FlowOptions::fast();
         let path = ckpt_path("fingerprint.json");
-        run_flow_resilient(
-            &n,
-            &c,
-            &opts,
-            &ResilienceOptions {
-                checkpoint: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect("flow runs");
+        run_flow_resilient(&n, &c, &opts, &checkpointing(&path)).expect("flow runs");
         let mut other = FlowOptions::fast();
         other.placer.seed += 1;
-        let err = run_flow_resilient(
-            &n,
-            &c,
-            &other,
-            &ResilienceOptions {
-                resume_from: Some(path.clone()),
-                ..Default::default()
-            },
-        )
-        .expect_err("must reject");
+        let err = run_flow_resilient(&n, &c, &other, &resuming(&path)).expect_err("must reject");
         assert!(matches!(err, FlowError::Checkpoint { .. }), "got {err:?}");
         let _ = std::fs::remove_file(&path);
     }

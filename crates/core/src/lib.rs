@@ -21,12 +21,17 @@
 //!   Innovus-like) → CTS, routing and post-route PPA.
 //! - [`baselines`] — blob placement \[9\] (Louvain), Leiden and plain
 //!   multilevel-FC flows for the paper's comparisons.
+//! - [`checkpoint`] — the stage checkpoint [`run_flow_resilient`] writes
+//!   and resumes from (format version 3: each completed stage's output
+//!   once, the stage implied by which outputs are present).
 //!
 //! Every public entry point is fallible: degenerate inputs surface as a
 //! typed [`FlowError`] instead of a panic deep inside a stage, and
 //! recoveries the flow performed on its own (divergence reverts, V-P&R
 //! shape fallbacks, dropped region constraints) are reported on
-//! [`FlowReport::diagnostics`](crate::flow::FlowReport::diagnostics).
+//! [`FlowReport::diagnostics`](crate::flow::FlowReport::diagnostics) —
+//! they and nothing else: checkpoint writes and resumes are trace
+//! instants.
 //!
 //! # Examples
 //!

@@ -233,7 +233,7 @@ fn aes_identities_match_the_unpacked_database() {
         .generate();
     assert_eq!(
         fingerprint(&n, &FlowOptions::default()),
-        0x4ec0_3418_fab0_a396
+        0x3f38_3ecf_1de9_390c
     );
     assert_eq!(
         fnv1a64(FNV_OFFSET, verilog::write(&n).as_bytes()),

@@ -11,18 +11,13 @@ use cp_netlist::library::CellClass;
 use cp_netlist::netlist::Netlist;
 use cp_netlist::CellId;
 
-/// CTS tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CtsOptions {
-    /// Maximum sinks driven directly by a leaf buffer.
-    pub max_leaf_sinks: usize,
-}
+/// CTS settings: none. The struct stays only because
+/// [`synthesize_clock_tree`]'s signature is pinned.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct CtsOptions;
 
-impl Default for CtsOptions {
-    fn default() -> Self {
-        Self { max_leaf_sinks: 16 }
-    }
-}
+/// Maximum sinks driven directly by a leaf buffer.
+const MAX_LEAF_SINKS: usize = 16;
 
 /// A synthesized clock tree.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +49,7 @@ pub struct ClockTree {
 /// let pos: Vec<(f64, f64)> = (0..total)
 ///     .map(|i| ((i % 40) as f64 * 2.0, (i / 40) as f64 * 2.0))
 ///     .collect();
-/// let tree = synthesize_clock_tree(&netlist, &pos, &CtsOptions::default()).unwrap();
+/// let tree = synthesize_clock_tree(&netlist, &pos, &CtsOptions).unwrap();
 /// assert!(tree.buffer_count > 0);
 /// assert!(tree.skew >= 0.0);
 /// ```
@@ -67,7 +62,16 @@ pub struct ClockTree {
 pub fn synthesize_clock_tree(
     netlist: &Netlist,
     positions: &[(f64, f64)],
-    options: &CtsOptions,
+    _options: &CtsOptions,
+) -> Result<ClockTree, PlaceError> {
+    synthesize(netlist, positions, MAX_LEAF_SINKS)
+}
+
+/// [`synthesize_clock_tree`] with leaves of at most `max_leaf_sinks` sinks.
+fn synthesize(
+    netlist: &Netlist,
+    positions: &[(f64, f64)],
+    max_leaf_sinks: usize,
 ) -> Result<ClockTree, PlaceError> {
     let lib = netlist.library();
     let Some(buf) = lib.find("CLKBUF_X4").or_else(|| lib.find("BUF_X4")) else {
@@ -117,7 +121,7 @@ pub fn synthesize_clock_tree(
         &sinks,
         idx,
         0.0,
-        options,
+        max_leaf_sinks,
         (buf.intrinsic_delay, buf.drive_res, buf.input_caps[0]),
         &mut tree,
     );
@@ -146,7 +150,7 @@ fn build(
     sinks: &[(CellId, (f64, f64), f64)],
     mut idx: Vec<usize>,
     arrival_here: f64,
-    options: &CtsOptions,
+    max_leaf_sinks: usize,
     buf: (f64, f64, f64), // (intrinsic ps, drive kΩ, input cap fF)
     tree: &mut ClockTree,
 ) {
@@ -154,7 +158,7 @@ fn build(
     let (b_intr, b_res, b_cap) = buf;
     let here = centroid(sinks, &idx);
     tree.buffer_count += 1;
-    if idx.len() <= options.max_leaf_sinks {
+    if idx.len() <= max_leaf_sinks {
         // Leaf buffer drives the sinks directly.
         let mut load = 0.0;
         let mut dists = Vec::with_capacity(idx.len());
@@ -208,7 +212,7 @@ fn build(
         sinks,
         idx,
         arrival_here + drive_delay + wire_left,
-        options,
+        max_leaf_sinks,
         buf,
         tree,
     );
@@ -217,7 +221,7 @@ fn build(
         sinks,
         right,
         arrival_here + drive_delay + wire_right,
-        options,
+        max_leaf_sinks,
         buf,
         tree,
     );
@@ -243,7 +247,7 @@ mod tests {
     #[test]
     fn every_flop_gets_an_arrival() {
         let (n, pos) = with_positions(0.01);
-        let t = synthesize_clock_tree(&n, &pos, &CtsOptions::default()).expect("cts succeeds");
+        let t = synthesize_clock_tree(&n, &pos, &CtsOptions).expect("cts succeeds");
         let lib = n.library();
         for (i, c) in n.cells().iter().enumerate() {
             if lib.cell(c.ty).class == CellClass::Sequential {
@@ -257,7 +261,7 @@ mod tests {
     #[test]
     fn skew_is_bounded_and_wirelength_positive() {
         let (n, pos) = with_positions(0.01);
-        let t = synthesize_clock_tree(&n, &pos, &CtsOptions::default()).expect("cts succeeds");
+        let t = synthesize_clock_tree(&n, &pos, &CtsOptions).expect("cts succeeds");
         assert!(t.wirelength > 0.0);
         assert!(t.skew >= 0.0);
         let max_arrival = t.arrival.iter().copied().fold(f64::MIN, f64::max);
@@ -273,8 +277,8 @@ mod tests {
     fn more_sinks_mean_more_buffers() {
         let (n1, p1) = with_positions(0.005);
         let (n2, p2) = with_positions(0.03);
-        let t1 = synthesize_clock_tree(&n1, &p1, &CtsOptions::default()).expect("cts succeeds");
-        let t2 = synthesize_clock_tree(&n2, &p2, &CtsOptions::default()).expect("cts succeeds");
+        let t1 = synthesize_clock_tree(&n1, &p1, &CtsOptions).expect("cts succeeds");
+        let t2 = synthesize_clock_tree(&n2, &p2, &CtsOptions).expect("cts succeeds");
         assert!(t2.buffer_count > t1.buffer_count);
     }
 
@@ -286,8 +290,7 @@ mod tests {
         let mut b = NetlistBuilder::new("nf", lib);
         b.add_cell("u0", inv, HierTree::ROOT);
         let n = b.finish().unwrap();
-        let t =
-            synthesize_clock_tree(&n, &[(0.0, 0.0)], &CtsOptions::default()).expect("cts succeeds");
+        let t = synthesize_clock_tree(&n, &[(0.0, 0.0)], &CtsOptions).expect("cts succeeds");
         assert_eq!(t.buffer_count, 0);
         assert_eq!(t.skew, 0.0);
     }
@@ -295,10 +298,8 @@ mod tests {
     #[test]
     fn leaf_size_affects_tree_depth() {
         let (n, pos) = with_positions(0.02);
-        let small = synthesize_clock_tree(&n, &pos, &CtsOptions { max_leaf_sinks: 4 })
-            .expect("cts succeeds");
-        let large = synthesize_clock_tree(&n, &pos, &CtsOptions { max_leaf_sinks: 64 })
-            .expect("cts succeeds");
+        let small = synthesize(&n, &pos, 4).expect("cts succeeds");
+        let large = synthesize(&n, &pos, 64).expect("cts succeeds");
         assert!(small.buffer_count > large.buffer_count);
     }
 }

@@ -14,18 +14,13 @@
 use crate::problem::PlacementProblem;
 use cp_netlist::floorplan::Floorplan;
 
-/// Options for [`refine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DetailedOptions {
-    /// Slide+swap passes to run.
-    pub passes: usize,
-}
+/// Options for [`refine`]: none. The struct stays only because
+/// `refine`'s signature is pinned.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DetailedOptions;
 
-impl Default for DetailedOptions {
-    fn default() -> Self {
-        Self { passes: 2 }
-    }
-}
+/// Slide+swap passes [`refine`] runs.
+const PASSES: usize = 2;
 
 /// Refines a legalized placement in place; returns the HPWL improvement
 /// (non-negative).
@@ -35,7 +30,7 @@ pub fn refine(
     problem: &PlacementProblem,
     floorplan: &Floorplan,
     positions: &mut [(f64, f64)],
-    options: &DetailedOptions,
+    _options: &DetailedOptions,
 ) -> f64 {
     let m = problem.movable_count();
     if m == 0 {
@@ -43,7 +38,7 @@ pub fn refine(
     }
     let _span = cp_trace::span_with(
         "place.refine",
-        &[("passes", cp_trace::ArgValue::U(options.passes as u64))],
+        &[("passes", cp_trace::ArgValue::U(PASSES as u64))],
     );
     // Per-net HPWL cache: moves touch only their incident nets, so cost
     // deltas come from recomputing those nets instead of the full design.
@@ -68,7 +63,7 @@ pub fn refine(
     }
     let site = floorplan.site_width;
     let core = floorplan.core;
-    for _ in 0..options.passes {
+    for _ in 0..PASSES {
         // Pass 1: optimal-region sliding.
         for cells in rows.values() {
             for (k, &i) in cells.iter().enumerate() {
@@ -216,7 +211,6 @@ mod tests {
         problem: &PlacementProblem,
         floorplan: &Floorplan,
         positions: &mut [(f64, f64)],
-        options: &DetailedOptions,
     ) -> f64 {
         let m = problem.movable_count();
         let mut incident: Vec<Vec<u32>> = vec![Vec::new(); m];
@@ -241,7 +235,7 @@ mod tests {
         }
         let site = floorplan.site_width;
         let core = floorplan.core;
-        for _ in 0..options.passes {
+        for _ in 0..PASSES {
             for cells in rows.values() {
                 for (k, &i) in cells.iter().enumerate() {
                     let lo_bound = if k == 0 {
@@ -345,11 +339,10 @@ mod tests {
             ("jpeg", fixture(DesignProfile::Jpeg, 0.02, 9, false)),
             ("aes+macros", fixture(DesignProfile::Aes, 0.03, 6, true)),
         ] {
-            let options = DetailedOptions { passes: 3 };
             let mut want = start.clone();
-            let want_gain = refine_reference(&p, &fp, &mut want, &options);
+            let want_gain = refine_reference(&p, &fp, &mut want);
             let mut got = start.clone();
-            let got_gain = refine(&p, &fp, &mut got, &options);
+            let got_gain = refine(&p, &fp, &mut got, &DetailedOptions);
             assert!(want_gain > 0.0, "{name}: the fixture must leave work to do");
             assert_eq!(got_gain.to_bits(), want_gain.to_bits(), "{name}: gain");
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -379,7 +372,7 @@ mod tests {
     fn refinement_never_hurts_hpwl() {
         let (p, fp, mut pos) = placed();
         let before = crate::hpwl::raw_hpwl(&p, &pos);
-        let gain = refine(&p, &fp, &mut pos, &DetailedOptions::default());
+        let gain = refine(&p, &fp, &mut pos, &DetailedOptions);
         let after = crate::hpwl::raw_hpwl(&p, &pos);
         assert!(gain >= 0.0);
         assert!(after <= before + 1e-6, "HPWL rose: {before} -> {after}");
@@ -392,7 +385,7 @@ mod tests {
     #[test]
     fn refinement_preserves_legality() {
         let (p, fp, mut pos) = placed();
-        refine(&p, &fp, &mut pos, &DetailedOptions { passes: 3 });
+        refine(&p, &fp, &mut pos, &DetailedOptions);
         // On rows, inside core.
         for (i, &(x, y)) in pos.iter().enumerate() {
             let off = (y - fp.core.lly) / fp.row_height;
@@ -422,8 +415,8 @@ mod tests {
         let (p, fp, pos0) = placed();
         let mut a = pos0.clone();
         let mut b = pos0;
-        refine(&p, &fp, &mut a, &DetailedOptions::default());
-        refine(&p, &fp, &mut b, &DetailedOptions::default());
+        refine(&p, &fp, &mut a, &DetailedOptions);
+        refine(&p, &fp, &mut b, &DetailedOptions);
         assert_eq!(a, b);
     }
 
@@ -436,9 +429,6 @@ mod tests {
         empty.hypergraph = cp_graph::Hypergraph::new(empty.fixed.len(), vec![]).into();
         empty.net_weights.clear();
         let mut pos: Vec<(f64, f64)> = Vec::new();
-        assert_eq!(
-            refine(&empty, &fp, &mut pos, &DetailedOptions::default()),
-            0.0
-        );
+        assert_eq!(refine(&empty, &fp, &mut pos, &DetailedOptions), 0.0);
     }
 }

@@ -11,7 +11,6 @@ use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_so
 use cp_trace::ArgValue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::time::Instant;
 
 /// Tuning knobs for [`GlobalPlacer`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,8 +70,6 @@ pub struct PlacementResult {
     pub iterations: usize,
     /// Final density overflow.
     pub overflow: f64,
-    /// Wall-clock seconds spent in `place`.
-    pub runtime: f64,
     /// `true` when the loop diverged and the result is the reverted best
     /// snapshot rather than the last iterate.
     pub diverged: bool,
@@ -148,7 +145,6 @@ impl GlobalPlacer {
     ///   reverts to the best snapshot and returns `Ok` with
     ///   [`PlacementResult::diverged`] set.
     pub fn place(&self, problem: &PlacementProblem) -> Result<PlacementResult, PlaceError> {
-        let start = Instant::now();
         let m = problem.movable_count();
         let _span = cp_trace::span_with(
             "place.solve",
@@ -203,7 +199,6 @@ impl GlobalPlacer {
                 hpwl: 0.0,
                 iterations: 0,
                 overflow: 0.0,
-                runtime: start.elapsed().as_secs_f64(),
                 diverged: false,
             });
         }
@@ -416,7 +411,6 @@ impl GlobalPlacer {
             hpwl,
             iterations: done,
             overflow,
-            runtime: start.elapsed().as_secs_f64(),
             diverged,
         })
     }

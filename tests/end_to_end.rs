@@ -71,7 +71,7 @@ fn seeded_placement_is_faster_than_flat() {
 #[test]
 fn innovus_mode_runs_with_all_shape_modes() {
     let (n, c) = setup();
-    for mode in [ShapeMode::Uniform, ShapeMode::Random(5), ShapeMode::Vpr] {
+    for mode in [ShapeMode::Uniform, ShapeMode::Random, ShapeMode::Vpr] {
         let opts = options().tool(Tool::InnovusLike).shape_mode(mode);
         let r = run_flow(&n, &c, &opts).expect("clustered flow runs");
         assert!(r.cluster_count > 1);

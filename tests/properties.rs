@@ -84,7 +84,7 @@ proptest! {
     #[test]
     fn min_cut_never_exceeds_min_weighted_degree((n, edges) in arb_graph(12, 30)) {
         let g = Graph::from_edges(n, &edges);
-        if traversal::is_connected(&g) {
+        if traversal::connected_components(&g).1 <= 1 {
             let cut = connectivity::min_cut(&g);
             let min_deg = (0..n as u32)
                 .map(|v| g.weighted_degree(v) + g.edge_weight(v, v).unwrap_or(0.0))
@@ -264,7 +264,7 @@ proptest! {
         .place(&p)
         .expect("global placement runs");
         legalize(&p, &fp, &mut r.positions).expect("legalization runs");
-        refine(&p, &fp, &mut r.positions, &DetailedOptions::default());
+        refine(&p, &fp, &mut r.positions, &DetailedOptions);
         // Legal rows, in core, no overlaps.
         let mut by_row: std::collections::HashMap<i64, Vec<(f64, f64)>> =
             std::collections::HashMap::new();

@@ -6,9 +6,7 @@
 mod common;
 
 use cp_core::flow::{run_flow, FlowOptions, FlowReport, ShapeMode};
-use cp_core::{
-    run_flow_resilient, stages, Checkpoint, ClusteringOptions, FlowError, ResilienceOptions,
-};
+use cp_core::{run_flow_resilient, Checkpoint, ClusteringOptions, FlowError, ResilienceOptions};
 use cp_netlist::generator::{DesignProfile, GeneratorConfig};
 use cp_netlist::{ClusterShape, Constraints, Netlist};
 
@@ -84,13 +82,12 @@ fn unusable_checkpoints_are_refused_on_resume() {
     // One cluster position short, as a run that died after cluster
     // placement would have left it.
     let short_clusters = edited(|cp| {
-        cp.stage = stages::CLUSTER_PLACEMENT;
         cp.flat_placement = None;
         let placed = cp
             .cluster_placement
             .as_mut()
             .expect("cluster placement ran");
-        placed.positions.pop();
+        placed.pop();
     });
     let foreign_cluster = edited(|cp| {
         let shaping = cp.shaping.as_mut().expect("shaping ran");
@@ -98,18 +95,18 @@ fn unusable_checkpoints_are_refused_on_resume() {
     });
     let short_cells = edited(|cp| {
         let placed = cp.flat_placement.as_mut().expect("flat placement ran");
-        placed.positions.pop();
+        placed.pop();
     });
     for (text, reason) in [
         (
             include_str!("regressions/checkpoint_v1.json"),
-            "unsupported checkpoint version 1 (expected 2)",
+            "unsupported checkpoint version 1 (expected 3)",
         ),
         (
             include_str!("regressions/checkpoint_negative_assignment.json"),
             "clustering: assignment[1]: expected an integer",
         ),
-        ("{\"version\": 2}", "schema violations"),
+        ("{\"version\": 3}", "schema violations"),
         (
             short_clusters.as_str(),
             "cluster placement state does not fit the design",
@@ -134,6 +131,30 @@ fn unusable_checkpoints_are_refused_on_resume() {
             }
             other => panic!("expected a checkpoint error ({reason}), got {other:?}"),
         }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A version-2 checkpoint (with the `stage`, `shaped` and `diverged` keys
+/// version 3 dropped) is refused with a typed error naming its version,
+/// before its fingerprint or state is looked at.
+#[test]
+fn version_2_checkpoint_is_refused_naming_its_version() {
+    let (n, c) = bench();
+    let path = common::ckpt_path("v2");
+    std::fs::write(&path, include_str!("regressions/checkpoint_v2.json")).expect("write");
+    let resume = ResilienceOptions {
+        resume_from: Some(path.clone()),
+        ..Default::default()
+    };
+    match resilient(&n, &c, &resume) {
+        Err(FlowError::Checkpoint { reason }) => {
+            assert!(
+                reason.contains("unsupported checkpoint version 2"),
+                "{reason}"
+            );
+        }
+        other => panic!("expected a checkpoint error, got {other:?}"),
     }
     let _ = std::fs::remove_file(&path);
 }
