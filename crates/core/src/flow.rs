@@ -238,10 +238,12 @@ impl StageTimings {
 
     /// Replaces the `Instant`-measured stage durations with the ones the
     /// stage spans measured (when tracing ran), and prepends the
-    /// clustering stage when its runtime came from outside the traced
-    /// region (e.g. a precomputed assignment). Span names equal stage
-    /// labels (see [`stages`]), so the two sources always agree on keys.
-    fn finalize(&mut self, trace: Option<&TraceReport>, clustering_runtime: f64) {
+    /// clustering stage when the caller computed the assignment outside
+    /// the run (`given_clustering`, [`run_flow_with_assignment`]). A
+    /// clustering restored from a checkpoint did not run, so it gets no
+    /// entry. Span names equal stage labels (see [`stages`]), so the two
+    /// sources always agree on keys.
+    fn finalize(&mut self, trace: Option<&TraceReport>, given_clustering: Option<f64>) {
         if let Some(tr) = trace {
             self.stages = tr
                 .stage_seconds()
@@ -249,9 +251,8 @@ impl StageTimings {
                 .filter(|(n, _)| stages::ALL.contains(n))
                 .collect();
         }
-        if clustering_runtime > 0.0 && self.get(stages::CLUSTERING).is_none() {
-            self.stages
-                .insert(0, (stages::CLUSTERING, clustering_runtime));
+        if let Some(runtime) = given_clustering.filter(|&r| r > 0.0) {
+            self.stages.insert(0, (stages::CLUSTERING, runtime));
         }
     }
 
@@ -307,7 +308,12 @@ pub struct FlowReport {
     pub hpwl: f64,
     /// Clusters formed (0 for the flat flow).
     pub cluster_count: usize,
-    /// Seconds in clustering (incl. STA/activity extraction).
+    /// Seconds in clustering (incl. STA/activity extraction): the
+    /// clustering stage's own measurement, the caller's figure for a
+    /// given assignment, or — in a run resumed from a checkpoint — the
+    /// original run's restored value, which is Table 2's input. Only a
+    /// clustering that ran, or was given, has an entry in
+    /// [`Self::timings`].
     pub clustering_runtime: f64,
     /// Seconds in placement: the wall clock from the end of pre-flight
     /// validation to the end of legalize+refine, the same interval in
@@ -640,6 +646,10 @@ impl<'a> Run<'a> {
             _ => stages::FLOW_CLUSTERED,
         });
         let resume = self.exec.resume.take();
+        let given_clustering = match clusters {
+            Clusters::Given(_, runtime) => Some(runtime),
+            _ => None,
+        };
 
         // Lines 2-9: the cluster assignment. The clustering's switching
         // activity, when it propagated one, is the power analysis's too.
@@ -817,7 +827,7 @@ impl<'a> Run<'a> {
             evaluate_ppa(netlist, constraints, &positions, &fp, options, activity)
         })?;
         let trace = cp_trace::take_report(root);
-        self.timings.finalize(trace.as_ref(), clustering_runtime);
+        self.timings.finalize(trace.as_ref(), given_clustering);
         Ok(FlowReport {
             hpwl,
             cluster_count,
@@ -1430,13 +1440,9 @@ mod resilience_tests {
     }
 
     /// A run resumed from a checkpoint of `stage` times every later stage
-    /// and no other (restored stages have no timing entry), apart from
-    /// the clustering entry `StageTimings::finalize` adds back for the
-    /// restored clustering runtime.
+    /// and no other: restored stages have no timing entry.
     fn assert_timed_after(report: &FlowReport, stage: &str) {
-        let timed: Vec<&str> = (report.timings.stages.iter().map(|&(s, _)| s))
-            .filter(|&s| s != stages::CLUSTERING)
-            .collect();
+        let timed: Vec<&str> = report.timings.stages.iter().map(|&(s, _)| s).collect();
         let after = stages::ALL
             .iter()
             .position(|&s| s == stage)
@@ -1465,6 +1471,27 @@ mod resilience_tests {
         );
         assert!(resumed.diagnostics.is_clean(), "{:?}", resumed.diagnostics);
         assert_timed_after(&resumed, cp.stage());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A run resumed after flat placement times what it ran and nothing
+    /// else: the restored clustering seconds stay Table 2's input on the
+    /// report, but are neither a timing entry nor part of the total.
+    #[test]
+    fn resumed_run_times_only_the_stages_it_ran() {
+        let (n, c) = setup(0.01);
+        let opts = FlowOptions::fast();
+        let path = ckpt_path("resumed-timings.json");
+        let full = run_flow_resilient(&n, &c, &opts, &checkpointing(&path)).expect("flow runs");
+        let resumed = run_flow_resilient(&n, &c, &opts, &resuming(&path)).expect("flow resumes");
+        assert_eq!(
+            resumed.clustering_runtime.to_bits(),
+            full.clustering_runtime.to_bits()
+        );
+        let timings = &resumed.timings;
+        let names: Vec<&str> = timings.stages.iter().map(|&(s, _)| s).collect();
+        assert_eq!(names, [stages::LEGALIZE_REFINE, stages::PPA]);
+        assert_eq!(timings.total(), timings.stages[0].1 + timings.stages[1].1);
         let _ = std::fs::remove_file(&path);
     }
 

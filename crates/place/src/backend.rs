@@ -82,18 +82,19 @@ impl Spreader {
     }
 
     /// Overwrites `out` with density-spread positions for the lower-bound
-    /// `positions`: one in-core position per movable, deterministic
-    /// across thread counts.
+    /// iterate `(xs[i], ys[i])`: one in-core position per movable,
+    /// deterministic across thread counts.
     pub(crate) fn spread(
         &mut self,
         problem: &PlacementProblem,
         soa: &PlacementSoa,
-        positions: &[(f64, f64)],
+        xs: &[f64],
+        ys: &[f64],
         out: &mut Vec<(f64, f64)>,
     ) {
         match self {
-            Self::B2b(scratch) => spread_soa(problem, soa, positions, scratch, out),
-            Self::EDensity(state) => state.spread(problem, soa, positions, out),
+            Self::B2b(scratch) => spread_soa(problem, soa, xs, ys, scratch, out),
+            Self::EDensity(state) => state.spread(problem, soa, xs, ys, out),
         }
     }
 }
@@ -179,12 +180,13 @@ impl EDensity {
         &mut self,
         problem: &PlacementProblem,
         soa: &PlacementSoa,
-        positions: &[(f64, f64)],
+        xs: &[f64],
+        ys: &[f64],
         out: &mut Vec<(f64, f64)>,
     ) {
         let m = problem.movable_count();
         out.clear();
-        out.extend_from_slice(positions);
+        out.extend(xs.iter().zip(ys).map(|(&x, &y)| (x, y)));
         if m == 0 {
             return;
         }
@@ -307,6 +309,11 @@ mod tests {
     use cp_graph::Hypergraph;
     use cp_netlist::floorplan::Rect;
 
+    /// The x and the y coordinates of `positions`.
+    fn unzip(positions: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
+        positions.iter().copied().unzip()
+    }
+
     fn uniform_problem(n: usize) -> PlacementProblem {
         PlacementProblem {
             movable: vec![
@@ -347,10 +354,9 @@ mod tests {
         let mut be = Spreader::new(PlacerBackendKind::EDensity);
         // A few spreading rounds, as the outer loop would drive them.
         let mut pos = piled.clone();
-        let mut next = Vec::new();
         for _ in 0..5 {
-            be.spread(&p, &soa, &pos, &mut next);
-            std::mem::swap(&mut pos, &mut next);
+            let (xs, ys) = unzip(&pos);
+            be.spread(&p, &soa, &xs, &ys, &mut pos);
         }
         let after = density_overflow_soa(&p, &soa, &pos);
         assert!(before > 0.5, "piled overflow {before}");
@@ -373,10 +379,12 @@ mod tests {
         let run = |threads: usize| {
             cp_parallel::with_threads(threads, || {
                 let mut be = Spreader::new(PlacerBackendKind::EDensity);
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                be.spread(&p, &soa, &start, &mut a);
-                be.spread(&p, &soa, &a, &mut b);
-                b.iter()
+                let mut pos = start.clone();
+                for _ in 0..2 {
+                    let (xs, ys) = unzip(&pos);
+                    be.spread(&p, &soa, &xs, &ys, &mut pos);
+                }
+                pos.iter()
                     .map(|&(x, y)| (x.to_bits(), y.to_bits()))
                     .collect::<Vec<_>>()
             })
@@ -390,11 +398,18 @@ mod tests {
     fn b2b_backend_forwards_to_spread_soa() {
         let p = uniform_problem(64);
         let soa = PlacementSoa::from_problem(&p);
-        let piled = vec![(1.0, 1.0); 64];
+        let piled = vec![1.0; 64];
         let mut via_backend = Vec::new();
-        Spreader::new(PlacerBackendKind::B2b).spread(&p, &soa, &piled, &mut via_backend);
+        Spreader::new(PlacerBackendKind::B2b).spread(&p, &soa, &piled, &piled, &mut via_backend);
         let mut direct = Vec::new();
-        spread_soa(&p, &soa, &piled, &mut SpreadScratch::default(), &mut direct);
+        spread_soa(
+            &p,
+            &soa,
+            &piled,
+            &piled,
+            &mut SpreadScratch::default(),
+            &mut direct,
+        );
         let bits = |v: &[(f64, f64)]| {
             v.iter()
                 .map(|&(x, y)| (x.to_bits(), y.to_bits()))

@@ -210,21 +210,39 @@ impl GlobalPlacer {
             opt.max_iterations
         };
 
-        // Initial positions: seeds, or a random scatter in the core.
-        let mut rng = StdRng::seed_from_u64(opt.seed);
+        // The lower-bound iterate lives in the per-axis B2B assemblers:
+        // each axis's movable coordinates sit in its rebuilder's
+        // coordinate array from the start positions (seeds, or a random
+        // scatter in the core) on, and every solve updates them in place.
+        // With the CG scratch, the spreader's buffers and the best
+        // snapshot, these persist across outer iterations: the first sizes
+        // them, and no later one allocates a buffer that outlives it. The
+        // Y scratch is only touched — and so only sized — when the axes
+        // run as two tasks.
+        let mut rb_x = B2bRebuilder::new(Axis::X, problem);
+        let mut rb_y = B2bRebuilder::new(Axis::Y, problem);
+        let mut scratch_x = CgScratch::default();
+        let mut scratch_y = CgScratch::default();
         let seeds = problem.seed_positions.as_deref();
-        let mut pos: Vec<(f64, f64)> = match seeds {
-            Some(seeds) => seeds.to_vec(),
-            None => (0..m)
-                .map(|_| {
-                    (
-                        core.llx + rng.random::<f64>() * core.width(),
-                        core.lly + rng.random::<f64>() * core.height(),
-                    )
-                })
-                .collect(),
-        };
-        self.clamp(problem, &mut pos);
+        {
+            let (xs, ys) = (rb_x.iterate_mut(), rb_y.iterate_mut());
+            let start = xs.iter_mut().zip(ys.iter_mut());
+            match seeds {
+                Some(seeds) => {
+                    for ((x, y), s) in start.zip(seeds) {
+                        (*x, *y) = *s;
+                    }
+                }
+                None => {
+                    let mut rng = StdRng::seed_from_u64(opt.seed);
+                    for (x, y) in start {
+                        *x = core.llx + rng.random::<f64>() * core.width();
+                        *y = core.lly + rng.random::<f64>() * core.height();
+                    }
+                }
+            }
+            clamp(problem, xs, ys);
+        }
         // Contiguous cell areas shared by spreading and density.
         let soa = PlacementSoa::from_problem(problem);
         // One spreading state per placement run: any internal state (the
@@ -232,7 +250,7 @@ impl GlobalPlacer {
         // keeping repeated and resumed runs bitwise-deterministic.
         let mut spreader = Spreader::new(opt.backend);
         let mut upper = Vec::new();
-        spreader.spread(problem, &soa, &pos, &mut upper);
+        spreader.spread(problem, &soa, rb_x.iterate(), rb_y.iterate(), &mut upper);
         let mut overflow = density_overflow_soa(problem, &soa, &upper);
         let mut hpwl = raw_hpwl(problem, &upper);
         let mut done = 0;
@@ -247,75 +265,53 @@ impl GlobalPlacer {
         };
         let mut diverged = false;
 
-        let mut anchor_w: Vec<f64> = vec![0.0; m];
-        // Persistent per-axis B2B assemblers, CG scratch and coordinate
-        // buffers (and the spreader's buffers and the best snapshot):
-        // once they have grown to size an outer iteration allocates
-        // nothing. The Y scratch is only touched — and so only sized —
-        // when the axes run as two tasks.
-        let mut rb_x = B2bRebuilder::new(Axis::X);
-        let mut rb_y = B2bRebuilder::new(Axis::Y);
-        let mut scratch_x = CgScratch::default();
-        let mut scratch_y = CgScratch::default();
-        let mut tx: Vec<f64> = vec![0.0; m];
-        let mut ty: Vec<f64> = vec![0.0; m];
-        let mut sx: Vec<f64> = vec![0.0; m];
-        let mut sy: Vec<f64> = vec![0.0; m];
         for it in 0..iters {
             done = it + 1;
-            // Anchor targets: spread positions (weight ramping up), blended
-            // with the seed pull in incremental mode.
+            // Anchors pull every movable toward its spread position with
+            // one ramping weight; in incremental mode the targets blend in
+            // the seed positions and the weight adds the seed pull.
             let ramp = ANCHOR_BASE * (it as f64 + 1.0);
-            for i in 0..m {
-                let mut w_sum = ramp;
-                let mut t = upper[i];
-                if let Some(s) = seeds {
-                    t = (
-                        (t.0 * ramp + s[i].0 * SEED_ANCHOR) / (ramp + SEED_ANCHOR),
-                        (t.1 * ramp + s[i].1 * SEED_ANCHOR) / (ramp + SEED_ANCHOR),
-                    );
-                    w_sum += SEED_ANCHOR;
+            let weight = match seeds {
+                Some(seeds) => {
+                    for (t, s) in upper.iter_mut().zip(seeds) {
+                        *t = (
+                            (t.0 * ramp + s.0 * SEED_ANCHOR) / (ramp + SEED_ANCHOR),
+                            (t.1 * ramp + s.1 * SEED_ANCHOR) / (ramp + SEED_ANCHOR),
+                        );
+                    }
+                    ramp + SEED_ANCHOR
                 }
-                anchor_w[i] = w_sum;
-                upper[i] = t;
-            }
-            for i in 0..m {
-                tx[i] = upper[i].0;
-                ty[i] = upper[i].1;
-                sx[i] = pos[i].0;
-                sy[i] = pos[i].1;
-            }
-            // Lower bound: the two axes are independent systems.
-            let lower_bound = |rb: &mut B2bRebuilder,
-                               target: &[f64],
-                               start: &mut [f64],
-                               scratch: &mut CgScratch| {
-                let weight = &anchor_w;
-                rb.rebuild(problem, &pos, Some(Anchors { target, weight }));
-                rb.system()
-                    .solve_into(start, scratch, opt.cg_iterations, 1e-6)
+                None => ramp,
+            };
+            let anchors = Some(Anchors {
+                targets: &upper,
+                weight,
+            });
+            // Lower bound: the two axes are independent systems, each
+            // linearized at and solved in its own rebuilder's iterate.
+            let lower_bound = |rb: &mut B2bRebuilder, scratch: &mut CgScratch| {
+                rb.rebuild(problem, anchors);
+                rb.solve(scratch, opt.cg_iterations, 1e-6)
             };
             let (cg_x, cg_y) = if m >= AXIS_TASK_MIN_MOVABLES {
                 cp_parallel::join(
-                    || lower_bound(&mut rb_x, &tx, &mut sx, &mut scratch_x),
-                    || lower_bound(&mut rb_y, &ty, &mut sy, &mut scratch_y),
+                    || lower_bound(&mut rb_x, &mut scratch_x),
+                    || lower_bound(&mut rb_y, &mut scratch_y),
                 )
             } else {
                 (
-                    lower_bound(&mut rb_x, &tx, &mut sx, &mut scratch_x),
-                    lower_bound(&mut rb_y, &ty, &mut sy, &mut scratch_x),
+                    lower_bound(&mut rb_x, &mut scratch_x),
+                    lower_bound(&mut rb_y, &mut scratch_x),
                 )
             };
             record_cg(&cg_x);
             record_cg(&cg_y);
-            for i in 0..m {
-                pos[i] = (sx[i], sy[i]);
-            }
             if opt.fault_nan_at_iteration == Some(it) {
-                pos[0].0 = f64::NAN;
+                rb_x.iterate_mut()[0] = f64::NAN;
             }
             // Guard rail 1: the linear solve must stay finite.
-            if !all_finite(&pos) {
+            let finite = |c: &[f64]| c.iter().all(|v| v.is_finite());
+            if !(finite(rb_x.iterate()) && finite(rb_y.iterate())) {
                 cp_trace::instant("place.revert", &[("iteration", ArgValue::U(it as u64))]);
                 match self.revert(best.take(), &mut upper, &mut hpwl, &mut overflow) {
                     true => {
@@ -325,8 +321,9 @@ impl GlobalPlacer {
                     false => return Err(PlaceError::NonFinite { stage: "solver" }),
                 }
             }
-            self.clamp(problem, &mut pos);
-            spreader.spread(problem, &soa, &pos, &mut upper);
+            clamp(problem, rb_x.iterate_mut(), rb_y.iterate_mut());
+            let (xs, ys) = (rb_x.iterate(), rb_y.iterate());
+            spreader.spread(problem, &soa, xs, ys, &mut upper);
             overflow = density_overflow_soa(problem, &soa, &upper);
             hpwl = raw_hpwl(problem, &upper);
             cp_trace::series(
@@ -351,7 +348,7 @@ impl GlobalPlacer {
                 (bins, bins, grid)
             });
             cp_trace::fields::record_with("place.displacement", it as u64, || {
-                let (bins, grid) = displacement_grid(problem, &pos, &upper);
+                let (bins, grid) = displacement_grid(problem, xs, ys, &upper);
                 (bins, bins, grid)
             });
             // Guard rail 2: HPWL blowing up while overflow regresses means
@@ -437,12 +434,14 @@ impl GlobalPlacer {
             None => false,
         }
     }
+}
 
-    fn clamp(&self, problem: &PlacementProblem, pos: &mut [(f64, f64)]) {
-        for (i, p) in pos.iter_mut().enumerate() {
-            *p = problem.bounds_of(i).clamp(p.0, p.1);
-            *p = problem.evict_from_blockages(p.0, p.1);
-        }
+/// Moves every movable of the iterate into its region (or the core) and
+/// out of blockages.
+fn clamp(problem: &PlacementProblem, xs: &mut [f64], ys: &mut [f64]) {
+    for (i, (x, y)) in xs.iter_mut().zip(ys.iter_mut()).enumerate() {
+        let (cx, cy) = problem.bounds_of(i).clamp(*x, *y);
+        (*x, *y) = problem.evict_from_blockages(cx, cy);
     }
 }
 

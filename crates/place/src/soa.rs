@@ -5,8 +5,9 @@
 //! bisection and density scatter read only cell *areas*, once per outer
 //! placer iteration. [`PlacementSoa`] materializes that array once per
 //! placement run, so those loops index a contiguous `f64` arena instead of
-//! multiplying struct fields. (The B2B assembler keeps its own flat
-//! per-axis coordinate array; HPWL reads the positions directly.)
+//! multiplying struct fields. (The lower-bound iterate is the B2B
+//! assemblers' flat per-axis coordinate arrays, which the spreader reads
+//! as two coordinate slices; HPWL reads the positions directly.)
 
 use crate::problem::PlacementProblem;
 

@@ -21,7 +21,10 @@
 //! caller-owned `CgScratch` buffers so a full solve allocates nothing,
 //! and the placer's `B2bRebuilder` assembles each system straight from
 //! the nets into buffers it keeps between outer placement iterations —
-//! no per-pair list is ever materialized.
+//! no per-pair list is ever materialized. Each rebuilder is also the home
+//! of its axis's iterate: the movables' coordinates sit at the front of
+//! its flat coordinate array, the system is linearized there and CG
+//! solves in place, so the placer holds the lower bound once.
 //!
 //! Everything is serial and deterministic: assembly runs in net order,
 //! SpMV keeps each row's accumulation order, and dot products combine
@@ -94,13 +97,15 @@ pub struct B2bSystem {
     val: Vec<f64>,
 }
 
-/// Anchor pseudo-nets: per-movable target position and weight.
+/// Anchor pseudo-nets: one per movable, all of one weight, each pulling
+/// its movable toward a target position.
 #[derive(Debug, Clone, Copy)]
 pub struct Anchors<'a> {
-    /// Target coordinate per movable (this axis).
-    pub target: &'a [f64],
-    /// Pseudo-net weight per movable (0 disables).
-    pub weight: &'a [f64],
+    /// Target position per movable; the X system reads `.0`, the Y
+    /// system `.1`.
+    pub targets: &'a [(f64, f64)],
+    /// Pseudo-net weight of every anchor.
+    pub weight: f64,
 }
 
 /// Positions within `verts` of the net's lowest and highest pin on this
@@ -239,20 +244,28 @@ fn scatter_nets(
     }
 }
 
-/// Per-axis B2B assembler.
+/// Per-axis B2B assembler, and the home of its axis's iterate.
 ///
-/// Holds the flat coordinate array, each net's extreme pins and the
+/// Holds the flat coordinate array — the movables' coordinates on this
+/// axis, then the fixed terminals' — each net's extreme pins and the
 /// assembled [`B2bSystem`] across outer placement iterations, so from the
 /// second [`B2bRebuilder::rebuild`] on nothing is allocated unless a
-/// buffer has to grow. Every rebuild re-linearizes every net: every
-/// movable moves every outer iteration, so a per-net cache of the last
-/// linearization never hits (DESIGN.md, "B2B assembly straight from the
-/// nets"). The assembled system is bit-identical to a one-shot build
-/// from fresh buffers at the same positions, at any thread count.
+/// buffer has to grow. The movables' part is the placer's lower-bound
+/// iterate: the caller writes the start positions into
+/// [`B2bRebuilder::iterate_mut`], each rebuild linearizes at it, and
+/// [`B2bRebuilder::solve`] overwrites it with the solution. Every rebuild
+/// re-linearizes every net: every movable moves every outer iteration, so
+/// a per-net cache of the last linearization never hits (DESIGN.md, "B2B
+/// assembly straight from the nets"). The assembled system is
+/// bit-identical to a one-shot build from fresh buffers at the same
+/// positions, at any thread count.
 #[derive(Debug, Clone)]
 pub(crate) struct B2bRebuilder {
     axis: Axis,
-    /// This axis's coordinate per global vertex (movables then fixed).
+    /// Movable objects: the length of the iterate.
+    movables: usize,
+    /// This axis's coordinate per global vertex: the iterate, then the
+    /// fixed terminals.
     coord: Vec<f64>,
     /// Per net, the positions in its pin list of its extreme pins.
     extremes: Vec<(u32, u32)>,
@@ -262,63 +275,60 @@ pub(crate) struct B2bRebuilder {
 }
 
 impl B2bRebuilder {
-    /// A rebuilder for one axis with empty buffers.
-    pub fn new(axis: Axis) -> Self {
+    /// A rebuilder for one axis of `problem`, its iterate all zeros and
+    /// its coordinate array already large enough for the fixed terminals.
+    pub fn new(axis: Axis, problem: &PlacementProblem) -> Self {
+        let movables = problem.movable_count();
+        let mut coord = Vec::with_capacity(movables + problem.fixed.len());
+        coord.resize(movables, 0.0);
         Self {
             axis,
-            coord: Vec::new(),
+            movables,
+            coord,
             extremes: Vec::new(),
             deg: Vec::new(),
             sys: B2bSystem::default(),
         }
     }
 
-    /// The most recently assembled system.
-    pub fn system(&self) -> &B2bSystem {
-        &self.sys
+    /// The movables' coordinates on this axis.
+    pub fn iterate(&self) -> &[f64] {
+        &self.coord[..self.movables]
     }
 
-    /// (Re)builds the B2B system linearized at `positions`, straight from
+    /// The movables' coordinates on this axis, for setting the start
+    /// positions and for the caller's clamps between solves.
+    pub fn iterate_mut(&mut self) -> &mut [f64] {
+        &mut self.coord[..self.movables]
+    }
+
+    /// (Re)builds the B2B system linearized at the iterate, straight from
     /// the nets in two passes: the first finds every net's extreme pins
     /// and counts the rows' off-diagonal degrees, the second computes the
     /// edge weights and scatters them in net-then-pair order, which fixes
     /// every row's entry order and every `diag`/`rhs` accumulation order.
-    pub fn rebuild(
-        &mut self,
-        problem: &PlacementProblem,
-        positions: &[(f64, f64)],
-        anchors: Option<Anchors<'_>>,
-    ) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `problem` does not have the rebuilder's movable count.
+    pub fn rebuild(&mut self, problem: &PlacementProblem, anchors: Option<Anchors<'_>>) {
         let m = problem.movable_count();
-        let nf = problem.fixed.len();
+        assert_eq!(m, self.movables, "movable count != iterate length");
         let Self {
             axis,
             coord,
             extremes,
             deg,
             sys,
+            ..
         } = self;
 
-        // Flat coordinates for this axis: movables from `positions`,
-        // fixed from the problem. Branch-free lookup in the net kernel.
-        coord.resize(m + nf, 0.0);
+        // The fixed terminals' coordinates follow the iterate, so the
+        // net kernel looks every pin up in one flat array.
+        coord.truncate(m);
         match axis {
-            Axis::X => {
-                for (c, pos) in coord.iter_mut().zip(positions.iter().take(m)) {
-                    *c = pos.0;
-                }
-                for (c, f) in coord[m..].iter_mut().zip(&problem.fixed) {
-                    *c = f.0;
-                }
-            }
-            Axis::Y => {
-                for (c, pos) in coord.iter_mut().zip(positions.iter().take(m)) {
-                    *c = pos.1;
-                }
-                for (c, f) in coord[m..].iter_mut().zip(&problem.fixed) {
-                    *c = f.1;
-                }
-            }
+            Axis::X => coord.extend(problem.fixed.iter().map(|f| f.0)),
+            Axis::Y => coord.extend(problem.fixed.iter().map(|f| f.1)),
         }
 
         deg.clear();
@@ -344,13 +354,17 @@ impl B2bRebuilder {
             &mut sys.col_idx,
             &mut sys.val,
         );
-        if let Some(a) = anchors {
-            for i in 0..m {
-                let w = a.weight[i];
-                if w > 0.0 {
-                    sys.diag[i] += w;
-                    sys.rhs[i] += w * a.target[i];
-                }
+        if let Some(Anchors { targets, weight }) = anchors {
+            let rows = sys.diag.iter_mut().zip(&mut sys.rhs).zip(&targets[..m]);
+            match axis {
+                Axis::X => rows.for_each(|((d, r), t)| {
+                    *d += weight;
+                    *r += weight * t.0;
+                }),
+                Axis::Y => rows.for_each(|((d, r), t)| {
+                    *d += weight;
+                    *r += weight * t.1;
+                }),
             }
         }
         // Isolated objects stay where they are.
@@ -360,6 +374,37 @@ impl B2bRebuilder {
                 *r = c;
             }
         }
+    }
+
+    /// Solves the last assembled system in place: CG from the iterate,
+    /// which holds the solution on return (see [`B2bSystem::solve_into`]).
+    pub fn solve(&mut self, scratch: &mut CgScratch, max_iters: usize, tol: f64) -> CgStats {
+        let Self {
+            movables,
+            coord,
+            sys,
+            ..
+        } = self;
+        sys.solve_into(&mut coord[..*movables], scratch, max_iters, tol)
+    }
+
+    /// Sets the iterate to `positions` on this axis and rebuilds there —
+    /// the tests' way to linearize at a given placement.
+    #[cfg(test)]
+    fn rebuild_at(
+        &mut self,
+        problem: &PlacementProblem,
+        positions: &[(f64, f64)],
+        anchors: Option<Anchors<'_>>,
+    ) {
+        let axis = self.axis;
+        for (c, p) in self.iterate_mut().iter_mut().zip(positions) {
+            *c = match axis {
+                Axis::X => p.0,
+                Axis::Y => p.1,
+            };
+        }
+        self.rebuild(problem, anchors);
     }
 }
 
@@ -374,8 +419,8 @@ impl B2bSystem {
         axis: Axis,
         anchors: Option<Anchors<'_>>,
     ) -> Self {
-        let mut rb = B2bRebuilder::new(axis);
-        rb.rebuild(problem, positions, anchors);
+        let mut rb = B2bRebuilder::new(axis, problem);
+        rb.rebuild_at(problem, positions, anchors);
         rb.sys
     }
 
@@ -746,11 +791,13 @@ pub(crate) mod jagged_oracle {
             }
             if let Some(a) = anchors {
                 for i in 0..m {
-                    let w = a.weight[i];
-                    if w > 0.0 {
-                        sys.diag[i] += w;
-                        sys.rhs[i] += w * a.target[i];
-                    }
+                    let (x, y) = a.targets[i];
+                    let target = match axis {
+                        Axis::X => x,
+                        Axis::Y => y,
+                    };
+                    sys.diag[i] += a.weight;
+                    sys.rhs[i] += a.weight * target;
                 }
             }
             for (i, &(x, y)) in positions.iter().take(m).enumerate() {
@@ -933,34 +980,35 @@ mod tests {
         let p = line_problem();
         assert_matches_oracle(&p, &[(20.0, 3.0), (30.0, -2.0)], Axis::X, None);
         assert_matches_oracle(&p, &[(20.0, 3.0), (30.0, -2.0)], Axis::Y, None);
-        let targets = vec![1.0, 8.0];
-        let weights = vec![0.5, 0.0];
-        assert_matches_oracle(
-            &p,
-            &[(4.0, 1.0), (5.0, 2.0)],
-            Axis::X,
-            Some(Anchors {
-                target: &targets,
-                weight: &weights,
-            }),
-        );
+        let targets = [(1.0, 6.0), (8.0, 3.0)];
+        for axis in [Axis::X, Axis::Y] {
+            assert_matches_oracle(
+                &p,
+                &[(4.0, 1.0), (5.0, 2.0)],
+                axis,
+                Some(Anchors {
+                    targets: &targets,
+                    weight: 0.5,
+                }),
+            );
+        }
     }
 
     #[test]
     fn reused_rebuild_matches_fresh_build() {
         let p = line_problem();
-        let mut rb = B2bRebuilder::new(Axis::X);
+        let mut rb = B2bRebuilder::new(Axis::X, &p);
         let pos0 = vec![(20.0, 0.0), (30.0, 0.0)];
-        rb.rebuild(&p, &pos0, None);
-        assert_sys_bitwise_eq(rb.system(), &B2bSystem::build(&p, &pos0, Axis::X, None));
+        rb.rebuild_at(&p, &pos0, None);
+        assert_sys_bitwise_eq(&rb.sys, &B2bSystem::build(&p, &pos0, Axis::X, None));
         // Move one cell: the rebuild on the warm buffers must equal a
         // from-scratch build.
         let pos1 = vec![(20.0, 0.0), (7.5, 0.0)];
-        rb.rebuild(&p, &pos1, None);
-        assert_sys_bitwise_eq(rb.system(), &B2bSystem::build(&p, &pos1, Axis::X, None));
+        rb.rebuild_at(&p, &pos1, None);
+        assert_sys_bitwise_eq(&rb.sys, &B2bSystem::build(&p, &pos1, Axis::X, None));
         // No movement at all: still identical.
-        rb.rebuild(&p, &pos1, None);
-        assert_sys_bitwise_eq(rb.system(), &B2bSystem::build(&p, &pos1, Axis::X, None));
+        rb.rebuild(&p, None);
+        assert_sys_bitwise_eq(&rb.sys, &B2bSystem::build(&p, &pos1, Axis::X, None));
     }
 
     #[test]
@@ -969,15 +1017,16 @@ mod tests {
         let pos = vec![(20.0, 0.0), (30.0, 0.0)];
         let sys = B2bSystem::build(&p, &pos, Axis::X, None);
         let reference = sys.solve(&[20.0, 30.0], 100, 1e-10);
-        let mut x = vec![20.0, 30.0];
         let mut scratch = CgScratch::default();
-        sys.solve_into(&mut x, &mut scratch, 100, 1e-10);
-        // Re-using warm scratch must not change anything either.
-        let mut x2 = vec![20.0, 30.0];
-        sys.solve_into(&mut x2, &mut scratch, 100, 1e-10);
+        let mut rb = B2bRebuilder::new(Axis::X, &p);
+        rb.rebuild_at(&p, &pos, None);
+        rb.solve(&mut scratch, 100, 1e-10);
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&reference), bits(&x));
-        assert_eq!(bits(&reference), bits(&x2));
+        assert_eq!(bits(&reference), bits(rb.iterate()));
+        // Re-using warm scratch must not change anything either.
+        rb.rebuild_at(&p, &pos, None);
+        rb.solve(&mut scratch, 100, 1e-10);
+        assert_eq!(bits(&reference), bits(rb.iterate()));
     }
 
     #[test]
@@ -1046,15 +1095,14 @@ mod tests {
     fn anchors_pull_toward_targets() {
         let p = line_problem();
         let pos = vec![(4.5, 0.0), (4.5, 0.0)];
-        let targets = vec![1.0, 8.0];
-        let weights = vec![100.0, 100.0]; // dominate the nets
+        let targets = [(1.0, 0.0), (8.0, 0.0)];
         let sys = B2bSystem::build(
             &p,
             &pos,
             Axis::X,
             Some(Anchors {
-                target: &targets,
-                weight: &weights,
+                targets: &targets,
+                weight: 100.0, // dominates the nets
             }),
         );
         let x = sys.solve(&[4.5, 4.5], 200, 1e-12);
@@ -1281,9 +1329,9 @@ mod proptests {
         #[test]
         fn csr_matches_jagged_oracle(case in case_strategy()) {
             let m = case.problem.movable_count();
-            let targets: Vec<f64> = (0..m).map(|i| i as f64 - 2.0).collect();
-            let weights = vec![case.anchor_weight; m];
-            let anchors = Anchors { target: &targets, weight: &weights };
+            let targets: Vec<(f64, f64)> =
+                (0..m).map(|i| (i as f64 - 2.0, 3.0 - i as f64)).collect();
+            let anchors = Anchors { targets: &targets, weight: case.anchor_weight };
             for axis in [Axis::X, Axis::Y] {
                 for a in [None, Some(anchors)] {
                     let csr = B2bSystem::build(&case.problem, &case.pos0, axis, a);
@@ -1310,13 +1358,13 @@ mod proptests {
         #[test]
         fn reused_rebuild_matches_fresh(case in case_strategy()) {
             for axis in [Axis::X, Axis::Y] {
-                let mut rb = B2bRebuilder::new(axis);
-                rb.rebuild(&case.problem, &case.pos0, None);
+                let mut rb = B2bRebuilder::new(axis, &case.problem);
+                rb.rebuild_at(&case.problem, &case.pos0, None);
                 let fresh0 = B2bSystem::build(&case.problem, &case.pos0, axis, None);
-                prop_assert_eq!(sys_fingerprint(rb.system()), sys_fingerprint(&fresh0));
-                rb.rebuild(&case.problem, &case.pos1, None);
+                prop_assert_eq!(sys_fingerprint(&rb.sys), sys_fingerprint(&fresh0));
+                rb.rebuild_at(&case.problem, &case.pos1, None);
                 let fresh1 = B2bSystem::build(&case.problem, &case.pos1, axis, None);
-                prop_assert_eq!(sys_fingerprint(rb.system()), sys_fingerprint(&fresh1));
+                prop_assert_eq!(sys_fingerprint(&rb.sys), sys_fingerprint(&fresh1));
             }
         }
 
@@ -1325,15 +1373,12 @@ mod proptests {
         fn thread_count_does_not_change_bits(case in case_strategy()) {
             let run = |threads: usize| {
                 cp_parallel::with_threads(threads, || {
-                    let mut rb = B2bRebuilder::new(Axis::X);
-                    rb.rebuild(&case.problem, &case.pos0, None);
-                    rb.rebuild(&case.problem, &case.pos1, None);
-                    let fp = sys_fingerprint(rb.system());
-                    let x0: Vec<f64> = case.pos1.iter().map(|&(x, _)| x).collect();
-                    let mut x = x0.clone();
-                    let mut scratch = CgScratch::default();
-                    rb.system().solve_into(&mut x, &mut scratch, 40, 1e-9);
-                    (fp, bits(&x))
+                    let mut rb = B2bRebuilder::new(Axis::X, &case.problem);
+                    rb.rebuild_at(&case.problem, &case.pos0, None);
+                    rb.rebuild_at(&case.problem, &case.pos1, None);
+                    let fp = sys_fingerprint(&rb.sys);
+                    rb.solve(&mut CgScratch::default(), 40, 1e-9);
+                    (fp, bits(rb.iterate()))
                 })
             };
             let t1 = run(1);

@@ -1,6 +1,7 @@
 //! Look-ahead spreading by recursive bisection (SimPL-style upper bound).
 //!
-//! Given overlap-heavy lower-bound positions, this pass recursively splits
+//! Given overlap-heavy lower-bound positions — the placer's iterate, read
+//! as one coordinate slice per axis — this pass recursively splits
 //! the core into two halves and partitions the cells by coordinate so each
 //! half receives cell area proportional to its capacity, terminating in
 //! small regions where cells are mapped linearly. The result respects the
@@ -78,16 +79,12 @@ fn ordered_bits(x: f64) -> u64 {
 }
 
 impl AxisOrder {
-    /// Sorts the cells by `(axis(position), cell)`: leading coordinate,
-    /// other coordinate, cell index.
-    fn sort(&mut self, positions: &[(f64, f64)], axis: impl Fn(&(f64, f64)) -> (f64, f64)) {
+    /// Sorts the cells by `(lead[cell], other[cell], cell)`: leading
+    /// coordinate, other coordinate, cell index.
+    fn sort(&mut self, lead: &[f64], other: &[f64]) {
         self.keys.clear();
-        self.keys.extend(
-            positions
-                .iter()
-                .zip(0u32..)
-                .map(|(p, i)| (ordered_bits(axis(p).0), i)),
-        );
+        self.keys
+            .extend(lead.iter().zip(0u32..).map(|(&c, i)| (ordered_bits(c), i)));
         self.keys.sort_unstable();
         self.order.clear();
         self.order.extend(self.keys.iter().map(|&(_, i)| i));
@@ -98,8 +95,9 @@ impl AxisOrder {
             if k == self.keys.len() || self.keys[k].0 != self.keys[run].0 {
                 if k - run > 1 {
                     self.order[run..k].sort_unstable_by(|&a, &b| {
-                        let other = |i: u32| axis(&positions[i as usize]).1;
-                        other(a).total_cmp(&other(b)).then(a.cmp(&b))
+                        other[a as usize]
+                            .total_cmp(&other[b as usize])
+                            .then(a.cmp(&b))
                     });
                 }
                 run = k;
@@ -126,15 +124,16 @@ fn cell_tie_order(sorted: &AxisOrder, order: &mut Vec<u32>, rank: &mut Vec<u32>)
     fill_ranks(order, rank);
 }
 
-/// Spreads `positions` to meet the problem's density target, reading the
-/// cell areas from `soa` and working in caller-held buffers: `out` is
-/// overwritten with one position per movable, inside the core. The result
-/// depends on the inputs alone — not on the thread count, nor on what
-/// `scratch` and `out` held before.
+/// Spreads the positions `(xs[i], ys[i])` to meet the problem's density
+/// target, reading the cell areas from `soa` and working in caller-held
+/// buffers: `out` is overwritten with one position per movable, inside
+/// the core. The result depends on the inputs alone — not on the thread
+/// count, nor on what `scratch` and `out` held before.
 pub fn spread_soa(
     problem: &PlacementProblem,
     soa: &PlacementSoa,
-    positions: &[(f64, f64)],
+    xs: &[f64],
+    ys: &[f64],
     scratch: &mut SpreadScratch,
     out: &mut Vec<(f64, f64)>,
 ) {
@@ -156,15 +155,12 @@ pub fn spread_soa(
         tmp,
         mapped,
     } = scratch;
-    let positions = &positions[..m];
+    let (xs, ys) = (&xs[..m], &ys[..m]);
     if m >= TASK_MIN_CELLS {
-        cp_parallel::join(
-            || by_x.sort(positions, |p| (p.0, p.1)),
-            || by_y.sort(positions, |p| (p.1, p.0)),
-        );
+        cp_parallel::join(|| by_x.sort(xs, ys), || by_y.sort(ys, xs));
     } else {
-        by_x.sort(positions, |p| (p.0, p.1));
-        by_y.sort(positions, |p| (p.1, p.0));
+        by_x.sort(xs, ys);
+        by_y.sort(ys, xs);
     }
     let root_horizontal = cuts_horizontally(problem.core);
     let root_axis = if root_horizontal { &*by_x } else { &*by_y };
@@ -174,7 +170,8 @@ pub fn spread_soa(
     let bisection = Bisection {
         problem,
         areas: &soa.area,
-        positions,
+        xs,
+        ys,
         rank_x: &by_x.rank,
         rank_y: &by_y.rank,
         root_horizontal,
@@ -203,7 +200,8 @@ pub fn spread_soa(
 struct Bisection<'a> {
     problem: &'a PlacementProblem,
     areas: &'a [f64],
-    positions: &'a [(f64, f64)],
+    xs: &'a [f64],
+    ys: &'a [f64],
     rank_x: &'a [u32],
     rank_y: &'a [u32],
     /// The root's cut axis, and each cell's rank in the root order.
@@ -228,7 +226,7 @@ impl Bisection<'_> {
     ) {
         let n = by_x.len();
         if n <= LEAF_CELLS || region.width() <= MIN_EXTENT || region.height() <= MIN_EXTENT {
-            map_into(region, by_x, self.positions, mapped);
+            map_into(region, by_x, self.xs, self.ys, mapped);
             return;
         }
         // Split along the longer side, the cell list in proportion to the
@@ -354,18 +352,18 @@ fn halves(region: Rect) -> (Rect, Rect) {
 
 /// Linearly maps the items' bounding box onto the region, writing
 /// `mapped[k]` for cell `items[k]`.
-fn map_into(region: Rect, items: &[u32], positions: &[(f64, f64)], mapped: &mut [(f64, f64)]) {
+fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [(f64, f64)]) {
     let mut lo = (f64::INFINITY, f64::INFINITY);
     let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for &i in items {
-        let (x, y) = positions[i as usize];
+        let (x, y) = (xs[i as usize], ys[i as usize]);
         lo = (lo.0.min(x), lo.1.min(y));
         hi = (hi.0.max(x), hi.1.max(y));
     }
     let spanx = (hi.0 - lo.0).max(1e-9);
     let spany = (hi.1 - lo.1).max(1e-9);
     for (&i, out) in items.iter().zip(mapped) {
-        let (x, y) = positions[i as usize];
+        let (x, y) = (xs[i as usize], ys[i as usize]);
         let fx = (x - lo.0) / spanx;
         let fy = (y - lo.1) / spany;
         *out = (
@@ -455,15 +453,21 @@ pub fn overflow_grid_soa(
     (bins, grid)
 }
 
-/// Per-bin summed displacement magnitude `‖to − from‖₂` binned at the
-/// destination position — the spreading-vs-lower-bound conflict field.
-/// Serial on purpose: it only runs on the instrumentation path.
+/// Per-bin summed displacement magnitude `‖to − from‖₂` from the
+/// positions `(from_x[i], from_y[i])`, binned at the destination position
+/// — the spreading-vs-lower-bound conflict field. Serial on purpose: it
+/// only runs on the instrumentation path.
 pub fn displacement_grid(
     problem: &PlacementProblem,
-    from: &[(f64, f64)],
+    from_x: &[f64],
+    from_y: &[f64],
     to: &[(f64, f64)],
 ) -> (usize, Vec<f32>) {
-    let m = problem.movable_count().min(from.len()).min(to.len());
+    let m = problem
+        .movable_count()
+        .min(from_x.len())
+        .min(from_y.len())
+        .min(to.len());
     if m == 0 {
         return (0, Vec::new());
     }
@@ -472,7 +476,7 @@ pub fn displacement_grid(
     let (bw, bh) = (core.width() / bins as f64, core.height() / bins as f64);
     let mut grid = vec![0.0f64; bins * bins];
     for i in 0..m {
-        let (dx, dy) = (to[i].0 - from[i].0, to[i].1 - from[i].1);
+        let (dx, dy) = (to[i].0 - from_x[i], to[i].1 - from_y[i]);
         let bx = (((to[i].0 - core.llx) / bw) as usize).min(bins - 1);
         let by = (((to[i].1 - core.lly) / bh) as usize).min(bins - 1);
         grid[by * bins + bx] += (dx * dx + dy * dy).sqrt();
@@ -525,8 +529,14 @@ mod tests {
     pub(super) fn spread(p: &PlacementProblem, positions: &[(f64, f64)]) -> Vec<(f64, f64)> {
         let mut out = Vec::new();
         let soa = PlacementSoa::from_problem(p);
-        spread_soa(p, &soa, positions, &mut SpreadScratch::default(), &mut out);
+        let (xs, ys) = unzip(positions);
+        spread_soa(p, &soa, &xs, &ys, &mut SpreadScratch::default(), &mut out);
         out
+    }
+
+    /// The x and the y coordinates of `positions`.
+    pub(super) fn unzip(positions: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
+        positions.iter().copied().unzip()
     }
 
     fn density_overflow(p: &PlacementProblem, positions: &[(f64, f64)]) -> f64 {
@@ -604,7 +614,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
-    use super::tests::spread;
+    use super::tests::{spread, unzip};
     use super::*;
     use crate::problem::Object;
     use cp_graph::Hypergraph;
@@ -700,18 +710,20 @@ mod proptests {
         ) {
             let soa = PlacementSoa::from_problem(&p);
             let want = bits(&cp_parallel::with_threads(1, || spread(&p, &pos)));
+            let (xs, ys) = unzip(&pos);
+            let (other_xs, other_ys) = unzip(&other_pos);
             let mut scratch = SpreadScratch::default();
             let mut out = Vec::new();
             for threads in [2usize, 4, 8] {
                 cp_parallel::with_threads(threads, || {
-                    spread_soa(&p, &soa, &pos, &mut scratch, &mut out);
+                    spread_soa(&p, &soa, &xs, &ys, &mut scratch, &mut out);
                 });
                 prop_assert_eq!(&bits(&out), &want, "threads = {}", threads);
                 // Repeat on the now-warm buffers, then dirty them.
-                spread_soa(&p, &soa, &pos, &mut scratch, &mut out);
+                spread_soa(&p, &soa, &xs, &ys, &mut scratch, &mut out);
                 prop_assert_eq!(&bits(&out), &want, "repeat after {} threads", threads);
                 let other_soa = PlacementSoa::from_problem(&other);
-                spread_soa(&other, &other_soa, &other_pos, &mut scratch, &mut out);
+                spread_soa(&other, &other_soa, &other_xs, &other_ys, &mut scratch, &mut out);
             }
         }
 

@@ -68,9 +68,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Heap growth per movable allowed during one placement: the measured
-/// 483.2 B (scratch) and 483.7 B (seeded) plus 10% headroom. Before the
-/// B2B pair cache was dropped the placer grew 600.3 B and 600.9 B.
-const MAX_BYTES_PER_MOVABLE: f64 = 532.0;
+/// 427.1 B (scratch) and 427.7 B (seeded) plus 10% headroom. Before the
+/// iterate moved into the B2B assemblers the placer grew 483.1 B and
+/// 483.7 B, and before the B2B pair cache was dropped 600.3 B and
+/// 600.9 B.
+const MAX_BYTES_PER_MOVABLE: f64 = 470.0;
 
 /// Places `problem` and returns the placement with the peak live-heap
 /// growth of the call, in bytes per movable.

@@ -81,11 +81,8 @@ pub fn assert_resumes_bitwise(
                 "resume from `{}` at {threads} threads must be bitwise-identical to the clean run",
                 cp.stage()
             );
-            // Restored stages have no timing entry; the clustering one is
-            // the restored runtime, added back by the report.
-            let timed: Vec<&str> = (resumed.timings.stages.iter().map(|&(s, _)| s))
-                .filter(|&s| s != stages::CLUSTERING)
-                .collect();
+            // Restored stages have no timing entry.
+            let timed: Vec<&str> = resumed.timings.stages.iter().map(|&(s, _)| s).collect();
             let after = stages::ALL
                 .iter()
                 .position(|&s| s == cp.stage())

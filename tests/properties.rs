@@ -143,8 +143,9 @@ proptest! {
             density_target: 0.5,
         };
         let soa = PlacementSoa::from_problem(&problem);
+        let (xs, ys): (Vec<f64>, Vec<f64>) = positions.iter().copied().unzip();
         let mut out = Vec::new();
-        spread_soa(&problem, &soa, &positions, &mut SpreadScratch::default(), &mut out);
+        spread_soa(&problem, &soa, &xs, &ys, &mut SpreadScratch::default(), &mut out);
         for &(x, y) in &out {
             prop_assert!(problem.core.contains(x, y));
         }

@@ -69,7 +69,7 @@ fn assert_same_outputs(a: &FlowReport, b: &FlowReport) {
 /// level and the thread count, and the trace is `root` over exactly the
 /// stages that ran, in pipeline order, with the timings derived from them.
 /// A clustering runtime that came from outside the run (a supplied
-/// assignment, a checkpoint) is `carried` into the timings without a span.
+/// assignment) is `carried` into the timings without a span.
 /// Returns the untraced report.
 fn assert_tracing_is_inert(
     run: &dyn Fn() -> FlowReport,
@@ -211,7 +211,8 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
 
     // A resumed run: the stages restored from the checkpoint (everything
     // up to flat placement, after a complete run) have no span and no
-    // timing entry; clustering's runtime is the checkpoint's.
+    // timing entry, clustering included; the report's clustering runtime
+    // is the checkpoint's.
     let dir = std::env::temp_dir().join("cp-trace-determinism-tests");
     std::fs::create_dir_all(&dir).expect("create checkpoint dir");
     let path = dir.join(format!("{}-resume.json", std::process::id()));
@@ -229,9 +230,13 @@ fn tracing_leaves_flow_outputs_bitwise_identical() {
         &|| run_flow_resilient(&n, &c, &o, &resuming).expect("flow resumes"),
         "flow.clustered",
         &all[4..],
-        Some(saved.clustering_runtime),
+        None,
     );
     assert!(resumed.deterministic_eq(&clustered));
+    assert_eq!(
+        resumed.clustering_runtime.to_bits(),
+        saved.clustering_runtime.to_bits()
+    );
     let _ = std::fs::remove_file(&path);
 }
 
