@@ -14,7 +14,8 @@
 //!   grid, a Poisson-like system on the grid Laplacian is solved with the
 //!   same CG kernels as the wirelength model, and cells drift along the
 //!   resulting field away from density peaks. Deterministic across thread
-//!   counts via `cp-parallel`'s fixed chunking and fixed-order reduction.
+//!   counts: the charge scatter and the solve are serial and the drift
+//!   moves each cell on its own.
 //!
 //! The placer builds one spreading state per `place()` call; any internal
 //! state (grid system, warm-started potential) lives and dies with one
@@ -23,9 +24,9 @@
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
 use crate::solver::{B2bSystem, CgScratch};
-use crate::spreading::{scatter_accumulate, spread_soa, SpreadScratch};
+use crate::spreading::{spread_soa, SpreadScratch};
 
-/// Cells per parallel chunk in the charge scatter and position update.
+/// Cells per parallel chunk in the position update.
 const CELL_CHUNK: usize = 4096;
 /// Upper bound on the eDensity grid resolution per axis.
 const MAX_BINS: usize = 128;
@@ -119,10 +120,11 @@ pub(crate) struct EDensity {
 
 struct Grid {
     bins: usize,
+    /// The grid matrix; each pass's right-hand side goes into `scratch`.
     sys: B2bSystem,
     psi: Vec<f64>,
     scratch: CgScratch,
-    /// Per-chunk scatter staging reused across passes.
+    /// The charge per bin, reused across passes.
     rho: Vec<f64>,
     ex: Vec<f64>,
     ey: Vec<f64>,
@@ -165,7 +167,7 @@ impl Grid {
         }
         Self {
             bins,
-            sys: B2bSystem::from_parts(diag, &row_ptr, &col_idx, &val, vec![0.0; n]),
+            sys: B2bSystem::from_parts(diag, &row_ptr, &col_idx, &val),
             psi: vec![0.0; n],
             scratch: CgScratch::default(),
             rho: vec![0.0; n],
@@ -202,13 +204,11 @@ impl EDensity {
 
         for _pass in 0..PASSES {
             // Charge scatter: bilinear (cloud-in-cell) split of each cell
-            // area over the four bins around its position, through the
-            // shared fixed-chunk scatter ([`scatter_accumulate`]) so the
-            // accumulated field is thread-count invariant.
-            let pos = &*out;
-            grid.rho.iter_mut().for_each(|v| *v = 0.0);
-            scatter_accumulate(m, CELL_CHUNK, &mut grid.rho, |i, part| {
-                let (x, y) = pos[i];
+            // area over the four bins around its position, added in cell
+            // order, so the accumulated field is thread-count invariant.
+            let rho = &mut grid.rho;
+            rho.fill(0.0);
+            for (&(x, y), &a) in out.iter().zip(&soa.area) {
                 // Continuous bin coordinates of the cell center,
                 // offset so integer values land on bin centers.
                 let fx = ((x - core.llx) / bw - 0.5).clamp(0.0, (bins - 1) as f64);
@@ -217,16 +217,16 @@ impl EDensity {
                 let (tx, ty) = (fx - bx as f64, fy - by as f64);
                 let bx1 = (bx + 1).min(bins - 1);
                 let by1 = (by + 1).min(bins - 1);
-                let a = soa.area[i];
-                part.push(((by * bins + bx) as u32, a * (1.0 - tx) * (1.0 - ty)));
-                part.push(((by * bins + bx1) as u32, a * tx * (1.0 - ty)));
-                part.push(((by1 * bins + bx) as u32, a * (1.0 - tx) * ty));
-                part.push(((by1 * bins + bx1) as u32, a * tx * ty));
-            });
-            // Zero-mean right-hand side: the shifted Laplacian would
-            // otherwise absorb the mean into a constant offset of ψ.
-            let mean = grid.rho.iter().sum::<f64>() / nb as f64;
-            for (r, q) in grid.sys.rhs_mut().iter_mut().zip(&grid.rho) {
+                rho[by * bins + bx] += a * (1.0 - tx) * (1.0 - ty);
+                rho[by * bins + bx1] += a * tx * (1.0 - ty);
+                rho[by1 * bins + bx] += a * (1.0 - tx) * ty;
+                rho[by1 * bins + bx1] += a * tx * ty;
+            }
+            // Zero-mean right-hand side, straight into the CG residual
+            // buffer: the shifted Laplacian would otherwise absorb the
+            // mean into a constant offset of ψ.
+            let mean = rho.iter().sum::<f64>() / nb as f64;
+            for (r, q) in grid.scratch.rhs(nb).iter_mut().zip(rho.iter()) {
                 *r = q - mean;
             }
             grid.sys

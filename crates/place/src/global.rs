@@ -7,7 +7,7 @@ use crate::kernels;
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
 use crate::solver::{Anchors, Axis, B2bRebuilder, CgScratch, CgStats};
-use crate::spreading::{density_overflow_soa, displacement_grid, overflow_grid_soa};
+use crate::spreading::{density_overflow_in, displacement_grid, overflow_grid_soa};
 use cp_trace::ArgValue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -214,11 +214,12 @@ impl GlobalPlacer {
         // each axis's movable coordinates sit in its rebuilder's
         // coordinate array from the start positions (seeds, or a random
         // scatter in the core) on, and every solve updates them in place.
-        // With the CG scratch, the spreader's buffers and the best
+        // With the CG scratch (which also carries each system's right-hand
+        // side), the spreader's buffers, the density grid and the best
         // snapshot, these persist across outer iterations: the first sizes
-        // them, and no later one allocates a buffer that outlives it. The
-        // Y scratch is only touched — and so only sized — when the axes
-        // run as two tasks.
+        // them, and no later one allocates outside `cp-parallel`'s
+        // regions. The Y scratch is only touched — and so only sized —
+        // when the axes run as two tasks.
         let mut rb_x = B2bRebuilder::new(Axis::X, problem);
         let mut rb_y = B2bRebuilder::new(Axis::Y, problem);
         let mut scratch_x = CgScratch::default();
@@ -250,8 +251,9 @@ impl GlobalPlacer {
         // keeping repeated and resumed runs bitwise-deterministic.
         let mut spreader = Spreader::new(opt.backend);
         let mut upper = Vec::new();
+        let mut density_grid = Vec::new();
         spreader.spread(problem, &soa, rb_x.iterate(), rb_y.iterate(), &mut upper);
-        let mut overflow = density_overflow_soa(problem, &soa, &upper);
+        let mut overflow = density_overflow_in(problem, &soa, &upper, &mut density_grid);
         let mut hpwl = raw_hpwl(problem, &upper);
         let mut done = 0;
         let mut best = if all_finite(&upper) && hpwl.is_finite() {
@@ -290,7 +292,7 @@ impl GlobalPlacer {
             // Lower bound: the two axes are independent systems, each
             // linearized at and solved in its own rebuilder's iterate.
             let lower_bound = |rb: &mut B2bRebuilder, scratch: &mut CgScratch| {
-                rb.rebuild(problem, anchors);
+                rb.rebuild(problem, anchors, scratch);
                 rb.solve(scratch, opt.cg_iterations, 1e-6)
             };
             let (cg_x, cg_y) = if m >= AXIS_TASK_MIN_MOVABLES {
@@ -324,7 +326,7 @@ impl GlobalPlacer {
             clamp(problem, rb_x.iterate_mut(), rb_y.iterate_mut());
             let (xs, ys) = (rb_x.iterate(), rb_y.iterate());
             spreader.spread(problem, &soa, xs, ys, &mut upper);
-            overflow = density_overflow_soa(problem, &soa, &upper);
+            overflow = density_overflow_in(problem, &soa, &upper, &mut density_grid);
             hpwl = raw_hpwl(problem, &upper);
             cp_trace::series(
                 "place.outer",

@@ -12,12 +12,16 @@
 //!   in one pass (the body of a CG step),
 //! - [`jacobi_dot`] — diagonal preconditioner application fused with the
 //!   `r·z` inner product,
-//! - [`xpay`] / [`dot`] / [`sub_dot`] — the remaining primitive shapes.
+//! - [`xpay`] / [`dot`] / [`sub_dot`] — the remaining primitive shapes;
+//!   [`sub_dot`] turns the right-hand side into the residual in place.
 //!
 //! The kernels are serial loops. The placer's parallelism sits one level
 //! up: above the axis-task cutoff the X and Y solves run as two `join`
 //! tasks, which on two threads leaves each axis one thread, and below it
 //! every system fits one chunk anyway (DESIGN.md, "Parallel execution").
+//! A reduction over more than one chunk keeps its chunk partials in a
+//! caller-owned buffer (the solver's `CgScratch`), so no kernel allocates
+//! once that buffer has grown to the system's chunk count.
 //!
 //! **Bitwise contract.** Every fused kernel performs the same per-element
 //! arithmetic in the same order as the unfused sequence it replaces. The
@@ -36,23 +40,29 @@ use std::ops::Range;
 pub const VEC_CHUNK: usize = 1024;
 
 /// Sums `partial(range)` over the fixed [`VEC_CHUNK`] ranges of `0..n`
-/// and combines the partials pairwise with `cp_parallel::tree_combine`.
-/// A vector that fits one chunk is its own partial, so the common small
-/// system allocates nothing.
-fn chunked_sum(n: usize, mut partial: impl FnMut(Range<usize>) -> f64) -> f64 {
+/// and combines the partials pairwise with `cp_parallel::tree_combine`,
+/// collecting them in `parts` (overwritten). A vector that fits one chunk
+/// is its own partial and leaves `parts` alone.
+fn chunked_sum(
+    n: usize,
+    parts: &mut Vec<f64>,
+    mut partial: impl FnMut(Range<usize>) -> f64,
+) -> f64 {
     if n <= VEC_CHUNK {
         return partial(0..n);
     }
-    let mut parts: Vec<f64> = (0..n)
-        .step_by(VEC_CHUNK)
-        .map(|start| partial(start..(start + VEC_CHUNK).min(n)))
-        .collect();
-    cp_parallel::tree_combine(&mut parts, |a, b| a + b).unwrap_or(0.0)
+    parts.clear();
+    parts.extend(
+        (0..n)
+            .step_by(VEC_CHUNK)
+            .map(|start| partial(start..(start + VEC_CHUNK).min(n))),
+    );
+    cp_parallel::tree_combine(parts, |a, b| a + b).unwrap_or(0.0)
 }
 
 /// Dot product `Σ a[i]·b[i]` (fixed chunks, fixed-order tree reduction).
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    chunked_sum(a.len().min(b.len()), |r| {
+pub fn dot(a: &[f64], b: &[f64], parts: &mut Vec<f64>) -> f64 {
+    chunked_sum(a.len().min(b.len()), parts, |r| {
         let mut s = 0.0;
         for i in r {
             s += a[i] * b[i];
@@ -68,14 +78,15 @@ pub fn xpay(y: &mut [f64], beta: f64, x: &[f64]) {
     }
 }
 
-/// Fused difference-and-norm: `r = b - ax`, returning `Σ r[i]²`. Produces
-/// the initial CG residual and its norm in one pass.
-pub fn sub_dot(r: &mut [f64], b: &[f64], ax: &[f64]) -> f64 {
-    chunked_sum(r.len(), |c| {
+/// Fused difference-and-norm in place: `r = r - ax`, returning `Σ r[i]²`.
+/// Turns the right-hand side `b` held in `r` into the initial CG residual
+/// `b - ax` and its norm in one pass.
+pub fn sub_dot(r: &mut [f64], ax: &[f64], parts: &mut Vec<f64>) -> f64 {
+    chunked_sum(r.len(), parts, |c| {
         let off = c.start;
         let mut s = 0.0;
         for (k, ri) in r[c].iter_mut().enumerate() {
-            *ri = b[off + k] - ax[off + k];
+            *ri -= ax[off + k];
             s += *ri * *ri;
         }
         s
@@ -85,8 +96,8 @@ pub fn sub_dot(r: &mut [f64], b: &[f64], ax: &[f64]) -> f64 {
 /// Fused Jacobi application and inner product: `z = r / diag`, returning
 /// `Σ r[i]·z[i]`. One pass where the preconditioner apply + `dot(r, z)`
 /// would take two; bit-identical to that sequence.
-pub fn jacobi_dot(z: &mut [f64], r: &[f64], diag: &[f64]) -> f64 {
-    chunked_sum(z.len(), |c| {
+pub fn jacobi_dot(z: &mut [f64], r: &[f64], diag: &[f64], parts: &mut Vec<f64>) -> f64 {
+    chunked_sum(z.len(), parts, |c| {
         let off = c.start;
         let mut s = 0.0;
         for (k, zi) in z[c].iter_mut().enumerate() {
@@ -105,9 +116,16 @@ pub fn jacobi_dot(z: &mut [f64], r: &[f64], diag: &[f64]) -> f64 {
 /// # Panics
 ///
 /// Panics if `x` and `r` differ in length.
-pub fn fused_step(x: &mut [f64], r: &mut [f64], p: &[f64], ap: &[f64], alpha: f64) -> f64 {
+pub fn fused_step(
+    x: &mut [f64],
+    r: &mut [f64],
+    p: &[f64],
+    ap: &[f64],
+    alpha: f64,
+    parts: &mut Vec<f64>,
+) -> f64 {
     assert_eq!(x.len(), r.len(), "fused_step buffers differ");
-    chunked_sum(x.len(), |c| {
+    chunked_sum(x.len(), parts, |c| {
         let off = c.start;
         let mut s = 0.0;
         for (k, (xi, ri)) in x[c.clone()].iter_mut().zip(&mut r[c]).enumerate() {
@@ -182,7 +200,9 @@ mod tests {
     #[test]
     fn fused_step_matches_unfused_sequence_bitwise() {
         // Sizes straddling the chunk boundary, so partial chunks and the
-        // tree shapes are exercised.
+        // tree shapes are exercised; the partials buffer carries the last
+        // size's partials (and starts out dirty) and must not leak them.
+        let mut parts = vec![f64::NAN; 7];
         for n in [1usize, 7, VEC_CHUNK, VEC_CHUNK + 1, 3 * VEC_CHUNK + 17]
             .into_iter()
             .chain(TREE_SIZES)
@@ -196,13 +216,13 @@ mod tests {
             axpy(&mut r_ref, -alpha, &ap);
             let mut x = x0.clone();
             let mut r = r0.clone();
-            let rr = fused_step(&mut x, &mut r, &p, &ap, alpha);
+            let rr = fused_step(&mut x, &mut r, &p, &ap, alpha, &mut parts);
             assert_eq!(bits(&x_ref), bits(&x), "n={n}");
             assert_eq!(bits(&r_ref), bits(&r), "n={n}");
             for threads in [1usize, 4] {
                 let rr_ref = pool_dot(&r_ref, &r_ref, threads);
                 assert_eq!(rr_ref.to_bits(), rr.to_bits(), "n={n} t={threads}");
-                let d = dot(&r_ref, &r_ref);
+                let d = dot(&r_ref, &r_ref, &mut parts);
                 assert_eq!(rr_ref.to_bits(), d.to_bits(), "n={n} t={threads}");
             }
         }
@@ -216,7 +236,7 @@ mod tests {
                 *v = v.abs() + 0.5; // positive diagonal
             }
             let mut z = vec![0.0; n];
-            let got = jacobi_dot(&mut z, &r, &d);
+            let got = jacobi_dot(&mut z, &r, &d, &mut Vec::new());
             for threads in [1usize, 4] {
                 let z_ref = pool_fill(n, threads, |i| r[i] / d[i]);
                 assert_eq!(bits(&z_ref), bits(&z), "n={n} t={threads}");
@@ -230,8 +250,8 @@ mod tests {
     fn sub_dot_matches_sub_then_dot() {
         for n in [VEC_CHUNK * 2].into_iter().chain(TREE_SIZES) {
             let (b, ax, _, _) = vecs(n);
-            let mut r = vec![0.0; n];
-            let got = sub_dot(&mut r, &b, &ax);
+            let mut r = b.clone();
+            let got = sub_dot(&mut r, &ax, &mut Vec::new());
             for threads in [1usize, 4] {
                 let r_ref = pool_fill(n, threads, |i| b[i] - ax[i]);
                 assert_eq!(bits(&r_ref), bits(&r), "n={n} t={threads}");

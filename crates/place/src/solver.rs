@@ -17,14 +17,22 @@
 //! mispredicts once per row at B2B's 2–12 entries per row — is either
 //! unrolled away or perfectly regular. Each row's entries keep their
 //! assembly order, so per-row accumulation, and with it every CG iterate,
-//! is bit-identical to a row-order CSR loop. The CG kernels write into
-//! caller-owned `CgScratch` buffers so a full solve allocates nothing,
-//! and the placer's `B2bRebuilder` assembles each system straight from
-//! the nets into buffers it keeps between outer placement iterations —
-//! no per-pair list is ever materialized. Each rebuilder is also the home
-//! of its axis's iterate: the movables' coordinates sit at the front of
-//! its flat coordinate array, the system is linearized there and CG
-//! solves in place, so the placer holds the lower bound once.
+//! is bit-identical to a row-order CSR loop. An exact bucket's rows sit
+//! back to back in the arenas, so the bucket finds its entries from one
+//! offset; only the long-row tail keeps a per-row entry pointer.
+//!
+//! The CG kernels write into caller-owned `CgScratch` buffers, chunk
+//! partials included, so a full solve allocates nothing, and the placer's
+//! `B2bRebuilder` assembles each system straight from the nets into
+//! buffers it keeps between outer placement iterations — no per-pair list
+//! is ever materialized. The right-hand side is not part of the system:
+//! the assembler accumulates it straight into the scratch's residual
+//! buffer, which the solve turns into `b − Ax` in place, and the
+//! preconditioned residual shares the `A·p` buffer, whose values are dead
+//! once a step has read them. Each rebuilder is also the home of its
+//! axis's iterate: the movables' coordinates sit at the front of its flat
+//! coordinate array, the system is linearized there and CG solves in
+//! place, so the placer holds the lower bound once.
 //!
 //! Everything is serial and deterministic: assembly runs in net order,
 //! SpMV keeps each row's accumulation order, and dot products combine
@@ -66,33 +74,55 @@ pub(crate) struct CgStats {
     pub relative_residual: f64,
 }
 
-/// Reusable CG work vectors (residual, preconditioned residual, search
-/// direction, `A·p`). Hold one per axis across outer placement iterations
-/// and the solve path stops allocating entirely.
+/// Reusable CG work vectors: three per row plus the reductions' chunk
+/// partials. Hold one per axis across outer placement iterations and the
+/// solve path stops allocating entirely.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CgScratch {
+    /// The residual. It arrives holding the right-hand side `b`, which an
+    /// assembler writes through [`CgScratch::rhs`], and the solve turns it
+    /// into `b − Ax` in place.
     r: Vec<f64>,
-    z: Vec<f64>,
+    /// The search direction.
     p: Vec<f64>,
+    /// `A·p`, and once the step has read it, the preconditioned residual
+    /// `z` that the direction update reads.
     ap: Vec<f64>,
+    /// Chunk partials of the reductions over more than one chunk.
+    parts: Vec<f64>,
 }
 
-/// A sparse SPD system `A x = b` over the movable objects of one axis:
+impl CgScratch {
+    /// The right-hand side of the next solve: `n` zeros in the residual
+    /// buffer for an assembler to accumulate into. Whatever the buffer
+    /// held before, of whatever length, is gone.
+    pub(crate) fn rhs(&mut self, n: usize) -> &mut [f64] {
+        self.r.clear();
+        self.r.resize(n, 0.0);
+        &mut self.r
+    }
+}
+
+/// A sparse SPD system matrix over the movable objects of one axis:
 /// `(A x)_i = diag_i x_i − Σ_j val_ij x_j`, off-diagonal rows stored
-/// grouped by length (see the module docs).
+/// grouped by length (see the module docs). The right-hand side travels
+/// in the [`CgScratch`] that solves it.
 #[derive(Debug, Clone, Default)]
 pub struct B2bSystem {
     diag: Vec<f64>,
-    rhs: Vec<f64>,
     /// Rows in storage order: all rows with 0 off-diagonal entries, then
     /// 1, …, [`MAX_EXACT_ROW`], then the longer ones; ascending row id
-    /// within each group.
+    /// within each group. Entries follow the same order.
     order: Vec<u32>,
-    /// `ptr[p]..ptr[p+1]` bounds the entries of row `order[p]`.
-    ptr: Vec<u32>,
     /// `bucket[d]` is the storage position of the first row with exactly
     /// `d` entries; `bucket[MAX_EXACT_ROW + 1]` starts the long-row tail.
     bucket: [u32; MAX_EXACT_ROW + 2],
+    /// `bucket_entry[d]` is the first entry of exact bucket `d`: its `k`-th
+    /// row owns entries `bucket_entry[d] + k·d ..` `+ d`.
+    bucket_entry: [u32; MAX_EXACT_ROW + 1],
+    /// `tail_ptr[k]..tail_ptr[k+1]` bounds the entries of the `k`-th
+    /// long row, storage position `bucket[MAX_EXACT_ROW + 1] + k`.
+    tail_ptr: Vec<u32>,
     col_idx: Vec<u32>,
     val: Vec<f64>,
 }
@@ -250,7 +280,8 @@ fn scatter_nets(
 /// axis, then the fixed terminals' — each net's extreme pins and the
 /// assembled [`B2bSystem`] across outer placement iterations, so from the
 /// second [`B2bRebuilder::rebuild`] on nothing is allocated unless a
-/// buffer has to grow. The movables' part is the placer's lower-bound
+/// buffer has to grow. The right-hand side goes straight into the
+/// caller's [`CgScratch`]. The movables' part is the placer's lower-bound
 /// iterate: the caller writes the start positions into
 /// [`B2bRebuilder::iterate_mut`], each rebuild linearizes at it, and
 /// [`B2bRebuilder::solve`] overwrites it with the solution. Every rebuild
@@ -307,11 +338,18 @@ impl B2bRebuilder {
     /// and counts the rows' off-diagonal degrees, the second computes the
     /// edge weights and scatters them in net-then-pair order, which fixes
     /// every row's entry order and every `diag`/`rhs` accumulation order.
+    /// The right-hand side is assembled in `scratch`, for the
+    /// [`B2bRebuilder::solve`] that follows.
     ///
     /// # Panics
     ///
     /// Panics if `problem` does not have the rebuilder's movable count.
-    pub fn rebuild(&mut self, problem: &PlacementProblem, anchors: Option<Anchors<'_>>) {
+    pub fn rebuild(
+        &mut self,
+        problem: &PlacementProblem,
+        anchors: Option<Anchors<'_>>,
+        scratch: &mut CgScratch,
+    ) {
         let m = problem.movable_count();
         assert_eq!(m, self.movables, "movable count != iterate length");
         let Self {
@@ -340,8 +378,7 @@ impl B2bRebuilder {
         );
         sys.diag.clear();
         sys.diag.resize(m, 0.0);
-        sys.rhs.clear();
-        sys.rhs.resize(m, 0.0);
+        let rhs = scratch.rhs(m);
         // `deg` turns into each row's fill cursor.
         sys.layout_rows(deg);
         scatter_nets(
@@ -350,12 +387,12 @@ impl B2bRebuilder {
             coord,
             deg,
             &mut sys.diag,
-            &mut sys.rhs,
+            rhs,
             &mut sys.col_idx,
             &mut sys.val,
         );
         if let Some(Anchors { targets, weight }) = anchors {
-            let rows = sys.diag.iter_mut().zip(&mut sys.rhs).zip(&targets[..m]);
+            let rows = sys.diag.iter_mut().zip(rhs.iter_mut()).zip(&targets[..m]);
             match axis {
                 Axis::X => rows.for_each(|((d, r), t)| {
                     *d += weight;
@@ -368,7 +405,7 @@ impl B2bRebuilder {
             }
         }
         // Isolated objects stay where they are.
-        for ((d, r), &c) in sys.diag.iter_mut().zip(&mut sys.rhs).zip(coord.iter()) {
+        for ((d, r), &c) in sys.diag.iter_mut().zip(rhs.iter_mut()).zip(coord.iter()) {
             if *d == 0.0 {
                 *d = 1.0;
                 *r = c;
@@ -378,6 +415,8 @@ impl B2bRebuilder {
 
     /// Solves the last assembled system in place: CG from the iterate,
     /// which holds the solution on return (see [`B2bSystem::solve_into`]).
+    /// `scratch` must hold the right-hand side the last
+    /// [`B2bRebuilder::rebuild`] assembled; the solve consumes it.
     pub fn solve(&mut self, scratch: &mut CgScratch, max_iters: usize, tol: f64) -> CgStats {
         let Self {
             movables,
@@ -396,6 +435,7 @@ impl B2bRebuilder {
         problem: &PlacementProblem,
         positions: &[(f64, f64)],
         anchors: Option<Anchors<'_>>,
+        scratch: &mut CgScratch,
     ) {
         let axis = self.axis;
         for (c, p) in self.iterate_mut().iter_mut().zip(positions) {
@@ -404,24 +444,25 @@ impl B2bRebuilder {
                 Axis::Y => p.1,
             };
         }
-        self.rebuild(problem, anchors);
+        self.rebuild(problem, anchors, scratch);
     }
 }
 
 impl B2bSystem {
-    /// Builds the B2B system for one axis, linearized at `positions`: a
-    /// one-shot rebuild, the reference the tests hold the placer's warm
-    /// rebuilds to.
+    /// Builds the B2B system for one axis, linearized at `positions`, and
+    /// its right-hand side: a one-shot rebuild, the reference the tests
+    /// hold the placer's warm rebuilds to.
     #[cfg(test)]
     fn build(
         problem: &PlacementProblem,
         positions: &[(f64, f64)],
         axis: Axis,
         anchors: Option<Anchors<'_>>,
-    ) -> Self {
+    ) -> (Self, Vec<f64>) {
         let mut rb = B2bRebuilder::new(axis, problem);
-        rb.rebuild_at(problem, positions, anchors);
-        rb.sys
+        let mut scratch = CgScratch::default();
+        rb.rebuild_at(problem, positions, anchors, &mut scratch);
+        (rb.sys, scratch.r)
     }
 
     /// Number of rows (movable objects).
@@ -445,23 +486,34 @@ impl B2bSystem {
             .iter()
             .position(|&r| r as usize == i)
             .expect("row in range");
-        let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
+        let tail = self.bucket[MAX_EXACT_ROW + 1] as usize;
+        let entries = if p < tail {
+            let d = (0..=MAX_EXACT_ROW)
+                .rfind(|&d| self.bucket[d] as usize <= p)
+                .expect("bucket 0 starts at 0");
+            let first = self.bucket_entry[d] as usize + (p - self.bucket[d] as usize) * d;
+            first..first + d
+        } else {
+            self.tail_ptr[p - tail] as usize..self.tail_ptr[p - tail + 1] as usize
+        };
         (&self.col_idx[entries.clone()], &self.val[entries])
     }
 
-    /// Solves with Jacobi-preconditioned CG from `x0` — the allocating
-    /// test convenience over the placer's in-place solve.
+    /// Solves `A x = rhs` with Jacobi-preconditioned CG from `x0` — the
+    /// allocating test convenience over the placer's in-place solve.
     #[cfg(test)]
-    fn solve(&self, x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
+    fn solve(&self, rhs: &[f64], x0: &[f64], max_iters: usize, tol: f64) -> Vec<f64> {
         let mut x = x0.to_vec();
-        self.solve_into(&mut x, &mut CgScratch::default(), max_iters, tol);
+        let mut scratch = CgScratch::default();
+        scratch.rhs(rhs.len()).copy_from_slice(rhs);
+        self.solve_into(&mut x, &mut scratch, max_iters, tol);
         x
     }
 
-    /// Assembles a system directly from CSR parts (used by the eDensity
-    /// backend's Poisson grid so it can reuse the CG kernels verbatim).
-    /// `row_ptr`/`col_idx`/`val` hold the off-diagonal entries with the
-    /// `apply` convention `(A x)_i = diag_i x_i − Σ_j val_ij x_j`.
+    /// Assembles a system matrix directly from CSR parts (used by the
+    /// eDensity backend's Poisson grid so it can reuse the CG kernels
+    /// verbatim). `row_ptr`/`col_idx`/`val` hold the off-diagonal entries
+    /// with the `apply` convention `(A x)_i = diag_i x_i − Σ_j val_ij x_j`.
     ///
     /// # Panics
     ///
@@ -471,14 +523,12 @@ impl B2bSystem {
         row_ptr: &[u32],
         col_idx: &[u32],
         val: &[f64],
-        rhs: Vec<f64>,
     ) -> Self {
         let n = diag.len();
-        assert!(row_ptr.len() == n + 1 && rhs.len() == n && col_idx.len() == val.len());
+        assert!(row_ptr.len() == n + 1 && col_idx.len() == val.len());
         assert!(col_idx.iter().all(|&j| (j as usize) < n));
         let mut sys = Self {
             diag,
-            rhs,
             ..Self::default()
         };
         let mut cursor: Vec<u32> = row_ptr.windows(2).map(|w| w[1] - w[0]).collect();
@@ -492,16 +542,10 @@ impl B2bSystem {
         sys
     }
 
-    /// Mutable right-hand side (the eDensity backend refreshes the charge
-    /// vector on a fixed grid matrix each outer iteration).
-    pub(crate) fn rhs_mut(&mut self) -> &mut [f64] {
-        &mut self.rhs
-    }
-
     /// Lays the rows out by off-diagonal count with a counting sort:
-    /// fills `order`/`ptr`/`bucket` and sizes `col_idx`/`val`. On
-    /// entry `deg[i]` is row `i`'s entry count; on exit it is the index of
-    /// the row's first entry — the caller's fill cursor.
+    /// fills `order`/`bucket`/`bucket_entry`/`tail_ptr` and sizes
+    /// `col_idx`/`val`. On entry `deg[i]` is row `i`'s entry count; on exit
+    /// it is the index of the row's first entry — the caller's fill cursor.
     fn layout_rows(&mut self, deg: &mut [u32]) {
         const TAIL: usize = MAX_EXACT_ROW + 1;
         let n = deg.len();
@@ -510,11 +554,15 @@ impl B2bSystem {
             count[(d as usize).min(TAIL)] += 1;
         }
         let mut next = [0u32; TAIL + 1];
-        let mut start = 0;
+        let (mut start, mut entries) = (0, 0);
         for d in 0..=TAIL {
             self.bucket[d] = start;
             next[d] = start;
             start += count[d];
+            if d <= MAX_EXACT_ROW {
+                self.bucket_entry[d] = entries;
+                entries += d as u32 * count[d];
+            }
         }
         self.order.resize(n, 0);
         for (i, &d) in deg.iter().enumerate() {
@@ -522,13 +570,18 @@ impl B2bSystem {
             self.order[*p as usize] = i as u32;
             *p += 1;
         }
-        self.ptr.clear();
+        // Entries in storage order: the exact buckets' rows back to back,
+        // then the tail's.
+        let tail = self.bucket[TAIL] as usize;
+        self.tail_ptr.clear();
         let mut entry = 0;
-        for &i in &self.order {
-            self.ptr.push(entry);
+        for (p, &i) in self.order.iter().enumerate() {
+            if p >= tail {
+                self.tail_ptr.push(entry);
+            }
             entry += std::mem::replace(&mut deg[i as usize], entry);
         }
-        self.ptr.push(entry);
+        self.tail_ptr.push(entry);
         self.col_idx.clear();
         self.col_idx.resize(entry as usize, 0);
         self.val.clear();
@@ -539,11 +592,16 @@ impl B2bSystem {
     /// ([`crate::kernels`]): two vector sweeps and one SpMV per iteration,
     /// all serial and fixed-order, so the iterates are bit-identical at
     /// every thread count. `x` holds the start on entry and the solution
-    /// on exit, and all work vectors live in `scratch`, so a system that
-    /// fits one 1,024-row chunk solves without allocating once the
-    /// scratch has warmed up (a longer one allocates each reduction's
-    /// chunk partials). Records nothing: the
+    /// on exit; `scratch` holds the right-hand side on entry (written
+    /// through [`CgScratch::rhs`]) and the final residual on exit, and all
+    /// work vectors and reduction partials live in it, so a solve allocates
+    /// nothing once the scratch has warmed up. Records nothing: the
     /// placer reports its lower-bound solves on the `place.cg.*` channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` or the scratch's right-hand side is not one element
+    /// per row.
     pub(crate) fn solve_into(
         &self,
         x: &mut [f64],
@@ -553,16 +611,17 @@ impl B2bSystem {
     ) -> CgStats {
         let n = self.diag.len();
         assert_eq!(x.len(), n, "start vector length != system size");
-        let CgScratch { r, z, p, ap } = scratch;
-        r.resize(n, 0.0);
-        z.resize(n, 0.0);
+        let CgScratch { r, p, ap, parts } = scratch;
+        assert_eq!(r.len(), n, "right-hand side length != system size");
         p.resize(n, 0.0);
         ap.resize(n, 0.0);
+        let rhs_norm: f64 = dot(r, r, parts).sqrt().max(1e-30);
         self.apply_into(x, ap);
-        let rr0 = kernels::sub_dot(r, &self.rhs, ap);
-        let mut rz = kernels::jacobi_dot(z, r, &self.diag);
-        p.copy_from_slice(z);
-        let rhs_norm: f64 = dot(&self.rhs, &self.rhs).sqrt().max(1e-30);
+        let rr0 = kernels::sub_dot(r, ap, parts);
+        // `A·x` is spent: `ap` holds the preconditioned residual `z` until
+        // the next SpMV overwrites it.
+        let mut rz = kernels::jacobi_dot(ap, r, &self.diag, parts);
+        p.copy_from_slice(ap);
         // Early exit on an already-converged starting point: warm-started
         // solves (incremental placement, successive-halving candidates)
         // often begin at the solution and would otherwise burn a full
@@ -578,7 +637,7 @@ impl B2bSystem {
         let mut relative_residual = rel0;
         for _ in 0..max_iters {
             self.apply_into(p, ap);
-            let pap = dot(p, ap);
+            let pap = dot(p, ap, parts);
             if pap <= 0.0 || !pap.is_finite() {
                 // Zero, negative or NaN curvature: the direction carries no
                 // descent information; stop at the current iterate rather
@@ -590,18 +649,19 @@ impl B2bSystem {
                 break;
             }
             iterations += 1;
-            let rr = kernels::fused_step(x, r, p, ap, alpha);
+            let rr = kernels::fused_step(x, r, p, ap, alpha, parts);
             relative_residual = rr.sqrt() / rhs_norm;
             if relative_residual < tol {
                 break;
             }
-            let rz_new = kernels::jacobi_dot(z, r, &self.diag);
+            // The step has read `A·p`; `z` takes its place.
+            let rz_new = kernels::jacobi_dot(ap, r, &self.diag, parts);
             let beta = rz_new / rz;
             if !beta.is_finite() {
                 break;
             }
             rz = rz_new;
-            kernels::xpay(p, beta, z);
+            kernels::xpay(p, beta, ap);
         }
         CgStats {
             iterations,
@@ -625,9 +685,10 @@ impl B2bSystem {
                 self.apply_exact_rows(d, rows, x, out);
             }
         }
-        for p in self.bucket[MAX_EXACT_ROW + 1] as usize..n {
+        let tail = self.bucket[MAX_EXACT_ROW + 1] as usize;
+        for (p, bounds) in (tail..n).zip(self.tail_ptr.windows(2)) {
             let i = self.order[p] as usize;
-            let entries = self.ptr[p] as usize..self.ptr[p + 1] as usize;
+            let entries = bounds[0] as usize..bounds[1] as usize;
             let mut acc = self.diag[i] * x[i];
             for (&j, &w) in self.col_idx[entries.clone()].iter().zip(&self.val[entries]) {
                 acc -= w * x[j as usize];
@@ -648,7 +709,7 @@ impl B2bSystem {
                             out[i] = self.diag[i] * x[i];
                         }
                     }
-                    $($len => self.rows_of_len::<$len>(rows, x, out),)+
+                    $($len => self.rows_of_len::<$len>(self.bucket_entry[d] as usize, rows, x, out),)+
                     _ => unreachable!("no exact bucket for rows of {d} entries"),
                 }
             };
@@ -657,12 +718,17 @@ impl B2bSystem {
     }
 
     /// The SpMV of storage positions `rows`, all of which hold rows of
-    /// exactly `D` entries: the entry arenas are walked as `[_; D]` blocks,
-    /// so the inner loop has a compile-time trip count and no slice-bound
-    /// tests.
+    /// exactly `D` entries from entry `first` on: the entry arenas are
+    /// walked as `[_; D]` blocks, so the inner loop has a compile-time trip
+    /// count and no slice-bound tests.
     #[inline(always)]
-    fn rows_of_len<const D: usize>(&self, rows: Range<usize>, x: &[f64], out: &mut [f64]) {
-        let first = self.ptr[rows.start] as usize;
+    fn rows_of_len<const D: usize>(
+        &self,
+        first: usize,
+        rows: Range<usize>,
+        x: &[f64],
+        out: &mut [f64],
+    ) {
         let entries = first..first + rows.len() * D;
         let (cols, _) = self.col_idx[entries.clone()].as_chunks::<D>();
         let (vals, _) = self.val[entries].as_chunks::<D>();
@@ -932,14 +998,16 @@ mod tests {
         }
     }
 
-    fn assert_sys_bitwise_eq(a: &B2bSystem, b: &B2bSystem) {
+    /// Two systems and their right-hand sides are equal bit for bit.
+    fn assert_sys_bitwise_eq((a, a_rhs): (&B2bSystem, &[f64]), (b, b_rhs): (&B2bSystem, &[f64])) {
         assert_eq!(a.order, b.order);
-        assert_eq!(a.ptr, b.ptr);
+        assert_eq!(a.bucket, b.bucket);
+        assert_eq!(a.bucket_entry, b.bucket_entry);
+        assert_eq!(a.tail_ptr, b.tail_ptr);
         assert_eq!(a.col_idx, b.col_idx);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a.diag), bits(&b.diag));
         assert_eq!(bits(&a.val), bits(&b.val));
-        assert_eq!(bits(&a.rhs), bits(&b.rhs));
+        assert_eq!(bits(a_rhs), bits(b_rhs));
     }
 
     fn assert_matches_oracle(
@@ -948,11 +1016,10 @@ mod tests {
         axis: Axis,
         anchors: Option<Anchors<'_>>,
     ) {
-        let csr = B2bSystem::build(p, pos, axis, anchors);
+        let (csr, rhs) = B2bSystem::build(p, pos, axis, anchors);
         let jag = jagged_oracle::JaggedSystem::build(p, pos, axis, anchors);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&csr.diag), bits(&jag.diag));
-        assert_eq!(bits(&csr.rhs), bits(&jag.rhs));
+        assert_eq!(bits(&rhs), bits(&jag.rhs));
         // Row contents and order: the CSR row must equal the jagged row.
         for i in 0..csr.len() {
             let (cols, vals) = csr.row(i);
@@ -971,7 +1038,7 @@ mod tests {
         let mut ap = vec![0.0; m];
         csr.apply_into(&x0, &mut ap);
         assert_eq!(bits(&ap), bits(&jag.apply(&x0)));
-        let solved = csr.solve(&x0, 60, 1e-9);
+        let solved = csr.solve(&rhs, &x0, 60, 1e-9);
         assert_eq!(bits(&solved), bits(&jag.solve(&x0, 60, 1e-9)));
     }
 
@@ -998,35 +1065,113 @@ mod tests {
     fn reused_rebuild_matches_fresh_build() {
         let p = line_problem();
         let mut rb = B2bRebuilder::new(Axis::X, &p);
+        let mut scratch = CgScratch::default();
+        let fresh = |pos: &[(f64, f64)]| B2bSystem::build(&p, pos, Axis::X, None);
         let pos0 = vec![(20.0, 0.0), (30.0, 0.0)];
-        rb.rebuild_at(&p, &pos0, None);
-        assert_sys_bitwise_eq(&rb.sys, &B2bSystem::build(&p, &pos0, Axis::X, None));
+        rb.rebuild_at(&p, &pos0, None, &mut scratch);
+        let (sys0, rhs0) = fresh(&pos0);
+        assert_sys_bitwise_eq((&rb.sys, &scratch.r), (&sys0, &rhs0));
         // Move one cell: the rebuild on the warm buffers must equal a
         // from-scratch build.
         let pos1 = vec![(20.0, 0.0), (7.5, 0.0)];
-        rb.rebuild_at(&p, &pos1, None);
-        assert_sys_bitwise_eq(&rb.sys, &B2bSystem::build(&p, &pos1, Axis::X, None));
-        // No movement at all: still identical.
-        rb.rebuild(&p, None);
-        assert_sys_bitwise_eq(&rb.sys, &B2bSystem::build(&p, &pos1, Axis::X, None));
+        rb.rebuild_at(&p, &pos1, None, &mut scratch);
+        let (sys1, rhs1) = fresh(&pos1);
+        assert_sys_bitwise_eq((&rb.sys, &scratch.r), (&sys1, &rhs1));
+        // No movement at all, after a solve has spent the right-hand
+        // side: still identical.
+        rb.solve(&mut scratch, 100, 1e-10);
+        rb.rebuild_at(&p, &pos1, None, &mut scratch);
+        assert_sys_bitwise_eq((&rb.sys, &scratch.r), (&sys1, &rhs1));
     }
 
     #[test]
     fn solve_into_matches_allocating_solve() {
         let p = line_problem();
         let pos = vec![(20.0, 0.0), (30.0, 0.0)];
-        let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-        let reference = sys.solve(&[20.0, 30.0], 100, 1e-10);
+        let (sys, rhs) = B2bSystem::build(&p, &pos, Axis::X, None);
+        let reference = sys.solve(&rhs, &[20.0, 30.0], 100, 1e-10);
         let mut scratch = CgScratch::default();
         let mut rb = B2bRebuilder::new(Axis::X, &p);
-        rb.rebuild_at(&p, &pos, None);
+        rb.rebuild_at(&p, &pos, None, &mut scratch);
         rb.solve(&mut scratch, 100, 1e-10);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&reference), bits(rb.iterate()));
         // Re-using warm scratch must not change anything either.
-        rb.rebuild_at(&p, &pos, None);
+        rb.rebuild_at(&p, &pos, None, &mut scratch);
         rb.solve(&mut scratch, 100, 1e-10);
         assert_eq!(bits(&reference), bits(rb.iterate()));
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `(L + εI)` system of a `side × side` 4-neighbour grid, and a
+    /// right-hand side that varies from cell to cell.
+    fn grid_system(side: usize) -> (B2bSystem, Vec<f64>) {
+        let n = side * side;
+        let mut diag = vec![1e-3; n];
+        let (mut row_ptr, mut col_idx) = (vec![0u32], Vec::new());
+        for (i, d) in diag.iter_mut().enumerate() {
+            let (x, y) = (i % side, i / side);
+            let neighbours = [
+                (x > 0, i.wrapping_sub(1)),
+                (x + 1 < side, i + 1),
+                (y > 0, i.wrapping_sub(side)),
+                (y + 1 < side, i + side),
+            ];
+            for (_, j) in neighbours.into_iter().filter(|&(inside, _)| inside) {
+                col_idx.push(j as u32);
+                *d += 1.0;
+            }
+            row_ptr.push(col_idx.len() as u32);
+        }
+        let val = vec![1.0; col_idx.len()];
+        let rhs = (0..n)
+            .map(|i| ((i * 37 % 11) as f64 - 5.0) * 0.25)
+            .collect();
+        (B2bSystem::from_parts(diag, &row_ptr, &col_idx, &val), rhs)
+    }
+
+    #[test]
+    fn shared_scratch_solves_like_fresh_ones_across_sizes() {
+        // 3×3 fits one reduction chunk; 40×40 spans two, so its reductions
+        // go through the scratch's partials.
+        let (small, large) = (grid_system(3), grid_system(40));
+        let solve = |(sys, rhs): &(B2bSystem, Vec<f64>), scratch: &mut CgScratch| {
+            let mut x = vec![0.5; rhs.len()];
+            scratch.rhs(rhs.len()).copy_from_slice(rhs);
+            let stats = sys.solve_into(&mut x, scratch, 50, 1e-12);
+            (
+                bits(&x),
+                stats.iterations,
+                stats.relative_residual.to_bits(),
+            )
+        };
+        let want_large = solve(&large, &mut CgScratch::default());
+        let want_small = solve(&small, &mut CgScratch::default());
+        assert!(want_large.1 > 1 && want_small.1 > 1);
+        let mut shared = CgScratch::default();
+        for (case, want) in [
+            (&large, &want_large),
+            (&small, &want_small),
+            (&large, &want_large),
+        ] {
+            assert_eq!(&solve(case, &mut shared), want);
+        }
+        // The assembler's right-hand side too: a rebuild on the scratch the
+        // large system just left solves like one on a fresh scratch.
+        let p = line_problem();
+        let pos = [(20.0, 0.0), (30.0, 0.0)];
+        let rebuild_and_solve = |scratch: &mut CgScratch| {
+            let mut rb = B2bRebuilder::new(Axis::X, &p);
+            rb.rebuild_at(&p, &pos, None, scratch);
+            rb.solve(scratch, 100, 1e-10);
+            bits(rb.iterate())
+        };
+        assert_eq!(
+            rebuild_and_solve(&mut shared),
+            rebuild_and_solve(&mut CgScratch::default())
+        );
     }
 
     #[test]
@@ -1038,8 +1183,8 @@ mod tests {
         let p = line_problem();
         let mut pos = vec![(20.0, 0.0), (30.0, 0.0)];
         for _ in 0..30 {
-            let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-            let x = sys.solve(&[pos[0].0, pos[1].0], 100, 1e-10);
+            let (sys, rhs) = B2bSystem::build(&p, &pos, Axis::X, None);
+            let x = sys.solve(&rhs, &[pos[0].0, pos[1].0], 100, 1e-10);
             pos[0].0 = x[0];
             pos[1].0 = x[1];
         }
@@ -1055,13 +1200,10 @@ mod tests {
         // taking a CG step.
         let p = line_problem();
         let pos = vec![(3.0, 0.0), (6.0, 0.0)];
-        let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-        let solved = sys.solve(&[pos[0].0, pos[1].0], 200, 1e-12);
-        let again = sys.solve(&solved, 200, 1e-12);
-        assert_eq!(
-            solved.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            again.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        );
+        let (sys, rhs) = B2bSystem::build(&p, &pos, Axis::X, None);
+        let solved = sys.solve(&rhs, &[pos[0].0, pos[1].0], 200, 1e-12);
+        let again = sys.solve(&rhs, &solved, 200, 1e-12);
+        assert_eq!(bits(&solved), bits(&again));
     }
 
     #[test]
@@ -1084,8 +1226,8 @@ mod tests {
         };
         let mut pos = vec![(4.5, 0.0)];
         for _ in 0..40 {
-            let sys = B2bSystem::build(&p, &pos, Axis::X, None);
-            let x = sys.solve(&[pos[0].0], 100, 1e-10);
+            let (sys, rhs) = B2bSystem::build(&p, &pos, Axis::X, None);
+            let x = sys.solve(&rhs, &[pos[0].0], 100, 1e-10);
             pos[0].0 = x[0];
         }
         assert!(pos[0].0 > 7.5, "{pos:?}");
@@ -1096,7 +1238,7 @@ mod tests {
         let p = line_problem();
         let pos = vec![(4.5, 0.0), (4.5, 0.0)];
         let targets = [(1.0, 0.0), (8.0, 0.0)];
-        let sys = B2bSystem::build(
+        let (sys, rhs) = B2bSystem::build(
             &p,
             &pos,
             Axis::X,
@@ -1105,7 +1247,7 @@ mod tests {
                 weight: 100.0, // dominates the nets
             }),
         );
-        let x = sys.solve(&[4.5, 4.5], 200, 1e-12);
+        let x = sys.solve(&rhs, &[4.5, 4.5], 200, 1e-12);
         assert!((x[0] - 1.0).abs() < 0.6, "{x:?}");
         assert!((x[1] - 8.0).abs() < 0.6, "{x:?}");
     }
@@ -1127,8 +1269,11 @@ mod tests {
             density_target: 0.9,
         };
         let pos = vec![(3.0, 7.0)];
-        let sx = B2bSystem::build(&p, &pos, Axis::X, None).solve(&[3.0], 10, 1e-10);
-        let sy = B2bSystem::build(&p, &pos, Axis::Y, None).solve(&[7.0], 10, 1e-10);
+        let solve = |axis: Axis, x0: f64| {
+            let (sys, rhs) = B2bSystem::build(&p, &pos, axis, None);
+            sys.solve(&rhs, &[x0], 10, 1e-10)
+        };
+        let (sx, sy) = (solve(Axis::X, 3.0), solve(Axis::Y, 7.0));
         assert!((sx[0] - 3.0).abs() < 1e-9);
         assert!((sy[0] - 7.0).abs() < 1e-9);
     }
@@ -1139,8 +1284,8 @@ mod tests {
         p.fixed = vec![(0.0, 0.0), (0.0, 9.0)];
         let mut pos = vec![(0.0, -15.0), (0.0, 25.0)];
         for _ in 0..30 {
-            let sys = B2bSystem::build(&p, &pos, Axis::Y, None);
-            let y = sys.solve(&[pos[0].1, pos[1].1], 100, 1e-10);
+            let (sys, rhs) = B2bSystem::build(&p, &pos, Axis::Y, None);
+            let y = sys.solve(&rhs, &[pos[0].1, pos[1].1], 100, 1e-10);
             pos[0].1 = y[0];
             pos[1].1 = y[1];
         }
@@ -1228,14 +1373,15 @@ mod proptests {
 
     type SysFingerprint = (Vec<u32>, Vec<u32>, Vec<u32>, Vec<u64>, Vec<u64>, Vec<u64>);
 
-    fn sys_fingerprint(s: &B2bSystem) -> SysFingerprint {
+    /// A system and its right-hand side, as comparable bits.
+    fn sys_fingerprint(s: &B2bSystem, rhs: &[f64]) -> SysFingerprint {
         (
             s.order.clone(),
-            s.ptr.clone(),
+            s.tail_ptr.clone(),
             s.col_idx.clone(),
             bits(&s.diag),
             bits(&s.val),
-            bits(&s.rhs),
+            bits(rhs),
         )
     }
 
@@ -1308,7 +1454,7 @@ mod proptests {
                 })
                 .collect();
             let sys = B2bSystem::from_parts(
-                case.diag.clone(), &case.row_ptr, &case.col_idx, &case.val, vec![0.0; n],
+                case.diag.clone(), &case.row_ptr, &case.col_idx, &case.val,
             );
             prop_assert_eq!(sys.len(), n);
             prop_assert_eq!(sys.nnz(), case.val.len());
@@ -1334,19 +1480,19 @@ mod proptests {
             let anchors = Anchors { targets: &targets, weight: case.anchor_weight };
             for axis in [Axis::X, Axis::Y] {
                 for a in [None, Some(anchors)] {
-                    let csr = B2bSystem::build(&case.problem, &case.pos0, axis, a);
+                    let (csr, rhs) = B2bSystem::build(&case.problem, &case.pos0, axis, a);
                     let jag = jagged_oracle::JaggedSystem::build(
                         &case.problem, &case.pos0, axis, a,
                     );
                     prop_assert_eq!(bits(&csr.diag), bits(&jag.diag));
-                    prop_assert_eq!(bits(&csr.rhs), bits(&jag.rhs));
+                    prop_assert_eq!(bits(&rhs), bits(&jag.rhs));
                     let x0: Vec<f64> = case.pos0.iter()
                         .map(|&(x, y)| match axis { Axis::X => x, Axis::Y => y })
                         .collect();
                     let mut ap = vec![0.0; m];
                     csr.apply_into(&x0, &mut ap);
                     prop_assert_eq!(bits(&ap), bits(&jag.apply(&x0)));
-                    let s_csr = csr.solve(&x0, 40, 1e-9);
+                    let s_csr = csr.solve(&rhs, &x0, 40, 1e-9);
                     let s_jag = jag.solve(&x0, 40, 1e-9);
                     prop_assert_eq!(bits(&s_csr), bits(&s_jag));
                 }
@@ -1359,12 +1505,17 @@ mod proptests {
         fn reused_rebuild_matches_fresh(case in case_strategy()) {
             for axis in [Axis::X, Axis::Y] {
                 let mut rb = B2bRebuilder::new(axis, &case.problem);
-                rb.rebuild_at(&case.problem, &case.pos0, None);
-                let fresh0 = B2bSystem::build(&case.problem, &case.pos0, axis, None);
-                prop_assert_eq!(sys_fingerprint(&rb.sys), sys_fingerprint(&fresh0));
-                rb.rebuild_at(&case.problem, &case.pos1, None);
-                let fresh1 = B2bSystem::build(&case.problem, &case.pos1, axis, None);
-                prop_assert_eq!(sys_fingerprint(&rb.sys), sys_fingerprint(&fresh1));
+                let mut scratch = CgScratch::default();
+                rb.rebuild_at(&case.problem, &case.pos0, None, &mut scratch);
+                let (fresh0, rhs0) = B2bSystem::build(&case.problem, &case.pos0, axis, None);
+                prop_assert_eq!(
+                    sys_fingerprint(&rb.sys, &scratch.r), sys_fingerprint(&fresh0, &rhs0)
+                );
+                rb.rebuild_at(&case.problem, &case.pos1, None, &mut scratch);
+                let (fresh1, rhs1) = B2bSystem::build(&case.problem, &case.pos1, axis, None);
+                prop_assert_eq!(
+                    sys_fingerprint(&rb.sys, &scratch.r), sys_fingerprint(&fresh1, &rhs1)
+                );
             }
         }
 
@@ -1374,10 +1525,11 @@ mod proptests {
             let run = |threads: usize| {
                 cp_parallel::with_threads(threads, || {
                     let mut rb = B2bRebuilder::new(Axis::X, &case.problem);
-                    rb.rebuild_at(&case.problem, &case.pos0, None);
-                    rb.rebuild_at(&case.problem, &case.pos1, None);
-                    let fp = sys_fingerprint(&rb.sys);
-                    rb.solve(&mut CgScratch::default(), 40, 1e-9);
+                    let mut scratch = CgScratch::default();
+                    rb.rebuild_at(&case.problem, &case.pos0, None, &mut scratch);
+                    rb.rebuild_at(&case.problem, &case.pos1, None, &mut scratch);
+                    let fp = sys_fingerprint(&rb.sys, &scratch.r);
+                    rb.solve(&mut scratch, 40, 1e-9);
                     (fp, bits(rb.iterate()))
                 })
             };

@@ -21,6 +21,13 @@
 //! down — O(n log n) overall, no per-node sort or allocation. The two
 //! halves are disjoint sub-slices (`split_at_mut`) and run as `join`
 //! tasks from `TASK_MIN_CELLS` (4096) cells.
+//!
+//! Each task writes only inside its own index range, so the leaves stage
+//! their positions in x order and a scatter along that order puts them at
+//! their cells. The staging is the y axis's sort keys, dead once the
+//! orders are built, so spreading holds no per-cell buffer for it. The
+//! density grid is a serial scatter in cell order, the same addition
+//! order per bin whatever the thread count.
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
@@ -37,8 +44,6 @@ const MIN_EXTENT: f64 = 2.0;
 /// from 4.3k (505–514 vs 805–846 µs). EXPERIMENTS.md, "Scoped regions,
 /// measured" and "Placer outer iteration".
 const TASK_MIN_CELLS: usize = 4096;
-/// Cells per parallel chunk in the density scatter.
-const CELL_CHUNK: usize = 4096;
 /// Bins per parallel chunk in the overflow reduction.
 const BIN_CHUNK: usize = 256;
 
@@ -54,15 +59,15 @@ pub struct SpreadScratch {
     root_rank: Vec<u32>,
     /// Right-half staging of one stable partition.
     tmp: Vec<u32>,
-    /// Mapped position of the cell at the same index of `by_x.order`.
-    mapped: Vec<(f64, f64)>,
 }
 
 /// The cells sorted along one axis.
 #[derive(Debug, Clone, Default)]
 struct AxisOrder {
     /// Sort staging: `(leading coordinate as an ordered integer, cell)`.
-    keys: Vec<(u64, u32)>,
+    /// Dead once the orders are built; the bisection's leaves then stage
+    /// their positions in the y axis's, as `f64` bits.
+    keys: Vec<(u64, u64)>,
     /// Cells in sorted order; the bisection permutes it in place so every
     /// node's cells stay one contiguous, sorted index range.
     order: Vec<u32>,
@@ -84,10 +89,10 @@ impl AxisOrder {
     fn sort(&mut self, lead: &[f64], other: &[f64]) {
         self.keys.clear();
         self.keys
-            .extend(lead.iter().zip(0u32..).map(|(&c, i)| (ordered_bits(c), i)));
+            .extend(lead.iter().zip(0u64..).map(|(&c, i)| (ordered_bits(c), i)));
         self.keys.sort_unstable();
         self.order.clear();
-        self.order.extend(self.keys.iter().map(|&(_, i)| i));
+        self.order.extend(self.keys.iter().map(|&(_, i)| i as u32));
         // That is `(leading coordinate, cell)`; cells tied on the leading
         // coordinate (rare) still have to be ordered by the other one.
         let mut run = 0;
@@ -120,7 +125,7 @@ fn fill_ranks(order: &[u32], rank: &mut Vec<u32>) {
 /// cell's rank in it.
 fn cell_tie_order(sorted: &AxisOrder, order: &mut Vec<u32>, rank: &mut Vec<u32>) {
     order.clear();
-    order.extend(sorted.keys.iter().map(|&(_, i)| i));
+    order.extend(sorted.keys.iter().map(|&(_, i)| i as u32));
     fill_ranks(order, rank);
 }
 
@@ -153,7 +158,6 @@ pub fn spread_soa(
         root_order,
         root_rank,
         tmp,
-        mapped,
     } = scratch;
     let (xs, ys) = (&xs[..m], &ys[..m]);
     if m >= TASK_MIN_CELLS {
@@ -166,14 +170,20 @@ pub fn spread_soa(
     let root_axis = if root_horizontal { &*by_x } else { &*by_y };
     cell_tie_order(root_axis, root_order, root_rank);
     tmp.resize(m, 0);
-    mapped.resize(m, (0.0, 0.0));
+    // The sort staging is spent: the leaves stage their positions in the
+    // y axis's.
+    let AxisOrder {
+        keys: staged,
+        order: y_order,
+        rank: rank_y,
+    } = by_y;
     let bisection = Bisection {
         problem,
         areas: &soa.area,
         xs,
         ys,
         rank_x: &by_x.rank,
-        rank_y: &by_y.rank,
+        rank_y,
         root_horizontal,
         root_rank,
     };
@@ -181,14 +191,14 @@ pub fn spread_soa(
         problem.core,
         Some(root_order),
         &mut by_x.order,
-        &mut by_y.order,
+        y_order,
         tmp,
-        mapped,
+        staged,
     );
     // Back to cell order, then honor region constraints, core bounds and
     // blockages.
-    for (&i, &p) in by_x.order.iter().zip(mapped.iter()) {
-        out[i as usize] = p;
+    for (&i, &(x, y)) in by_x.order.iter().zip(staged.iter()) {
+        out[i as usize] = (f64::from_bits(x), f64::from_bits(y));
     }
     for (i, p) in out.iter_mut().enumerate() {
         *p = problem.bounds_of(i).clamp(p.0, p.1);
@@ -213,8 +223,8 @@ impl Bisection<'_> {
     /// One bisection node over `region`. `by_x` and `by_y` hold the node's
     /// cells in x and y order, `root` in the root order as long as every
     /// cut down to this node was on the root's axis; `tmp` and `mapped` are
-    /// the same index range of the partition staging and the output
-    /// (`mapped[k]` belongs to cell `by_x[k]`).
+    /// the same index range of the partition staging and of the mapped
+    /// positions' bits (`mapped[k]` belongs to cell `by_x[k]`).
     fn rec(
         &self,
         region: Rect,
@@ -222,7 +232,7 @@ impl Bisection<'_> {
         by_x: &mut [u32],
         by_y: &mut [u32],
         tmp: &mut [u32],
-        mapped: &mut [(f64, f64)],
+        mapped: &mut [(u64, u64)],
     ) {
         let n = by_x.len();
         if n <= LEAF_CELLS || region.width() <= MIN_EXTENT || region.height() <= MIN_EXTENT {
@@ -351,8 +361,8 @@ fn halves(region: Rect) -> (Rect, Rect) {
 }
 
 /// Linearly maps the items' bounding box onto the region, writing
-/// `mapped[k]` for cell `items[k]`.
-fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [(f64, f64)]) {
+/// `mapped[k]` for cell `items[k]` as the bits of its `(x, y)`.
+fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [(u64, u64)]) {
     let mut lo = (f64::INFINITY, f64::INFINITY);
     let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for &i in items {
@@ -367,35 +377,9 @@ fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [(
         let fx = (x - lo.0) / spanx;
         let fy = (y - lo.1) / spany;
         *out = (
-            region.llx + fx * region.width(),
-            region.lly + fy * region.height(),
+            (region.llx + fx * region.width()).to_bits(),
+            (region.lly + fy * region.height()).to_bits(),
         );
-    }
-}
-
-/// The shared bin scatter behind the density grid and the eDensity
-/// backend's charge accumulation: each fixed item chunk emits `(bin,
-/// value)` contributions in item order via `emit`; the chunks are folded
-/// into `acc` sequentially in chunk order, reproducing the serial
-/// scatter's addition order exactly — bitwise identical at every thread
-/// count.
-pub fn scatter_accumulate(
-    items: usize,
-    chunk: usize,
-    acc: &mut [f64],
-    emit: impl Fn(usize, &mut Vec<(u32, f64)>) + Sync,
-) {
-    let scatter: Vec<Vec<(u32, f64)>> = cp_parallel::par_map_ranges(items, chunk, |range| {
-        let mut part = Vec::with_capacity(range.len());
-        for i in range {
-            emit(i, &mut part);
-        }
-        part
-    });
-    for part in &scatter {
-        for &(b, v) in part {
-            acc[b as usize] += v;
-        }
     }
 }
 
@@ -404,24 +388,26 @@ pub fn density_bins(m: usize) -> usize {
     ((m as f64).sqrt() / 2.0).ceil().max(2.0) as usize
 }
 
-/// The per-bin movable-area grid of a placement on the
-/// [`density_bins`]`(m) ×` [`density_bins`]`(m)` grid, row-major.
+/// Fills `area` with the per-bin movable area of a placement on the
+/// [`density_bins`]`(m) ×` [`density_bins`]`(m)` grid, row-major, adding
+/// the cells in order; returns the bins per side.
 fn area_grid_soa(
     problem: &PlacementProblem,
     soa: &PlacementSoa,
     positions: &[(f64, f64)],
-) -> (usize, Vec<f64>) {
+    area: &mut Vec<f64>,
+) -> usize {
     let bins = density_bins(problem.movable_count());
     let core = problem.core;
     let (bw, bh) = (core.width() / bins as f64, core.height() / bins as f64);
-    let mut area = vec![0.0f64; bins * bins];
-    scatter_accumulate(positions.len(), CELL_CHUNK, &mut area, |i, part| {
-        let (x, y) = positions[i];
+    area.clear();
+    area.resize(bins * bins, 0.0);
+    for (&(x, y), &a) in positions.iter().zip(&soa.area) {
         let bx = (((x - core.llx) / bw) as usize).min(bins - 1);
         let by = (((y - core.lly) / bh) as usize).min(bins - 1);
-        part.push(((by * bins + bx) as u32, soa.area[i]));
-    });
-    (bins, area)
+        area[by * bins + bx] += a;
+    }
+    bins
 }
 
 /// Per-bin overflow amounts `(area − capacity)⁺` on the density grid —
@@ -437,7 +423,8 @@ pub fn overflow_grid_soa(
     if m == 0 {
         return (0, Vec::new());
     }
-    let (bins, area) = area_grid_soa(problem, soa, positions);
+    let mut area = Vec::new();
+    let bins = area_grid_soa(problem, soa, positions, &mut area);
     let core = problem.core;
     let (bw, bh) = (core.width() / bins as f64, core.height() / bins as f64);
     let grid = area
@@ -493,14 +480,24 @@ pub fn density_overflow_soa(
     soa: &PlacementSoa,
     positions: &[(f64, f64)],
 ) -> f64 {
+    density_overflow_in(problem, soa, positions, &mut Vec::new())
+}
+
+/// [`density_overflow_soa`] with the bin grid in `area`, a buffer the
+/// placer reuses across outer iterations.
+pub(crate) fn density_overflow_in(
+    problem: &PlacementProblem,
+    soa: &PlacementSoa,
+    positions: &[(f64, f64)],
+    area: &mut Vec<f64>,
+) -> f64 {
     let m = problem.movable_count();
     if m == 0 {
         return 0.0;
     }
-    // Bin scatter: each fixed cell chunk computes (bin, area) contributions
-    // in cell order; the chunks are folded into the grid sequentially in
-    // chunk order, reproducing the serial scatter's addition order exactly.
-    let (bins, area) = area_grid_soa(problem, soa, positions);
+    // Bin scatter in cell order, then the overflow summed bin by bin.
+    let bins = area_grid_soa(problem, soa, positions, area);
+    let area = &*area;
     let core = problem.core;
     let (bw, bh) = (core.width() / bins as f64, core.height() / bins as f64);
     let total: f64 = soa.total_area.max(1e-12);

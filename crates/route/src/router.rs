@@ -61,7 +61,7 @@ pub fn route_nets(
     nets: &[Vec<(f64, f64)>],
     grid: CongestionMap,
 ) -> Result<RoutingResult, RouteError> {
-    route_nets_counted(nets, grid).map(|(routed, _)| routed)
+    route_nets_counted(nets.len(), |ni| nets[ni].as_slice(), grid).map(|(routed, _)| routed)
 }
 
 /// Work counts of one routing call, published on the `route.global` span.
@@ -108,24 +108,28 @@ impl RouteStats {
 
 type GCell = (usize, usize);
 
-/// The body of [`route_nets`], also returning work counts.
-fn route_nets_counted(
-    nets: &[Vec<(f64, f64)>],
+/// The body of [`route_nets`], also returning work counts: routes the
+/// `net_count` nets whose pin positions `net(ni)` hands out.
+fn route_nets_counted<'a>(
+    net_count: usize,
+    net: impl Fn(usize) -> &'a [(f64, f64)],
     mut map: CongestionMap,
 ) -> Result<(RoutingResult, RouteStats), RouteError> {
-    for (ni, pins) in nets.iter().enumerate() {
-        if pins.iter().any(|&(x, y)| !x.is_finite() || !y.is_finite()) {
+    for ni in 0..net_count {
+        if net(ni)
+            .iter()
+            .any(|&(x, y)| !x.is_finite() || !y.is_finite())
+        {
             return Err(RouteError::NonFinitePin { net: ni });
         }
     }
     let gcell = map.gcell_size();
 
     // Route small-bbox nets first (they have the least flexibility).
-    let bbox_hp: Vec<f64> = nets
-        .iter()
-        .map(|pins| {
+    let bbox_hp: Vec<f64> = (0..net_count)
+        .map(|ni| {
             let (mut lx, mut ly, mut hx, mut hy) = (f64::MAX, f64::MAX, f64::MIN, f64::MIN);
-            for &(x, y) in pins {
+            for &(x, y) in net(ni) {
                 lx = lx.min(x);
                 ly = ly.min(y);
                 hx = hx.max(x);
@@ -134,7 +138,7 @@ fn route_nets_counted(
             (hx - lx) + (hy - ly)
         })
         .collect();
-    let mut order: Vec<usize> = (0..nets.len()).collect();
+    let mut order: Vec<usize> = (0..net_count).collect();
     order.sort_by(|&a, &b| bbox_hp[a].total_cmp(&bbox_hp[b]));
 
     let mut wirelength = 0.0;
@@ -145,7 +149,7 @@ fn route_nets_counted(
     let mut mst = MstScratch::default();
     let mut maze = MazeScratch::new();
     for &ni in &order {
-        let pins = &nets[ni];
+        let pins = net(ni);
         if pins.len() < 2 {
             continue;
         }
@@ -196,23 +200,37 @@ pub fn route_placed_netlist(
             got: positions.len(),
         });
     }
-    let mut nets: Vec<Vec<(f64, f64)>> = Vec::with_capacity(netlist.net_count());
-    for (i, net) in netlist.nets().iter().enumerate() {
-        if net.is_clock {
-            continue;
-        }
-        let mut pins = Vec::with_capacity(net.pin_count());
-        for p in net.driver.iter().chain(netlist.sinks(NetId(i as u32))) {
-            let v = match *p {
-                PinRef::Cell { cell, .. } => netlist.cell_vertex(cell),
-                PinRef::Port(port) => netlist.port_vertex(port),
-            };
-            pins.push(positions[v as usize]);
-        }
-        nets.push(pins);
+    // The routed nets' pin positions in net order, as one CSR array: the
+    // `k`-th routed net's pins are `pins[start[k]..start[k + 1]]`.
+    let routed_nets = || {
+        netlist
+            .nets()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.is_clock)
+    };
+    let mut pins: Vec<(f64, f64)> =
+        Vec::with_capacity(routed_nets().map(|(_, n)| n.pin_count()).sum());
+    let mut start: Vec<usize> = Vec::with_capacity(netlist.net_count() + 1);
+    start.push(0);
+    for (i, net) in routed_nets() {
+        pins.extend(
+            net.driver
+                .iter()
+                .chain(netlist.sinks(NetId(i as u32)))
+                .map(|p| {
+                    let v = match *p {
+                        PinRef::Cell { cell, .. } => netlist.cell_vertex(cell),
+                        PinRef::Port(port) => netlist.port_vertex(port),
+                    };
+                    positions[v as usize]
+                }),
+        );
+        start.push(pins.len());
     }
+    let net = |k: usize| &pins[start[k]..start[k + 1]];
     let grid = CongestionMap::for_design(netlist, floorplan);
-    let (routed, stats) = route_nets_counted(&nets, grid)?;
+    let (routed, stats) = route_nets_counted(start.len() - 1, net, grid)?;
     if cp_trace::enabled() {
         for (name, count) in stats.entries() {
             span.arg(name, cp_trace::ArgValue::U(count));
@@ -847,8 +865,9 @@ mod tests {
         let mut nets: Vec<Vec<(f64, f64)>> =
             (0..8).map(|_| vec![(5.0, 55.0), (95.0, 55.0)]).collect();
         nets.push(vec![(15.0, 5.0), (85.0, 95.0), (45.0, 45.0), (5.0, 85.0)]);
-        let (first, stats) = route_nets_counted(&nets, grid()).expect("routable");
-        let (second, again) = route_nets_counted(&nets, grid()).expect("routable");
+        let net = |ni: usize| nets[ni].as_slice();
+        let (first, stats) = route_nets_counted(nets.len(), net, grid()).expect("routable");
+        let (second, again) = route_nets_counted(nets.len(), net, grid()).expect("routable");
         assert_eq!(first, second);
         assert_eq!(stats, again);
         assert!(stats.mazed_segments > 0, "{stats:?}");
