@@ -55,6 +55,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::borrow::Cow;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Which tool's seeded-placement recipe to follow (Algorithm 1, lines
@@ -1066,13 +1067,15 @@ pub fn congestion_driven_refine(
         return Ok(positions); // nothing overflows
     }
     let mut inflated = problem.clone();
-    for (cell, &(x, y)) in inflated.movable.iter_mut().zip(&positions) {
+    // Copy on write: the inflated footprints are this copy's alone.
+    let cells = Arc::make_mut(&mut inflated.movable);
+    for (cell, &(x, y)) in cells.iter_mut().zip(&positions) {
         let c = grid.congestion_at(grid.gcell_of(x, y));
         if c > 1.0 {
             cell.width *= c.min(2.0);
         }
     }
-    let mut pairs = inflated.movable.iter().zip(&problem.movable);
+    let mut pairs = inflated.movable.iter().zip(problem.movable.iter());
     if pairs.all(|(a, b)| a.width == b.width) {
         return Ok(positions);
     }

@@ -20,11 +20,15 @@
 //! The placer builds one spreading state per `place()` call; any internal
 //! state (grid system, warm-started potential) lives and dies with one
 //! placement run, which keeps checkpoint/resume bitwise-deterministic.
+//! The bisection holds no state at all: every call works in the
+//! [`SpreadArenas`] the placer lends it — the B2B systems' entry arenas,
+//! spent between a solve and the next rebuild — which eDensity leaves
+//! untouched.
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
 use crate::solver::{B2bSystem, CgScratch};
-use crate::spreading::{spread_soa, SpreadScratch};
+use crate::spreading::{spread_soa, SpreadArenas};
 
 /// Cells per parallel chunk in the position update.
 const CELL_CHUNK: usize = 4096;
@@ -67,8 +71,8 @@ impl PlacerBackendKind {
 /// call, so the variants' size difference costs nothing.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum Spreader {
-    /// [`spread_soa`] with the run's reusable buffers.
-    B2b(SpreadScratch),
+    /// [`spread_soa`], in the arenas of each call.
+    B2b,
     /// Electrostatics-style spreading.
     EDensity(EDensity),
 }
@@ -77,24 +81,25 @@ impl Spreader {
     /// Fresh state for one placement run.
     pub(crate) fn new(kind: PlacerBackendKind) -> Self {
         match kind {
-            PlacerBackendKind::B2b => Self::B2b(SpreadScratch::default()),
+            PlacerBackendKind::B2b => Self::B2b,
             PlacerBackendKind::EDensity => Self::EDensity(EDensity::default()),
         }
     }
 
     /// Overwrites `out` with density-spread positions for the lower-bound
     /// iterate `(xs[i], ys[i])`: one in-core position per movable,
-    /// deterministic across thread counts.
+    /// deterministic across thread counts, whatever `arenas` held.
     pub(crate) fn spread(
         &mut self,
         problem: &PlacementProblem,
         soa: &PlacementSoa,
         xs: &[f64],
         ys: &[f64],
+        arenas: SpreadArenas<'_>,
         out: &mut Vec<(f64, f64)>,
     ) {
         match self {
-            Self::B2b(scratch) => spread_soa(problem, soa, xs, ys, scratch, out),
+            Self::B2b => spread_soa(problem, soa, xs, ys, arenas, out),
             Self::EDensity(state) => state.spread(problem, soa, xs, ys, out),
         }
     }
@@ -305,7 +310,7 @@ impl EDensity {
 mod tests {
     use super::*;
     use crate::problem::Object;
-    use crate::spreading::density_overflow_soa;
+    use crate::spreading::{density_overflow_soa, SpreadScratch};
     use cp_graph::Hypergraph;
     use cp_netlist::floorplan::Rect;
 
@@ -322,7 +327,8 @@ mod tests {
                     height: 1.0
                 };
                 n
-            ],
+            ]
+            .into(),
             fixed: vec![],
             hypergraph: Hypergraph::new(n, vec![]).into(),
             net_weights: vec![],
@@ -352,11 +358,12 @@ mod tests {
             .collect();
         let before = density_overflow_soa(&p, &soa, &piled);
         let mut be = Spreader::new(PlacerBackendKind::EDensity);
+        let mut arenas = SpreadScratch::default();
         // A few spreading rounds, as the outer loop would drive them.
         let mut pos = piled.clone();
         for _ in 0..5 {
             let (xs, ys) = unzip(&pos);
-            be.spread(&p, &soa, &xs, &ys, &mut pos);
+            be.spread(&p, &soa, &xs, &ys, arenas.arenas(), &mut pos);
         }
         let after = density_overflow_soa(&p, &soa, &pos);
         assert!(before > 0.5, "piled overflow {before}");
@@ -379,10 +386,11 @@ mod tests {
         let run = |threads: usize| {
             cp_parallel::with_threads(threads, || {
                 let mut be = Spreader::new(PlacerBackendKind::EDensity);
+                let mut arenas = SpreadScratch::default();
                 let mut pos = start.clone();
                 for _ in 0..2 {
                     let (xs, ys) = unzip(&pos);
-                    be.spread(&p, &soa, &xs, &ys, &mut pos);
+                    be.spread(&p, &soa, &xs, &ys, arenas.arenas(), &mut pos);
                 }
                 pos.iter()
                     .map(|&(x, y)| (x.to_bits(), y.to_bits()))
@@ -400,14 +408,21 @@ mod tests {
         let soa = PlacementSoa::from_problem(&p);
         let piled = vec![1.0; 64];
         let mut via_backend = Vec::new();
-        Spreader::new(PlacerBackendKind::B2b).spread(&p, &soa, &piled, &piled, &mut via_backend);
+        Spreader::new(PlacerBackendKind::B2b).spread(
+            &p,
+            &soa,
+            &piled,
+            &piled,
+            SpreadScratch::default().arenas(),
+            &mut via_backend,
+        );
         let mut direct = Vec::new();
         spread_soa(
             &p,
             &soa,
             &piled,
             &piled,
-            &mut SpreadScratch::default(),
+            SpreadScratch::default().arenas(),
             &mut direct,
         );
         let bits = |v: &[(f64, f64)]| {

@@ -315,7 +315,10 @@ mod tests {
         let fp = Floorplan::try_for_netlist(&n, 0.55, 1.0).expect("valid geometry");
         let mut p = PlacementProblem::from_netlist(&n, &fp);
         if macros {
-            for obj in p.movable.iter_mut().step_by(40) {
+            for obj in std::sync::Arc::make_mut(&mut p.movable)
+                .iter_mut()
+                .step_by(40)
+            {
                 obj.width = 3.0 * fp.row_height;
                 obj.height = 2.0 * fp.row_height;
             }
@@ -424,7 +427,7 @@ mod tests {
     fn empty_problem_is_fine() {
         let (p, fp, _) = placed();
         let mut empty = p.clone();
-        empty.movable.clear();
+        empty.movable = Vec::new().into();
         empty.region.clear();
         empty.hypergraph = cp_graph::Hypergraph::new(empty.fixed.len(), vec![]).into();
         empty.net_weights.clear();

@@ -7,7 +7,7 @@ use crate::kernels;
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
 use crate::solver::{Anchors, Axis, B2bRebuilder, CgScratch, CgStats};
-use crate::spreading::{density_overflow_in, displacement_grid, overflow_grid_soa};
+use crate::spreading::{density_overflow_in, displacement_grid, overflow_grid_soa, SpreadArenas};
 use cp_trace::ArgValue;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -214,12 +214,15 @@ impl GlobalPlacer {
         // each axis's movable coordinates sit in its rebuilder's
         // coordinate array from the start positions (seeds, or a random
         // scatter in the core) on, and every solve updates them in place.
-        // With the CG scratch (which also carries each system's right-hand
-        // side), the spreader's buffers, the density grid and the best
-        // snapshot, these persist across outer iterations: the first sizes
-        // them, and no later one allocates outside `cp-parallel`'s
-        // regions. The Y scratch is only touched — and so only sized —
-        // when the axes run as two tasks.
+        // Spreading works in the assemblers' entry arenas, spent from the
+        // end of each solve until the next rebuild clears them, so each
+        // arena is sized for the larger of its two uses and the two
+        // working sets never add up. With the CG scratch (which also
+        // carries each system's right-hand side), the density grid and
+        // the best snapshot, these persist across outer iterations: the
+        // first sizes them, and no later one allocates outside
+        // `cp-parallel`'s regions. The Y scratch is only touched — and so
+        // only sized — when the axes run as two tasks.
         let mut rb_x = B2bRebuilder::new(Axis::X, problem);
         let mut rb_y = B2bRebuilder::new(Axis::Y, problem);
         let mut scratch_x = CgScratch::default();
@@ -250,9 +253,23 @@ impl GlobalPlacer {
         // eDensity grid, warm-started potential) is scoped to this call,
         // keeping repeated and resumed runs bitwise-deterministic.
         let mut spreader = Spreader::new(opt.backend);
+        // Spreading borrows the entry arenas before the first rebuild
+        // sizes them: size them once for both uses.
+        let [need_x, need_y] = SpreadArenas::lengths(m);
+        rb_x.reserve_entries(problem, need_x);
+        rb_y.reserve_entries(problem, need_y);
+        let mut spread = |rb_x: &mut B2bRebuilder, rb_y: &mut B2bRebuilder, out: &mut Vec<_>| {
+            let (xs, keys_x, cells_x) = rb_x.iterate_and_spent_arenas();
+            let (ys, keys_y, cells_y) = rb_y.iterate_and_spent_arenas();
+            let arenas = SpreadArenas {
+                keys: [keys_x, keys_y],
+                cells: [cells_x, cells_y],
+            };
+            spreader.spread(problem, &soa, xs, ys, arenas, out);
+        };
         let mut upper = Vec::new();
         let mut density_grid = Vec::new();
-        spreader.spread(problem, &soa, rb_x.iterate(), rb_y.iterate(), &mut upper);
+        spread(&mut rb_x, &mut rb_y, &mut upper);
         let mut overflow = density_overflow_in(problem, &soa, &upper, &mut density_grid);
         let mut hpwl = raw_hpwl(problem, &upper);
         let mut done = 0;
@@ -324,8 +341,8 @@ impl GlobalPlacer {
                 }
             }
             clamp(problem, rb_x.iterate_mut(), rb_y.iterate_mut());
+            spread(&mut rb_x, &mut rb_y, &mut upper);
             let (xs, ys) = (rb_x.iterate(), rb_y.iterate());
-            spreader.spread(problem, &soa, xs, ys, &mut upper);
             overflow = density_overflow_in(problem, &soa, &upper, &mut density_grid);
             hpwl = raw_hpwl(problem, &upper);
             cp_trace::series(
@@ -594,7 +611,7 @@ mod tests {
     fn empty_problem_is_ok() {
         let (n, fp) = flat(0.005, 6);
         let mut p = PlacementProblem::from_netlist(&n, &fp);
-        p.movable.clear();
+        p.movable = Vec::new().into();
         p.region.clear();
         // Rebuild a consistent empty hypergraph.
         p.hypergraph = cp_graph::Hypergraph::new(p.fixed.len(), vec![]).into();

@@ -31,12 +31,14 @@ impl Object {
 ///
 /// Hypergraph vertices `0..movable.len()` are the movable objects;
 /// `movable.len()..` are fixed terminals with known positions. Cloning a
-/// problem to reweigh, seed, constrain or inflate it shares the
-/// hypergraph; everything else is per copy.
+/// problem to reweigh, seed or constrain it shares the movable objects
+/// and the hypergraph; everything else is per copy. A copy that changes
+/// the objects (inflating footprints) gets its own through
+/// [`Arc::make_mut`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementProblem {
-    /// Movable objects.
-    pub movable: Vec<Object>,
+    /// Movable objects, shared between clones.
+    pub movable: Arc<[Object]>,
     /// Positions of fixed terminals (hypergraph vertices after movables).
     pub fixed: Vec<(f64, f64)>,
     /// Connectivity over `movable.len() + fixed.len()` vertices, shared
@@ -64,7 +66,7 @@ impl PlacementProblem {
     /// Lowers a flat netlist onto a floorplan: cells movable, ports fixed,
     /// unit net weights.
     pub fn from_netlist(netlist: &Netlist, floorplan: &Floorplan) -> Self {
-        let movable: Vec<Object> = netlist
+        let movable = netlist
             .cells()
             .iter()
             .map(|c| {
@@ -94,7 +96,7 @@ impl PlacementProblem {
     /// macros movable (footprints from their shapes), ports fixed, carrying
     /// the clustered net weights (including any IO scaling).
     pub fn from_clustered(clustered: &ClusteredNetlist, floorplan: &Floorplan) -> Self {
-        let movable: Vec<Object> = (0..clustered.cluster_count() as u32)
+        let movable = (0..clustered.cluster_count() as u32)
             .map(|c| {
                 let (width, height) = clustered.dims(c);
                 Object { width, height }

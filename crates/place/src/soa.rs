@@ -52,7 +52,8 @@ mod tests {
                     width: 1.0,
                     height: 1.5,
                 },
-            ],
+            ]
+            .into(),
             fixed: vec![(10.0, 4.0)],
             hypergraph: Hypergraph::new(3, vec![(vec![0, 1, 2], 1.0)]).into(),
             net_weights: vec![1.0],

@@ -32,7 +32,12 @@
 //! once a step has read them. Each rebuilder is also the home of its
 //! axis's iterate: the movables' coordinates sit at the front of its flat
 //! coordinate array, the system is linearized there and CG solves in
-//! place, so the placer holds the lower bound once.
+//! place, so the placer holds the lower bound once. Between a solve and
+//! the next rebuild the system's entry arenas (`val`, `col_idx`) are
+//! spent, and the placer lends them to spreading
+//! ([`B2bRebuilder::iterate_and_spent_arenas`]): a rebuild refills them
+//! from empty, so it depends on the iterate alone, and
+//! [`B2bRebuilder::reserve_entries`] sizes them once for both uses.
 //!
 //! Everything is serial and deterministic: assembly runs in net order,
 //! SpMV keeps each row's accumulation order, and dot products combine
@@ -191,6 +196,18 @@ fn net_pairs(verts: &[u32], (lo_i, hi_i): (u32, u32), mut emit: impl FnMut(u32, 
     }
 }
 
+/// Empties `arena` and fills it with `n` copies of `value`. What it held
+/// is dead, so an arena too small is replaced, not grown: nothing is
+/// copied, and it ends exactly `n` long rather than at twice its old
+/// capacity.
+fn refill<T: Clone>(arena: &mut Vec<T>, n: usize, value: T) {
+    arena.clear();
+    if arena.capacity() < n {
+        *arena = Vec::with_capacity(n);
+    }
+    arena.resize(n, value);
+}
+
 /// Pass 1 of the assembly: every net's extreme pins into `extremes`, and
 /// each row's off-diagonal entry count added onto `deg`. Returns the
 /// total entry count.
@@ -202,7 +219,9 @@ fn extremes_and_degrees(
 ) -> usize {
     let m = deg.len();
     let mut entries = 0;
+    // One pair per net: sized exactly, not by doubling pushes.
     extremes.clear();
+    extremes.reserve_exact(hypergraph.edge_count());
     for e in 0..hypergraph.edge_count() {
         let verts = hypergraph.edge(e as u32);
         let ext = extreme_pins(verts, coord);
@@ -333,6 +352,67 @@ impl B2bRebuilder {
         &mut self.coord[..self.movables]
     }
 
+    /// Pass 1 of a rebuild at the iterate: the fixed terminals'
+    /// coordinates appended to it, every net's extreme pins and each
+    /// row's off-diagonal degree. Returns the system's entry count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `problem` does not have the rebuilder's movable count.
+    fn first_pass(&mut self, problem: &PlacementProblem) -> usize {
+        let m = problem.movable_count();
+        assert_eq!(m, self.movables, "movable count != iterate length");
+        // The fixed terminals' coordinates follow the iterate, so the
+        // net kernel looks every pin up in one flat array.
+        self.coord.truncate(m);
+        match self.axis {
+            Axis::X => self.coord.extend(problem.fixed.iter().map(|f| f.0)),
+            Axis::Y => self.coord.extend(problem.fixed.iter().map(|f| f.1)),
+        }
+        self.deg.clear();
+        self.deg.resize(m, 0);
+        let entries = extremes_and_degrees(
+            &problem.hypergraph,
+            &self.coord,
+            &mut self.extremes,
+            &mut self.deg,
+        );
+        assert!(
+            entries < u32::MAX as usize,
+            "B2B entry count overflows the u32 arena index"
+        );
+        entries
+    }
+
+    /// Sizes the entry arenas, before the first rebuild, for the larger of
+    /// the system at the iterate and `[val, col_idx]` items — what a
+    /// caller that borrows them first (spreading) takes — so neither use
+    /// has to replace an arena the other sized: a replaced arena's pages
+    /// would stay resident as a hole in the heap. Runs pass 1 at the
+    /// iterate.
+    pub fn reserve_entries(&mut self, problem: &PlacementProblem, [val, col_idx]: [usize; 2]) {
+        let entries = self.first_pass(problem);
+        let reserve = |len: usize, at_least: usize| entries.max(at_least).saturating_sub(len);
+        self.sys.val.reserve_exact(reserve(self.sys.val.len(), val));
+        self.sys
+            .col_idx
+            .reserve_exact(reserve(self.sys.col_idx.len(), col_idx));
+    }
+
+    /// The iterate, beside the last system's entry arenas (`val`, then
+    /// `col_idx`). These are spent once [`B2bRebuilder::solve`] has run:
+    /// the next rebuild clears and refills them before it reads them, so
+    /// the caller may use them as work space in between — the placer
+    /// lends them to spreading — and may leave them holding anything, at
+    /// any length. Until that rebuild the system is not solvable.
+    pub fn iterate_and_spent_arenas(&mut self) -> (&[f64], &mut Vec<f64>, &mut Vec<u32>) {
+        (
+            &self.coord[..self.movables],
+            &mut self.sys.val,
+            &mut self.sys.col_idx,
+        )
+    }
+
     /// (Re)builds the B2B system linearized at the iterate, straight from
     /// the nets in two passes: the first finds every net's extreme pins
     /// and counts the rows' off-diagonal degrees, the second computes the
@@ -351,7 +431,7 @@ impl B2bRebuilder {
         scratch: &mut CgScratch,
     ) {
         let m = problem.movable_count();
-        assert_eq!(m, self.movables, "movable count != iterate length");
+        self.first_pass(problem);
         let Self {
             axis,
             coord,
@@ -360,22 +440,6 @@ impl B2bRebuilder {
             sys,
             ..
         } = self;
-
-        // The fixed terminals' coordinates follow the iterate, so the
-        // net kernel looks every pin up in one flat array.
-        coord.truncate(m);
-        match axis {
-            Axis::X => coord.extend(problem.fixed.iter().map(|f| f.0)),
-            Axis::Y => coord.extend(problem.fixed.iter().map(|f| f.1)),
-        }
-
-        deg.clear();
-        deg.resize(m, 0);
-        let entries = extremes_and_degrees(&problem.hypergraph, coord, extremes, deg);
-        assert!(
-            entries < u32::MAX as usize,
-            "B2B entry count overflows the u32 arena index"
-        );
         sys.diag.clear();
         sys.diag.resize(m, 0.0);
         let rhs = scratch.rhs(m);
@@ -582,10 +646,8 @@ impl B2bSystem {
             entry += std::mem::replace(&mut deg[i as usize], entry);
         }
         self.tail_ptr.push(entry);
-        self.col_idx.clear();
-        self.col_idx.resize(entry as usize, 0);
-        self.val.clear();
-        self.val.resize(entry as usize, 0.0);
+        refill(&mut self.col_idx, entry as usize, 0);
+        refill(&mut self.val, entry as usize, 0.0);
     }
 
     /// In-place Jacobi-preconditioned CG on the fused kernels
@@ -967,6 +1029,8 @@ pub(crate) mod jagged_oracle {
 mod tests {
     use super::*;
     use crate::problem::Object;
+    use crate::soa::PlacementSoa;
+    use crate::spreading::{spread_soa, SpreadArenas};
     use cp_graph::Hypergraph;
     use cp_netlist::floorplan::Rect;
 
@@ -982,7 +1046,8 @@ mod tests {
                     width: 1.0,
                     height: 1.0,
                 },
-            ],
+            ]
+            .into(),
             fixed: vec![(0.0, 0.0), (9.0, 0.0)],
             hypergraph: Hypergraph::new(
                 4,
@@ -1082,6 +1147,57 @@ mod tests {
         rb.solve(&mut scratch, 100, 1e-10);
         rb.rebuild_at(&p, &pos1, None, &mut scratch);
         assert_sys_bitwise_eq((&rb.sys, &scratch.r), (&sys1, &rhs1));
+        // Nor over entry arenas a spread just wrote: sort keys (cell
+        // indices as denormal bits), orders, ranks and staged positions,
+        // longer than this system's two entries.
+        spread_in_arenas(&p, &mut rb);
+        assert!(rb.sys.val.len() > sys1.val.len() && rb.sys.col_idx.len() > sys1.col_idx.len());
+        rb.rebuild_at(&p, &pos1, None, &mut scratch);
+        assert_sys_bitwise_eq((&rb.sys, &scratch.r), (&sys1, &rhs1));
+    }
+
+    #[test]
+    fn reserved_entry_arenas_serve_spreading_and_the_rebuild_in_place() {
+        // Four movables on three four-pin nets: 30 entries, more than the
+        // 8 keys and 16 cells spreading takes on the x axis.
+        let mut p = line_problem();
+        p.movable = vec![p.movable[0]; 4].into();
+        p.region = vec![None; 4];
+        p.fixed.clear();
+        p.hypergraph = Hypergraph::new(4, vec![(vec![0, 1, 2, 3], 1.0); 3]).into();
+        p.net_weights = vec![1.0; 3];
+        let pos = [(1.0, 0.0), (4.0, 0.0), (2.0, 0.0), (8.0, 0.0)];
+        let mut rb = B2bRebuilder::new(Axis::X, &p);
+        rb.rebuild_at(&p, &pos, None, &mut CgScratch::default());
+        let entries = rb.sys.val.len();
+        let [need, _] = SpreadArenas::lengths(4);
+        assert!(entries > need[0].max(need[1]), "{entries} entries");
+        let mut rb = B2bRebuilder::new(Axis::X, &p);
+        for (c, &(x, _)) in rb.iterate_mut().iter_mut().zip(&pos) {
+            *c = x;
+        }
+        rb.reserve_entries(&p, need);
+        let at = |rb: &B2bRebuilder| (rb.sys.val.as_ptr(), rb.sys.col_idx.as_ptr());
+        let reserved = at(&rb);
+        spread_in_arenas(&p, &mut rb);
+        rb.rebuild(&p, None, &mut CgScratch::default());
+        assert_eq!(at(&rb), reserved, "an arena was replaced");
+        assert_eq!(rb.sys.val.len(), entries);
+    }
+
+    /// Spreads `rb`'s iterate on `rb`'s spent entry arenas (as the x
+    /// axis's, whatever its axis) and a fresh rebuilder's, as the placer
+    /// does between a solve and the next rebuild.
+    pub(super) fn spread_in_arenas(p: &PlacementProblem, rb: &mut B2bRebuilder) {
+        let mut other = B2bRebuilder::new(Axis::Y, p);
+        let soa = PlacementSoa::from_problem(p);
+        let (xs, keys_x, cells_x) = rb.iterate_and_spent_arenas();
+        let (ys, keys_y, cells_y) = other.iterate_and_spent_arenas();
+        let arenas = SpreadArenas {
+            keys: [keys_x, keys_y],
+            cells: [cells_x, cells_y],
+        };
+        spread_soa(p, &soa, xs, ys, arenas, &mut Vec::new());
     }
 
     #[test]
@@ -1214,7 +1330,8 @@ mod tests {
             movable: vec![Object {
                 width: 1.0,
                 height: 1.0,
-            }],
+            }]
+            .into(),
             fixed: vec![(0.0, 0.0), (9.0, 0.0)],
             hypergraph: Hypergraph::new(3, vec![(vec![0, 1], 1.0), (vec![0, 2], 1.0)]).into(),
             net_weights: vec![1.0, 10.0],
@@ -1258,7 +1375,8 @@ mod tests {
             movable: vec![Object {
                 width: 1.0,
                 height: 1.0,
-            }],
+            }]
+            .into(),
             fixed: vec![],
             hypergraph: Hypergraph::new(1, vec![]).into(),
             net_weights: vec![],
@@ -1338,7 +1456,8 @@ mod proptests {
                             height: 1.0,
                         };
                         m
-                    ],
+                    ]
+                    .into(),
                     fixed: coords[m..m + f].to_vec(),
                     hypergraph: Hypergraph::new(m + f, edges).into(),
                     net_weights,
@@ -1499,8 +1618,9 @@ mod proptests {
             }
         }
 
-        /// A rebuild on buffers that held the previous linearization
-        /// equals a from-scratch build at the new positions, bit for bit.
+        /// A rebuild on buffers that held the previous linearization, or
+        /// that a spread has just worked in, equals a from-scratch build
+        /// at the new positions, bit for bit.
         #[test]
         fn reused_rebuild_matches_fresh(case in case_strategy()) {
             for axis in [Axis::X, Axis::Y] {
@@ -1513,6 +1633,11 @@ mod proptests {
                 );
                 rb.rebuild_at(&case.problem, &case.pos1, None, &mut scratch);
                 let (fresh1, rhs1) = B2bSystem::build(&case.problem, &case.pos1, axis, None);
+                prop_assert_eq!(
+                    sys_fingerprint(&rb.sys, &scratch.r), sys_fingerprint(&fresh1, &rhs1)
+                );
+                super::tests::spread_in_arenas(&case.problem, &mut rb);
+                rb.rebuild_at(&case.problem, &case.pos1, None, &mut scratch);
                 prop_assert_eq!(
                     sys_fingerprint(&rb.sys, &scratch.r), sys_fingerprint(&fresh1, &rhs1)
                 );

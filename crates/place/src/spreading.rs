@@ -25,9 +25,15 @@
 //! Each task writes only inside its own index range, so the leaves stage
 //! their positions in x order and a scatter along that order puts them at
 //! their cells. The staging is the y axis's sort keys, dead once the
-//! orders are built, so spreading holds no per-cell buffer for it. The
-//! density grid is a serial scatter in cell order, the same addition
-//! order per bin whatever the thread count.
+//! orders are built. The density grid is a serial scatter in cell order,
+//! the same addition order per bin whatever the thread count.
+//!
+//! Spreading owns no per-cell memory: the sort keys, orders, ranks and
+//! partition staging live in arenas the caller lends ([`SpreadArenas`]),
+//! and a call writes every item it reads, so the result does not depend
+//! on what they held. The placer lends its two B2B systems' entry arenas,
+//! which are spent from the end of a solve until the next rebuild clears
+//! them; [`SpreadScratch`] owns a set for callers with nothing to lend.
 
 use crate::problem::PlacementProblem;
 use crate::soa::PlacementSoa;
@@ -47,32 +53,78 @@ const TASK_MIN_CELLS: usize = 4096;
 /// Bins per parallel chunk in the overflow reduction.
 const BIN_CHUNK: usize = 256;
 
-/// Reusable buffers of [`spread_soa`]; hold one across outer placement
-/// iterations and spreading stops allocating.
-#[derive(Debug, Clone, Default)]
-pub struct SpreadScratch {
-    /// Cells by `(x, y, cell)` and by `(y, x, cell)`.
-    by_x: AxisOrder,
-    by_y: AxisOrder,
-    /// Cells by `(root's cut coordinate, cell)` and their ranks in it.
-    root_order: Vec<u32>,
-    root_rank: Vec<u32>,
-    /// Right-half staging of one stable partition.
-    tmp: Vec<u32>,
+/// The per-cell work arrays of one [`spread_soa`] call, lent by the
+/// caller. A call overwrites whatever they hold, reads nothing it did not
+/// write, and grows an arena shorter than it needs; it never shrinks one.
+/// Per axis (x, then y), `keys` takes two `f64` per cell: the sort keys,
+/// and the y axis's then stage the spread positions. `cells` takes four
+/// `u32` per cell on x (the x order and ranks, the root order and ranks)
+/// and three on y (the y order and ranks, the partition staging).
+#[derive(Debug)]
+pub struct SpreadArenas<'a> {
+    /// The x and the y axis's sort keys.
+    pub keys: [&'a mut Vec<f64>; 2],
+    /// The x and the y axis's cell orders, ranks and staging.
+    pub cells: [&'a mut Vec<u32>; 2],
 }
 
-/// The cells sorted along one axis.
+impl SpreadArenas<'_> {
+    /// The items one [`spread_soa`] call over `m` cells takes from each
+    /// arena: `[keys, cells]` of the x axis, then of the y axis. Lend
+    /// arenas at least this long and a call allocates nothing.
+    pub fn lengths(m: usize) -> [[usize; 2]; 2] {
+        [[2 * m, 4 * m], [2 * m, 3 * m]]
+    }
+}
+
+/// Owned arenas for [`spread_soa`], for a caller with none to lend: hold
+/// one across calls and spreading stops allocating.
 #[derive(Debug, Clone, Default)]
-struct AxisOrder {
-    /// Sort staging: `(leading coordinate as an ordered integer, cell)`.
-    /// Dead once the orders are built; the bisection's leaves then stage
-    /// their positions in the y axis's, as `f64` bits.
-    keys: Vec<(u64, u64)>,
+pub struct SpreadScratch {
+    keys: [Vec<f64>; 2],
+    cells: [Vec<u32>; 2],
+}
+
+impl SpreadScratch {
+    /// Lends the arenas to one [`spread_soa`] call.
+    pub fn arenas(&mut self) -> SpreadArenas<'_> {
+        SpreadArenas {
+            keys: self.keys.each_mut(),
+            cells: self.cells.each_mut(),
+        }
+    }
+}
+
+/// The first `N · n` items of `arena` as `N` slices of `n`, whatever they
+/// held. An arena too short grows to exactly `N · n`, copying nothing.
+fn carve<T: Copy + Default, const N: usize>(arena: &mut Vec<T>, n: usize) -> [&mut [T]; N] {
+    if arena.len() < N * n {
+        arena.clear();
+        if arena.capacity() < N * n {
+            *arena = Vec::with_capacity(N * n);
+        }
+        arena.resize(N * n, T::default());
+    }
+    let mut rest = &mut arena[..N * n];
+    std::array::from_fn(|_| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+        rest = tail;
+        head
+    })
+}
+
+/// The cells sorted along one axis, in lent arenas.
+struct AxisOrder<'a> {
+    /// Sort staging: `[leading coordinate as an ordered integer, cell]`,
+    /// both as `f64` bits, ordered as the integer pair. Dead once the
+    /// orders are built; the bisection's leaves then stage their
+    /// positions in the y axis's.
+    keys: &'a mut [[f64; 2]],
     /// Cells in sorted order; the bisection permutes it in place so every
     /// node's cells stay one contiguous, sorted index range.
-    order: Vec<u32>,
+    order: &'a mut [u32],
     /// Each cell's index in the freshly sorted `order`.
-    rank: Vec<u32>,
+    rank: &'a mut [u32],
 }
 
 /// Maps a coordinate to an integer with the same order as `total_cmp`,
@@ -83,21 +135,43 @@ fn ordered_bits(x: f64) -> u64 {
     bits ^ (((bits as i64 >> 63) as u64) | 1 << 63)
 }
 
-impl AxisOrder {
+/// A sort key's integer value. (A `[u64; 2]` compares in the same order;
+/// the tuple sorts 5% faster.)
+fn key_bits(key: &[f64; 2]) -> (u64, u64) {
+    (key[0].to_bits(), key[1].to_bits())
+}
+
+/// The cell a sort key belongs to.
+fn key_cell(key: &[f64; 2]) -> u32 {
+    key[1].to_bits() as u32
+}
+
+impl<'a> AxisOrder<'a> {
+    /// The axis's arenas for `m` cells: `2m` of `keys`, `2m` of `cells`.
+    fn lend(keys: &'a mut Vec<f64>, [order, rank]: [&'a mut [u32]; 2], m: usize) -> Self {
+        let [keys] = carve(keys, 2 * m);
+        Self {
+            keys: keys.as_chunks_mut().0,
+            order,
+            rank,
+        }
+    }
+
     /// Sorts the cells by `(lead[cell], other[cell], cell)`: leading
     /// coordinate, other coordinate, cell index.
     fn sort(&mut self, lead: &[f64], other: &[f64]) {
-        self.keys.clear();
-        self.keys
-            .extend(lead.iter().zip(0u64..).map(|(&c, i)| (ordered_bits(c), i)));
-        self.keys.sort_unstable();
-        self.order.clear();
-        self.order.extend(self.keys.iter().map(|&(_, i)| i as u32));
+        for (k, (&c, i)) in self.keys.iter_mut().zip(lead.iter().zip(0u64..)) {
+            *k = [f64::from_bits(ordered_bits(c)), f64::from_bits(i)];
+        }
+        self.keys.sort_unstable_by_key(key_bits);
+        for (o, k) in self.order.iter_mut().zip(self.keys.iter()) {
+            *o = key_cell(k);
+        }
         // That is `(leading coordinate, cell)`; cells tied on the leading
         // coordinate (rare) still have to be ordered by the other one.
         let mut run = 0;
         for k in 1..=self.keys.len() {
-            if k == self.keys.len() || self.keys[k].0 != self.keys[run].0 {
+            if k == self.keys.len() || self.keys[k][0].to_bits() != self.keys[run][0].to_bits() {
                 if k - run > 1 {
                     self.order[run..k].sort_unstable_by(|&a, &b| {
                         other[a as usize]
@@ -108,13 +182,12 @@ impl AxisOrder {
                 run = k;
             }
         }
-        fill_ranks(&self.order, &mut self.rank);
+        fill_ranks(self.order, self.rank);
     }
 }
 
 /// Sets `rank[cell]` to the cell's index in `order`.
-fn fill_ranks(order: &[u32], rank: &mut Vec<u32>) {
-    rank.resize(order.len(), 0);
+fn fill_ranks(order: &[u32], rank: &mut [u32]) {
     for (r, &i) in (0u32..).zip(order) {
         rank[i as usize] = r;
     }
@@ -123,23 +196,24 @@ fn fill_ranks(order: &[u32], rank: &mut Vec<u32>) {
 /// The `(leading coordinate, cell)` order behind `sorted` — its sort
 /// staging, before ties were ordered by the other coordinate — and each
 /// cell's rank in it.
-fn cell_tie_order(sorted: &AxisOrder, order: &mut Vec<u32>, rank: &mut Vec<u32>) {
-    order.clear();
-    order.extend(sorted.keys.iter().map(|&(_, i)| i as u32));
+fn cell_tie_order(sorted: &AxisOrder, order: &mut [u32], rank: &mut [u32]) {
+    for (o, k) in order.iter_mut().zip(sorted.keys.iter()) {
+        *o = key_cell(k);
+    }
     fill_ranks(order, rank);
 }
 
 /// Spreads the positions `(xs[i], ys[i])` to meet the problem's density
-/// target, reading the cell areas from `soa` and working in caller-held
-/// buffers: `out` is overwritten with one position per movable, inside
+/// target, reading the cell areas from `soa` and working in the lent
+/// `arenas`: `out` is overwritten with one position per movable, inside
 /// the core. The result depends on the inputs alone — not on the thread
-/// count, nor on what `scratch` and `out` held before.
+/// count, nor on what the arenas and `out` held before.
 pub fn spread_soa(
     problem: &PlacementProblem,
     soa: &PlacementSoa,
     xs: &[f64],
     ys: &[f64],
-    scratch: &mut SpreadScratch,
+    arenas: SpreadArenas<'_>,
     out: &mut Vec<(f64, f64)>,
 ) {
     let m = problem.movable_count();
@@ -152,13 +226,14 @@ pub fn spread_soa(
     // every V-P&R candidate evaluation — so its span is gated to `Full`
     // to keep the spans-only overhead budget for the coarse stages.
     let _span = cp_trace::telemetry_enabled().then(|| cp_trace::span("place.spread"));
-    let SpreadScratch {
-        by_x,
-        by_y,
-        root_order,
-        root_rank,
-        tmp,
-    } = scratch;
+    let SpreadArenas {
+        keys: [keys_x, keys_y],
+        cells: [cells_x, cells_y],
+    } = arenas;
+    let [order_x, rank_x, root_order, root_rank] = carve(cells_x, m);
+    let [order_y, rank_y, tmp] = carve(cells_y, m);
+    let mut by_x = AxisOrder::lend(keys_x, [order_x, rank_x], m);
+    let mut by_y = AxisOrder::lend(keys_y, [order_y, rank_y], m);
     let (xs, ys) = (&xs[..m], &ys[..m]);
     if m >= TASK_MIN_CELLS {
         cp_parallel::join(|| by_x.sort(xs, ys), || by_y.sort(ys, xs));
@@ -167,9 +242,11 @@ pub fn spread_soa(
         by_y.sort(ys, xs);
     }
     let root_horizontal = cuts_horizontally(problem.core);
-    let root_axis = if root_horizontal { &*by_x } else { &*by_y };
-    cell_tie_order(root_axis, root_order, root_rank);
-    tmp.resize(m, 0);
+    cell_tie_order(
+        if root_horizontal { &by_x } else { &by_y },
+        root_order,
+        root_rank,
+    );
     // The sort staging is spent: the leaves stage their positions in the
     // y axis's.
     let AxisOrder {
@@ -182,7 +259,7 @@ pub fn spread_soa(
         areas: &soa.area,
         xs,
         ys,
-        rank_x: &by_x.rank,
+        rank_x: by_x.rank,
         rank_y,
         root_horizontal,
         root_rank,
@@ -190,15 +267,15 @@ pub fn spread_soa(
     bisection.rec(
         problem.core,
         Some(root_order),
-        &mut by_x.order,
+        by_x.order,
         y_order,
         tmp,
         staged,
     );
     // Back to cell order, then honor region constraints, core bounds and
     // blockages.
-    for (&i, &(x, y)) in by_x.order.iter().zip(staged.iter()) {
-        out[i as usize] = (f64::from_bits(x), f64::from_bits(y));
+    for (&i, &[x, y]) in by_x.order.iter().zip(staged.iter()) {
+        out[i as usize] = (x, y);
     }
     for (i, p) in out.iter_mut().enumerate() {
         *p = problem.bounds_of(i).clamp(p.0, p.1);
@@ -224,7 +301,7 @@ impl Bisection<'_> {
     /// cells in x and y order, `root` in the root order as long as every
     /// cut down to this node was on the root's axis; `tmp` and `mapped` are
     /// the same index range of the partition staging and of the mapped
-    /// positions' bits (`mapped[k]` belongs to cell `by_x[k]`).
+    /// positions (`mapped[k]` belongs to cell `by_x[k]`).
     fn rec(
         &self,
         region: Rect,
@@ -232,7 +309,7 @@ impl Bisection<'_> {
         by_x: &mut [u32],
         by_y: &mut [u32],
         tmp: &mut [u32],
-        mapped: &mut [(u64, u64)],
+        mapped: &mut [[f64; 2]],
     ) {
         let n = by_x.len();
         if n <= LEAF_CELLS || region.width() <= MIN_EXTENT || region.height() <= MIN_EXTENT {
@@ -361,8 +438,8 @@ fn halves(region: Rect) -> (Rect, Rect) {
 }
 
 /// Linearly maps the items' bounding box onto the region, writing
-/// `mapped[k]` for cell `items[k]` as the bits of its `(x, y)`.
-fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [(u64, u64)]) {
+/// `mapped[k]` for cell `items[k]` as its `[x, y]`.
+fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [[f64; 2]]) {
     let mut lo = (f64::INFINITY, f64::INFINITY);
     let mut hi = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for &i in items {
@@ -376,10 +453,10 @@ fn map_into(region: Rect, items: &[u32], xs: &[f64], ys: &[f64], mapped: &mut [(
         let (x, y) = (xs[i as usize], ys[i as usize]);
         let fx = (x - lo.0) / spanx;
         let fy = (y - lo.1) / spany;
-        *out = (
-            (region.llx + fx * region.width()).to_bits(),
-            (region.lly + fy * region.height()).to_bits(),
-        );
+        *out = [
+            region.llx + fx * region.width(),
+            region.lly + fy * region.height(),
+        ];
     }
 }
 
@@ -527,7 +604,14 @@ mod tests {
         let mut out = Vec::new();
         let soa = PlacementSoa::from_problem(p);
         let (xs, ys) = unzip(positions);
-        spread_soa(p, &soa, &xs, &ys, &mut SpreadScratch::default(), &mut out);
+        spread_soa(
+            p,
+            &soa,
+            &xs,
+            &ys,
+            SpreadScratch::default().arenas(),
+            &mut out,
+        );
         out
     }
 
@@ -548,7 +632,8 @@ mod tests {
                     height: 1.0
                 };
                 n
-            ],
+            ]
+            .into(),
             fixed: vec![],
             hypergraph: Hypergraph::new(n, vec![]).into(),
             net_weights: vec![],
@@ -598,6 +683,25 @@ mod tests {
         let s = spread(&p, &piled);
         for &(x, y) in &s {
             assert!(box_r.contains(x, y), "({x}, {y}) outside region");
+        }
+    }
+
+    #[test]
+    fn a_call_takes_exactly_the_arena_lengths() {
+        for m in [1, 37, TASK_MIN_CELLS + 3] {
+            let p = uniform_problem(m);
+            let soa = PlacementSoa::from_problem(&p);
+            let (xs, ys) = unzip(&vec![(3.0, 4.0); m]);
+            let mut scratch = SpreadScratch::default();
+            let mut out = Vec::new();
+            spread_soa(&p, &soa, &xs, &ys, scratch.arenas(), &mut out);
+            let lengths = |s: &SpreadScratch| [0, 1].map(|a| [s.keys[a].len(), s.cells[a].len()]);
+            assert_eq!(lengths(&scratch), SpreadArenas::lengths(m), "m = {m}");
+            // Arenas that long are worked in where they are.
+            let at = |s: &SpreadScratch| [0, 1].map(|a| (s.keys[a].as_ptr(), s.cells[a].as_ptr()));
+            let before = at(&scratch);
+            spread_soa(&p, &soa, &xs, &ys, scratch.arenas(), &mut out);
+            assert_eq!(at(&scratch), before, "m = {m}");
         }
     }
 
@@ -676,6 +780,36 @@ mod proptests {
         v.iter().map(|&(x, y)| (x.to_bits(), y.to_bits())).collect()
     }
 
+    /// `n` values as a spent B2B `val` arena might hold them: weights, and
+    /// the odd bit pattern a sort key or an overwritten entry leaves —
+    /// quiet, signalling and negative NaNs, infinities, denormals, −0.
+    fn spent_entries(n: usize, salt: usize) -> Vec<f64> {
+        const ODD: [u64; 7] = [
+            0x7ff8_0000_0000_0000,
+            0x7ff0_0000_0000_0001,
+            0xfff8_0000_dead_beef,
+            0x7ff0_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x000f_ffff_ffff_ffff,
+            0x8000_0000_0000_0000,
+        ];
+        (0..n)
+            .map(|i| match (i + salt) % 3 {
+                0 => f64::from_bits(ODD[(i / 3 + salt) % ODD.len()]),
+                1 => 1.0 / (i as f64 + 0.5),
+                _ => -(i as f64),
+            })
+            .collect()
+    }
+
+    /// `n` column indices as a spent B2B `col_idx` arena might hold them,
+    /// most of them out of any cell range.
+    fn spent_columns(n: usize, salt: usize) -> Vec<u32> {
+        (0..n)
+            .map(|i| (i as u32 ^ salt as u32).wrapping_mul(0x9e37_79b9))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -699,7 +833,10 @@ mod proptests {
 
         /// The result is a function of the inputs alone: the same at 1, 2,
         /// 4 and 8 threads — also with many cells tied on a coordinate —
-        /// and on buffers that held another problem's results.
+        /// on arenas that held another problem's results, and on arenas
+        /// lent holding a B2B system's entries (NaN, infinite, denormal and
+        /// negative-zero bit patterns among them), shorter or longer than
+        /// the call needs.
         #[test]
         fn output_ignores_threads_and_buffer_history(
             (p, pos) in case_strategy(),
@@ -713,14 +850,27 @@ mod proptests {
             let mut out = Vec::new();
             for threads in [2usize, 4, 8] {
                 cp_parallel::with_threads(threads, || {
-                    spread_soa(&p, &soa, &xs, &ys, &mut scratch, &mut out);
+                    spread_soa(&p, &soa, &xs, &ys, scratch.arenas(), &mut out);
                 });
                 prop_assert_eq!(&bits(&out), &want, "threads = {}", threads);
                 // Repeat on the now-warm buffers, then dirty them.
-                spread_soa(&p, &soa, &xs, &ys, &mut scratch, &mut out);
+                spread_soa(&p, &soa, &xs, &ys, scratch.arenas(), &mut out);
                 prop_assert_eq!(&bits(&out), &want, "repeat after {} threads", threads);
                 let other_soa = PlacementSoa::from_problem(&other);
-                spread_soa(&other, &other_soa, &other_xs, &other_ys, &mut scratch, &mut out);
+                spread_soa(&other, &other_soa, &other_xs, &other_ys, scratch.arenas(), &mut out);
+            }
+            // A call needs 2m keys per axis and 4m (x) and 3m (y) cells.
+            let m = p.movable_count();
+            let lengths: [fn(usize) -> usize; 4] = [|n| n / 2, |n| n - 1, |n| n, |n| 3 * n + 5];
+            for (k, len) in lengths.into_iter().enumerate() {
+                let mut keys = [len(2 * m), len(2 * m)].map(|n| spent_entries(n, k));
+                let mut cells = [len(4 * m), len(3 * m)].map(|n| spent_columns(n, k));
+                let arenas = SpreadArenas {
+                    keys: keys.each_mut(),
+                    cells: cells.each_mut(),
+                };
+                cp_parallel::with_threads(2, || spread_soa(&p, &soa, &xs, &ys, arenas, &mut out));
+                prop_assert_eq!(&bits(&out), &want, "spent arenas, length variant {}", k);
             }
         }
 

@@ -85,13 +85,16 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Heap growth per movable allowed during one placement: the measured
-/// 353.5 B (scratch) and 354.0 B (seeded) plus 10% headroom. While the
-/// CG scratch held four vectors, each system its right-hand side and row
-/// pointers, spreading a staging copy of its output and the density
-/// scatter per-chunk staging, the placer grew 427.1 B and 427.7 B; before
-/// the iterate moved into the B2B assemblers 483.1 B and 483.7 B, and
-/// before the B2B pair cache was dropped 600.3 B and 600.9 B.
-const MAX_BYTES_PER_MOVABLE: f64 = 390.0;
+/// 286.7 B (scratch) and 287.2 B (seeded) plus 10% headroom. While
+/// spreading kept its own sort buffers beside the lower bound's (and the
+/// per-net extreme pins grew by doubling) the placer grew 353.5 B and
+/// 354.0 B; while the CG scratch held four vectors, each system its
+/// right-hand side and row pointers, spreading a staging copy of its
+/// output and the density scatter per-chunk staging, 427.1 B and
+/// 427.7 B; before the iterate moved into the B2B assemblers 483.1 B and
+/// 483.7 B, and before the B2B pair cache was dropped 600.3 B and
+/// 600.9 B.
+const MAX_BYTES_PER_MOVABLE: f64 = 316.0;
 
 /// Bytes one extra outer iteration may allocate: the measured 3,227 B of
 /// its five `cp-parallel` regions — the two axes, the two spreading

@@ -151,7 +151,8 @@ fn arb_problem() -> impl Strategy<Value = (PlacementProblem, Vec<(f64, f64)>)> {
                         height: 1.0
                     };
                     m
-                ],
+                ]
+                .into(),
                 fixed: vec![],
                 hypergraph: Hypergraph::new(m, edges).into(),
                 net_weights: weights,

@@ -132,7 +132,7 @@ proptest! {
     ) {
         let n = positions.len();
         let problem = PlacementProblem {
-            movable: vec![Object { width: 1.0, height: 1.0 }; n],
+            movable: vec![Object { width: 1.0, height: 1.0 }; n].into(),
             fixed: vec![],
             hypergraph: Hypergraph::new(n, vec![]).into(),
             net_weights: vec![],
@@ -145,7 +145,7 @@ proptest! {
         let soa = PlacementSoa::from_problem(&problem);
         let (xs, ys): (Vec<f64>, Vec<f64>) = positions.iter().copied().unzip();
         let mut out = Vec::new();
-        spread_soa(&problem, &soa, &xs, &ys, &mut SpreadScratch::default(), &mut out);
+        spread_soa(&problem, &soa, &xs, &ys, SpreadScratch::default().arenas(), &mut out);
         for &(x, y) in &out {
             prop_assert!(problem.core.contains(x, y));
         }
@@ -166,7 +166,7 @@ proptest! {
             edges.push((vec![i, i + 1], 1.0));
         }
         let problem = PlacementProblem {
-            movable: vec![Object { width: 1.0, height: 1.0 }; n],
+            movable: vec![Object { width: 1.0, height: 1.0 }; n].into(),
             fixed: vec![],
             hypergraph: Hypergraph::new(n, edges).into(),
             net_weights: vec![1.0; n.saturating_sub(1)],
@@ -355,7 +355,7 @@ fn all_fixed_problem_places_without_panicking() {
     // the placer must return an empty, converged result rather than divide
     // by the movable count.
     let problem = PlacementProblem {
-        movable: vec![],
+        movable: vec![].into(),
         fixed: vec![(1.0, 1.0), (9.0, 9.0)],
         hypergraph: Hypergraph::new(0, vec![]).into(),
         net_weights: vec![],

@@ -25,15 +25,15 @@ use cp_netlist::Constraints;
 use cp_trace::{ArgValue, Level};
 
 /// Shaping's heap growth allowed over the uniform-shape run: the measured
-/// 1,226,552–1,233,016 B (four runs) plus 3.8% headroom, seven times
-/// their spread. The placer's previous working set (four CG vectors, each
-/// system's right-hand side and row pointers, spreading's output copy)
-/// grew 1,308,872–1,313,576 B and fails it; with the placer holding its
-/// lower bound up to three times it grew 1,390,952–1,397,544 B; when the
-/// bound was first set, 2,072,944–2,082,208 B; and inducing every
-/// sub-netlist before the sweep and holding them all until it ended,
-/// 4,806,467–4,812,803 B.
-const MAX_SHAPING_GROWTH_BYTES: u64 = 1_280_000;
+/// 1,138,908–1,145,516 B (ten runs) plus 4.8% headroom, eight times
+/// their spread. With spreading's sort buffers beside the lower bound's
+/// it grew 1,226,552–1,233,032 B and fails it; with four CG vectors, each
+/// system's right-hand side and row pointers and spreading's output copy,
+/// 1,308,872–1,313,576 B; with the placer holding its lower bound up to
+/// three times, 1,390,952–1,397,544 B; when the bound was first set,
+/// 2,072,944–2,082,208 B; and inducing every sub-netlist before the sweep
+/// and holding them all until it ended, 4,806,467–4,812,803 B.
+const MAX_SHAPING_GROWTH_BYTES: u64 = 1_200_000;
 
 /// The benchmark's V-P&R regime: clusters of a few hundred instances,
 /// capped at 800, shaped above 200.
